@@ -8,7 +8,7 @@ export PYTHONPATH
 
 .PHONY: test bench perf perf-full perf-baseline trace-demo diagnose-demo \
 	compare-demo concurrent-demo shared-demo report-demo chaos chaos-demo \
-	monitor-demo profile-demo adaptive-demo serve-demo deprecation-gate
+	monitor-demo profile-demo adaptive-demo serve-demo ledger-smoke
 
 ## Tier-1: the fast deterministic test suite (what CI gates on).
 test:
@@ -87,14 +87,11 @@ adaptive-demo:
 serve-demo:
 	$(PYTHON) -m repro serve --count 300 --check
 
-## Deprecation gate: the tier-1 suite with DeprecationWarning promoted
-## to an error, so no internal caller leans on a deprecated surface
-## (e.g. WorkloadOptions(rebalance=...) instead of SchedulingPolicy).
-## The one exemption is a third-party import-time warning
-## (mypy_extensions via hypothesis' libcst extra) we cannot fix here.
-deprecation-gate:
-	$(PYTHON) -m pytest -x -q -W error::DeprecationWarning \
-		-W "ignore:mypy_extensions.TypedDict is deprecated"
+## Perf-ledger smoke: the benchmark's own tests (every workload runs
+## one checked op, the result line and `compare` verdicts are
+## well-formed).  Outside tier-1 (testpaths = tests); ~20 s.
+ledger-smoke:
+	$(PYTHON) -m pytest perf_ledger -q
 
 ## Observed demo query: scheduler explain + Chrome trace (Perfetto) +
 ## JSONL event log + metrics snapshot into benchmarks/results/.

@@ -9,13 +9,31 @@ at several damping factors and measures makespan and throughput.
 from conftest import run_once
 
 from repro.bench.workloads import make_join_database
-from repro.engine.concurrent import ConcurrentExecutor
+from repro.compiler.parallelizer import CompiledQuery
 from repro.lera.plans import ideal_join_plan
 from repro.machine.machine import Machine
 from repro.scheduler.adaptive import AdaptiveScheduler
+from repro.workload.engine import QuerySubmission, WorkloadExecutor
+from repro.workload.options import WorkloadOptions
 
 PROCESSORS = 16
 QUERIES = 6
+
+
+def _run_batch(machine, workload):
+    """Run every (plan, schedule) pair at once with its full thread
+    demand: the whole batch is admitted together, and the thread budget
+    covers the total demand so step 0 never trims a schedule (the bench
+    studies the scheduler's damping, not the engine's)."""
+    submissions = [
+        QuerySubmission(f"q{i}", CompiledQuery(plan, None, None, "bench"),
+                        schedule)
+        for i, (plan, schedule) in enumerate(workload)]
+    demand = sum(sum(op.threads for op in schedule.operations.values())
+                 for _, schedule in workload)
+    options = WorkloadOptions(max_concurrent=len(workload),
+                              thread_budget=demand)
+    return WorkloadExecutor(machine, workload=options).execute(submissions)
 
 
 def _batch(multi_user_factor: float):
@@ -29,7 +47,7 @@ def _batch(multi_user_factor: float):
         plan = ideal_join_plan(database.entry_a, database.entry_b,
                                "key", "key")
         workload.append((plan, scheduler.schedule(plan)))
-    return ConcurrentExecutor(machine).execute(workload), workload
+    return _run_batch(machine, workload), workload
 
 
 def test_multiuser_throughput(benchmark, record_result):
@@ -49,7 +67,7 @@ def test_multiuser_throughput(benchmark, record_result):
     result.add_series("makespan",
                       [batches[f][0].makespan for f in (1.0, 0.5, 0.25)])
     result.add_series("threads", [
-        sum(e.total_threads for e in batches[f][0].executions)
+        sum(e.total_threads for e in batches[f][0].executions.values())
         for f in (1.0, 0.5, 0.25)])
     result.add_series("mean response", [
         batches[f][0].mean_response_time for f in (1.0, 0.5, 0.25)])
@@ -58,12 +76,12 @@ def test_multiuser_throughput(benchmark, record_result):
     full, _ = batches[1.0]
     damped, _ = batches[0.5]
     # Damping cuts total thread allocation substantially ...
-    assert (sum(e.total_threads for e in damped.executions)
-            < sum(e.total_threads for e in full.executions) * 0.75)
+    assert (sum(e.total_threads for e in damped.executions.values())
+            < sum(e.total_threads for e in full.executions.values()) * 0.75)
     # ... while the saturated machine keeps near-equal throughput.
     assert damped.makespan < full.makespan * 1.25
     # Every query still returns its full result.
-    assert all(e.result_cardinality == 2000 for e in full.executions)
+    assert all(e.result_cardinality == 2000 for e in full.executions.values())
 
 
 def test_multiuser_vs_serial(benchmark):
@@ -81,7 +99,7 @@ def test_multiuser_vs_serial(benchmark):
             plan = ideal_join_plan(database.entry_a, database.entry_b,
                                    "key", "key")
             workload.append((plan, scheduler.schedule(plan, 6)))
-        concurrent = ConcurrentExecutor(machine).execute(workload)
+        concurrent = _run_batch(machine, workload)
         serial = sum(Executor(machine).execute(plan, schedule).response_time
                      for plan, schedule in workload)
         return concurrent, serial

@@ -46,6 +46,7 @@ from repro.obs.monitor import (
     BLAME_PROCESSING_SKEW,
     pool_idle_shares,
     straggler_signals,
+    wave_stamps,
 )
 from repro.scheduler.allocation import _largest_remainder
 
@@ -155,9 +156,12 @@ def resplit_shares(shares: list[int], modes: list[str],
 class AdaptiveController:
     """Mid-flight scheduling decisions for one workload run.
 
-    Owned by a ``_WorkloadRun`` when ``SchedulingPolicy(policy=
-    "adaptive")``; ``None`` otherwise (the escape hatch every layer
-    keeps).  Emits a ``schedule.resplit`` / ``schedule.switch`` event
+    Built by a ``_WorkloadRun`` when ``SchedulingPolicy(policy=
+    "adaptive")``, which subscribes :meth:`observe_wave` to its
+    ``wave`` control point and :meth:`before_wave` to ``wave.start``;
+    under the static policy nothing is built or subscribed.  Both
+    read the engine's per-query job (``tag``, ``wave_index``, ...).
+    Emits a ``schedule.resplit`` / ``schedule.switch`` event
     on the workload bus for every decision taken, and records the same
     decisions on :attr:`explanation` (surfaced as
     ``WorkloadResult.decisions``).
@@ -175,25 +179,26 @@ class AdaptiveController:
 
     # -- wave barrier ----------------------------------------------------------
 
-    def observe_wave(self, tag: str, wave_index: int, started_at: float,
-                     ops) -> None:
-        """Bank evidence from a finished wave for the query's next one."""
-        if not (self.policy.resplit or self.policy.strategy_switch):
+    def observe_wave(self, now: float, job) -> None:
+        """Bank evidence from *job*'s finished wave for its next one."""
+        if (job.wave_index + 1 >= len(job.waves)
+                or not (self.policy.resplit or self.policy.strategy_switch)):
             return
-        evidence = wave_evidence(started_at, ops, self.policy)
+        evidence = wave_evidence(job.wave_started_at,
+                                 wave_stamps(job.current_wave_ops),
+                                 self.policy)
         if evidence is not None:
-            self._pending[tag] = WaveEvidence(
-                wave_index=wave_index, boost=evidence.boost,
+            self._pending[job.tag] = WaveEvidence(
+                wave_index=job.wave_index, boost=evidence.boost,
                 starved_idle=evidence.starved_idle,
                 drivers=evidence.drivers, starved=evidence.starved,
                 skewed=evidence.skewed)
 
     # -- wave start ------------------------------------------------------------
 
-    def before_wave(self, tag: str, wave_index: int, wave_ops,
-                    base: list[int], wave_total: int,
-                    shares: list[int], at: float) -> list[int]:
-        """Spend banked evidence on the wave about to start.
+    def before_wave(self, at: float, job, wave_ops, base: list[int],
+                    wave_total: int, shares: list[int]) -> list[int]:
+        """Spend banked evidence on the wave *job* is about to start.
 
         Returns the (possibly re-split) per-operation shares and
         applies any strategy switches directly to the runtimes —
@@ -201,12 +206,12 @@ class AdaptiveController:
         switched strategy.  Without banked evidence this returns
         *shares* untouched.
         """
-        evidence = self._pending.pop(tag, None)
+        evidence = self._pending.pop(job.tag, None)
         if evidence is None:
             return shares
-        shares = self._maybe_resplit(tag, wave_index, wave_ops, base,
+        shares = self._maybe_resplit(job.tag, job.wave_index, wave_ops, base,
                                      wave_total, shares, evidence, at)
-        self._maybe_switch(tag, wave_index, wave_ops, evidence, at)
+        self._maybe_switch(job.tag, job.wave_index, wave_ops, evidence, at)
         return shares
 
     def _maybe_resplit(self, tag: str, wave_index: int, wave_ops,

@@ -34,9 +34,8 @@ POLICIES = (POLICY_STATIC, POLICY_ADAPTIVE)
 class SchedulingPolicy:
     """How the workload engine schedules threads, statically or not.
 
-    Nested in :class:`~repro.workload.options.WorkloadOptions`; the
-    old flat ``WorkloadOptions(rebalance=...)`` boolean is a deprecated
-    alias for :attr:`rebalance` here.
+    Nested in :class:`~repro.workload.options.WorkloadOptions`
+    (``scheduling=``).
     """
 
     policy: str = POLICY_STATIC
@@ -61,8 +60,7 @@ class SchedulingPolicy:
     rebalance: bool = True
     """Mid-wave helper threads: when a completion re-grants budget to
     the survivors, fresh threads join their still-running pools as
-    secondary consumers.  (Both modes; previously the flat
-    ``WorkloadOptions(rebalance=...)`` boolean.)"""
+    secondary consumers.  (Both modes.)"""
     straggler_ratio: float = 2.0
     """Slowest-to-mean relative-finish ratio above which a wave's
     operation counts as straggling (the Fig 12 trigger, same default

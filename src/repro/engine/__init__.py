@@ -10,7 +10,6 @@ from repro.engine.dbfuncs import (
     TransmitFunc,
     make_dbfunc,
 )
-from repro.engine.concurrent import ConcurrentExecutor, ConcurrentResult
 from repro.engine.executor import (
     DEFAULT_PIPELINED_CACHE,
     DEFAULT_TRIGGERED_CACHE,
@@ -43,8 +42,6 @@ from repro.engine.trace import ExecutionTrace, TraceEvent
 
 __all__ = [
     "ActivationQueue",
-    "ConcurrentExecutor",
-    "ConcurrentResult",
     "ExecutionTrace",
     "ConsumptionStrategy",
     "DBFunc",

@@ -30,11 +30,11 @@ reason="shrink")``); each distinct label set is its own time series,
 and :meth:`MetricsRegistry.family` / :meth:`MetricsRegistry.total`
 aggregate across a name's label sets.
 
-The registry follows the bus's guarded no-op discipline: engine
-layers hold an optional reference (``None`` when workload
-observability is off) and pay one ``is not None`` check per site —
-the perf harness pins the disabled mode at under 5 % wall clock
-(``obs_workload`` cell of ``BENCH_engine.json``).
+The workload engine fills the registry through a telemetry consumer
+subscribed to its control points (:mod:`repro.workload.consumers`);
+with workload observability off there is no registry and nothing is
+subscribed — the perf harness pins the disabled mode at under 5 %
+wall clock (``obs_workload`` cell of ``BENCH_engine.json``).
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from repro.errors import ReproError
 LOG_BUCKET_BOUNDS: tuple[float, ...] = tuple(
     2.0 ** exponent for exponent in range(-10, 11))
 
-#: Well-known metric names.  The workload engine populates these; the
-#: report renderer and the chaos harness read them back by name.
+#: Well-known metric names.  The workload engine's telemetry consumer
+#: (and the fault injector) populate these; the report renderer and the
+#: chaos harness read them back by name.
 QUERIES_SUBMITTED = "queries_submitted_total"
 QUERIES_ADMITTED = "queries_admitted_total"
 QUERIES_FINISHED = "queries_finished_total"          # label: status

@@ -113,6 +113,17 @@ def straggler_signals(started_at: float, ops, ratio: float = 2.0,
     return tuple(signals)
 
 
+def wave_stamps(operations) -> list:
+    """The wave-barrier payload of *operations* (runtimes whose wave
+    just finished): ``[(name, [(finished_at, busy, idle), ...]), ...]``
+    with one stamp triple per thread — fresh at the barrier, which is
+    what :func:`straggler_signals` and the adaptive controller's
+    next-wave evidence both read."""
+    return [(op.name, [(t.finished_at, t.busy_time, t.idle_time)
+                       for t in op.threads])
+            for op in operations]
+
+
 def pool_idle_shares(ops) -> dict[str, float]:
     """Pooled idle share per operation at a wave barrier.
 
@@ -445,4 +456,5 @@ __all__ = [
     "default_monitors",
     "pool_idle_shares",
     "straggler_signals",
+    "wave_stamps",
 ]

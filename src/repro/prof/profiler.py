@@ -2,11 +2,13 @@
 
 Everything else in the observability stack measures the *simulated*
 system in virtual time; this package measures the *simulator* in wall
-time.  The engine's inner loops (ready-index scan, ``_deliver``, the
-wave barrier, admission, the fold pass, fault injection) carry
-``enter``/``exit`` instrumentation guarded by the usual
-``is not None`` no-op check, and the :class:`EngineProfiler`
-aggregates the timings into a call tree keyed by section *path* — so
+time.  The event loop's inner sections (ready-index scan, ``_deliver``,
+fault injection) carry ``enter``/``exit`` instrumentation guarded by
+the usual ``is not None`` no-op check; the workload engine's phases
+(admission, the fold pass, the wave barrier, ...) are whole methods
+wrapped once per run by :meth:`EngineProfiler.instrument`.  The
+profiler aggregates the timings into a call tree keyed by section
+*path* — so
 "deliver under sim under run" and "deliver under a regrant callback"
 stay distinct, exactly what a flame graph wants.
 
@@ -118,6 +120,26 @@ class EngineProfiler:
             yield
         finally:
             self.exit()
+
+    def instrument(self, target, sections: dict[str, str]) -> None:
+        """Time *target*'s named methods as sections, from now on.
+
+        ``sections`` maps method name -> section name.  Each method is
+        shadowed on the instance by a wrapper that closes its section
+        even when the method raises — an exception can never leave a
+        frame open.  An uninstrumented object pays nothing at all.
+        """
+        for method, name in sections.items():
+            setattr(target, method, self._timed(name, getattr(target, method)))
+
+    def _timed(self, name: str, method):
+        def timed(*args, **kwargs):
+            self.enter(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                self.exit()
+        return timed
 
     # -- attribution --------------------------------------------------
 

@@ -10,9 +10,9 @@ Two layers:
 
 * :class:`ServingPolicy` — the frozen configuration block nested in
   :class:`~repro.workload.options.WorkloadOptions` (``serving=``).
-  ``None`` (the default) keeps the engine on its legacy FIFO path,
-  bit-identical to the pre-serving engine — the escape hatch every
-  subsystem keeps.
+  ``None`` (the default) makes the engine serve under the default
+  block — FIFO, unbounded, no brownout — bit-identical to the
+  pre-serving engine.
 * :class:`AdmissionPolicy` subclasses — the per-run mutable queue
   structures.  Each owns an *indexed* wait queue (deque or
   lazy-deletion heap), so one admission step costs O(log waiting) at
@@ -70,12 +70,13 @@ class ServingPolicy:
     """The serving/overload-protection configuration block.
 
     Attached to :class:`~repro.workload.options.WorkloadOptions` as
-    ``serving=``.  ``None`` there disables the whole layer; a
-    ``ServingPolicy()`` with all defaults enables it in its mildest
-    form — FIFO order, unbounded queue, no brownout — whose admission
-    *decisions* are identical to the legacy engine (what the perf
-    harness's serving overhead cell pins at under 5% wall and equal
-    virtual makespan).
+    ``serving=``.  A ``ServingPolicy()`` with all defaults is the
+    layer in its mildest form — FIFO order, unbounded queue, no
+    brownout — and is what the engine runs under when ``serving`` is
+    ``None``; asking for it explicitly only changes what is *reported*
+    (priority/tenant on ``query.submit``, ``rejected`` instead of a
+    raise, per-class latency labels), which the perf harness's serving
+    overhead cell pins at equal virtual makespan.
     """
 
     policy: str = POLICY_FIFO

@@ -8,9 +8,12 @@ threads do inside one query.
 
 Life of a query here:
 
-1. **submit** at its arrival offset; it enters the FIFO admission
-   queue (:class:`~repro.workload.admission.AdmissionController`).
-2. **admit** when capacity and the memory gate allow; its sequential
+1. **submit** at its arrival offset; it enters the wait queue, an
+   :class:`~repro.serve.policies.AdmissionPolicy` — FIFO unless a
+   ``serving`` block picks priority, fair-share or EDF order.
+2. **admit** when capacity and the memory gate
+   (:class:`~repro.workload.admission.AdmissionController`) allow,
+   head of the policy's order or nobody; its sequential
    initialization is charged on the single init thread (start-ups of
    co-arriving queries serialize, as in the single-query executor).
 3. **grant**: "step 0" — :func:`~repro.scheduler.allocation
@@ -27,11 +30,23 @@ Life of a query here:
    their *current* wave mid-flight with helper threads (pure
    secondary consumers — the paper's dynamic allocation generalized
    across queries).
+
+Each of those instants is a named *control point* that
+:class:`_WorkloadRun` fires exactly once, with the query and the facts
+it has: the workload-bus kinds, the four monitor points, the ``fold``
+pass, and ``wave.start``, whose consumer may rewrite the wave's thread
+shares.  Telemetry, monitor rules and the adaptive controller
+subscribe at run construction (:mod:`repro.workload.consumers`); a
+feature that is off is not subscribed, so the core below carries no
+per-feature tests.  The self-profiler wraps the methods it times, also
+once at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.executor import (
@@ -72,27 +87,7 @@ from repro.obs.bus import (
     WAVE_START,
     EventBus,
 )
-from repro.obs.metrics import (
-    ADMISSION_QUEUE_DEPTH,
-    ADMISSION_WAIT,
-    BACKPRESSURE_ENGAGED,
-    BROWNOUT_ACTIVE,
-    FOLD_ATTEMPTS,
-    FOLD_COST_SHARE,
-    FOLD_HITS,
-    FOLD_SUBSCRIBERS,
-    GRANTED_THREADS,
-    GRANTS,
-    POOL_UTILIZATION,
-    QUERIES_ADMITTED,
-    QUERIES_FINISHED,
-    QUERIES_REJECTED,
-    QUERIES_SHED,
-    QUERIES_SUBMITTED,
-    QUERY_LATENCY,
-    RUNNING_QUERIES,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import (
     POINT_ADMISSION,
     POINT_FINISH,
@@ -115,10 +110,12 @@ from repro.serve.policies import (
     REJECT_MEMORY,
     SHED_DEADLINE_INFEASIBLE,
     SHED_QUEUE_FULL,
+    ServingPolicy,
     make_admission_policy,
     provably_infeasible,
 )
 from repro.workload.admission import AdmissionController, runtime_footprint
+from repro.workload.consumers import POINT_FOLD, _MonitorFeed, _Telemetry
 from repro.workload.options import WorkloadOptions
 from repro.workload.sharing import (
     FoldRegistry,
@@ -212,15 +209,15 @@ class WorkloadResult:
     """Workload telemetry registry (counters / gauges / latency
     histograms), populated when workload observability is on —
     ``WorkloadOptions(observability=ObservabilityOptions(observe=True))``
-    or per-query ``observe``.  ``None`` when disabled: the engine then
-    pays one ``is not None`` check per site and nothing else."""
+    or per-query ``observe``.  ``None`` when disabled: the telemetry
+    consumer is then not subscribed to any control point."""
     spans: SpanSet | None = None
     """Per-query lifecycle spans assembled from :attr:`bus` after the
     run (same gating as :attr:`metrics`)."""
     alerts: AlertBus | None = None
     """Alerts fired by the streaming monitor rules, populated when
     ``ObservabilityOptions(monitors=...)`` is non-empty.  ``None`` when
-    no rules are installed (the usual guarded no-op)."""
+    no rules are installed (nothing listens at the monitor points)."""
     profile: EngineProfiler | None = None
     """Wall-clock self-profile of the engine's own hot paths,
     populated when ``ObservabilityOptions(profile=True)``.  Measures
@@ -253,7 +250,7 @@ class WorkloadResult:
 
     def status_of(self, tag: str) -> str:
         """Terminal status of one query: ``done`` / ``cancelled`` /
-        ``timed_out`` / ``failed``."""
+        ``timed_out`` / ``failed`` / ``rejected`` / ``shed``."""
         return self.execution(tag).status
 
     @property
@@ -278,7 +275,6 @@ class _QueryJob:
                  exec_options: ExecutionOptions,
                  shared: bool = False) -> None:
         self.tag = submission.tag
-        self.compiled = submission.compiled
         self.plan = submission.compiled.plan
         self.schedule = submission.schedule
         self.arrival = submission.arrival
@@ -290,9 +286,16 @@ class _QueryJob:
         self.plan.validate()
         self.waves = self.plan.chain_waves()
         self.complexity = query_complexity(self.plan, machine.costs)
-        self.shared_mode = shared
+        self.wave_totals = [
+            sum(self.schedule.of(node.name).threads
+                for chain in wave for node in chain.nodes)
+            for wave in self.waves
+        ]
+        #: Step-0 demand: more threads than the widest wave asks for
+        #: could never be used.
+        self.demand = max(self.wave_totals)
         #: Shared-work state.  All empty/None on the private path, so
-        #: every sharing branch below reduces to the legacy behaviour.
+        #: every sharing branch below reduces to the private behaviour.
         self.folds: dict[str, SharedOperator] = {}
         self.hosted: list[SharedOperator] = []
         self.shared_results: dict[str, list] = {}
@@ -303,14 +306,6 @@ class _QueryJob:
             self.runtimes = executor.build_runtimes(self.plan, self.schedule)
             executor.wire_pipelines(self.plan, self.runtimes)
             self.startup = executor.startup_time(self.runtimes, self.schedule)
-            self.wave_totals = [
-                sum(self.schedule.of(node.name).threads
-                    for chain in wave for node in chain.nodes)
-                for wave in self.waves
-            ]
-            #: Step-0 demand: more threads than the widest wave asks
-            #: for could never be used.
-            self.demand = max(self.wave_totals)
             self.footprint = runtime_footprint(self.runtimes)
             self.materialized = True
         else:
@@ -322,12 +317,6 @@ class _QueryJob:
                 node.name: operator_complexity(node.spec, machine.costs)
                 for node in self.plan.nodes}
             self.node_footprints = node_footprints(self.plan, machine.costs)
-            self.wave_totals = [
-                sum(self.schedule.of(node.name).threads
-                    for chain in wave for node in chain.nodes)
-                for wave in self.waves
-            ]
-            self.demand = max(self.wave_totals)
             self.startup = 0.0
             self.footprint = sum(self.node_footprints.values())
             self.materialized = False
@@ -345,7 +334,6 @@ class _QueryJob:
         self.wave_threads = 0
         self.max_threads = 0
         self.max_dilation = 1.0
-        self.admitted_at: float | None = None
         self.finished_at: float | None = None
         self.execution: QueryExecution | None = None
         #: Terminal state this job is headed for while CANCELLING.
@@ -470,8 +458,7 @@ class _QueryJob:
                 return 1.0 / len(shared.all_tags)
         return 1.0
 
-    def build_execution(self, executor: Executor,
-                        status: str = STATUS_DONE) -> QueryExecution:
+    def build_execution(self, status: str = STATUS_DONE) -> QueryExecution:
         """Freeze metrics once the last wave finished.
 
         ``response_time`` is measured from *submission*, so it
@@ -492,36 +479,27 @@ class _QueryJob:
         collector.
         """
         assert self.finished_at is not None
-        if not self.materialized:
-            # Withdrawn before admission (shared mode defers building).
-            operations: dict[str, OperationMetrics] = {}
-            result_rows: list = []
-        elif not self.folds and not self.hosted:
-            operations = {name: OperationMetrics.of(rt)
-                          for name, rt in self.runtimes.items()
-                          if rt.finished_at is not None}
-            result_rows = executor.collect_results(self.plan, self.runtimes)
-        else:
-            operations = {}
-            result_rows = []
-            for node in self.plan.nodes:
-                name = node.name
-                shared = self.folds.get(name)
-                if shared is not None:
-                    rt = shared.runtime
-                    if rt.finished_at is not None:
-                        operations[name] = OperationMetrics.of(
-                            rt, cost_share=1.0 / len(shared.all_tags),
-                            name=name)
-                    if name in self.shared_results:
-                        result_rows.extend(self.shared_results[name])
-                else:
-                    rt = self.runtimes[name]
-                    if rt.finished_at is not None:
-                        operations[name] = OperationMetrics.of(
-                            rt, cost_share=self._share_of(rt))
-                    if rt.consumer is None:
-                        result_rows.extend(rt.result_rows)
+        operations: dict[str, OperationMetrics] = {}
+        result_rows: list = []
+        # A query withdrawn before admission in shared mode (which
+        # defers building) has nothing to report.
+        for node in self.plan.nodes if self.materialized else ():
+            name = node.name
+            shared = self.folds.get(name)
+            if shared is not None:
+                rt = shared.runtime
+                if rt.finished_at is not None:
+                    operations[name] = OperationMetrics.of(
+                        rt, cost_share=1.0 / len(shared.all_tags), name=name)
+                if name in self.shared_results:
+                    result_rows.extend(self.shared_results[name])
+            else:
+                rt = self.runtimes[name]
+                if rt.finished_at is not None:
+                    operations[name] = OperationMetrics.of(
+                        rt, cost_share=self._share_of(rt))
+                if rt.consumer is None:
+                    result_rows.extend(rt.result_rows)
         return QueryExecution(
             response_time=self.finished_at - self.arrival,
             startup_time=self.startup,
@@ -555,6 +533,27 @@ class WorkloadExecutor:
         return run.run()
 
 
+#: What a run without a ``serving`` block serves under: FIFO deque, no
+#: queue bound, no brownout.
+_DEFAULT_SERVING = ServingPolicy()
+
+#: Methods of a run the self-profiler times, by section name.  Applied
+#: once at construction when a profiler is present (see
+#: :meth:`~repro.prof.profiler.EngineProfiler.instrument`); an
+#: unprofiled run has nothing wrapped.
+_PROFILED_SECTIONS = {
+    "_control": "control",
+    "_assemble": "assemble",
+    "_try_admit": "admission",
+    "_plan_folds": "fold",
+    "_materialize": "fold",
+    "_grants": "allocate",
+    "_start_wave": "wave_prep",
+    "_advance_if_wave_done": "wave_barrier",
+    "_refresh_grants": "regrant",
+}
+
+
 class _WorkloadRun:
     """One workload execution in flight (all mutable run state)."""
 
@@ -564,10 +563,9 @@ class _WorkloadRun:
         self.machine = machine
         self.workload = workload
         self.executor = Executor(machine, exec_options)
-        #: Shared-work state: ``None`` keeps every sharing branch off
-        #: the hot path (shared=False is bit-identical to the
-        #: pre-sharing engine).
-        self.sharing = FoldRegistry() if workload.shared else None
+        #: Fold targets offered by shared-mode queries; stays empty
+        #: (and every fold set with it) when ``shared`` is off.
+        self.sharing = FoldRegistry()
         self.jobs = [_QueryJob(s, i, machine, self.executor, exec_options,
                                shared=workload.shared)
                      for i, s in enumerate(submissions)]
@@ -575,10 +573,9 @@ class _WorkloadRun:
         #: complete before their current wave can advance.
         self._waiters_of: dict[int, list[_QueryJob]] = {}
         self.bus = EventBus()
-        #: Workload telemetry: ``None`` keeps every metrics branch off
-        #: the hot path (same guarded no-op pattern as the per-query
-        #: bus); on, it is populated purely from the lifecycle sites
-        #: that already emit bus events.
+        #: Control point -> subscribed consumers, in registration
+        #: order.  A feature that is off registers nothing.
+        self._listeners: dict[str, list] = {}
         #: Monitor rules come from either options block; non-empty
         #: rules imply metrics (the rules read the registry).
         rules = (workload.observability.monitors
@@ -587,17 +584,21 @@ class _WorkloadRun:
                         if exec_options.observe
                         or workload.observability.observe
                         or rules else None)
-        self.monitors = (MonitorEngine(rules, self.metrics)
-                         if rules else None)
-        #: Adaptive scheduling controller: ``None`` under the static
-        #: policy keeps every adaptive branch off the hot path — the
-        #: same escape-hatch shape as sharing, metrics and monitors,
-        #: and what makes ``policy="static"`` bit-identical to the
-        #: pre-controller engine.
-        self.adapt = (AdaptiveController(workload.scheduling, self.bus)
-                      if workload.scheduling.adaptive else None)
         self.admission = AdmissionController(workload,
                                              metrics=self.metrics)
+        if self.metrics is not None:
+            _Telemetry(self, self.metrics)
+        self.alerts: AlertBus | None = None
+        if rules:
+            monitors = MonitorEngine(rules, self.metrics)
+            self.alerts = monitors.alerts
+            _MonitorFeed(self, monitors)
+        self.decisions: ScheduleExplanation | None = None
+        if workload.scheduling.adaptive:
+            controller = AdaptiveController(workload.scheduling, self.bus)
+            self.decisions = controller.explanation
+            self.subscribe(POINT_WAVE, controller.observe_wave)
+            self.subscribe(WAVE_START, controller.before_wave)
         self.budget = workload.thread_budget or machine.processors
         self.simulator = Simulator(
             machine, seed=exec_options.seed,
@@ -611,26 +612,25 @@ class _WorkloadRun:
         self._profile_requested = (exec_options.observability.profile
                                    or workload.observability.profile)
         ambient = active_profiler()
-        self.profiler = (EngineProfiler()
-                         if self._profile_requested and ambient is None
-                         else ambient)
         self._own_profiler = self._profile_requested and ambient is None
+        self.profiler = EngineProfiler() if self._own_profiler else ambient
         if self.profiler is not None:
             self.simulator.attach_profiler(self.profiler)
+            self.profiler.instrument(self, _PROFILED_SECTIONS)
+            self.profiler.instrument(self.simulator, {"run": "sim"})
         if workload.faults is not None:
             from repro.faults.injector import FaultInjector
             self.simulator.attach_faults(
                 FaultInjector(workload.faults, bus=self.bus,
                               metrics=self.metrics))
         self.running: list[_QueryJob] = []
-        #: Serving layer: ``None`` keeps every overload-protection
-        #: branch off the hot path — serving-off runs are bit-identical
-        #: to the pre-serving engine.  The wait queue is always a
-        #: policy object; without serving it is the FIFO deque, whose
-        #: admission order matches the old list exactly (it just stops
-        #: paying O(waiting) per admitted query).
-        self.serving = workload.serving
-        self.queue = make_admission_policy(workload.serving)
+        #: That the caller asked for the serving layer is kept for the
+        #: three outputs pinned to differ: priority/tenant on
+        #: ``query.submit``, reject-instead-of-raise for a query that
+        #: can never fit, and the per-class latency labels.
+        self.serving_requested = workload.serving is not None
+        self.serving = workload.serving or _DEFAULT_SERVING
+        self.queue = make_admission_policy(self.serving)
         self.brownout = False
         self._backpressure = False
         self.next_thread_id = 0
@@ -639,112 +639,99 @@ class _WorkloadRun:
         self.startup_free_at = 0.0
         self._job_of: dict[int, _QueryJob] = {}
 
+    # -- control points ---------------------------------------------------------
+
+    def subscribe(self, point: str, listener) -> None:
+        """Call *listener* every time control point *point* fires."""
+        self._listeners.setdefault(point, []).append(listener)
+
+    def _notify(self, point: str, now: float, job: _QueryJob | None = None,
+                **facts) -> None:
+        """Fire one control point: ``listener(now, job, **facts)``."""
+        for listener in self._listeners.get(point, ()):
+            listener(now, job, **facts)
+
+    def _emit(self, kind: str, now: float, job: _QueryJob | None = None,
+              **facts) -> None:
+        """Fire a workload-bus control point: record the event (tagged
+        with the query, payload = *facts*), then tell its consumers."""
+        self.bus.emit(kind, now, job.tag if job is not None else None,
+                      **facts)
+        for listener in self._listeners.get(kind, ()):
+            listener(now, job, **facts)
+
     # -- outer loop -----------------------------------------------------------
 
     def run(self) -> WorkloadResult:
-        profiler = self.profiler
         if self._own_profiler:
-            profiler.start()
+            self.profiler.start()
         try:
-            return self._run(profiler)
+            # Query arrivals plus scheduled cancellation / timeout
+            # deadlines, in one merged timeline.  Arrivals sort before
+            # deadlines at the same instant (a query cancelled at its
+            # own arrival must exist before it can be withdrawn).
+            timeline: list[tuple[float, int, int, str | None]] = []
+            for job in self.jobs:
+                timeline.append((job.arrival, 0, job.order, None))
+                deadline = job.deadline
+                if deadline is not None:
+                    timeline.append((deadline[0], 1, job.order, deadline[1]))
+            timeline.sort()
+            for now, batch in groupby(timeline, key=itemgetter(0)):
+                # Drain the simulation up to (and including) the
+                # control instant, so admission sees the machine state
+                # at that virtual time — completions at t <= now
+                # already applied.
+                self.simulator.run(until=now)
+                self._control(now, batch)
+            self.simulator.run()
+            return self._assemble()
         finally:
             if self._own_profiler:
-                profiler.stop()
+                self.profiler.stop()
 
-    def _run(self, profiler) -> WorkloadResult:
-        # Control points: query arrivals plus scheduled cancellation /
-        # timeout deadlines, in one merged timeline.  Arrivals sort
-        # before deadlines at the same instant (a query cancelled at
-        # its own arrival must exist before it can be withdrawn).
-        events: list[tuple[float, int, int, str]] = []
-        for job in self.jobs:
-            events.append((job.arrival, 0, job.order, "arrive"))
-            deadline = job.deadline
-            if deadline is not None:
-                events.append((deadline[0], 1, job.order, deadline[1]))
-        events.sort()
-        index = 0
-        while index < len(events):
-            now = events[index][0]
-            # Drain the simulation up to (and including) the control
-            # instant, so admission sees the machine state at that
-            # virtual time — completions at t <= now already applied.
-            if profiler is not None:
-                profiler.enter("sim")
-            self.simulator.run(until=now)
-            if profiler is not None:
-                profiler.exit()
-                profiler.enter("control")
-            self._maybe_recycle_thread_ids()
-            arrived = False
-            deadlines: list[tuple[_QueryJob, str]] = []
-            while index < len(events) and events[index][0] <= now:
-                _, _, order, kind = events[index]
-                index += 1
-                job = self.jobs[order]
-                if kind == "arrive":
-                    if self.serving is None:
-                        self.bus.emit(QUERY_SUBMIT, job.arrival, job.tag,
-                                      demand=job.demand,
-                                      footprint=job.footprint)
-                        self.admission.check_admissible(job.tag,
-                                                        job.footprint)
-                        self.queue.push(job)
-                        if self.metrics is not None:
-                            self.metrics.counter(QUERIES_SUBMITTED).inc(now)
-                            self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
-                                now, len(self.queue))
-                    else:
-                        self._submit_serving(job, now)
-                    arrived = True
-                else:
-                    deadlines.append((job, kind))
-            # Deadlines apply before admission: a query cancelled at
-            # its arrival instant is withdrawn from the FIFO queue and
-            # never touches the machine.
-            for job, outcome in deadlines:
+    def _control(self, now: float, batch) -> None:
+        """Apply one instant's arrivals, then its deadlines, then admit.
+
+        Deadlines apply before admission: a query cancelled at its
+        arrival instant is withdrawn from the wait queue and never
+        touches the machine.
+        """
+        self._maybe_recycle_thread_ids()
+        arrived = False
+        for _, _, order, outcome in batch:
+            job = self.jobs[order]
+            if outcome is None:
+                self._submit(job, now)
+                arrived = True
+            else:
                 self._apply_deadline(job, now, outcome)
-            if arrived:
-                self._try_admit(now)
-            if profiler is not None:
-                profiler.exit()
-        if profiler is not None:
-            profiler.enter("sim")
-        self.simulator.run()
-        if profiler is not None:
-            profiler.exit()
-            profiler.enter("assemble")
-        try:
-            stuck = [job.tag for job in self.jobs
-                     if job.state not in TERMINAL_STATES]
-            if stuck:
-                raise WorkloadError(
-                    f"workload did not complete: queries {stuck} never "
-                    f"finished (deadlock or admission starvation)")
-            makespan = max((job.finished_at for job in self.jobs),
-                           default=0.0)
-            executions = {job.tag: job.execution for job in self.jobs}
-            spans = (assemble_spans(self.bus, executions)
-                     if self.metrics is not None else None)
-            return WorkloadResult(
-                executions=executions,
-                order=tuple(job.tag for job in self.jobs),
-                makespan=makespan,
-                bus=self.bus,
-                errors={job.tag: str(job.error) for job in self.jobs
-                        if job.error is not None},
-                metrics=self.metrics,
-                spans=spans,
-                alerts=(self.monitors.alerts
-                        if self.monitors is not None else None),
-                profile=(self.profiler
-                         if self._profile_requested else None),
-                decisions=(self.adapt.explanation
-                           if self.adapt is not None else None),
-            )
-        finally:
-            if profiler is not None:
-                profiler.exit()
+        if arrived:
+            self._try_admit(now)
+
+    def _assemble(self) -> WorkloadResult:
+        stuck = [job.tag for job in self.jobs
+                 if job.state not in TERMINAL_STATES]
+        if stuck:
+            raise WorkloadError(
+                f"workload did not complete: queries {stuck} never "
+                f"finished (deadlock or admission starvation)")
+        executions = {job.tag: job.execution for job in self.jobs}
+        return WorkloadResult(
+            executions=executions,
+            order=tuple(job.tag for job in self.jobs),
+            makespan=max((job.finished_at for job in self.jobs),
+                         default=0.0),
+            bus=self.bus,
+            errors={job.tag: str(job.error) for job in self.jobs
+                    if job.error is not None},
+            metrics=self.metrics,
+            spans=(assemble_spans(self.bus, executions)
+                   if self.metrics is not None else None),
+            alerts=self.alerts,
+            profile=self.profiler if self._profile_requested else None,
+            decisions=self.decisions,
+        )
 
     def _maybe_recycle_thread_ids(self) -> None:
         """Reset thread-id allocation when the machine is quiescent.
@@ -762,6 +749,54 @@ class _WorkloadRun:
                 and self.machine.directory is None):
             self.next_thread_id = 0
             self.startup_free_at = 0.0
+
+    # -- arrival and pre-admission exits ---------------------------------------
+
+    def _submit(self, job: _QueryJob, now: float) -> None:
+        """One arrival: into the wait queue, or out as ``rejected``.
+
+        A query whose footprint can never fit raises to a caller that
+        did not ask for serving; an open-loop arrival stream has no
+        caller to raise into, so under serving it becomes a terminal
+        ``rejected`` status the client reads back and the run keeps
+        serving everyone else.
+        """
+        facts = {"demand": job.demand, "footprint": job.footprint}
+        if self.serving_requested:
+            facts.update(priority=job.priority, tenant=job.tenant)
+        try:
+            self.admission.check_admissible(job.tag, job.footprint)
+        except AdmissionError as error:
+            if not self.serving_requested:
+                raise
+            refusal = str(error)
+        else:
+            refusal = None
+            self.queue.push(job)
+        self._emit(QUERY_SUBMIT, now, job, **facts)
+        if refusal is not None:
+            self._reject(job, now, REJECTED, REJECT_MEMORY, detail=refusal)
+
+    def _leave_unadmitted(self, job: _QueryJob, now: float, outcome: str,
+                          kind: str, **facts) -> None:
+        """Terminal path of a query that never ran (withdrawn, shed or
+        rejected): it freezes an empty execution carrying *outcome*,
+        fires the terminal event *kind*, and reaches the same
+        ``finish`` point as every other outcome — so conservation
+        (every submission reaches exactly one terminal state) holds by
+        construction.  The caller has already taken the job off the
+        wait queue."""
+        job.state = outcome
+        job.finished_at = now
+        job.execution = job.build_execution(status=outcome)
+        self._emit(kind, now, job, **facts)
+        self._notify(POINT_FINISH, now, job, status=outcome)
+
+    def _reject(self, job: _QueryJob, now: float, status: str,
+                reason: str, **detail) -> None:
+        """Terminate a never-admitted query as ``rejected``/``shed``."""
+        self._leave_unadmitted(job, now, status, QUERY_REJECT,
+                               status=status, reason=reason, **detail)
 
     # -- cancellation / abort --------------------------------------------------
 
@@ -781,26 +816,18 @@ class _WorkloadRun:
         reason = "timeout" if outcome == TIMED_OUT else "cancel"
         if job.state == QUEUED:
             self.queue.remove(job)
-            job.state = outcome
-            job.finished_at = now
-            job.execution = job.build_execution(self.executor, status=outcome)
-            self.bus.emit(QUERY_CANCEL, now, job.tag, reason=reason,
-                          admitted=False, discarded=0)
-            self._record_terminal(job, now, outcome)
+            self._leave_unadmitted(job, now, outcome, QUERY_CANCEL,
+                                   reason=reason, admitted=False,
+                                   discarded=0)
             return
         job.state = CANCELLING
         job.outcome = outcome
         job.cancel_requested_at = now
-        if self.sharing is not None:
-            self._release_shared(job, now)
+        self._release_shared(job, now)
         discarded = self.simulator.drain_operations(job.current_wave_ops, now)
-        self.bus.emit(QUERY_CANCEL, now, job.tag, reason=reason,
-                      admitted=True, discarded=discarded)
-        if self.sharing is not None:
-            # A wave emptied by detaching shared operators (or one
-            # that was only waiting on shared work) has no thread left
-            # to unwind, so the terminal bookkeeping happens here.
-            self._maybe_finish_cancelling(job, now)
+        self._emit(QUERY_CANCEL, now, job, reason=reason, admitted=True,
+                   discarded=discarded)
+        self._finish_if_unwound(job)
 
     def _on_query_abort(self, operation: OperationRuntime,
                         error: ExecutionFaultError, at: float) -> None:
@@ -813,8 +840,7 @@ class _WorkloadRun:
         job = self._job_of.get(id(operation))
         if job is None:
             raise error
-        shared = (self.sharing.by_runtime(id(operation))
-                  if self.sharing is not None else None)
+        shared = self.sharing.by_runtime(id(operation))
         cohort: list[_QueryJob] = []
         if job.state != CANCELLING:
             cohort.append(job)
@@ -835,79 +861,15 @@ class _WorkloadRun:
                 f"shared operation {operation.name!r} (hosted by "
                 f"{job.tag!r}) aborted: {error}")
             member.cancel_requested_at = at
-        if self.sharing is not None:
-            for member in cohort:
-                self._release_shared(member, at, detach=False)
+        for member in cohort:
+            self._release_shared(member, at, detach=False)
         for member in cohort:
             discarded = self.simulator.drain_operations(
                 member.current_wave_ops, at)
-            self.bus.emit(QUERY_ABORT, at, member.tag,
-                          error=str(member.error),
-                          failed_operation=operation.name,
-                          discarded=discarded)
-        if self.sharing is not None:
-            for member in cohort:
-                self._maybe_finish_cancelling(member, at)
-
-    def _terminate(self, job: _QueryJob, finish: float) -> None:
-        """Terminal bookkeeping once a stopped query's truncated wave
-        has fully unwound (mirrors :meth:`_complete`)."""
-        job.state = job.outcome
-        job.finished_at = finish
-        job.execution = job.build_execution(self.executor,
-                                            status=job.outcome)
-        self.running.remove(job)
-        self.admission.release(job.footprint, at=finish)
-        self.bus.emit(QUERY_FINISH, finish, job.tag,
-                      response_time=finish - job.arrival,
-                      threads=job.max_threads, status=job.outcome)
-        self._record_terminal(job, finish, job.outcome)
-        self._try_admit(finish)
-        if self.running:
-            self._refresh_grants(finish, grow=self.workload.rebalance)
-
-    def _record_terminal(self, job: _QueryJob, finish: float,
-                         status: str) -> None:
-        """Telemetry of one query reaching a terminal state: the
-        end-to-end latency observation, the per-status tally, the
-        machine-level levels, and — from the frozen execution — each
-        pool's thread utilization and fractional cost shares."""
-        if self.monitors is not None:
-            self.monitors.observe(
-                POINT_FINISH, finish, tag=job.tag, status=status,
-                latency=finish - job.arrival,
-                queue_depth=len(self.queue), running=len(self.running),
-                used_bytes=self.admission.used_bytes,
-                memory_limit=self.workload.memory_limit_bytes)
-        if self.metrics is None:
-            return
-        metrics = self.metrics
-        metrics.counter(QUERIES_FINISHED, status=status).inc(finish)
-        if self.serving is not None:
-            # Per-class series: the serving benchmark's per-priority /
-            # per-tenant tail latencies read these.  Only with serving
-            # on — legacy runs keep the exact legacy label sets.
-            metrics.histogram(QUERY_LATENCY, status=status,
-                              klass=f"p{job.priority}",
-                              tenant=job.tenant).observe(
-                finish, finish - job.arrival)
-        else:
-            metrics.histogram(QUERY_LATENCY, status=status).observe(
-                finish, finish - job.arrival)
-        metrics.gauge(RUNNING_QUERIES).set(finish, len(self.running))
-        metrics.gauge(ADMISSION_QUEUE_DEPTH).set(finish, len(self.queue))
-        execution = job.execution
-        if execution is None:
-            return
-        for name, op in execution.operations.items():
-            window = op.finished_at - op.started_at
-            if op.threads and window > 0:
-                metrics.gauge(POOL_UTILIZATION, query=job.tag,
-                              pool=name).set(
-                    finish, op.busy_time / (op.threads * window))
-            if op.cost_share < 1.0:
-                metrics.gauge(FOLD_COST_SHARE, query=job.tag,
-                              operator=name).set(finish, op.cost_share)
+            self._emit(QUERY_ABORT, at, member, error=str(member.error),
+                       failed_operation=operation.name, discarded=discarded)
+        for member in cohort:
+            self._finish_if_unwound(member)
 
     def _release_shared(self, job: _QueryJob, now: float,
                         detach: bool = True) -> None:
@@ -920,10 +882,9 @@ class _WorkloadRun:
         subscribers the runtime is *detached* — primary delivery and
         its enqueue charge stop, the operator leaves the host's drain
         set and keeps running for the survivors; without survivors it
-        stays in the host's wave and is drained with it.  Idempotent.
+        stays in the host's wave and is drained with it.  Idempotent,
+        and a no-op for a query that folded and hosts nothing.
         """
-        if self.sharing is None or not job.materialized:
-            return
         seen: set[int] = set()
         for shared in job.folds.values():
             if id(shared) in seen:
@@ -950,67 +911,20 @@ class _WorkloadRun:
                 if runtime in job.current_wave_ops:
                     job.current_wave_ops.remove(runtime)
 
-    def _maybe_finish_cancelling(self, job: _QueryJob, now: float) -> None:
-        """Terminate a CANCELLING query whose wave has nothing left to
-        unwind (every remaining own operation already complete — e.g.
-        after detaching shared operators left the wave empty)."""
-        if job.state != CANCELLING:
-            return
-        if any(not op.complete for op in job.current_wave_ops):
+    def _finish_if_unwound(self, job: _QueryJob) -> None:
+        """Terminate a CANCELLING query whose truncated wave has nothing
+        left to unwind.  A drained wave completes operation by
+        operation as each thread finishes its in-flight activation;
+        a wave emptied by detaching shared operators (or one that was
+        only waiting on shared work) has no thread left at all."""
+        if (job.state != CANCELLING
+                or any(not op.complete for op in job.current_wave_ops)):
             return
         finish = max((op.finished_at for op in job.current_wave_ops),
-                     default=now)
-        self._terminate(job, max(finish, now))
+                     default=job.cancel_requested_at)
+        self._finish(job, max(finish, job.cancel_requested_at))
 
     # -- serving / overload protection ----------------------------------------
-
-    def _submit_serving(self, job: _QueryJob, now: float) -> None:
-        """Arrival under the serving layer: reject instead of raise.
-
-        An open-loop arrival stream has no caller to raise into — a
-        query whose footprint can never fit becomes a terminal
-        ``rejected`` status the client reads back, and the run keeps
-        serving everyone else.
-        """
-        self.bus.emit(QUERY_SUBMIT, job.arrival, job.tag,
-                      demand=job.demand, footprint=job.footprint,
-                      priority=job.priority, tenant=job.tenant)
-        if self.metrics is not None:
-            self.metrics.counter(QUERIES_SUBMITTED).inc(now)
-        try:
-            self.admission.check_admissible(job.tag, job.footprint)
-        except AdmissionError as error:
-            self._reject(job, now, REJECTED, REJECT_MEMORY,
-                         detail=str(error))
-            return
-        self.queue.push(job)
-        if self.metrics is not None:
-            self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
-                now, len(self.queue))
-
-    def _reject(self, job: _QueryJob, now: float, status: str,
-                reason: str, detail: str | None = None) -> None:
-        """Terminate a never-admitted query as ``rejected``/``shed``.
-
-        Mirrors the pre-admission withdrawal path of
-        :meth:`_apply_deadline`: the job freezes an empty execution
-        carrying the terminal status, emits the ``query.reject``
-        terminal event, and goes through the same terminal telemetry
-        as every other outcome — so conservation (every submission
-        reaches exactly one terminal state) holds by construction.
-        The caller has already removed the job from the wait queue.
-        """
-        job.state = status
-        job.finished_at = now
-        job.execution = job.build_execution(self.executor, status=status)
-        payload = {"status": status, "reason": reason}
-        if detail is not None:
-            payload["detail"] = detail
-        self.bus.emit(QUERY_REJECT, now, job.tag, **payload)
-        if self.metrics is not None:
-            name = QUERIES_SHED if status == SHED else QUERIES_REJECTED
-            self.metrics.counter(name, reason=reason).inc(now)
-        self._record_terminal(job, now, status)
 
     def _enforce_queue_bound(self, now: float) -> None:
         """Shed down to the bounded queue and signal backpressure.
@@ -1023,8 +937,7 @@ class _WorkloadRun:
         shared-work execution: folds happen at admission, so a waiter
         holds no shared subscriptions yet.
         """
-        serving = self.serving
-        limit = serving.queue_limit
+        limit = self.serving.queue_limit
         if limit is None:
             return
         while len(self.queue) > limit:
@@ -1034,11 +947,8 @@ class _WorkloadRun:
         engaged = len(self.queue) >= limit
         if engaged != self._backpressure:
             self._backpressure = engaged
-            self.bus.emit(SERVE_BACKPRESSURE, now, engaged=engaged,
-                          depth=len(self.queue), limit=limit)
-            if self.metrics is not None:
-                self.metrics.gauge(BACKPRESSURE_ENGAGED).set(
-                    now, 1.0 if engaged else 0.0)
+            self._emit(SERVE_BACKPRESSURE, now, engaged=engaged,
+                       depth=len(self.queue), limit=limit)
 
     def _update_brownout(self, now: float) -> None:
         """Trip (or clear) brownout from the monitor alert state.
@@ -1050,24 +960,21 @@ class _WorkloadRun:
         fully folded queries may be admitted past the concurrency
         bound (they ride running work for free).
         """
-        serving = self.serving
-        if not serving.brownout or self.monitors is None:
+        alerts = self.alerts
+        if not self.serving.brownout or alerts is None:
             return
-        alerts = self.monitors.alerts
         active = (alerts.is_active("latency_slo", "burn")
                   or alerts.is_active("retry_storm", "total"))
         if active != self.brownout:
             self.brownout = active
-            self.bus.emit(SERVE_BROWNOUT, now, active=active,
-                          factor=serving.brownout_factor)
-            if self.metrics is not None:
-                self.metrics.gauge(BROWNOUT_ACTIVE).set(
-                    now, 1.0 if active else 0.0)
+            self._emit(SERVE_BROWNOUT, now, active=active,
+                       factor=self.serving.brownout_factor)
 
     # -- admission ------------------------------------------------------------
 
     def _try_admit(self, now: float) -> None:
-        """Admit as many queued queries as capacity allows, FIFO.
+        """Admit as many queued queries as capacity allows, in the
+        admission policy's order, then enforce the queue bound.
 
         Co-admissible queries (e.g. simultaneous arrivals at t=0)
         are admitted as one *batch*: grants are computed once over
@@ -1076,51 +983,25 @@ class _WorkloadRun:
         them — the first arrival does not grab its full demand just
         because it was popped first.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("admission")
-        try:
-            self._try_admit_now(now)
-            if self.serving is not None:
-                self._enforce_queue_bound(now)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _try_admit_now(self, now: float) -> None:
-        profiler = self.profiler
-        serving = self.serving
-        if serving is not None:
-            self._update_brownout(now)
+        self._update_brownout(now)
         admitted: list[_QueryJob] = []
         while True:
             job = self.queue.peek()
             if job is None:
                 break
-            if (serving is not None and self.queue.sheds_infeasible
-                    and provably_infeasible(job, now)):
+            if self.queue.sheds_infeasible and provably_infeasible(job, now):
                 # EDF: the head's sequential start-up alone already
                 # overruns its deadline — admitting it would only burn
                 # machine time on work guaranteed to time out.
                 self.queue.pop(job)
                 self._reject(job, now, SHED, SHED_DEADLINE_INFEASIBLE)
                 continue
-            if self.sharing is not None and not job.materialized:
-                # Fold pass: price the query with its foldable subplans
-                # shared before asking the memory gate.
-                if profiler is not None:
-                    profiler.enter("fold")
-                folds = plan_folds(job.plan, self.sharing, now)
-                footprint = projected_footprint(
-                    job.plan, job.node_footprints, folds)
-                if profiler is not None:
-                    profiler.exit()
+            if job.materialized:
+                folds, footprint = None, job.footprint
             else:
-                folds = None
-                footprint = job.footprint
+                folds, footprint = self._plan_folds(job, now)
             if not self.admission.fits(footprint):
-                if (serving is not None and self.brownout
-                        and folds is not None and folds
+                if (self.brownout and folds
                         and len(folds) == len(job.plan.nodes)
                         and self.admission.fits_memory(footprint)):
                     # Brownout fold-through: every node of this query
@@ -1128,70 +1009,63 @@ class _WorkloadRun:
                     # past the concurrency bound adds no machine load —
                     # it only lets the fold amortize further.
                     pass
-                elif not self.running and not admitted:
+                elif self.running or admitted:
+                    break
+                elif self.serving_requested:
                     # Nothing runs, yet the head still does not fit:
                     # no future completion can free capacity.
-                    if serving is not None:
-                        self.queue.pop(job)
-                        self._reject(job, now, REJECTED, REJECT_IDLE)
-                        continue
+                    self.queue.pop(job)
+                    self._reject(job, now, REJECTED, REJECT_IDLE)
+                    continue
+                else:
                     raise AdmissionError(
                         f"query {job.tag!r} cannot be admitted on an idle "
                         f"machine (footprint {footprint} bytes, "
                         f"{len(self.queue)} queued)")
-                else:
-                    break
             self.queue.pop(job)
             self.queue.on_admit(job)
             if folds is not None:
-                if profiler is not None:
-                    profiler.enter("fold")
-                job.materialize(self.executor, self.sharing, folds,
-                                footprint, now)
-                if self.metrics is not None:
-                    self._record_fold_pass(job, folds, now)
-                if profiler is not None:
-                    profiler.exit()
+                self._materialize(job, folds, footprint, now)
             job.state = RUNNING
-            job.admitted_at = now
             self.running.append(job)
             self.admission.acquire(job.footprint, at=now)
             admitted.append(job)
-        if not admitted:
-            return
+        if admitted:
+            self._launch(admitted, now)
+        self._enforce_queue_bound(now)
+
+    def _plan_folds(self, job: _QueryJob,
+                    now: float) -> tuple[dict[str, SharedOperator], int]:
+        """Fold pass of a shared-mode query: which subplans ride on
+        running work, and the footprint the memory gate is asked for
+        with those priced fractionally."""
+        folds = plan_folds(job.plan, self.sharing, now)
+        return folds, projected_footprint(job.plan, job.node_footprints,
+                                          folds)
+
+    def _materialize(self, job: _QueryJob, folds: dict[str, SharedOperator],
+                     footprint: int, now: float) -> None:
+        job.materialize(self.executor, self.sharing, folds, footprint, now)
+        self._notify(POINT_FOLD, now, job, folds=folds)
+
+    def _launch(self, admitted: list[_QueryJob], now: float) -> None:
+        """Grant the just-admitted batch and start its first waves."""
         grants = self._grants()
         for job in admitted:
             job.grant = grants[job.tag]
             # The folds payload names the hosting query of every folded
             # node — the span model's subscriber->host link.  Only
-            # attached when non-empty, so unfolded admissions (and
-            # every shared=False run) keep the exact legacy payload.
+            # attached when non-empty, so unfolded admissions keep the
+            # plain payload.
             extra = ({"folds": {name: shared.host_tag
                                 for name, shared in job.folds.items()}}
                      if job.folds else {})
-            self.bus.emit(QUERY_ADMIT, now, job.tag,
-                          running=len(self.running), queued=len(self.queue),
-                          footprint=job.footprint, **extra)
-            self.bus.emit(QUERY_GRANT, now, job.tag, threads=job.grant,
-                          budget=self.budget, reason="admission")
-            if self.metrics is not None:
-                self.metrics.counter(QUERIES_ADMITTED).inc(now)
-                self.metrics.histogram(ADMISSION_WAIT).observe(
-                    now, now - job.arrival)
-                self.metrics.counter(GRANTS, reason="admission").inc(now)
-                self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
-                    now, job.grant)
-        if self.metrics is not None:
-            self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
-                now, len(self.queue))
-            self.metrics.gauge(RUNNING_QUERIES).set(now, len(self.running))
-        if self.monitors is not None:
-            self.monitors.observe(
-                POINT_ADMISSION, now,
-                admitted=[(job.tag, now - job.arrival) for job in admitted],
-                queue_depth=len(self.queue), running=len(self.running),
-                used_bytes=self.admission.used_bytes,
-                memory_limit=self.workload.memory_limit_bytes)
+            self._emit(QUERY_ADMIT, now, job, running=len(self.running),
+                       queued=len(self.queue), footprint=job.footprint,
+                       **extra)
+            self._emit(QUERY_GRANT, now, job, threads=job.grant,
+                       budget=self.budget, reason="admission")
+        self._notify(POINT_ADMISSION, now, admitted=admitted)
         # Queries admitted earlier shrink to their new fair share —
         # applied at their next wave boundary (running pools are never
         # revoked mid-wave).  Growth (an admission triggered by a
@@ -1202,37 +1076,12 @@ class _WorkloadRun:
             if job in admitted or grants[job.tag] >= job.grant:
                 continue
             job.grant = grants[job.tag]
-            self.bus.emit(QUERY_GRANT, now, job.tag, threads=job.grant,
-                          budget=self.budget, reason="shrink")
-            if self.metrics is not None:
-                self.metrics.counter(GRANTS, reason="shrink").inc(now)
-                self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
-                    now, job.grant)
+            self._emit(QUERY_GRANT, now, job, threads=job.grant,
+                       budget=self.budget, reason="shrink")
         for job in admitted:
             begin = max(now, self.startup_free_at)
             self.startup_free_at = begin + job.startup
             self._start_wave(job, begin + job.startup)
-
-    def _record_fold_pass(self, job: _QueryJob,
-                          folds: dict[str, SharedOperator],
-                          now: float) -> None:
-        """Fold hit-rate telemetry of one admission-time fold pass:
-        how many of the plan's shareable (fingerprintable) nodes
-        actually folded, and each shared operator's subscriber count.
-        ``plan.fingerprints()`` is memoized — :func:`plan_folds` just
-        computed it — so the attempt count is a dictionary walk."""
-        metrics = self.metrics
-        shareable = sum(1 for fingerprint in job.plan.fingerprints().values()
-                        if fingerprint is not None)
-        if shareable:
-            metrics.counter(FOLD_ATTEMPTS).inc(now, shareable)
-        if folds:
-            metrics.counter(FOLD_HITS).inc(now, len(folds))
-            for shared in {id(s): s for s in folds.values()}.values():
-                metrics.gauge(
-                    FOLD_SUBSCRIBERS,
-                    operator=shared.runtime.name).set(
-                    now, len(shared.active_tags))
 
     def _grants(self) -> dict[str, int]:
         """Step 0 over the currently running set.
@@ -1243,36 +1092,27 @@ class _WorkloadRun:
         proportionally less of the machine.  Without sharing the
         property degenerates to the plain complexity.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("allocate")
         policy = self.workload.scheduling
+        multi_resource = {}
         if policy.multi_resource:
             # Garofalakis-style step 0: the grant is capped at the
             # thread-equivalent of each query's binding resource.  The
             # stored-data footprint stands in for both the memory and
             # the streamed-from-disk demand of the simulated query.
-            grants = allocate_to_queries(
-                self.budget,
-                [job.demand for job in self.running],
-                [job.effective_complexity for job in self.running],
-                resources=[ResourceVector(cpu=job.demand,
-                                          memory_bytes=job.footprint,
-                                          disk_bytes=job.footprint)
-                           for job in self.running],
-                capacities=ResourceVector(
+            multi_resource = {
+                "resources": [ResourceVector(cpu=job.demand,
+                                             memory_bytes=job.footprint,
+                                             disk_bytes=job.footprint)
+                              for job in self.running],
+                "capacities": ResourceVector(
                     cpu=self.budget,
                     memory_bytes=self.workload.memory_limit_bytes,
-                    disk_bytes=policy.disk_bandwidth_bytes),
-            )
-        else:
-            grants = allocate_to_queries(
-                self.budget,
-                [job.demand for job in self.running],
-                [job.effective_complexity for job in self.running],
-            )
-        if profiler is not None:
-            profiler.exit()
+                    disk_bytes=policy.disk_bandwidth_bytes)}
+        grants = allocate_to_queries(
+            self.budget,
+            [job.demand for job in self.running],
+            [job.effective_complexity for job in self.running],
+            **multi_resource)
         if self.brownout:
             # Browned out: trade per-query parallelism (and its
             # dilation cost) for throughput before shedding anyone.
@@ -1284,78 +1124,26 @@ class _WorkloadRun:
     # -- waves ---------------------------------------------------------------
 
     def _start_wave(self, job: _QueryJob, at: float) -> None:
-        if self.sharing is not None and job.folds:
-            self._start_wave_shared(job, at)
-            return
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("wave_prep")
-        job.wave_index += 1
-        job.wave_started_at = at
-        wave = job.waves[job.wave_index]
-        wave_ops = [job.runtimes[node.name]
-                    for chain in wave for node in chain.nodes]
-        base = [job.schedule.of(op.name).threads for op in wave_ops]
-        base_total = sum(base)
-        wave_total = min(base_total, max(job.grant, len(wave_ops)))
-        if wave_total == base_total:
-            # Grant covers the demand: the schedule applies verbatim
-            # (largest-remainder over integer weights is exact, but
-            # skipping it keeps the fact obvious).
-            shares = base
-        else:
-            shares = _largest_remainder(wave_total, base)
-        if self.adapt is not None:
-            shares = self.adapt.before_wave(job.tag, job.wave_index,
-                                            wave_ops, base, wave_total,
-                                            shares, at)
-        counts = {op.name: share for op, share in zip(wave_ops, shares)}
-        self.next_thread_id, wave_threads = self.executor.prepare_wave(
-            wave_ops, counts, at, self.next_thread_id)
-        job.current_wave_ops = wave_ops
-        job.wave_threads = wave_threads
-        job.max_threads = max(job.max_threads, wave_threads)
-        job.max_dilation = max(job.max_dilation,
-                               self.machine.dilation(wave_threads))
-        for op in wave_ops:
-            self._job_of[id(op)] = job
-        if job.bus is not None:
-            job.bus.emit(WAVE_START, at, wave=job.wave_index,
-                         operations=[op.name for op in wave_ops],
-                         threads=wave_threads)
-        self.simulator.add_operations(wave_ops)
-        if profiler is not None:
-            profiler.exit()
-
-    def _start_wave_shared(self, job: _QueryJob, at: float) -> None:
-        """Start the next wave of a query with folded subplans.
+        """Start the next wave of *job*.
 
         Only the query's *own* (unfolded) operations get pools and
-        threads; shared operators it rides on are tracked in
-        ``current_wave_shared`` and the wave completes when both sets
-        do (a pending shared runtime registers this job as a waiter).
-        A wave whose work is entirely folded-and-finished advances
-        immediately — possibly through several waves, or straight to
-        completion for a fully duplicate query.
+        threads; each wave's per-operation split rescales the query's
+        schedule to its current grant, and a ``wave.start`` consumer
+        (the adaptive controller) may rewrite it.  Shared operators the
+        query rides on are tracked in ``current_wave_shared`` and the
+        wave completes when both sets do (a pending shared runtime
+        registers this job as a waiter).  A wave whose work is
+        entirely folded-and-finished advances immediately — possibly
+        through several waves, or straight to completion for a fully
+        duplicate query.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("wave_prep")
-        try:
-            self._start_wave_shared_now(job, at)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _start_wave_shared_now(self, job: _QueryJob, at: float) -> None:
         while True:
             job.wave_index += 1
             job.wave_started_at = at
-            wave = job.waves[job.wave_index]
             own_ops: list[OperationRuntime] = []
             shared_list: list[SharedOperator] = []
             seen: set[int] = set()
-            for chain in wave:
+            for chain in job.waves[job.wave_index]:
                 for node in chain.nodes:
                     shared = job.folds.get(node.name)
                     if shared is None:
@@ -1364,35 +1152,38 @@ class _WorkloadRun:
                         seen.add(id(shared))
                         shared_list.append(shared)
             job.current_wave_shared = shared_list
+            wave_threads = 0
             if own_ops:
                 base = [job.schedule.of(op.name).threads for op in own_ops]
                 base_total = sum(base)
                 wave_total = min(base_total, max(job.grant, len(own_ops)))
+                # A grant covering the demand applies the schedule
+                # verbatim (largest-remainder over integer weights is
+                # exact, but skipping it keeps the fact obvious).
                 shares = (base if wave_total == base_total
                           else _largest_remainder(wave_total, base))
-                if self.adapt is not None:
-                    shares = self.adapt.before_wave(
-                        job.tag, job.wave_index, own_ops, base,
-                        wave_total, shares, at)
+                for rewrite in self._listeners.get(WAVE_START, ()):
+                    shares = rewrite(at, job, own_ops, base, wave_total,
+                                     shares)
                 counts = {op.name: share
                           for op, share in zip(own_ops, shares)}
                 self.next_thread_id, wave_threads = self.executor.prepare_wave(
                     own_ops, counts, at, self.next_thread_id)
-            else:
-                wave_threads = 0
+                job.max_dilation = max(job.max_dilation,
+                                       self.machine.dilation(wave_threads))
             job.current_wave_ops = own_ops
             job.wave_threads = wave_threads
             job.max_threads = max(job.max_threads, wave_threads)
-            if wave_threads:
-                job.max_dilation = max(job.max_dilation,
-                                       self.machine.dilation(wave_threads))
             for op in own_ops:
                 self._job_of[id(op)] = job
             if job.bus is not None:
+                # ``shared`` names the operators ridden this wave; the
+                # key exists only for a query that folded something.
+                extra = ({"shared": [s.runtime.name for s in shared_list]}
+                         if job.folds else {})
                 job.bus.emit(WAVE_START, at, wave=job.wave_index,
                              operations=[op.name for op in own_ops],
-                             shared=[s.runtime.name for s in shared_list],
-                             threads=wave_threads)
+                             **extra, threads=wave_threads)
             if own_ops:
                 self.simulator.add_operations(own_ops)
             pending = [s for s in shared_list if not s.runtime.complete]
@@ -1409,7 +1200,7 @@ class _WorkloadRun:
             if job.bus is not None:
                 job.bus.emit(WAVE_END, finish, wave=job.wave_index)
             if job.wave_index + 1 >= len(job.waves):
-                self._complete(job, finish)
+                self._finish(job, finish)
                 return
             at = finish
 
@@ -1432,27 +1223,8 @@ class _WorkloadRun:
         shared-work queries — every shared operator it rides on in
         this wave is too.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("wave_barrier")
-        try:
-            self._advance_if_wave_done_now(job)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _advance_if_wave_done_now(self, job: _QueryJob) -> None:
-        if job.state == CANCELLING:
-            # A drained wave completes operation by operation as each
-            # thread finishes its in-flight activation; once the last
-            # one lands the query reaches its terminal state.
-            if any(not op.complete for op in job.current_wave_ops):
-                return
-            finishes = [op.finished_at for op in job.current_wave_ops]
-            finish = max(finishes) if finishes else job.cancel_requested_at
-            self._terminate(job, max(finish, job.cancel_requested_at))
-            return
         if job.state != RUNNING:
+            self._finish_if_unwound(job)
             return
         if any(not op.complete for op in job.current_wave_ops):
             return
@@ -1465,58 +1237,45 @@ class _WorkloadRun:
         finish = max(max(finishes), job.wave_started_at)
         if job.bus is not None:
             job.bus.emit(WAVE_END, finish, wave=job.wave_index)
-        if self.monitors is not None or self.adapt is not None:
-            # The wave barrier is a control point: per-thread
-            # finish/busy/idle stamps are fresh here, which is what the
-            # straggler rule's Fig 12 blame split reads — and what the
-            # adaptive controller distills into next-wave evidence.
-            stamps = [(op.name,
-                       [(t.finished_at, t.busy_time, t.idle_time)
-                        for t in op.threads])
-                      for op in job.current_wave_ops]
-            if self.monitors is not None:
-                self.monitors.observe(
-                    POINT_WAVE, finish, tag=job.tag, wave=job.wave_index,
-                    started_at=job.wave_started_at, ops=stamps)
-            if (self.adapt is not None
-                    and job.wave_index + 1 < len(job.waves)):
-                self.adapt.observe_wave(job.tag, job.wave_index,
-                                        job.wave_started_at, stamps)
+        self._notify(POINT_WAVE, finish, job)
         if job.wave_index + 1 < len(job.waves):
             self._start_wave(job, finish)
-            return
-        self._complete(job, finish)
+        else:
+            self._finish(job, finish)
 
-    def _complete(self, job: _QueryJob, finish: float) -> None:
-        job.state = DONE
+    def _finish(self, job: _QueryJob, finish: float) -> None:
+        """The terminal path of every admitted query, whatever its
+        outcome: ``done`` after its last wave, or the outcome it was
+        stopped for once the truncated wave has unwound."""
+        outcome = job.outcome
+        job.state = outcome
         job.finished_at = finish
-        if self.sharing is not None:
+        status = {}
+        if outcome == DONE:
             self._release_shared(job, finish)
-        job.execution = job.build_execution(self.executor)
+        else:
+            # A stopped query released its shared work when it was
+            # stopped; its finish event says what it ended as.
+            status = {"status": outcome}
+        job.execution = job.build_execution(status=outcome)
         self.running.remove(job)
         self.admission.release(job.footprint, at=finish)
-        self.bus.emit(QUERY_FINISH, finish, job.tag,
-                      response_time=finish - job.arrival,
-                      threads=job.max_threads)
-        self._record_terminal(job, finish, DONE)
+        self._emit(QUERY_FINISH, finish, job,
+                   response_time=finish - job.arrival,
+                   threads=job.max_threads, **status)
+        self._notify(POINT_FINISH, finish, job, status=outcome)
         # Freed capacity: first let queued queries in, then re-grant
         # the remaining budget across everyone still running.  With
         # zero survivors there is nothing to re-grant and no event to
         # emit — the workload bus ends on this query.finish.
         self._try_admit(finish)
         if self.running:
-            self._refresh_grants(finish, grow=self.workload.rebalance)
+            self._refresh_grants(finish)
 
     # -- dynamic reallocation ---------------------------------------------------
 
-    def _refresh_grants(self, now: float, grow: bool) -> None:
-        if not self.running:
-            return
-        if self.serving is not None:
-            self._update_brownout(now)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("regrant")
+    def _refresh_grants(self, now: float) -> None:
+        self._update_brownout(now)
         grants = self._grants()
         for job in self.running:
             new = grants[job.tag]
@@ -1524,22 +1283,12 @@ class _WorkloadRun:
                 continue
             grew = new > job.grant
             job.grant = new
-            self.bus.emit(QUERY_GRANT, now, job.tag, threads=new,
-                          budget=self.budget,
-                          reason="regrant" if grew else "shrink")
-            if self.metrics is not None:
-                self.metrics.counter(
-                    GRANTS, reason="regrant" if grew else "shrink").inc(now)
-                self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
-                    now, new)
-            if grew and grow and job.current_wave_ops:
+            self._emit(QUERY_GRANT, now, job, threads=new, budget=self.budget,
+                       reason="regrant" if grew else "shrink")
+            if (grew and self.workload.scheduling.rebalance
+                    and job.current_wave_ops):
                 self._grow_current_wave(job, now)
-        if profiler is not None:
-            profiler.exit()
-        if self.monitors is not None:
-            self.monitors.observe(
-                POINT_REGRANT, now, running=len(self.running),
-                grants={job.tag: job.grant for job in self.running})
+        self._notify(POINT_REGRANT, now)
 
     def _grow_current_wave(self, job: _QueryJob, now: float) -> None:
         """Add helper threads to the job's in-flight wave.
@@ -1571,10 +1320,8 @@ class _WorkloadRun:
             helpers = op.add_threads(thread_ids, now)
             self.simulator.add_threads(op, helpers)
             granted += share
-            self.bus.emit(QUERY_GRANT, now, job.tag, threads=share,
-                          pool=op.name, reason="helpers")
-            if self.metrics is not None:
-                self.metrics.counter(GRANTS, reason="helpers").inc(now)
+            self._emit(QUERY_GRANT, now, job, threads=share, pool=op.name,
+                       reason="helpers")
         job.wave_threads += granted
         job.max_threads = max(job.max_threads, job.wave_threads)
         job.max_dilation = max(job.max_dilation,

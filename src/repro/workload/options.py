@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 from repro.adapt.policy import SchedulingPolicy
@@ -21,12 +20,10 @@ class WorkloadOptions:
     .ExecutionOptions`; this block only holds what exists *between*
     queries.
 
-    Scheduling behaviour lives in the nested
+    Scheduling behaviour (including the mid-wave ``rebalance``
+    toggle) lives in the nested
     :class:`~repro.adapt.policy.SchedulingPolicy` block
-    (``scheduling=``).  The old flat ``rebalance=`` boolean is kept as
-    a deprecated constructor alias for
-    ``scheduling=SchedulingPolicy(rebalance=...)`` and as a read-only
-    property.
+    (``scheduling=``).
     """
 
     max_concurrent: int = 4
@@ -44,8 +41,8 @@ class WorkloadOptions:
     query's subplans onto identical subplans of already-admitted
     queries (canonical fingerprints over the Lera-par graph), so one
     shared operator's output fans out to every subscriber.  Off (the
-    default), the engine is bit-identical to the pre-sharing engine —
-    the escape hatch every layer keeps."""
+    default), nothing folds and the run is bit-identical to the
+    pre-sharing engine."""
     scheduling: SchedulingPolicy = field(default_factory=SchedulingPolicy)
     """The :class:`~repro.adapt.policy.SchedulingPolicy` block:
     ``policy="static"`` (default, bit-identical to the pre-controller
@@ -70,48 +67,10 @@ class WorkloadOptions:
     overload protection for open-loop serving — pluggable admission
     order (FIFO / priority / fair-share / EDF), a bounded wait queue
     with backpressure and load shedding, and brownout degradation.
-    ``None`` (the default) disables the whole layer: queries that
-    cannot ever be admitted *raise* instead of being rejected, the
-    queue is unbounded, and the run is bit-identical to the
-    pre-serving engine — the escape hatch every layer keeps."""
-
-    # Hand-written so the deprecated flat ``rebalance=`` keyword can be
-    # accepted (with a warning) without being a field.  ``@dataclass``
-    # skips generating ``__init__`` when the class defines one.
-    def __init__(self, max_concurrent: int = 4,
-                 memory_limit_bytes: int | None = None,
-                 thread_budget: int | None = None,
-                 shared: bool = False,
-                 scheduling: SchedulingPolicy | None = None,
-                 observability: ObservabilityOptions | None = None,
-                 faults: object | None = None,
-                 serving: ServingPolicy | None = None,
-                 rebalance: bool | None = None) -> None:
-        if rebalance is not None:
-            if scheduling is not None:
-                raise WorkloadError(
-                    "pass rebalance inside SchedulingPolicy "
-                    "(scheduling=SchedulingPolicy(rebalance=...)), not "
-                    "both scheduling= and the deprecated rebalance= flag")
-            warnings.warn(
-                "WorkloadOptions(rebalance=...) is deprecated; use "
-                "WorkloadOptions(scheduling=SchedulingPolicy("
-                "rebalance=...))",
-                DeprecationWarning, stacklevel=2)
-            scheduling = SchedulingPolicy(rebalance=rebalance)
-        object.__setattr__(self, "max_concurrent", max_concurrent)
-        object.__setattr__(self, "memory_limit_bytes", memory_limit_bytes)
-        object.__setattr__(self, "thread_budget", thread_budget)
-        object.__setattr__(self, "shared", shared)
-        object.__setattr__(self, "scheduling",
-                           scheduling if scheduling is not None
-                           else SchedulingPolicy())
-        object.__setattr__(self, "observability",
-                           observability if observability is not None
-                           else ObservabilityOptions())
-        object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "serving", serving)
-        self.__post_init__()
+    ``None`` (the default) runs under the default policy — FIFO order,
+    unbounded queue, no brownout — with queries that cannot ever be
+    admitted *raising* instead of being rejected: bit-identical to
+    the pre-serving engine."""
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
@@ -138,13 +97,6 @@ class WorkloadOptions:
             raise WorkloadError(
                 f"serving must be a ServingPolicy (or None), got "
                 f"{type(self.serving).__name__}")
-
-    # Read-only view for the old flat name (engine call sites and user
-    # code keep reading ``options.rebalance``).
-    @property
-    def rebalance(self) -> bool:
-        """Deprecated alias for ``scheduling.rebalance``."""
-        return self.scheduling.rebalance
 
     def replace(self, **changes) -> "WorkloadOptions":
         """Copy with the given fields replaced (ergonomic twin of

@@ -9,8 +9,10 @@ from repro import (
     WorkloadOptions,
     generate_wisconsin,
 )
-from repro.errors import ReproError
+from repro.errors import AdmissionError, ReproError
 from repro.prof import EngineProfiler, active_profiler, profile
+from repro.workload.admission import AdmissionController
+from repro.workload.engine import QuerySubmission, WorkloadExecutor
 
 
 class TestAttribution:
@@ -96,14 +98,21 @@ class TestAmbientProfile:
 
 # -- the live run -------------------------------------------------------------
 
-def _run(options: WorkloadOptions | None = None):
+SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
+
+
+def _db():
     db = DBS3(processors=24)
     db.create_table(generate_wisconsin("A", 800, seed=1), "unique1",
                     degree=8)
     db.create_table(generate_wisconsin("B", 80, seed=2), "unique1",
                     degree=8)
-    session = db.session(options=options)
-    session.submit("SELECT * FROM A JOIN B ON A.unique1 = B.unique1")
+    return db
+
+
+def _run(options: WorkloadOptions | None = None):
+    session = _db().session(options=options)
+    session.submit(SQL)
     return session.run()
 
 
@@ -134,3 +143,47 @@ class TestProfiledRun:
         # but the engine sections land in the ambient call tree.
         assert result.profile is None
         assert any(path and path[0] == "sim" for path in profiler.nodes)
+
+
+class TestSectionsCloseOnErrors:
+    """A run that raises must not leave a profiler frame open: the
+    next run under the same ``profile()`` block would be recorded
+    under the stale frame."""
+
+    TOP_LEVEL = {"control", "sim", "assemble"}
+
+    @staticmethod
+    def _executor(db, options=None):
+        compiled = db.compile(SQL)
+        schedule = db.scheduler.schedule(compiled.plan, 6)
+        submissions = [QuerySubmission("q0", compiled, schedule)]
+        return WorkloadExecutor(db.machine, workload=options), submissions
+
+    def _assert_clean_after(self, db, prof):
+        assert not prof._stack
+        executor, submissions = self._executor(db)
+        executor.execute(submissions)
+        assert not prof._stack
+        assert {path[0] for path in prof.nodes} == self.TOP_LEVEL
+        assert not any("control" in path[1:] for path in prof.nodes)
+
+    def test_memory_admission_error_leaves_no_open_frame(self):
+        db = _db()
+        with profile() as prof:
+            executor, submissions = self._executor(
+                db, WorkloadOptions(memory_limit_bytes=1))
+            with pytest.raises(AdmissionError, match="never be admitted"):
+                executor.execute(submissions)
+            self._assert_clean_after(db, prof)
+
+    def test_idle_machine_admission_error_leaves_no_open_frame(
+            self, monkeypatch):
+        db = _db()
+        with profile() as prof:
+            executor, submissions = self._executor(db)
+            with monkeypatch.context() as patch:
+                patch.setattr(AdmissionController, "fits",
+                              lambda self, footprint: False)
+                with pytest.raises(AdmissionError, match="idle machine"):
+                    executor.execute(submissions)
+            self._assert_clean_after(db, prof)

@@ -3,8 +3,7 @@
 Acceptance behaviors from the diagnostics-driven-scheduling design:
 
 * ``SchedulingPolicy`` validates its knobs at construction and nests
-  in ``WorkloadOptions``; the flat ``rebalance=`` boolean survives as
-  a ``DeprecationWarning`` alias;
+  in ``WorkloadOptions``, which no longer takes a flat ``rebalance=``;
 * with the producer joins slowed, the controller re-splits the wave
   grant toward the blamed producers (conserving the thread budget
   exactly), beats the static policy in virtual time, and changes no
@@ -103,18 +102,9 @@ class TestSchedulingPolicyApi:
 
 
 class TestDeprecatedRebalanceAlias:
-    def test_flat_rebalance_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="rebalance"):
-            options = WorkloadOptions(rebalance=False)
-        assert options.scheduling == SchedulingPolicy(rebalance=False)
-        assert options.rebalance is False
-
-    def test_alias_conflicts_with_explicit_block(self):
-        with pytest.raises(WorkloadError, match="rebalance"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                WorkloadOptions(rebalance=False,
-                                scheduling=SchedulingPolicy())
+    def test_flat_rebalance_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="rebalance"):
+            WorkloadOptions(rebalance=False)
 
     def test_default_construction_does_not_warn(self):
         with warnings.catch_warnings():
