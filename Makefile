@@ -6,7 +6,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test bench perf perf-full perf-baseline trace-demo diagnose-demo \
+.PHONY: test bench perf trace-demo diagnose-demo \
 	compare-demo concurrent-demo shared-demo report-demo chaos chaos-demo \
 	monitor-demo profile-demo adaptive-demo serve-demo ledger-smoke
 
@@ -18,18 +18,11 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
-## Wall-clock perf-regression smoke: quick matrix vs committed baseline.
+## The twin table: within-run wall pairs (off is free / on is cheap)
+## plus exact virtual-time pins (src/repro/bench/twins_pins.json).
+## Seconds across commits are `python -m perf_ledger compare`'s job.
 perf:
-	$(PYTHON) -m pytest benchmarks/test_perf_baseline.py -m perf -q -s
-
-## Full perf matrix against the committed baseline (slower, quieter box).
-perf-full:
-	$(PYTHON) -m repro.bench.perf_baseline --workload --faults \
-		--check BENCH_engine.json
-
-## Print a fresh full matrix (use when re-recording BENCH_engine.json).
-perf-baseline:
-	$(PYTHON) -m repro.bench.perf_baseline --workload --faults
+	$(PYTHON) -m repro.bench.twins
 
 ## Chaos tests: the seeded fault-injection sweeps (pytest -m chaos).
 chaos:
@@ -44,13 +37,13 @@ chaos-demo:
 ## Concurrent-workload demo: four queries admitted into one shared
 ## simulation, with the admission/grant/finish timeline printed.
 concurrent-demo:
-	$(PYTHON) -m repro --concurrent 4
+	$(PYTHON) -m repro run --concurrent 4
 
 ## Shared-work demo: eight queries (each shape twice) with identical
 ## subplans folded onto shared operators; prints the makespan gain of
 ## folding over private concurrent execution.
 shared-demo:
-	$(PYTHON) -m repro --concurrent 8 --shared
+	$(PYTHON) -m repro run --concurrent 8 --shared
 
 ## Workload telemetry demo: the shared MPL-4 workload with the full
 ## WorkloadReport (tail latencies, admission, grants, pools, folds)
@@ -97,7 +90,7 @@ ledger-smoke:
 ## JSONL event log + metrics snapshot into benchmarks/results/.
 trace-demo:
 	mkdir -p benchmarks/results
-	$(PYTHON) -m repro --explain \
+	$(PYTHON) -m repro run --explain \
 		--trace-out benchmarks/results/trace_demo.json \
 		--events-out benchmarks/results/trace_demo.jsonl \
 		--metrics-out benchmarks/results/trace_demo.txt
@@ -105,13 +98,13 @@ trace-demo:
 ## Diagnostics demo: critical path + imbalance doctor on the skewed
 ## AssocJoin, recorded into the run registry.
 diagnose-demo:
-	$(PYTHON) -m repro --diagnose --record --run-id diagnose-demo
+	$(PYTHON) -m repro diagnose --record --run-id diagnose-demo
 
 ## A/B demo: record Random vs LPT on the skewed AssocJoin, then
 ## compare the two registry records.
 compare-demo:
-	$(PYTHON) -m repro --diagnose --strategy random \
+	$(PYTHON) -m repro diagnose --strategy random \
 		--record --run-id demo-random > /dev/null
-	$(PYTHON) -m repro --diagnose --strategy lpt \
+	$(PYTHON) -m repro diagnose --strategy lpt \
 		--record --run-id demo-lpt > /dev/null
 	$(PYTHON) -m repro compare demo-random demo-lpt

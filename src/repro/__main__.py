@@ -3,19 +3,20 @@
 Usage::
 
     python -m repro                 # run the built-in demo
-    python -m repro --concurrent 4  # the multi-query workload demo:
+    python -m repro --figures       # regenerate the paper's figures
+                                    # (alias of repro.bench.reporting)
+    python -m repro run --concurrent 4
+                                    # the multi-query workload demo:
                                     # N queries share one simulation,
                                     # printing the admission/grant
                                     # timeline and the speed-up over
                                     # back-to-back execution
-    python -m repro --concurrent 8 --shared
+    python -m repro run --concurrent 8 --shared
                                     # same, with shared-work folding:
                                     # identical subplans of concurrent
                                     # queries execute once and fan out
                                     # to every subscriber (also prints
                                     # the gain over private execution)
-    python -m repro --figures       # regenerate the paper's figures
-                                    # (alias of repro.bench.reporting)
     python -m repro run --explain --trace-out trace.json \\
                         --events-out events.jsonl
                                     # run one observed query: scheduler
@@ -39,10 +40,6 @@ Usage::
                                     # the overload-protection layer;
                                     # --check gates on goodput >= 80%
                                     # of saturation
-
-The historic flag spellings (``--explain`` / ``--trace-out`` / … and
-``--diagnose`` / ``--from-events`` without a subcommand) keep working
-as aliases of ``run`` and ``diagnose``.
 
 The demo loads two Wisconsin relations, runs each supported query
 shape end to end and prints the plans, schedules and virtual-time
@@ -433,50 +430,6 @@ def compare_runs(argv: list[str]) -> int:
     return 0
 
 
-def _add_observed_args(target) -> None:
-    """The observed-run options (``run`` subcommand + legacy group)."""
-    target.add_argument("--trace-out", metavar="PATH",
-                        help="write a Chrome trace-event JSON (Perfetto)")
-    target.add_argument("--events-out", metavar="PATH",
-                        help="write the structured JSONL event log")
-    target.add_argument("--metrics-out", metavar="PATH",
-                        help="write the text metrics snapshot")
-    target.add_argument("--explain", action="store_true",
-                        help="print the scheduler's four-step decisions")
-    target.add_argument("--sql", default=DEFAULT_OBSERVED_SQL,
-                        help="query to observe (default: a pipelined join)")
-    target.add_argument("--threads", type=int, default=None,
-                        help="pin the degree of parallelism (default: let "
-                             "scheduler step 1 choose)")
-
-
-def _add_diag_args(target, subcommand: bool) -> None:
-    """The diagnostics options (``diagnose`` subcommand + legacy group)."""
-    if not subcommand:
-        target.add_argument("--diagnose", action="store_true",
-                            help="run the skewed-join diagnostics demo: "
-                                 "critical path + imbalance doctor")
-    target.add_argument("--from-events", metavar="PATH", default=None,
-                        help="diagnose a previously exported JSONL event "
-                             "log instead of executing a query")
-    target.add_argument("--theta", type=float, default=0.8,
-                        help="Zipf skew of the stored operand in the "
-                             "diagnostics demo (default 0.8)")
-    target.add_argument("--strategy", choices=("random", "lpt"),
-                        default="random",
-                        help="join consumption strategy of the demo")
-    target.add_argument("--record", action="store_true",
-                        help="persist the diagnosis to the run registry")
-    target.add_argument("--run-id", metavar="ID", default=None,
-                        help="registry id for --record "
-                             "(default: diagnose-demo)")
-    target.add_argument("--label", default="",
-                        help="free-text label stored in the record")
-    target.add_argument("--runs-dir", metavar="DIR", default=None,
-                        help="registry root (default: "
-                             "benchmarks/results/runs or $REPRO_RUNS_DIR)")
-
-
 def run_command(argv: list[str]) -> int:
     """``python -m repro run``: one observed query with exports, or —
     with ``--concurrent`` — a telemetry-enabled workload run."""
@@ -521,7 +474,19 @@ def run_command(argv: list[str]) -> int:
                              "prints the decision log")
     parser.add_argument("--adaptive", action="store_true",
                         help="shorthand for --policy adaptive")
-    _add_observed_args(parser)
+    parser.add_argument("--trace-out", metavar="PATH",
+                        help="write a Chrome trace-event JSON (Perfetto)")
+    parser.add_argument("--events-out", metavar="PATH",
+                        help="write the structured JSONL event log")
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="write the text metrics snapshot")
+    parser.add_argument("--explain", action="store_true",
+                        help="print the scheduler's four-step decisions")
+    parser.add_argument("--sql", default=DEFAULT_OBSERVED_SQL,
+                        help="query to observe (default: a pipelined join)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="pin the degree of parallelism (default: let "
+                             "scheduler step 1 choose)")
     args = parser.parse_args(argv)
     policy = "adaptive" if args.adaptive else args.policy
     if args.concurrent is not None:
@@ -557,7 +522,25 @@ def diagnose_command(argv: list[str]) -> int:
         prog="python -m repro diagnose",
         description="diagnose a run: critical path + imbalance doctor, "
                     "optionally persisted to the run registry")
-    _add_diag_args(parser, subcommand=True)
+    parser.add_argument("--from-events", metavar="PATH", default=None,
+                        help="diagnose a previously exported JSONL event "
+                             "log instead of executing a query")
+    parser.add_argument("--theta", type=float, default=0.8,
+                        help="Zipf skew of the stored operand in the "
+                             "diagnostics demo (default 0.8)")
+    parser.add_argument("--strategy", choices=("random", "lpt"),
+                        default="random",
+                        help="join consumption strategy of the demo")
+    parser.add_argument("--record", action="store_true",
+                        help="persist the diagnosis to the run registry")
+    parser.add_argument("--run-id", metavar="ID", default=None,
+                        help="registry id for --record "
+                             "(default: diagnose-demo)")
+    parser.add_argument("--label", default="",
+                        help="free-text label stored in the record")
+    parser.add_argument("--runs-dir", metavar="DIR", default=None,
+                        help="registry root (default: "
+                             "benchmarks/results/runs or $REPRO_RUNS_DIR)")
     parser.add_argument("--events-out", metavar="PATH", default=None,
                         help="also export the run's JSONL event log")
     parser.add_argument("--threads", type=int, default=10,
@@ -716,58 +699,19 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] in COMMANDS:
         return COMMANDS[argv[0]](argv[1:])
-    # No subcommand: the demo surface, plus the historic flag
-    # spellings routed to the same code paths as `run` / `diagnose`.
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="DBS3 reproduction: demo driver, figure regeneration, "
-                    "observed runs (see `run`) and diagnostics "
-                    "(see `diagnose`, `compare`)")
-    parser.add_argument("--concurrent", type=int, metavar="N", default=None,
-                        help="run the N-query concurrent workload demo "
-                             "(one shared simulation)")
-    parser.add_argument("--shared", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="with --concurrent: fold identical subplans "
-                             "of concurrent queries onto shared operators "
-                             "(--no-shared restores the default private "
-                             "execution)")
-    parser.add_argument("--report", action="store_true",
-                        help="with --concurrent: collect workload "
-                             "telemetry and print the WorkloadReport")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="with --concurrent: adaptive scheduling "
-                             "(alias of `run --concurrent N --adaptive`)")
+        description="DBS3 reproduction: the guided demo, or --figures; "
+                    "everything else is a subcommand (" + ", ".join(COMMANDS)
+                    + ")")
     parser.add_argument("--figures", action="store_true",
                         help="regenerate the paper's figures instead of "
                              "running the demo")
     parser.add_argument("--scale", choices=("small", "paper"),
                         default="small", help="figure workload scale")
-    obs = parser.add_argument_group(
-        "observability (alias of the `run` subcommand)")
-    _add_observed_args(obs)
-    diag = parser.add_argument_group(
-        "diagnostics (alias of the `diagnose` subcommand)")
-    _add_diag_args(diag, subcommand=False)
     args = parser.parse_args(argv)
     if args.figures:
         return reporting.main(["--scale", args.scale])
-    if args.concurrent is not None:
-        if args.concurrent < 1:
-            parser.error("--concurrent needs at least one query")
-        return concurrent_demo(
-            args.concurrent, shared=args.shared, report=args.report,
-            policy="adaptive" if args.adaptive else "static")
-    if args.adaptive:
-        parser.error("--adaptive needs --concurrent (the controller "
-                     "acts on a workload run)")
-    if args.diagnose or args.from_events:
-        if args.threads is None:
-            args.threads = 10
-        return diagnose_run(args)
-    if args.trace_out or args.events_out or args.metrics_out or args.explain:
-        return observed_run(args.sql, args.trace_out, args.events_out,
-                            args.metrics_out, args.explain, args.threads)
     demo()
     return 0
 

@@ -1,0 +1,447 @@
+"""The twin table: within-run pairs and exact virtual pins.
+
+The paper measures every overhead claim (Figures 16-19, Section 5) as
+a pair run back to back on one machine.  This module holds the
+engine's own claims of that shape — "off is free", "on is cheap",
+"virtual time does not move", "folding gains >= 2x" — as one table.
+Each :class:`Twin` row names a scenario builder and its labelled
+variants; :func:`run` executes them interleaved (a load burst hits
+both halves of a pair), :func:`compare` applies four kinds of gate
+and :func:`render` prints the result:
+
+* **pins** — every deterministic fact of every variant (virtual
+  makespan, rows, alert/decision/status counts) equals the committed
+  ``twins_pins.json`` bit for bit; the pins hold no wall clock, so
+  they never need re-recording for noise;
+* **parity** — variants that must not differ (observed vs bare,
+  session vs executor, ...) agree on every fact they share;
+* **relations** — ``adaptive < static``, ``private >= 2.0 * shared``,
+  ``coverage >= 0.9``;
+* **wall** — in at least one interleaved repeat the second variant
+  lands within a ratio (plus :data:`ABSOLUTE_SLACK_S`) of the first.
+
+Division of labour: ``python -m perf_ledger compare`` owns seconds
+*across* commits; this table owns pairs *within* one run plus the
+exact pins.  No seconds are compared against a committed record here.
+
+Usage::
+
+    python -m repro.bench.twins [--record]   # --record rewrites the pins
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import operator
+import time
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+from repro.bench.runners import (
+    default_machine,
+    run_assoc_join,
+    run_concurrent_workload,
+    run_ideal_join,
+    run_overlap_workload,
+)
+from repro.bench.workloads import make_join_database
+from repro.engine.executor import (
+    ExecutionOptions,
+    Executor,
+    ObservabilityOptions,
+)
+from repro.workload.options import WorkloadOptions
+
+#: The one scale: the CI-sized Figure 16 workload.  The paper-sized
+#: cells are the perf ledger's ``pipelined_d200`` /
+#: ``triggered_d1500_skew`` / ``concurrent_mpl4_observed`` workloads.
+CARD_A = 20_000
+CARD_B = 2_000
+THREADS = 20
+#: The mid-range degree, where queue traffic (the instrumented hot
+#: path) dominates; every overhead twin runs here.
+DEGREE = 200
+MPL = 4
+#: The fold claim ("at MPL >= 8 with full overlap, >= 2x") is checked
+#: at exactly 8.
+SHARED_MPL = 8
+SHARED_GAIN_MIN = 2.0
+#: Slowdown factor of the adaptive gate cell (one slowed cell of
+#: :data:`repro.bench.chaos.ADAPTIVE_FACTORS`).
+ADAPTIVE_FACTOR = 6.0
+#: The serving scenario: open-loop arrivals on the small serving
+#: machine (8 processors, MPL 2) where overload is reachable.
+SERVING_COUNT = 80
+SERVING_SATURATION_COUNT = 60
+SERVING_OVERLOAD = 2.0
+SERVING_QUEUE_LIMIT = 6
+#: Floor on the self-profiler's wall-clock attribution at MPL 4.
+PROFILE_COVERAGE_MIN = 0.90
+
+#: Interleaved repeats of a row with a wall gate (others run once:
+#: their facts are deterministic and nothing compares their seconds).
+REPEATS = 5
+#: Wall ratio of a feature that must be free when off or idle.
+FREE = 0.05
+#: Wall ratio of the MPL-8 fold cells: sub-100 ms runs on a shared box
+#: need the wider tolerance; their strict statements are the virtual
+#: pins and relations.
+FOLD = 0.20
+#: Added on top of every wall ratio: the fastest variants finish in
+#: milliseconds, where scheduler jitter alone exceeds any ratio.
+ABSOLUTE_SLACK_S = 0.005
+#: Facts computed from the wall clock: gated by relations, never pinned.
+WALL_DERIVED = frozenset({"coverage"})
+
+PINS_PATH = Path(__file__).with_name("twins_pins.json")
+_OPS = {"==": operator.eq, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Twin:
+    """One row of the table."""
+
+    name: str
+    variants: tuple[str, ...]
+    #: Sets the scenario up (outside any timed region) and returns one
+    #: thunk per variant; a thunk runs its variant and returns its facts.
+    build: Callable[[], dict[str, Callable[[], dict]]]
+    #: Groups of variants that agree on every fact they share.
+    parity: tuple[tuple[str, ...], ...] = ()
+    #: ``(left, op, right[, factor])``: ``left op factor * right``, each
+    #: side a ``"variant.fact"`` term or a number.
+    relations: tuple[tuple, ...] = ()
+    #: ``(base, other, ratio)``: one interleaved repeat must put *other*
+    #: within ``ratio`` (plus the absolute slack) of *base*.
+    wall: tuple[tuple[str, str, float], ...] = ()
+
+
+@functools.lru_cache(maxsize=None)
+def _database(degree: int = DEGREE, copy: int = 0):
+    """The join database at *degree* (*copy* tells disjoint twins apart)."""
+    return make_join_database(CARD_A, CARD_B, degree, theta=0.0)
+
+
+def _query_facts(execution) -> dict:
+    return {"virtual_s": execution.response_time,
+            "rows": execution.result_cardinality}
+
+
+def _workload_facts(result, **extra) -> dict:
+    return {"virtual_s": result.makespan,
+            "rows": sum(e.result_cardinality
+                        for e in result.executions.values()), **extra}
+
+
+def _cell(mode: str, degree: int) -> Twin:
+    """One degree x discipline cell of the Figure 16/17 matrix."""
+    runner = run_ideal_join if mode == "triggered" else run_assoc_join
+
+    def build():
+        database = _database(degree)
+        return {"run": lambda: _query_facts(runner(database, THREADS))}
+    return Twin(f"{mode}@{degree}", ("run",), build)
+
+
+def _build_query():
+    """The pipelined single query through every path that must not
+    move it: the bare executor, full observation, an *empty* fault
+    plan (every injector hook live, nothing injected) and a one-query
+    session (the machinery behind ``db.query()``)."""
+    from repro.compiler.parallelizer import CompiledQuery
+    from repro.faults import FaultPlan
+    from repro.lera.plans import assoc_join_plan
+    from repro.scheduler.adaptive import AdaptiveScheduler
+    from repro.workload.engine import QuerySubmission, WorkloadExecutor
+
+    database, machine = _database(), default_machine()
+
+    def planned():
+        # Plan construction and scheduling are inside the timed region:
+        # that is what a query actually costs.
+        plan = assoc_join_plan(database.entry_a, database.entry_b,
+                               "key", "key")
+        return plan, AdaptiveScheduler(machine).schedule(plan, THREADS)
+
+    def executor(**options):
+        return _query_facts(Executor(
+            machine, ExecutionOptions(**options)).execute(*planned()))
+
+    def session():
+        plan, schedule = planned()
+        submission = QuerySubmission(
+            "q0", CompiledQuery(plan, None, None, "twin"), schedule)
+        return _query_facts(WorkloadExecutor(machine).execute(
+            [submission]).execution("q0"))
+
+    return {
+        "executor": executor,
+        "observed": lambda: executor(
+            observability=ObservabilityOptions(observe=True)),
+        "empty_plan": lambda: executor(faults=FaultPlan()),
+        "session": session,
+    }
+
+
+def _build_mpl4():
+    """The MPL-4 concurrent workload bare, with workload telemetry,
+    with the default monitor rule pack and self-profiled, next to the
+    same four queries run back to back."""
+    from repro.obs.monitor import default_monitors
+
+    database, rules = _database(), default_monitors()
+
+    def concurrent(**observability):
+        return run_concurrent_workload(
+            database, MPL, threads=THREADS, workload=WorkloadOptions(
+                observability=ObservabilityOptions(**observability)))
+
+    def back_to_back():
+        each = MPL // 2
+        return {"virtual_s": (
+            run_ideal_join(database, THREADS).response_time * each
+            + run_assoc_join(database, THREADS).response_time * each)}
+
+    def monitored():
+        result = concurrent(monitors=rules)
+        return _workload_facts(result, alerts=len(result.alerts))
+
+    def profiled():
+        result = concurrent(profile=True)
+        return _workload_facts(result, coverage=result.profile.coverage())
+
+    return {
+        "bare": lambda: _workload_facts(concurrent()),
+        "observed": lambda: _workload_facts(concurrent(observe=True)),
+        "monitored": monitored,
+        "profiled": profiled,
+        "back_to_back": back_to_back,
+    }
+
+
+def _build_adaptive():
+    """The chaos adaptive scenario under both policies: one slowed
+    cell, and the uniform cell where the controller sees no signal."""
+    from repro.bench.chaos import run_adaptive_workload
+
+    def cell(factor, policy):
+        result = run_adaptive_workload(factor, policy)
+        return _workload_facts(result,
+                               decisions=len(result.decisions or ()))
+
+    return {
+        "static": lambda: cell(ADAPTIVE_FACTOR, "static"),
+        "adaptive": lambda: cell(ADAPTIVE_FACTOR, "adaptive"),
+        "uniform_static": lambda: cell(1.0, "static"),
+        "uniform_adaptive": lambda: cell(1.0, "adaptive"),
+    }
+
+
+def _build_shared():
+    """MPL-8 at 0 % scan overlap (eight disjoint databases: the fold
+    pass must find nothing and cost nothing) and at 100 % (eight copies
+    of one query: the workload folds to one physical execution), each
+    private and shared."""
+    databases = [_database(copy=i) for i in range(SHARED_MPL)]
+
+    def cell(overlap, shared):
+        return _workload_facts(run_overlap_workload(
+            databases, overlap, shared, threads=THREADS))
+
+    return {
+        "disjoint_private": lambda: cell(0.0, False),
+        "disjoint_shared": lambda: cell(0.0, True),
+        "overlap_private": lambda: cell(1.0, False),
+        "overlap_shared": lambda: cell(1.0, True),
+    }
+
+
+def _build_serving():
+    """One seeded arrival sequence under ``serving=None``, under a
+    default (FIFO, unbounded) ``ServingPolicy`` that differs in zero
+    decisions, and under EDF with a bounded queue at twice the
+    measured saturation throughput."""
+    from repro.bench.fig_serving import (
+        MAX_CONCURRENT,
+        measure_saturation,
+        serving_machine,
+    )
+    from repro.serve.harness import default_templates, run_serving
+    from repro.serve.policies import ServingPolicy
+
+    machine, templates = serving_machine(), default_templates()
+    saturation = measure_saturation(templates, machine=machine,
+                                    count=SERVING_SATURATION_COUNT, seed=0)
+
+    def cell(rate, serving):
+        result = run_serving(
+            templates=templates, rate=rate, count=SERVING_COUNT, seed=0,
+            machine=machine, observe=False, workload=WorkloadOptions(
+                max_concurrent=MAX_CONCURRENT, serving=serving))
+        statuses = Counter(e.status for e in result.executions.values())
+        return {"virtual_s": result.makespan,
+                "statuses": dict(sorted(statuses.items()))}
+
+    return {
+        "off": lambda: cell(saturation, None),
+        "fifo": lambda: cell(saturation, ServingPolicy()),
+        "protected": lambda: cell(
+            saturation * SERVING_OVERLOAD,
+            ServingPolicy(policy="edf", queue_limit=SERVING_QUEUE_LIMIT)),
+    }
+
+
+TABLE: tuple[Twin, ...] = (
+    *(_cell(mode, degree) for mode in ("triggered", "pipelined")
+      for degree in (20, 200, 1500)),
+    Twin("query", ("executor", "observed", "empty_plan", "session"),
+         _build_query,
+         parity=(("executor", "observed", "empty_plan", "session"),),
+         wall=(("executor", "empty_plan", FREE),
+               ("executor", "session", FREE))),
+    Twin("mpl4",
+         ("bare", "observed", "monitored", "profiled", "back_to_back"),
+         _build_mpl4,
+         parity=(("bare", "observed", "monitored", "profiled"),),
+         relations=(("back_to_back.virtual_s", ">", "bare.virtual_s"),
+                    ("profiled.coverage", ">=", PROFILE_COVERAGE_MIN)),
+         wall=(("bare", "observed", FREE), ("bare", "monitored", FREE))),
+    Twin("adaptive",
+         ("static", "adaptive", "uniform_static", "uniform_adaptive"),
+         _build_adaptive,
+         parity=(("uniform_static", "uniform_adaptive"),),
+         relations=(("adaptive.virtual_s", "<", "static.virtual_s"),),
+         wall=(("static", "adaptive", FREE),)),
+    Twin("shared",
+         ("disjoint_private", "disjoint_shared",
+          "overlap_private", "overlap_shared"),
+         _build_shared,
+         relations=(
+             ("overlap_private.virtual_s", ">=", "overlap_shared.virtual_s",
+              SHARED_GAIN_MIN),
+             ("disjoint_shared.virtual_s", "<=", "disjoint_private.virtual_s"),
+             ("disjoint_shared.rows", "==", "disjoint_private.rows"),
+             ("overlap_shared.rows", "==", "overlap_private.rows")),
+         wall=(("disjoint_private", "disjoint_shared", FOLD),
+               ("overlap_private", "overlap_shared", FOLD))),
+    Twin("serving", ("off", "fifo", "protected"), _build_serving,
+         parity=(("off", "fifo"),),
+         wall=(("off", "fifo", FREE),)),
+)
+
+
+def run(row: Twin) -> dict:
+    """Execute *row*; returns ``{variant: {"facts": ..., "runs": [s]}}``
+    with the variants interleaved inside each repeat."""
+    variants = row.build()
+    record = {label: {"facts": {}, "runs": []} for label in row.variants}
+    for _ in range(REPEATS if row.wall else 1):
+        for label in row.variants:
+            started = time.perf_counter()
+            record[label]["facts"] = variants[label]()
+            record[label]["runs"].append(time.perf_counter() - started)
+    return record
+
+
+def compare(row: Twin, record: dict, pins: dict) -> list[str]:
+    """Every gate of *row* that *record* violates (``[]`` when clean);
+    *pins* is the row's ``{variant: {fact: value}}`` entry."""
+    problems = []
+
+    def value(term):
+        if not isinstance(term, str):
+            return term
+        label, name = term.split(".")
+        return record[label]["facts"][name]
+
+    for label in row.variants:
+        facts = record[label]["facts"]
+        if label not in pins:
+            problems.append(f"{row.name}/{label}: no committed pins")
+        for name, want in pins.get(label, {}).items():
+            if facts.get(name) != want:
+                problems.append(f"{row.name}/{label}: pinned {name} drifted "
+                                f"{want!r} -> {facts.get(name)!r}")
+    for first, *others in row.parity:
+        base = record[first]["facts"]
+        for label in others:
+            facts = record[label]["facts"]
+            for name in sorted(base.keys() & facts.keys()):
+                if facts[name] != base[name]:
+                    problems.append(
+                        f"{row.name}: {label} moved {name} off {first}'s "
+                        f"{base[name]!r} -> {facts[name]!r}")
+    for left, op, right, *factor in row.relations:
+        bound = value(right) * factor[0] if factor else value(right)
+        if not _OPS[op](value(left), bound):
+            problems.append(f"{row.name}: {left} {op} {right}"
+                            f"{f' x {factor[0]}' if factor else ''} does not "
+                            f"hold ({value(left)!r} vs {bound!r})")
+    for base, other, ratio in row.wall:
+        pairs = list(zip(record[base]["runs"], record[other]["runs"]))
+        if not any(on <= off * (1.0 + ratio) + ABSOLUTE_SLACK_S
+                   for off, on in pairs):
+            off, on = min(pairs, key=lambda pair: pair[1] / pair[0])
+            problems.append(
+                f"{row.name}: no interleaved repeat put {other} within "
+                f"{ratio:.0%} + {ABSOLUTE_SLACK_S * 1000:.0f}ms of {base} "
+                f"(closest pair {off:.4f}s vs {on:.4f}s)")
+    return problems
+
+
+def render(row: Twin, record: dict) -> str:
+    """One line per variant: best wall clock (as a ratio of the row's
+    first variant) and the facts."""
+    first = min(record[row.variants[0]]["runs"])
+    lines = []
+    for label in row.variants:
+        best = min(record[label]["runs"])
+        facts = "  ".join(
+            f"{name}={value:.4f}" if isinstance(value, float)
+            else f"{name}={value}"
+            for name, value in record[label]["facts"].items())
+        lines.append(f"{'' if lines else row.name:<15} {label:<17} "
+                     f"{best:8.4f}s {best / first:5.2f}x  {facts}")
+    return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="run the twin table against the committed pins")
+    parser.add_argument("--record", action="store_true",
+                        help="rewrite twins_pins.json from this run (the "
+                             "parity, relation and wall gates still apply)")
+    args = parser.parse_args(argv)
+    pins = {} if args.record else json.loads(PINS_PATH.read_text())
+    problems = []
+    for row in TABLE:
+        record = run(row)
+        print(render(row, record))
+        if args.record:
+            pins[row.name] = {
+                label: {name: value for name, value in entry["facts"].items()
+                        if name not in WALL_DERIVED}
+                for label, entry in record.items()}
+        problems += compare(row, record, pins.get(row.name, {}))
+    if args.record:  # one variant per line, so a re-record diffs by variant
+        PINS_PATH.write_text("{\n" + ",\n".join(
+            f' "{name}": {{\n' + ",\n".join(
+                f'  "{label}": {json.dumps(facts)}'
+                for label, facts in variants.items()) + "\n }"
+            for name, variants in pins.items()) + "\n}\n")
+    if problems:
+        print("\nGATES VIOLATED:")
+        for problem in problems:
+            print(f"  - {problem}")
+        return 1
+    print("\nevery pin, parity, relation and wall gate holds")
+    return 0
+
+
+if __name__ == "__main__":  # pragma: no cover - CLI entry
+    raise SystemExit(main())

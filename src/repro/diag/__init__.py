@@ -18,10 +18,10 @@ this layer answers the paper's questions about it:
   bottleneck?*
 
 Everything consumes an observed execution
-(``ExecutionOptions(observe=True)``) or a reloaded JSONL event log
+(``ObservabilityOptions(observe=True)``) or a reloaded JSONL event log
 (:func:`repro.obs.export.read_jsonl`) — both give identical results.
 Entry points: :func:`~repro.diag.report.diagnose`,
-``python -m repro --diagnose``, ``python -m repro compare A B``.
+``python -m repro diagnose``, ``python -m repro compare A B``.
 """
 
 from repro.diag.critical_path import (

@@ -1,7 +1,7 @@
 """The run registry: persisted run records and regression comparison.
 
-``BENCH_engine.json`` keeps the wall-clock trajectory; this registry
-keeps the *virtual-time* trajectory: every recorded run persists a
+The perf ledger (``python -m perf_ledger``) keeps the wall-clock
+trajectory; this registry keeps the *virtual-time* trajectory: every recorded run persists a
 compact :class:`RunRecord` — metrics, critical path, imbalance
 findings, optionally the scheduler's explained decisions — as one
 JSON file under ``benchmarks/results/runs/``.  :func:`compare` then

@@ -4,7 +4,7 @@ The diagnostics layer never touches the engine: everything it needs —
 per-operation aggregates, the structured event stream, the activation
 span trace — exists both on a live
 :class:`~repro.engine.metrics.QueryExecution` (run with
-``ExecutionOptions(observe=True)``) and in a reloaded JSONL event log
+``ObservabilityOptions(observe=True)``) and in a reloaded JSONL event log
 (:func:`repro.obs.export.read_jsonl`).  :class:`ObservedRun` adapts
 either source to one shape, which is what makes "diagnosing from a
 reloaded log gives results identical to diagnosing the live
@@ -106,7 +106,8 @@ class ObservedRun:
         if execution.obs is None or execution.trace is None:
             raise ReproError(
                 "execution was not observed; run with ExecutionOptions("
-                "observe=True) to diagnose it")
+                "observability=ObservabilityOptions(observe=True)) "
+                "to diagnose it")
         ops = {
             name: OpView(
                 name=name,

@@ -8,7 +8,6 @@ simulator wave by wave across the plan's chain DAG.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from repro.engine.dbfuncs import make_dbfunc
@@ -142,9 +141,7 @@ class ObservabilityOptions:
 class ExecutionOptions:
     """Executor knobs orthogonal to the schedule.
 
-    Observability flags live in the nested ``observability`` block;
-    the flat ``trace=``/``observe=`` keyword forms are still accepted
-    for compatibility but emit a :class:`DeprecationWarning`.
+    Observability flags live in the nested ``observability`` block.
     """
 
     placement: str = PLACEMENT_WARM
@@ -163,39 +160,11 @@ class ExecutionOptions:
     to one without the faults layer; an empty plan must behave the
     same (the fault-free-parity invariant)."""
 
-    def __init__(self, placement: str = PLACEMENT_WARM,
-                 queue_capacity: int | None = None, seed: int = 0,
-                 use_ready_index: bool = True,
-                 observability: ObservabilityOptions | None = None,
-                 trace: bool | None = None,
-                 observe: bool | None = None,
-                 faults=None) -> None:
-        # A user-defined __init__ suppresses the generated one; the
-        # extra trace/observe parameters are the deprecated flat
-        # spelling of the observability block.
-        if trace is not None or observe is not None:
-            warnings.warn(
-                "ExecutionOptions(trace=..., observe=...) is deprecated; "
-                "pass observability=ObservabilityOptions(trace=..., "
-                "observe=...) instead",
-                DeprecationWarning, stacklevel=2)
-            if observability is not None:
-                raise ExecutionError(
-                    "pass either observability= or the deprecated flat "
-                    "trace=/observe= flags, not both")
-            observability = ObservabilityOptions(
-                trace=bool(trace), observe=bool(observe))
-        if observability is None:
-            observability = ObservabilityOptions()
-        if placement not in PLACEMENTS:
+    def __post_init__(self) -> None:
+        if self.placement not in PLACEMENTS:
             raise ExecutionError(
-                f"unknown placement {placement!r}; expected {PLACEMENTS}")
-        object.__setattr__(self, "placement", placement)
-        object.__setattr__(self, "queue_capacity", queue_capacity)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "use_ready_index", use_ready_index)
-        object.__setattr__(self, "observability", observability)
-        object.__setattr__(self, "faults", faults)
+                f"unknown placement {self.placement!r}; expected "
+                f"{PLACEMENTS}")
 
     # Read-only views of the nested block, so call sites can keep
     # asking ``options.observe`` (non-annotated, hence not fields).

@@ -165,7 +165,7 @@ class QueryExecution:
     """Per-activation events, present when tracing was enabled."""
     obs: EventBus | None = field(default=None, repr=False)
     """Structured events, probe series and counters, present when the
-    execution ran with ``ExecutionOptions(observe=True)``; export via
+    execution ran with ``ObservabilityOptions(observe=True)``; export via
     :mod:`repro.obs.export`."""
     status: str = STATUS_DONE
     """Terminal state: ``done``, or — for workload queries —

@@ -43,6 +43,7 @@ from typing import Callable
 from repro.engine.dbfuncs import ExecContext, ProcessResult
 from repro.engine.operation import OperationRuntime
 from repro.engine.queues import ActivationQueue
+from repro.engine.ready_index import ReadyIndex
 from repro.engine.threads import (
     BLOCKED,
     FINISHED,
@@ -68,6 +69,19 @@ from repro.machine.machine import Machine
 #: Number of slices a dilated activation is split into; finer slices
 #: track the draining of concurrent threads more precisely.
 DILATION_SLICES = 16
+
+#: Method -> profiler section of the event loop's timed phases
+#: (:meth:`Simulator.attach_profiler`).  The perf ledger reads the
+#: ``ready_scan`` call count as the number of event-loop steps.
+_PROFILED_SECTIONS = {
+    "run": "sim",
+    "_index_select": "ready_scan",
+    "_scan_select": "ready_scan",
+    "_run_dbfunc": "dbfunc",
+    "_deliver": "deliver",
+    "_fail_attempt": "fault",
+    "_finalize_operation": "finalize",
+}
 
 
 class _WorkInProgress:
@@ -116,10 +130,6 @@ class Simulator:
         #: without one is bit-identical to an engine without the
         #: faults layer.
         self._injector = None
-        #: Optional :class:`~repro.prof.profiler.EngineProfiler`.
-        #: Sections are guarded by ``is not None``, so an unprofiled
-        #: run pays one attribute check per instrumented phase.
-        self._profiler = None
         self._heap: list[tuple[float, int, WorkerThread]] = []
         self._seq = 0
         self._active = 0
@@ -139,8 +149,9 @@ class Simulator:
         self._injector = injector
 
     def attach_profiler(self, profiler) -> None:
-        """Attach a wall-clock self-profiler (``None`` detaches)."""
-        self._profiler = profiler
+        """Time this simulator's phases as sections of *profiler*; an
+        unprofiled simulator pays nothing."""
+        profiler.instrument(self, _PROFILED_SECTIONS)
 
     def run_wave(self, operations: list[OperationRuntime]) -> float:
         """Simulate *operations* until every thread terminates.
@@ -358,6 +369,12 @@ class Simulator:
             used_secondary = True
         return ready, polls, future, used_secondary
 
+    #: The indexed ready scan as a method of the simulator, so that
+    #: :meth:`attach_profiler` can time it like ``_scan_select``; the
+    #: unprofiled path calls ``ReadyIndex.select`` with no frame in
+    #: between.
+    _index_select = staticmethod(ReadyIndex.select)
+
     def _charge_factor(self, thread: WorkerThread) -> float:
         """Dilation times any injected slowdown at the thread's clock."""
         factor = self._dilation()
@@ -395,20 +412,14 @@ class Simulator:
         else:
             dilation = self._dilation()
         now = thread.clock
-
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.enter("ready_scan")
         index = operation.ready_index if self.use_ready_index else None
         if index is not None:
-            ready, polls, used_secondary = index.select(
-                thread, now, operation.allow_secondary)
+            ready, polls, used_secondary = self._index_select(
+                index, thread, now, operation.allow_secondary)
             future = None  # computed lazily, only when nothing is ready
         else:
             ready, polls, future, used_secondary = self._scan_select(
                 thread, now)
-        if profiler is not None:
-            profiler.exit()
 
         if polls:
             operation.polls += polls
@@ -515,7 +526,8 @@ class Simulator:
             thread.operation.tracer.record(
                 thread.thread_id, thread.operation.name,
                 "activation", start, thread.clock)
-        self._deliver(thread, result, start, filled)
+        if result.emitted:
+            self._deliver(thread, result, start, filled)
 
     # -- sliced path (over-subscription possible) ------------------------------------
 
@@ -573,7 +585,8 @@ class Simulator:
                 thread.thread_id, thread.operation.name,
                 "activation", work.started_at, thread.clock)
         filled: set[int] = set()
-        self._deliver(thread, work.result, work.started_at, filled)
+        if work.result.emitted:
+            self._deliver(thread, work.result, work.started_at, filled)
         if self._pending_batch.get(thread.thread_id):
             # Back-pressure is only checked between batches, matching
             # the whole-activation path.
@@ -598,18 +611,6 @@ class Simulator:
         """
         operation = thread.operation
         operation.faults_injected += 1
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.enter("fault")
-        try:
-            self._fail_attempt_now(thread, activation, decision, operation)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _fail_attempt_now(self, thread: WorkerThread,
-                          activation: Activation, decision,
-                          operation: OperationRuntime) -> None:
         start = thread.clock
         if decision.wasted > 0.0:
             thread.advance(decision.wasted * self._charge_factor(thread),
@@ -657,17 +658,6 @@ class Simulator:
         """End-of-input emission, executed once by the last live thread."""
         operation = thread.operation
         operation.finalized = True
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.enter("finalize")
-        try:
-            self._finalize_now(thread, operation)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _finalize_now(self, thread: WorkerThread,
-                      operation: OperationRuntime) -> None:
         filled: set[int] = set()
         for instance in range(operation.instances):
             ctx = ExecContext(self.machine, thread.thread_id)
@@ -690,18 +680,14 @@ class Simulator:
                     operation.bus.add_memory_penalty(
                         thread.clock, operation.name, thread.thread_id,
                         ctx.penalty)
-            self._deliver(thread, result, started_at, filled)
+            if result.emitted:
+                self._deliver(thread, result, started_at, filled)
 
     def _run_dbfunc(self, thread: WorkerThread,
                     activation: Activation) -> ProcessResult:
         operation = thread.operation
         ctx = ExecContext(self.machine, thread.thread_id)
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.enter("dbfunc")
         result = operation.dbfunc.process(activation.instance, activation, ctx)
-        if profiler is not None:
-            profiler.exit()
         operation.activation_costs.append(result.cost)
         operation.activation_outputs.append(len(result.emitted))
         operation.memory_penalty += ctx.penalty
@@ -712,97 +698,34 @@ class Simulator:
 
     def _total_cost(self, operation: OperationRuntime,
                     result: ProcessResult) -> float:
+        """Processing cost plus one enqueue charge per emitted row and
+        live delivery target (the primary consumer and every active
+        shared-work tap that feeds one)."""
         cost = result.cost
-        if operation.taps:
-            if result.emitted:
-                targets = 0
-                if (operation.consumer is not None
-                        and not operation.primary_detached):
+        if result.emitted:
+            targets = 0
+            if (operation.consumer is not None
+                    and not operation.primary_detached):
+                targets += 1
+            for tap in operation.taps:
+                if tap.active and tap.consumer is not None:
                     targets += 1
-                for tap in operation.taps:
-                    if tap.active and tap.consumer is not None:
-                        targets += 1
+            if targets:
                 cost += len(result.emitted) * self.machine.costs.enqueue * targets
-        elif operation.consumer is not None and result.emitted:
-            cost += len(result.emitted) * self.machine.costs.enqueue
         return cost
 
     def _deliver(self, thread: WorkerThread, result: ProcessResult,
                  started_at: float, filled: set[int]) -> None:
-        """Route (or collect) an activation's output rows.
+        """Route (or collect) an activation's non-empty output: to the
+        primary path plus every active shared-work tap.
 
         Tuples become visible progressively across the activation's
         realized duration, which is what lets a consumer overlap with
-        its producer (pipelined execution).
-        """
-        operation = thread.operation
-        emitted = result.emitted
-        if not emitted:
-            return
-        profiler = self._profiler
-        if profiler is not None:
-            # _deliver has several exits; the section must close on
-            # every one of them, so the body runs under try/finally
-            # (zero-cost on the non-raising path in CPython 3.11).
-            profiler.enter("deliver")
-        try:
-            self._deliver_rows(thread, operation, emitted, result,
-                               started_at, filled)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _deliver_rows(self, thread: WorkerThread, operation, emitted,
-                      result: ProcessResult, started_at: float,
-                      filled: set[int]) -> None:
-        if operation.taps:
-            self._deliver_fanout(thread, result, started_at, filled)
-            return
-        consumer = operation.consumer
-        if consumer is None:
-            operation.result_rows.extend(emitted)
-            return
-        router = operation.router
-        if router is None:
-            raise ExecutionError(
-                f"operation {operation.name!r} has a consumer but no router")
-        duration = thread.clock - started_at
-        count = len(emitted)
-        queues = consumer.queues
-        # Fast path: a single consumer instance makes routing trivial
-        # (the hash router would return 0 for every row).
-        single = len(queues) == 1
-        for i, row in enumerate(emitted):
-            instance = 0 if single else router(row)
-            ready_time = started_at + duration * (i + 1) / count
-            queues[instance].enqueue(
-                ready_time, Activation(DATA, instance, row))
-            filled.add(instance)
-        consumer.pending_activations += count
-        operation.enqueues += count
-        if operation.bus is not None:
-            operation.bus.emit(ENQUEUE, thread.clock, operation.name,
-                               thread.thread_id, consumer=consumer.name,
-                               count=count)
-        # Batched wakeups: the legacy loop woke one waiting consumer
-        # after each enqueue; since nothing else touches the event heap
-        # in between, waking min(count, waiting) threads afterwards
-        # yields the identical pop order and tie-break sequence.
-        waiting = len(consumer.waiting_threads)
-        if waiting:
-            for _ in range(waiting if waiting < count else count):
-                self._wake_one(consumer)
-
-    def _deliver_fanout(self, thread: WorkerThread, result: ProcessResult,
-                        started_at: float, filled: set[int]) -> None:
-        """Deliver one activation's output to the primary path plus
-        every active shared-work tap.
-
-        Only the primary consumer participates in back-pressure
-        (``filled``): a slow subscriber must not stall the shared
-        producer or its co-subscribers, so tap edges are exempt by
-        design.  Enqueue charges are handled in :meth:`_total_cost`
-        (one per live delivery target).
+        its producer (pipelined execution).  Only the primary consumer
+        participates in back-pressure (``filled``): a slow subscriber
+        must not stall the shared producer or its co-subscribers, so
+        tap edges are exempt by design.  Enqueue charges are handled in
+        :meth:`_total_cost` (one per live delivery target).
         """
         operation = thread.operation
         emitted = result.emitted
@@ -837,6 +760,8 @@ class Simulator:
         operation = thread.operation
         count = len(emitted)
         queues = consumer.queues
+        # Fast path: a single consumer instance makes routing trivial
+        # (the hash router would return 0 for every row).
         single = len(queues) == 1
         for i, row in enumerate(emitted):
             instance = 0 if single else router(row)
@@ -851,6 +776,10 @@ class Simulator:
             operation.bus.emit(ENQUEUE, thread.clock, operation.name,
                                thread.thread_id, consumer=consumer.name,
                                count=count)
+        # Batched wakeups: nothing else touches the event heap during
+        # the enqueue loop, so waking min(count, waiting) threads
+        # afterwards yields the same pop order and tie-break sequence
+        # as waking one after each enqueue.
         waiting = len(consumer.waiting_threads)
         if waiting:
             for _ in range(waiting if waiting < count else count):

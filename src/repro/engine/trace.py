@@ -1,6 +1,6 @@
 """Execution traces and the ASCII Gantt renderer.
 
-When tracing is enabled (``ExecutionOptions(trace=True)``), the
+When tracing is enabled (``ObservabilityOptions(trace=True)``), the
 simulator records one event per processed activation — which thread,
 which operation, which virtual-time interval.  The trace renders as a
 Gantt chart (one row per thread, one glyph per operation), which makes

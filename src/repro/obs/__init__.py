@@ -1,6 +1,7 @@
 """Execution observability: event bus, probes, metrics, spans, exporters.
 
-Enable per-query observability with ``ExecutionOptions(observe=True)``;
+Enable per-query observability with
+``ExecutionOptions(observability=ObservabilityOptions(observe=True))``;
 the resulting :class:`~repro.engine.metrics.QueryExecution` then
 carries an :class:`~repro.obs.bus.EventBus` on ``.obs``, exportable
 via :mod:`repro.obs.export`.  Workload-level telemetry — the

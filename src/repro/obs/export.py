@@ -2,7 +2,7 @@
 
 Three output formats, all derived from one
 :class:`~repro.engine.metrics.QueryExecution` produced with
-``ExecutionOptions(observe=True)``:
+``ExecutionOptions(observability=ObservabilityOptions(observe=True))``:
 
 * :func:`write_jsonl` — the full structured record, one JSON object
   per line: a meta header, every bus event, every span of the
@@ -72,7 +72,8 @@ def _require_obs(execution: "QueryExecution") -> EventBus:
     if execution.obs is None:
         raise ReproError(
             "execution was not observed; run with ExecutionOptions("
-            "observe=True) to export it")
+            "observability=ObservabilityOptions(observe=True)) to "
+            "export it")
     return execution.obs
 
 

@@ -33,8 +33,8 @@ aggregate across a name's label sets.
 The workload engine fills the registry through a telemetry consumer
 subscribed to its control points (:mod:`repro.workload.consumers`);
 with workload observability off there is no registry and nothing is
-subscribed — the perf harness pins the disabled mode at under 5 %
-wall clock (``obs_workload`` cell of ``BENCH_engine.json``).
+subscribed — the twin table holds the enabled mode within 5 % wall
+clock of its disabled twin (``mpl4`` row of :mod:`repro.bench.twins`).
 """
 
 from __future__ import annotations

@@ -2,15 +2,14 @@
 
 Everything else in the observability stack measures the *simulated*
 system in virtual time; this package measures the *simulator* in wall
-time.  The event loop's inner sections (ready-index scan, ``_deliver``,
-fault injection) carry ``enter``/``exit`` instrumentation guarded by
-the usual ``is not None`` no-op check; the workload engine's phases
-(admission, the fold pass, the wave barrier, ...) are whole methods
-wrapped once per run by :meth:`EngineProfiler.instrument`.  The
-profiler aggregates the timings into a call tree keyed by section
-*path* — so
-"deliver under sim under run" and "deliver under a regrant callback"
-stay distinct, exactly what a flame graph wants.
+time.  The timed phases — the event loop's (ready scan, DBFunc,
+``_deliver``, fault injection, finalize) and the workload engine's
+(admission, the fold pass, the wave barrier, ...) — are whole methods
+wrapped once per run by :meth:`EngineProfiler.instrument`, so an
+unprofiled run carries no guard at all.  The profiler aggregates the
+timings into a call tree keyed by section *path* — so "deliver under
+sim under run" and "deliver under a regrant callback" stay distinct,
+exactly what a flame graph wants.
 
 Attribution is double-count-free by construction: each node tracks
 *self* time (elapsed minus time spent in child sections), so the sum
@@ -27,7 +26,7 @@ Output formats:
 * :meth:`EngineProfiler.render` — a self-time-sorted table for the
   CLI;
 * :meth:`EngineProfiler.to_json` / :meth:`from_json` — the schema-4
-  JSONL record, replayable by ``--diagnose --from-events``.
+  JSONL record, replayable by ``diagnose --from-events``.
 
 The module-level :func:`profile` context manager installs a profiler
 as the process-wide active one (:func:`active_profiler`), which the
@@ -52,8 +51,7 @@ class EngineProfiler:
     Sections nest: ``enter("sim")``, then ``enter("deliver")`` inside
     it, attributes the inner elapsed to path ``("sim", "deliver")``
     and *subtracts* it from the parent's self time.  The per-call cost
-    is two ``perf_counter_ns`` reads and a dict update — cheap enough
-    to leave compiled in behind the ``is not None`` guard.
+    is two ``perf_counter_ns`` reads and a dict update.
     """
 
     __slots__ = ("nodes", "_stack", "_started_ns", "_stopped_ns")

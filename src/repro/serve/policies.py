@@ -75,8 +75,8 @@ class ServingPolicy:
     brownout — and is what the engine runs under when ``serving`` is
     ``None``; asking for it explicitly only changes what is *reported*
     (priority/tenant on ``query.submit``, ``rejected`` instead of a
-    raise, per-class latency labels), which the perf harness's serving
-    overhead cell pins at equal virtual makespan.
+    raise, per-class latency labels), which the twin table's
+    ``serving`` row pins at equal virtual makespan.
     """
 
     policy: str = POLICY_FIFO

@@ -617,7 +617,6 @@ class _WorkloadRun:
         if self.profiler is not None:
             self.simulator.attach_profiler(self.profiler)
             self.profiler.instrument(self, _PROFILED_SECTIONS)
-            self.profiler.instrument(self.simulator, {"run": "sim"})
         if workload.faults is not None:
             from repro.faults.injector import FaultInjector
             self.simulator.attach_faults(

@@ -1,0 +1,68 @@
+"""The twin table's comparer on synthetic records, and the pins file.
+
+The table itself runs under the ``perf`` marker
+(benchmarks/test_twins.py); nothing is timed here, so tier-1 covers
+every kind of gate without a wall clock.
+"""
+
+import json
+
+import pytest
+
+from repro.bench.twins import (
+    PINS_PATH,
+    TABLE,
+    WALL_DERIVED,
+    Twin,
+    compare,
+    render,
+)
+
+#: ``on`` must not move what ``off`` reports, must gain >= 2x on an
+#: unpinned fact, and must stay within 5 % (+5 ms) of ``off``.
+ROW = Twin("demo", ("off", "on"), build=dict,
+           parity=(("off", "on"),),
+           relations=(("on.gain", ">=", "off.virtual_s", 2.0),),
+           wall=(("off", "on", 0.05),))
+PINS = {"off": {"virtual_s": 1.5, "rows": 10}, "on": {"alerts": 4}}
+
+
+def _record(on_runs=(1.2, 1.04), **on_facts):
+    facts = {"virtual_s": 1.5, "rows": 10}
+    return {
+        "off": {"facts": dict(facts), "runs": [1.0, 1.0]},
+        "on": {"facts": {**facts, "alerts": 4, "gain": 3.0, **on_facts},
+               "runs": list(on_runs)},
+    }
+
+
+def test_clean_record_passes():
+    # One of the two interleaved pairs is within the ratio: enough.
+    assert compare(ROW, _record(), PINS) == []
+
+
+@pytest.mark.parametrize("record, pins, fragment", [
+    (_record(alerts=5), PINS, "demo/on: pinned alerts drifted 4 -> 5"),
+    (_record(), {"off": PINS["off"]}, "demo/on: no committed pins"),
+    (_record(virtual_s=1.5000001), PINS, "on moved virtual_s off off's"),
+    (_record(gain=2.9), PINS, "on.gain >= off.virtual_s x 2.0 does not hold"),
+    (_record(on_runs=(1.2, 1.06)), PINS, "no interleaved repeat put on"),
+], ids=["pinned-fact-drift", "missing-pins", "variant-parity-drift",
+        "relation-violated", "no-pair-within-wall-ratio"])
+def test_each_gate_kind_fires_alone(record, pins, fragment):
+    problems = compare(ROW, record, pins)
+    assert len(problems) == 1 and fragment in problems[0], problems
+
+
+def test_render_mentions_every_variant():
+    text = render(ROW, _record())
+    assert "demo" in text and " off " in text and " on " in text
+
+
+def test_pins_file_has_exactly_the_tables_rows_and_variants():
+    pins = json.loads(PINS_PATH.read_text())
+    assert ({name: tuple(entry) for name, entry in pins.items()}
+            == {row.name: row.variants for row in TABLE})
+    names = {name for entry in pins.values() for facts in entry.values()
+             for name in facts}
+    assert names and not names & WALL_DERIVED  # virtual facts only

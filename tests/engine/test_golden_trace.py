@@ -10,7 +10,8 @@ change that drifts BOTH selection paths at once still trips.
 
 The degree (120) is above READY_INDEX_MIN_INSTANCES so the index is
 actually engaged; the cardinalities are scaled down to keep this in
-the tier-1 budget (the full matrix lives in repro.bench.perf_baseline).
+the tier-1 budget (the degree x discipline matrix lives in
+repro.bench.twins).
 """
 
 import pytest

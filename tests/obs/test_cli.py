@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main, observed_run
 
 
@@ -25,10 +27,18 @@ class TestObservedRun:
 
     def test_main_routes_observability_flags(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
-        code = main(["--events-out", str(events), "--threads", "8"])
+        code = main(["run", "--events-out", str(events), "--threads", "8"])
         assert code == 0
         assert events.exists()
 
     def test_explain_alone_runs_without_files(self, capsys):
-        assert main(["--explain", "--threads", "8"]) == 0
+        assert main(["run", "--explain", "--threads", "8"]) == 0
         assert "step 4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("legacy", [
+        ["--explain"], ["--diagnose"], ["--concurrent", "4"]])
+    def test_legacy_top_level_flags_are_usage_errors(self, legacy, capsys):
+        with pytest.raises(SystemExit) as error:
+            main(legacy)
+        assert error.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from repro import (
     WorkloadOptions,
     generate_wisconsin,
 )
-from repro.errors import AdmissionError, ReproError
+from repro.engine.dbfuncs import JoinFunc
+from repro.errors import AdmissionError, ExecutionError, ReproError
 from repro.prof import EngineProfiler, active_profiler, profile
 from repro.workload.admission import AdmissionController
 from repro.workload.engine import QuerySubmission, WorkloadExecutor
@@ -185,5 +186,18 @@ class TestSectionsCloseOnErrors:
                 patch.setattr(AdmissionController, "fits",
                               lambda self, footprint: False)
                 with pytest.raises(AdmissionError, match="idle machine"):
+                    executor.execute(submissions)
+            self._assert_clean_after(db, prof)
+
+    def test_dbfunc_error_leaves_no_open_frame(self, monkeypatch):
+        def broken(self, instance, activation, ctx):
+            raise ExecutionError("unknown join algorithm 'broken'")
+
+        db = _db()
+        with profile() as prof:
+            executor, submissions = self._executor(db)
+            with monkeypatch.context() as patch:
+                patch.setattr(JoinFunc, "process", broken)
+                with pytest.raises(ExecutionError, match="unknown join"):
                     executor.execute(submissions)
             self._assert_clean_after(db, prof)
