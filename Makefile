@@ -24,15 +24,16 @@ bench:
 perf:
 	$(PYTHON) -m repro.bench.twins
 
-## Chaos tests: the seeded fault-injection sweeps (pytest -m chaos).
+## Chaos tests: the chaos table, one row per test (pytest -m chaos).
 chaos:
-	$(PYTHON) -m pytest tests -m chaos -q -s
+	$(PYTHON) -m pytest tests -m chaos -q
 
-## Chaos demo: three seeded fault sweeps with invariant checks plus
-## the pooled-vs-static graceful-degradation curve (exit 1 on any
-## violation).
+## Chaos demo: the same table printed by the CLI — seeded faults,
+## cancellation, folding, slowdown grids, serving under fire — every
+## run under the invariant audit, gated against the pins (exit 1 on
+## any violation).  `python -m repro chaos --seed N` fuzzes one seed.
 chaos-demo:
-	$(PYTHON) -m repro chaos --seed 0 --seeds 3
+	$(PYTHON) -m repro chaos
 
 ## Concurrent-workload demo: four queries admitted into one shared
 ## simulation, with the admission/grant/finish timeline printed.
@@ -66,12 +67,11 @@ profile-demo:
 
 ## Adaptive-scheduling demo: the MPL-4 workload under
 ## SchedulingPolicy(policy="adaptive") — wave-boundary grant re-splits
-## and Random->LPT switches, with the decision log printed — plus the
-## chaos adaptive sweep gate (adaptive strictly beats static on every
-## slowed cell, bit-identical on the uniform one).
+## and Random->LPT switches, with the decision log printed.  (The gate
+## — adaptive strictly beats static on every slowed cell, bit-identical
+## on the uniform one — is the chaos table's adaptive_sweep row.)
 adaptive-demo:
-	$(PYTHON) -m repro run --concurrent 4 --adaptive
-	$(PYTHON) -m repro chaos --seed 0 --seeds 1
+	$(PYTHON) -m repro run --concurrent 4 --policy adaptive
 
 ## Serving demo: seeded open-loop arrivals at 2x the measured
 ## saturation throughput through the overload-protection layer (EDF +

@@ -472,8 +472,6 @@ def run_command(argv: list[str]) -> int:
                              "'adaptive' closes the loop (wave-boundary "
                              "grant re-splits, Random->LPT switches) and "
                              "prints the decision log")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="shorthand for --policy adaptive")
     parser.add_argument("--trace-out", metavar="PATH",
                         help="write a Chrome trace-event JSON (Perfetto)")
     parser.add_argument("--events-out", metavar="PATH",
@@ -488,7 +486,6 @@ def run_command(argv: list[str]) -> int:
                         help="pin the degree of parallelism (default: let "
                              "scheduler step 1 choose)")
     args = parser.parse_args(argv)
-    policy = "adaptive" if args.adaptive else args.policy
     if args.concurrent is not None:
         if args.concurrent < 1:
             parser.error("--concurrent needs at least one query")
@@ -501,7 +498,7 @@ def run_command(argv: list[str]) -> int:
                                profile=args.profile,
                                prom_out=args.prom_out,
                                profile_check=args.profile_check,
-                               policy=policy)
+                               policy=args.policy)
     if args.report:
         parser.error("--report needs --concurrent (it summarizes a "
                      "workload, not a single query)")
@@ -509,9 +506,9 @@ def run_command(argv: list[str]) -> int:
             args.profile_check is not None:
         parser.error("--monitors/--profile/--prom-out/--profile-check "
                      "need --concurrent (they observe a workload run)")
-    if policy != "static":
-        parser.error("--adaptive/--policy need --concurrent (the "
-                     "controller acts on a workload run)")
+    if args.policy != "static":
+        parser.error("--policy needs --concurrent (the controller acts "
+                     "on a workload run)")
     return observed_run(args.sql, args.trace_out, args.events_out,
                         args.metrics_out, args.explain, args.threads)
 
@@ -678,9 +675,30 @@ def serve_command(argv: list[str]) -> int:
 
 
 def chaos_command(argv: list[str]) -> int:
-    """``python -m repro chaos``: seeded fault-injection sweep."""
-    from repro.bench import chaos
-    return chaos.main(argv)
+    """``python -m repro chaos``: the chaos table, or one seeded row."""
+    import json
+
+    from repro.bench import chaos, twins
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro chaos",
+        description="robustness rows (seeded faults, cancellation, folding, "
+                    "slowdowns, overload) under the invariant audit, gated "
+                    "like the twin table; exit 1 on any violation")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="run only the seeded fault row, for this seed "
+                             "(any seed must pass; one the table does not "
+                             "pin is gated on audits and relations alone)")
+    args = parser.parse_args(argv)
+    pins = json.loads(twins.PINS_PATH.read_text())
+    if args.seed is None:
+        return twins.drive(chaos.CHAOS, pins)
+    row = chaos.seeded(args.seed)
+    if row.name not in pins:
+        print(f"{row.name} is not pinned: every audit and relation applies, "
+              f"the pin gate is skipped")
+        pins[row.name] = {label: {"violations": []} for label in row.variants}
+    return twins.drive((row,), pins)
 
 
 #: Subcommand dispatch of the harmonized CLI.

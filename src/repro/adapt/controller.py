@@ -27,7 +27,7 @@ operator) will under-feed in wave *k+1* too, and a bucket that was
 oversized for the build side is oversized for the probe side.
 
 Every decision is a pure function of virtual-time state (thread
-stamps, static estimates, policy thresholds), so adaptive runs are
+stamps, static estimates, the thresholds below), so adaptive runs are
 byte-reproducible per seed; with the controller absent
 (``policy="static"``) the engine takes the exact legacy code paths —
 bit-identical to the pre-controller engine.
@@ -52,8 +52,28 @@ from repro.scheduler.allocation import _largest_remainder
 
 #: Floor on the starved pool's busy share when computing the resplit
 #: boost, so a fully idle consumer cannot drive the ratio to infinity
-#: before the policy cap is applied.
+#: before the cap is applied.
 BUSY_SHARE_FLOOR = 0.05
+#: Slowest-to-mean relative-finish ratio above which a wave's operation
+#: counts as straggling (the Fig 12 trigger, same value as
+#: :class:`~repro.obs.monitor.StragglerMonitor`'s default), in pools of
+#: at least this many threads (a one-thread pool has no spread).
+STRAGGLER_RATIO = 2.0
+MIN_THREADS = 2
+#: Pool idle share at or above which an operation counts as *starved* —
+#: its threads spent the wave waiting on empty queues (Section 5.4's
+#: queue-wait blame) — and at or below which it counts as the *driver*,
+#: the saturated producer carrying the blame for the starved pools.
+IDLE_THRESHOLD = 0.5
+DRIVER_THRESHOLD = 0.25
+#: Upper bound on the resplit weight boost applied to blamed producers,
+#: so one bad wave can never starve the next one's consumers outright.
+BOOST_CAP = 4.0
+#: Estimated-cost skew (max/mean over a pool's queues) *below* which the
+#: estimates count as "equal costs" — the precondition of the Fig 12
+#: signature: step 4 saw even buckets and chose Random, yet the
+#: observed wave straggled on processing skew.
+SWITCH_SKEW_THRESHOLD = 1.5
 
 
 @dataclass(frozen=True)
@@ -64,7 +84,7 @@ class WaveEvidence:
     """The finished wave (evidence applies to the next one)."""
     boost: float
     """How much busier the drivers ran than the starved pools (capped
-    at the policy's ``boost_cap``); 1.0 when no queue-wait pattern
+    at :data:`BOOST_CAP`); 1.0 when no queue-wait pattern
     fired.  The resplit trigger and the event payload's magnitude."""
     starved_idle: float
     """The *least* idle share among the starved pools — the fraction
@@ -83,32 +103,28 @@ class WaveEvidence:
         return self.boost > 1.0 or bool(self.skewed)
 
 
-def wave_evidence(started_at: float, ops,
-                  policy: SchedulingPolicy) -> WaveEvidence | None:
+def wave_evidence(started_at: float, ops) -> WaveEvidence | None:
     """Distill one wave's barrier payload into evidence, or ``None``.
 
     *ops* is the same ``[(name, [(finished_at, busy, idle), ...]),
     ...]`` payload the monitors read at ``POINT_WAVE``.  Pure and
-    deterministic: stamps and thresholds in, evidence out.  Returns
-    ``None`` when nothing fired — the bit-identical common case on
-    healthy waves.
+    deterministic: stamps in, evidence out (the thresholds are this
+    module's constants).  Returns ``None`` when nothing fired — the
+    bit-identical common case on healthy waves.
     """
-    signals = straggler_signals(started_at, ops,
-                                ratio=policy.straggler_ratio,
-                                min_threads=policy.min_threads)
+    signals = straggler_signals(started_at, ops, ratio=STRAGGLER_RATIO,
+                                min_threads=MIN_THREADS)
     idle = pool_idle_shares(ops)
     starved = tuple(sorted(
-        name for name, share in idle.items()
-        if share >= policy.idle_threshold))
+        name for name, share in idle.items() if share >= IDLE_THRESHOLD))
     drivers = tuple(sorted(
-        name for name, share in idle.items()
-        if share <= policy.driver_threshold))
+        name for name, share in idle.items() if share <= DRIVER_THRESHOLD))
     boost = 1.0
     starved_idle = 0.0
     if starved and drivers:
         driver_busy = max(1.0 - idle[name] for name in drivers)
         starved_busy = min(1.0 - idle[name] for name in starved)
-        boost = min(policy.boost_cap,
+        boost = min(BOOST_CAP,
                     driver_busy / max(starved_busy, BUSY_SHARE_FLOOR))
         starved_idle = min(idle[name] for name in starved)
     skewed = tuple(signal.operation for signal in signals
@@ -181,12 +197,10 @@ class AdaptiveController:
 
     def observe_wave(self, now: float, job) -> None:
         """Bank evidence from *job*'s finished wave for its next one."""
-        if (job.wave_index + 1 >= len(job.waves)
-                or not (self.policy.resplit or self.policy.strategy_switch)):
+        if job.wave_index + 1 >= len(job.waves):
             return
         evidence = wave_evidence(job.wave_started_at,
-                                 wave_stamps(job.current_wave_ops),
-                                 self.policy)
+                                 wave_stamps(job.current_wave_ops))
         if evidence is not None:
             self._pending[job.tag] = WaveEvidence(
                 wave_index=job.wave_index, boost=evidence.boost,
@@ -248,7 +262,7 @@ class AdaptiveController:
 
     def _maybe_switch(self, tag: str, wave_index: int, wave_ops,
                       evidence: WaveEvidence, at: float) -> None:
-        if not self.policy.strategy_switch or not evidence.skewed:
+        if not evidence.skewed:
             return
         for op in wave_ops:
             if op.node.trigger_mode != TRIGGERED:
@@ -260,7 +274,7 @@ class AdaptiveController:
                 continue
             mean = sum(estimates) / len(estimates)
             skew = max(estimates) / mean if mean > 0.0 else 1.0
-            if skew > self.policy.switch_skew_threshold:
+            if skew > SWITCH_SKEW_THRESHOLD:
                 # The estimates themselves flagged skew — step 4 had
                 # its chance; the Fig 12 signature is specifically
                 # *equal* estimated costs with *unequal* observed ones.

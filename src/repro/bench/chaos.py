@@ -1,38 +1,50 @@
-"""Chaos harness: seeded fault sweeps with invariant checking.
+"""Chaos harness: one audit for every run, one table of robustness rows.
 
-The robustness counterpart of the perf harness: instead of asking *how
-fast*, it asks *does anything break*.  :func:`run_chaos` builds a
-small multi-query workload, derives a :class:`~repro.faults.FaultPlan`
-from one seed (so every chaos run is reproducible bit-for-bit),
-injects it into the shared simulation — with one query cancelled
-mid-run for good measure — and then audits the wreckage against the
-engine's conservation invariants:
+The robustness counterpart of the twin table: instead of asking *how
+fast*, it asks *does anything break*.  Two kinds of statement live
+here, and they live apart:
 
-* **activation conservation** — per operation,
-  ``enqueued == processed + retries + aborts + discarded``; a fault
-  may delay or destroy work, but never invent or leak it;
-* **monotone virtual time** — every span is well-formed and inside
-  the run, the workload event stream never goes backwards;
-* **no orphaned threads** — every pool thread of every query emits
-  its ``thread.finish``, including cancelled and aborted queries;
-* **fault-free-subset parity** — an *empty* fault plan is
-  bit-identical to no fault plan at all (the injection hooks are
-  free when nothing is injected).
+* an **invariant** holds for *every* workload run, whatever was
+  injected, cancelled, folded or shed.  Invariants are the rows of
+  :data:`INVARIANTS` and :func:`audit_run` is the only function that
+  walks them — activation conservation (``enqueued == processed +
+  retries + aborts + discarded``: a fault may delay or destroy work,
+  never invent or leak it), monotone virtual time, no orphaned
+  threads, cost shares of one physical operator summing to at most 1,
+  and so on.  Each names the *precondition* it needs (an event
+  stream, a metrics registry, a submission count); a run that lacks
+  it skips that invariant, and :func:`skipped_audits` says so.
+* an **expectation** belongs to one scenario — "q2 ends cancelled",
+  "something must shed", "pooled beats static", "the survivors' rows
+  equal the private reference".  Expectations are the ``relations`` /
+  ``parity`` tuples and the pins of a :class:`~repro.bench.twins.Twin`
+  row of :data:`CHAOS`.
 
-:func:`degradation_curve` is the graceful-degradation experiment: the
-same join is executed under a widening processor slowdown, once with
-the paper's pooled dynamic consumption (threads steal from the slowed
-threads' queues) and once with the static one-thread-per-instance
-binding.  Pooled execution must degrade strictly less.
+Every row's variants report the same facts — ``violations`` (pinned
+``[]``), the skipped audits, virtual makespan, status tally, fault /
+alert / decision counts — and :func:`repro.bench.twins.drive` runs,
+gates and prints the table against ``twins_pins.json`` exactly as it
+does the twin table.  A run-twice determinism check is a two-variant
+parity group; an empty fault plan against no plan is another.
 
-CLI: ``python -m repro chaos --seed 0 --seeds 3`` (exit 1 on any
-violation) — also reachable as ``make chaos-demo``.
+To add an invariant, add a line to :data:`INVARIANTS` (and a doctoring
+to ``tests/analysis/test_chaos_audit.py``); to add a scenario, add a
+row to :data:`CHAOS` and re-record the pins
+(``python -m repro.bench.twins --record``).
+
+CLI: ``python -m repro chaos`` runs the table (``make chaos-demo``);
+``--seed N`` runs only the seeded fault row for *N* — any seed must
+pass every audit and relation, pinned or not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import hashlib
+from collections import Counter
+from typing import Callable, Iterator
 
+from repro.bench.twins import Twin
 from repro.core.database import DBS3
 from repro.engine.executor import (
     ExecutionOptions,
@@ -41,7 +53,7 @@ from repro.engine.executor import (
     OperationSchedule,
     QuerySchedule,
 )
-from repro.engine.metrics import STATUS_DONE, QueryExecution
+from repro.engine.metrics import STATUS_DONE
 from repro.engine.strategies import LPT
 from repro.faults import FaultPlan, SlowdownWindow
 from repro.obs.bus import THREAD_FINISH
@@ -50,8 +62,11 @@ from repro.obs.metrics import (
     FAULT_MEMORY_EVENTS,
     FAULT_RETRIES,
     FAULTS_INJECTED,
+    FOLD_HITS,
 )
+from repro.obs.spans import verify_spans
 from repro.storage.wisconsin import generate_wisconsin
+from repro.workload.engine import TERMINAL_STATES, WorkloadExecutor
 from repro.workload.options import WorkloadOptions
 
 #: The chaos workload: three joins sharing one simulation.
@@ -61,8 +76,8 @@ CHAOS_QUERIES = (
     "SELECT * FROM A JOIN D ON A.unique1 = D.unique1",
 )
 
-#: Virtual instant at which the third query is cancelled (roughly
-#: mid-flight for the workload sizes below).
+#: Virtual instant at which one query is cancelled (roughly mid-flight
+#: for the workload sizes below).
 CANCEL_AT = 0.08
 
 #: Tolerance for span/endpoint containment checks (floating point).
@@ -85,186 +100,268 @@ def _chaos_db(observe: bool = True) -> DBS3:
     return db
 
 
-@dataclass
-class ChaosReport:
-    """Outcome of one seeded chaos run."""
-
-    seed: int
-    plan: str
-    statuses: dict[str, str]
-    makespan: float
-    fault_counters: dict[str, float] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def render(self) -> str:
-        lines = [f"chaos seed {self.seed}: "
-                 f"{'PASS' if self.passed else 'FAIL'} "
-                 f"(makespan {self.makespan:.3f}s virtual)"]
-        lines.append(f"  plan     : {self.plan}")
-        lines.append("  statuses : " + ", ".join(
-            f"{tag}={status}" for tag, status in self.statuses.items()))
-        if self.fault_counters:
-            lines.append("  faults   : " + ", ".join(
-                f"{key}={value:g}"
-                for key, value in self.fault_counters.items()))
-        for violation in self.violations:
-            lines.append(f"  VIOLATION: {violation}")
-        return "\n".join(lines)
-
-
 # -- invariants ---------------------------------------------------------------
 
-def fault_counter_totals(result) -> dict[str, float]:
-    """Workload-wide fault counters, read off the metrics registry.
+def _operations(result) -> Iterator[tuple]:
+    """Every ``(tag, name, OperationMetrics)`` appearance of a run."""
+    for tag, execution in result.executions.items():
+        for name, op in execution.operations.items():
+            yield tag, name, op
 
-    The chaos harness used to re-derive these by walking every
-    execution; now the telemetry layer is the source of truth and
-    :func:`check_fault_accounting` holds the per-operation counters
-    to it.  Empty when the run carried no registry.
+
+def _physical(name: str, op) -> tuple:
+    """Identity of the physical execution behind one appearance.
+
+    A folded operation runs once and shows up in every subscriber's
+    execution with the same raw numbers (window, activation profile),
+    so appearances with equal keys are one physical operator.
     """
-    metrics = result.metrics
-    if metrics is None:
-        return {}
+    return (name, op.started_at, op.finished_at, op.activations,
+            round(sum(op.activation_costs), 9))
+
+
+def _terminal_statuses(result, submitted) -> Iterator[str]:
+    """Overload may *re-route* a query (shed it, reject it, time it
+    out, let a fault fail it) but every query ends in one terminal
+    status."""
+    for tag, execution in result.executions.items():
+        if execution.status not in TERMINAL_STATES:
+            yield f"{tag} ended in non-terminal status {execution.status!r}"
+
+
+def _query_conservation(result, submitted) -> Iterator[str]:
+    """The terminal executions account for every submission — nothing
+    vanishes, nothing is double-counted."""
+    if len(result.executions) != submitted:
+        tally = dict(Counter(e.status for e in result.executions.values()))
+        yield (f"{submitted} submitted but {len(result.executions)} "
+               f"terminal executions ({tally})")
+
+
+def _activation_conservation(result, submitted) -> Iterator[str]:
+    """``enqueued == processed + retries + aborts + discarded``."""
+    for tag, name, op in _operations(result):
+        enqueued = sum(op.queue_activations)
+        if enqueued != (op.activations + op.fault_retries + op.fault_aborts
+                        + op.discarded):
+            yield (f"{tag}/{name}: {enqueued} enqueued != {op.activations} "
+                   f"processed + {op.fault_retries} retries + "
+                   f"{op.fault_aborts} aborts + {op.discarded} discarded")
+
+
+def _monotone_time(result, submitted) -> Iterator[str]:
+    """Operation windows ordered and inside the run, no span running
+    backwards, the workload event stream never moving back in time."""
+    for tag, name, op in _operations(result):
+        if op.finished_at + _EPS < op.started_at:
+            yield (f"{tag}/{name}: finished_at {op.finished_at} before "
+                   f"started_at {op.started_at}")
+        if op.finished_at > result.makespan + _EPS:
+            yield (f"{tag}/{name}: finished_at {op.finished_at} past the "
+                   f"makespan {result.makespan}")
+    for tag, execution in result.executions.items():
+        spans = execution.trace.events if execution.trace is not None else ()
+        backwards = next((s for s in spans if s.end + _EPS < s.start), None)
+        if backwards is not None:
+            yield (f"{tag}: span {backwards.operation}/{backwards.kind} runs "
+                   f"backwards ({backwards.start} -> {backwards.end})")
+    last = 0.0
+    for event in result.bus.events:
+        if event.t + _EPS < last:
+            yield (f"workload bus went backwards: {event.kind} at "
+                   f"{event.t} after t={last}")
+            break
+        last = max(last, event.t)
+
+
+def _thread_orphans(result, submitted) -> Iterator[str]:
+    """Every pool thread terminated, cancelled and folded ones too.
+
+    A folded operation's pool belongs to its host, so its
+    ``thread.finish`` events appear on the host's bus only — and a
+    subscriber's appearance can even carry ``cost_share == 1.0`` (the
+    host finished before anyone else folded in), so share alone does
+    not tell private from folded.  The uniform statement: group every
+    appearance that did work by its physical identity; each physical
+    operation has exactly one carrier — one appearance whose bus
+    accounts for all its threads — and every other appearance carries
+    none of them.  Appearances that never ran (the query was cancelled
+    while still queued) have no threads to orphan.
+    """
+    carriers: Counter = Counter()
+    appearances: Counter = Counter()
+    for tag, execution in result.executions.items():
+        if execution.obs is None:
+            continue
+        finishes = Counter(event.operation for event in execution.obs.events
+                           if event.kind == THREAD_FINISH)
+        for name, op in execution.operations.items():
+            finished = finishes[name]
+            if (finished == 0 and not op.activations and not op.busy_time
+                    and not sum(op.queue_activations)):
+                continue
+            key = _physical(name, op)
+            appearances[key] += 1
+            if finished == op.threads:
+                carriers[key] += 1
+            elif finished != 0:
+                yield (f"{tag}/{name}: {finished} of {op.threads} "
+                       f"thread.finish events (must be all of them on the "
+                       f"carrier or none on a subscriber)")
+    for key, count in appearances.items():
+        if carriers[key] != 1:
+            yield (f"operation {key[0]!r} with {count} appearances has "
+                   f"{carriers[key]} thread-finish carriers (expected "
+                   f"exactly one)")
+
+
+def _shed_before_work(result, submitted) -> Iterator[str]:
+    """Load shedding happens strictly pre-admission — before a query
+    materializes operator state or joins a shared-fold cohort; a shed
+    execution carrying operations would have been torn out mid-cohort."""
+    for tag, execution in result.executions.items():
+        if execution.status in ("shed", "rejected") and execution.operations:
+            yield (f"{tag} was {execution.status} yet carries "
+                   f"{len(execution.operations)} operations")
+
+
+def _cost_shares(result, submitted) -> Iterator[str]:
+    """Shared work is counted at most once: the fractional
+    ``cost_share``s of one physical operator never sum past 1.0.  (A
+    subscriber cancelled before the operator finished drops its
+    appearance, so the sum may fall short — conservative, never
+    double-counted.)"""
+    groups: dict[tuple, list] = {}
+    for tag, name, op in _operations(result):
+        if op.cost_share < 1.0:
+            groups.setdefault(_physical(name, op), []).append(
+                (f"{tag}/{name}", op.cost_share))
+    for members in groups.values():
+        total = sum(share for _, share in members)
+        if total > 1.0 + _EPS:
+            yield (f"{', '.join(who for who, _ in members)} attribute "
+                   f"{total:.4f} of one operation (> 1.0)")
+
+
+def fault_counter_totals(result) -> dict[str, float]:
+    """Workload-wide fault counters, read off the metrics registry
+    (the telemetry layer is their source of truth)."""
     return {
-        "injected": metrics.total(FAULTS_INJECTED),
-        "retries": metrics.total(FAULT_RETRIES),
-        "aborts": metrics.total(FAULT_ABORTS),
-        "memory_events": metrics.total(FAULT_MEMORY_EVENTS),
+        "injected": result.metrics.total(FAULTS_INJECTED),
+        "retries": result.metrics.total(FAULT_RETRIES),
+        "aborts": result.metrics.total(FAULT_ABORTS),
+        "memory_events": result.metrics.total(FAULT_MEMORY_EVENTS),
     }
 
 
-def check_fault_accounting(result) -> list[str]:
-    """Registry fault counters agree with the per-operation metrics.
-
-    The injector increments the registry the moment each fault lands;
-    every operation's runtime tallies the same events on its own
-    :class:`~repro.engine.metrics.OperationMetrics`.  Two independent
-    counts of one fault stream must agree exactly — cancelled queries
-    included, since their executions snapshot whatever landed before
-    the cut.
-    """
+def _fault_accounting(result, submitted) -> Iterator[str]:
+    """The injector increments the registry the moment a fault lands;
+    every operation tallies the same events on its own metrics.  Two
+    independent counts of one fault stream agree exactly — cancelled
+    queries included (their executions snapshot what landed before the
+    cut)."""
     counters = fault_counter_totals(result)
-    if not counters:
-        return ["chaos run carried no metrics registry — fault "
-                "counters cannot be audited"]
-    summed = {"injected": 0, "retries": 0, "aborts": 0}
-    for tag in result.order:
-        for op in result.execution(tag).operations.values():
-            summed["injected"] += op.faults_injected
-            summed["retries"] += op.fault_retries
-            summed["aborts"] += op.fault_aborts
-    problems = []
-    for key, expected in summed.items():
-        if counters[key] != expected:
-            problems.append(
-                f"fault accounting diverged: registry counts "
-                f"{counters[key]:g} {key} but the per-operation "
-                f"metrics sum to {expected}")
-    return problems
+    for key, attribute in (("injected", "faults_injected"),
+                           ("retries", "fault_retries"),
+                           ("aborts", "fault_aborts")):
+        summed = sum(getattr(op, attribute)
+                     for _, _, op in _operations(result))
+        if counters[key] != summed:
+            yield (f"registry counts {counters[key]:g} {key} but the "
+                   f"per-operation metrics sum to {summed}")
 
 
-def check_conservation(tag: str, execution: QueryExecution) -> list[str]:
-    """``enqueued == processed + retries + aborts + discarded``."""
-    problems = []
-    for name, op in execution.operations.items():
-        enqueued = sum(op.queue_activations)
-        accounted = (op.activations + op.fault_retries + op.fault_aborts
-                     + op.discarded)
-        if enqueued != accounted:
-            problems.append(
-                f"{tag}/{name}: conservation broken — {enqueued} enqueued "
-                f"!= {op.activations} processed + {op.fault_retries} "
-                f"retries + {op.fault_aborts} aborts + {op.discarded} "
-                f"discarded")
-    return problems
+def _span_audit(result, submitted) -> Iterator[str]:
+    """The reconstructed query spans agree with the executions."""
+    yield from verify_spans(result.spans, result.executions, result.makespan)
 
 
-def check_monotone_time(tag: str, execution: QueryExecution,
-                        makespan: float) -> list[str]:
-    """Spans well-formed and inside the run; op windows ordered."""
-    problems = []
-    for name, op in execution.operations.items():
-        if op.finished_at + _EPS < op.started_at:
-            problems.append(
-                f"{tag}/{name}: finished_at {op.finished_at} before "
-                f"started_at {op.started_at}")
-        if op.finished_at > makespan + _EPS:
-            problems.append(
-                f"{tag}/{name}: finished_at {op.finished_at} past the "
-                f"makespan {makespan}")
-    if execution.trace is not None:
-        for span in execution.trace.events:
-            if span.end + _EPS < span.start:
-                problems.append(
-                    f"{tag}: span {span.operation}/{span.kind} runs "
-                    f"backwards ({span.start} -> {span.end})")
-                break
-    return problems
+# The preconditions: what a run must carry for an invariant to apply.
+
+def _always(result, submitted) -> bool:
+    return True
 
 
-def check_no_orphans(tag: str, execution: QueryExecution) -> list[str]:
-    """Every pool thread terminated (cancelled queries included)."""
-    if execution.obs is None:
-        return []
-    problems = []
-    finishes: dict[str, int] = {}
-    for event in execution.obs.events:
-        if event.kind == THREAD_FINISH and event.operation is not None:
-            finishes[event.operation] = finishes.get(event.operation, 0) + 1
-    for name, op in execution.operations.items():
-        finished = finishes.get(name, 0)
-        if finished != op.threads:
-            problems.append(
-                f"{tag}/{name}: {op.threads} threads but {finished} "
-                f"thread.finish events — orphaned threads")
-    return problems
+def _submissions_counted(result, submitted) -> bool:
+    """The caller said how many queries it submitted."""
+    return submitted is not None
 
 
-def check_workload_stream(bus) -> list[str]:
-    """The workload event stream never moves backwards in time."""
-    last = 0.0
-    for event in bus.events:
-        if event.t + _EPS < last:
-            return [f"workload bus went backwards: {event.kind} at "
-                    f"{event.t} after t={last}"]
-        last = max(last, event.t)
-    return []
+def _has_event_streams(result, submitted) -> bool:
+    """Some execution was observed (``thread.finish`` events exist)."""
+    return any(e.obs is not None for e in result.executions.values())
 
 
-def check_empty_plan_parity() -> list[str]:
-    """An empty fault plan must be bit-identical to no plan at all."""
-    def signature(faults):
-        db = _chaos_db(observe=False)
-        session = db.session(options=WorkloadOptions(faults=faults))
-        for sql in CHAOS_QUERIES:
-            session.submit(sql)
-        result = session.run()
-        return [
-            (tag,
-             execution.response_time,
-             {name: (op.busy_time, op.idle_time, op.polls, op.enqueues,
-                     op.dequeue_batches, op.secondary_accesses,
-                     op.finished_at)
-              for name, op in execution.operations.items()})
-            for tag, execution in result.executions.items()
-        ], result.makespan
-
-    plain = signature(None)
-    empty = signature(FaultPlan(seed=0))
-    if plain != empty:
-        return ["empty FaultPlan diverged from faults=None — the "
-                "injection hooks are not free"]
-    return []
+def _has_registry(result, submitted) -> bool:
+    return result.metrics is not None
 
 
-# -- the seeded sweep ---------------------------------------------------------
+def _has_spans(result, submitted) -> bool:
+    return result.spans is not None
 
-def run_chaos(seed: int, parity: bool = True) -> ChaosReport:
-    """One seeded chaos run: inject, cancel, audit.
+
+#: ``(name, precondition, check)``: the laws of every workload run.
+#: ``precondition(result, submitted)`` says whether the run carries what
+#: the law reads; ``check(result, submitted)`` yields one string per
+#: breach.
+INVARIANTS: tuple[tuple[str, Callable, Callable], ...] = (
+    ("terminal statuses", _always, _terminal_statuses),
+    ("query conservation", _submissions_counted, _query_conservation),
+    ("activation conservation", _always, _activation_conservation),
+    ("monotone time", _always, _monotone_time),
+    ("thread orphans", _has_event_streams, _thread_orphans),
+    ("shed before work", _always, _shed_before_work),
+    ("cost shares", _always, _cost_shares),
+    ("fault accounting", _has_registry, _fault_accounting),
+    ("span audit", _has_spans, _span_audit),
+)
+
+
+def audit_run(result, submitted: int | None = None) -> list[str]:
+    """Every universal invariant *result* breaks (``[]`` when clean).
+
+    *result* is any :class:`~repro.workload.engine.WorkloadResult`;
+    an invariant whose precondition the run lacks is skipped (see
+    :func:`skipped_audits`), never failed.
+    """
+    return [f"{name}: {problem}"
+            for name, precondition, check in INVARIANTS
+            if precondition(result, submitted)
+            for problem in check(result, submitted)]
+
+
+def skipped_audits(result, submitted: int | None = None) -> list[str]:
+    """Names of the invariants :func:`audit_run` could not apply."""
+    return [name for name, precondition, _ in INVARIANTS
+            if not precondition(result, submitted)]
+
+
+# -- facts --------------------------------------------------------------------
+
+def _digest(value) -> str:
+    """Short stable hash of a (deterministically ordered) structure:
+    how a row log, an alert log or a decision log becomes one fact."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _facts(result, submitted: int, **extra) -> dict:
+    """The facts every audited variant reports."""
+    statuses = Counter(e.status for e in result.executions.values())
+    return {"violations": audit_run(result, submitted),
+            "skipped": skipped_audits(result, submitted),
+            "virtual_s": result.makespan,
+            "statuses": dict(sorted(statuses.items())), **extra}
+
+
+def _by_tag(result) -> dict[str, str]:
+    """Per-query statuses as flat facts (relations read flat facts)."""
+    return {tag: result.status_of(tag) for tag in result.order}
+
+
+# -- seeded faults + cancellation ---------------------------------------------
+
+def seeded_run(seed: int):
+    """One seeded chaos run: inject, cancel.
 
     The fault plan is drawn deterministically from *seed* (same seed,
     same faults, same virtual trajectory — chaos runs are replayable).
@@ -280,377 +377,177 @@ def run_chaos(seed: int, parity: bool = True) -> ChaosReport:
     handles = [session.submit(sql, at=0.01 * i, tag=f"q{i}")
                for i, sql in enumerate(CHAOS_QUERIES)]
     handles[-1].cancel(at=CANCEL_AT)
-    result = session.run()
-
-    violations: list[str] = []
-    for tag in result.order:
-        execution = result.execution(tag)
-        violations += check_conservation(tag, execution)
-        violations += check_monotone_time(tag, execution, result.makespan)
-        violations += check_no_orphans(tag, execution)
-    violations += check_workload_stream(result.bus)
-    violations += check_fault_accounting(result)
-    if result.status_of("q2") not in ("cancelled", "failed"):
-        violations.append(
-            f"q2 was cancelled at t={CANCEL_AT} but ended "
-            f"{result.status_of('q2')!r}")
-    for tag in ("q0", "q1"):
-        if result.status_of(tag) not in (STATUS_DONE, "failed"):
-            violations.append(
-                f"{tag} ended {result.status_of(tag)!r}; only the "
-                f"injected faults may stop it (done or failed)")
-    if parity:
-        violations += check_empty_plan_parity()
-
-    return ChaosReport(
-        seed=seed,
-        plan=plan.describe(),
-        statuses={tag: result.status_of(tag) for tag in result.order},
-        makespan=result.makespan,
-        fault_counters=fault_counter_totals(result),
-        violations=violations,
-    )
+    return session.run()
 
 
-# -- shared-work audit --------------------------------------------------------
+def seeded(seed: int) -> Twin:
+    """The seeded row for *seed*: the cancelled query ends cancelled
+    (or failed first), and only the injected faults may stop the
+    other two."""
+    def run():
+        result = seeded_run(seed)
+        return _facts(result, len(CHAOS_QUERIES), **_by_tag(result),
+                      faults=fault_counter_totals(result))
+    return Twin(f"seeded@{seed}", ("run",), lambda: {"run": run},
+                relations=(("run.q0", "in", (STATUS_DONE, "failed")),
+                           ("run.q1", "in", (STATUS_DONE, "failed")),
+                           ("run.q2", "in", ("cancelled", "failed"))))
+
+
+def _build_empty_plan():
+    """An *empty* fault plan is bit-identical to no plan at all: the
+    injection hooks are free when nothing is injected."""
+    def run(faults):
+        session = _chaos_db(observe=False).session(
+            options=WorkloadOptions(faults=faults))
+        for sql in CHAOS_QUERIES:
+            session.submit(sql)
+        result = session.run()
+        return _facts(result, len(CHAOS_QUERIES), counters=_digest([
+            (tag, execution.response_time,
+             [(name, op.busy_time, op.idle_time, op.polls, op.enqueues,
+               op.dequeue_batches, op.secondary_accesses, op.finished_at)
+              for name, op in execution.operations.items()])
+            for tag, execution in result.executions.items()]))
+    return {"no_plan": lambda: run(None),
+            "empty_plan": lambda: run(FaultPlan(seed=0))}
+
+
+# -- shared work under cancellation -------------------------------------------
 
 #: The shared-work chaos workload: three copies of one join (they fold
-#: onto a single physical execution) plus one disjoint join (it must
-#: stay private), with the *middle subscriber* cancelled mid-run.
-SHARED_CHAOS_DUPLICATES = 3
-SHARED_CHAOS_QUERY = CHAOS_QUERIES[0]
-SHARED_CHAOS_PRIVATE = CHAOS_QUERIES[1]
+#: onto a single physical execution) plus one disjoint join (it stays
+#: private), with the *middle subscriber* — not the host — cancelled.
+SHARED_CHAOS_QUERIES = (CHAOS_QUERIES[0],) * 3 + (CHAOS_QUERIES[1],)
+SHARED_CHAOS_CANCELLED = 1
 
 
-def check_shared_orphans(result) -> list[str]:
-    """No orphaned threads, fold-aware.
-
-    A folded operation's pool belongs to its host, so its
-    ``thread.finish`` events appear on the host's bus only — and a
-    subscriber's appearance can even carry ``cost_share == 1.0`` (the
-    host finished before anyone else folded in), so share alone does
-    not tell private from folded.  The uniform statement: group every
-    appearance that did work by its *physical identity* (name, window,
-    activation profile); each physical operation must have exactly one
-    carrier — one appearance whose bus accounts for all its threads —
-    and every other appearance carries none of them.  Appearances that
-    never ran (e.g. the query was cancelled while still queued) have
-    no threads to orphan and are skipped.
-    """
-    problems = []
-    carriers: dict[tuple, int] = {}
-    appearances: dict[tuple, int] = {}
-    for tag in result.order:
-        execution = result.execution(tag)
-        if execution.obs is None:
-            continue
-        finishes: dict[str, int] = {}
-        for event in execution.obs.events:
-            if event.kind == THREAD_FINISH and event.operation is not None:
-                finishes[event.operation] = (
-                    finishes.get(event.operation, 0) + 1)
-        for name, op in execution.operations.items():
-            finished = finishes.get(name, 0)
-            if (finished == 0 and not op.activations and not op.busy_time
-                    and not sum(op.queue_activations)):
-                continue
-            key = (name, op.started_at, op.finished_at, op.activations,
-                   round(sum(op.activation_costs), 9))
-            appearances[key] = appearances.get(key, 0) + 1
-            if finished == op.threads:
-                carriers[key] = carriers.get(key, 0) + 1
-            elif finished != 0:
-                problems.append(
-                    f"{tag}/{name}: operation shows {finished} of "
-                    f"{op.threads} thread.finish events (must be all of "
-                    f"them on the carrier or none on a subscriber)")
-    for key, count in appearances.items():
-        if carriers.get(key, 0) != 1:
-            problems.append(
-                f"operation {key[0]!r} with {count} appearances has "
-                f"{carriers.get(key, 0)} thread-finish carriers "
-                f"(expected exactly one)")
-    return problems
-
-
-def check_shared_attribution(result) -> list[str]:
-    """Shared work is counted exactly once across subscribers.
-
-    Folded operations appear in every subscriber's execution with the
-    same raw counters but a fractional ``cost_share``; grouping the
-    appearances by their physical identity (start, finish, activation
-    profile — one folded runtime executes once, so every appearance
-    carries identical raw numbers), the shares of one group must never
-    sum past 1.0.  A subscriber cancelled before the operation
-    finished simply drops its appearance, so the sum may fall short —
-    attribution is conservative, never double-counted.
-    """
-    problems = []
-    groups: dict[tuple, list] = {}
-    folded_seen = False
-    for tag in result.order:
-        execution = result.execution(tag)
-        for name, op in execution.operations.items():
-            if op.cost_share >= 1.0:
-                continue
-            folded_seen = True
-            key = (op.started_at, op.finished_at, op.activations,
-                   round(sum(op.activation_costs), 9))
-            groups.setdefault(key, []).append((tag, name, op))
-    if not folded_seen:
-        problems.append(
-            "shared chaos run folded nothing — the duplicate queries "
-            "should share one physical execution")
-    for key, members in groups.items():
-        total = sum(op.cost_share for _, _, op in members)
-        if total > 1.0 + _EPS:
-            who = ", ".join(f"{tag}/{name}" for tag, name, _ in members)
-            problems.append(
-                f"shared work double-counted: {who} attribute "
-                f"{total:.4f} of one operation (> 1.0)")
-    return problems
-
-
-def run_shared_chaos(cancel_at: float = CANCEL_AT) -> ChaosReport:
-    """The shared-work conservation audit: fold, cancel, verify.
-
-    Three identical joins fold onto one physical execution while a
-    fourth, disjoint join stays private; one *subscriber* (not the
-    host) is cancelled mid-run.  The audit then checks the standard
-    conservation invariants per query, that shared work is attributed
-    at most once across subscribers, and that the surviving
-    subscribers' results are exactly what a fault-free private run
-    produces — a cancelled co-subscriber must not disturb them.
-    """
-    db = _chaos_db()
-    session = db.session(options=WorkloadOptions(shared=True))
-    queries = ([SHARED_CHAOS_QUERY] * SHARED_CHAOS_DUPLICATES
-               + [SHARED_CHAOS_PRIVATE])
+def shared_run():
+    """Fold three identical joins, cancel one subscriber mid-run."""
+    session = _chaos_db().session(options=WorkloadOptions(shared=True))
     handles = [session.submit(sql, tag=f"q{i}")
-               for i, sql in enumerate(queries)]
-    handles[1].cancel(at=cancel_at)  # a subscriber, not the host (q0)
-    result = session.run()
-
-    violations: list[str] = []
-    for tag in result.order:
-        execution = result.execution(tag)
-        violations += check_conservation(tag, execution)
-        violations += check_monotone_time(tag, execution, result.makespan)
-    violations += check_shared_orphans(result)
-    violations += check_workload_stream(result.bus)
-    violations += check_shared_attribution(result)
-
-    if result.status_of("q1") != "cancelled":
-        violations.append(
-            f"q1 was cancelled at t={cancel_at} but ended "
-            f"{result.status_of('q1')!r}")
-    reference = _chaos_db(observe=False)
-    expected = {
-        SHARED_CHAOS_QUERY: sorted(reference.query(SHARED_CHAOS_QUERY).rows),
-        SHARED_CHAOS_PRIVATE: sorted(
-            reference.query(SHARED_CHAOS_PRIVATE).rows),
-    }
-    for index, sql in enumerate(queries):
-        tag = f"q{index}"
-        if tag == "q1":
-            continue
-        if result.status_of(tag) != STATUS_DONE:
-            violations.append(
-                f"{tag} should survive its co-subscriber's cancellation "
-                f"but ended {result.status_of(tag)!r}")
-            continue
-        rows = sorted(result.execution(tag).result_rows)
-        if rows != expected[sql]:
-            violations.append(
-                f"{tag}: results diverged from the private reference "
-                f"run ({len(rows)} vs {len(expected[sql])} rows)")
-
-    return ChaosReport(
-        seed=-1,
-        plan=(f"shared fold x{SHARED_CHAOS_DUPLICATES} + private join, "
-              f"subscriber q1 cancelled at t={cancel_at}"),
-        statuses={tag: result.status_of(tag) for tag in result.order},
-        makespan=result.makespan,
-        violations=violations,
-    )
+               for i, sql in enumerate(SHARED_CHAOS_QUERIES)]
+    handles[SHARED_CHAOS_CANCELLED].cancel(at=CANCEL_AT)
+    return session.run()
 
 
-# -- graceful degradation ----------------------------------------------------
+def _build_shared():
+    """The fold survives a subscriber's cancellation: the survivors'
+    rows are exactly what a fault-free private run produces."""
+    survivors = [i for i in range(len(SHARED_CHAOS_QUERIES))
+                 if i != SHARED_CHAOS_CANCELLED]
 
-@dataclass(frozen=True)
-class DegradationPoint:
-    """Makespan under one slowdown factor, pooled vs static."""
+    def run():
+        result = shared_run()
+        return _facts(
+            result, len(SHARED_CHAOS_QUERIES), **_by_tag(result),
+            folded=sum(op.cost_share < 1.0
+                       for _, _, op in _operations(result)),
+            survivor_rows=_digest([
+                sorted(result.execution(f"q{i}").result_rows)
+                for i in survivors]))
 
-    factor: float
-    pooled: float
-    static: float
+    def reference():
+        db = _chaos_db(observe=False)
+        rows = {sql: sorted(db.query(sql).rows)
+                for sql in set(SHARED_CHAOS_QUERIES)}
+        return {"survivor_rows": _digest(
+            [rows[SHARED_CHAOS_QUERIES[i]] for i in survivors])}
 
-    @property
-    def pooled_ratio(self) -> float:
-        return self.pooled / self.static
-
-
-def degradation_curve(factors: tuple[float, ...] = (1.0, 3.0, 6.0, 12.0),
-                      threads: int = 10) -> list[DegradationPoint]:
-    """Response time of one join as two of its threads slow down.
-
-    The same compiled join runs under a permanent
-    :class:`~repro.faults.SlowdownWindow` on threads 0 and 1 of the
-    join pool, once with pooled dynamic consumption (the paper's
-    engine: fast threads drain the slowed threads' queues through
-    secondary access) and once with the static one-thread-per-instance
-    binding (Gamma-style; the slowed threads' work is stranded).  The
-    pooled makespan must degrade strictly less at every factor > 1 —
-    that is what "graceful" means here.
-    """
-    db = _chaos_db(observe=False)
-    compiled = db.compile(CHAOS_QUERIES[0])
-    names = [node.name for node in compiled.plan.nodes]
-    join_name = names[-1]
-    points = []
-    for factor in factors:
-        faults = None if factor == 1.0 else FaultPlan(
-            seed=0,
-            slowdowns=(SlowdownWindow(0.0, float("inf"), factor,
-                                      operation=join_name,
-                                      thread_ids=(0, 1)),))
-        timings = {}
-        for label, allow_secondary in (("pooled", True), ("static", False)):
-            schedule = QuerySchedule({
-                name: OperationSchedule(threads, strategy=LPT,
-                                        allow_secondary=allow_secondary)
-                for name in names})
-            executor = Executor(db.machine, ExecutionOptions(faults=faults))
-            execution = executor.execute(compiled.plan, schedule)
-            timings[label] = execution.response_time
-        points.append(DegradationPoint(factor, timings["pooled"],
-                                       timings["static"]))
-    return points
+    return {"run": run, "reference": reference}
 
 
-def render_degradation(points: list[DegradationPoint]) -> str:
-    lines = ["degradation curve (virtual response time, join with 2 "
-             "slowed threads):",
-             "  factor   pooled      static      pooled/static"]
-    for point in points:
-        lines.append(f"  {point.factor:6.1f}  {point.pooled:9.4f}s  "
-                     f"{point.static:9.4f}s  {point.pooled_ratio:8.3f}")
-    return "\n".join(lines)
+# -- graceful degradation and the monitors watching it --------------------------
 
+#: Slowdown grid of the degradation, alert and adaptive rows: the
+#: uniform cell plus three slowed ones.
+SLOWDOWN_FACTORS = (1.0, 3.0, 6.0, 12.0)
+SLOWED_FACTORS = SLOWDOWN_FACTORS[1:]
 
-# -- monitored alert sweep ---------------------------------------------------
-
-#: Headroom of the sweep's calibrated latency SLO over the uniform
-#: cell's makespan: the fault-free cell sits comfortably under it,
-#: the slowed cells (2 of N threads, statically bound) blow past it.
+#: Headroom of the alert row's calibrated latency SLO over the uniform
+#: cell's makespan: the fault-free cell sits comfortably under it, the
+#: slowed cells (2 of N threads, statically bound) blow past it.
 ALERT_SLO_HEADROOM = 1.2
 
 
-@dataclass
-class AlertCell:
-    """One slowdown factor's monitored run in the alert sweep."""
+def _slowed_join(threads: int = 10):
+    """The first chaos join with threads 0 and 1 of its join pool
+    permanently slowed.  Returns ``(db, plan, schedule, faults)``:
+    ``schedule(pooled)`` binds dynamically (the paper's engine: fast
+    threads drain the slowed threads' queues through secondary access)
+    or statically (Gamma-style one thread per instance: the slowed
+    threads' work is stranded); ``faults(factor)`` is the plan."""
+    db = _chaos_db(observe=False)
+    plan = db.compile(CHAOS_QUERIES[0]).plan
+    names = [node.name for node in plan.nodes]
 
-    factor: float
-    makespan: float
-    alerts: object  # the run's AlertBus
-    violations: list[str] = field(default_factory=list)
+    def schedule(pooled: bool) -> QuerySchedule:
+        return QuerySchedule({
+            name: OperationSchedule(threads, strategy=LPT,
+                                    allow_secondary=pooled)
+            for name in names})
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+    def faults(factor: float) -> FaultPlan | None:
+        return None if factor == 1.0 else FaultPlan(seed=0, slowdowns=(
+            SlowdownWindow(0.0, float("inf"), factor, operation=names[-1],
+                           thread_ids=(0, 1)),))
+
+    return db, plan, schedule, faults
 
 
-def alert_sweep(factors: tuple[float, ...] = (1.0, 3.0, 6.0, 12.0),
-                threads: int = 10) -> list[AlertCell]:
-    """Run the slowdown grid with the monitor rules armed.
+def _build_degradation():
+    """Pooled dynamic consumption degrades strictly less than the
+    static binding at every factor > 1 — what "graceful" means here."""
+    db, plan, schedule, faults = _slowed_join()
 
-    The same join as :func:`degradation_curve` (static binding, so the
-    slowed threads visibly strand their work) executes once per
-    factor through a monitored workload session.  The latency SLO is
-    calibrated off the uniform cell — its makespan times
-    :data:`ALERT_SLO_HEADROOM` — so the sweep asserts the ISSUE's
-    acceptance directly: every faulted cell fires straggler and/or
-    SLO alerts, the uniform cell fires none, and the alert log is
-    deterministic (each faulted cell is run twice and diffed).
-    """
-    from repro.engine.executor import ObservabilityOptions
+    def cell(factor, pooled):
+        execution = Executor(db.machine, ExecutionOptions(
+            faults=faults(factor))).execute(plan, schedule(pooled))
+        return {"virtual_s": execution.response_time,
+                "rows": execution.result_cardinality}
+
+    return {f"{label}_x{factor:g}": (lambda f=factor, p=pooled: cell(f, p))
+            for factor in SLOWDOWN_FACTORS
+            for label, pooled in (("pooled", True), ("static", False))}
+
+
+def _build_alerts():
+    """The statically bound slowed join through a monitored session.
+    The latency SLO is calibrated off an unmonitored uniform run — its
+    makespan times :data:`ALERT_SLO_HEADROOM` — so the uniform cell
+    stays silent and every slowed cell fires straggler and/or SLO
+    alerts, identically on a twin run."""
     from repro.obs.monitor import default_monitors
 
-    db = _chaos_db(observe=False)
-    compiled = db.compile(CHAOS_QUERIES[0])
-    names = [node.name for node in compiled.plan.nodes]
-    join_name = names[-1]
+    db, _, schedule, faults = _slowed_join()
 
-    def run_cell(factor: float, rules: tuple):
-        faults = None if factor == 1.0 else FaultPlan(
-            seed=0,
-            slowdowns=(SlowdownWindow(0.0, float("inf"), factor,
-                                      operation=join_name,
-                                      thread_ids=(0, 1)),))
-        schedule = QuerySchedule({
-            name: OperationSchedule(threads, strategy=LPT,
-                                    allow_secondary=False)
-            for name in names})
+    def session_run(factor, rules):
         session = db.session(options=WorkloadOptions(
-            faults=faults,
+            faults=faults(factor),
             observability=ObservabilityOptions(monitors=rules)))
-        session.submit(CHAOS_QUERIES[0], schedule=schedule, tag="q0")
+        session.submit(CHAOS_QUERIES[0], schedule=schedule(False), tag="q0")
         return session.run()
 
-    # Calibrate the SLO on an unmonitored uniform run, then sweep.
-    baseline = run_cell(1.0, ())
-    rules = default_monitors(slo=baseline.makespan * ALERT_SLO_HEADROOM)
+    rules = default_monitors(
+        slo=session_run(1.0, ()).makespan * ALERT_SLO_HEADROOM)
 
-    def alert_signature(bus) -> list[tuple]:
-        return [(a.rule, a.key, a.severity, a.fired_at, a.value)
-                for a in bus]
+    def cell(factor):
+        result = session_run(factor, rules)
+        log = [(a.rule, a.key, a.severity, a.fired_at, a.value)
+               for a in result.alerts]
+        fired = sorted({entry[0] for entry in log})
+        return _facts(result, 1, alerts=len(log), alert_log=_digest(log),
+                      fired=fired, straggler_or_slo=len(
+                          {"straggler", "latency_slo"}.intersection(fired)))
 
-    cells = []
-    for factor in factors:
-        result = run_cell(factor, rules)
-        bus = result.alerts
-        violations: list[str] = []
-        fired = {alert.rule for alert in bus}
-        if factor == 1.0:
-            if len(bus) != 0:
-                violations.append(
-                    f"uniform cell fired {len(bus)} alerts: "
-                    f"{sorted(fired)} (expected none)")
-        else:
-            if not fired & {"straggler", "latency_slo"}:
-                violations.append(
-                    f"slowdown x{factor:g} fired no straggler/SLO alert "
-                    f"(rules fired: {sorted(fired) or 'none'})")
-            twin = run_cell(factor, rules)
-            if alert_signature(twin.alerts) != alert_signature(bus):
-                violations.append(
-                    f"slowdown x{factor:g} alert log is not "
-                    f"deterministic across identical runs")
-        cells.append(AlertCell(factor, result.makespan, bus, violations))
-    return cells
+    variants = {"uniform": lambda: cell(1.0)}
+    for factor in SLOWED_FACTORS:
+        variants[f"x{factor:g}"] = variants[f"x{factor:g}_twin"] = (
+            lambda f=factor: cell(f))
+    return variants
 
 
-def render_alert_sweep(cells: list[AlertCell]) -> str:
-    lines = ["monitored alert sweep (static join, 2 slowed threads, "
-             "SLO calibrated off the uniform cell):",
-             "  factor   makespan    alerts"]
-    for cell in cells:
-        lines.append(f"  {cell.factor:6.1f}  {cell.makespan:9.4f}s  "
-                     f"{cell.alerts.summary()}")
-        for alert in cell.alerts:
-            lines.append(f"           - {alert.rule}/{alert.key}: "
-                         f"{alert.message}")
-        for violation in cell.violations:
-            lines.append(f"  VIOLATION: {violation}")
-    return "\n".join(lines)
-
-
-# -- adaptive-policy sweep ----------------------------------------------------
-
-#: Slowdown grid of the adaptive gate.  The uniform cell (1.0) pins
-#: bit-identical static/adaptive parity; every slowed cell must see
-#: the adaptive policy strictly beat the static one.
-ADAPTIVE_FACTORS = (1.0, 3.0, 6.0, 12.0)
+# -- adaptive policy ------------------------------------------------------------
 
 #: Chunked-trigger grain of the scenario's joins: fine-grained
 #: activations, so extra producer threads translate into wall-clock
@@ -668,7 +565,7 @@ def build_adaptive_scenario():
     every wave but the last pairs a triggered producer with a
     pipelined store consumer, which is exactly the shape the adaptive
     controller's queue-wait attribution reads: when the joins run slow
-    (the sweep's injected fault), the store pools starve in wave 0 and
+    (the row's injected fault), the store pools starve in wave 0 and
     the controller moves their idle threads to ``join2`` at the wave-1
     boundary.  Returns ``(db, plan, output_schema)``; build a fresh
     scenario per run — plans hold runtime fragment state.
@@ -738,111 +635,38 @@ def run_adaptive_workload(factor: float, policy: str):
     return session.run()
 
 
-@dataclass
-class AdaptiveCell:
-    """Static vs adaptive makespans under one slowdown factor."""
+def _build_adaptive():
+    """The closed loop: adaptive beats static wherever it acts (with a
+    recorded decision explaining why), is bit-identical with zero
+    decisions where no signal fires, and moves threads, never answers
+    — the rows agree everywhere."""
+    def cell(factor, policy):
+        result = run_adaptive_workload(factor, policy)
+        decisions = (result.decisions.to_json()
+                     if result.decisions is not None else [])
+        return _facts(result, 1, decisions=len(decisions),
+                      decision_log=_digest(decisions),
+                      rows=_digest(sorted(result.execution("q0").result_rows)))
 
-    factor: float
-    static: float
-    adaptive: float
-    decisions: list = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    @property
-    def win(self) -> float:
-        """Fraction of the static makespan the adaptive policy saved."""
-        return (self.static - self.adaptive) / self.static
-
-
-def adaptive_sweep(factors: tuple[float, ...] = ADAPTIVE_FACTORS
-                   ) -> list[AdaptiveCell]:
-    """The closed-loop gate: adaptive beats static wherever it acts.
-
-    Each factor runs the scenario twice — ``policy="static"`` and
-    ``policy="adaptive"`` — and asserts the ISSUE's acceptance
-    directly: on every slowed cell the adaptive virtual makespan is
-    *strictly* smaller (with at least one recorded resplit decision
-    explaining why), on the uniform cell no signal fires and the two
-    runs are bit-identical.  Both policies must agree on result rows
-    everywhere — adaptivity moves threads, never answers.
-    """
-    cells = []
-    for factor in factors:
-        static = run_adaptive_workload(factor, "static")
-        adaptive = run_adaptive_workload(factor, "adaptive")
-        decisions = (adaptive.decisions.to_json()
-                     if adaptive.decisions is not None else [])
-        violations: list[str] = []
-        static_rows = sorted(static.execution("q0").result_rows)
-        adaptive_rows = sorted(adaptive.execution("q0").result_rows)
-        if static_rows != adaptive_rows:
-            violations.append(
-                f"x{factor:g}: adaptive changed the result rows "
-                f"({len(static_rows)} vs {len(adaptive_rows)})")
-        if factor == 1.0:
-            if adaptive.makespan != static.makespan:
-                violations.append(
-                    f"uniform cell diverged: static {static.makespan!r} "
-                    f"vs adaptive {adaptive.makespan!r} (must be "
-                    f"bit-identical when no signal fires)")
-            if decisions:
-                violations.append(
-                    f"uniform cell recorded {len(decisions)} adaptive "
-                    f"decisions (expected none)")
-        else:
-            if not adaptive.makespan < static.makespan:
-                violations.append(
-                    f"x{factor:g}: adaptive did not beat static "
-                    f"({adaptive.makespan:.4f} vs {static.makespan:.4f})")
-            if not decisions:
-                violations.append(
-                    f"x{factor:g}: no adaptive decision recorded — the "
-                    f"makespan difference is unexplained")
-            twin = run_adaptive_workload(factor, "adaptive")
-            twin_decisions = (twin.decisions.to_json()
-                              if twin.decisions is not None else [])
-            if (twin.makespan != adaptive.makespan
-                    or twin_decisions != decisions):
-                violations.append(
-                    f"x{factor:g}: adaptive run is not deterministic "
-                    f"across identical runs")
-        cells.append(AdaptiveCell(factor, static.makespan,
-                                  adaptive.makespan, decisions,
-                                  violations))
-    return cells
-
-
-def render_adaptive_sweep(cells: list[AdaptiveCell]) -> str:
-    lines = ["adaptive-policy sweep (chained joins, producer slowdown, "
-             "static vs adaptive makespan):",
-             "  factor   static      adaptive    saved    decisions"]
-    for cell in cells:
-        lines.append(
-            f"  {cell.factor:6.1f}  {cell.static:9.4f}s  "
-            f"{cell.adaptive:9.4f}s  {cell.win:6.1%}  {len(cell.decisions)}")
-        for decision in cell.decisions:
-            lines.append(f"           - {decision['step']} "
-                         f"{decision['target']}: {decision['chosen']}")
-        for violation in cell.violations:
-            lines.append(f"  VIOLATION: {violation}")
-    return "\n".join(lines)
+    variants = {}
+    for factor in SLOWDOWN_FACTORS:
+        x = f"x{factor:g}"
+        variants[f"static_{x}"] = lambda f=factor: cell(f, "static")
+        variants[f"adaptive_{x}"] = variants[f"adaptive_{x}_twin"] = (
+            lambda f=factor: cell(f, "adaptive"))
+    return variants
 
 
 # -- serving under fire -------------------------------------------------------
 
-#: Arrival-rate multiplier of the serving chaos cell over the measured
+#: Arrival-rate multiplier of the serving chaos row over the measured
 #: saturation throughput of its mix — solidly past the knee.
 SERVING_CHAOS_OVERLOAD = 2.0
 
-#: Queries per serving chaos run (the cell runs twice — the second run
-#: is the twin of the determinism audit).
+#: Queries per serving chaos run.
 SERVING_CHAOS_COUNT = 80
 
-#: Bounded wait-queue depth of the serving chaos cell.
+#: Bounded wait-queue depth of the serving chaos row.
 SERVING_CHAOS_QUEUE_LIMIT = 6
 
 #: How many mid-run queries get a cancellation fired on top of the
@@ -850,234 +674,127 @@ SERVING_CHAOS_QUEUE_LIMIT = 6
 SERVING_CHAOS_CANCELS = 3
 
 
-def check_query_conservation(result, submitted: int) -> list[str]:
-    """Every submitted query ends in exactly one terminal status.
+def serving_run(seed: int = 0):
+    """Overload, faults, shared folding and cancellation at once.
 
-    The serving-layer conservation law: overload may *re-route* a
-    query (shed it, reject it, time it out, let a fault fail it), but
-    the terminal statuses must account for every submission — nothing
-    vanishes, nothing is double-counted.
+    The serving mix arrives open-loop at
+    :data:`SERVING_CHAOS_OVERLOAD` times its measured saturation
+    throughput on a deliberately small machine, under a priority
+    policy with a bounded queue, with shared-work folding on, a seeded
+    fault plan injected *and* several mid-run cancellations fired —
+    every robustness subsystem under fire.  Returns ``(result,
+    cancelled_tags)``.
     """
-    from repro.workload.engine import TERMINAL_STATES
-
-    problems = []
-    statuses: dict[str, int] = {}
-    for tag, execution in result.executions.items():
-        status = execution.status
-        statuses[status] = statuses.get(status, 0) + 1
-        if status not in TERMINAL_STATES:
-            problems.append(
-                f"{tag} ended in non-terminal status {status!r}")
-    total = sum(statuses.values())
-    if total != submitted:
-        problems.append(
-            f"query conservation broken: {submitted} submitted but "
-            f"{total} terminal executions ({statuses})")
-    return problems
-
-
-def check_shed_pre_materialization(result) -> list[str]:
-    """Shed and rejected queries never started any work.
-
-    Load shedding happens strictly pre-admission — before a query
-    materializes operator state or joins a shared-fold cohort.  A shed
-    execution carrying operations would mean the engine tore a query
-    out mid-cohort, orphaning the fold's subscribers.
-    """
-    problems = []
-    for tag, execution in result.executions.items():
-        if (execution.status in ("shed", "rejected")
-                and execution.operations):
-            problems.append(
-                f"{tag} was {execution.status} yet carries "
-                f"{len(execution.operations)} operations — shedding "
-                f"must happen before any work materializes")
-    return problems
-
-
-def run_serving_chaos(seed: int = 0,
-                      count: int = SERVING_CHAOS_COUNT,
-                      overload: float = SERVING_CHAOS_OVERLOAD
-                      ) -> ChaosReport:
-    """Overload, faults, shared folding and cancellation — audited.
-
-    The serving mix arrives open-loop at ``overload`` times its
-    measured saturation throughput on a deliberately small machine,
-    under a priority policy with a bounded queue, with shared-work
-    folding on, a seeded fault plan injected *and* several mid-run
-    cancellations fired — every robustness subsystem under fire at
-    once.  The audit then asserts the serving conservation laws:
-    every submission reaches exactly one terminal status, shedding
-    never orphans a shared-fold cohort (shed queries hold no
-    operations; folded cohorts keep exactly one thread-finish
-    carrier), the workload event stream stays monotone, and a twin
-    run of the same seed reproduces the decision log byte for byte.
-    """
-    from dataclasses import replace
-
     from repro.bench.fig_serving import (
         MAX_CONCURRENT,
         measure_saturation,
         serving_machine,
     )
-    from repro.faults import FaultPlan
-    from repro.obs.metrics import FOLD_HITS
     from repro.serve.arrivals import make_arrival_process
-    from repro.serve.harness import (
-        build_submissions,
-        decision_digest,
-        default_templates,
-    )
+    from repro.serve.harness import build_submissions, default_templates
     from repro.serve.policies import ServingPolicy
-    from repro.workload.engine import WorkloadExecutor
 
     machine = serving_machine()
     templates = default_templates()
-    saturation = measure_saturation(templates, machine=machine,
-                                    count=60, seed=seed)
-    rate = saturation * overload
-    times = make_arrival_process("poisson", rate).times(count, seed=seed)
-
-    def build(fault_seed: int):
-        submissions = build_submissions(templates, times, machine=machine,
-                                        seed=seed)
-        # Cancellation under fire: a few queries spread across the run
-        # get cancelled shortly after arriving — under overload they
-        # are still queued, so the cancel races admission and shedding.
-        step = max(1, count // (SERVING_CHAOS_CANCELS + 1))
-        cancelled = []
-        for slot in range(1, SERVING_CHAOS_CANCELS + 1):
-            index = slot * step
-            submissions[index] = replace(
-                submissions[index],
-                cancel_at=submissions[index].arrival + 0.02)
-            cancelled.append(submissions[index].tag)
-        operations = sorted({node.name for submission in submissions
-                             for node in submission.compiled.plan.nodes})
-        plan = FaultPlan.generate(fault_seed, tuple(operations),
-                                  horizon=times[-1] * 1.2)
-        return submissions, cancelled, plan
-
-    def run_once():
-        submissions, cancelled, plan = build(seed)
-        workload = WorkloadOptions(
-            max_concurrent=MAX_CONCURRENT, shared=True, faults=plan,
-            serving=ServingPolicy(policy="priority",
-                                  queue_limit=SERVING_CHAOS_QUEUE_LIMIT))
-        options = ExecutionOptions(
-            seed=seed,
-            observability=ObservabilityOptions(trace=True, observe=True))
-        result = WorkloadExecutor(machine, options, workload).execute(
-            submissions)
-        return result, cancelled, plan
-
-    result, cancelled, plan = run_once()
-
-    violations: list[str] = []
-    violations += check_query_conservation(result, count)
-    violations += check_shed_pre_materialization(result)
-    for tag in result.order:
-        execution = result.execution(tag)
-        violations += check_conservation(tag, execution)
-        violations += check_monotone_time(tag, execution, result.makespan)
-    violations += check_shared_orphans(result)
-    violations += check_workload_stream(result.bus)
-    violations += check_fault_accounting(result)
-
-    statuses = {tag: result.status_of(tag) for tag in result.order}
-    tally: dict[str, int] = {}
-    for status in statuses.values():
-        tally[status] = tally.get(status, 0) + 1
-    if not tally.get("shed"):
-        violations.append(
-            f"overload x{overload:g} shed nothing — the bounded queue "
-            f"(limit {SERVING_CHAOS_QUEUE_LIMIT}) never overflowed")
-    if result.metrics is None or not result.metrics.total(FOLD_HITS):
-        violations.append(
-            "serving chaos run folded nothing — the duplicate-template "
-            "queries should share physical executions under overload")
-    for tag in cancelled:
-        if statuses.get(tag) not in ("cancelled", "shed"):
-            violations.append(
-                f"{tag} was cancelled mid-queue but ended "
-                f"{statuses.get(tag)!r} (expected cancelled, or shed "
-                f"if the overflow got there first)")
-    if not any(statuses.get(tag) == "cancelled" for tag in cancelled):
-        violations.append(
-            "no mid-run cancellation landed as 'cancelled' — the "
-            "cancellation path went unexercised")
-
-    twin, _, _ = run_once()
-    if decision_digest(twin) != decision_digest(result):
-        violations.append(
-            "serving decision log is not deterministic: twin run of "
-            "the same seed produced a different digest")
-
-    return ChaosReport(
+    rate = SERVING_CHAOS_OVERLOAD * measure_saturation(
+        templates, machine=machine, count=60, seed=seed)
+    times = make_arrival_process("poisson", rate).times(
+        SERVING_CHAOS_COUNT, seed=seed)
+    submissions = build_submissions(templates, times, machine=machine,
+                                    seed=seed)
+    # Cancellation under fire: a few queries spread across the run get
+    # cancelled shortly after arriving — under overload they are still
+    # queued, so the cancel races admission and shedding.
+    step = SERVING_CHAOS_COUNT // (SERVING_CHAOS_CANCELS + 1)
+    cancelled = []
+    for index in range(step, step * (SERVING_CHAOS_CANCELS + 1), step):
+        submissions[index] = dataclasses.replace(
+            submissions[index], cancel_at=submissions[index].arrival + 0.02)
+        cancelled.append(submissions[index].tag)
+    operations = sorted({node.name for submission in submissions
+                         for node in submission.compiled.plan.nodes})
+    workload = WorkloadOptions(
+        max_concurrent=MAX_CONCURRENT, shared=True,
+        faults=FaultPlan.generate(seed, tuple(operations),
+                                  horizon=times[-1] * 1.2),
+        serving=ServingPolicy(policy="priority",
+                              queue_limit=SERVING_CHAOS_QUEUE_LIMIT))
+    options = ExecutionOptions(
         seed=seed,
-        plan=(f"serving x{overload:g} overload ({rate:.1f} q/s), "
-              f"priority + queue limit {SERVING_CHAOS_QUEUE_LIMIT}, "
-              f"shared folds, {len(cancelled)} cancels, "
-              + plan.describe().replace("\n", "; ")),
-        statuses={status: str(tally[status]) for status in sorted(tally)},
-        makespan=result.makespan,
-        fault_counters=fault_counter_totals(result),
-        violations=violations,
-    )
+        observability=ObservabilityOptions(trace=True, observe=True))
+    return (WorkloadExecutor(machine, options, workload).execute(submissions),
+            cancelled)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro chaos``: seeded sweep + degradation curve."""
-    import argparse
+def _build_serving():
+    """The overflow sheds, the duplicate templates fold, every cancel
+    lands ``cancelled`` (or ``shed`` if the overflow got there first,
+    but not all of them), and a twin run of the same seed reproduces
+    the decision log byte for byte."""
+    from repro.serve.harness import decision_digest
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="seeded fault-injection sweep with invariant "
-                    "checks, plus the graceful-degradation curve")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="first chaos seed (default 0)")
-    parser.add_argument("--seeds", type=int, default=1,
-                        help="how many consecutive seeds to sweep")
-    parser.add_argument("--no-degradation", action="store_true",
-                        help="skip the pooled-vs-static slowdown curve")
-    parser.add_argument("--no-alerts", action="store_true",
-                        help="skip the monitored alert sweep")
-    parser.add_argument("--no-adaptive", action="store_true",
-                        help="skip the adaptive-policy sweep")
-    parser.add_argument("--no-serving", action="store_true",
-                        help="skip the serving-under-fire cell")
-    args = parser.parse_args(argv)
+    def run():
+        result, cancelled = serving_run()
+        ends = Counter(result.status_of(tag) for tag in cancelled)
+        return _facts(result, SERVING_CHAOS_COUNT,
+                      faults=fault_counter_totals(result),
+                      shed=sum(e.status == "shed"
+                               for e in result.executions.values()),
+                      folds=result.metrics.total(FOLD_HITS),
+                      cancels_landed=ends["cancelled"],
+                      cancels_resolved=ends["cancelled"] + ends["shed"],
+                      decision_digest=decision_digest(result)[:16])
 
-    failed = False
-    for seed in range(args.seed, args.seed + args.seeds):
-        report = run_chaos(seed)
-        print(report.render())
-        failed = failed or not report.passed
-    shared_report = run_shared_chaos()
-    print(shared_report.render())
-    failed = failed or not shared_report.passed
-    if not args.no_degradation:
-        points = degradation_curve()
-        print()
-        print(render_degradation(points))
-        for point in points:
-            if point.factor > 1.0 and not point.pooled < point.static:
-                print(f"  VIOLATION: pooled did not beat static at "
-                      f"factor {point.factor}")
-                failed = True
-    if not args.no_alerts:
-        cells = alert_sweep()
-        print()
-        print(render_alert_sweep(cells))
-        failed = failed or any(not cell.passed for cell in cells)
-    if not args.no_adaptive:
-        adaptive_cells = adaptive_sweep()
-        print()
-        print(render_adaptive_sweep(adaptive_cells))
-        failed = failed or any(not cell.passed for cell in adaptive_cells)
-    if not args.no_serving:
-        serving_report = run_serving_chaos(seed=args.seed)
-        print()
-        print(serving_report.render())
-        failed = failed or not serving_report.passed
-    return 1 if failed else 0
+    return {"run": run, "twin": run}
+
+
+# -- the table ------------------------------------------------------------------
+
+def _pairs(*labels: str) -> tuple[tuple[str, str], ...]:
+    """``(label, label_twin)`` parity groups."""
+    return tuple((label, f"{label}_twin") for label in labels)
+
+
+_SLOWED = [f"x{factor:g}" for factor in SLOWED_FACTORS]
+
+CHAOS: tuple[Twin, ...] = (
+    *(seeded(seed) for seed in (0, 1, 2)),
+    Twin("empty_plan", ("no_plan", "empty_plan"), _build_empty_plan,
+         parity=(("no_plan", "empty_plan"),)),
+    Twin("shared_cancel", ("run", "reference"), _build_shared,
+         relations=(
+             ("run.q1", "in", ("cancelled",)),
+             *((f"run.q{i}", "in", (STATUS_DONE,)) for i in (0, 2, 3)),
+             ("run.folded", ">", 0),
+             ("run.survivor_rows", "==", "reference.survivor_rows"))),
+    Twin("degradation",
+         tuple(f"{label}_x{factor:g}" for factor in SLOWDOWN_FACTORS
+               for label in ("pooled", "static")),
+         _build_degradation,
+         relations=tuple((f"pooled_{x}.virtual_s", "<", f"static_{x}.virtual_s")
+                         for x in _SLOWED)),
+    Twin("alerts",
+         ("uniform", *(label for pair in _pairs(*_SLOWED) for label in pair)),
+         _build_alerts,
+         parity=_pairs(*_SLOWED),
+         relations=(("uniform.alerts", "==", 0),
+                    *((f"{x}.straggler_or_slo", ">", 0) for x in _SLOWED))),
+    Twin("adaptive_sweep",
+         ("static_x1", "adaptive_x1",
+          *(label for x in _SLOWED for label in
+            (f"static_{x}", f"adaptive_{x}", f"adaptive_{x}_twin"))),
+         _build_adaptive,
+         parity=(("static_x1", "adaptive_x1"),
+                 *_pairs(*(f"adaptive_{x}" for x in _SLOWED))),
+         relations=tuple(
+             gate for x in _SLOWED for gate in (
+                 (f"adaptive_{x}.virtual_s", "<", f"static_{x}.virtual_s"),
+                 (f"adaptive_{x}.decisions", ">=", 1),
+                 (f"adaptive_{x}.rows", "==", f"static_{x}.rows")))),
+    Twin("serving_fire", ("run", "twin"), _build_serving,
+         parity=(("run", "twin"),),
+         relations=(("run.shed", ">", 0),
+                    ("run.folds", ">", 0),
+                    ("run.cancels_landed", ">=", 1),
+                    ("run.cancels_resolved", "==", SERVING_CHAOS_CANCELS))),
+)

@@ -22,7 +22,10 @@ and :func:`render` prints the result:
 
 Division of labour: ``python -m perf_ledger compare`` owns seconds
 *across* commits; this table owns pairs *within* one run plus the
-exact pins.  No seconds are compared against a committed record here.
+exact pins; :data:`repro.bench.chaos.CHAOS` owns the robustness rows
+and their audits, as rows of the same kind through the same
+:func:`drive` and pins file.  No seconds are compared against a
+committed record here.
 
 Usage::
 
@@ -71,7 +74,7 @@ MPL = 4
 SHARED_MPL = 8
 SHARED_GAIN_MIN = 2.0
 #: Slowdown factor of the adaptive gate cell (one slowed cell of
-#: :data:`repro.bench.chaos.ADAPTIVE_FACTORS`).
+#: :data:`repro.bench.chaos.SLOWDOWN_FACTORS`).
 ADAPTIVE_FACTOR = 6.0
 #: The serving scenario: open-loop arrivals on the small serving
 #: machine (8 processors, MPL 2) where overload is reachable.
@@ -99,7 +102,8 @@ WALL_DERIVED = frozenset({"coverage"})
 
 PINS_PATH = Path(__file__).with_name("twins_pins.json")
 _OPS = {"==": operator.eq, "<": operator.lt, "<=": operator.le,
-        ">": operator.gt, ">=": operator.ge}
+        ">": operator.gt, ">=": operator.ge,
+        "in": lambda left, right: left in right}
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ class Twin:
     #: Groups of variants that agree on every fact they share.
     parity: tuple[tuple[str, ...], ...] = ()
     #: ``(left, op, right[, factor])``: ``left op factor * right``, each
-    #: side a ``"variant.fact"`` term or a number.
+    #: side a ``"variant.fact"`` term or a constant (``op`` may be ``in``).
     relations: tuple[tuple, ...] = ()
     #: ``(base, other, ratio)``: one interleaved repeat must put *other*
     #: within ``ratio`` (plus the absolute slack) of *base*.
@@ -410,25 +414,21 @@ def render(row: Twin, record: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="run the twin table against the committed pins")
-    parser.add_argument("--record", action="store_true",
-                        help="rewrite twins_pins.json from this run (the "
-                             "parity, relation and wall gates still apply)")
-    args = parser.parse_args(argv)
-    pins = {} if args.record else json.loads(PINS_PATH.read_text())
+def drive(table: tuple[Twin, ...], pins: dict, record: bool = False) -> int:
+    """Run, print and gate every row of *table* against *pins* (also
+    the chaos table's driver); *record* rewrites the pins file from
+    this run instead.  Returns the exit code."""
     problems = []
-    for row in TABLE:
-        record = run(row)
-        print(render(row, record))
-        if args.record:
+    for row in table:
+        outcome = run(row)
+        print(render(row, outcome))
+        if record:
             pins[row.name] = {
                 label: {name: value for name, value in entry["facts"].items()
                         if name not in WALL_DERIVED}
-                for label, entry in record.items()}
-        problems += compare(row, record, pins.get(row.name, {}))
-    if args.record:  # one variant per line, so a re-record diffs by variant
+                for label, entry in outcome.items()}
+        problems += compare(row, outcome, pins.get(row.name, {}))
+    if record:  # one variant per line, so a re-record diffs by variant
         PINS_PATH.write_text("{\n" + ",\n".join(
             f' "{name}": {{\n' + ",\n".join(
                 f'  "{label}": {json.dumps(facts)}'
@@ -441,6 +441,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("\nevery pin, parity, relation and wall gate holds")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="run the twin table against the committed pins")
+    parser.add_argument("--record", action="store_true",
+                        help="rewrite twins_pins.json from this run of the "
+                             "twin and chaos tables (the parity, relation "
+                             "and wall gates still apply)")
+    if not parser.parse_args(argv).record:
+        return drive(TABLE, json.loads(PINS_PATH.read_text()))
+    from repro.bench.chaos import CHAOS  # the file pins both tables
+    return drive(TABLE + CHAOS, {}, record=True)
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -145,10 +145,6 @@ class ObservedRun:
     @classmethod
     def from_loaded(cls, loaded: LoadedRun) -> "ObservedRun":
         """Adapt a reloaded JSONL event log."""
-        if loaded.schema < 2:
-            raise ReproError(
-                f"event log has schema {loaded.schema}; diagnosis needs the "
-                f"schema-2 span and timing records — re-export the run")
         ops = {
             record["name"]: OpView(
                 name=record["name"],

@@ -147,11 +147,6 @@ class ExecutionOptions:
     placement: str = PLACEMENT_WARM
     queue_capacity: int | None = None
     seed: int = 0
-    use_ready_index: bool = True
-    """Find candidate queues through the per-operation ready index
-    (O(log d) per step) instead of the legacy linear scan.  Both paths
-    produce identical virtual-time behaviour; the switch exists so the
-    golden-trace tests can prove it."""
     observability: ObservabilityOptions = field(
         default_factory=ObservabilityOptions)
     faults: object | None = None
@@ -203,8 +198,7 @@ class Executor:
         tracer = (ExecutionTrace()
                   if self.options.trace or self.options.observe else None)
         self.attach_observability(runtimes, bus, tracer)
-        simulator = Simulator(self.machine, seed=self.options.seed,
-                              use_ready_index=self.options.use_ready_index)
+        simulator = Simulator(self.machine, seed=self.options.seed)
         profiler = active_profiler()
         if profiler is not None:
             simulator.attach_profiler(profiler)

@@ -100,15 +100,9 @@ class _WorkInProgress:
 class Simulator:
     """Runs operations of one (or several) queries to completion."""
 
-    def __init__(self, machine: Machine, seed: int = 0,
-                 use_ready_index: bool = True) -> None:
+    def __init__(self, machine: Machine, seed: int = 0) -> None:
         self.machine = machine
         self.rng = random.Random(seed)
-        #: When False, candidate queues are found by the legacy linear
-        #: scan instead of the per-operation ready index.  Both paths
-        #: are virtual-time identical (the golden-trace tests pin
-        #: this); the flag exists so the equivalence stays testable.
-        self.use_ready_index = use_ready_index
         #: Invoked as ``callback(operation, thread)`` right after an
         #: operation's last thread terminates (``finished_at`` is set,
         #: downstream input-close already handled).  The workload
@@ -338,8 +332,8 @@ class Simulator:
         earliest future ready time is tracked during the same scan so
         an idle thread knows when to re-check.  Kept as the reference
         implementation the ready index must match exactly (see the
-        golden-trace tests); O(d) per step, so only used when
-        ``use_ready_index`` is off.
+        golden-trace tests); O(d) per step, so only used by operations
+        below ``READY_INDEX_MIN_INSTANCES`` (they carry no index).
         """
         operation = thread.operation
         ready: list[ActivationQueue] = []
@@ -412,7 +406,7 @@ class Simulator:
         else:
             dilation = self._dilation()
         now = thread.clock
-        index = operation.ready_index if self.use_ready_index else None
+        index = operation.ready_index
         if index is not None:
             ready, polls, used_secondary = self._index_select(
                 index, thread, now, operation.allow_secondary)

@@ -63,8 +63,8 @@ _US = 1e6
 #: 4 added online observability: ``alert`` records (one per
 #: :class:`~repro.obs.alerts.Alert` the monitor rules fired) and a
 #: single ``profile`` record (the engine self-profiler's call tree),
-#: both present only when the corresponding subsystem ran.  Older
-#: logs still parse (they simply carry no workload records).
+#: both present only when the corresponding subsystem ran.  The reader
+#: accepts exactly this version: nothing writes the older ones any more.
 SCHEMA_VERSION = 4
 
 
@@ -222,12 +222,11 @@ class LoadedRun:
     trace: ExecutionTrace = field(default_factory=ExecutionTrace)
     series: dict[str, Series] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
-    #: Schema-3 workload records: per-query span dicts and registry
-    #: snapshot rows (both exactly as written; empty for per-query
-    #: logs and pre-3 schemas).
+    #: Workload records: per-query span dicts and registry snapshot
+    #: rows (both exactly as written; empty for per-query logs).
     qspans: list[dict] = field(default_factory=list)
     metrics: list[dict] = field(default_factory=list)
-    #: Schema-4 online-observability records: alert dicts in fire
+    #: Online-observability records: alert dicts in fire
     #: order, and the profiler call tree (``None`` when the run was
     #: not profiled).  Replay with :meth:`Alert.from_json` /
     #: :meth:`EngineProfiler.from_json`.
@@ -236,7 +235,7 @@ class LoadedRun:
 
     @property
     def schema(self) -> int:
-        return self.meta.get("schema", 1)
+        return self.meta["schema"]
 
     @property
     def is_workload(self) -> bool:
@@ -249,9 +248,8 @@ class LoadedRun:
 
     @property
     def status(self) -> str:
-        """Terminal status; logs written before the fault layer
-        existed carry no status field and default to ``done``."""
-        return self.meta.get("status", "done")
+        """Terminal status of a per-query log's execution."""
+        return self.meta["status"]
 
     @property
     def response_time(self) -> float:
@@ -273,7 +271,7 @@ def read_jsonl(path: str | Path) -> LoadedRun:
     """Round-trip a :func:`write_jsonl` log back into a :class:`LoadedRun`.
 
     Raises :class:`ReproError` when the file does not start with a
-    meta header or declares a schema newer than this reader.
+    meta header or its schema is not exactly :data:`SCHEMA_VERSION`.
     """
     run: LoadedRun | None = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -288,10 +286,12 @@ def read_jsonl(path: str | Path) -> LoadedRun:
                     raise ReproError(
                         f"{path}: line {line_no} is {kind!r}, expected the "
                         f"meta header — not a JSONL event log?")
-                if record.get("schema", 1) > SCHEMA_VERSION:
+                if record.get("schema") != SCHEMA_VERSION:
                     raise ReproError(
-                        f"{path}: schema {record['schema']} is newer than "
-                        f"this reader (knows up to {SCHEMA_VERSION})")
+                        f"{path}: log has schema {record.get('schema')}, "
+                        f"this reader accepts exactly schema "
+                        f"{SCHEMA_VERSION} (older and newer logs alike: "
+                        f"re-export the run)")
                 run = LoadedRun(meta=record)
             elif kind == "op":
                 run.ops.append(record)

@@ -600,9 +600,7 @@ class _WorkloadRun:
             self.subscribe(POINT_WAVE, controller.observe_wave)
             self.subscribe(WAVE_START, controller.before_wave)
         self.budget = workload.thread_budget or machine.processors
-        self.simulator = Simulator(
-            machine, seed=exec_options.seed,
-            use_ready_index=exec_options.use_ready_index)
+        self.simulator = Simulator(machine, seed=exec_options.seed)
         self.simulator.on_operation_complete = self._on_operation_complete
         self.simulator.on_query_abort = self._on_query_abort
         #: Self-profiling: an explicit ``profile=True`` option makes
@@ -617,11 +615,18 @@ class _WorkloadRun:
         if self.profiler is not None:
             self.simulator.attach_profiler(self.profiler)
             self.profiler.instrument(self, _PROFILED_SECTIONS)
-        if workload.faults is not None:
+        #: One fault plan per run, from whichever options block names
+        #: it (``db.query()`` carries only the execution block).
+        if workload.faults is not None and exec_options.faults is not None:
+            raise WorkloadError(
+                "fault plans on both ExecutionOptions and WorkloadOptions; "
+                "a run injects exactly one — drop either")
+        faults = (workload.faults if workload.faults is not None
+                  else exec_options.faults)
+        if faults is not None:
             from repro.faults.injector import FaultInjector
             self.simulator.attach_faults(
-                FaultInjector(workload.faults, bus=self.bus,
-                              metrics=self.metrics))
+                FaultInjector(faults, bus=self.bus, metrics=self.metrics))
         self.running: list[_QueryJob] = []
         #: That the caller asked for the serving layer is kept for the
         #: three outputs pinned to differ: priority/tenant on
@@ -1095,18 +1100,17 @@ class _WorkloadRun:
         multi_resource = {}
         if policy.multi_resource:
             # Garofalakis-style step 0: the grant is capped at the
-            # thread-equivalent of each query's binding resource.  The
-            # stored-data footprint stands in for both the memory and
-            # the streamed-from-disk demand of the simulated query.
+            # thread-equivalent of each query's binding resource — the
+            # thread budget or the stored-data footprint (the
+            # allocator's disk axis has no modelled capacity here and
+            # stays unbound).
             multi_resource = {
                 "resources": [ResourceVector(cpu=job.demand,
-                                             memory_bytes=job.footprint,
-                                             disk_bytes=job.footprint)
+                                             memory_bytes=job.footprint)
                               for job in self.running],
                 "capacities": ResourceVector(
                     cpu=self.budget,
-                    memory_bytes=self.workload.memory_limit_bytes,
-                    disk_bytes=policy.disk_bandwidth_bytes)}
+                    memory_bytes=self.workload.memory_limit_bytes)}
         grants = allocate_to_queries(
             self.budget,
             [job.demand for job in self.running],

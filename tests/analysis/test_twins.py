@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.bench.chaos import CHAOS
 from repro.bench.twins import (
     PINS_PATH,
     TABLE,
@@ -60,9 +61,10 @@ def test_render_mentions_every_variant():
 
 
 def test_pins_file_has_exactly_the_tables_rows_and_variants():
+    """One file pins both tables (``--record`` rewrites both)."""
     pins = json.loads(PINS_PATH.read_text())
     assert ({name: tuple(entry) for name, entry in pins.items()}
-            == {row.name: row.variants for row in TABLE})
+            == {row.name: row.variants for row in TABLE + CHAOS})
     names = {name for entry in pins.values() for facts in entry.values()
              for name in facts}
     assert names and not names & WALL_DERIVED  # virtual facts only

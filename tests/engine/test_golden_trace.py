@@ -2,9 +2,11 @@
 
 Reduced-scale versions of the paper's Figure 13 (IdealJoin under Zipf
 skew, LPT vs Random) and Figure 14 (AssocJoin pipeline) workloads run
-twice — once with the ready index, once with the legacy linear scan —
-and must produce *bit-identical* executions: response time, per-op
-poll/secondary/dequeue/enqueue counters, and result rows.  On top of
+twice — once with the ready index, once with the reference linear scan
+(selected the way the engine selects it: READY_INDEX_MIN_INSTANCES is
+lifted above the degree) — and must produce *bit-identical*
+executions: response time, per-op poll/secondary/dequeue/enqueue
+counters, and result rows.  On top of
 the pairwise check, the headline numbers are pinned as literals so a
 change that drifts BOTH selection paths at once still trips.
 
@@ -18,8 +20,8 @@ import pytest
 
 from repro.bench.runners import default_machine
 from repro.bench.workloads import make_join_database
+from repro.engine import operation
 from repro.engine.executor import ExecutionOptions, Executor
-from repro.engine.operation import READY_INDEX_MIN_INSTANCES
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.scheduler.adaptive import AdaptiveScheduler
 
@@ -39,15 +41,13 @@ GOLDEN = {
 }
 
 
-def _execute(database, kind, strategy, use_ready_index):
+def _execute(database, kind, strategy):
     machine = default_machine()
     builder = ideal_join_plan if kind == "ideal" else assoc_join_plan
     plan = builder(database.entry_a, database.entry_b, "key", "key")
     schedule = AdaptiveScheduler(machine).schedule(plan, THREADS)
     schedule = schedule.with_strategy("join", strategy)
-    executor = Executor(machine, ExecutionOptions(
-        seed=0, use_ready_index=use_ready_index))
-    return executor.execute(plan, schedule)
+    return Executor(machine, ExecutionOptions(seed=0)).execute(plan, schedule)
 
 
 def _trace(execution):
@@ -64,11 +64,13 @@ def _trace(execution):
 
 
 @pytest.mark.parametrize("kind,theta,strategy", sorted(GOLDEN))
-def test_index_and_scan_produce_identical_traces(kind, theta, strategy):
-    assert DEGREE >= READY_INDEX_MIN_INSTANCES  # the index is engaged
+def test_index_and_scan_produce_identical_traces(kind, theta, strategy,
+                                                 monkeypatch):
+    assert DEGREE >= operation.READY_INDEX_MIN_INSTANCES  # index engaged
     database = make_join_database(CARD_A, CARD_B, DEGREE, theta)
-    with_index = _execute(database, kind, strategy, use_ready_index=True)
-    with_scan = _execute(database, kind, strategy, use_ready_index=False)
+    with_index = _execute(database, kind, strategy)
+    monkeypatch.setattr(operation, "READY_INDEX_MIN_INSTANCES", DEGREE + 1)
+    with_scan = _execute(database, kind, strategy)
     assert _trace(with_index) == _trace(with_scan)
 
     golden_response, golden_polls = GOLDEN[(kind, theta, strategy)]

@@ -1,74 +1,38 @@
-"""Chaos sweeps (``pytest -m chaos``; deselected from tier-1).
+"""The chaos table, one row per test (``pytest -m chaos``; ``make chaos``).
 
-Thin pytest wrappers over :mod:`repro.bench.chaos`: each seed's full
-invariant audit must pass, and the pooled engine must degrade strictly
-less than the static binding at every slowdown factor above 1.  CI
-runs these through ``make chaos``.
+Deselected from tier-1.  Every row's variants must audit clean
+(``violations`` pinned ``[]``), hold their relations and parities and
+equal the committed pins; ``python -m repro chaos`` runs the same
+table from the CLI.  That each audit can *fire* is tier-1's
+``tests/analysis/test_chaos_audit.py``.
 """
+
+import json
 
 import pytest
 
-from repro.bench.chaos import (
-    alert_sweep,
-    degradation_curve,
-    run_chaos,
-    run_shared_chaos,
-)
+from repro.bench.chaos import CHAOS
+from repro.bench.twins import PINS_PATH, compare, render, run
 
 pytestmark = pytest.mark.chaos
 
+PINS = json.loads(PINS_PATH.read_text())
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_seeded_sweep_upholds_invariants(seed):
-    report = run_chaos(seed)
-    assert report.passed, "\n".join(report.violations)
+
+@pytest.mark.parametrize("row", CHAOS, ids=lambda row: row.name)
+def test_chaos_row_holds_its_gates(row):
+    record = run(row)
+    print()
+    print(render(row, record))
+    problems = compare(row, record, PINS[row.name])
+    assert not problems, "\n".join(problems)
 
 
 def test_fault_counters_come_from_the_registry():
-    """The harness reports fault/retry counters straight off the
-    metrics registry, and they agree with the per-operation
-    ``OperationMetrics`` tallies (``check_fault_accounting`` files a
-    violation otherwise, so a passing report *is* the agreement)."""
-    report = run_chaos(0, parity=False)
-    assert report.passed, "\n".join(report.violations)
-    assert set(report.fault_counters) == {
-        "injected", "retries", "aborts", "memory_events"}
-    assert report.fault_counters["injected"] >= (
-        report.fault_counters["retries"] + report.fault_counters["aborts"])
-    assert "faults   :" in report.render()
-
-
-def test_shared_fold_survives_subscriber_cancellation():
-    """Three folded subscribers, one cancelled mid-run: conservation
-    holds per query, shared work is attributed at most once across the
-    cohort, and the survivors' results match a private reference run
-    exactly."""
-    report = run_shared_chaos()
-    assert report.passed, "\n".join(report.violations)
-
-
-def test_pooled_degrades_less_than_static():
-    points = degradation_curve()
-    assert points[0].factor == 1.0
-    for point in points[1:]:
-        assert point.pooled < point.static, (
-            f"pooled did not beat static at factor {point.factor}: "
-            f"{point.pooled} vs {point.static}")
-
-
-def test_alert_sweep_fires_on_faulted_cells_only():
-    """The monitor stack watching the chaos grid: the uniform cell
-    stays silent, every slowed cell fires a straggler (and trips the
-    latency SLO), and a twin re-run fires byte-for-byte the same
-    alerts — each cell's ``AlertCell.passed`` encodes all three."""
-    cells = alert_sweep(factors=(1.0, 6.0))
-    assert [cell.factor for cell in cells] == [1.0, 6.0]
-    for cell in cells:
-        assert cell.passed, "\n".join(cell.violations)
-    uniform, slowed = cells
-    assert len(uniform.alerts) == 0
-    assert {"straggler", "latency_slo"} <= {
-        a.rule for a in slowed.alerts}
-    straggler = next(a for a in slowed.alerts if a.rule == "straggler")
-    assert straggler.value > straggler.threshold
-    assert "blame" in straggler.message
+    """The seeded rows report fault/retry counters straight off the
+    metrics registry; that they agree with the per-operation
+    ``OperationMetrics`` tallies is the ``fault accounting`` invariant
+    (the row's ``violations`` fact is ``[]``)."""
+    faults = run(CHAOS[0])["run"]["facts"]["faults"]
+    assert set(faults) == {"injected", "retries", "aborts", "memory_events"}
+    assert faults["injected"] >= faults["retries"] + faults["aborts"]

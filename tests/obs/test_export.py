@@ -145,6 +145,18 @@ class TestReadJsonl:
         with pytest.raises(ReproError, match="newer"):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("meta", [
+        {"schema": SCHEMA_VERSION - 1}, {}], ids=["older", "missing"])
+    def test_any_other_schema_rejected_naming_both_versions(self, meta,
+                                                            tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(
+            {"type": "meta", **meta, "response_time": 1.0}) + "\n")
+        with pytest.raises(ReproError) as raised:
+            read_jsonl(path)
+        assert f"schema {meta.get('schema')}" in str(raised.value)
+        assert f"exactly schema {SCHEMA_VERSION}" in str(raised.value)
+
     def test_unknown_record_type_rejected(self, observed, tmp_path):
         path = tmp_path / "mystery.jsonl"
         write_jsonl(observed, path)

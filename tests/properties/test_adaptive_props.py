@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adapt import SchedulingPolicy, resplit_shares, wave_evidence
+from repro.adapt.controller import BOOST_CAP
 from repro.bench.chaos import (
     ADAPTIVE_THREADS,
     build_adaptive_scenario,
@@ -99,27 +100,23 @@ class TestWaveEvidenceProperties:
     @given(ops=wave_payloads)
     @settings(max_examples=150, deadline=None)
     def test_abstains_or_returns_actionable_capped_evidence(self, ops):
-        policy = SchedulingPolicy(policy="adaptive")
-        evidence = wave_evidence(0.0, ops, policy)
+        evidence = wave_evidence(0.0, ops)
         if evidence is not None:
             assert evidence.actionable
-            assert evidence.boost <= policy.boost_cap
+            assert evidence.boost <= BOOST_CAP
             assert 0.0 <= evidence.starved_idle <= 1.0
 
     @given(ops=wave_payloads)
     @settings(max_examples=100, deadline=None)
     def test_pure_function_of_the_payload(self, ops):
-        policy = SchedulingPolicy(policy="adaptive")
-        assert wave_evidence(0.0, ops, policy) \
-            == wave_evidence(0.0, ops, policy)
+        assert wave_evidence(0.0, ops) == wave_evidence(0.0, ops)
 
     @given(ops=wave_payloads)
     @settings(max_examples=100, deadline=None)
     def test_fully_busy_pools_yield_no_queue_wait_evidence(self, ops):
         busy_ops = [(name, [(f, max(b, 0.1), 0.0) for f, b, _ in pool])
                     for name, pool in ops]
-        policy = SchedulingPolicy(policy="adaptive")
-        evidence = wave_evidence(0.0, busy_ops, policy)
+        evidence = wave_evidence(0.0, busy_ops)
         if evidence is not None:
             # No pool idled, so only the Fig 12 half can have fired.
             assert evidence.boost == 1.0

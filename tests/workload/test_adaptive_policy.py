@@ -2,8 +2,9 @@
 
 Acceptance behaviors from the diagnostics-driven-scheduling design:
 
-* ``SchedulingPolicy`` validates its knobs at construction and nests
-  in ``WorkloadOptions``, which no longer takes a flat ``rebalance=``;
+* ``SchedulingPolicy`` holds the four knobs some caller sets
+  (validated at construction) and nests in ``WorkloadOptions``, which
+  no longer takes a flat ``rebalance=``;
 * with the producer joins slowed, the controller re-splits the wave
   grant toward the blamed producers (conserving the thread budget
   exactly), beats the static policy in virtual time, and changes no
@@ -17,6 +18,7 @@ Acceptance behaviors from the diagnostics-driven-scheduling design:
   the CPU-only path.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -58,25 +60,19 @@ class TestSchedulingPolicyApi:
         with pytest.raises(WorkloadError, match="unknown scheduling policy"):
             SchedulingPolicy(policy="clairvoyant")
 
-    @pytest.mark.parametrize("field, bad", [
-        ("straggler_ratio", 1.0),
-        ("min_threads", 0),
-        ("idle_threshold", 0.0),
-        ("idle_threshold", 1.5),
-        ("driver_threshold", 0.9),  # >= idle_threshold
-        ("boost_cap", 0.5),
-        ("switch_skew_threshold", 0.9),
-        ("disk_bandwidth_bytes", 0),
-    ])
-    def test_thresholds_validated_at_construction(self, field, bad):
-        with pytest.raises(WorkloadError, match=field):
-            SchedulingPolicy(**{field: bad})
+    def test_only_the_knobs_somebody_sets_are_fields(self):
+        """The decision thresholds are constants of
+        :mod:`repro.adapt.controller`, not options."""
+        assert [f.name for f in dataclasses.fields(SchedulingPolicy)] == [
+            "policy", "resplit", "multi_resource", "rebalance"]
+        with pytest.raises(TypeError, match="boost_cap"):
+            SchedulingPolicy(boost_cap=2.0)
 
     def test_replace_returns_an_updated_copy(self):
         policy = SchedulingPolicy()
-        adaptive = policy.replace(policy="adaptive", boost_cap=2.0)
-        assert adaptive.adaptive and adaptive.boost_cap == 2.0
-        assert policy.policy == "static" and policy.boost_cap == 4.0
+        adaptive = policy.replace(policy="adaptive", resplit=False)
+        assert adaptive.adaptive and not adaptive.resplit
+        assert policy.policy == "static" and policy.resplit
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
