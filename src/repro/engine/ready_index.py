@@ -166,8 +166,8 @@ class ReadyIndex:
             self.obs.count(self._stale_key, stale)
         return [i for i in ready if nrt[i] <= now]
 
-    def _min_in(self, pool: int) -> float | None:
-        """Smallest head time tracked by *pool* (purging stale entries)."""
+    def _top(self, pool: int) -> float | None:
+        """Top of *pool*'s heap, purged of stale/duplicate entries."""
         heap = self._heaps[pool]
         nrt = self._nrt
         ready = self._ready[pool]
@@ -182,7 +182,15 @@ class ReadyIndex:
             stale += 1
         if stale and self.obs is not None:
             self.obs.count(self._stale_key, stale)
-        for instance in ready:
+        return best
+
+    def _floor(self, pool: int) -> float | None:
+        """Smallest head time tracked by *pool*; the heap top must be
+        valid, as a :meth:`_ready_in` miss leaves it."""
+        heap = self._heaps[pool]
+        nrt = self._nrt
+        best = heap[0][0] if heap else None
+        for instance in self._ready[pool]:
             time = nrt[instance]
             if best is None or time < best:
                 best = time
@@ -190,13 +198,15 @@ class ReadyIndex:
 
     def select(self, thread: "WorkerThread", now: float,
                allow_secondary: bool
-               ) -> tuple[list["ActivationQueue"], int, bool]:
+               ) -> tuple[list["ActivationQueue"], int, float | None, bool]:
         """Candidate queues for *thread* at time *now*.
 
-        Returns ``(ready, polls, used_secondary)`` reproducing the
-        legacy linear scan bit-for-bit: the same candidate list in the
-        same (instance) order, and the same count of not-ready queues
-        charged as ``poll_empty`` work.
+        Returns ``(ready, polls, future, used_secondary)`` reproducing
+        the legacy linear scan bit-for-bit: the same candidate list in
+        the same (instance) order, the same count of not-ready queues
+        charged as ``poll_empty`` work and — only when nothing is
+        ready — the earliest pending ready time visible to the thread
+        (every queue with secondary access, its own mains without).
         """
         pool = thread.pool_index
         queues = self._queues
@@ -211,24 +221,42 @@ class ReadyIndex:
         if mains:
             mains.sort()
             return ([queues[i] for i in mains],
-                    main_count - len(mains), False)
+                    main_count - len(mains), None, False)
         if not allow_secondary:
-            return [], main_count, False
+            return [], main_count, self._floor(pool), False
         # No own-pool queue is ready, so every operation-wide ready
         # instance is a secondary queue of this thread.
         secondary = self._ready_in(_GLOBAL, now)
         secondary.sort()
-        return ([queues[i] for i in secondary],
-                len(queues) - len(secondary), True)
+        return ([queues[i] for i in secondary], len(queues) - len(secondary),
+                None if secondary else self._floor(_GLOBAL), True)
 
-    def next_ready_time(self, thread: "WorkerThread",
-                        allow_secondary: bool) -> float | None:
-        """Earliest pending ready time visible to *thread*.
+    def quiet(self, thread: "WorkerThread", now: float) -> float | None:
+        """The O(1) miss: ``future`` when ``select(thread, now, True)``
+        is certain to return ``([], len(queues), future, True)`` with a
+        ``future`` to wait for, else ``None`` (ask ``select``).
 
-        With secondary access this is the minimum over every queue of
-        the operation; without, only the thread's own main queues
-        count (the Gamma-style static binding).
+        Certain: the thread's own and the operation-wide ready sets are
+        empty (tested, never iterated) and both validated heap tops lie
+        after *now*.  Side effects are ``select``'s: stale tops purged
+        and counted (additive, so a ``select`` after a ``None`` sums to
+        the same), the ``ready_set`` probe sampled at size 0.
         """
-        if allow_secondary:
-            return self._min_in(_GLOBAL)
-        return self._min_in(thread.pool_index)
+        ready = self._ready
+        pool = thread.pool_index
+        # Busy operations leave here, on the first test.
+        if ready[pool] or ready[_GLOBAL] or not self._track_global:
+            return None
+        nrt = self._nrt
+        for pool in (pool, _GLOBAL):
+            heap = self._heaps[pool]
+            future = None
+            if heap:
+                future, instance = heap[0]
+                if future != nrt[instance]:
+                    future = self._top(pool)
+                if future is not None and future <= now:
+                    return None
+        if future is not None and self.obs is not None:
+            self.obs.sample(self._ready_key, now, 0)
+        return future

@@ -72,7 +72,8 @@ DILATION_SLICES = 16
 
 #: Method -> profiler section of the event loop's timed phases
 #: (:meth:`Simulator.attach_profiler`).  The perf ledger reads the
-#: ``ready_scan`` call count as the number of event-loop steps.
+#: ``ready_scan`` call count as the number of event-loop steps: the
+#: *scans* — a wake-up :meth:`ReadyIndex.quiet` answers makes none.
 _PROFILED_SECTIONS = {
     "run": "sim",
     "_index_select": "ready_scan",
@@ -407,22 +408,24 @@ class Simulator:
             dilation = self._dilation()
         now = thread.clock
         index = operation.ready_index
-        if index is not None:
-            ready, polls, used_secondary = self._index_select(
-                index, thread, now, operation.allow_secondary)
-            future = None  # computed lazily, only when nothing is ready
-        else:
+        if index is None:
             ready, polls, future, used_secondary = self._scan_select(
                 thread, now)
+        else:
+            # A quiet operation's scan is arithmetic: every queue polled
+            # empty, wake at the index's floor — the select not made.
+            future = index.quiet(thread, now)
+            if future is not None:
+                ready, polls, used_secondary = (), len(operation.queues), True
+            else:
+                ready, polls, future, used_secondary = self._index_select(
+                    index, thread, now, operation.allow_secondary)
 
         if polls:
             operation.polls += polls
             thread.advance(polls * costs.poll_empty * dilation, busy=True)
 
         if not ready:
-            if index is not None:
-                future = index.next_ready_time(
-                    thread, operation.allow_secondary)
             if future is not None:
                 thread.wait_until(future)
                 self._push(thread)

@@ -68,3 +68,13 @@ def test_pins_file_has_exactly_the_tables_rows_and_variants():
     names = {name for entry in pins.values() for facts in entry.values()
              for name in facts}
     assert names and not names & WALL_DERIVED  # virtual facts only
+
+
+def test_quiet_shortcut_holds_its_pin_without_a_clock():
+    """The machine-independent gate on the quiet step, in tier-1: the
+    ready scans the MPL-4 workload makes (a wake-up charged as
+    arithmetic makes none)."""
+    pins = json.loads(PINS_PATH.read_text())
+    rows = {row.name: row for row in TABLE}
+    profiled = rows["mpl4"].build()["profiled"]()
+    assert profiled["steps"] == pins["mpl4"]["profiled"]["steps"]

@@ -2,13 +2,16 @@
 
 Reduced-scale versions of the paper's Figure 13 (IdealJoin under Zipf
 skew, LPT vs Random) and Figure 14 (AssocJoin pipeline) workloads run
-twice — once with the ready index, once with the reference linear scan
-(selected the way the engine selects it: READY_INDEX_MIN_INSTANCES is
-lifted above the degree) — and must produce *bit-identical*
-executions: response time, per-op poll/secondary/dequeue/enqueue
-counters, and result rows.  On top of
-the pairwise check, the headline numbers are pinned as literals so a
-change that drifts BOTH selection paths at once still trips.
+three times — with the ready index and its quiet shortcut (what the
+engine does at this degree), with the index but every wake-up a full
+select (``ReadyIndex.quiet`` patched to answer ``None``), and with the
+reference linear scan (selected the way the engine selects it:
+READY_INDEX_MIN_INSTANCES is lifted above the degree) — and must
+produce *bit-identical* executions: response time, per-op
+poll/secondary/dequeue/enqueue counters, busy and idle time, and
+result rows.  On top of the three-way check, the headline numbers are
+pinned as literals so a change that drifts every path at once still
+trips.
 
 The degree (120) is above READY_INDEX_MIN_INSTANCES so the index is
 actually engaged; the cardinalities are scaled down to keep this in
@@ -22,6 +25,7 @@ from repro.bench.runners import default_machine
 from repro.bench.workloads import make_join_database
 from repro.engine import operation
 from repro.engine.executor import ExecutionOptions, Executor
+from repro.engine.ready_index import ReadyIndex
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.scheduler.adaptive import AdaptiveScheduler
 
@@ -57,7 +61,7 @@ def _trace(execution):
         "rows": sorted(execution.result_rows),
         "operations": {
             name: (m.polls, m.secondary_accesses, m.dequeue_batches,
-                   m.enqueues, m.finished_at)
+                   m.enqueues, m.finished_at, m.busy_time, m.idle_time)
             for name, m in execution.operations.items()
         },
     }
@@ -69,6 +73,9 @@ def test_index_and_scan_produce_identical_traces(kind, theta, strategy,
     assert DEGREE >= operation.READY_INDEX_MIN_INSTANCES  # index engaged
     database = make_join_database(CARD_A, CARD_B, DEGREE, theta)
     with_index = _execute(database, kind, strategy)
+    with monkeypatch.context() as stepwise:
+        stepwise.setattr(ReadyIndex, "quiet", lambda *args: None)
+        assert _trace(_execute(database, kind, strategy)) == _trace(with_index)
     monkeypatch.setattr(operation, "READY_INDEX_MIN_INSTANCES", DEGREE + 1)
     with_scan = _execute(database, kind, strategy)
     assert _trace(with_index) == _trace(with_scan)

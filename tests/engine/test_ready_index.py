@@ -80,17 +80,24 @@ def _assert_matches_scan(operation, now):
     for thread in operation.threads:
         want_ready, want_polls, want_future, want_secondary = \
             _scan_reference(thread, now)
-        got_ready, got_polls, got_secondary = index.select(
+        quiet = index.quiet(thread, now)
+        if quiet is not None:
+            # The O(1) miss may only answer when the scan is a full
+            # miss with something to wait for, and must name its time.
+            assert (want_ready, want_polls, want_future, want_secondary) == (
+                [], len(operation.queues), quiet, True)
+        got_ready, got_polls, got_future, got_secondary = index.select(
             thread, now, operation.allow_secondary)
         assert got_ready == want_ready, f"thread {thread.pool_index} @ {now}"
         assert got_polls == want_polls, f"thread {thread.pool_index} @ {now}"
-        if not want_ready:
+        if want_ready:
+            assert got_future is None
+        else:
             # The simulator consults the future time only on an empty
             # selection; the scan's future skips ready queues, so the
             # two only coincide in that (empty) case.
             assert got_secondary == want_secondary
-            assert index.next_ready_time(
-                thread, operation.allow_secondary) == want_future
+            assert got_future == want_future
 
 
 class TestSelection:
@@ -104,7 +111,7 @@ class TestSelection:
         # out of order.
         for instance in (9, 0, 6):
             operation.queues[instance].enqueue(1.0, trigger(instance))
-        ready, polls, used_secondary = operation.ready_index.select(
+        ready, polls, _, used_secondary = operation.ready_index.select(
             operation.threads[0], 2.0, True)
         assert [q.instance for q in ready] == [0, 6, 9]
         assert polls == 1          # instance 3 scanned empty
@@ -114,12 +121,11 @@ class TestSelection:
     def test_future_main_not_selected(self):
         operation = _operation()
         operation.queues[0].enqueue(5.0, trigger(0))
-        ready, polls, _ = operation.ready_index.select(
+        ready, polls, future, _ = operation.ready_index.select(
             operation.threads[0], 4.999, True)
         assert ready == []
         assert polls == 12         # mains AND secondaries polled empty
-        assert operation.ready_index.next_ready_time(
-            operation.threads[0], True) == 5.0
+        assert future == 5.0
 
     def test_secondary_fallback_excludes_mains(self):
         operation = _operation(instances=12, threads=3)
@@ -127,7 +133,7 @@ class TestSelection:
         # threads 1 and 2) are ready.
         operation.queues[1].enqueue(1.0, trigger(1))
         operation.queues[5].enqueue(1.0, trigger(5))
-        ready, polls, used_secondary = operation.ready_index.select(
+        ready, polls, _, used_secondary = operation.ready_index.select(
             operation.threads[0], 2.0, True)
         assert [q.instance for q in ready] == [1, 5]
         assert used_secondary
@@ -139,7 +145,7 @@ class TestSelection:
         operation = _operation(instances=12, threads=3)
         operation.queues[1].enqueue(0.5, trigger(1))   # other pool, earlier
         operation.queues[3].enqueue(1.0, trigger(3))   # own main, later
-        ready, _, used_secondary = operation.ready_index.select(
+        ready, _, _, used_secondary = operation.ready_index.select(
             operation.threads[0], 2.0, True)
         assert [q.instance for q in ready] == [3]
         assert not used_secondary
@@ -147,14 +153,13 @@ class TestSelection:
     def test_no_secondary_when_disallowed(self):
         operation = _operation(allow_secondary=False)
         operation.queues[1].enqueue(1.0, trigger(1))   # not thread 0's main
-        ready, polls, used_secondary = operation.ready_index.select(
+        ready, polls, future, used_secondary = operation.ready_index.select(
             operation.threads[0], 2.0, False)
         assert ready == []
         assert polls == 4
         assert not used_secondary
         # Without secondary access the thread only waits on its mains.
-        assert operation.ready_index.next_ready_time(
-            operation.threads[0], False) is None
+        assert future is None
         _assert_matches_scan(operation, 2.0)
 
 
@@ -176,8 +181,8 @@ class TestIncrementalMaintenance:
         queue.enqueue(5.0, tuple_activation(0, ("b",)))
         queue.dequeue_ready(2.0, limit=1)
         thread = operation.threads[0]
-        assert operation.ready_index.select(thread, 2.0, True)[0] == []
-        assert operation.ready_index.next_ready_time(thread, True) == 5.0
+        assert operation.ready_index.select(thread, 2.0, True)[::2] == (
+            [], 5.0)
         assert operation.ready_index.select(thread, 5.0, True)[0] == [queue]
 
     def test_earlier_enqueue_displaces_head(self):
@@ -185,12 +190,13 @@ class TestIncrementalMaintenance:
         queue = operation.queues[0]
         queue.enqueue(9.0, tuple_activation(0, ("late",)))
         thread = operation.threads[0]
-        assert operation.ready_index.next_ready_time(thread, True) == 9.0
+        index = operation.ready_index
+        assert index.select(thread, 0.0, True)[2] == 9.0
         queue.enqueue(3.0, tuple_activation(0, ("early",)))
-        assert operation.ready_index.next_ready_time(thread, True) == 3.0
+        assert index.select(thread, 0.0, True)[2] == 3.0
         # The stale 9.0 entry must not resurface after consuming 3.0.
         queue.dequeue_ready(4.0, limit=1)
-        assert operation.ready_index.next_ready_time(thread, True) == 9.0
+        assert index.select(thread, 4.0, True)[2] == 9.0
         _assert_matches_scan(operation, 4.0)
 
     def test_ready_set_member_rechecked_against_slower_clock(self):
@@ -203,6 +209,87 @@ class TestIncrementalMaintenance:
         # ... but a query at now=4 must still see it as not ready.
         assert operation.ready_index.select(slow, 4.0, True)[0] == []
         _assert_matches_scan(operation, 4.0)
+
+
+class TestQuiet:
+    """The O(1) miss ``Simulator._step`` asks for before it scans."""
+
+    def test_answers_when_everything_pending_is_in_the_future(self):
+        operation = _operation()
+        operation.queues[7].enqueue(5.0, trigger(7))
+        operation.queues[2].enqueue(8.0, trigger(2))
+        for thread in operation.threads:
+            assert operation.ready_index.quiet(thread, 4.0) == 5.0
+        _assert_matches_scan(operation, 4.0)
+
+    def test_declines_when_something_is_ready(self):
+        operation = _operation()
+        operation.queues[7].enqueue(5.0, trigger(7))
+        for thread in operation.threads:
+            assert operation.ready_index.quiet(thread, 5.0) is None
+
+    def test_declines_on_a_ready_set_member_without_walking_the_set(self):
+        operation = _operation()
+        index = operation.ready_index
+        operation.queues[0].enqueue(5.0, trigger(0))
+        # A faster thread admits instance 0 to the ready sets; for a
+        # thread still at 4.0 the scan is a miss, but telling so would
+        # take a walk over the set — quiet leaves that to select.
+        assert index.select(operation.threads[1], 10.0, True)[0]
+        assert index.quiet(operation.threads[2], 4.0) is None
+        assert index.select(operation.threads[2], 4.0, True)[:3] == (
+            [], 12, 5.0)
+
+    def test_declines_on_a_member_of_the_own_pool_set_alone(self):
+        operation = _operation()
+        index = operation.ready_index
+        operation.queues[0].enqueue(5.0, trigger(0))
+        # Thread 0 finds its main queue ready at 10.0, so only its own
+        # pool's set admits instance 0; the operation-wide structure
+        # still holds it as a heap entry.  At 4.0 the scan is a miss
+        # again, but the ready_set probe reads 1, not quiet's 0.
+        thread = operation.threads[0]
+        assert index.select(thread, 10.0, True)[0]
+        assert index.quiet(thread, 4.0) is None
+        assert index.select(thread, 4.0, True)[:3] == ([], 12, 5.0)
+
+    def test_declines_with_nothing_to_wait_for(self):
+        operation = _operation()
+        assert operation.ready_index.quiet(operation.threads[0], 1.0) is None
+
+    def test_declines_without_secondary_access(self):
+        operation = _operation(allow_secondary=False)
+        operation.queues[0].enqueue(5.0, trigger(0))
+        assert operation.ready_index.quiet(operation.threads[0], 1.0) is None
+
+    def test_purges_and_counts_stale_tops_like_select(self):
+        class Counts:
+            def __init__(self):
+                self.counters, self.samples = {}, []
+
+            def count(self, name, delta=1.0):
+                self.counters[name] = self.counters.get(name, 0) + delta
+
+            def sample(self, name, t, value):
+                self.samples.append((name, t, value))
+
+        def drops(ask):
+            operation = _operation()
+            index = operation.ready_index
+            queue = operation.queues[0]
+            queue.enqueue(9.0, tuple_activation(0, ("late",)))
+            queue.enqueue(3.0, tuple_activation(0, ("early",)))
+            queue.dequeue_ready(4.0, limit=1)     # 3.0 entries go stale
+            index.obs = obs = Counts()
+            ask(index, operation.threads[0])
+            return obs.counters, obs.samples
+
+        via_quiet = drops(lambda index, thread: index.quiet(thread, 4.0))
+        via_select = drops(lambda index, thread: index.select(
+            thread, 4.0, True))
+        assert via_quiet == via_select
+        assert via_quiet[0] == {"ready_stale_drops/op": 2}
+        assert via_quiet[1] == [("ready_set/op", 4.0, 0)]
 
 
 class TestGate:
