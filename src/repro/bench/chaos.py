@@ -40,11 +40,10 @@ pass every audit and relation, pinned or not.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from collections import Counter
 from typing import Callable, Iterator
 
-from repro.bench.twins import Twin
+from repro.bench.twins import Twin, digest
 from repro.core.database import DBS3
 from repro.engine.executor import (
     ExecutionOptions,
@@ -338,12 +337,6 @@ def skipped_audits(result, submitted: int | None = None) -> list[str]:
 
 # -- facts --------------------------------------------------------------------
 
-def _digest(value) -> str:
-    """Short stable hash of a (deterministically ordered) structure:
-    how a row log, an alert log or a decision log becomes one fact."""
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
 def _facts(result, submitted: int, **extra) -> dict:
     """The facts every audited variant reports."""
     statuses = Counter(e.status for e in result.executions.values())
@@ -403,7 +396,7 @@ def _build_empty_plan():
         for sql in CHAOS_QUERIES:
             session.submit(sql)
         result = session.run()
-        return _facts(result, len(CHAOS_QUERIES), counters=_digest([
+        return _facts(result, len(CHAOS_QUERIES), counters=digest([
             (tag, execution.response_time,
              [(name, op.busy_time, op.idle_time, op.polls, op.enqueues,
                op.dequeue_batches, op.secondary_accesses, op.finished_at)
@@ -443,7 +436,7 @@ def _build_shared():
             result, len(SHARED_CHAOS_QUERIES), **_by_tag(result),
             folded=sum(op.cost_share < 1.0
                        for _, _, op in _operations(result)),
-            survivor_rows=_digest([
+            survivor_rows=digest([
                 sorted(result.execution(f"q{i}").result_rows)
                 for i in survivors]))
 
@@ -451,7 +444,7 @@ def _build_shared():
         db = _chaos_db(observe=False)
         rows = {sql: sorted(db.query(sql).rows)
                 for sql in set(SHARED_CHAOS_QUERIES)}
-        return {"survivor_rows": _digest(
+        return {"survivor_rows": digest(
             [rows[SHARED_CHAOS_QUERIES[i]] for i in survivors])}
 
     return {"run": run, "reference": reference}
@@ -536,7 +529,7 @@ def _build_alerts():
         log = [(a.rule, a.key, a.severity, a.fired_at, a.value)
                for a in result.alerts]
         fired = sorted({entry[0] for entry in log})
-        return _facts(result, 1, alerts=len(log), alert_log=_digest(log),
+        return _facts(result, 1, alerts=len(log), alert_log=digest(log),
                       fired=fired, straggler_or_slo=len(
                           {"straggler", "latency_slo"}.intersection(fired)))
 
@@ -645,8 +638,8 @@ def _build_adaptive():
         decisions = (result.decisions.to_json()
                      if result.decisions is not None else [])
         return _facts(result, 1, decisions=len(decisions),
-                      decision_log=_digest(decisions),
-                      rows=_digest(sorted(result.execution("q0").result_rows)))
+                      decision_log=digest(decisions),
+                      rows=digest(sorted(result.execution("q0").result_rows)))
 
     variants = {}
     for factor in SLOWDOWN_FACTORS:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import operator
 import time
@@ -129,6 +130,12 @@ class Twin:
 def _database(degree: int = DEGREE, copy: int = 0):
     """The join database at *degree* (*copy* tells disjoint twins apart)."""
     return make_join_database(CARD_A, CARD_B, degree, theta=0.0)
+
+
+def digest(value) -> str:
+    """Short stable hash of a deterministically ordered structure: how
+    a row, alert, decision or schedule log becomes one fact."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def _query_facts(execution) -> dict:
@@ -275,35 +282,74 @@ def _build_serving():
     """One seeded arrival sequence under ``serving=None``, under a
     default (FIFO, unbounded) ``ServingPolicy`` that differs in zero
     decisions, and under EDF with a bounded queue at twice the
-    measured saturation throughput."""
+    measured saturation throughput — that also with one plan per
+    arrival instead of one per template."""
     from repro.bench.fig_serving import (
         MAX_CONCURRENT,
         measure_saturation,
         serving_machine,
     )
-    from repro.serve.harness import default_templates, run_serving
+    from repro.serve import arrivals, harness
     from repro.serve.policies import ServingPolicy
+    from repro.workload.engine import WorkloadExecutor
 
-    machine, templates = serving_machine(), default_templates()
+    machine, templates = serving_machine(), harness.default_templates()
     saturation = measure_saturation(templates, machine=machine,
                                     count=SERVING_SATURATION_COUNT, seed=0)
+    protected = ServingPolicy(policy="edf", queue_limit=SERVING_QUEUE_LIMIT)
 
-    def cell(rate, serving):
-        result = run_serving(
-            templates=templates, rate=rate, count=SERVING_COUNT, seed=0,
-            machine=machine, observe=False, workload=WorkloadOptions(
-                max_concurrent=MAX_CONCURRENT, serving=serving))
+    def facts(result):
         statuses = Counter(e.status for e in result.executions.values())
         return {"virtual_s": result.makespan,
                 "statuses": dict(sorted(statuses.items()))}
 
+    def cell(rate, serving):
+        return facts(harness.run_serving(
+            templates=templates, rate=rate, count=SERVING_COUNT, seed=0,
+            machine=machine, observe=False, workload=WorkloadOptions(
+                max_concurrent=MAX_CONCURRENT, serving=serving)))
+
+    def fresh_plans():
+        # The reference for a template's jobs sharing one plan: each
+        # build_submissions call compiles anew, so the i-th submission of
+        # the i-th call shares its plan and schedule with no other kept.
+        times = arrivals.make_arrival_process(
+            "poisson", saturation * SERVING_OVERLOAD).times(SERVING_COUNT, seed=0)
+        submissions = [harness.build_submissions(
+            templates, times, machine=machine, seed=0)[i]
+            for i in range(SERVING_COUNT)]
+        return facts(WorkloadExecutor(
+            machine, ExecutionOptions(seed=0), WorkloadOptions(
+                max_concurrent=MAX_CONCURRENT, serving=protected)
+        ).execute(submissions))
+
     return {
         "off": lambda: cell(saturation, None),
         "fifo": lambda: cell(saturation, ServingPolicy()),
-        "protected": lambda: cell(
-            saturation * SERVING_OVERLOAD,
-            ServingPolicy(policy="edf", queue_limit=SERVING_QUEUE_LIMIT)),
+        "protected": lambda: cell(saturation * SERVING_OVERLOAD, protected),
+        "fresh_plans": fresh_plans,
     }
+
+
+def _build_template():
+    """The Wisconsin suite's five statements, each through a ``DBS3``
+    that has seen no statement, and through one that has run them all:
+    every statement a hit in its statement memo."""
+    from repro.bench.wisconsin_queries import make_database, standard_suite
+
+    warm = make_database(CARD_B, degree=10)
+    statements = [query.sql for query in standard_suite(warm)]
+
+    def facts(db=None):
+        handles = [(db or make_database(CARD_B, degree=10)).session().submit(
+            sql) for sql in statements]
+        results = [handle.result() for handle in handles]
+        return {"virtual_s": sum(r.response_time for r in results),
+                "rows": sum(r.cardinality for r in results),
+                "schedules": digest([h.schedule for h in handles])}
+
+    facts(warm)
+    return {"cold": facts, "warm": lambda: facts(warm)}
 
 
 TABLE: tuple[Twin, ...] = (
@@ -339,9 +385,12 @@ TABLE: tuple[Twin, ...] = (
              ("overlap_shared.rows", "==", "overlap_private.rows")),
          wall=(("disjoint_private", "disjoint_shared", FOLD),
                ("overlap_private", "overlap_shared", FOLD))),
-    Twin("serving", ("off", "fifo", "protected"), _build_serving,
-         parity=(("off", "fifo"),),
+    Twin("serving", ("off", "fifo", "protected", "fresh_plans"),
+         _build_serving,
+         parity=(("off", "fifo"), ("protected", "fresh_plans")),
          wall=(("off", "fifo", FREE),)),
+    Twin("template", ("cold", "warm"), _build_template,
+         parity=(("cold", "warm"),)),
 )
 
 

@@ -10,7 +10,7 @@ selectivities, and normalizes the tree into a flat
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.compiler.logical import (
     Comparison,
@@ -89,6 +89,16 @@ class NormalizedQuery:
     @property
     def is_aggregate(self) -> bool:
         return bool(self.select_items)
+
+    def bind(self, literals: list) -> "NormalizedQuery":
+        """The statement of this template (whose comparison values number
+        the literals) with ``literals``.  No estimate reads a comparison
+        value, so a template's schedule fits all its statements."""
+        def bound(term):
+            return term and RelationTerm(term.name, tuple(
+                Comparison(c.attribute, c.op, literals[c.value])
+                for c in term.comparisons))
+        return replace(self, left=bound(self.left), right=bound(self.right))
 
 
 def _entry(catalog: Catalog, name: str):

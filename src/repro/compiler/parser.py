@@ -45,6 +45,12 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"select", "from", "join", "on", "where", "and", "group", "by"}
 
+#: Literal token kind -> the Python value of its source text.
+_LITERALS = {
+    "number": lambda text: float(text) if "." in text else int(text),
+    "string": lambda text: text[1:-1].replace("\\'", "'"),
+}
+
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
@@ -66,12 +72,29 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def lift(sql: str) -> tuple["_Tokens", tuple, list]:
+    """Tokenise *sql* into a cursor that :func:`parse_tokens` makes the
+    statement's template of (n in place of the n-th literal), its
+    *template key* (tokens, each literal replaced by its type: shared by
+    statements differing only in constants) and its literals in order."""
+    tokens = _tokenize(sql)
+    key, literals = [], []
+    for kind, text in tokens:
+        if kind in _LITERALS:
+            literals.append(_LITERALS[kind](text))
+            text = type(literals[-1])
+        key.append((kind, text))
+    return _Tokens(tokens, lifted=True), tuple(key), literals
+
+
 class _Tokens:
     """Cursor over the token stream."""
 
-    def __init__(self, tokens: list[tuple[str, str]]) -> None:
+    def __init__(self, tokens: list[tuple[str, str]], lifted=False) -> None:
         self._tokens = tokens
         self._index = 0
+        #: Template mode: the n-th constant parses to its number, n.
+        self._parameters = 0 if lifted else None
 
     @property
     def exhausted(self) -> bool:
@@ -124,11 +147,12 @@ def _identifier(tokens: _Tokens) -> str:
 
 def _constant(tokens: _Tokens) -> object:
     kind, value = tokens.next()
-    if kind == "number":
-        return float(value) if "." in value else int(value)
-    if kind == "string":
-        return value[1:-1].replace("\\'", "'")
-    raise CompilationError(f"expected constant, got {value!r}")
+    if kind not in _LITERALS:
+        raise CompilationError(f"expected constant, got {value!r}")
+    if tokens._parameters is None:
+        return _LITERALS[kind](value)
+    tokens._parameters += 1
+    return tokens._parameters - 1
 
 
 def _comparisons(tokens: _Tokens) -> tuple[Comparison, ...]:
@@ -173,7 +197,11 @@ def parse(sql: str) -> LogicalNode:
 
     Raises :class:`CompilationError` on any syntax problem.
     """
-    tokens = _Tokens(_tokenize(sql))
+    return parse_tokens(_Tokens(_tokenize(sql)))
+
+
+def parse_tokens(tokens: _Tokens) -> LogicalNode:
+    """:func:`parse` from a token cursor (see :func:`lift`)."""
     tokens.expect_keyword("select")
 
     items: list = []

@@ -17,8 +17,9 @@ Example:
 
 from __future__ import annotations
 
-from repro.compiler import compile_query
-from repro.compiler.parallelizer import CompiledQuery
+from repro.compiler.optimizer import normalize
+from repro.compiler.parallelizer import CompiledQuery, parallelize
+from repro.compiler.parser import lift, parse_tokens
 from repro.core.results import QueryResult
 from repro.engine.executor import ExecutionOptions, Executor, QuerySchedule
 from repro.lera.graph import LeraGraph
@@ -32,6 +33,10 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.workload.options import WorkloadOptions
 from repro.workload.session import Session
+
+
+#: Statement templates a :class:`DBS3` remembers, oldest forgotten first.
+STATEMENT_MEMO_LIMIT = 256
 
 
 class DBS3:
@@ -58,6 +63,8 @@ class DBS3:
         self.scheduler = AdaptiveScheduler(self.machine,
                                            skew_threshold=skew_threshold)
         self.executor = Executor(self.machine, options)
+        #: Statement memo: templates and schedules (see _statement, prepare).
+        self._statements: dict[tuple, object] = {}
 
     # -- data definition ---------------------------------------------------------
 
@@ -100,7 +107,40 @@ class DBS3:
     def compile(self, sql: str,
                 algorithm: str = JOIN_NESTED_LOOP) -> CompiledQuery:
         """Parse + optimize + parallelize without executing."""
-        return compile_query(sql, self.catalog, algorithm)
+        return self._statement(sql, algorithm)[0]
+
+    def _memo(self, key: tuple, compute):
+        """``compute()``, remembered under *key* up to the limit."""
+        value = self._statements.get(key)
+        if value is None:
+            value = compute()
+            if len(self._statements) >= STATEMENT_MEMO_LIMIT:
+                del self._statements[next(iter(self._statements))]
+            self._statements[key] = value
+        return value
+
+    def _statement(self, sql: str, algorithm: str) -> tuple[CompiledQuery, tuple]:
+        """*sql* compiled from the normalized template that statements
+        differing only in literals share (every statement still gets a
+        fresh plan from ``parallelize``), and that template's memo key."""
+        tokens, key, literals = lift(sql)
+        key = key, algorithm, self.catalog.version
+        template = self._memo(
+            key, lambda: normalize(parse_tokens(tokens), self.catalog))
+        compiled = parallelize(template.bind(literals), self.catalog, algorithm)
+        return compiled, key
+
+    def prepare(self, sql: str, threads: int | None = None,
+                algorithm: str = JOIN_NESTED_LOOP,
+                schedule: QuerySchedule | None = None
+                ) -> tuple[CompiledQuery, QuerySchedule]:
+        """Compile *sql* and, unless *schedule* is given, schedule it — once
+        per (template, *threads*): the scheduler reads no literal."""
+        compiled, key = self._statement(sql, algorithm)
+        if schedule is None:
+            schedule = self._memo((key, threads), lambda: (
+                self.scheduler.schedule(compiled.plan, threads)))
+        return compiled, schedule
 
     def session(self, options: WorkloadOptions | None = None) -> Session:
         """Open a multi-query session.
@@ -133,23 +173,17 @@ class DBS3:
                 ``temp_index`` or ``hash``).
             schedule: Bypass the adaptive scheduler entirely.
         """
-        compiled = self.compile(sql, algorithm)
-        return self._run(compiled, threads, schedule)
+        return self.session().submit(sql, threads=threads, algorithm=algorithm,
+                                     schedule=schedule).result()
 
     def execute_plan(self, plan: LeraGraph, output_schema: Schema,
                      threads: int | None = None,
                      schedule: QuerySchedule | None = None,
                      description: str = "custom plan") -> QueryResult:
         """Run a hand-built Lera-par plan through scheduler + engine."""
-        compiled = CompiledQuery(plan, output_schema, None, description)
-        return self._run(compiled, threads, schedule)
-
-    def _run(self, compiled: CompiledQuery, threads: int | None,
-             schedule: QuerySchedule | None) -> QueryResult:
-        session = self.session()
-        handle = session.submit_compiled(compiled, threads=threads,
-                                         schedule=schedule)
-        return handle.result()
+        return self.session().submit_plan(
+            plan, output_schema, threads=threads, schedule=schedule,
+            description=description).result()
 
     # -- introspection ----------------------------------------------------------------
 
@@ -165,8 +199,7 @@ class DBS3:
         operator instance).
         """
         from repro.lera.render import render as render_plan
-        compiled = self.compile(sql, algorithm)
-        schedule = self.scheduler.schedule(compiled.plan, threads)
+        compiled, schedule = self.prepare(sql, threads, algorithm)
         lines = [compiled.description]
         for node in compiled.plan.nodes:
             op = schedule.of(node.name)

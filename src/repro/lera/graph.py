@@ -67,7 +67,7 @@ class LeraEdge:
             raise PlanError(f"unknown edge kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Chain:
     """A pipeline chain (the paper's subquery).
 
@@ -77,7 +77,7 @@ class Chain:
     """
 
     chain_id: int
-    nodes: list[LeraNode]
+    nodes: tuple[LeraNode, ...]
 
     @property
     def name(self) -> str:
@@ -105,7 +105,8 @@ class LeraGraph:
     def __init__(self) -> None:
         self._nodes: dict[str, LeraNode] = {}
         self._edges: list[LeraEdge] = []
-        self._fingerprints: dict[str, tuple | None] | None = None
+        #: What the shape alone decides, kept until add_node / add_edge.
+        self._derived: dict[str, object] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -115,7 +116,7 @@ class LeraGraph:
             raise PlanError(f"duplicate node name {name!r}")
         node = LeraNode(name, spec)
         self._nodes[name] = node
-        self._fingerprints = None
+        self._derived.clear()
         return node
 
     def add_edge(self, producer: str, consumer: str, kind: str = PIPELINE) -> LeraEdge:
@@ -127,7 +128,7 @@ class LeraGraph:
             raise PlanError(f"self-edge on {producer!r}")
         edge = LeraEdge(producer, consumer, kind)
         self._edges.append(edge)
-        self._fingerprints = None
+        self._derived.clear()
         return edge
 
     # -- access ---------------------------------------------------------------
@@ -155,17 +156,31 @@ class LeraGraph:
     def __iter__(self) -> Iterator[LeraNode]:
         return iter(self._nodes.values())
 
+    def _kept(self, key: str, compute):
+        """The derived structure *key*, computed at most once per shape."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = compute()
+        return value
+
+    def _pipeline(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """Pipeline adjacency: (producers of, consumers of) each node."""
+        producers = {name: [] for name in self._nodes}
+        consumers = {name: [] for name in self._nodes}
+        for edge in self._edges:
+            if edge.kind == PIPELINE:
+                producers[edge.consumer].append(edge.producer)
+                consumers[edge.producer].append(edge.consumer)
+        return producers, consumers
+
     def pipeline_consumer(self, name: str) -> str | None:
         """The node fed by *name* through a pipeline edge, if any."""
-        for edge in self._edges:
-            if edge.producer == name and edge.kind == PIPELINE:
-                return edge.consumer
-        return None
+        consumers = self._kept("pipeline", self._pipeline)[1].get(name)
+        return consumers[0] if consumers else None
 
     def pipeline_producers(self, name: str) -> list[str]:
         """Nodes feeding *name* through pipeline edges."""
-        return [e.producer for e in self._edges
-                if e.consumer == name and e.kind == PIPELINE]
+        return list(self._kept("pipeline", self._pipeline)[0].get(name, ()))
 
     def fingerprints(self) -> dict[str, tuple | None]:
         """Canonical subplan fingerprints, memoized on the plan.
@@ -174,10 +189,8 @@ class LeraGraph:
         node must never be shared); see :mod:`repro.lera.fingerprint`
         for the rules.  The memo is invalidated by graph mutation.
         """
-        if self._fingerprints is None:
-            from repro.lera.fingerprint import compute_fingerprints
-            self._fingerprints = compute_fingerprints(self)
-        return self._fingerprints
+        from repro.lera.fingerprint import compute_fingerprints
+        return self._kept("fingerprints", lambda: compute_fingerprints(self))
 
     # -- validation ------------------------------------------------------------
 
@@ -190,17 +203,17 @@ class LeraGraph:
           as in all the paper's plans);
         * the graph is acyclic.
         """
+        if "validated" in self._derived:
+            return
         if not self._nodes:
             raise PlanError("empty plan")
-        out_pipeline: dict[str, int] = {name: 0 for name in self._nodes}
-        for edge in self._edges:
-            if edge.kind == PIPELINE:
-                out_pipeline[edge.producer] += 1
-        for name, count in out_pipeline.items():
-            if count > 1:
-                raise PlanError(f"node {name!r} has {count} pipeline consumers")
+        all_producers, all_consumers = self._kept("pipeline", self._pipeline)
+        for name, consumers in all_consumers.items():
+            if len(consumers) > 1:
+                raise PlanError(
+                    f"node {name!r} has {len(consumers)} pipeline consumers")
         for node in self._nodes.values():
-            producers = self.pipeline_producers(node.name)
+            producers = all_producers[node.name]
             if node.trigger_mode == TRIGGERED and producers:
                 raise PlanError(
                     f"triggered node {node.name!r} has pipeline producers "
@@ -209,6 +222,7 @@ class LeraGraph:
                 raise PlanError(
                     f"pipelined node {node.name!r} has no pipeline producer")
         self._check_acyclic()
+        self._derived["validated"] = True
 
     def _check_acyclic(self) -> None:
         adjacency: dict[str, list[str]] = {name: [] for name in self._nodes}
@@ -232,6 +246,9 @@ class LeraGraph:
 
     def chains(self) -> list[Chain]:
         """Decompose the plan into pipeline chains, in dataflow order."""
+        return list(self._kept("chains", self._decompose))
+
+    def _decompose(self) -> list[Chain]:
         consumed: set[str] = set()
         chains: list[Chain] = []
         heads = [node for node in self._nodes.values()
@@ -250,7 +267,7 @@ class LeraGraph:
                 nodes.append(self.node(successor))
                 consumed.add(successor)
                 current = successor
-            chains.append(Chain(chain_id, nodes))
+            chains.append(Chain(chain_id, tuple(nodes)))
         missing = set(self._nodes) - consumed
         if missing:
             raise PlanError(f"nodes unreachable from any chain head: {missing}")
@@ -276,6 +293,9 @@ class LeraGraph:
         """Topological *waves* of chains: each wave runs concurrently,
         waves run in order.  Wave k holds the chains whose longest
         dependency path has length k."""
+        return [list(wave) for wave in self._kept("waves", self._level_chains)]
+
+    def _level_chains(self) -> list[list[Chain]]:
         chains = self.chains()
         dependencies = self.chain_dependencies(chains)
         by_id = {c.chain_id: c for c in chains}

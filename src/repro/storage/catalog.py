@@ -30,6 +30,8 @@ class TableEntry:
     statistics: FragmentStatistics
     indexes: dict[str, list] = field(default_factory=dict)
     """Permanent per-fragment indexes, keyed by attribute name."""
+    catalog: "Catalog | None" = field(default=None, repr=False, compare=False)
+    """The registering catalog, whose version an index build moves."""
 
     @property
     def name(self) -> str:
@@ -57,6 +59,8 @@ class TableEntry:
             build_index(fragment.rows, position, kind)
             for fragment in self.fragments
         ]
+        if self.catalog is not None:
+            self.catalog.version += 1
 
     def index_on(self, attribute: str) -> list | None:
         """Per-fragment indexes for *attribute*, or None."""
@@ -69,6 +73,9 @@ class Catalog:
     def __init__(self, disk_count: int = 1) -> None:
         self._entries: dict[str, TableEntry] = {}
         self.disks = DiskArray(disk_count)
+        #: Moves with what statements compile and schedule to: on register,
+        #: register_fragments, drop and every index build.
+        self.version = 0
 
     def __contains__(self, name: object) -> bool:
         return name in self._entries
@@ -93,11 +100,8 @@ class Catalog:
             if key not in relation.schema:
                 raise CatalogError(
                     f"partitioning key {key!r} not in schema of {relation.name!r}")
-        fragments = HashPartitioner(spec).partition(relation)
-        self.disks.place_round_robin(fragments)
-        entry = TableEntry(relation, spec, fragments, FragmentStatistics.of(fragments))
-        self._entries[relation.name] = entry
-        return entry
+        return self._place(relation, spec,
+                           HashPartitioner(spec).partition(relation))
 
     def register_fragments(self, relation: Relation, spec: PartitioningSpec,
                            fragments: list[Fragment]) -> TableEntry:
@@ -115,16 +119,22 @@ class Catalog:
         if total != relation.cardinality:
             raise CatalogError(
                 f"fragments hold {total} rows, relation has {relation.cardinality}")
+        return self._place(relation, spec, fragments)
+
+    def _place(self, relation: Relation, spec: PartitioningSpec,
+               fragments: list[Fragment]) -> TableEntry:
         self.disks.place_round_robin(fragments)
-        entry = TableEntry(relation, spec, fragments, FragmentStatistics.of(fragments))
+        entry = TableEntry(relation, spec, fragments,
+                           FragmentStatistics.of(fragments), catalog=self)
         self._entries[relation.name] = entry
+        self.version += 1
         return entry
 
     def drop(self, name: str) -> None:
-        """Remove a relation from the catalog (fragments stay on disks' history)."""
-        if name not in self._entries:
-            raise CatalogError(f"unknown relation {name!r}")
+        """Remove a relation from the catalog and its fragments from the disks."""
+        self.disks.remove(self.entry(name).fragments)
         del self._entries[name]
+        self.version += 1
 
     # -- lookup -------------------------------------------------------------
 

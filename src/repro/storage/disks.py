@@ -56,6 +56,11 @@ class DiskArray:
             fragment.disk = disk.disk_id
             disk.fragments.append(fragment)
 
+    def remove(self, fragments: Sequence[Fragment]) -> None:
+        """Take placed *fragments* back off their disks (relation dropped)."""
+        for fragment in fragments:
+            self.disks[fragment.disk].fragments.remove(fragment)
+
     def balance_ratio(self) -> float:
         """Max/mean fragment count across disks (1.0 = perfectly even)."""
         counts = [d.fragment_count for d in self.disks]

@@ -196,6 +196,7 @@ class Session:
         self.db = db
         self.options = options or WorkloadOptions()
         self.handles: list[QueryHandle] = []
+        self._tags: set[str] = set()
         self._result: WorkloadResult | None = None
         self._failed: Exception | None = None
 
@@ -215,11 +216,10 @@ class Session:
                priority: int = 0,
                tenant: str = "default") -> QueryHandle:
         """Compile *sql* and queue it for execution at offset *at*."""
-        compiled = self.db.compile(sql, algorithm)
-        return self.submit_compiled(compiled, at=at, threads=threads,
-                                    schedule=schedule, tag=tag,
-                                    timeout=timeout, priority=priority,
-                                    tenant=tenant)
+        compiled, schedule = self.db.prepare(sql, threads, algorithm, schedule)
+        return self.submit_compiled(compiled, at=at, schedule=schedule,
+                                    tag=tag, timeout=timeout,
+                                    priority=priority, tenant=tenant)
 
     def submit_plan(self, plan: LeraGraph, output_schema: Schema,
                     at: float = 0.0, threads: int | None = None,
@@ -260,7 +260,7 @@ class Session:
                 "queries")
         if tag is None:
             tag = f"q{len(self.handles)}"
-        elif any(h.tag == tag for h in self.handles):
+        elif tag in self._tags:
             raise WorkloadError(f"duplicate query tag {tag!r} in session")
         compiled.plan.validate()
         if (self.options.memory_limit_bytes is not None
@@ -282,6 +282,7 @@ class Session:
         QuerySubmission(tag, compiled, schedule, at, timeout=timeout,
                         priority=priority, tenant=tenant)
         self.handles.append(handle)
+        self._tags.add(tag)
         return handle
 
     # -- execution -------------------------------------------------------------

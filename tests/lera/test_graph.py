@@ -164,3 +164,84 @@ class TestChains:
         waves = graph.chain_waves()
         assert len(waves) == 1
         assert len(waves[0]) == 2
+
+
+class TestDerivedStructureMemo:
+    """The graph keeps what it derived from its shape; mutation drops it."""
+
+    def _pipeline(self):
+        graph = LeraGraph()
+        graph.add_node("t", _transmit_spec())
+        graph.add_node("j", _pipejoin_spec())
+        graph.add_edge("t", "j", PIPELINE)
+        return graph
+
+    def test_unmutated_graph_is_walked_once(self, monkeypatch):
+        graph = self._pipeline()
+        walks = []
+        original = LeraGraph._check_acyclic
+        monkeypatch.setattr(
+            LeraGraph, "_check_acyclic",
+            lambda self: (walks.append(1), original(self))[1])
+        for _ in range(3):
+            graph.validate()
+        assert len(walks) == 1
+        graph.add_node("f", _filter_spec())
+        graph.validate()
+        assert len(walks) == 2
+
+    def test_cycle_closed_after_validate_is_still_rejected(self):
+        graph = LeraGraph()
+        graph.add_node("a", _filter_spec("Ra"))
+        graph.add_node("b", _filter_spec("Rb"))
+        graph.add_edge("a", "b", MATERIALIZED)
+        graph.validate()
+        graph.add_edge("b", "a", MATERIALIZED)
+        with pytest.raises(PlanError, match="cycle"):
+            graph.validate()
+
+    def test_failed_validation_is_not_remembered_as_passed(self):
+        graph = LeraGraph()
+        graph.add_node("j", _pipejoin_spec())
+        for _ in range(2):
+            with pytest.raises(PlanError, match="no pipeline producer"):
+                graph.validate()
+
+    def test_node_added_after_chains_shows_up(self):
+        graph = self._pipeline()
+        assert len(graph.chains()) == 1
+        assert len(graph.chain_waves()) == 1
+        graph.add_node("f", _filter_spec())
+        graph.add_edge("f", "t", MATERIALIZED)
+        assert {tuple(c.node_names()) for c in graph.chains()} == {
+            ("t", "j"), ("f",)}
+        assert [wave[0].head.name for wave in graph.chain_waves()] == [
+            "f", "t"]
+
+    def test_edge_added_after_adjacency_shows_up(self):
+        graph = LeraGraph()
+        graph.add_node("t", _transmit_spec())
+        graph.add_node("j", _pipejoin_spec())
+        assert graph.pipeline_consumer("t") is None
+        assert graph.pipeline_producers("j") == []
+        graph.add_edge("t", "j", PIPELINE)
+        assert graph.pipeline_consumer("t") == "j"
+        assert graph.pipeline_producers("j") == ["t"]
+        assert graph.pipeline_consumer("ghost") is None
+        assert graph.pipeline_producers("ghost") == []
+
+    def test_returned_structures_are_the_callers_to_mutate(self):
+        graph = self._pipeline()
+        chains = graph.chains()
+        with pytest.raises(AttributeError):     # a Chain is a value
+            chains[0].nodes = ()
+        chains.clear()
+        waves = graph.chain_waves()
+        waves[0].clear()
+        waves.clear()
+        graph.pipeline_producers("j").append("ghost")
+        assert [c.node_names() for c in graph.chains()] == [["t", "j"]]
+        assert [[c.node_names() for c in wave]
+                for wave in graph.chain_waves()] == [[["t", "j"]]]
+        assert graph.pipeline_producers("j") == ["t"]
+        graph.validate()

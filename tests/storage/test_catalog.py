@@ -7,6 +7,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.disks import DiskArray
 from repro.storage.fragment import Fragment
 from repro.storage.partitioning import PartitioningSpec
+from repro.storage.relation import Relation
 
 
 class TestRegistration:
@@ -52,6 +53,49 @@ class TestRegistration:
     def test_drop_unknown_raises(self, catalog):
         with pytest.raises(CatalogError):
             catalog.drop("ghost")
+
+    def test_drop_takes_the_fragments_off_the_disks(self, catalog,
+                                                    small_relation):
+        """Create/drop cycles used to leak: the disks kept counting
+        every dropped table's fragments and bytes."""
+        catalog.register(Relation("keep", small_relation.schema,
+                                  small_relation.rows),
+                         PartitioningSpec.on("key", 4))
+        kept = [(d.fragment_count, d.load_bytes) for d in catalog.disks.disks]
+        for _ in range(3):
+            catalog.register(small_relation, PartitioningSpec.on("key", 6))
+            catalog.drop("R")
+        assert [(d.fragment_count, d.load_bytes)
+                for d in catalog.disks.disks] == kept
+        catalog.drop("keep")
+        assert all(d.fragment_count == 0 and d.load_bytes == 0
+                   for d in catalog.disks.disks)
+        assert catalog.disks.balance_ratio() == 1.0
+
+    def test_version_moves_on_everything_a_plan_depends_on(self, catalog,
+                                                           small_relation):
+        seen = [catalog.version]
+
+        def moved():
+            seen.append(catalog.version)
+            return seen[-1] > seen[-2]
+
+        entry = catalog.register(small_relation, PartitioningSpec.on("key", 2))
+        assert moved()
+        entry.create_index("payload")          # not through the catalog
+        assert moved()
+        catalog.drop("R")
+        assert moved()
+        fragments = [Fragment("R", i, small_relation.schema)
+                     for i in range(2)]
+        for row in small_relation.rows:
+            fragments[row[0] % 2].append(row)
+        catalog.register_fragments(small_relation,
+                                   PartitioningSpec.on("key", 2), fragments)
+        assert moved()
+        before = catalog.version
+        catalog.entry("R"), "R" in catalog, len(catalog)
+        assert catalog.version == before
 
 
 class TestLookup:

@@ -146,6 +146,13 @@ class TestHandles:
         with pytest.raises(WorkloadError, match="duplicate"):
             session.submit(SQL, threads=4, tag="mine")
 
+    def test_explicit_tag_colliding_with_a_default_one_rejected(self, db):
+        session = db.session()
+        session.submit(SQL, threads=4)            # tagged "q0"
+        with pytest.raises(WorkloadError,
+                           match="duplicate query tag 'q0' in session"):
+            session.submit(SQL, threads=4, tag="q0")
+
     def test_negative_arrival_rejected(self, db):
         session = db.session()
         with pytest.raises(WorkloadError, match="arrival"):
