@@ -14,9 +14,13 @@ export PYTHONPATH
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Figure benchmarks (virtual-time experiments; writes benchmarks/results/).
+## The figures table: every figure of the paper (and the extension
+## sweeps, taxonomy, multi-user batch and ablations) at the paper's
+## scale against exact pins, with the paper's claims as relations;
+## about a minute, exit 1 on any violation.  `--record` rewrites the
+## figure rows' pins after an intended virtual-time change.
 bench:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m repro figures
 
 ## The twin table: within-run wall pairs (off is free / on is cheap)
 ## plus exact virtual-time pins (src/repro/bench/twins_pins.json).

@@ -3,8 +3,10 @@
 Usage::
 
     python -m repro                 # run the built-in demo
-    python -m repro --figures       # regenerate the paper's figures
-                                    # (alias of repro.bench.reporting)
+    python -m repro figures         # run the paper's figures at the
+                                    # paper's scale against their pins
+                                    # (repro.bench.figures.FIGURES);
+                                    # exit 1 on any pin or relation
     python -m repro run --concurrent 4
                                     # the multi-query workload demo:
                                     # N queries share one simulation,
@@ -52,7 +54,6 @@ import argparse
 import sys
 
 from repro import DBS3, generate_wisconsin
-from repro.bench import reporting
 
 #: The observed-run default query (a pipelined join, so the export
 #: shows both queue disciplines: triggered transmit + pipelined join).
@@ -556,12 +557,15 @@ def serve_command(argv: list[str]) -> int:
     smoke gate: conservation, shedding engaged, and goodput >= 80 %
     of saturation.
     """
-    from repro.bench.fig_serving import measure_saturation, serving_machine
     from repro.obs.bus import SERVE_BACKPRESSURE
     from repro.serve.harness import (
+        MAX_CONCURRENT,
+        QUEUE_LIMIT,
         decision_digest,
         default_templates,
+        measure_saturation,
         run_serving,
+        serving_machine,
         serving_stats,
     )
     from repro.serve.policies import POLICIES, ServingPolicy
@@ -586,13 +590,15 @@ def serve_command(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--policy", choices=POLICIES, default="edf",
                         help="admission policy (default edf)")
-    parser.add_argument("--queue-limit", type=int, default=6,
-                        help="bounded wait-queue depth (default 6)")
+    parser.add_argument("--queue-limit", type=int, default=QUEUE_LIMIT,
+                        help=f"bounded wait-queue depth (default "
+                             f"{QUEUE_LIMIT})")
     parser.add_argument("--unbounded", action="store_true",
                         help="drop the queue bound (no shedding, no "
                              "backpressure — the pure queueing system)")
-    parser.add_argument("--mpl", type=int, default=2,
-                        help="multiprogramming level (default 2)")
+    parser.add_argument("--mpl", type=int, default=MAX_CONCURRENT,
+                        help=f"multiprogramming level (default "
+                             f"{MAX_CONCURRENT})")
     parser.add_argument("--shared", action="store_true",
                         help="fold identical subplans of concurrent "
                              "queries onto shared operators")
@@ -674,6 +680,28 @@ def serve_command(argv: list[str]) -> int:
     return 0
 
 
+def figures_command(argv: list[str]) -> int:
+    """``python -m repro figures``: the paper's figures against their pins."""
+    import json
+
+    from repro.bench import figures, twins
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro figures",
+        description="every figure of the paper's evaluation (and the "
+                    "extension sweeps) at the paper's scale, gated like the "
+                    "twin table: exact pins, parity and the paper's claims "
+                    "as relations; exit 1 on any violation")
+    parser.add_argument("--record", action="store_true",
+                        help="rewrite the figure rows' pins in "
+                             "twins_pins.json from this run (the twin and "
+                             "chaos tables' pins are left alone)")
+    args = parser.parse_args(argv)
+    return twins.drive(figures.FIGURES,
+                       json.loads(twins.PINS_PATH.read_text()),
+                       record=args.record)
+
+
 def chaos_command(argv: list[str]) -> int:
     """``python -m repro chaos``: the chaos table, or one seeded row."""
     import json
@@ -706,6 +734,7 @@ COMMANDS = {
     "run": run_command,
     "diagnose": diagnose_command,
     "compare": compare_runs,
+    "figures": figures_command,
     "chaos": chaos_command,
     "serve": serve_command,
 }
@@ -717,19 +746,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] in COMMANDS:
         return COMMANDS[argv[0]](argv[1:])
-    parser = argparse.ArgumentParser(
+    argparse.ArgumentParser(
         prog="python -m repro",
-        description="DBS3 reproduction: the guided demo, or --figures; "
-                    "everything else is a subcommand (" + ", ".join(COMMANDS)
-                    + ")")
-    parser.add_argument("--figures", action="store_true",
-                        help="regenerate the paper's figures instead of "
-                             "running the demo")
-    parser.add_argument("--scale", choices=("small", "paper"),
-                        default="small", help="figure workload scale")
-    args = parser.parse_args(argv)
-    if args.figures:
-        return reporting.main(["--scale", args.scale])
+        description="DBS3 reproduction: the guided demo; everything else "
+                    "is a subcommand (" + ", ".join(COMMANDS) + ")"
+    ).parse_args(argv)
     demo()
     return 0
 

@@ -1,17 +1,6 @@
-"""Experiment harness regenerating every figure of the evaluation."""
+"""Experiment databases, runners and the three gate tables (the twin
+table, the chaos table and the paper's figures)."""
 
-from repro.bench import (
-    fig08_remote_access,
-    fig12_assocjoin_skew,
-    fig13_idealjoin_skew,
-    fig14_assocjoin_speedup,
-    fig15_idealjoin_speedup,
-    fig16_partitioning_overhead,
-    fig17_partitioning_index,
-    fig18_skew_overhead_degree,
-    fig19_saved_time,
-)
-from repro.bench.harness import ExperimentResult, Series, crossover_index
 from repro.bench.repeat import Measurement, measure_series, repeat
 from repro.bench.runners import (
     RESERVED_PROCESSORS,
@@ -31,25 +20,13 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "ExperimentResult",
     "JOIN_SCHEMA",
     "JoinDatabase",
     "Measurement",
     "RESERVED_PROCESSORS",
-    "Series",
     "chain_ideal_time",
     "chain_worst_time",
-    "crossover_index",
     "default_machine",
-    "fig08_remote_access",
-    "fig12_assocjoin_skew",
-    "fig13_idealjoin_skew",
-    "fig14_assocjoin_speedup",
-    "fig15_idealjoin_speedup",
-    "fig16_partitioning_overhead",
-    "fig17_partitioning_index",
-    "fig18_skew_overhead_degree",
-    "fig19_saved_time",
     "make_join_database",
     "make_selection_table",
     "measure_series",

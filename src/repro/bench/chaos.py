@@ -678,13 +678,14 @@ def serving_run(seed: int = 0):
     every robustness subsystem under fire.  Returns ``(result,
     cancelled_tags)``.
     """
-    from repro.bench.fig_serving import (
+    from repro.serve.arrivals import make_arrival_process
+    from repro.serve.harness import (
         MAX_CONCURRENT,
+        build_submissions,
+        default_templates,
         measure_saturation,
         serving_machine,
     )
-    from repro.serve.arrivals import make_arrival_process
-    from repro.serve.harness import build_submissions, default_templates
     from repro.serve.policies import ServingPolicy
 
     machine = serving_machine()

@@ -9,7 +9,8 @@ machine unless told otherwise.
 
 from __future__ import annotations
 
-from repro.bench.harness import record_bench_run, record_runs_enabled
+import functools
+
 from repro.bench.workloads import JoinDatabase
 from repro.engine.executor import (
     ExecutionOptions,
@@ -39,72 +40,44 @@ def default_machine(processors: int = RESERVED_PROCESSORS) -> Machine:
     return Machine.uniform(processors=processors)
 
 
-def run_ideal_join(database: JoinDatabase, threads: int,
-                   strategy: str | None = None,
-                   algorithm: str = JOIN_NESTED_LOOP,
-                   machine: Machine | None = None,
-                   seed: int = 0, observe: bool = False) -> QueryExecution:
-    """Execute IdealJoin over *database* with *threads* threads."""
+def _run_join(build_plan, database: JoinDatabase, threads: int,
+              strategy: str | None = None,
+              algorithm: str = JOIN_NESTED_LOOP,
+              machine: Machine | None = None,
+              seed: int = 0, observe: bool = False) -> QueryExecution:
+    """Plan one join over *database*, schedule it with *threads*
+    threads (*strategy* overrides step 4's choice) and execute it."""
     machine = machine or default_machine()
-    recording = record_runs_enabled()
-    plan = ideal_join_plan(database.entry_a, database.entry_b, "key", "key",
-                           algorithm=algorithm)
+    plan = build_plan(database.entry_a, database.entry_b, "key", "key",
+                      algorithm=algorithm)
     schedule = AdaptiveScheduler(machine).schedule(plan, threads)
     if strategy is not None:
         schedule = schedule.with_strategy("join", strategy)
-    executor = Executor(machine, ExecutionOptions(
-        seed=seed,
-        observability=ObservabilityOptions(observe=observe or recording)))
-    execution = executor.execute(plan, schedule)
-    if recording:
-        record_bench_run(execution, "ideal_join", threads=threads,
-                         strategy=strategy or "default",
-                         theta=database.theta, degree=database.degree)
-    return execution
+    return Executor(machine, ExecutionOptions(
+        seed=seed, observability=ObservabilityOptions(observe=observe)
+    )).execute(plan, schedule)
 
 
-def run_assoc_join(database: JoinDatabase, threads: int,
-                   strategy: str | None = None,
-                   algorithm: str = JOIN_NESTED_LOOP,
-                   machine: Machine | None = None,
-                   seed: int = 0, observe: bool = False) -> QueryExecution:
-    """Execute AssocJoin (Transmit + pipelined join) over *database*."""
-    machine = machine or default_machine()
-    recording = record_runs_enabled()
-    plan = assoc_join_plan(database.entry_a, database.entry_b, "key", "key",
-                           algorithm=algorithm)
-    schedule = AdaptiveScheduler(machine).schedule(plan, threads)
-    if strategy is not None:
-        schedule = schedule.with_strategy("join", strategy)
-    executor = Executor(machine, ExecutionOptions(
-        seed=seed,
-        observability=ObservabilityOptions(observe=observe or recording)))
-    execution = executor.execute(plan, schedule)
-    if recording:
-        record_bench_run(execution, "assoc_join", threads=threads,
-                         strategy=strategy or "default",
-                         theta=database.theta, degree=database.degree)
-    return execution
+#: Execute IdealJoin, or AssocJoin (Transmit + pipelined join), over
+#: ``database`` with ``threads`` threads; two names over one body.
+run_ideal_join = functools.partial(_run_join, ideal_join_plan)
+run_assoc_join = functools.partial(_run_join, assoc_join_plan)
 
 
 def run_concurrent_workload(database: JoinDatabase, count: int,
                             threads: int | None = None,
                             machine: Machine | None = None,
                             workload: WorkloadOptions | None = None,
-                            seed: int = 0,
-                            observe: bool = False) -> WorkloadResult:
+                            seed: int = 0) -> WorkloadResult:
     """Execute *count* queries concurrently in one shared simulation.
 
     The queries alternate the paper's two disciplines (triggered
     IdealJoin, pipelined AssocJoin) over *database*, each scheduled
     independently by the adaptive scheduler; the workload layer then
     splits the machine across them and re-grants threads as they
-    complete.  With ``REPRO_RECORD_RUNS`` every per-query execution is
-    persisted to the diagnostics run registry, like the single-query
-    runners do.
+    complete.
     """
     machine = machine or default_machine()
-    recording = record_runs_enabled()
     scheduler = AdaptiveScheduler(machine)
     builders = (ideal_join_plan, assoc_join_plan)
     submissions = []
@@ -114,17 +87,8 @@ def run_concurrent_workload(database: JoinDatabase, count: int,
         schedule = scheduler.schedule(plan, threads)
         submissions.append(QuerySubmission(f"q{index}", _compiled(plan),
                                            schedule))
-    options = ExecutionOptions(
-        seed=seed,
-        observability=ObservabilityOptions(observe=observe or recording))
-    executor = WorkloadExecutor(machine, options, workload)
-    result = executor.execute(submissions)
-    if recording:
-        for tag in result.order:
-            record_bench_run(result.execution(tag), "concurrent",
-                             mpl=count, tag=tag,
-                             theta=database.theta, degree=database.degree)
-    return result
+    return WorkloadExecutor(machine, ExecutionOptions(seed=seed),
+                            workload).execute(submissions)
 
 
 def run_overlap_workload(databases: list[JoinDatabase], overlap: float,

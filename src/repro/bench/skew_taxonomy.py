@@ -15,7 +15,7 @@ The paper classifies the skews hitting the filter-join example:
 Each builder returns a workload exhibiting exactly one of them, so the
 taxonomy becomes an executable experiment: run the same filter-join
 pipeline over each and compare per-instance activation statistics
-(see ``benchmarks/test_skew_taxonomy.py``).
+(the ``taxonomy`` row of :data:`repro.bench.figures.FIGURES`).
 """
 
 from __future__ import annotations

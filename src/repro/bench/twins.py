@@ -23,7 +23,8 @@ and :func:`render` prints the result:
 Division of labour: ``python -m perf_ledger compare`` owns seconds
 *across* commits; this table owns pairs *within* one run plus the
 exact pins; :data:`repro.bench.chaos.CHAOS` owns the robustness rows
-and their audits, as rows of the same kind through the same
+and their audits, and :data:`repro.bench.figures.FIGURES` the paper's
+claims at the paper's scale, as rows of the same kind through the same
 :func:`drive` and pins file.  No seconds are compared against a
 committed record here.
 
@@ -138,12 +139,12 @@ def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def _query_facts(execution) -> dict:
+def query_facts(execution, **extra) -> dict:
     return {"virtual_s": execution.response_time,
-            "rows": execution.result_cardinality}
+            "rows": execution.result_cardinality, **extra}
 
 
-def _workload_facts(result, **extra) -> dict:
+def workload_facts(result, **extra) -> dict:
     return {"virtual_s": result.makespan,
             "rows": sum(e.result_cardinality
                         for e in result.executions.values()), **extra}
@@ -155,7 +156,7 @@ def _cell(mode: str, degree: int) -> Twin:
 
     def build():
         database = _database(degree)
-        return {"run": lambda: _query_facts(runner(database, THREADS))}
+        return {"run": lambda: query_facts(runner(database, THREADS))}
     return Twin(f"{mode}@{degree}", ("run",), build)
 
 
@@ -180,14 +181,14 @@ def _build_query():
         return plan, AdaptiveScheduler(machine).schedule(plan, THREADS)
 
     def executor(**options):
-        return _query_facts(Executor(
+        return query_facts(Executor(
             machine, ExecutionOptions(**options)).execute(*planned()))
 
     def session():
         plan, schedule = planned()
         submission = QuerySubmission(
             "q0", CompiledQuery(plan, None, None, "twin"), schedule)
-        return _query_facts(WorkloadExecutor(machine).execute(
+        return query_facts(WorkloadExecutor(machine).execute(
             [submission]).execution("q0"))
 
     return {
@@ -220,21 +221,21 @@ def _build_mpl4():
 
     def monitored():
         result = concurrent(monitors=rules)
-        return _workload_facts(result, alerts=len(result.alerts))
+        return workload_facts(result, alerts=len(result.alerts))
 
     def profiled():
         # ``steps``: ready scans made — the machine-independent size of
         # the quiet shortcut (a wake-up charged as arithmetic makes none).
         result = concurrent(profile=True)
-        return _workload_facts(
+        return workload_facts(
             result, coverage=result.profile.coverage(),
             steps=sum(calls for path, (calls, _, _)
                       in result.profile.nodes.items()
                       if path[-1] == "ready_scan"))
 
     return {
-        "bare": lambda: _workload_facts(concurrent()),
-        "observed": lambda: _workload_facts(concurrent(observe=True)),
+        "bare": lambda: workload_facts(concurrent()),
+        "observed": lambda: workload_facts(concurrent(observe=True)),
         "monitored": monitored,
         "profiled": profiled,
         "back_to_back": back_to_back,
@@ -248,7 +249,7 @@ def _build_adaptive():
 
     def cell(factor, policy):
         result = run_adaptive_workload(factor, policy)
-        return _workload_facts(result,
+        return workload_facts(result,
                                decisions=len(result.decisions or ()))
 
     return {
@@ -267,7 +268,7 @@ def _build_shared():
     databases = [_database(copy=i) for i in range(SHARED_MPL)]
 
     def cell(overlap, shared):
-        return _workload_facts(run_overlap_workload(
+        return workload_facts(run_overlap_workload(
             databases, overlap, shared, threads=THREADS))
 
     return {
@@ -284,18 +285,14 @@ def _build_serving():
     decisions, and under EDF with a bounded queue at twice the
     measured saturation throughput — that also with one plan per
     arrival instead of one per template."""
-    from repro.bench.fig_serving import (
-        MAX_CONCURRENT,
-        measure_saturation,
-        serving_machine,
-    )
     from repro.serve import arrivals, harness
     from repro.serve.policies import ServingPolicy
     from repro.workload.engine import WorkloadExecutor
 
-    machine, templates = serving_machine(), harness.default_templates()
-    saturation = measure_saturation(templates, machine=machine,
-                                    count=SERVING_SATURATION_COUNT, seed=0)
+    machine = harness.serving_machine()
+    templates = harness.default_templates()
+    saturation = harness.measure_saturation(
+        templates, machine=machine, count=SERVING_SATURATION_COUNT, seed=0)
     protected = ServingPolicy(policy="edf", queue_limit=SERVING_QUEUE_LIMIT)
 
     def facts(result):
@@ -307,7 +304,7 @@ def _build_serving():
         return facts(harness.run_serving(
             templates=templates, rate=rate, count=SERVING_COUNT, seed=0,
             machine=machine, observe=False, workload=WorkloadOptions(
-                max_concurrent=MAX_CONCURRENT, serving=serving)))
+                max_concurrent=harness.MAX_CONCURRENT, serving=serving)))
 
     def fresh_plans():
         # The reference for a template's jobs sharing one plan: each
@@ -320,7 +317,7 @@ def _build_serving():
             for i in range(SERVING_COUNT)]
         return facts(WorkloadExecutor(
             machine, ExecutionOptions(seed=0), WorkloadOptions(
-                max_concurrent=MAX_CONCURRENT, serving=protected)
+                max_concurrent=harness.MAX_CONCURRENT, serving=protected)
         ).execute(submissions))
 
     return {
@@ -464,15 +461,16 @@ def render(row: Twin, record: dict) -> str:
             f"{name}={value:.4f}" if isinstance(value, float)
             else f"{name}={value}"
             for name, value in record[label]["facts"].items())
-        lines.append(f"{'' if lines else row.name:<15} {label:<17} "
+        lines.append(f"{'' if lines else row.name:<21} {label:<17} "
                      f"{best:8.4f}s {best / first:5.2f}x  {facts}")
     return "\n".join(lines)
 
 
 def drive(table: tuple[Twin, ...], pins: dict, record: bool = False) -> int:
     """Run, print and gate every row of *table* against *pins* (also
-    the chaos table's driver); *record* rewrites the pins file from
-    this run instead.  Returns the exit code."""
+    the chaos and figure tables' driver); *record* rewrites the rows of
+    *table* in the pins file from this run instead and leaves every
+    other entry of *pins* as it was.  Returns the exit code."""
     problems = []
     for row in table:
         outcome = run(row)
@@ -502,13 +500,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="run the twin table against the committed pins")
     parser.add_argument("--record", action="store_true",
-                        help="rewrite twins_pins.json from this run of the "
-                             "twin and chaos tables (the parity, relation "
-                             "and wall gates still apply)")
+                        help="rewrite the twin and chaos tables' pins in "
+                             "twins_pins.json from this run (the parity, "
+                             "relation and wall gates still apply; the "
+                             "figure rows are `python -m repro figures "
+                             "--record`)")
+    pins = json.loads(PINS_PATH.read_text())
     if not parser.parse_args(argv).record:
-        return drive(TABLE, json.loads(PINS_PATH.read_text()))
-    from repro.bench.chaos import CHAOS  # the file pins both tables
-    return drive(TABLE + CHAOS, {}, record=True)
+        return drive(TABLE, pins)
+    from repro.bench.chaos import CHAOS
+    return drive(TABLE + CHAOS, pins, record=True)
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -3,9 +3,10 @@
 Turns an :class:`~repro.serve.arrivals.ArrivalProcess` plus a weighted
 mix of :class:`QueryTemplate`\\ s into a workload-engine submission
 list — the bridge between "requests per virtual second" and the
-closed batch API the engine executes.  The serving benchmark
-(:mod:`repro.bench.fig_serving`), the chaos suite and the ``serve``
-CLI command all drive overload through here.
+closed batch API the engine executes.  The ``fig_serving`` row of
+:data:`repro.bench.figures.FIGURES`, the twin and chaos tables and the
+``serve`` CLI command all drive overload through here, on the small
+:func:`serving_machine` and against :func:`measure_saturation`.
 
 Everything is a pure function of ``(templates, process, count,
 seed)``: template choice and arrival instants come from dedicated
@@ -20,7 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.engine.executor import ExecutionOptions, ObservabilityOptions
 from repro.errors import WorkloadError
+from repro.machine.machine import Machine
 from repro.obs.bus import (
     QUERY_ADMIT,
     QUERY_CANCEL,
@@ -39,6 +42,18 @@ from repro.workload.engine import (
     WorkloadResult,
 )
 from repro.workload.options import WorkloadOptions
+
+#: The constrained serving machine: deliberately small (8 processors,
+#: MPL 2), so overload is *reachable* at rates a run sweeps in seconds.
+PROCESSORS = 8
+MAX_CONCURRENT = 2
+
+#: Bounded wait-queue depth of the protected configurations.
+QUEUE_LIMIT = 6
+
+
+def serving_machine(processors: int = PROCESSORS) -> Machine:
+    return Machine.uniform(processors=processors)
 
 
 @dataclass(frozen=True)
@@ -153,7 +168,6 @@ def run_serving(templates=None, arrival: str | ArrivalProcess = "poisson",
     favour of ``workload.serving``).
     """
     from repro.bench.runners import default_machine
-    from repro.engine.executor import ExecutionOptions, ObservabilityOptions
 
     templates = tuple(templates) if templates else default_templates()
     machine = machine or default_machine()
@@ -167,6 +181,27 @@ def run_serving(templates=None, arrival: str | ArrivalProcess = "poisson",
     options = ExecutionOptions(
         seed=seed, observability=ObservabilityOptions(observe=observe))
     return WorkloadExecutor(machine, options, workload).execute(submissions)
+
+
+def measure_saturation(templates, machine=None, count: int = 200,
+                       seed: int = 0,
+                       max_concurrent: int = MAX_CONCURRENT) -> float:
+    """Saturation throughput of the mix: a closed batch, all at t=0.
+
+    With every query already waiting, the machine is never idle, so
+    ``count / makespan`` is the maximum completion rate this mix can
+    sustain — the ceiling every open-loop rate is measured against.
+    """
+    machine = machine or serving_machine()
+    submissions = build_submissions(default_templates() if templates is None
+                                    else templates,
+                                    [0.0] * count, machine=machine,
+                                    seed=seed, timeouts=False)
+    workload = WorkloadOptions(max_concurrent=max_concurrent,
+                               serving=ServingPolicy())
+    result = WorkloadExecutor(machine, ExecutionOptions(seed=seed),
+                              workload).execute(submissions)
+    return count / result.makespan
 
 
 # -- analysis ----------------------------------------------------------------

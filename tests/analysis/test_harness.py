@@ -1,76 +1,35 @@
-"""Experiment-harness utilities (series, tables, crossovers)."""
+"""The series arithmetic the figure rows' ``shape`` variants use:
+spread, crossover, and the plateau ceiling (``SpeedupCurve``'s)."""
 
 import pytest
 
-from repro.bench.harness import ExperimentResult, Series, crossover_index
+from repro.analysis.speedup import SpeedupCurve
+from repro.bench.figures import crossover, spread
 from repro.errors import ReproError
-
-
-def _result():
-    result = ExperimentResult("figX", "demo", "x", (1.0, 2.0, 3.0))
-    result.add_series("a", [10.0, 9.0, 8.0])
-    result.add_series("b", [9.0, 9.5, 10.0])
-    return result
 
 
 class TestSeries:
     def test_spread(self):
-        series = Series("s", (10.0, 12.0, 11.0))
-        assert series.spread() == pytest.approx(0.2)
+        assert spread((10.0, 12.0, 11.0)) == pytest.approx(0.2)
 
     def test_spread_rejects_zero(self):
         with pytest.raises(ReproError):
-            Series("s", (0.0, 1.0)).spread()
-
-    def test_argmin_argmax(self):
-        series = Series("s", (3.0, 1.0, 2.0))
-        assert series.argmin() == 1
-        assert series.argmax() == 0
+            spread((0.0, 1.0))
 
     def test_peak_and_ceiling(self):
-        series = Series("s", (5.0, 5.9, 6.0, 5.95))
-        assert series.peak == 6.0
-        assert 5.9 <= series.ceiling() <= 6.0
-
-
-class TestExperimentResult:
-    def test_add_series_length_checked(self):
-        result = ExperimentResult("f", "t", "x", (1.0, 2.0))
-        with pytest.raises(ReproError):
-            result.add_series("bad", [1.0])
-
-    def test_get_by_label(self):
-        result = _result()
-        assert result.get("a").values == (10.0, 9.0, 8.0)
-
-    def test_get_unknown_raises(self):
-        with pytest.raises(ReproError, match="no series"):
-            _result().get("zzz")
-
-    def test_render_contains_everything(self):
-        result = _result()
-        result.notes["k"] = "v"
-        text = result.render()
-        assert "figX" in text
-        assert "a" in text and "b" in text
-        assert "note: k = v" in text
-        # one row per x value plus header, separator, title, note
-        assert len(text.splitlines()) == 3 + 3 + 1
-
-    def test_render_integer_formatting(self):
-        result = ExperimentResult("f", "t", "n", (10.0,))
-        result.add_series("v", [3.0])
-        assert "10" in result.render()
-        assert "10.000" not in result.render()
+        curve = SpeedupCurve((10, 20, 30, 40), (5.0, 5.9, 6.0, 5.95))
+        assert curve.peak == 6.0
+        assert 5.9 <= curve.ceiling() <= 6.0
 
 
 class TestCrossover:
     def test_finds_crossover(self):
-        a = Series("a", (1.0, 2.0, 5.0))
-        b = Series("b", (3.0, 3.0, 3.0))
-        assert crossover_index(a, b) == 2
+        assert crossover((1.0, 2.0, 5.0), (3.0, 3.0, 3.0)) == 2
 
     def test_no_crossover(self):
-        a = Series("a", (1.0, 1.0))
-        b = Series("b", (3.0, 3.0))
-        assert crossover_index(a, b) is None
+        assert crossover((1.0, 1.0), (3.0, 3.0)) is None
+
+    def test_series_that_starts_above(self):
+        """It must first dip under: index 2, not 0 and not ``None``."""
+        assert crossover((3.0, 1.0, 3.0), (2.0, 2.0, 2.0)) == 2
+        assert crossover((3.0, 3.0), (2.0, 2.0)) is None

@@ -9,13 +9,16 @@ import json
 
 import pytest
 
+from repro.bench import twins
 from repro.bench.chaos import CHAOS
+from repro.bench.figures import FIGURES
 from repro.bench.twins import (
     PINS_PATH,
     TABLE,
     WALL_DERIVED,
     Twin,
     compare,
+    drive,
     render,
 )
 
@@ -61,13 +64,27 @@ def test_render_mentions_every_variant():
 
 
 def test_pins_file_has_exactly_the_tables_rows_and_variants():
-    """One file pins both tables (``--record`` rewrites both)."""
+    """One file pins the three tables; a row name is a key of it."""
     pins = json.loads(PINS_PATH.read_text())
+    rows = TABLE + CHAOS + FIGURES
+    assert len({row.name for row in rows}) == len(rows)
     assert ({name: tuple(entry) for name, entry in pins.items()}
-            == {row.name: row.variants for row in TABLE + CHAOS})
+            == {row.name: row.variants for row in rows})
     names = {name for entry in pins.values() for facts in entry.values()
              for name in facts}
     assert names and not names & WALL_DERIVED  # virtual facts only
+
+
+def test_record_rewrites_only_the_rows_it_ran(tmp_path, monkeypatch):
+    """``--record`` of one table leaves the other tables' pins alone."""
+    monkeypatch.setattr(twins, "PINS_PATH", tmp_path / "pins.json")
+    row = Twin("ran", ("run",), build=lambda: {
+        "run": lambda: {"virtual_s": 2.0, "coverage": 0.93}})
+    other = {"run": {"virtual_s": 1.0}}
+    assert drive((row,), {"other": other, "ran": {"run": {"virtual_s": 9.0}}},
+                 record=True) == 0
+    assert json.loads(twins.PINS_PATH.read_text()) == {
+        "other": other, "ran": {"run": {"virtual_s": 2.0}}}
 
 
 def test_quiet_shortcut_holds_its_pin_without_a_clock():

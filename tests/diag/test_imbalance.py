@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.figures import SKEW_THREADS
 from repro.bench.runners import run_assoc_join
 from repro.bench.workloads import make_join_database
 from repro.diag import (
@@ -13,22 +14,19 @@ from repro.diag import (
 )
 
 
-from repro.bench.fig12_assocjoin_skew import PAPER_THREADS
-
-
 @pytest.fixture(scope="module")
 def fig12_skewed():
     """The Figure 12 setup (scaled down 25x for test speed): AssocJoin,
     Zipf-skewed stored operand, uniform stream, Random consumption."""
     database = make_join_database(4000, 400, degree=40, theta=1.0)
-    return run_assoc_join(database, PAPER_THREADS, strategy="random",
+    return run_assoc_join(database, SKEW_THREADS, strategy="random",
                           observe=True)
 
 
 @pytest.fixture(scope="module")
 def fig12_uniform():
     database = make_join_database(4000, 400, degree=40, theta=0.0)
-    return run_assoc_join(database, PAPER_THREADS, strategy="random",
+    return run_assoc_join(database, SKEW_THREADS, strategy="random",
                           observe=True)
 
 

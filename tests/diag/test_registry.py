@@ -120,28 +120,6 @@ class TestComparison:
         assert "  ** shifted **" in comparison.render()
 
 
-class TestBenchHook:
-    def test_record_runs_env_records_each_bench_point(
-            self, tmp_path, monkeypatch, join_db):
-        from repro.bench.runners import run_assoc_join
-        monkeypatch.setenv("REPRO_RECORD_RUNS", "1")
-        monkeypatch.setenv(RUNS_DIR_ENV, str(tmp_path / "bench-runs"))
-        run_assoc_join(join_db, 4)
-        ids = RunRegistry().run_ids()
-        assert len(ids) == 1
-        assert ids[0].startswith("assoc_join-")
-        record = RunRegistry().load(ids[0])
-        assert record.workload["threads"] == 4
-        assert record.bottleneck in ("transmit", "join")
-
-    def test_disabled_by_default(self, tmp_path, monkeypatch, join_db):
-        from repro.bench.harness import record_runs_enabled
-        monkeypatch.delenv("REPRO_RECORD_RUNS", raising=False)
-        assert not record_runs_enabled()
-        monkeypatch.setenv("REPRO_RECORD_RUNS", "0")
-        assert not record_runs_enabled()
-
-
 def test_diagnose_front_door_matches_parts(observed):
     diagnosis = diagnose(observed)
     assert diagnosis.bottleneck == diagnosis.critical_path.bottleneck

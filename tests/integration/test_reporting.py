@@ -1,66 +1,25 @@
-"""Reporting CLI and the demo driver (structure-level tests)."""
+"""The figures table's registry and the demo driver (structure-level)."""
 
-import pathlib
-
-import pytest
-
-from repro.bench import reporting
-from repro.bench.harness import ExperimentResult
+from repro.bench.figures import FIGURES
 
 
 class TestExperimentRegistry:
     def test_every_figure_registered(self):
-        ids = [figure_id for figure_id, _, _ in reporting.EXPERIMENTS]
-        assert ids == ["fig08_09", "fig12", "fig13", "fig14", "fig15",
-                       "fig16", "fig17", "fig18", "fig19", "fig_concurrent"]
-
-    def test_runners_are_callable(self):
-        for _, paper_run, small_run in reporting.EXPERIMENTS:
-            assert callable(paper_run)
-            assert callable(small_run)
-
-
-class TestGenerateAll:
-    def test_single_tiny_experiment_writes_table(self, tmp_path, monkeypatch):
-        """Run generate_all over one shrunken experiment end to end."""
-        from repro.bench import fig13_idealjoin_skew
-
-        tiny = ("fig13",
-                lambda: fig13_idealjoin_skew.run(
-                    card_a=2000, card_b=200, degree=20, threads=4,
-                    thetas=(0.0, 1.0)),
-                lambda: fig13_idealjoin_skew.run(
-                    card_a=2000, card_b=200, degree=20, threads=4,
-                    thetas=(0.0, 1.0)))
-        monkeypatch.setattr(reporting, "EXPERIMENTS", [tiny])
-        import io
-        stream = io.StringIO()
-        results = reporting.generate_all("small", tmp_path, stream=stream)
-        assert len(results) == 1
-        assert isinstance(results[0], ExperimentResult)
-        assert (tmp_path / "fig13.txt").exists()
-        assert (tmp_path / "all_figures.txt").exists()
-        assert "fig13" in stream.getvalue()
-
-    def test_main_parses_arguments(self, tmp_path, monkeypatch):
-        calls = {}
-
-        def fake_generate(scale, out_dir, stream=None):
-            calls["scale"] = scale
-            calls["out"] = out_dir
-            return []
-
-        monkeypatch.setattr(reporting, "generate_all", fake_generate)
-        code = reporting.main(["--scale", "paper", "--out", str(tmp_path)])
-        assert code == 0
-        assert calls["scale"] == "paper"
-        assert calls["out"] == pathlib.Path(str(tmp_path))
+        """Every figure of the evaluation, then the extension sweeps
+        and the ablations, is a row."""
+        names = [row.name for row in FIGURES]
+        assert names[:13] == [
+            "fig08_09", "fig08_small_threads", "fig12", "fig13", "fig14",
+            "fig15", "fig16", "fig17", "fig18", "fig19",
+            "fig_concurrent", "fig_sharing", "fig_serving"]
+        assert names[13:15] == ["taxonomy", "multiuser"]
+        assert len([name for name in names
+                    if name.startswith("ablation_")]) == 7
 
 
 class TestDemoDriver:
     def test_demo_runs(self, capsys):
         from repro import __main__ as main_module
-        # shrink the demo's data through the generator it uses
         code = main_module.main([])
         assert code == 0
         output = capsys.readouterr().out
@@ -68,13 +27,18 @@ class TestDemoDriver:
         assert "IdealJoin" in output
 
     def test_figures_flag_dispatches(self, monkeypatch):
+        """``python -m repro figures`` hands the table and the committed
+        pins to the twin machinery's driver, read-only."""
         from repro import __main__ as main_module
+        from repro.bench import twins
         called = {}
-        def fake_main(argv):
-            called["argv"] = argv
+
+        def fake_drive(table, pins, record=False):
+            called.update(table=table, pins=pins, record=record)
             return 0
 
-        monkeypatch.setattr(main_module.reporting, "main", fake_main)
-        code = main_module.main(["--figures", "--scale", "small"])
-        assert code == 0
-        assert called["argv"] == ["--scale", "small"]
+        monkeypatch.setattr(twins, "drive", fake_drive)
+        assert main_module.main(["figures"]) == 0
+        assert called["table"] is FIGURES
+        assert set(called["pins"]) >= {row.name for row in FIGURES}
+        assert called["record"] is False
