@@ -285,6 +285,7 @@ def _build_serving():
     decisions, and under EDF with a bounded queue at twice the
     measured saturation throughput — that also with one plan per
     arrival instead of one per template."""
+    from repro.obs.bus import QUERY_SUBMIT
     from repro.serve import arrivals, harness
     from repro.serve.policies import ServingPolicy
     from repro.workload.engine import WorkloadExecutor
@@ -298,7 +299,11 @@ def _build_serving():
     def facts(result):
         statuses = Counter(e.status for e in result.executions.values())
         return {"virtual_s": result.makespan,
-                "statuses": dict(sorted(statuses.items()))}
+                "statuses": dict(sorted(statuses.items())),
+                # Every admit / grant / shed / finish (a submit decides
+                # nothing, and says more under a serving block).
+                "decision_digest": digest([e for e in result.bus.events
+                                           if e.kind != QUERY_SUBMIT])}
 
     def cell(rate, serving):
         return facts(harness.run_serving(

@@ -18,7 +18,7 @@ from repro.engine.trace import ExecutionTrace
 from repro.engine.strategies import RANDOM, make_strategy
 from repro.errors import ExecutionError, PlanError
 from repro.lera.activation import PIPELINED, TRIGGERED
-from repro.lera.graph import PIPELINE, LeraGraph
+from repro.lera.graph import PIPELINE, LeraGraph, LeraNode
 from repro.lera.operators import AggregateSpec, PipelinedJoinSpec, StoreSpec
 from repro.machine.cache import REMOTE_HOME
 from repro.machine.machine import Machine
@@ -55,6 +55,9 @@ class OperationSchedule:
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ExecutionError(f"threads must be >= 1, got {self.threads}")
+        if self.cache_size is not None and self.cache_size < 1:
+            raise ExecutionError(
+                f"cache_size must be >= 1, got {self.cache_size}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,9 @@ class ExecutionOptions:
             raise ExecutionError(
                 f"unknown placement {self.placement!r}; expected "
                 f"{PLACEMENTS}")
+        if self.queue_capacity is not None and self.queue_capacity < 1:
+            raise ExecutionError(
+                f"queue capacity must be >= 1, got {self.queue_capacity}")
 
     # Read-only views of the nested block, so call sites can keep
     # asking ``options.observe`` (non-annotated, hence not fields).
@@ -243,17 +249,17 @@ class Executor:
     # -- construction helpers (shared with the workload engine) -----------------
 
     def build_runtimes(self, plan: LeraGraph, schedule: QuerySchedule,
-                       only: set[str] | None = None) -> dict[str, OperationRuntime]:
+                       skip=()) -> dict[str, OperationRuntime]:
         """Instantiate the extended view for *plan*.
 
-        ``only`` restricts construction to a subset of node names —
-        the shared-work fold pass uses it to build runtimes for just
-        the nodes a query executes privately (folded nodes ride on
-        another query's runtimes).
+        ``skip`` names the nodes to leave out — the workload engine
+        passes a query's fold set, so runtimes exist for just the nodes
+        it executes privately (folded nodes ride on another query's
+        runtimes).
         """
         runtimes: dict[str, OperationRuntime] = {}
         for node in plan.nodes:
-            if only is not None and node.name not in only:
+            if node.name in skip:
                 continue
             op_schedule = schedule.of(node.name)
             cache_size = op_schedule.cache_size
@@ -333,8 +339,11 @@ class Executor:
 
     def wire_pipelines(self, plan: LeraGraph,
                        runtimes: dict[str, OperationRuntime]) -> None:
+        """Connect the pipeline edges that have both ends in *runtimes*
+        (an end left out of the build is another query's: it is tapped)."""
         for edge in plan.edges:
-            if edge.kind != PIPELINE:
+            if (edge.kind != PIPELINE or edge.producer not in runtimes
+                    or edge.consumer not in runtimes):
                 continue
             producer = runtimes[edge.producer]
             consumer = runtimes[edge.consumer]
@@ -342,26 +351,47 @@ class Executor:
                 raise PlanError(
                     f"operation {edge.producer!r} has two pipeline consumers")
             producer.consumer = consumer
-            producer.router = _router_for(consumer)
+            producer.router = _router_for(consumer.node)
             consumer.producers_remaining += 1
+
+    def check_buildable(self, plan: LeraGraph,
+                        schedule: QuerySchedule) -> None:
+        """Raise what :meth:`build_runtimes` and :meth:`wire_pipelines`
+        would for this pair, building nothing: the workload engine builds
+        at admission, but must refuse a pair before the first event."""
+        for node in plan.nodes:
+            op_schedule = schedule.of(node.name)
+            make_dbfunc(node.spec, self.machine.costs)
+            make_strategy(op_schedule.strategy)
+        for edge in plan.edges:
+            if edge.kind == PIPELINE:
+                _router_for(plan.node(edge.consumer))
 
     def startup_time(self, runtimes: dict[str, OperationRuntime],
                      schedule: QuerySchedule) -> float:
+        """:meth:`plan_startup` of the nodes *runtimes* were built for."""
+        return self.plan_startup(
+            [runtime.node for runtime in runtimes.values()], schedule)
+
+    def plan_startup(self, nodes, schedule: QuerySchedule, skip=()) -> float:
         """Sequential initialization: create threads and queues.
 
         "Before the execution takes place, a sequential initialization
         step is necessary.  The duration of this step is proportional
         to the degree of parallelism."  Queue creation is also where
         the degree-of-partitioning overhead of Figure 16 originates.
+        Needs the plan's *nodes* (less *skip*) and the schedule, nothing built.
         """
         costs = self.machine.costs
         total = 0.0
-        for runtime in runtimes.values():
-            total += schedule.of(runtime.name).threads * costs.thread_create
+        for node in nodes:
+            if node.name in skip:
+                continue
+            total += schedule.of(node.name).threads * costs.thread_create
             per_queue = (costs.queue_create_pipelined
-                         if runtime.node.trigger_mode == PIPELINED
+                         if node.trigger_mode == PIPELINED
                          else costs.queue_create_triggered)
-            total += runtime.instances * per_queue
+            total += node.instances * per_queue
         return total
 
     def _place_segments(self, operation: OperationRuntime) -> None:
@@ -381,15 +411,16 @@ class Executor:
                 self.machine.place_segment(key, size, owner)
 
 
-def _router_for(consumer: OperationRuntime):
-    """Row -> consumer-instance routing for a pipeline edge.
+def _router_for(consumer: LeraNode):
+    """Row -> consumer-instance routing for a pipeline edge into the
+    operation of node *consumer*.
 
     Uses the same stable hash as static partitioning, so a transmitted
     stream lines up with the statically partitioned stored operand (or
     the target fragments of a Store, or the group hash of an
     Aggregate).
     """
-    spec = consumer.node.spec
+    spec = consumer.spec
     if isinstance(spec, PipelinedJoinSpec):
         position = spec.stream_key_position
     elif isinstance(spec, StoreSpec):

@@ -33,7 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 
 
 def runtime_footprint(runtimes: "dict[str, OperationRuntime]") -> int:
-    """Estimated stored-data bytes the built runtimes will read."""
+    """Estimated stored-data bytes the built runtimes will read: the
+    after-the-build reference :func:`node_footprints` must agree with
+    (the engine itself prices a job before building it)."""
     total = 0
     for runtime in runtimes.values():
         for instance in range(runtime.instances):
@@ -42,19 +44,29 @@ def runtime_footprint(runtimes: "dict[str, OperationRuntime]") -> int:
     return total
 
 
-def plan_footprint(plan: LeraGraph, costs: CostModel) -> int:
-    """Estimated stored-data bytes of *plan* (no runtimes needed).
+def node_footprints(plan: LeraGraph, costs: CostModel) -> dict[str, int]:
+    """Per-node stored-data footprint (bytes), no runtimes needed.
 
-    Builds throwaway dbfuncs to ask each operator for its segments;
-    used by the Session API to fail an impossible submission eagerly.
+    Builds throwaway dbfuncs to ask each operator for its segments.
+    The workload engine prices every job with it at submission; the
+    shared-work fold pass needs the per-node split to price a query
+    whose folded nodes cost only a *fraction* of their bytes.
     """
-    total = 0
+    footprints: dict[str, int] = {}
     for node in plan.nodes:
         dbfunc = make_dbfunc(node.spec, costs)
+        total = 0
         for instance in range(node.instances):
             for _key, size in dbfunc.segments(instance):
                 total += size
-    return total
+        footprints[node.name] = total
+    return footprints
+
+
+def plan_footprint(plan: LeraGraph, costs: CostModel) -> int:
+    """Estimated stored-data bytes of *plan*; used by the Session API
+    to fail an impossible submission eagerly."""
+    return sum(node_footprints(plan, costs).values())
 
 
 class AdmissionController:

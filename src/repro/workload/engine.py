@@ -13,9 +13,9 @@ Life of a query here:
    ``serving`` block picks priority, fair-share or EDF order.
 2. **admit** when capacity and the memory gate
    (:class:`~repro.workload.admission.AdmissionController`) allow,
-   head of the policy's order or nobody; its sequential
-   initialization is charged on the single init thread (start-ups of
-   co-arriving queries serialize, as in the single-query executor).
+   head of the policy's order or nobody; only now are its runtimes
+   built, and its sequential initialization is charged on the single
+   init thread (start-ups of co-arriving queries serialize).
 3. **grant**: "step 0" — :func:`~repro.scheduler.allocation
    .allocate_to_queries` splits the machine's thread budget across
    running queries by estimated complexity, capped at each query's
@@ -25,11 +25,11 @@ Life of a query here:
 4. **waves** run through the shared simulator; each wave's
    per-operation split rescales the query's own schedule to its
    current grant (largest-remainder, the paper's step-3 rule).
-5. **re-grant**: when a query completes, the freed capacity is
-   redistributed; with ``rebalance`` on, still-running queries grow
-   their *current* wave mid-flight with helper threads (pure
-   secondary consumers — the paper's dynamic allocation generalized
-   across queries).
+5. **re-grant**: when a query completes, its runtimes are let go and
+   the freed capacity is redistributed; with ``rebalance`` on,
+   still-running queries grow their *current* wave mid-flight with
+   helper threads (pure secondary consumers — the paper's dynamic
+   allocation generalized across queries).
 
 Each of those instants is a named *control point* that
 :class:`_WorkloadRun` fires exactly once, with the query and the facts
@@ -70,7 +70,6 @@ from repro.engine.simulator import Simulator
 from repro.engine.threads import WorkerThread
 from repro.engine.trace import ExecutionTrace
 from repro.errors import AdmissionError, ExecutionFaultError, WorkloadError
-from repro.lera.graph import PIPELINE
 from repro.machine.machine import Machine
 from repro.obs.alerts import AlertBus
 from repro.obs.bus import (
@@ -114,13 +113,12 @@ from repro.serve.policies import (
     make_admission_policy,
     provably_infeasible,
 )
-from repro.workload.admission import AdmissionController, runtime_footprint
+from repro.workload.admission import AdmissionController, node_footprints
 from repro.workload.consumers import POINT_FOLD, _MonitorFeed, _Telemetry
 from repro.workload.options import WorkloadOptions
 from repro.workload.sharing import (
     FoldRegistry,
     SharedOperator,
-    node_footprints,
     plan_folds,
     projected_footprint,
 )
@@ -267,65 +265,86 @@ class WorkloadResult:
             raise WorkloadError(f"no query tagged {tag!r}") from None
 
 
+class _JobShape:
+    """What ``(plan, schedule, costs)`` alone decide about a job, from
+    nothing built; a run computes it once per pair it sees.  A plan or
+    schedule that could not be built raises here, before the first event.
+    """
+
+    def __init__(self, plan, schedule, executor: Executor,
+                 shared: bool) -> None:
+        self.plan, self.schedule, self.executor = plan, schedule, executor
+        costs = executor.machine.costs
+        plan.validate()
+        self.waves = plan.chain_waves()
+        self.complexity = query_complexity(plan, costs)
+        self.startup, self.wave_totals, self.demand = self.without(())
+        executor.check_buildable(plan, schedule)
+        self.node_footprints = node_footprints(plan, costs)
+        self.footprint = sum(self.node_footprints.values())
+        #: Read only to price shared operators fractionally.
+        self.node_complexities = {
+            node.name: operator_complexity(node.spec, costs)
+            for node in plan.nodes} if shared else None
+
+    def without(self, folds) -> tuple[float, list[int], int]:
+        """Start-up, per-wave thread totals and step-0 demand (more
+        threads than the widest wave asks for could never be used) of
+        the nodes outside *folds*: what folded rides free."""
+        startup = self.executor.plan_startup(self.plan.nodes, self.schedule,
+                                             skip=folds)
+        totals = [sum([self.schedule.of(node.name).threads
+                       for chain in wave for node in chain.nodes
+                       if node.name not in folds])
+                  for wave in self.waves]
+        return startup, totals, max(1, max(totals))
+
+
 class _QueryJob:
-    """Mutable per-query execution state inside one workload run."""
+    """Mutable per-query execution state inside one workload run.
+
+    One lifecycle: *submitted* — it holds its shape's numbers and no
+    runtime; *admitted* — :meth:`materialize` builds runtimes, wiring
+    and observability for its fold set; *finished* — its metrics are
+    frozen into ``execution`` and the run drops the runtimes again.
+    """
 
     def __init__(self, submission: QuerySubmission, order: int,
-                 machine: Machine, executor: Executor,
-                 exec_options: ExecutionOptions,
-                 shared: bool = False) -> None:
+                 shape: _JobShape, exec_options: ExecutionOptions,
+                 shared: bool) -> None:
         self.tag = submission.tag
         self.plan = submission.compiled.plan
         self.schedule = submission.schedule
         self.arrival = submission.arrival
-        self.timeout = submission.timeout
-        self.cancel_at = submission.cancel_at
         self.priority = submission.priority
         self.tenant = submission.tenant
         self.order = order
-        self.plan.validate()
-        self.waves = self.plan.chain_waves()
-        self.complexity = query_complexity(self.plan, machine.costs)
-        self.wave_totals = [
-            sum(self.schedule.of(node.name).threads
-                for chain in wave for node in chain.nodes)
-            for wave in self.waves
-        ]
-        #: Step-0 demand: more threads than the widest wave asks for
-        #: could never be used.
-        self.demand = max(self.wave_totals)
-        #: Shared-work state.  All empty/None on the private path, so
-        #: every sharing branch below reduces to the private behaviour.
+        candidates = []
+        if submission.cancel_at is not None:
+            candidates.append((submission.cancel_at, CANCELLED))
+        if submission.timeout is not None:
+            candidates.append((self.arrival + submission.timeout, TIMED_OUT))
+        #: Earliest scheduled cancellation instant ``(t, outcome)``.
+        self.deadline = min(candidates) if candidates else None
+        self.shape = shape
+        self.waves = shape.waves
+        self.complexity = shape.complexity
+        self.wave_totals = shape.wave_totals
+        self.demand = shape.demand
+        self.footprint = shape.footprint
+        #: A shared-mode job learns its start-up with its fold set.
+        self.startup = 0.0 if shared else shape.startup
+        self.runtimes: dict[str, OperationRuntime] = {}
+        #: Shared-work state.  All empty on the private path, so every
+        #: sharing branch below reduces to the private behaviour.
         self.folds: dict[str, SharedOperator] = {}
         self.hosted: list[SharedOperator] = []
         self.shared_results: dict[str, list] = {}
         self.current_wave_shared: list[SharedOperator] = []
-        self.node_complexities: dict[str, float] | None = None
-        self.node_footprints: dict[str, int] | None = None
-        if not shared:
-            self.runtimes = executor.build_runtimes(self.plan, self.schedule)
-            executor.wire_pipelines(self.plan, self.runtimes)
-            self.startup = executor.startup_time(self.runtimes, self.schedule)
-            self.footprint = runtime_footprint(self.runtimes)
-            self.materialized = True
-        else:
-            # Runtime construction is deferred to admission time: the
-            # fold pass needs the registry state *then*, and folded
-            # nodes never build runtimes at all.
-            self.runtimes = {}
-            self.node_complexities = {
-                node.name: operator_complexity(node.spec, machine.costs)
-                for node in self.plan.nodes}
-            self.node_footprints = node_footprints(self.plan, machine.costs)
-            self.startup = 0.0
-            self.footprint = sum(self.node_footprints.values())
-            self.materialized = False
         self.bus = EventBus() if exec_options.observe else None
         self.tracer = (ExecutionTrace()
                        if exec_options.trace or exec_options.observe
                        else None)
-        if self.materialized:
-            executor.attach_observability(self.runtimes, self.bus, self.tracer)
         self.state = QUEUED
         self.wave_started_at = 0.0
         self.grant = 0
@@ -341,46 +360,28 @@ class _QueryJob:
         self.error: ExecutionFaultError | None = None
         self.cancel_requested_at: float | None = None
 
-    @property
-    def deadline(self) -> tuple[float, str] | None:
-        """Earliest scheduled cancellation instant ``(t, outcome)``."""
-        candidates = []
-        if self.cancel_at is not None:
-            candidates.append((self.cancel_at, CANCELLED))
-        if self.timeout is not None:
-            candidates.append((self.arrival + self.timeout, TIMED_OUT))
-        return min(candidates) if candidates else None
-
-    # -- shared-work materialization -------------------------------------------
-
-    def materialize(self, executor: Executor, registry: FoldRegistry,
+    def materialize(self, executor: Executor, registry: FoldRegistry | None,
                     folds: dict[str, SharedOperator], footprint: int,
                     now: float) -> None:
-        """Build this query's private runtimes given its fold set.
+        """Admission: build this query's private runtimes given its
+        fold set — empty for a private job, which also offers no fold
+        targets (*registry* is ``None``).
 
-        Runs at admission time (shared mode only).  Folded nodes get
-        no runtimes — instead the host operator gains a delivery tap
-        at each *frontier* folded node (one whose pipeline consumer is
-        private, or which is terminal here); interior folded nodes
-        need nothing, their data flows inside the host's own wiring.
-        Afterwards the query's start-up, demand and footprint are
-        recomputed over the private remainder: what folded rides free.
+        Folded nodes get no runtimes — instead the host operator gains
+        a delivery tap at each *frontier* folded node (one whose
+        pipeline consumer is private, or which is terminal here);
+        interior folded nodes need nothing, their data flows inside the
+        host's own wiring.  The query's start-up, demand and footprint
+        are those of the private remainder.
         """
+        plan = self.plan
         self.folds = folds
-        own = {node.name for node in self.plan.nodes} - set(folds)
-        self.runtimes = executor.build_runtimes(self.plan, self.schedule,
-                                                only=own)
-        for edge in self.plan.edges:
-            if (edge.kind != PIPELINE or edge.producer in folds
-                    or edge.consumer in folds):
-                continue
-            producer = self.runtimes[edge.producer]
-            consumer = self.runtimes[edge.consumer]
-            producer.consumer = consumer
-            producer.router = _router_for(consumer)
-            consumer.producers_remaining += 1
+        self.footprint = footprint
+        self.runtimes = executor.build_runtimes(plan, self.schedule,
+                                                skip=folds)
+        executor.wire_pipelines(plan, self.runtimes)
         for name, shared in folds.items():
-            consumer_name = self.plan.pipeline_consumer(name)
+            consumer_name = plan.pipeline_consumer(name)
             if consumer_name is not None and consumer_name in folds:
                 continue  # interior fold: data flows inside the host
             if consumer_name is None:
@@ -390,40 +391,32 @@ class _QueryJob:
             else:
                 consumer = self.runtimes[consumer_name]
                 tap = DeliveryTap(self.tag, name, consumer=consumer,
-                                  router=_router_for(consumer))
+                                  router=_router_for(consumer.node))
                 consumer.producers_remaining += 1
             shared.runtime.taps.append(tap)
             shared.attach(self.tag, tap)
+        self.startup = self.shape.startup
+        if folds:
+            self.startup, self.wave_totals, self.demand = (
+                self.shape.without(folds))
+        executor.attach_observability(self.runtimes, self.bus, self.tracer)
+        if registry is None:
+            return
         # Offer this query's own shareable first-wave operators as fold
         # targets for later arrivals (first live entry wins; duplicate
         # subplans within one plan stay private).
         wave0 = {node.name for chain in self.waves[0] for node in chain.nodes}
-        fingerprints = self.plan.fingerprints()
-        for node in self.plan.nodes:
-            name = node.name
-            if name in folds or name not in wave0:
-                continue
+        fingerprints = plan.fingerprints()
+        for name, runtime in self.runtimes.items():
             fingerprint = fingerprints[name]
-            if fingerprint is None:
+            if fingerprint is None or name not in wave0:
                 continue
             shared = SharedOperator(
-                runtime=self.runtimes[name], host_tag=self.tag,
-                fingerprint=fingerprint,
-                complexity=self.node_complexities[name],
-                footprint=self.node_footprints[name])
+                runtime=runtime, host_tag=self.tag, fingerprint=fingerprint,
+                complexity=self.shape.node_complexities[name],
+                footprint=self.shape.node_footprints[name])
             if registry.register(shared, now):
                 self.hosted.append(shared)
-        self.startup = executor.startup_time(self.runtimes, self.schedule)
-        self.wave_totals = [
-            sum(self.schedule.of(node.name).threads
-                for chain in wave for node in chain.nodes
-                if node.name not in folds)
-            for wave in self.waves
-        ]
-        self.demand = max(1, max(self.wave_totals))
-        self.footprint = footprint
-        executor.attach_observability(self.runtimes, self.bus, self.tracer)
-        self.materialized = True
 
     @property
     def effective_complexity(self) -> float:
@@ -440,7 +433,7 @@ class _QueryJob:
         total = self.complexity
         seen: set[int] = set()
         for name, shared in self.folds.items():
-            total -= self.node_complexities[name]
+            total -= self.shape.node_complexities[name]
             if id(shared) in seen:
                 continue
             seen.add(id(shared))
@@ -481,9 +474,7 @@ class _QueryJob:
         assert self.finished_at is not None
         operations: dict[str, OperationMetrics] = {}
         result_rows: list = []
-        # A query withdrawn before admission in shared mode (which
-        # defers building) has nothing to report.
-        for node in self.plan.nodes if self.materialized else ():
+        for node in self.plan.nodes:
             name = node.name
             shared = self.folds.get(name)
             if shared is not None:
@@ -493,7 +484,7 @@ class _QueryJob:
                         rt, cost_share=1.0 / len(shared.all_tags), name=name)
                 if name in self.shared_results:
                     result_rows.extend(self.shared_results[name])
-            else:
+            elif name in self.runtimes:  # else: left before admission
                 rt = self.runtimes[name]
                 if rt.finished_at is not None:
                     operations[name] = OperationMetrics.of(
@@ -546,7 +537,6 @@ _PROFILED_SECTIONS = {
     "_assemble": "assemble",
     "_try_admit": "admission",
     "_plan_folds": "fold",
-    "_materialize": "fold",
     "_grants": "allocate",
     "_start_wave": "wave_prep",
     "_advance_if_wave_done": "wave_barrier",
@@ -566,11 +556,24 @@ class _WorkloadRun:
         #: Fold targets offered by shared-mode queries; stays empty
         #: (and every fold set with it) when ``shared`` is off.
         self.sharing = FoldRegistry()
-        self.jobs = [_QueryJob(s, i, machine, self.executor, exec_options,
-                               shared=workload.shared)
-                     for i, s in enumerate(submissions)]
-        #: Subscribers waiting on a shared runtime (keyed by id) to
-        #: complete before their current wave can advance.
+        #: Computed once per input and kept on the run, to die with it:
+        #: a job's shape per ``(plan, schedule)`` identity (one pair per
+        #: template from ``build_submissions``), step 0 per running set.
+        self._shapes: dict[tuple[int, int], _JobShape] = {}
+        self._allocations: dict[tuple, list[int]] = {}
+        self.jobs: list[_QueryJob] = []
+        for order, s in enumerate(submissions):
+            plan, pair = s.compiled.plan, (id(s.compiled.plan), id(s.schedule))
+            if pair not in self._shapes:
+                self._shapes[pair] = _JobShape(plan, s.schedule, self.executor,
+                                               workload.shared)
+            self.jobs.append(_QueryJob(s, order, self._shapes[pair],
+                                       exec_options, workload.shared))
+        #: Owner of each started runtime, and the subscribers waiting
+        #: on a shared one to complete before their wave can advance.
+        #: Keyed by ``id(runtime)``: an entry leaves with its job, before
+        #: the runtime can be collected and the id recycled.
+        self._job_of: dict[int, _QueryJob] = {}
         self._waiters_of: dict[int, list[_QueryJob]] = {}
         self.bus = EventBus()
         #: Control point -> subscribed consumers, in registration
@@ -641,7 +644,6 @@ class _WorkloadRun:
         #: The single sequential-initialization thread: start-ups of
         #: co-admitted queries serialize behind each other.
         self.startup_free_at = 0.0
-        self._job_of: dict[int, _QueryJob] = {}
 
     # -- control points ---------------------------------------------------------
 
@@ -720,6 +722,8 @@ class _WorkloadRun:
             raise WorkloadError(
                 f"workload did not complete: queries {stuck} never "
                 f"finished (deadlock or admission starvation)")
+        assert not self._job_of and not self._waiters_of, (
+            "a finished job left an owner entry behind")
         executions = {job.tag: job.execution for job in self.jobs}
         return WorkloadResult(
             executions=executions,
@@ -842,11 +846,11 @@ class _WorkloadRun:
         fault tearing down the whole workload.
         """
         job = self._job_of.get(id(operation))
-        if job is None:
-            raise error
         shared = self.sharing.by_runtime(id(operation))
+        if job is None and shared is None:
+            raise error
         cohort: list[_QueryJob] = []
-        if job.state != CANCELLING:
+        if job is not None and job.state != CANCELLING:
             cohort.append(job)
         if shared is not None:
             # A shared operator failed: every live subscriber loses the
@@ -863,7 +867,7 @@ class _WorkloadRun:
             member.outcome = FAILED
             member.error = error if member is job else ExecutionFaultError(
                 f"shared operation {operation.name!r} (hosted by "
-                f"{job.tag!r}) aborted: {error}")
+                f"{shared.host_tag!r}) aborted: {error}")
             member.cancel_requested_at = at
         for member in cohort:
             self._release_shared(member, at, detach=False)
@@ -897,10 +901,12 @@ class _WorkloadRun:
             shared.active_tags.discard(job.tag)
             for tap in shared.taps.pop(job.tag, ()):
                 tap.active = False
-            waiters = self._waiters_of.get(id(shared.runtime))
+            runtime = shared.runtime
+            waiters = self._waiters_of.get(id(runtime))
             if waiters is not None and job in waiters:
                 waiters.remove(job)
-            runtime = shared.runtime
+                if not waiters:
+                    del self._waiters_of[id(runtime)]
             if (not shared.active_tags and runtime.primary_detached
                     and runtime.threads and not runtime.complete):
                 self.simulator.drain_operations([runtime], now)
@@ -988,6 +994,7 @@ class _WorkloadRun:
         because it was popped first.
         """
         self._update_brownout(now)
+        shared = self.workload.shared
         admitted: list[_QueryJob] = []
         while True:
             job = self.queue.peek()
@@ -1000,10 +1007,9 @@ class _WorkloadRun:
                 self.queue.pop(job)
                 self._reject(job, now, SHED, SHED_DEADLINE_INFEASIBLE)
                 continue
-            if job.materialized:
-                folds, footprint = None, job.footprint
-            else:
-                folds, footprint = self._plan_folds(job, now)
+            # A private job is the empty fold set at its full footprint.
+            folds, footprint = (self._plan_folds(job, now) if shared
+                                else ({}, job.footprint))
             if not self.admission.fits(footprint):
                 if (self.brownout and folds
                         and len(folds) == len(job.plan.nodes)
@@ -1028,8 +1034,10 @@ class _WorkloadRun:
                         f"{len(self.queue)} queued)")
             self.queue.pop(job)
             self.queue.on_admit(job)
-            if folds is not None:
-                self._materialize(job, folds, footprint, now)
+            job.materialize(self.executor, self.sharing if shared else None,
+                            folds, footprint, now)
+            if shared:
+                self._notify(POINT_FOLD, now, job, folds=folds)
             job.state = RUNNING
             self.running.append(job)
             self.admission.acquire(job.footprint, at=now)
@@ -1044,13 +1052,8 @@ class _WorkloadRun:
         running work, and the footprint the memory gate is asked for
         with those priced fractionally."""
         folds = plan_folds(job.plan, self.sharing, now)
-        return folds, projected_footprint(job.plan, job.node_footprints,
-                                          folds)
-
-    def _materialize(self, job: _QueryJob, folds: dict[str, SharedOperator],
-                     footprint: int, now: float) -> None:
-        job.materialize(self.executor, self.sharing, folds, footprint, now)
-        self._notify(POINT_FOLD, now, job, folds=folds)
+        return folds, projected_footprint(
+            job.plan, job.shape.node_footprints, folds)
 
     def _launch(self, admitted: list[_QueryJob], now: float) -> None:
         """Grant the just-admitted batch and start its first waves."""
@@ -1096,26 +1099,29 @@ class _WorkloadRun:
         proportionally less of the machine.  Without sharing the
         property degenerates to the plain complexity.
         """
-        policy = self.workload.scheduling
-        multi_resource = {}
-        if policy.multi_resource:
+        demands = [job.demand for job in self.running]
+        weights = [job.effective_complexity for job in self.running]
+        if self.workload.scheduling.multi_resource:
             # Garofalakis-style step 0: the grant is capped at the
             # thread-equivalent of each query's binding resource — the
             # thread budget or the stored-data footprint (the
             # allocator's disk axis has no modelled capacity here and
             # stays unbound).
-            multi_resource = {
-                "resources": [ResourceVector(cpu=job.demand,
-                                             memory_bytes=job.footprint)
-                              for job in self.running],
-                "capacities": ResourceVector(
+            grants = allocate_to_queries(
+                self.budget, demands, weights,
+                resources=[ResourceVector(cpu=job.demand,
+                                          memory_bytes=job.footprint)
+                           for job in self.running],
+                capacities=ResourceVector(
                     cpu=self.budget,
-                    memory_bytes=self.workload.memory_limit_bytes)}
-        grants = allocate_to_queries(
-            self.budget,
-            [job.demand for job in self.running],
-            [job.effective_complexity for job in self.running],
-            **multi_resource)
+                    memory_bytes=self.workload.memory_limit_bytes))
+        else:
+            # A pure function of these (the budget is the run's).
+            key = (*demands, *weights)
+            grants = self._allocations.get(key)
+            if grants is None:
+                grants = self._allocations[key] = allocate_to_queries(
+                    self.budget, demands, weights)
         if self.brownout:
             # Browned out: trade per-query parallelism (and its
             # dilation cost) for throughput before shedding anyone.
@@ -1261,6 +1267,12 @@ class _WorkloadRun:
             # stopped; its finish event says what it ended as.
             status = {"status": outcome}
         job.execution = job.build_execution(status=outcome)
+        # Metrics are frozen: let the runtimes go (a hosted operator
+        # with live subscribers lives on through its SharedOperator).
+        for runtime in job.runtimes.values():
+            self._job_of.pop(id(runtime), None)
+        job.runtimes = {}
+        job.current_wave_ops = []
         self.running.remove(job)
         self.admission.release(job.footprint, at=finish)
         self._emit(QUERY_FINISH, finish, job,

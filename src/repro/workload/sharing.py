@@ -40,30 +40,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine.dbfuncs import make_dbfunc
 from repro.lera.graph import LeraGraph
-from repro.machine.costs import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.engine.operation import DeliveryTap, OperationRuntime
-
-
-def node_footprints(plan: LeraGraph, costs: CostModel) -> dict[str, int]:
-    """Per-node stored-data footprint (bytes), no runtimes needed.
-
-    The per-node decomposition of :func:`~repro.workload.admission
-    .plan_footprint` — the shared-work fold pass needs it to price a
-    query whose folded nodes cost only a *fraction* of their bytes.
-    """
-    footprints: dict[str, int] = {}
-    for node in plan.nodes:
-        dbfunc = make_dbfunc(node.spec, costs)
-        total = 0
-        for instance in range(node.instances):
-            for _key, size in dbfunc.segments(instance):
-                total += size
-        footprints[node.name] = total
-    return footprints
 
 
 class SharedOperator:

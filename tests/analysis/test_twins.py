@@ -95,3 +95,17 @@ def test_quiet_shortcut_holds_its_pin_without_a_clock():
     rows = {row.name: row for row in TABLE}
     profiled = rows["mpl4"].build()["profiled"]()
     assert profiled["steps"] == pins["mpl4"]["profiled"]["steps"]
+
+
+def test_shape_memo_hit_and_miss_paths_decide_alike():
+    """``protected`` runs one (plan, schedule) pair per template, so the
+    engine's per-run shape memo hits; ``fresh_plans`` gives every
+    arrival its own pair, so every job misses.  Every admit, grant,
+    shed and finish — not only makespan and status counts — must be
+    the same, and what the pins file holds."""
+    pins = json.loads(PINS_PATH.read_text())["serving"]
+    variants = {row.name: row for row in TABLE}["serving"].build()
+    hit, miss = variants["protected"](), variants["fresh_plans"]()
+    assert hit == miss == pins["protected"] == pins["fresh_plans"]
+    assert len(hit["decision_digest"]) == 16
+    assert hit["statuses"]["shed"] > 0

@@ -22,8 +22,30 @@ from repro import (
     WorkloadOptions,
     generate_wisconsin,
 )
+from repro.bench.wisconsin_queries import (
+    join_a_bprime,
+    join_a_sel_bprime,
+    make_database,
+)
+from repro.bench.workloads import skewed_fragments
+from repro.compiler.parallelizer import CompiledQuery
+from repro.engine.executor import (
+    Executor,
+    OperationSchedule,
+    QuerySchedule,
+)
+from repro.engine.simulator import Simulator
+from repro.errors import ExecutionError, PlanError
+from repro.lera.graph import LeraGraph
+from repro.lera.activation import PIPELINED
+from repro.lera.operators import OperatorSpec, StoreSpec
+from repro.lera.plans import ideal_join_plan
 from repro.obs.bus import QUERY_ADMIT, QUERY_FINISH, QUERY_GRANT, QUERY_SUBMIT
-from repro.workload.engine import QuerySubmission
+from repro.serve.harness import build_submissions, default_templates
+from repro.storage.partitioning import PartitioningSpec
+from repro.workload import engine as engine_module
+from repro.workload.admission import plan_footprint, runtime_footprint
+from repro.workload.engine import QuerySubmission, _JobShape
 
 QUERIES = [
     "SELECT * FROM A JOIN B ON A.unique1 = B.unique1",
@@ -195,3 +217,158 @@ class TestArrivalsAndAdmission:
         bus = session.run().bus
         admits = sorted(bus.events_of(QUERY_ADMIT), key=lambda e: e.t)
         assert [e.operation for e in admits] == [big.tag, small.tag]
+
+
+class TestEagerErrors:
+    """A job is built when it is admitted, but a plan or schedule that
+    cannot be built is refused where it always was: inside
+    ``execute()``, before the first event — with the type and message
+    the build itself raises (the literals below are the pre-lazy
+    engine's).  The bad query arrives late and behind a running one, so
+    a deferred error would surface mid-run."""
+
+    @pytest.fixture
+    def no_events(self, monkeypatch):
+        def run(self, until=None):
+            raise AssertionError("the simulation started")
+        monkeypatch.setattr(Simulator, "run", run)
+
+    def _execute(self, db, plan, schedule):
+        good = _submission(db, QUERIES[0], "good")
+        bad = QuerySubmission(
+            "bad", CompiledQuery(plan, None, None, "bad"), schedule,
+            arrival=5.0)
+        WorkloadExecutor(
+            db.machine, workload=WorkloadOptions(max_concurrent=1)
+        ).execute([good, bad])
+
+    def _join(self, db):
+        return ideal_join_plan(db.table("A"), db.table("B"),
+                               "unique1", "unique1")
+
+    def test_invalid_plan(self, db, no_events):
+        class OrphanSpec(OperatorSpec):
+            trigger_mode = PIPELINED
+            instances = 1
+
+            def estimated_instance_costs(self, costs):
+                return [1.0]
+
+        plan = self._join(db)
+        plan.add_node("orphan", OrphanSpec())
+        with pytest.raises(PlanError) as raised:
+            self._execute(db, plan, QuerySchedule.for_plan(plan, 4))
+        assert str(raised.value) == (
+            "pipelined node 'orphan' has no pipeline producer")
+
+    def test_schedule_without_an_entry_for_a_node(self, db, no_events):
+        with pytest.raises(ExecutionError) as raised:
+            self._execute(db, self._join(db), QuerySchedule({}))
+        assert str(raised.value) == "no schedule for operation 'join'"
+
+    def test_spec_without_a_dbfunc(self, db, no_events):
+        class MysterySpec(OperatorSpec):
+            instances = 2
+
+            def estimated_instance_costs(self, costs):
+                return [1.0, 1.0]
+
+        plan = LeraGraph()
+        plan.add_node("mystery", MysterySpec())
+        with pytest.raises(ExecutionError) as raised:
+            self._execute(db, plan, QuerySchedule.for_plan(plan, 2))
+        assert str(raised.value) == "no DBFunc for spec type MysterySpec"
+
+    def test_unknown_strategy(self, db, no_events):
+        plan = self._join(db)
+        schedule = QuerySchedule({"join": OperationSchedule(4, "newest")})
+        with pytest.raises(ExecutionError) as raised:
+            self._execute(db, plan, schedule)
+        assert str(raised.value).startswith(
+            "unknown consumption strategy 'newest'")
+
+    def test_raised_once_per_shape(self, db, monkeypatch):
+        calls = []
+        original = Executor.check_buildable
+        monkeypatch.setattr(
+            Executor, "check_buildable",
+            lambda self, plan, schedule: (calls.append(plan),
+                                          original(self, plan, schedule)))
+        one = _submission(db, QUERIES[0], "one")
+        twins = [QuerySubmission(f"q{i}", one.compiled, one.schedule, 0.1 * i)
+                 for i in range(6)]
+        WorkloadExecutor(db.machine).execute(twins)
+        assert len(calls) == 1
+
+
+def _plans(db, wisconsin, chain_db):
+    for submission in build_submissions(default_templates(), [0.0] * 40):
+        yield submission.compiled.plan, submission.schedule
+    for sql, source in (
+            (join_a_bprime(wisconsin).sql, wisconsin),
+            (join_a_sel_bprime(wisconsin).sql, wisconsin),
+            ("SELECT * FROM A JOIN B ON A.key = B.key "
+             "JOIN C ON A.key = C.key", chain_db)):
+        plan = source.compile(sql).plan
+        yield plan, source.scheduler.schedule(plan, None)
+
+
+class TestShapeEquality:
+    """What a job reports before anything is built — start-up and
+    footprint, which admission, EDF and the start-up thread read — is
+    exactly what building it would give."""
+
+    @pytest.fixture(scope="class")
+    def chain_db(self):
+        database = DBS3(processors=16)
+        for name, card, degree in (("A", 800, 10), ("B", 200, 10),
+                                   ("C", 300, 8)):
+            relation, fragments = skewed_fragments(name, card, degree, 0.0)
+            database.catalog.register_fragments(
+                relation, PartitioningSpec.on("key", degree), fragments)
+        return database
+
+    def test_run_free_numbers_equal_the_built_ones(self, db, chain_db):
+        wisconsin = make_database(600, degree=12)
+        seen, stores = set(), set()
+        for plan, schedule in _plans(db, wisconsin, chain_db):
+            if id(plan) in seen:
+                continue
+            seen.add(id(plan))
+            executor = Executor(db.machine)
+            shape = _JobShape(plan, schedule, executor, shared=True)
+            runtimes = executor.build_runtimes(plan, schedule)
+            assert shape.startup == executor.startup_time(runtimes, schedule)
+            assert shape.footprint == runtime_footprint(runtimes)
+            assert shape.footprint == plan_footprint(plan, db.machine.costs)
+            assert shape.node_footprints == {
+                name: runtime_footprint({name: runtime})
+                for name, runtime in runtimes.items()}
+            stores.update(node.name for node in plan.nodes
+                          if isinstance(node.spec, StoreSpec))
+        assert len(seen) == 6 and stores == {"store1"}
+
+    def test_each_formula_is_load_bearing(self, db, monkeypatch):
+        """Drift either side and the equality breaks."""
+        submission = _submission(db, QUERIES[0], "q")
+        plan, schedule = submission.compiled.plan, submission.schedule
+        executor = Executor(db.machine)
+        runtimes = executor.build_runtimes(plan, schedule)
+        built = (executor.startup_time(runtimes, schedule),
+                 runtime_footprint(runtimes))
+
+        def shape():
+            made = _JobShape(plan, schedule, executor, shared=False)
+            return made.startup, made.footprint
+        assert shape() == built
+        original = Executor.plan_startup
+        with monkeypatch.context() as patch:
+            patch.setattr(Executor, "plan_startup",
+                          lambda *args, **skip:
+                          original(*args, **skip) + 1e-9)
+            assert shape()[0] != built[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "node_footprints",
+                          lambda plan, costs: {"join": 1})
+            assert shape()[1] != built[1]
+        assert shape() == built
