@@ -10,9 +10,10 @@ export PYTHONPATH
 	compare-demo concurrent-demo shared-demo report-demo chaos chaos-demo \
 	monitor-demo profile-demo adaptive-demo serve-demo ledger-smoke
 
-## Tier-1: the fast deterministic test suite (what CI gates on).
+## Tier-1: the fast deterministic test suite (what CI gates on); its
+## ~30 s budget and ten slowest tests show in every log.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 ## The figures table: every figure of the paper (and the extension
 ## sweeps, taxonomy, multi-user batch and ablations) at the paper's

@@ -11,6 +11,10 @@ the *matching* itself uses a hash table so the Python reproduction
 stays fast.  Results are identical; only wall-clock time differs.
 Index-based algorithms execute their actual data structure
 (:class:`~repro.storage.indexes.SortedIndex` / hash table).
+
+A structure over a whole stored fragment is borrowed from the fragment
+(``Fragment.index_on``: built once, shared, read-only); the *charge*
+for building it is still made in every execution.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.lera.operators import (
 from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.storage.fragment import Fragment
-from repro.storage.indexes import SortedIndex
+from repro.storage.indexes import build_index
 from repro.storage.tuples import Row
 
 
@@ -190,20 +194,13 @@ class JoinFunc(DBFunc):
         self.spec = spec
         self._outer_pos = spec.outer_fragments[0].schema.position(spec.outer_key)
         self._inner_pos = spec.inner_fragments[0].schema.position(spec.inner_key)
-        # Inner-side lookup tables, cached per instance so that chunked
-        # activations (grain > 1) of the same instance share them.  The
-        # *cost* charged still follows the configured algorithm.
-        self._inner_tables: dict[int, dict[object, list[Row]]] = {}
 
-    def _inner_table(self, instance: int) -> dict[object, list[Row]]:
-        table = self._inner_tables.get(instance)
-        if table is None:
-            table = {}
-            position = self._inner_pos
-            for row in self.spec.inner_fragments[instance].rows:
-                table.setdefault(row[position], []).append(row)
-            self._inner_tables[instance] = table
-        return table
+    def _outer_index(self, outer: Fragment, outer_rows: list[Row], kind: str):
+        """The fragment's own index at ``grain == 1``; a chunk builds over
+        its slice — repeated work, the genuine price of the finer grain."""
+        if self.spec.grain == 1:
+            return outer.index_on(self._outer_pos, kind)
+        return build_index(outer_rows, self._outer_pos, kind)
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
@@ -226,7 +223,7 @@ class JoinFunc(DBFunc):
         emitted: list[Row] = []
         algorithm = self.spec.algorithm
         if algorithm == JOIN_NESTED_LOOP:
-            table_get = self._inner_table(instance).get
+            table_get = inner.index_on(self._inner_pos).get
             emit = emitted.append
             outer_pos = self._outer_pos
             for left in outer_rows:
@@ -235,10 +232,8 @@ class JoinFunc(DBFunc):
             cost += self.costs.nested_loop_cost(
                 slice_cardinality, len(inner.rows), len(emitted))
         elif algorithm == JOIN_TEMP_INDEX:
-            # Each chunk builds its own temp index over its slice and
-            # probes it with the whole inner operand — repeated probe
-            # work is the genuine price of the finer grain.
-            index = SortedIndex(outer_rows, self._outer_pos)
+            # Every chunk probes with the whole inner operand.
+            index = self._outer_index(outer, outer_rows, "sorted")
             cost += self.costs.index_build_cost(slice_cardinality)
             inner_pos = self._inner_pos
             for right in inner.rows:
@@ -248,14 +243,11 @@ class JoinFunc(DBFunc):
                 cost += self.costs.index_probe_cost(
                     max(slice_cardinality, 1), len(matches))
         elif algorithm == JOIN_HASH:
-            table = {}
-            outer_pos = self._outer_pos
-            for row in outer_rows:
-                table.setdefault(row[outer_pos], []).append(row)
+            table_get = self._outer_index(outer, outer_rows, "hash").get
             inner_pos = self._inner_pos
             match_count = 0
             for right in inner.rows:
-                for left in table.get(right[inner_pos], ()):
+                for left in table_get(right[inner_pos], ()):
                     emitted.append(left + right)
                     match_count += 1
             cost += ((slice_cardinality + inner.cardinality)
@@ -304,11 +296,11 @@ class TransmitFunc(DBFunc):
 class PipelinedJoinFunc(DBFunc):
     """Pipelined join: one incoming tuple probes the stored fragment.
 
-    With the temp-index (or hash) algorithm the per-instance lookup
-    structure is built lazily on the instance's first activation and
-    its build cost charged there; nested loop charges a full fragment
-    scan per probe, which is exactly why AssocJoin's pipelined work
-    shrinks as the degree of partitioning grows.
+    With the temp-index (or hash) algorithm the instance's first
+    activation of an execution is charged the build of the lookup
+    structure; nested loop charges a full fragment scan per probe,
+    which is exactly why AssocJoin's pipelined work shrinks as the
+    degree of partitioning grows.
     """
 
     def __init__(self, spec: PipelinedJoinSpec, costs: CostModel) -> None:
@@ -316,25 +308,8 @@ class PipelinedJoinFunc(DBFunc):
         self.spec = spec
         self._stored_pos = spec.stored_key_position
         self._stream_pos = spec.stream_key_position
-        # Footprints come from Fragment.size_bytes(), memoized at the
-        # fragment, so plans touching few instances pay nothing here —
-        # eagerly sizing every stored fragment used to dominate this
-        # constructor at high degrees of partitioning.
-        # Per-instance lazily built lookup structures.  The dict form is
-        # used for matching in every algorithm; the SortedIndex is also
-        # really built for temp_index so the structure is exercised.
-        self._tables: dict[int, dict[object, list[Row]]] = {}
-        self._indexes: dict[int, SortedIndex] = {}
-
-    def _lookup_table(self, instance: int) -> dict[object, list[Row]]:
-        table = self._tables.get(instance)
-        if table is None:
-            table = {}
-            pos = self._stored_pos
-            for row in self.spec.stored_fragments[instance].rows:
-                table.setdefault(row[pos], []).append(row)
-            self._tables[instance] = table
-        return table
+        #: Instances already charged their build in this execution.
+        self._charged: set[int] = set()
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
@@ -348,22 +323,20 @@ class PipelinedJoinFunc(DBFunc):
         cost = self.costs.pipelined_activation + penalty
         algorithm = self.spec.algorithm
         if algorithm == JOIN_NESTED_LOOP:
-            matches = self._lookup_table(instance).get(key, ())
+            matches = stored.index_on(self._stored_pos).get(key, ())
             cost += (stored.cardinality * self.costs.tuple_pair
                      + len(matches) * self.costs.result_tuple)
         elif algorithm == JOIN_TEMP_INDEX:
-            index = self._indexes.get(instance)
-            if index is None:
-                index = SortedIndex(stored.rows, self._stored_pos)
-                self._indexes[instance] = index
+            if instance not in self._charged:
+                self._charged.add(instance)
                 cost += self.costs.index_build_cost(stored.cardinality)
-            matches = index.lookup(key)
+            matches = stored.index_on(self._stored_pos, "sorted").lookup(key)
             cost += self.costs.index_probe_cost(max(stored.cardinality, 1),
                                                 len(matches))
         elif algorithm == JOIN_HASH:
-            first_use = instance not in self._tables
-            matches = self._lookup_table(instance).get(key, ())
-            if first_use:
+            matches = stored.index_on(self._stored_pos).get(key, ())
+            if instance not in self._charged:
+                self._charged.add(instance)
                 cost += stored.cardinality * self.costs.index_compare
             cost += (self.costs.index_compare
                      + len(matches) * self.costs.result_tuple)
@@ -440,6 +413,10 @@ class StoreFunc(DBFunc):
     def __init__(self, spec: StoreSpec, costs: CostModel) -> None:
         super().__init__(costs)
         self.spec = spec
+        # The targets belong to the plan, which may run again: every
+        # execution starts them empty (one StoreFunc per execution).
+        for fragment in spec.target_fragments:
+            fragment.clear()
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:

@@ -51,11 +51,13 @@ class ActivationQueue:
         cost_estimate: Static estimate of one activation's processing
             cost for this instance — what the LPT strategy ranks
             queues by (derived from fragment cardinalities).
+        lpt_key: ``(cost_estimate, -instance)``, LPT's rank, fixed here
+            so a choice among candidates builds no tuples.
     """
 
     __slots__ = ("operation_name", "instance", "kind", "capacity",
-                 "cost_estimate", "_heap", "_seq", "enqueued", "consumed",
-                 "blocked_producers", "listener", "obs")
+                 "cost_estimate", "lpt_key", "_heap", "_seq", "enqueued",
+                 "consumed", "blocked_producers", "listener", "obs")
 
     def __init__(self, operation_name: str, instance: int, kind: str,
                  capacity: int | None = None, cost_estimate: float = 0.0) -> None:
@@ -66,6 +68,7 @@ class ActivationQueue:
         self.kind = kind
         self.capacity = capacity
         self.cost_estimate = cost_estimate
+        self.lpt_key = (cost_estimate, -instance)
         self._heap: list[tuple[float, int, Activation]] = []
         self._seq = 0
         self.enqueued = 0

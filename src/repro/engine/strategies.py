@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from operator import attrgetter
 
 from repro.engine.queues import ActivationQueue
 from repro.errors import ExecutionError
@@ -22,6 +23,7 @@ RANDOM = "random"
 LPT = "lpt"
 ROUND_ROBIN = "round_robin"
 STRATEGIES = (RANDOM, LPT, ROUND_ROBIN)
+_LPT_KEY = attrgetter("lpt_key")
 
 
 class ConsumptionStrategy(ABC):
@@ -57,14 +59,15 @@ class LPTStrategy(ConsumptionStrategy):
     "Each thread chooses the activation queue which contains the most
     expensive activations."  DBS3 does not estimate per-activation
     times at run time; queues are ranked by static fragment-size
-    information captured in ``cost_estimate``.
+    information captured in ``cost_estimate``; among equal estimates
+    the lowest instance wins (``ActivationQueue.lpt_key``).
     """
 
     name = LPT
 
     def choose(self, rng: random.Random,
                candidates: list[ActivationQueue]) -> ActivationQueue:
-        return max(candidates, key=lambda q: (q.cost_estimate, -q.instance))
+        return max(candidates, key=_LPT_KEY)
 
 
 class RoundRobinStrategy(ConsumptionStrategy):

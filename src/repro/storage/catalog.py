@@ -51,14 +51,13 @@ class TableEntry:
 
         Equality selections on an indexed attribute compile to index
         probes instead of fragment scans.  Re-creating an existing
-        index replaces it.
+        index replaces it.  The indexes are the fragments' own
+        (:meth:`Fragment.index_on`): a join's temporary index on the
+        same attribute is the same object.
         """
-        from repro.storage.indexes import build_index
         position = self.relation.schema.position(attribute)
-        self.indexes[attribute] = [
-            build_index(fragment.rows, position, kind)
-            for fragment in self.fragments
-        ]
+        self.indexes[attribute] = [fragment.index_on(position, kind)
+                                   for fragment in self.fragments]
         if self.catalog is not None:
             self.catalog.version += 1
 

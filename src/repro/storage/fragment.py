@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from repro.storage.indexes import HashIndex, SortedIndex, build_index
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row, row_size_bytes
 
@@ -29,7 +30,7 @@ class Fragment:
     """
 
     __slots__ = ("relation_name", "index", "schema", "rows", "disk",
-                 "_size_cache")
+                 "_size_cache", "_indexes")
 
     def __init__(self, relation_name: str, index: int, schema: Schema,
                  rows: Iterable[Row] = (), disk: int | None = None) -> None:
@@ -39,6 +40,7 @@ class Fragment:
         self.rows: list[Row] = list(rows)
         self.disk = disk
         self._size_cache: int | None = None
+        self._indexes: dict[tuple[int, str], HashIndex | SortedIndex] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -59,9 +61,9 @@ class Fragment:
         """Approximate footprint of the fragment, in bytes.
 
         Memoized — the engine's cost accounting asks for footprints on
-        hot paths; :meth:`append` invalidates the cache.  Mutating
-        ``rows`` directly bypasses the invalidation, so incremental
-        builders must go through :meth:`append`.
+        hot paths; :meth:`append` and :meth:`clear` invalidate the
+        cache.  Mutating ``rows`` directly bypasses the invalidation, so
+        incremental builders must go through :meth:`append`.
         """
         size = self._size_cache
         if size is None:
@@ -69,7 +71,30 @@ class Fragment:
             self._size_cache = size
         return size
 
+    def index_on(self, position: int,
+                 kind: str = "hash") -> HashIndex | SortedIndex:
+        """The fragment's index of *kind* on attribute *position*.
+
+        Built once and kept until :meth:`append` or :meth:`clear`: every
+        execution over this fragment, concurrent ones included, probes
+        the same structure, so its match lists are read-only.  What an
+        execution is *charged* for a build is the cost model's business.
+        """
+        index = self._indexes.get((position, kind))
+        if index is None:
+            index = build_index(self.rows, position, kind)
+            self._indexes[position, kind] = index
+        return index
+
     def append(self, row: Row) -> None:
         """Add one row (used when building fragments incrementally)."""
         self.rows.append(row)
         self._size_cache = None
+        if self._indexes:
+            self._indexes = {}
+
+    def clear(self) -> None:
+        """Drop every row, and the size and indexes that described them."""
+        self.rows = []
+        self._size_cache = None
+        self._indexes = {}

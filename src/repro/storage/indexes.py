@@ -9,8 +9,15 @@ Two index kinds back the paper's join algorithms:
   profitable (smaller fragments build super-linearly cheaper).
 
 Indexes store rows directly (fragments are memory-resident), and both
-expose ``lookup(key) -> list[Row]`` plus build statistics used by the
-cost model.
+expose ``lookup(key) -> Sequence[Row]`` plus build statistics used by
+the cost model.
+
+One build path: :func:`build_index` is the only place rows are hashed
+or sorted by key.  An index over a *whole* stored fragment is asked of
+the fragment (``Fragment.index_on``), which builds it here once and
+keeps it while its rows stand, for permanent and temporary use alike;
+only an index over a *slice* (a chunked join activation) is built by
+its user.  Executions share an index, so match lists are read-only.
 """
 
 from __future__ import annotations
@@ -23,9 +30,14 @@ from repro.storage.tuples import Row
 
 
 class HashIndex:
-    """Hash index on one attribute position of a set of rows."""
+    """Hash index on one attribute position of a set of rows.
 
-    __slots__ = ("key_position", "_table", "build_rows")
+    ``get`` is the table's own bound ``dict.get``: a probe loop calls
+    ``get(key, ())`` once per row with no Python frame in between.
+    """
+
+    __slots__ = ("key_position", "_table", "build_rows", "get",
+                 "__weakref__")
 
     def __init__(self, rows: Iterable[Row], key_position: int) -> None:
         self.key_position = key_position
@@ -35,13 +47,14 @@ class HashIndex:
             self._table.setdefault(row[key_position], []).append(row)
             count += 1
         self.build_rows = count
+        self.get = self._table.get
 
     def __len__(self) -> int:
         return self.build_rows
 
-    def lookup(self, key: object) -> list[Row]:
+    def lookup(self, key: object) -> Sequence[Row]:
         """All rows whose key attribute equals *key* (possibly empty)."""
-        return self._table.get(key, [])
+        return self._table.get(key, ())
 
     def distinct_keys(self) -> int:
         """Number of distinct key values indexed."""
@@ -60,7 +73,8 @@ class SortedIndex:
     ``bisect`` (``O(log n)`` plus the match count).
     """
 
-    __slots__ = ("key_position", "_keys", "_rows", "build_rows")
+    __slots__ = ("key_position", "_keys", "_rows", "build_rows",
+                 "__weakref__")
 
     def __init__(self, rows: Iterable[Row], key_position: int) -> None:
         self.key_position = key_position

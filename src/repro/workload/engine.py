@@ -70,6 +70,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.threads import WorkerThread
 from repro.engine.trace import ExecutionTrace
 from repro.errors import AdmissionError, ExecutionFaultError, WorkloadError
+from repro.lera.operators import StoreSpec
 from repro.machine.machine import Machine
 from repro.obs.alerts import AlertBus
 from repro.obs.bus import (
@@ -277,6 +278,8 @@ class _JobShape:
         costs = executor.machine.costs
         plan.validate()
         self.waves = plan.chain_waves()
+        self.stores = any(isinstance(node.spec, StoreSpec)
+                          for node in plan.nodes)
         self.complexity = query_complexity(plan, costs)
         self.startup, self.wave_totals, self.demand = self.without(())
         executor.check_buildable(plan, schedule)
@@ -1032,6 +1035,11 @@ class _WorkloadRun:
                         f"query {job.tag!r} cannot be admitted on an idle "
                         f"machine (footprint {footprint} bytes, "
                         f"{len(self.queue)} queued)")
+            if job.shape.stores and any(other.plan is job.plan
+                                        for other in self.running):
+                raise WorkloadError(
+                    f"query {job.tag!r} would interleave Store targets with a "
+                    f"running execution of its plan; build one plan per query")
             self.queue.pop(job)
             self.queue.on_admit(job)
             job.materialize(self.executor, self.sharing if shared else None,

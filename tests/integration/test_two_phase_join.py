@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import DBS3, WorkloadError, WorkloadOptions
 from repro.bench.workloads import make_join_database, skewed_fragments
 from repro.engine.executor import Executor, QuerySchedule
 from repro.errors import PlanError
@@ -118,3 +119,62 @@ class TestExecution:
         execution = Executor(Machine.uniform()).execute(
             plan, QuerySchedule.for_plan(plan, 6))
         assert sorted(execution.result_rows) == _reference(database, entry_c)
+
+
+class TestReExecution:
+    """A Store's targets belong to the plan: every execution of the
+    plan must start them empty, or a re-run returns the previous run's
+    intermediate rows as well."""
+
+    @pytest.fixture
+    def plan_and_schedule(self, setup):
+        database, entry_c = setup
+        plan = two_phase_join_plan(database.entry_a, database.entry_b,
+                                   "key", "key", entry_c, "key", "key")
+        machine = Machine.uniform(processors=16)
+        return plan, AdaptiveScheduler(machine).schedule(plan, 8), machine
+
+    def test_three_runs_through_the_executor_agree(self, setup,
+                                                   plan_and_schedule):
+        plan, schedule, machine = plan_and_schedule
+        runs = [Executor(machine).execute(plan, schedule) for _ in range(3)]
+        for run in runs:
+            assert sorted(run.result_rows) == _reference(*setup)
+        assert len({run.response_time for run in runs}) == 1
+        assert runs[0].operations == runs[1].operations == runs[2].operations
+
+    def test_three_runs_through_sessions_agree(self, setup, plan_and_schedule):
+        plan, schedule, machine = plan_and_schedule
+        db = DBS3(machine=machine)
+        schema = plan.node("join2").spec.output_schema
+        results = []
+        for _ in range(3):
+            handle = db.session().submit_plan(plan, schema, schedule=schedule)
+            results.append(handle.result())
+        for result in results:
+            assert sorted(result.rows) == _reference(*setup)
+        assert len({result.response_time for result in results}) == 1
+        # ...and the session path agrees with the bare executor.
+        direct = Executor(machine).execute(plan, schedule)
+        assert direct.response_time == results[0].response_time
+
+    def test_serialized_submissions_of_one_plan_agree(self, setup,
+                                                      plan_and_schedule):
+        plan, schedule, machine = plan_and_schedule
+        session = DBS3(machine=machine).session(
+            WorkloadOptions(max_concurrent=1))
+        schema = plan.node("join2").spec.output_schema
+        handles = [session.submit_plan(plan, schema, schedule=schedule)
+                   for _ in range(2)]
+        for handle in handles:
+            assert sorted(handle.result().rows) == _reference(*setup)
+
+    def test_concurrent_submissions_of_one_plan_are_refused(
+            self, plan_and_schedule):
+        plan, schedule, machine = plan_and_schedule
+        session = DBS3(machine=machine).session()
+        schema = plan.node("join2").spec.output_schema
+        for _ in range(2):
+            session.submit_plan(plan, schema, schedule=schedule)
+        with pytest.raises(WorkloadError, match="interleave Store targets"):
+            session.run()

@@ -17,7 +17,10 @@ class TestHashIndex:
         assert index.lookup(1) == [(1, "a"), (1, "a2")]
 
     def test_lookup_miss_is_empty(self):
-        assert HashIndex(ROWS, 0).lookup(99) == []
+        index = HashIndex(ROWS, 0)
+        assert list(index.lookup(99)) == []
+        # One shared immutable empty, not a fresh list per miss.
+        assert index.lookup(99) is index.lookup(98) == ()
 
     def test_build_rows_counted(self):
         index = HashIndex(ROWS, 0)
