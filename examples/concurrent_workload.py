@@ -5,9 +5,10 @@ Run:  python examples/concurrent_workload.py
 Opens a :class:`~repro.Session`, submits four joins (two arriving
 immediately, two a little later), and lets the workload engine admit
 them, split the machine's threads across them by complexity, and
-re-grant threads to the survivors as each query completes.  The
-timeline printed at the end is the admission/grant/finish event stream
-straight off the workload bus.
+re-grant threads to the survivors as each query completes.  What it
+prints is ``WorkloadResult.render()``: the admission/grant/finish event
+stream straight off the workload bus, then one line per query — the
+same block ``python -m repro run --concurrent 4`` prints.
 """
 
 from repro import DBS3, Session, WorkloadOptions, generate_wisconsin
@@ -32,30 +33,16 @@ def main() -> None:
 
     print("\n-- The same four queries through one Session ------------------")
     session: Session = db.session(WorkloadOptions(max_concurrent=3))
-    handles = [
-        session.submit(join, tag="join-0"),
-        session.submit(filtered, tag="filter-0"),
-        session.submit(join, at=0.2, tag="join-1"),
-        session.submit(filtered, at=0.4, tag="filter-1"),
-    ]
-    for handle in handles:
-        result = handle.result()          # drives the whole workload once
-        print(f"  {handle.tag:<10} rows={result.cardinality:<6} "
-              f"response={result.response_time:.3f}s "
-              f"threads={result.execution.total_threads}")
-
-    workload = session.result
-    print(f"\nmakespan: {workload.makespan:.3f}s "
-          f"(vs {serial:.3f}s back-to-back, "
-          f"{serial / workload.makespan:.2f}x)")
-    print(f"throughput: {workload.throughput:.2f} queries/s, "
-          f"mean response: {workload.mean_response_time:.3f}s")
-
-    print("\n-- Workload timeline (admissions, thread grants, finishes) ----")
-    for event in workload.bus.events:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(event.data.items()))
-        print(f"  t={event.t:7.3f}  {event.kind:<13} "
-              f"{event.operation or '':<9} {detail}")
+    session.submit(join, tag="join-0")
+    session.submit(filtered, tag="filter-0")
+    session.submit(join, at=0.2, tag="join-1")
+    session.submit(filtered, at=0.4, tag="filter-1")
+    workload = session.run()              # drives the whole workload once
+    print(workload.render())
+    print(f"back-to-back : {serial:.4f}s — concurrency gains "
+          f"{serial / workload.makespan:.2f}x; "
+          f"{workload.throughput:.2f} queries/s, "
+          f"mean response {workload.mean_response_time:.3f}s")
 
 
 if __name__ == "__main__":

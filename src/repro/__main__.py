@@ -7,41 +7,37 @@ Usage::
                                     # paper's scale against their pins
                                     # (repro.bench.figures.FIGURES);
                                     # exit 1 on any pin or relation
-    python -m repro run --concurrent 4
+    python -m repro run --concurrent 4 [--shared]
                                     # the multi-query workload demo:
-                                    # N queries share one simulation,
-                                    # printing the admission/grant
-                                    # timeline and the speed-up over
-                                    # back-to-back execution
-    python -m repro run --concurrent 8 --shared
-                                    # same, with shared-work folding:
-                                    # identical subplans of concurrent
-                                    # queries execute once and fan out
-                                    # to every subscriber (also prints
-                                    # the gain over private execution)
+                                    # N queries share one simulation;
+                                    # prints the admission/grant
+                                    # timeline and the gain over one
+                                    # query at a time (--shared: fold
+                                    # identical subplans, and the gain
+                                    # over private execution)
     python -m repro run --explain --trace-out trace.json \\
                         --events-out events.jsonl
                                     # run one observed query: scheduler
                                     # explain + Chrome trace (open in
                                     # https://ui.perfetto.dev) + JSONL
                                     # event log
-    python -m repro diagnose --theta 0.8 --record --run-id baseline
+    python -m repro diagnose --theta 0.8 --strategy lpt
                                     # run the skewed-join diagnostics
                                     # demo: critical path + imbalance
-                                    # doctor, optionally persisted to
-                                    # the run registry
+                                    # doctor
     python -m repro diagnose --from-events events.jsonl
                                     # diagnose a previously exported
                                     # JSONL event log instead
-    python -m repro compare baseline candidate --gate
-                                    # A/B two registry records; --gate
-                                    # exits 1 on a regression
-    python -m repro serve --overload 2 --policy edf --check
+    python -m repro serve --overload 2 --policy edf
                                     # open-loop serving demo: seeded
                                     # arrivals at 2x saturation through
-                                    # the overload-protection layer;
-                                    # --check gates on goodput >= 80%
-                                    # of saturation
+                                    # the overload-protection layer
+    python -m repro chaos           # the chaos table against its pins
+
+The CLI demonstrates and holds no gate of its own: ``figures`` and
+``chaos`` hand a gate table to :func:`repro.bench.twins.drive`, every
+other subcommand prints what one library call returns and exits 0
+unless the run itself is inconsistent.
 
 The demo loads two Wisconsin relations, runs each supported query
 shape end to end and prints the plans, schedules and virtual-time
@@ -89,131 +85,57 @@ def demo() -> None:
     print("for skew handling, partitioning tuning and the Allcache model.")
 
 
-def concurrent_demo(count: int, shared: bool = False, report: bool = False,
-                    events_out: str | None = None, monitors: bool = False,
-                    profile: bool = False, prom_out: str | None = None,
-                    profile_check: float | None = None,
-                    policy: str = "static") -> int:
-    """Run *count* queries concurrently in one shared simulation."""
+def concurrent_run(args: argparse.Namespace) -> int:
+    """``run --concurrent N``: the twin table's MPL workload (the joins
+    of its ``mpl4`` row, alternating triggered and pipelined), N wide."""
     from repro.adapt.policy import SchedulingPolicy
+    from repro.bench import twins
+    from repro.bench.runners import run_concurrent_workload
+    from repro.bench.workloads import make_join_database
     from repro.engine.executor import ObservabilityOptions
-    from repro.obs.bus import QUERY_ADMIT, QUERY_FINISH, QUERY_GRANT
+    from repro.obs.export import write_workload_jsonl
     from repro.obs.monitor import default_monitors
     from repro.workload.options import WorkloadOptions
 
-    observe = report or events_out is not None or prom_out is not None
-    rules = default_monitors() if monitors else ()
-    scheduling = SchedulingPolicy(policy=policy)
+    count = args.concurrent
+    database = make_join_database(twins.CARD_A, twins.CARD_B, twins.DEGREE,
+                                  theta=0.0)
+    options = WorkloadOptions(
+        scheduling=SchedulingPolicy(policy=args.policy),
+        observability=ObservabilityOptions(
+            observe=bool(args.report or args.events_out or args.prom_out),
+            monitors=default_monitors() if args.monitors else (),
+            profile=args.profile))
 
-    print(f"DBS3 concurrent workload demo — {count} queries, "
-          f"one shared simulation"
-          + (", shared-work folding ON" if shared else "")
-          + (", monitors ON" if monitors else "")
-          + (", self-profiler ON" if profile else "")
-          + (", adaptive scheduling ON" if scheduling.adaptive else "")
-          + "\n")
-    db = DBS3(processors=72)
-    db.create_table(generate_wisconsin("A", 12_000, seed=1), "unique1", 60)
-    db.create_table(generate_wisconsin("B", 1_200, seed=2), "unique1", 60)
-    db.create_table(generate_wisconsin("C", 9_000, seed=3), "unique1", 60)
-    db.create_table(generate_wisconsin("D", 900, seed=4), "unique1", 60)
-    shapes = [
-        "SELECT * FROM A JOIN B ON A.unique1 = B.unique1",
-        "SELECT * FROM C JOIN D ON C.unique1 = D.unique1",
-        "SELECT * FROM A JOIN D ON A.unique1 = D.unique1",
-        "SELECT * FROM C JOIN B ON C.unique1 = B.unique1",
-    ]
-    queries = [shapes[i % len(shapes)] for i in range(count)]
+    def run(admitted: int, shared: bool):
+        # Admitting all N at t=0 puts every duplicate inside the
+        # foldability window; the references get the same options.
+        return run_concurrent_workload(
+            database, count, threads=twins.THREADS,
+            workload=options.replace(max_concurrent=admitted, shared=shared))
 
-    serial = 0.0
-    for sql in queries:
-        serial += db.query(sql).execution.response_time
-
-    def run_session(fold: bool):
-        # The admission bound is lifted to the query count so every
-        # duplicate arrives inside the foldability window (a queued
-        # query cannot fold onto work that already started); the
-        # private reference run gets the same bound for a fair gain.
-        session = db.session(options=WorkloadOptions(
-            max_concurrent=count, shared=fold, scheduling=scheduling,
-            observability=ObservabilityOptions(
-                observe=observe, monitors=rules, profile=profile)))
-        for sql in queries:
-            session.submit(sql)
-        return session.run()
-
-    private_makespan = None
-    if shared:
-        private_makespan = run_session(False).makespan
-        result = run_session(True)
-    else:
-        session = db.session(options=WorkloadOptions(
-            scheduling=scheduling,
-            observability=ObservabilityOptions(
-                observe=observe, monitors=rules, profile=profile)))
-        for sql in queries:
-            session.submit(sql)
-        result = session.run()
-
-    print("timeline (virtual time):")
-    interesting = {QUERY_ADMIT: "admit ", QUERY_FINISH: "finish",
-                   QUERY_GRANT: "grant "}
-    for event in result.bus.events:
-        label = interesting.get(event.kind)
-        if label is None:
-            continue
-        detail = ", ".join(f"{k}={v}" for k, v in (event.data or {}).items())
-        print(f"  t={event.t:8.4f}  {label}  {event.operation:<4} {detail}")
-    print("\nper-query response times (from submission):")
-    for tag in result.order:
-        execution = result.execution(tag)
-        folded = sum(1 for op in execution.operations.values()
-                     if op.cost_share < 1.0)
-        note = (f", {folded} shared op{'s' if folded != 1 else ''}"
-                if folded else "")
-        print(f"  {tag}: {execution.response_time:.4f}s, "
-              f"peak {execution.total_threads} threads{note}")
-    print(f"\nback-to-back serial : {serial:.4f}s")
-    print(f"concurrent makespan : {result.makespan:.4f}s "
-          f"({serial / result.makespan:.2f}x)")
-    if private_makespan is not None:
-        print(f"private makespan    : {private_makespan:.4f}s — folding "
-              f"gains {private_makespan / result.makespan:.2f}x on top of "
-              f"concurrency")
-    print(f"throughput          : {result.throughput:.2f} queries/s")
-    if report:
-        print()
-        print(result.report().render())
-    if scheduling.adaptive:
-        print()
-        if result.decisions is not None and len(result.decisions):
-            print(result.decisions.render())
-        else:
-            print("adaptive controller: no mid-flight decisions (no "
-                  "queue-wait or Fig 12 signal fired)")
-    if monitors:
-        print()
-        print(result.alerts.render())
-    if profile:
-        print()
-        print(result.profile.render())
-    if prom_out:
-        with open(prom_out, "w", encoding="utf-8") as handle:
+    result = run(count, args.shared)
+    serial = run(1, False).makespan
+    print(f"DBS3 concurrent workload demo — {count} queries, one simulation\n")
+    print(result.render())
+    print(f"one at a time: {serial:.4f}s — concurrency gains "
+          f"{serial / result.makespan:.2f}x")
+    if args.shared:
+        private = run(count, False).makespan
+        print(f"private      : {private:.4f}s — folding gains "
+              f"{private / result.makespan:.2f}x on top of concurrency")
+    for block in (result.report() if args.report else None,
+                  result.decisions, result.alerts, result.profile):
+        if block is not None:  # None = the feature was not switched on
+            print("\n" + block.render())
+    if args.prom_out:
+        with open(args.prom_out, "w", encoding="utf-8") as handle:
             handle.write(result.metrics.render_prom())
-        print(f"\nwrote Prometheus text exposition to {prom_out}")
-    if events_out:
-        from repro.obs.export import write_workload_jsonl
-        records = write_workload_jsonl(result, events_out)
-        print(f"\nwrote {records} workload JSONL records to {events_out}")
-    if profile_check is not None:
-        coverage = result.profile.coverage() if profile else 0.0
-        if coverage < profile_check:
-            print(f"\nPROFILE COVERAGE GATE FAILED: attributed "
-                  f"{coverage:.1%} of engine wall time "
-                  f"(need >= {profile_check:.1%})")
-            return 1
-        print(f"\nprofile coverage gate: attributed {coverage:.1%} "
-              f"of engine wall time (>= {profile_check:.1%})")
+        print(f"\nwrote Prometheus text exposition to {args.prom_out}")
+    if args.events_out:
+        records = write_workload_jsonl(result, args.events_out)
+        print(f"\nwrote {records} workload JSONL records to "
+              f"{args.events_out}")
     return 0
 
 
@@ -244,8 +166,7 @@ def observed_run(sql: str, trace_out: str | None, events_out: str | None,
                                      explain=explanation)
     execution = db.executor.execute(compiled.plan, schedule)
     if explain:
-        print(explanation.render())
-        print()
+        print(explanation.render() + "\n")
     print(metrics_snapshot(execution))
     problems = verify_against_metrics(execution)
     if problems:
@@ -278,6 +199,7 @@ def diagnose_workload_log(path: str, run) -> int:
     from types import SimpleNamespace
 
     from repro.obs.alerts import Alert, AlertBus
+    from repro.obs.bus import SCHEDULE_RESPLIT, SCHEDULE_SWITCH
     from repro.obs.export import verify_workload_jsonl
     from repro.obs.spans import assemble_spans, verify_spans
     from repro.prof.profiler import EngineProfiler
@@ -292,33 +214,19 @@ def diagnose_workload_log(path: str, run) -> int:
         bus = AlertBus()
         for record in run.alerts:
             bus.add(Alert.from_json(record))
-        print()
-        print(bus.render())
+        print("\n" + bus.render())
     else:
         print("\nno alert records (the run carried no monitor rules)")
     if run.profile is not None:
-        profile = EngineProfiler.from_json(run.profile)
-        print()
-        print(profile.render())
+        print("\n" + EngineProfiler.from_json(run.profile).render())
 
-    from repro.obs.bus import SCHEDULE_RESPLIT, SCHEDULE_SWITCH
     decisions = [e for e in run.events
                  if e.kind in (SCHEDULE_RESPLIT, SCHEDULE_SWITCH)]
     if decisions:
         print("\nadaptive scheduling decisions:")
-        for event in decisions:
-            data = event.data or {}
-            if event.kind == SCHEDULE_RESPLIT:
-                print(f"  t={event.t:8.4f}  resplit {data.get('tag')}"
-                      f"/w{data.get('wave')}: {data.get('before')} -> "
-                      f"{data.get('after')} (drivers "
-                      f"{data.get('drivers')}, boost "
-                      f"{data.get('boost'):.2f})")
-            else:
-                print(f"  t={event.t:8.4f}  switch  "
-                      f"{data.get('operation')}: {data.get('before')} "
-                      f"-> {data.get('after')} (observed skew on "
-                      f"{data.get('observed')})")
+    for event in decisions:  # in the timeline's format
+        detail = ", ".join(f"{k}={v}" for k, v in (event.data or {}).items())
+        print(f"  t={event.t:8.4f}  {event.kind:<17} {detail}")
 
     # assemble_spans only reads ``bus.events`` — the reloaded events
     # are live Event objects, so the span model rebuilds faithfully.
@@ -340,95 +248,33 @@ def diagnose_workload_log(path: str, run) -> int:
     return 0
 
 
-def diagnose_run(args: argparse.Namespace) -> int:
-    """Diagnose a run (freshly executed or a reloaded JSONL log)."""
-    from repro.bench.runners import default_machine
-    from repro.bench.workloads import make_join_database
-    from repro.diag import RunRecord, RunRegistry, diagnose
-    from repro.engine.executor import (
-        ExecutionOptions,
-        Executor,
-        ObservabilityOptions,
-    )
-    from repro.lera.plans import assoc_join_plan
-    from repro.obs.explain import ScheduleExplanation
-    from repro.obs.export import write_jsonl
-    from repro.scheduler.adaptive import AdaptiveScheduler
-
-    explanation_json = None
-    workload: dict = {}
-    execution = None
-    if args.from_events:
-        from repro.obs.export import read_jsonl
-        run = read_jsonl(args.from_events)
-        if run.is_workload:
-            return diagnose_workload_log(args.from_events, run)
-        diagnosis = diagnose(run)
-        workload = {"source": str(args.from_events)}
-    else:
-        # The Figure 12 setup: AssocJoin over a Zipf-skewed stored
-        # operand — the workload whose diagnosis the paper motivates.
-        print(f"AssocJoin, 12000 x 1200 tuples over 60 fragments, "
-              f"theta={args.theta}, {args.threads} threads, "
-              f"{args.strategy} consumption\n")
-        database = make_join_database(12_000, 1_200, degree=60,
-                                      theta=args.theta)
-        plan = assoc_join_plan(database.entry_a, database.entry_b,
-                               "key", "key")
-        machine = default_machine()
-        explanation = ScheduleExplanation()
-        schedule = AdaptiveScheduler(machine).schedule(
-            plan, args.threads, explain=explanation)
-        schedule = schedule.with_strategy("join", args.strategy)
-        executor = Executor(machine, ExecutionOptions(
-            observability=ObservabilityOptions(observe=True)))
-        execution = executor.execute(plan, schedule)
-        diagnosis = diagnose(execution)
-        explanation_json = explanation.to_json()
-        workload = {"plan": "assoc_join", "card_a": 12_000,
-                    "card_b": 1_200, "degree": 60, "theta": args.theta,
-                    "threads": args.threads, "strategy": args.strategy}
-    print(diagnosis.render())
-    if args.events_out and execution is not None:
-        records = write_jsonl(execution, args.events_out)
-        print(f"\nwrote {records} JSONL records to {args.events_out}")
-    if args.record or args.run_id:
-        run_id = args.run_id or "diagnose-demo"
-        registry = RunRegistry(root=args.runs_dir)
-        path = registry.save(RunRecord.from_diagnosis(
-            diagnosis, run_id, label=args.label, workload=workload,
-            explanation=explanation_json))
-        print(f"\nrecorded run {run_id!r} -> {path}")
-    return 0
+#: One mode switch per subcommand: the flags that mean something only
+#: with it, and the flags that mean something only without it.
+MODE_FLAGS = {
+    "--concurrent": (
+        ("--shared", "--report", "--monitors", "--profile", "--prom-out",
+         "--policy"),
+        ("--sql", "--threads", "--explain", "--trace-out", "--metrics-out")),
+    "--from-events": (
+        (), ("--theta", "--strategy", "--threads", "--events-out")),
+}
 
 
-def compare_runs(argv: list[str]) -> int:
-    """``python -m repro compare RUN_A RUN_B``: A/B two records."""
-    from repro.diag import RunRegistry, compare
+def parse_modes(parser: argparse.ArgumentParser, argv: list[str],
+                switch: str) -> argparse.Namespace:
+    """Parse *argv*; a flag of the mode *switch* did not select (told
+    by a value off its default) is a usage error, exit 2, both ways."""
+    def dest(flag: str) -> str:
+        return flag.lstrip("-").replace("-", "_")
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro compare",
-        description="compare two recorded runs from the run registry")
-    parser.add_argument("run_a", help="baseline run id (A)")
-    parser.add_argument("run_b", help="candidate run id (B)")
-    parser.add_argument("--runs-dir", metavar="DIR", default=None,
-                        help="registry root (default: "
-                             "benchmarks/results/runs or $REPRO_RUNS_DIR)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="relative elapsed tolerance of the "
-                             "regression gate (default 0.05)")
-    parser.add_argument("--gate", action="store_true",
-                        help="exit 1 when B regresses past the tolerance")
     args = parser.parse_args(argv)
-    registry = RunRegistry(root=args.runs_dir)
-    kwargs = {} if args.tolerance is None else \
-        {"tolerance": args.tolerance}
-    comparison = compare(registry.load(args.run_a),
-                         registry.load(args.run_b), **kwargs)
-    print(comparison.render())
-    if args.gate and comparison.regressed:
-        return 1
-    return 0
+    needing, excluded = MODE_FLAGS[switch]
+    selected = getattr(args, dest(switch)) is not None
+    for flag in excluded if selected else needing:
+        if getattr(args, dest(flag)) != parser.get_default(dest(flag)):
+            parser.error(f"{flag} does not apply with {switch}" if selected
+                         else f"{flag} needs {switch}")
+    return args
 
 
 def run_command(argv: list[str]) -> int:
@@ -462,11 +308,6 @@ def run_command(argv: list[str]) -> int:
     parser.add_argument("--prom-out", metavar="PATH", default=None,
                         help="with --concurrent: write the final metrics "
                              "in Prometheus text exposition format")
-    parser.add_argument("--profile-check", type=float, metavar="FRACTION",
-                        default=None,
-                        help="with --concurrent --profile: exit 1 unless "
-                             "the profiler attributes at least FRACTION "
-                             "of the engine wall time (CI smoke gate)")
     parser.add_argument("--policy", choices=("static", "adaptive"),
                         default="static",
                         help="with --concurrent: scheduling policy — "
@@ -486,40 +327,25 @@ def run_command(argv: list[str]) -> int:
     parser.add_argument("--threads", type=int, default=None,
                         help="pin the degree of parallelism (default: let "
                              "scheduler step 1 choose)")
-    args = parser.parse_args(argv)
-    if args.concurrent is not None:
-        if args.concurrent < 1:
-            parser.error("--concurrent needs at least one query")
-        if args.profile_check is not None and not args.profile:
-            parser.error("--profile-check needs --profile")
-        return concurrent_demo(args.concurrent, shared=args.shared,
-                               report=args.report,
-                               events_out=args.events_out,
-                               monitors=args.monitors,
-                               profile=args.profile,
-                               prom_out=args.prom_out,
-                               profile_check=args.profile_check,
-                               policy=args.policy)
-    if args.report:
-        parser.error("--report needs --concurrent (it summarizes a "
-                     "workload, not a single query)")
-    if args.monitors or args.profile or args.prom_out or \
-            args.profile_check is not None:
-        parser.error("--monitors/--profile/--prom-out/--profile-check "
-                     "need --concurrent (they observe a workload run)")
-    if args.policy != "static":
-        parser.error("--policy needs --concurrent (the controller acts "
-                     "on a workload run)")
-    return observed_run(args.sql, args.trace_out, args.events_out,
-                        args.metrics_out, args.explain, args.threads)
+    args = parse_modes(parser, argv, "--concurrent")
+    if args.concurrent is None:
+        return observed_run(args.sql, args.trace_out, args.events_out,
+                            args.metrics_out, args.explain, args.threads)
+    if args.concurrent < 1:
+        parser.error("--concurrent needs at least one query")
+    return concurrent_run(args)
 
 
 def diagnose_command(argv: list[str]) -> int:
     """``python -m repro diagnose``: diagnostics demo / JSONL post-mortem."""
+    from repro.bench.runners import run_assoc_join
+    from repro.bench.workloads import make_join_database
+    from repro.diag import diagnose
+    from repro.obs.export import read_jsonl, write_jsonl
+
     parser = argparse.ArgumentParser(
         prog="python -m repro diagnose",
-        description="diagnose a run: critical path + imbalance doctor, "
-                    "optionally persisted to the run registry")
+        description="diagnose a run: critical path + imbalance doctor")
     parser.add_argument("--from-events", metavar="PATH", default=None,
                         help="diagnose a previously exported JSONL event "
                              "log instead of executing a query")
@@ -529,22 +355,30 @@ def diagnose_command(argv: list[str]) -> int:
     parser.add_argument("--strategy", choices=("random", "lpt"),
                         default="random",
                         help="join consumption strategy of the demo")
-    parser.add_argument("--record", action="store_true",
-                        help="persist the diagnosis to the run registry")
-    parser.add_argument("--run-id", metavar="ID", default=None,
-                        help="registry id for --record "
-                             "(default: diagnose-demo)")
-    parser.add_argument("--label", default="",
-                        help="free-text label stored in the record")
-    parser.add_argument("--runs-dir", metavar="DIR", default=None,
-                        help="registry root (default: "
-                             "benchmarks/results/runs or $REPRO_RUNS_DIR)")
     parser.add_argument("--events-out", metavar="PATH", default=None,
                         help="also export the run's JSONL event log")
     parser.add_argument("--threads", type=int, default=10,
                         help="degree of parallelism of the demo query")
-    args = parser.parse_args(argv)
-    return diagnose_run(args)
+    args = parse_modes(parser, argv, "--from-events")
+    if args.from_events:
+        run = read_jsonl(args.from_events)
+        if run.is_workload:
+            return diagnose_workload_log(args.from_events, run)
+        print(diagnose(run).render())
+        return 0
+    # The Figure 12 setup: AssocJoin over a Zipf-skewed stored operand
+    # — the workload whose diagnosis the paper motivates.
+    print(f"AssocJoin, 12000 x 1200 tuples over 60 fragments, "
+          f"theta={args.theta}, {args.threads} threads, "
+          f"{args.strategy} consumption\n")
+    database = make_join_database(12_000, 1_200, degree=60, theta=args.theta)
+    execution = run_assoc_join(database, args.threads,
+                               strategy=args.strategy, observe=True)
+    print(diagnose(execution).render())
+    if args.events_out:
+        records = write_jsonl(execution, args.events_out)
+        print(f"\nwrote {records} JSONL records to {args.events_out}")
+    return 0
 
 
 def serve_command(argv: list[str]) -> int:
@@ -553,9 +387,8 @@ def serve_command(argv: list[str]) -> int:
     Drives a seeded arrival stream through the overload-protection
     layer (admission policy + bounded queue + load shedding) at a
     multiple of the measured saturation throughput, and prints the
-    per-class fate of the overload.  ``--check`` turns it into the CI
-    smoke gate: conservation, shedding engaged, and goodput >= 80 %
-    of saturation.
+    per-class fate of the overload.  Its claims are gated elsewhere:
+    the ``fig_serving`` figure row and the chaos table's audits.
     """
     from repro.obs.bus import SERVE_BACKPRESSURE
     from repro.serve.harness import (
@@ -602,10 +435,6 @@ def serve_command(argv: list[str]) -> int:
     parser.add_argument("--shared", action="store_true",
                         help="fold identical subplans of concurrent "
                              "queries onto shared operators")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless the protection held "
-                             "(conservation + shedding engaged + goodput "
-                             ">= 80%% of saturation)")
     args = parser.parse_args(argv)
     if args.count < 1:
         parser.error("--count needs at least one arrival")
@@ -647,36 +476,9 @@ def serve_command(argv: list[str]) -> int:
         print(f"  {klass} {name:<12} submitted={row['submitted']:<4} "
               f"done={row['done']:<4} shed={row['shed']:<3} "
               f"timed_out={row['timed_out']:<3}{tail}")
-    transitions = [e for e in result.bus.events
-                   if e.kind == SERVE_BACKPRESSURE]
-    print(f"backpressure transitions: {len(transitions)}")
+    transitions = sum(e.kind == SERVE_BACKPRESSURE for e in result.bus.events)
+    print(f"backpressure transitions: {transitions}")
     print(f"decision digest: {decision_digest(result)}")
-
-    if not args.check:
-        return 0
-    failures = []
-    if sum(stats["statuses"].values()) != args.count:
-        failures.append(
-            f"conservation: statuses sum to "
-            f"{sum(stats['statuses'].values())}, expected {args.count}")
-    if rate > saturation and limit is not None \
-            and not stats["statuses"].get("shed", 0):
-        failures.append("overload never shed a query — protection "
-                        "unreachable at this rate?")
-    if rate >= saturation and args.policy != "fifo" \
-            and stats["goodput"] < 0.8 * saturation:
-        failures.append(
-            f"goodput {stats['goodput']:.1f} q/s < 80% of saturation "
-            f"{saturation:.1f} q/s")
-    print()
-    if failures:
-        print("SERVING CHECK FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"serving check: PASS (goodput {stats['goodput']:.1f} q/s vs "
-          f"saturation {saturation:.1f} q/s, "
-          f"{stats['statuses'].get('shed', 0)} shed)")
     return 0
 
 
@@ -733,7 +535,6 @@ def chaos_command(argv: list[str]) -> int:
 COMMANDS = {
     "run": run_command,
     "diagnose": diagnose_command,
-    "compare": compare_runs,
     "figures": figures_command,
     "chaos": chaos_command,
     "serve": serve_command,

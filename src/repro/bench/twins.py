@@ -86,6 +86,8 @@ SERVING_OVERLOAD = 2.0
 SERVING_QUEUE_LIMIT = 6
 #: Floor on the self-profiler's wall-clock attribution at MPL 4.
 PROFILE_COVERAGE_MIN = 0.90
+#: Zipf skew of the ``bottleneck`` row's stored operand.
+BOTTLENECK_THETA = 0.8
 
 #: Interleaved repeats of a row with a wall gate (others run once:
 #: their facts are deterministic and nothing compares their seconds).
@@ -354,6 +356,29 @@ def _build_template():
     return {"cold": facts, "warm": lambda: facts(warm)}
 
 
+def _build_bottleneck():
+    """The paper's central A/B through the diagnosis: Random against
+    LPT on the triggered join over a Zipf-skewed stored operand — did
+    the change move the bottleneck, or just the clock?  (On the
+    pipelined AssocJoin neither moves: the transmit is the bottleneck.)"""
+    from repro.diag import diagnose
+
+    database = make_join_database(CARD_A, CARD_B, DEGREE,
+                                  theta=BOTTLENECK_THETA)
+
+    def variant(strategy):
+        execution = run_ideal_join(database, THREADS, strategy=strategy,
+                                   observe=True)
+        diagnosis = diagnose(execution)
+        return query_facts(
+            execution, critical_path_s=diagnosis.critical_path.length,
+            bottleneck=diagnosis.bottleneck,
+            top_finding=diagnosis.findings[0].kind)
+
+    return {"random": lambda: variant("random"),
+            "lpt": lambda: variant("lpt")}
+
+
 TABLE: tuple[Twin, ...] = (
     *(_cell(mode, degree) for mode in ("triggered", "pipelined")
       for degree in (20, 200, 1500)),
@@ -393,6 +418,10 @@ TABLE: tuple[Twin, ...] = (
          wall=(("off", "fifo", FREE),)),
     Twin("template", ("cold", "warm"), _build_template,
          parity=(("cold", "warm"),)),
+    Twin("bottleneck", ("random", "lpt"), _build_bottleneck,
+         relations=(("lpt.virtual_s", "<", "random.virtual_s"),
+                    ("lpt.critical_path_s", "<", "random.critical_path_s"),
+                    ("lpt.bottleneck", "==", "random.bottleneck"))),
 )
 
 

@@ -11,17 +11,14 @@ this layer answers the paper's questions about it:
   findings per operator (instance-queue imbalance, thread stragglers,
   steal pressure, idle pools) with paper-grounded remediation hints:
   *how badly did skew defeat the thread pools?*
-* :class:`~repro.diag.registry.RunRegistry` /
-  :func:`~repro.diag.registry.compare` — persisted
-  :class:`~repro.diag.registry.RunRecord` files and structured A/B
-  regression reports: *did Random vs LPT actually change the
-  bottleneck?*
 
 Everything consumes an observed execution
 (``ObservabilityOptions(observe=True)``) or a reloaded JSONL event log
 (:func:`repro.obs.export.read_jsonl`) — both give identical results.
-Entry points: :func:`~repro.diag.report.diagnose`,
-``python -m repro diagnose``, ``python -m repro compare A B``.
+Entry points: :func:`~repro.diag.report.diagnose` and
+``python -m repro diagnose``.  An A/B of two diagnoses (*did Random vs
+LPT move the bottleneck, or just the clock?*) is a row of the twin
+table: ``bottleneck`` in :data:`repro.bench.twins.TABLE`.
 """
 
 from repro.diag.critical_path import (
@@ -40,12 +37,6 @@ from repro.diag.imbalance import (
     diagnose_imbalance,
     render_findings,
 )
-from repro.diag.registry import (
-    RunComparison,
-    RunRecord,
-    RunRegistry,
-    compare,
-)
 from repro.diag.report import Diagnosis, diagnose
 from repro.diag.run import ObservedRun, OpView
 
@@ -62,10 +53,6 @@ __all__ = [
     "THREAD_IMBALANCE",
     "STEAL_PRESSURE",
     "IDLE_POOL",
-    "RunComparison",
-    "RunRecord",
-    "RunRegistry",
-    "compare",
     "Diagnosis",
     "diagnose",
     "ObservedRun",

@@ -138,7 +138,7 @@ class CriticalPath:
         return sum(b.block for b in self.blame.values())
 
     def to_json(self) -> dict:
-        """Compact JSON form (what the run registry persists)."""
+        """Compact JSON form (equal for a live and a reloaded run)."""
         return {
             "length": self.length,
             "start": self.start,

@@ -1,8 +1,8 @@
 """One-call diagnosis: critical path + imbalance doctor, one report.
 
 :func:`diagnose` is the layer's front door — everything else
-(:mod:`repro.diag.critical_path`, :mod:`repro.diag.imbalance`,
-:mod:`repro.diag.registry`) is reachable from its result.
+(:mod:`repro.diag.critical_path`, :mod:`repro.diag.imbalance`) is
+reachable from its result.
 """
 
 from __future__ import annotations

@@ -238,6 +238,31 @@ class WorkloadResult:
         from repro.obs.report import build_workload_report
         return build_workload_report(self)
 
+    def render(self) -> str:
+        """The workload as text: the event stream off :attr:`bus`
+        (submissions, admissions, thread grants, finishes), one line
+        per query, and the makespan."""
+        lines = ["timeline (virtual time):"]
+        for event in self.bus.events:
+            detail = ", ".join(
+                f"{k}={v}" for k, v in (event.data or {}).items())
+            lines.append(f"  t={event.t:8.4f}  {event.kind:<13} "
+                         f"{event.operation or '':<9} {detail}")
+        lines.append("\nper query (response time from submission):")
+        for tag in self.order:
+            execution = self.executions[tag]
+            folded = sum(1 for op in execution.operations.values()
+                         if op.cost_share < 1.0)
+            lines.append(
+                f"  {tag:<9} {execution.status:<9} "
+                f"rows={execution.result_cardinality:<6} "
+                f"response={execution.response_time:.4f}s "
+                f"peak {execution.total_threads} threads"
+                + (f", {folded} shared op{'s' * (folded != 1)}"
+                   if folded else ""))
+        lines.append(f"\nmakespan     : {self.makespan:.4f}s virtual")
+        return "\n".join(lines)
+
     @property
     def throughput(self) -> float:
         """Successfully completed queries per virtual second."""

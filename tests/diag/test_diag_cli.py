@@ -1,15 +1,11 @@
-"""The diagnose / compare CLI paths and the Makefile demo flows."""
+"""The diagnose CLI path, the diagnosis front door, and the twin row
+that A/Bs two diagnoses (the comparison the run registry used to make)."""
 
-import pytest
+import json
 
 from repro.__main__ import main
-
-
-@pytest.fixture
-def runs_dir(tmp_path, monkeypatch):
-    path = tmp_path / "runs"
-    monkeypatch.setenv("REPRO_RUNS_DIR", str(path))
-    return path
+from repro.bench import twins
+from repro.diag import diagnose
 
 
 class TestDiagnoseCommand:
@@ -19,13 +15,6 @@ class TestDiagnoseCommand:
         assert "critical path:" in out
         assert "imbalance doctor" in out
         assert "redistribution-skew" in out
-
-    def test_record_persists_run(self, runs_dir, capsys):
-        code = main(["diagnose", "--threads", "6", "--record",
-                     "--run-id", "cli-run", "--label", "from the test"])
-        assert code == 0
-        assert (runs_dir / "cli-run.json").exists()
-        assert "recorded run 'cli-run'" in capsys.readouterr().out
 
     def test_from_events_reloads_log(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
@@ -37,47 +26,35 @@ class TestDiagnoseCommand:
         assert "diagnosis (jsonl run):" in out
         assert "critical path:" in out
 
-
-class TestCompareCommand:
-    def test_compare_two_recorded_runs(self, runs_dir, capsys):
-        main(["diagnose", "--threads", "6", "--record",
-              "--run-id", "a"])
-        main(["diagnose", "--threads", "6", "--record",
-              "--run-id", "b"])
+    def test_from_events_replays_a_workload_log(self, tmp_path, capsys):
+        """A workload log takes the other branch: alerts and profile
+        re-rendered from the file, then the span / snapshot self-audit."""
+        events = tmp_path / "workload.jsonl"
+        assert main(["run", "--concurrent", "4", "--monitors", "--profile",
+                     "--events-out", str(events)]) == 0
         capsys.readouterr()
-        assert main(["compare", "a", "b"]) == 0
+        assert main(["diagnose", "--from-events", str(events)]) == 0
         out = capsys.readouterr().out
-        assert "compare a (A) vs b (B):" in out
-        assert "within tolerance" in out
+        assert "workload event log:" in out
+        assert "latency_slo" in out and "attributed" in out
+        assert "workload log self-audit: spans and metric snapshots" in out
 
-    def test_gate_fails_on_regression(self, runs_dir, capsys):
-        # Same workload, but the candidate gets starved of threads —
-        # the gate must turn that into a non-zero exit.
-        main(["diagnose", "--threads", "10", "--record",
-              "--run-id", "base"])
-        main(["diagnose", "--threads", "2", "--record",
-              "--run-id", "starved"])
-        capsys.readouterr()
-        assert main(["compare", "base", "starved"]) == 0
-        assert main(["compare", "base", "starved", "--gate"]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
 
-    def test_explicit_runs_dir_flag(self, tmp_path, capsys):
-        explicit = tmp_path / "explicit"
-        main(["diagnose", "--threads", "6", "--record",
-              "--run-id", "x", "--runs-dir", str(explicit)])
-        main(["diagnose", "--threads", "6", "--record",
-              "--run-id", "y", "--runs-dir", str(explicit)])
-        capsys.readouterr()
-        assert main(["compare", "x", "y",
-                     "--runs-dir", str(explicit)]) == 0
+def test_diagnose_front_door_matches_parts(observed):
+    diagnosis = diagnose(observed)
+    assert diagnosis.bottleneck == diagnosis.critical_path.bottleneck
+    text = diagnosis.render()
+    assert "diagnosis (live run):" in text
+    assert "critical path:" in text
+    assert "imbalance doctor" in text
 
-    def test_loose_tolerance_passes_gate(self, runs_dir, capsys):
-        main(["diagnose", "--threads", "10", "--record",
-              "--run-id", "base"])
-        main(["diagnose", "--threads", "2", "--record",
-              "--run-id", "starved"])
-        capsys.readouterr()
-        assert main(["compare", "base", "starved", "--gate",
-                     "--tolerance", "10.0"]) == 0
+
+def test_bottleneck_row_holds_its_gates():
+    """Random vs LPT on the skewed triggered join, each through
+    ``diagnose``: LPT moves the clock and the critical path, not the
+    bottleneck — pins and relations, no wall clock (so tier-1)."""
+    row = {row.name: row for row in twins.TABLE}["bottleneck"]
+    record = twins.run(row)
+    pins = json.loads(twins.PINS_PATH.read_text())[row.name]
+    assert twins.compare(row, record, pins) == []
+    assert record["lpt"]["facts"]["bottleneck"] == "join"

@@ -1,5 +1,9 @@
 """The figures table's registry and the demo driver (structure-level)."""
 
+import re
+
+import pytest
+
 from repro.bench.figures import FIGURES
 
 
@@ -25,6 +29,25 @@ class TestDemoDriver:
         output = capsys.readouterr().out
         assert "SQL>" in output
         assert "IdealJoin" in output
+
+    @pytest.mark.parametrize("argv, line", [
+        ("run --concurrent 4", "reason=regrant"),
+        ("run --concurrent 8 --shared",
+         "peak 0 threads, 1 shared op.*folding gains .*x on top of"),
+        ("run --concurrent 4 --shared --report", "workload report"),
+        ("run --concurrent 4 --monitors", "latency_slo"),
+        ("run --concurrent 4 --profile", "attributed"),
+        ("run --concurrent 4 --policy adaptive", "schedule explanation:"),
+        ("serve --count 60", "decision digest: "),
+        ("diagnose --strategy lpt", "bottleneck operator: transmit"),
+    ])
+    def test_demo_invocations_print_their_block(self, argv, line, capsys):
+        """The invocations the docs name (and CI's demo steps used to
+        run): exit 0 and, by pattern, the block each one exists to show.
+        What the numbers must be is the gate tables' business."""
+        from repro import __main__ as main_module
+        assert main_module.main(argv.split()) == 0
+        assert re.search(line, capsys.readouterr().out, re.DOTALL)
 
     def test_figures_flag_dispatches(self, monkeypatch):
         """``python -m repro figures`` hands the table and the committed

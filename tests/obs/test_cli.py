@@ -36,9 +36,23 @@ class TestObservedRun:
         assert "step 4" in capsys.readouterr().out
 
     @pytest.mark.parametrize("legacy", [
-        ["--explain"], ["--diagnose"], ["--concurrent", "4"]])
+        ["--explain"], ["--diagnose"], ["--concurrent", "4"],
+        # Removed with the run registry.
+        ["compare", "a", "b"],
+        ["diagnose", "--record"],
+        # A flag of the mode the switch did not select, both directions.
+        *(["run", "--concurrent", "4", *flag] for flag in (
+            ["--sql", "SELECT * FROM A"], ["--threads", "8"], ["--explain"],
+            ["--trace-out", "t.json"], ["--metrics-out", "m.txt"])),
+        *(["run", *flag] for flag in (
+            ["--shared"], ["--report"], ["--monitors"], ["--profile"],
+            ["--prom-out", "m.prom"], ["--policy", "adaptive"])),
+        *(["diagnose", "--from-events", "missing.jsonl", *flag] for flag in (
+            ["--theta", "0.5"], ["--strategy", "lpt"], ["--threads", "4"],
+            ["--events-out", "e.jsonl"])),
+    ])
     def test_legacy_top_level_flags_are_usage_errors(self, legacy, capsys):
         with pytest.raises(SystemExit) as error:
             main(legacy)
         assert error.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert "usage: python -m repro" in capsys.readouterr().err
