@@ -46,7 +46,8 @@ from repro.storage.tuples import Row
 
 @dataclass
 class ExecContext:
-    """Per-activation execution context handed to a DBFunc.
+    """Execution context handed to a DBFunc: one per activation on an
+    Allcache machine, one per simulator on a uniform one.
 
     ``owner`` is the executing thread's id, used as the local-cache
     identity for the Allcache model; ``touch`` returns the extra
@@ -57,20 +58,19 @@ class ExecContext:
     machine: Machine
     owner: int
     penalty: float = 0.0
+    #: Whether touches can charge anything on this machine.  On uniform
+    #: machines every :meth:`touch` returns 0, so callers may skip
+    #: computing segment keys and footprints entirely (and the
+    #: simulator shares one context across activations).
+    tracks_memory: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.tracks_memory = self.machine.directory is not None
 
     def touch(self, segment_key: object, size_bytes: int) -> float:
         extra = self.machine.memory_access(self.owner, segment_key, size_bytes)
         self.penalty += extra
         return extra
-
-    @property
-    def tracks_memory(self) -> bool:
-        """Whether touches can charge anything on this machine.
-
-        On uniform machines every :meth:`touch` returns 0, so callers
-        may skip computing segment keys and footprints entirely.
-        """
-        return self.machine.directory is not None
 
 
 @dataclass

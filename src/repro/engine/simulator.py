@@ -37,6 +37,7 @@ and drains the loop to completion.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Callable
 
@@ -127,6 +128,11 @@ class Simulator:
         self._injector = None
         self._heap: list[tuple[float, int, WorkerThread]] = []
         self._seq = 0
+        #: The one context every activation shares on a machine that
+        #: cannot charge a touch (its ``penalty`` stays 0.0); Allcache
+        #: machines get one per activation, owned by the thread.
+        self._uniform_ctx = (ExecContext(machine, -1)
+                          if machine.directory is None else None)
         self._active = 0
         #: Unfinished threads currently admitted (active + waiting +
         #: blocked).  Drives the over-subscription (slicing) decision;
@@ -217,10 +223,14 @@ class Simulator:
         """
         heap = self._heap
         injector = self._injector
+        in_progress = self._in_progress
+        pop = heapq.heappop
+        step = self._step
+        limit = math.inf if until is None else until
         while heap:
-            if until is not None and heap[0][0] > until:
+            if heap[0][0] > limit:
                 return heap[0][0]
-            clock, _, thread = heapq.heappop(heap)
+            clock, _, thread = pop(heap)
             if (injector is not None
                     and injector.next_time_at is not None
                     and injector.next_time_at <= clock):
@@ -229,10 +239,10 @@ class Simulator:
                 injector.apply_time(clock, self.machine)
             if thread.state != RUNNABLE:
                 continue
-            if thread.thread_id in self._in_progress:
+            if in_progress and thread.thread_id in in_progress:
                 self._advance_slice(thread)
             else:
-                self._step(thread)
+                step(thread)
         return None
 
     def drain_operations(self, operations: list[OperationRuntime],
@@ -288,8 +298,17 @@ class Simulator:
         heapq.heappush(self._heap, (thread.clock, self._seq, thread))
         self._seq += 1
 
-    def _dilation(self) -> float:
-        return self.machine.dilation(self._active)
+    @property
+    def _active(self) -> int:
+        """Threads currently runnable (not parked, blocked or done)."""
+        return self._active_count
+
+    @_active.setter
+    def _active(self, count: int) -> None:
+        # The only writer, so the factor every charge multiplies by is
+        # recomputed where the count moves and nowhere else.
+        self._active_count = count
+        self._dilation = self.machine.dilation(count)
 
     def _wake_one(self, operation: OperationRuntime) -> None:
         """Signal one waiting consumer thread (condition-variable style)."""
@@ -372,7 +391,7 @@ class Simulator:
 
     def _charge_factor(self, thread: WorkerThread) -> float:
         """Dilation times any injected slowdown at the thread's clock."""
-        factor = self._dilation()
+        factor = self._dilation
         injector = self._injector
         if injector is not None and injector.perturbs_cpu:
             factor *= injector.speed_factor(
@@ -405,7 +424,7 @@ class Simulator:
                 return
             dilation = self._charge_factor(thread)
         else:
-            dilation = self._dilation()
+            dilation = self._dilation
         now = thread.clock
         index = operation.ready_index
         if index is None:
@@ -423,13 +442,20 @@ class Simulator:
 
         if polls:
             operation.polls += polls
-            thread.advance(polls * costs.poll_empty * dilation, busy=True)
+            scan = polls * costs.poll_empty * dilation
+            if future is not None and not ready:
+                # The fruitless poll, the commonest event there is:
+                # charge the empty scan, sleep to the floor, requeue.
+                thread.advance_then_wait(scan, future)
+                heapq.heappush(self._heap, (thread.clock, self._seq, thread))
+                self._seq += 1
+                return
+            thread.advance(scan, busy=True)
 
         if not ready:
-            if future is not None:
-                thread.wait_until(future)
-                self._push(thread)
-            elif not operation.input_closed:
+            # Nothing to wait for: a future comes from a polled queue,
+            # so the branch above took every miss that has one.
+            if not operation.input_closed:
                 thread.state = WAITING
                 self._active -= 1
                 operation.waiting_threads.append(thread)
@@ -515,7 +541,7 @@ class Simulator:
             # Disk latency spikes and slowdown windows fold into the
             # single whole-activation charge (dilation is identically
             # 1 on this path, so the factor applies here, not in
-            # _dilation).
+            # _charge_factor).
             cost = self._injector.charge(thread.operation, thread.thread_id,
                                          activation, start, cost)
         thread.advance(cost, busy=True)
@@ -657,7 +683,8 @@ class Simulator:
         operation.finalized = True
         filled: set[int] = set()
         for instance in range(operation.instances):
-            ctx = ExecContext(self.machine, thread.thread_id)
+            ctx = self._uniform_ctx or ExecContext(self.machine,
+                                                   thread.thread_id)
             result = operation.dbfunc.finalize(instance, ctx)
             if result is None:
                 continue
@@ -683,14 +710,16 @@ class Simulator:
     def _run_dbfunc(self, thread: WorkerThread,
                     activation: Activation) -> ProcessResult:
         operation = thread.operation
-        ctx = ExecContext(self.machine, thread.thread_id)
+        ctx = self._uniform_ctx or ExecContext(self.machine, thread.thread_id)
         result = operation.dbfunc.process(activation.instance, activation, ctx)
         operation.activation_costs.append(result.cost)
         operation.activation_outputs.append(len(result.emitted))
-        operation.memory_penalty += ctx.penalty
-        if ctx.penalty and operation.bus is not None:
-            operation.bus.add_memory_penalty(thread.clock, operation.name,
-                                             thread.thread_id, ctx.penalty)
+        if ctx.penalty:
+            operation.memory_penalty += ctx.penalty
+            if operation.bus is not None:
+                operation.bus.add_memory_penalty(
+                    thread.clock, operation.name, thread.thread_id,
+                    ctx.penalty)
         return result
 
     def _total_cost(self, operation: OperationRuntime,

@@ -79,6 +79,16 @@ class WorkerThread:
             self.idle_time += instant - self.clock
             self.clock = instant
 
+    def advance_then_wait(self, seconds: float, instant: float) -> None:
+        """``advance(seconds, busy=True)`` then ``wait_until(instant)``
+        in one frame: the same three additions in the same order."""
+        clock = self.clock + seconds
+        self.busy_time += seconds
+        if instant > clock:
+            self.idle_time += instant - clock
+            clock = instant
+        self.clock = clock
+
     def stall(self, instant: float) -> None:
         """Freeze under an injected stall window until *instant*.
 

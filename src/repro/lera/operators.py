@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import PlanError
 from repro.lera.activation import PIPELINED, TRIGGERED
@@ -30,6 +31,8 @@ JOIN_NESTED_LOOP = "nested_loop"
 JOIN_TEMP_INDEX = "temp_index"
 JOIN_HASH = "hash"
 JOIN_ALGORITHMS = (JOIN_NESTED_LOOP, JOIN_TEMP_INDEX, JOIN_HASH)
+
+_ROWS = attrgetter("rows")
 
 
 class OperatorSpec(ABC):
@@ -150,10 +153,12 @@ class JoinSpec(OperatorSpec):
         # Estimate memo: the scheduler (complexity + strategy selection)
         # and the runtime build each recompute the same per-instance
         # estimates; at high degrees that is thousands of cost-formula
-        # evaluations per query.  Keyed by cost model identity and the
-        # operand cardinalities, so two-phase plans that materialize
-        # their operands between calls invalidate it automatically.
-        self._estimate_cache: tuple[tuple, list[float]] | None = None
+        # evaluations per query.  Valid for the cost model it holds
+        # (held, so its address cannot be recycled) and the operand
+        # cardinalities, so two-phase plans that materialize their
+        # operands between calls invalidate it automatically.
+        self._estimate_cache: tuple[CostModel, list[int],
+                                    list[float]] | None = None
 
     @property
     def instances(self) -> int:
@@ -181,12 +186,12 @@ class JoinSpec(OperatorSpec):
 
     def estimated_instance_costs(self, costs: CostModel) -> list[float]:
         """Per-*activation* estimates (whole instance divided by grain)."""
-        state = (id(costs),
-                 tuple(len(f.rows) for f in self.outer_fragments),
-                 tuple(len(f.rows) for f in self.inner_fragments))
+        sizes = [*map(len, map(_ROWS, self.outer_fragments)),
+                 *map(len, map(_ROWS, self.inner_fragments))]
         cached = self._estimate_cache
-        if cached is not None and cached[0] == state:
-            return list(cached[1])
+        if (cached is not None and cached[0] is costs
+                and cached[1] == sizes):
+            return list(cached[2])
         estimates = []
         for outer, inner in zip(self.outer_fragments, self.inner_fragments):
             whole = _join_instance_estimate(
@@ -194,7 +199,7 @@ class JoinSpec(OperatorSpec):
                 self._estimated_cardinality(outer, self.outer_expected_total),
                 self._estimated_cardinality(inner, self.inner_expected_total))
             estimates.append(whole / self.grain)
-        self._estimate_cache = (state, list(estimates))
+        self._estimate_cache = (costs, sizes, list(estimates))
         return estimates
 
     def total_complexity(self, costs: CostModel) -> float:

@@ -136,8 +136,12 @@ class Rig:
         self.boundaries = []
 
     def run(self, until=None):
-        boundary = self.simulator.run(until)
-        self.boundaries.append((boundary, self.simulator.idle))
+        simulator = self.simulator
+        boundary = simulator.run(until)
+        self.boundaries.append((boundary, simulator.idle))
+        # The factor is cached beside the count it is a function of.
+        assert simulator._dilation == simulator.machine.dilation(
+            simulator._active)
         return boundary
 
     def cancel(self, at):
@@ -181,7 +185,7 @@ class Rig:
                           op.secondary_accesses, op.faults_injected,
                           op.fault_retries, op.fault_aborts, op.discarded,
                           op.pending_activations, op.finished_at,
-                          tuple(op.activation_costs))
+                          op.memory_penalty, tuple(op.activation_costs))
                 for op in self.operations},
             "rows": list(self.join.result_rows),
             "boundaries": self.boundaries,
@@ -263,3 +267,16 @@ def test_the_fast_path_is_what_ran():
         reference = Rig(config).play()
     assert quiet == reference
     assert scans["quiet"] * 2 < scans["stepwise"]
+
+
+def test_allcache_keeps_a_context_per_activation():
+    """On a KSR1 every activation's touches are charged to the thread
+    that ran it; the quiet step moves none of it."""
+    quiet, reference = _both(Config(ksr1=True))
+    penalties = {name: facts[-2]
+                 for name, facts in quiet["operations"].items()}
+    assert penalties["join"] > 0.0
+    assert penalties == {name: facts[-2] for name, facts
+                         in reference["operations"].items()}
+    assert Simulator(Machine.ksr1())._uniform_ctx is None
+    assert Simulator(Machine.uniform())._uniform_ctx is not None

@@ -1,6 +1,8 @@
 """Worker-thread model: clocks, accounting, main queues."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine.operation import OperationRuntime
 from repro.engine.strategies import make_strategy
@@ -13,6 +15,7 @@ from repro.storage.fragment import Fragment
 from repro.storage.schema import Schema
 
 SCHEMA = Schema.of_ints("key")
+_seconds = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
 def _operation(instances=6, threads=2):
@@ -48,6 +51,20 @@ class TestWorkerThread:
         assert thread.idle_time == 4.0
         thread.wait_until(3.0)  # in the past: no-op
         assert thread.clock == 5.0
+
+    @given(clock=_seconds, seconds=_seconds, instant=_seconds)
+    def test_advance_then_wait_is_advance_and_wait_until(
+            self, clock, seconds, instant):
+        merged, reference = _operation().threads
+        merged.clock = reference.clock = clock
+        merged.advance_then_wait(seconds, instant)
+        reference.advance(seconds, busy=True)
+        reference.wait_until(instant)
+        assert ((merged.clock, merged.busy_time, merged.idle_time)
+                == (reference.clock, reference.busy_time,
+                    reference.idle_time))
+        if instant <= clock + seconds:
+            assert merged.idle_time == 0.0
 
     def test_utilization(self):
         thread = _operation().threads[0]

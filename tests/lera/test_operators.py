@@ -1,5 +1,7 @@
 """Operator specs: instances, trigger modes, cost estimates."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import PlanError
@@ -82,6 +84,29 @@ class TestJoinSpec:
                         "key", "key")
         estimates = spec.estimated_instance_costs(DEFAULT_COSTS)
         assert spec.total_complexity(DEFAULT_COSTS) == pytest.approx(sum(estimates))
+
+    def test_memo_survives_a_recycled_cost_model_address(self):
+        """A dropped model's address goes to the next one built: the
+        memo must know the model, not where it lived."""
+        outer, inner = _fragments("A", [10, 30]), _fragments("B", [5, 7])
+        spec = JoinSpec(outer, inner, "key", "key")
+        for i in range(20):
+            for pair in (48e-6 + i * 1e-6, 7e-6 + i * 1e-6):
+                costs = replace(DEFAULT_COSTS, tuple_pair=pair)
+                fresh = JoinSpec(outer, inner, "key", "key")
+                assert (spec.estimated_instance_costs(costs)
+                        == fresh.estimated_instance_costs(costs))
+                del costs
+
+    def test_memo_follows_operand_cardinalities(self):
+        outer, inner = _fragments("A", [10, 30]), _fragments("B", [5, 7])
+        spec = JoinSpec(outer, inner, "key", "key")
+        before = spec.estimated_instance_costs(DEFAULT_COSTS)
+        assert spec.estimated_instance_costs(DEFAULT_COSTS) == before
+        inner[1].append((1, 0))
+        after = spec.estimated_instance_costs(DEFAULT_COSTS)
+        assert after[0] == before[0]
+        assert after[1] == pytest.approx(30 * 8 * DEFAULT_COSTS.tuple_pair)
 
 
 class TestTransmitSpec:
