@@ -253,27 +253,41 @@ def critical_path(source) -> CriticalPath:
         raise ReproError("observed run has an empty span trace; "
                          "nothing to extract a critical path from")
 
+    # The spans as columns, and the two sort keys as lists whose
+    # ``__getitem__`` is the key function: the walk below reads floats
+    # by index and makes no Python call per span.
+    thread_ids, operations, _, starts, ends = zip(*spans)
+    durations = [end - start for start, end in zip(starts, ends)]
+    by_start = list(zip(starts, ends)).__getitem__
+    by_end = list(zip(ends, starts)).__getitem__
+
     # Same-thread predecessor of every span.
-    prev_on_thread: dict[int, int | None] = {}
+    prev_on_thread: list[int | None] = [None] * len(spans)
     order_by_thread: dict[int, list[int]] = {}
-    for i, span in enumerate(spans):
-        order_by_thread.setdefault(span.thread_id, []).append(i)
+    for i, thread_id in enumerate(thread_ids):
+        order_by_thread.setdefault(thread_id, []).append(i)
     for indices in order_by_thread.values():
-        indices.sort(key=lambda i: (spans[i].start, spans[i].end))
+        indices.sort(key=by_start)
         previous: int | None = None
         for i in indices:
             prev_on_thread[i] = previous
             previous = i
 
     # Per-producer-operation spans sorted by end, for the
-    # latest-finishing-before-start lookup.
+    # latest-finishing-before-start lookup; per consumer operation,
+    # its producers (in the order the producer set iterates) with
+    # spans of their own.
     by_op: dict[str, list[int]] = {}
-    for i, span in enumerate(spans):
-        by_op.setdefault(span.operation, []).append(i)
+    for i, name in enumerate(operations):
+        by_op.setdefault(name, []).append(i)
     op_ends: dict[str, list[float]] = {}
     for name, indices in by_op.items():
-        indices.sort(key=lambda i: (spans[i].end, spans[i].start))
-        op_ends[name] = [spans[i].end for i in indices]
+        indices.sort(key=by_end)
+        op_ends[name] = [ends[i] for i in indices]
+    producers = {name: run.producers_of(name) for name in by_op}
+    feeds = {name: [(by_op[producer], op_ends[producer])
+                    for producer in producers[name] if producer in by_op]
+             for name in by_op}
 
     # Heaviest chain ending at each span, in dependency-safe order
     # (every predecessor ends no later than its successor starts, so
@@ -281,47 +295,43 @@ def critical_path(source) -> CriticalPath:
     # chain's total busy time; gaps are attributed during backtrack
     # but score nothing.
     chain: dict[int, float] = {}
-    choice: dict[int, int | None] = {}
+    choice: list[int | None] = [None] * len(spans)
     processed_ends: list[float] = []
     prefix_best: list[int] = []  # argmax chain over processed[:k+1]
-    for i in sorted(range(len(spans)),
-                    key=lambda i: (spans[i].end, spans[i].start)):
-        span = spans[i]
-        best_len = span.duration
+    for i in sorted(range(len(spans)), key=by_end):
+        # Predecessors end no later than this (the edge tolerance).
+        horizon = starts[i] + EPS
+        duration = durations[i]
+        best_len = duration
         best_pred: int | None = None
         candidates: list[int] = []
         same = prev_on_thread[i]
         if same is not None:
             candidates.append(same)
-        producers = run.producers_of(span.operation)
-        for producer in producers:
-            indices = by_op.get(producer)
-            if not indices:
-                continue
-            j = bisect_right(op_ends[producer], span.start + EPS) - 1
+        for indices, producer_ends in feeds[operations[i]]:
+            j = bisect_right(producer_ends, horizon) - 1
             if j >= 0:
                 candidates.append(indices[j])
-        if same is None and not producers:
+        if same is None and not producers[operations[i]]:
             # Wave barrier: the first span of a thread running a
             # producer-less (triggered) operation was seeded only after
             # every earlier wave completed, so the heaviest chain
             # finishing before it is a genuine predecessor.
-            j = bisect_right(processed_ends, span.start + EPS) - 1
+            j = bisect_right(processed_ends, horizon) - 1
             if j >= 0:
                 candidates.append(prefix_best[j])
         for pred in candidates:
             if pred not in chain:  # zero-width tie not yet visited
                 continue
-            pred_end = spans[pred].end
-            if pred_end > span.start + EPS:
+            if ends[pred] > horizon:
                 continue
-            length = chain[pred] + span.duration
+            length = chain[pred] + duration
             if length > best_len:
                 best_len = length
                 best_pred = pred
         chain[i] = best_len
         choice[i] = best_pred
-        processed_ends.append(span.end)
+        processed_ends.append(ends[i])
         if prefix_best and chain[prefix_best[-1]] >= best_len:
             prefix_best.append(prefix_best[-1])
         else:

@@ -69,6 +69,7 @@ class OperationRuntime:
 
     Attributes:
         node: The Lera-par node this runtime realizes.
+        name: The node's name, copied once (read on every event).
         dbfunc: Executable operator body.
         queues: One activation queue per instance.
         threads: The thread pool (filled by the executor).
@@ -90,6 +91,7 @@ class OperationRuntime:
         if cache_size < 1:
             raise ExecutionError(f"cache_size must be >= 1, got {cache_size}")
         self.node = node
+        self.name = node.name
         self.dbfunc = dbfunc
         self.strategy = strategy
         self.cache_size = cache_size
@@ -151,10 +153,6 @@ class OperationRuntime:
         self.discarded = 0
 
     # -- identity ------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.node.name
 
     @property
     def instances(self) -> int:

@@ -21,9 +21,10 @@ operation.
 
 Independently, a queue may carry an *obs* hook (the execution's
 :class:`~repro.obs.bus.EventBus`, attached only when observability is
-on): enqueues and dequeues then feed the per-operation queue-depth
-probe.  When off the hook is ``None`` and each hot path pays exactly
-one ``is not None`` check.
+on): enqueues and dequeues then move the per-operation queue-depth
+counter, one :meth:`~repro.obs.bus.EventBus.add` under the key the
+queue built once.  When off the hook is ``None`` and each hot path
+pays exactly one ``is not None`` check.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
 from repro.lera.activation import Activation
+from repro.obs.probes import queue_depth_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.threads import WorkerThread
@@ -53,11 +55,14 @@ class ActivationQueue:
             queues by (derived from fragment cardinalities).
         lpt_key: ``(cost_estimate, -instance)``, LPT's rank, fixed here
             so a choice among candidates builds no tuples.
+        depth_key: Name of the operation's queue-depth probe, fixed
+            here so an observed enqueue builds no string.
     """
 
     __slots__ = ("operation_name", "instance", "kind", "capacity",
-                 "cost_estimate", "lpt_key", "_heap", "_seq", "enqueued",
-                 "consumed", "blocked_producers", "listener", "obs")
+                 "cost_estimate", "lpt_key", "depth_key", "_heap", "_seq",
+                 "enqueued", "consumed", "blocked_producers", "listener",
+                 "obs")
 
     def __init__(self, operation_name: str, instance: int, kind: str,
                  capacity: int | None = None, cost_estimate: float = 0.0) -> None:
@@ -69,6 +74,7 @@ class ActivationQueue:
         self.capacity = capacity
         self.cost_estimate = cost_estimate
         self.lpt_key = (cost_estimate, -instance)
+        self.depth_key = queue_depth_key(operation_name)
         self._heap: list[tuple[float, int, Activation]] = []
         self._seq = 0
         self.enqueued = 0
@@ -97,7 +103,7 @@ class ActivationQueue:
                                           or ready_time < old_head):
             self.listener.notify(self.instance, ready_time)
         if self.obs is not None:
-            self.obs.on_enqueue(self.operation_name, ready_time)
+            self.obs.add(self.depth_key, ready_time, 1)
 
     @property
     def over_capacity(self) -> bool:
@@ -134,7 +140,7 @@ class ActivationQueue:
         if self.listener is not None:
             self.listener.notify(self.instance, None)
         if self.obs is not None:
-            self.obs.on_dequeue(self.operation_name, now, count)
+            self.obs.add(self.depth_key, now, -count)
         return count
 
     def dequeue_ready(self, now: float, limit: int) -> list[Activation]:
@@ -152,5 +158,5 @@ class ActivationQueue:
             self.listener.notify(self.instance,
                                  heap[0][0] if heap else None)
         if batch and self.obs is not None:
-            self.obs.on_dequeue(self.operation_name, now, len(batch))
+            self.obs.add(self.depth_key, now, -len(batch))
         return batch

@@ -114,7 +114,10 @@ class ReadyIndex:
         lazily.
         """
         if self.obs is not None:
-            self.obs.count(self._notify_key)
+            # EventBus.count, written out: one notify per head change.
+            counters = self.obs.counters
+            key = self._notify_key
+            counters[key] = counters.get(key, 0.0) + 1.0
         pool = self._pool_of[instance]
         self._ready[pool].discard(instance)
         self._nrt[instance] = ready_time
@@ -212,12 +215,16 @@ class ReadyIndex:
         queues = self._queues
         main_count = self._mains_per_pool[pool]
         mains = self._ready_in(pool, now)
-        if self.obs is not None:
+        obs = self.obs
+        if obs is not None:
             # Probe the post-promotion ready-set size this thread saw
             # in its own pool structure (the operation-wide set is
             # only promoted on the secondary path, so it would read
-            # stale here).
-            self.obs.sample(self._ready_key, now, len(self._ready[pool]))
+            # stale here) — a call only when the size moved.
+            size = len(self._ready[pool])
+            series = obs.series.get(self._ready_key)
+            if series is None or series.values[-1] != size:
+                obs.sample(self._ready_key, now, size)
         if mains:
             mains.sort()
             return ([queues[i] for i in mains],
@@ -240,7 +247,9 @@ class ReadyIndex:
         empty (tested, never iterated) and both validated heap tops lie
         after *now*.  Side effects are ``select``'s: stale tops purged
         and counted (additive, so a ``select`` after a ``None`` sums to
-        the same), the ``ready_set`` probe sampled at size 0.
+        the same), the ``ready_set`` probe sampled at size 0 — no call
+        at all when it already reads 0, as a sample on no change
+        stores nothing.
         """
         ready = self._ready
         pool = thread.pool_index
@@ -257,6 +266,9 @@ class ReadyIndex:
                     future = self._top(pool)
                 if future is not None and future <= now:
                     return None
-        if future is not None and self.obs is not None:
-            self.obs.sample(self._ready_key, now, 0)
+        obs = self.obs
+        if future is not None and obs is not None:
+            series = obs.series.get(self._ready_key)
+            if series is None or series.values[-1] != 0:
+                obs.sample(self._ready_key, now, 0)
         return future

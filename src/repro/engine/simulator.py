@@ -52,6 +52,7 @@ from repro.engine.threads import (
     WAITING,
     WorkerThread,
 )
+from repro.engine.trace import TraceEvent
 from repro.errors import ExecutionError, ExecutionFaultError
 from repro.obs.bus import (
     BLOCK,
@@ -63,6 +64,7 @@ from repro.obs.bus import (
     OP_FINISH,
     THREAD_FINISH,
     UNBLOCK,
+    Event,
 )
 from repro.lera.activation import DATA, Activation
 from repro.machine.machine import Machine
@@ -475,9 +477,11 @@ class Simulator:
             access_cost += costs.secondary_access
             operation.secondary_accesses += 1
         if operation.bus is not None:
-            operation.bus.emit(DEQUEUE, thread.clock, operation.name,
-                               thread.thread_id, instance=queue.instance,
-                               count=len(batch), secondary=secondary)
+            # EventBus.emit, written out: one record per dequeue batch.
+            operation.bus.events.append(Event(
+                DEQUEUE, thread.clock, operation.name, thread.thread_id,
+                {"instance": queue.instance, "count": len(batch),
+                 "secondary": secondary}))
         thread.advance(access_cost * dilation, busy=True)
         if queue.blocked_producers and not queue.over_capacity:
             self._wake_blocked(queue, thread.clock)
@@ -545,10 +549,12 @@ class Simulator:
             cost = self._injector.charge(thread.operation, thread.thread_id,
                                          activation, start, cost)
         thread.advance(cost, busy=True)
-        if thread.operation.tracer is not None:
-            thread.operation.tracer.record(
+        tracer = thread.operation.tracer
+        if tracer is not None:
+            # ExecutionTrace.record, written out: one span per activation.
+            tracer.events.append(TraceEvent(
                 thread.thread_id, thread.operation.name,
-                "activation", start, thread.clock)
+                "activation", start, thread.clock))
         if result.emitted:
             self._deliver(thread, result, start, filled)
 
@@ -603,10 +609,11 @@ class Simulator:
             self._push(thread)
             return
         del self._in_progress[thread.thread_id]
-        if thread.operation.tracer is not None:
-            thread.operation.tracer.record(
+        tracer = thread.operation.tracer
+        if tracer is not None:
+            tracer.events.append(TraceEvent(
                 thread.thread_id, thread.operation.name,
-                "activation", work.started_at, thread.clock)
+                "activation", work.started_at, thread.clock))
         filled: set[int] = set()
         if work.result.emitted:
             self._deliver(thread, work.result, work.started_at, filled)

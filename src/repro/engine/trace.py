@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ReproError
 
@@ -22,9 +23,9 @@ from repro.errors import ReproError
 _GLYPHS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One busy interval of one thread."""
+class TraceEvent(NamedTuple):
+    """One busy interval of one thread (an immutable record; the
+    simulator appends one per activation)."""
 
     thread_id: int
     operation: str

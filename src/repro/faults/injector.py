@@ -155,8 +155,7 @@ class FaultInjector:
                     and activation.instance not in spec.instances):
                 continue
             extra += spec.extra_latency
-            self._announce(spec, operation, now,
-                           kind_data={"extra_latency": spec.extra_latency})
+            self._announce(spec, operation, now, spec.extra_latency)
         return extra
 
     def charge(self, operation, thread_id: int, activation,
@@ -262,17 +261,15 @@ class FaultInjector:
                 self.metrics.counter(FAULT_MEMORY_EVENTS).inc(now)
             if self.bus is not None:
                 from repro.obs.bus import FAULT_MEMORY
-                self.bus.emit(
-                    FAULT_MEMORY, now, data={
-                        "factor": event.factor,
-                        "scheduled_at": event.at,
-                        "capacity_bytes": released,
-                    })
+                self.bus.emit(FAULT_MEMORY, now, factor=event.factor,
+                              scheduled_at=event.at,
+                              capacity_bytes=released)
 
     # ------------------------------------------------------------------
     # Bus announcements
 
-    def _announce(self, spec, operation, now: float, kind_data: dict) -> None:
+    def _announce(self, spec, operation, now: float,
+                  extra_latency: float) -> None:
         if operation.bus is None:
             return
         key = (id(spec), operation.name)
@@ -281,7 +278,7 @@ class FaultInjector:
         self._announced.add(key)
         from repro.obs.bus import FAULT_DISK
         operation.bus.emit(FAULT_DISK, now, operation=operation.name,
-                           data=kind_data)
+                           extra_latency=extra_latency)
 
     def _announce_slowdown(self, operation, thread_id: int, now: float,
                            factor: float) -> None:
@@ -293,7 +290,7 @@ class FaultInjector:
         self._announced.add(key)
         from repro.obs.bus import FAULT_SLOWDOWN
         operation.bus.emit(FAULT_SLOWDOWN, now, operation=operation.name,
-                           thread_id=thread_id, data={"factor": factor})
+                           thread_id=thread_id, factor=factor)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,12 @@ One :class:`EventBus` instance observes one query execution.  Engine
 layers hold an optional reference to it (``None`` when observability
 is off) and guard every emission with a single ``is not None`` check,
 so the disabled hot path costs one attribute load per site — the
-perf-regression harness pins this at under 5 % wall clock.
+perf-regression harness pins this at under 5 % wall clock.  When on,
+observing an activation costs appends: the per-activation sites (the
+dequeue event, the activation span, the ready-notify count) write their
+record into ``events`` / ``counters`` themselves, a queue-depth move is
+one :meth:`EventBus.add` frame, and a probe that repeats its last value
+stores nothing.  Exporters are views over what is stored.
 
 The bus records three things:
 
@@ -28,14 +33,9 @@ demo verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.obs.probes import (
-    ACTIVE_THREADS,
-    MEMORY_PENALTY,
-    Series,
-    queue_depth_key,
-)
+from repro.obs.probes import ACTIVE_THREADS, MEMORY_PENALTY, Series
 
 #: Event taxonomy.  ``queue.dequeue`` with ``secondary=True`` is a
 #: steal — a thread consuming from a queue outside its main set.
@@ -102,9 +102,10 @@ READY_NOTIFY_PREFIX = "ready_notify/"
 READY_STALE_PREFIX = "ready_stale_drops/"
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One structured observation.
+class Event(NamedTuple):
+    """One structured observation (an immutable record: a tuple costs
+    half what a frozen dataclass does to build, and the per-activation
+    sites build one each).
 
     ``t`` is the emitting thread's virtual clock (or the executor's
     wave clock); ``data`` holds kind-specific payload fields, ``None``
@@ -148,25 +149,26 @@ class EventBus:
         series.sample(t, value)
 
     def add(self, name: str, t: float, delta: float) -> float:
-        """Bump a counter by *delta* and sample the new value at *t*."""
-        value = self.counters.get(name, 0.0) + delta
-        self.counters[name] = value
-        self.sample(name, t, value)
+        """Bump a counter by *delta* and sample the new value at *t*.
+
+        One frame: every enqueue and dequeue moves a queue-depth
+        counter through here, so :meth:`Series.sample`'s on-change
+        append is written out in place.
+        """
+        counters = self.counters
+        value = counters[name] = counters.get(name, 0.0) + delta
+        series = self.series.get(name)
+        if series is None:
+            series = self.series[name] = Series(name)
+        values = series.values
+        if not values or values[-1] != value:
+            series.times.append(t)
+            values.append(value)
         return value
 
     def count(self, name: str, delta: float = 1.0) -> None:
         """Bump a scalar counter with no time-series sample (hot sites)."""
         self.counters[name] = self.counters.get(name, 0.0) + delta
-
-    # -- queue hooks (called from ActivationQueue, guarded by the caller) ---
-
-    def on_enqueue(self, operation_name: str, t: float) -> None:
-        """One activation became pending on *operation_name*."""
-        self.add(queue_depth_key(operation_name), t, 1)
-
-    def on_dequeue(self, operation_name: str, t: float, count: int) -> None:
-        """*count* activations left *operation_name*'s queues."""
-        self.add(queue_depth_key(operation_name), t, -count)
 
     # -- engine convenience hooks ------------------------------------------
 

@@ -6,7 +6,7 @@ Three output formats, all derived from one
 
 * :func:`write_jsonl` — the full structured record, one JSON object
   per line: a meta header, every bus event, every span of the
-  activation trace, compacted probe series samples, scalar counters,
+  activation trace, probe series samples, scalar counters,
   and per-operation metric summaries.  This is the machine-readable
   log; the obs tests re-parse it and check the event counts against
   :class:`~repro.engine.metrics.OperationMetrics`, and
@@ -138,7 +138,7 @@ def jsonl_records(execution: "QueryExecution") -> Iterator[dict]:
                    "op": span.operation, "kind": span.kind,
                    "start": span.start, "end": span.end}
     for name in sorted(bus.series):
-        for t, value in bus.series[name].compacted():
+        for t, value in bus.series[name].to_pairs():
             yield {"type": "sample", "name": name, "t": t, "value": value}
     for name in sorted(bus.counters):
         yield {"type": "counter", "name": name, "value": bus.counters[name]}
@@ -210,8 +210,8 @@ class LoadedRun:
     The inverse of :func:`write_jsonl`: ``events`` are real
     :class:`~repro.obs.bus.Event` objects, ``trace`` a real
     :class:`~repro.engine.trace.ExecutionTrace`, ``series`` real
-    :class:`~repro.obs.probes.Series` (compacted — duplicate-value
-    samples were dropped at export).  ``meta`` and ``ops`` stay plain
+    :class:`~repro.obs.probes.Series` holding exactly the stored
+    samples (a series stores changes only, so no sample was dropped).  ``meta`` and ``ops`` stay plain
     dicts, exactly as written.  :mod:`repro.diag` analyses a
     ``LoadedRun`` identically to the live execution it came from.
     """
@@ -306,7 +306,8 @@ def read_jsonl(path: str | Path) -> LoadedRun:
                 if series is None:
                     series = run.series[record["name"]] = Series(
                         record["name"])
-                series.sample(record["t"], record["value"])
+                series.times.append(record["t"])
+                series.values.append(record["value"])
             elif kind == "counter":
                 run.counters[record["name"]] = record["value"]
             elif kind == "qspan":
@@ -375,7 +376,7 @@ def chrome_trace(execution: "QueryExecution") -> dict:
             "args": args,
         })
     for name in sorted(bus.series):
-        for t, value in bus.series[name].compacted():
+        for t, value in bus.series[name].to_pairs():
             events.append({
                 "name": name, "ph": "C", "pid": _PID, "tid": 0,
                 "ts": t * _US, "args": {"value": value},

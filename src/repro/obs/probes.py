@@ -36,12 +36,16 @@ class Series:
         return f"Series({self.name!r}, samples={len(self.times)})"
 
     def sample(self, t: float, value: float) -> None:
-        """Append one sample.  Virtual time must not go backwards by
-        more than simulator tie-breaking allows; samples are kept in
-        arrival order (which the engine emits non-decreasing per
-        probe site, but distinct thread clocks may interleave)."""
-        self.times.append(t)
-        self.values.append(value)
+        """Append one sample unless it repeats the last value: a series
+        stores changes only, so what it holds is what exporters write.
+        Virtual time must not go backwards by more than simulator
+        tie-breaking allows; samples are kept in arrival order (which
+        the engine emits non-decreasing per probe site, but distinct
+        thread clocks may interleave)."""
+        values = self.values
+        if not values or values[-1] != value:
+            self.times.append(t)
+            values.append(value)
 
     @property
     def last(self) -> float:
@@ -70,17 +74,6 @@ class Series:
     def to_pairs(self) -> list[tuple[float, float]]:
         """The samples as ``(time, value)`` pairs."""
         return list(zip(self.times, self.values))
-
-    def compacted(self) -> list[tuple[float, float]]:
-        """Pairs with consecutive duplicate values dropped (keeps the
-        first sample of every run) — what exporters emit."""
-        pairs: list[tuple[float, float]] = []
-        previous: float | None = None
-        for t, value in zip(self.times, self.values):
-            if previous is None or value != previous:
-                pairs.append((t, value))
-                previous = value
-        return pairs
 
 
 #: Well-known series names.  Per-operation probes append the operation

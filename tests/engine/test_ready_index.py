@@ -265,7 +265,7 @@ class TestQuiet:
     def test_purges_and_counts_stale_tops_like_select(self):
         class Counts:
             def __init__(self):
-                self.counters, self.samples = {}, []
+                self.counters, self.series, self.samples = {}, {}, []
 
             def count(self, name, delta=1.0):
                 self.counters[name] = self.counters.get(name, 0) + delta

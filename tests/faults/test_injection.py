@@ -25,6 +25,7 @@ from repro.faults import (
 from repro.faults.injector import io_faults
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.machine.machine import Machine
+from repro.obs.export import read_jsonl, write_jsonl
 from repro.scheduler.adaptive import AdaptiveScheduler
 from repro.storage.io import relation_to_csv
 
@@ -127,6 +128,26 @@ class TestCpuFaults:
         slowed = _run(join_db, faults=faults)
         assert slowed.response_time > clean.response_time
         assert sorted(slowed.result_rows) == sorted(clean.result_rows)
+
+    def test_slowdown_announcement_is_flat(self, join_db, tmp_path):
+        # Fault announcements carry their fields at the top level of
+        # the payload, like every other event kind, through export and
+        # reload.
+        faults = FaultPlan(slowdowns=(
+            SlowdownWindow(0.0, float("inf"), 4.0, operation="join"),))
+        slowed = _run(join_db, faults=faults, observe=True)
+        announced = slowed.obs.events_of("fault.slowdown")
+        assert announced
+        assert all(event.data == {"factor": 4.0} for event in announced)
+        path = tmp_path / "events.jsonl"
+        write_jsonl(slowed, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        slowdowns = [record for record in records
+                     if record.get("kind") == "fault.slowdown"]
+        assert len(slowdowns) == len(announced)
+        assert all(record["factor"] == 4.0 and "data" not in record
+                   for record in slowdowns)
+        assert read_jsonl(path).events == list(slowed.obs.events)
 
     def test_stall_parks_threads_and_charges_stalled_time(self, join_db):
         clean = _run(join_db)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.engine.queues import ActivationQueue
 from repro.errors import ReproError
+from repro.lera.activation import trigger
 from repro.obs.bus import DEQUEUE, ENQUEUE, MEMORY, EventBus
 from repro.obs.probes import (
     ACTIVE_THREADS,
@@ -39,12 +41,14 @@ class TestSeries:
         assert series.at(2.0) == 7
         assert series.at(99.0) == 7
 
-    def test_compacted_drops_consecutive_duplicates(self):
+    def test_a_series_keeps_only_changes(self):
+        # A sample repeating the last value stores nothing; the first
+        # sample of every run of equal values is the one kept.
         series = Series("depth")
-        for t, v in [(0.0, 1), (1.0, 1), (2.0, 2), (3.0, 2), (4.0, 1)]:
+        for t, v in [(0.0, 1), (1.0, 1), (2.0, 2), (3.0, 2.0), (4.0, 1)]:
             series.sample(t, v)
-        assert series.compacted() == [(0.0, 1), (2.0, 2), (4.0, 1)]
-        assert series.to_pairs()[0] == (0.0, 1)
+        assert series.to_pairs() == [(0.0, 1), (2.0, 2), (4.0, 1)]
+        assert len(series) == 3
 
     def test_key_helpers(self):
         assert queue_depth_key("join") == "queue_depth/join"
@@ -63,6 +67,11 @@ class TestEventBus:
         assert len(bus.events_of(DEQUEUE)) == 2
         assert len(bus.events_of(DEQUEUE, "join")) == 1
         assert bus.events[0].data == {"count": 3}
+        # Digests hash reprs of records, so the spelling is part of
+        # the format.
+        assert repr(bus.events[0]) == (
+            "Event(kind='queue.enqueue', t=0.5, operation='join', "
+            "thread_id=2, data={'count': 3})")
 
     def test_round_trip_totals(self):
         bus = EventBus()
@@ -77,17 +86,21 @@ class TestEventBus:
 
     def test_queue_depth_probe_follows_hooks(self):
         bus = EventBus()
-        bus.on_enqueue("join", 0.1)
-        bus.on_enqueue("join", 0.2)
-        bus.on_dequeue("join", 0.3, 2)
+        queue = ActivationQueue("join", 0, "pipelined")
+        queue.obs = bus
+        queue.enqueue(0.1, trigger(0))
+        queue.enqueue(0.2, trigger(0))
+        assert len(queue.dequeue_ready(0.3, limit=2)) == 2
         depth = bus.series[queue_depth_key("join")]
         assert depth.to_pairs() == [(0.1, 1), (0.2, 2), (0.3, 0)]
         assert depth.peak == 2
+        assert bus.counters[queue_depth_key("join")] == 0
 
     def test_add_samples_and_counts(self):
         bus = EventBus()
         assert bus.add("x", 1.0, 2) == 2
         assert bus.add("x", 2.0, -1) == 1
+        assert bus.add("x", 3.0, 0) == 1    # counted, not re-sampled
         assert bus.counters["x"] == 1
         assert bus.series["x"].to_pairs() == [(1.0, 2), (2.0, 1)]
 

@@ -1,5 +1,6 @@
 """Exporters: JSONL round-trip, Chrome trace structure, self-audit."""
 
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,39 @@ def _observed(plan, threads=4, strategy="random"):
 def observed(join_db):
     plan = assoc_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
     return _observed(plan)
+
+
+#: sha256 over ``write_jsonl`` + ``write_chrome_trace`` +
+#: ``metrics_snapshot`` of a fault-free observed run: the ``observed``
+#: fixture (degree 20, the linear scan) and the same join at degree 100
+#: on eight threads (the ready index, its probes and counters).  A change
+#: of the exported format is a declared one: it moves these pins.
+EXPORT_SHA256 = {
+    "scan": "b348430a88a21ccfb8afe679f333fd53c9a6f974f5e0f8cabd09795080e2e5b1",
+    "indexed": "ac1c259a7fb99f0e444435b76e39967f776ccd61a51659507ee2b3dfedd62719",
+}
+
+
+class TestPinnedBytes:
+    @staticmethod
+    def _digest(execution, tmp_path):
+        write_jsonl(execution, tmp_path / "events.jsonl")
+        write_chrome_trace(execution, tmp_path / "trace.json")
+        digest = hashlib.sha256()
+        digest.update((tmp_path / "events.jsonl").read_bytes())
+        digest.update((tmp_path / "trace.json").read_bytes())
+        digest.update(metrics_snapshot(execution).encode())
+        return digest.hexdigest()
+
+    def test_scan_export_is_pinned(self, observed, tmp_path):
+        assert self._digest(observed, tmp_path) == EXPORT_SHA256["scan"]
+
+    def test_indexed_export_is_pinned(self, tmp_path):
+        from repro.bench.workloads import make_join_database
+        db = make_join_database(2000, 200, degree=100, theta=0.0)
+        execution = _observed(assoc_join_plan(
+            db.entry_a, db.entry_b, "key", "key"), threads=8)
+        assert self._digest(execution, tmp_path) == EXPORT_SHA256["indexed"]
 
 
 class TestSelfAudit:
@@ -107,7 +141,7 @@ class TestReadJsonl:
         assert reloaded.meta["total_threads"] == observed.total_threads
 
     def test_events_round_trip_to_event_objects(self, observed, reloaded):
-        # Event is a frozen dataclass, so this compares kind, time,
+        # Event is a named tuple, so this compares kind, time,
         # operation, thread and the full payload of every event.
         assert reloaded.events == list(observed.obs.events)
 
@@ -115,9 +149,11 @@ class TestReadJsonl:
         assert reloaded.trace.events == observed.trace.events
 
     def test_series_round_trip_compacted(self, observed, reloaded):
+        # A series stores changes only, so what was stored is what was
+        # written and what comes back.
         assert set(reloaded.series) == set(observed.obs.series)
         for name, series in observed.obs.series.items():
-            assert reloaded.series[name].to_pairs() == series.compacted()
+            assert reloaded.series[name].to_pairs() == series.to_pairs()
 
     def test_counters_round_trip(self, observed, reloaded):
         assert reloaded.counters == dict(observed.obs.counters)

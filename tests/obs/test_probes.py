@@ -27,7 +27,6 @@ class TestEmptySeries:
         series = Series("empty")
         assert len(series) == 0
         assert series.to_pairs() == []
-        assert series.compacted() == []
 
     def test_peak_and_last_raise(self):
         series = Series("empty")
@@ -88,7 +87,10 @@ class TestRepeatedTimestamps:
         for t, value in ((0.0, 1.0), (1.0, 1.0), (1.0, 2.0),
                          (2.0, 2.0), (3.0, 1.0)):
             series.sample(t, value)
-        assert series.compacted() == [(0.0, 1.0), (1.0, 2.0), (3.0, 1.0)]
+        assert series.to_pairs() == [(0.0, 1.0), (1.0, 2.0), (3.0, 1.0)]
+        # The step function is the one the repeated samples described.
+        assert [series.at(t) for t in (0.5, 1.0, 2.0, 3.0)] == [
+            1.0, 2.0, 2.0, 1.0]
 
 
 class TestSelfAuditCorruption:
