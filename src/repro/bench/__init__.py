@@ -1,7 +1,6 @@
 """Experiment databases, runners and the three gate tables (the twin
 table, the chaos table and the paper's figures)."""
 
-from repro.bench.repeat import Measurement, measure_series, repeat
 from repro.bench.runners import (
     RESERVED_PROCESSORS,
     chain_ideal_time,
@@ -22,15 +21,12 @@ from repro.bench.workloads import (
 __all__ = [
     "JOIN_SCHEMA",
     "JoinDatabase",
-    "Measurement",
     "RESERVED_PROCESSORS",
     "chain_ideal_time",
     "chain_worst_time",
     "default_machine",
     "make_join_database",
     "make_selection_table",
-    "measure_series",
-    "repeat",
     "run_assoc_join",
     "run_ideal_join",
     "sequential_time",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 
 from repro.bench.workloads import JoinDatabase
+from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.executor import (
     ExecutionOptions,
     Executor,
@@ -85,8 +86,8 @@ def run_concurrent_workload(database: JoinDatabase, count: int,
         builder = builders[index % len(builders)]
         plan = builder(database.entry_a, database.entry_b, "key", "key")
         schedule = scheduler.schedule(plan, threads)
-        submissions.append(QuerySubmission(f"q{index}", _compiled(plan),
-                                           schedule))
+        submissions.append(QuerySubmission(
+            f"q{index}", CompiledQuery.of_plan(plan), schedule))
     return WorkloadExecutor(machine, ExecutionOptions(seed=seed),
                             workload).execute(submissions)
 
@@ -117,17 +118,11 @@ def run_overlap_workload(databases: list[JoinDatabase], overlap: float,
         plan = ideal_join_plan(database.entry_a, database.entry_b,
                                "key", "key")
         schedule = scheduler.schedule(plan, threads)
-        submissions.append(QuerySubmission(f"q{index}", _compiled(plan),
-                                           schedule))
+        submissions.append(QuerySubmission(
+            f"q{index}", CompiledQuery.of_plan(plan), schedule))
     options = ExecutionOptions(seed=seed)
     workload = WorkloadOptions(max_concurrent=count, shared=shared)
     return WorkloadExecutor(machine, options, workload).execute(submissions)
-
-
-def _compiled(plan):
-    """Wrap a bench plan for the workload engine (no row shaping)."""
-    from repro.compiler.parallelizer import CompiledQuery
-    return CompiledQuery(plan, None, None, "bench workload")
 
 
 def chain_ideal_time(execution: QueryExecution) -> float:

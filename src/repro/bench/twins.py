@@ -14,7 +14,7 @@ and :func:`render` prints the result:
   ``twins_pins.json`` bit for bit; the pins hold no wall clock, so
   they never need re-recording for noise;
 * **parity** — variants that must not differ (observed vs bare,
-  session vs executor, ...) agree on every fact they share;
+  empty fault plan vs none, ...) agree on every fact they share;
 * **relations** — ``adaptive < static``, ``private >= 2.0 * shared``,
   ``coverage >= 0.9``;
 * **wall** — in at least one interleaved repeat the second variant
@@ -168,14 +168,12 @@ def _cell(mode: str, degree: int) -> Twin:
 
 def _build_query():
     """The pipelined single query through every path that must not
-    move it: the bare executor, full observation, an *empty* fault
-    plan (every injector hook live, nothing injected) and a one-query
-    session (the machinery behind ``db.query()``)."""
-    from repro.compiler.parallelizer import CompiledQuery
+    move it: the bare executor (a one-query workload, the machinery
+    behind ``db.query()`` too), full observation and an *empty* fault
+    plan (every injector hook live, nothing injected)."""
     from repro.faults import FaultPlan
     from repro.lera.plans import assoc_join_plan
     from repro.scheduler.adaptive import AdaptiveScheduler
-    from repro.workload.engine import QuerySubmission, WorkloadExecutor
 
     database, machine = _database(), default_machine()
 
@@ -190,19 +188,11 @@ def _build_query():
         return query_facts(Executor(
             machine, ExecutionOptions(**options)).execute(*planned()))
 
-    def session():
-        plan, schedule = planned()
-        submission = QuerySubmission(
-            "q0", CompiledQuery(plan, None, None, "twin"), schedule)
-        return query_facts(WorkloadExecutor(machine).execute(
-            [submission]).execution("q0"))
-
     return {
         "executor": executor,
         "observed": lambda: executor(
             observability=ObservabilityOptions(observe=True)),
         "empty_plan": lambda: executor(faults=FaultPlan()),
-        "session": session,
     }
 
 
@@ -386,12 +376,10 @@ def _build_bottleneck():
 TABLE: tuple[Twin, ...] = (
     *(_cell(mode, degree) for mode in ("triggered", "pipelined")
       for degree in (20, 200, 1500)),
-    Twin("query", ("executor", "observed", "empty_plan", "session"),
-         _build_query,
-         parity=(("executor", "observed", "empty_plan", "session"),),
+    Twin("query", ("executor", "observed", "empty_plan"), _build_query,
+         parity=(("executor", "observed", "empty_plan"),),
          wall=(("executor", "observed", OBSERVED),
-               ("executor", "empty_plan", FREE),
-               ("executor", "session", FREE))),
+               ("executor", "empty_plan", FREE))),
     Twin("mpl4",
          ("bare", "observed", "monitored", "profiled", "back_to_back"),
          _build_mpl4,

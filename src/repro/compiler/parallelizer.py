@@ -48,6 +48,11 @@ class CompiledQuery:
     projection: tuple[int, ...] | None
     description: str
 
+    @classmethod
+    def of_plan(cls, plan: LeraGraph) -> "CompiledQuery":
+        """A hand-built plan as a submission: raw rows, no shaping."""
+        return cls(plan, None, None, "bare plan")
+
     @property
     def final_schema(self) -> Schema:
         if self.projection is None:

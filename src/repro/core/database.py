@@ -160,9 +160,8 @@ class DBS3:
               schedule: QuerySchedule | None = None) -> QueryResult:
         """Run one SQL query end to end.
 
-        A thin wrapper over a one-query :meth:`session` — a lone
-        query executes bit-identically to the dedicated single-query
-        path (golden-trace tested).
+        A thin wrapper over a one-query :meth:`session`, the same
+        run ``Executor.execute`` makes for a bare plan.
 
         Args:
             sql: The query text (see :mod:`repro.compiler.parser` for

@@ -1,29 +1,30 @@
 """The query executor.
 
 Builds the extended view (operation runtimes, one queue per instance,
-a thread pool per operation), charges the sequential start-up phase,
-places data segments in local caches, and drives the discrete-event
-simulator wave by wave across the plan's chain DAG.
+a thread pool per operation), prices the sequential start-up phase and
+places data segments in local caches.  The workload engine
+(:mod:`repro.workload.engine`) drives the discrete-event simulator
+wave by wave across the plan's chain DAG with these builders;
+:meth:`Executor.execute` is a workload of one query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.dbfuncs import make_dbfunc
-from repro.engine.metrics import OperationMetrics, QueryExecution
+from repro.engine.metrics import QueryExecution
 from repro.engine.operation import OperationRuntime
-from repro.engine.simulator import Simulator
 from repro.engine.trace import ExecutionTrace
 from repro.engine.strategies import RANDOM, make_strategy
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError, ExecutionFaultError, PlanError
 from repro.lera.activation import PIPELINED, TRIGGERED
 from repro.lera.graph import PIPELINE, LeraGraph, LeraNode
 from repro.lera.operators import AggregateSpec, PipelinedJoinSpec, StoreSpec
 from repro.machine.cache import REMOTE_HOME
 from repro.machine.machine import Machine
-from repro.obs.bus import OP_SEED, OP_START, WAVE_END, WAVE_START, EventBus
-from repro.prof.profiler import active_profiler
+from repro.obs.bus import OP_SEED, OP_START, EventBus
 from repro.storage.tuples import stable_hash
 
 #: Data placement policies for the Allcache model.
@@ -96,7 +97,8 @@ class ObservabilityOptions:
 
     trace: bool = False
     """Record an :class:`~repro.engine.trace.ExecutionTrace` (one event
-    per activation) exposed as ``QueryExecution.trace``."""
+    per activation) exposed as ``QueryExecution.trace``.  Per query,
+    so ``ExecutionOptions`` only: ``WorkloadOptions`` refuses it."""
     observe: bool = False
     """Attach an :class:`~repro.obs.bus.EventBus` to the execution:
     structured events, time-series probes and counters end up on
@@ -108,8 +110,8 @@ class ObservabilityOptions:
     engine evaluates at virtual-time control points (admission,
     regrant, wave barriers, query finish).  A non-empty tuple implies
     workload metrics (the rules read the registry); fired alerts land
-    on ``WorkloadResult.alerts``.  Ignored by single-query execution,
-    which has no workload control points."""
+    on ``WorkloadResult.alerts`` (:meth:`Executor.execute` evaluates
+    them too, but returns no workload result to read them from)."""
     profile: bool = False
     """Self-profile the engine's *wall-clock* hot paths with an
     :class:`~repro.prof.profiler.EngineProfiler` exposed as
@@ -128,11 +130,6 @@ class ObservabilityOptions:
                     f"monitors must contain Monitor rules, got "
                     f"{type(rule).__name__}: {rule!r}")
         object.__setattr__(self, "monitors", monitors)
-
-    @property
-    def enabled(self) -> bool:
-        return self.trace or self.observe or bool(self.monitors) \
-            or self.profile
 
     def replace(self, **changes) -> "ObservabilityOptions":
         """Copy with the given fields replaced (ergonomic twin of
@@ -194,57 +191,19 @@ class Executor:
     # -- public API -------------------------------------------------------------
 
     def execute(self, plan: LeraGraph, schedule: QuerySchedule) -> QueryExecution:
-        """Run *plan* under *schedule*; returns results plus metrics."""
-        plan.validate()
-        runtimes = self.build_runtimes(plan, schedule)
-        self.wire_pipelines(plan, runtimes)
-        startup = self.startup_time(runtimes, schedule)
+        """Run *plan* under *schedule*; returns results plus metrics.
 
-        bus = EventBus() if self.options.observe else None
-        tracer = (ExecutionTrace()
-                  if self.options.trace or self.options.observe else None)
-        self.attach_observability(runtimes, bus, tracer)
-        simulator = Simulator(self.machine, seed=self.options.seed)
-        profiler = active_profiler()
-        if profiler is not None:
-            simulator.attach_profiler(profiler)
-        if self.options.faults is not None:
-            from repro.faults.injector import FaultInjector
-            simulator.attach_faults(
-                FaultInjector(self.options.faults, bus=bus))
-        waves = plan.chain_waves()
-        next_thread_id = 0
-        current_time = startup
-        max_wave_threads = 0
-        max_dilation = 1.0
-        for wave_index, wave in enumerate(waves):
-            wave_ops = [runtimes[node.name]
-                        for chain in wave for node in chain.nodes]
-            counts = {op.name: schedule.of(op.name).threads
-                      for op in wave_ops}
-            next_thread_id, wave_threads = self.prepare_wave(
-                wave_ops, counts, current_time, next_thread_id)
-            max_wave_threads = max(max_wave_threads, wave_threads)
-            max_dilation = max(max_dilation, self.machine.dilation(wave_threads))
-            if bus is not None:
-                bus.emit(WAVE_START, current_time, wave=wave_index,
-                         operations=[op.name for op in wave_ops],
-                         threads=wave_threads)
-            current_time = simulator.run_wave(wave_ops)
-            if bus is not None:
-                bus.emit(WAVE_END, current_time, wave=wave_index)
-
-        metrics = {name: OperationMetrics.of(rt) for name, rt in runtimes.items()}
-        return QueryExecution(
-            response_time=current_time,
-            startup_time=startup,
-            total_threads=max_wave_threads,
-            dilation=max_dilation,
-            operations=metrics,
-            result_rows=self.collect_results(plan, runtimes),
-            trace=tracer,
-            obs=bus,
-        )
+        A one-query workload under this executor's options: a lone
+        query is granted its full demand, so *schedule* applies as
+        written.  Raises :class:`~repro.errors.ExecutionFaultError`
+        when an activation exhausts its fault retries.
+        """
+        from repro.workload.engine import QuerySubmission, WorkloadExecutor
+        result = WorkloadExecutor(self.machine, self.options).execute(
+            [QuerySubmission("q0", CompiledQuery.of_plan(plan), schedule)])
+        if "q0" in result.errors:
+            raise ExecutionFaultError(result.errors["q0"])
+        return result.executions["q0"]
 
     # -- construction helpers (shared with the workload engine) -----------------
 
@@ -326,16 +285,6 @@ class Executor:
                              count=operation.pending_activations)
             self._place_segments(operation)
         return next_thread_id, wave_threads
-
-    def collect_results(self, plan: LeraGraph,
-                        runtimes: dict[str, OperationRuntime]) -> list:
-        """Result rows of the plan: output of every consumer-less op."""
-        result_rows = []
-        for node in plan.nodes:
-            runtime = runtimes[node.name]
-            if runtime.consumer is None:
-                result_rows.extend(runtime.result_rows)
-        return result_rows
 
     def wire_pipelines(self, plan: LeraGraph,
                        runtimes: dict[str, OperationRuntime]) -> None:

@@ -19,9 +19,9 @@ from repro.obs.bus import EventBus
 from repro.storage.tuples import Row
 
 #: Terminal states of a query execution.  ``STATUS_DONE`` is the only
-#: one a plain single-query run can produce; the others come from the
-#: workload layer's cancellation/timeout/fault-abort paths —
-#: ``rejected`` / ``shed`` from the serving layer's admission and
+#: one ``Executor.execute`` returns (a failed run raises); the others
+#: come from the workload layer's cancellation/timeout/fault-abort
+#: paths — ``rejected`` / ``shed`` from the serving layer's admission and
 #: overload-protection decisions (the query never touched the machine).
 STATUS_DONE = "done"
 STATUS_CANCELLED = "cancelled"

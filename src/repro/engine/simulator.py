@@ -29,9 +29,8 @@ operations into the same loop (:meth:`Simulator.add_operations`,
 possibly at different virtual times) and letting their threads
 interleave — the dilation then follows the combined active thread
 count, which is exactly how concurrent queries contend on the real
-machine.  The classic single-query entry point,
-:meth:`Simulator.run_wave`, is the special case that admits one wave
-and drains the loop to completion.
+machine.  The workload engine (:mod:`repro.workload.engine`) is the
+simulator's only client; a single query is a workload of one.
 """
 
 from __future__ import annotations
@@ -104,25 +103,25 @@ class _WorkInProgress:
 class Simulator:
     """Runs operations of one (or several) queries to completion."""
 
-    def __init__(self, machine: Machine, seed: int = 0) -> None:
+    def __init__(self, machine: Machine, seed: int,
+                 on_operation_complete: Callable[
+                     [OperationRuntime, WorkerThread], None],
+                 on_query_abort: Callable[
+                     [OperationRuntime, ExecutionFaultError, float], None]
+                 ) -> None:
         self.machine = machine
         self.rng = random.Random(seed)
         #: Invoked as ``callback(operation, thread)`` right after an
         #: operation's last thread terminates (``finished_at`` is set,
         #: downstream input-close already handled).  The workload
         #: engine hooks query-completion bookkeeping — next-wave
-        #: admission, thread re-granting — in here; ``None`` for plain
-        #: single-query execution.
-        self.on_operation_complete: Callable[
-            [OperationRuntime, WorkerThread], None] | None = None
+        #: admission, thread re-granting — in here.
+        self.on_operation_complete = on_operation_complete
         #: Invoked as ``callback(operation, error, at)`` when an
         #: activation exhausts its fault retries.  The workload engine
-        #: drains the owning query's wave here (and the simulation
-        #: continues for the survivors); when ``None`` the
-        #: :class:`~repro.errors.ExecutionFaultError` propagates out
-        #: of :meth:`run`.
-        self.on_query_abort: Callable[
-            [OperationRuntime, ExecutionFaultError, float], None] | None = None
+        #: drains the owning query's wave here, and the simulation
+        #: continues for the survivors.
+        self.on_query_abort = on_query_abort
         #: Optional :class:`~repro.faults.injector.FaultInjector`.
         #: Every consultation is guarded by ``is not None``, so a run
         #: without one is bit-identical to an engine without the
@@ -155,24 +154,6 @@ class Simulator:
         """Time this simulator's phases as sections of *profiler*; an
         unprofiled simulator pays nothing."""
         profiler.instrument(self, _PROFILED_SECTIONS)
-
-    def run_wave(self, operations: list[OperationRuntime]) -> float:
-        """Simulate *operations* until every thread terminates.
-
-        Operations must already have pools built and triggered
-        operations seeded.  Returns the wave's finish time (max
-        operation finish).  Raises :class:`ExecutionError` on deadlock
-        (threads parked forever — indicates a wiring bug).
-        """
-        self.add_operations(operations)
-        self.run()
-        stuck = [op.name for op in operations if not op.complete]
-        if stuck:
-            raise ExecutionError(
-                f"deadlock: operations {stuck} have parked threads and no "
-                f"runnable work")
-        return max(op.finished_at for op in operations
-                   if op.finished_at is not None)
 
     def add_operations(self, operations: list[OperationRuntime]) -> None:
         """Admit built operations into the event loop.
@@ -667,18 +648,15 @@ class Simulator:
                      decision) -> None:
         """An activation exhausted its retries: abort the owning query.
 
-        With a workload attached (:attr:`on_query_abort`), the callback
-        drains the query's wave and the simulation continues for the
-        survivors; this thread then terminates through the normal
-        finish path.  Stand-alone runs raise.
+        :attr:`on_query_abort` drains the query's wave and the
+        simulation continues for the survivors; this thread then
+        terminates through the normal finish path.
         """
         operation = thread.operation
         error = ExecutionFaultError(
             f"activation of operation {operation.name!r} instance "
             f"{activation.instance} failed {decision.attempt} times "
             f"(retries exhausted) at t={thread.clock:.6f}")
-        if self.on_query_abort is None:
-            raise error
         self.on_query_abort(operation, error, thread.clock)
         self._finish_thread(thread)
 
@@ -855,5 +833,4 @@ class Simulator:
                 if tap.consumer.producers_remaining <= 0:
                     tap.consumer.close_input()
                     self._wake_all(tap.consumer)
-        if self.on_operation_complete is not None:
-            self.on_operation_complete(operation, thread)
+        self.on_operation_complete(operation, thread)

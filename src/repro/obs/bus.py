@@ -73,7 +73,7 @@ SERVE_BROWNOUT = "serve.brownout"          # brownout tripped or cleared
 
 #: Fault injection (:mod:`repro.faults`).  Per-operation kinds appear
 #: on the query's bus; ``fault.memory`` is machine-level and appears
-#: on the workload (or single-query) bus.
+#: on the workload bus.
 FAULT_ACTIVATION = "fault.activation"  # one failed processing attempt
 FAULT_DISK = "fault.disk"              # disk latency/error spike active
 FAULT_MEMORY = "fault.memory"          # Allcache budget shrank mid-run

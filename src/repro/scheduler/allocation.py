@@ -210,9 +210,8 @@ def allocate_to_queries(budget: int, demands: list[int],
     idle in pools the query never builds.
 
     A lone query always receives its full demand, whatever the budget:
-    this is the rule that makes the single-query path of the workload
-    engine coincide exactly with :class:`~repro.engine.executor
-    .Executor` (the golden-trace parity the Session API promises).
+    this is the rule that lets :meth:`~repro.engine.executor.Executor
+    .execute` be a one-query workload whose schedule applies as written.
 
     Args:
         budget: Machine thread budget to distribute (>= 1).

@@ -1,7 +1,7 @@
 """Multi-query workloads: several queries in one shared simulation.
 
-The single-query :class:`~repro.engine.executor.Executor` stops the
-paper's adaptivity story at the query boundary.  This package lifts it
+The paper's four-step scheduler stops its adaptivity story at the
+query boundary.  This package lifts it
 one level: an admission controller bounds how many queries run at
 once, the four-step scheduler's proportional-complexity split is
 applied *across* running queries ("step 0"), and — the paper's dynamic
@@ -10,9 +10,8 @@ query are re-granted to the remaining ones mid-flight.
 
 Public face: :class:`~repro.workload.session.Session` /
 :class:`~repro.workload.session.QueryHandle`, reachable through
-``DBS3.session()``.  A lone submitted query executes bit-identically
-to ``Executor.execute`` (golden-trace tested), so ``db.query()`` is a
-thin wrapper over a one-query session.
+``DBS3.session()``.  ``db.query()`` and ``Executor.execute`` are both
+one-query workloads of this engine: it is the only one there is.
 """
 
 from repro.adapt.policy import (

@@ -19,9 +19,9 @@ Life of a query here:
 3. **grant**: "step 0" — :func:`~repro.scheduler.allocation
    .allocate_to_queries` splits the machine's thread budget across
    running queries by estimated complexity, capped at each query's
-   own demand.  A lone query gets its full demand, which is what
-   makes the one-query path bit-identical to
-   :class:`~repro.engine.executor.Executor` (golden-trace tested).
+   own demand.  A lone query gets its full demand, so its schedule
+   applies as written — :meth:`~repro.engine.executor.Executor.execute`
+   is exactly that run.
 4. **waves** run through the shared simulator; each wave's
    per-operation split rescales the query's own schedule to its
    current grant (largest-remainder, the paper's step-3 rule).
@@ -484,8 +484,8 @@ class _QueryJob:
 
         ``response_time`` is measured from *submission*, so it
         includes any admission-queue wait — for a query submitted at
-        t=0 and admitted immediately it equals the absolute finish
-        time, exactly as the single-query executor reports it.
+        t=0 and admitted immediately (every ``Executor.execute`` run)
+        it equals the absolute finish time.
 
         A non-``done`` status freezes a *partial* execution: only the
         operations that actually finished (normally or via a drain)
@@ -631,9 +631,9 @@ class _WorkloadRun:
             self.subscribe(POINT_WAVE, controller.observe_wave)
             self.subscribe(WAVE_START, controller.before_wave)
         self.budget = workload.thread_budget or machine.processors
-        self.simulator = Simulator(machine, seed=exec_options.seed)
-        self.simulator.on_operation_complete = self._on_operation_complete
-        self.simulator.on_query_abort = self._on_query_abort
+        self.simulator = Simulator(machine, exec_options.seed,
+                                   self._on_operation_complete,
+                                   self._on_query_abort)
         #: Self-profiling: an explicit ``profile=True`` option makes
         #: the run own a fresh profiler (started/stopped around
         #: :meth:`run`, so coverage is structural); an enclosing
@@ -744,12 +744,14 @@ class _WorkloadRun:
             self._try_admit(now)
 
     def _assemble(self) -> WorkloadResult:
-        stuck = [job.tag for job in self.jobs
-                 if job.state not in TERMINAL_STATES]
+        stuck = {job.tag: [op.name for op in job.current_wave_ops
+                           if not op.complete]
+                 for job in self.jobs if job.state not in TERMINAL_STATES}
         if stuck:
             raise WorkloadError(
-                f"workload did not complete: queries {stuck} never "
-                f"finished (deadlock or admission starvation)")
+                f"workload did not complete: queries {list(stuck)} never "
+                f"finished (deadlock or admission starvation); unfinished "
+                f"operations per query: {stuck}")
         assert not self._job_of and not self._waiters_of, (
             "a finished job left an owner entry behind")
         executions = {job.tag: job.execution for job in self.jobs}

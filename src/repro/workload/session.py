@@ -11,9 +11,8 @@ time any handle's :meth:`QueryHandle.result` is asked for).
     >>> h1.result().cardinality        # drives the whole workload
     >>> h2.execution.response_time     # includes its admission wait
 
-``db.query()`` is a thin wrapper over a one-query session; a lone
-query through this path is bit-identical to the single-query executor
-(golden-trace tested).
+``db.query()`` is a thin wrapper over a one-query session, and so is
+``Executor.execute``: one engine runs a query, whatever the front door.
 """
 
 from __future__ import annotations

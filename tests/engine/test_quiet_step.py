@@ -120,14 +120,13 @@ class Rig:
         self.operations = list(runtimes.values())
         self.join = runtimes["join"]
         self.start = executor.startup_time(runtimes, schedule)
-        self.simulator = Simulator(machine, seed=config.seed)
+        # Exhausted retries cancel the query, as a workload would.
+        self.simulator = Simulator(
+            machine, config.seed, lambda operation, thread: None,
+            lambda operation, error, at: self.cancel(at))
         faults = _faults(config, self.start)
         if faults is not None:
             self.simulator.attach_faults(FaultInjector(faults, bus=self.bus))
-        # Exhausted retries cancel the query, as a workload would.
-        self.simulator.on_query_abort = (
-            lambda operation, error, at:
-            self.simulator.drain_operations(self.operations, at))
         self.next_thread_id, _ = executor.prepare_wave(
             self.operations,
             {name: schedule.of(name).threads for name in runtimes},
@@ -278,5 +277,5 @@ def test_allcache_keeps_a_context_per_activation():
     assert penalties["join"] > 0.0
     assert penalties == {name: facts[-2] for name, facts
                          in reference["operations"].items()}
-    assert Simulator(Machine.ksr1())._uniform_ctx is None
-    assert Simulator(Machine.uniform())._uniform_ctx is not None
+    assert Rig(Config(ksr1=True)).simulator._uniform_ctx is None
+    assert Rig(Config()).simulator._uniform_ctx is not None

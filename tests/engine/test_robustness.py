@@ -1,56 +1,76 @@
 """Failure injection and engine edge cases."""
 
+from unittest import mock
+
 import pytest
 
 from repro.bench.workloads import make_join_database
-from repro.engine.dbfuncs import make_dbfunc
-from repro.engine.executor import Executor, QuerySchedule
-from repro.engine.operation import OperationRuntime
-from repro.engine.simulator import Simulator
-from repro.engine.strategies import make_strategy
-from repro.errors import ExecutionError
-from repro.lera.graph import LeraNode
-from repro.lera.operators import PipelinedJoinSpec
+from repro.engine.executor import (
+    ExecutionOptions,
+    Executor,
+    OperationSchedule,
+    QuerySchedule,
+)
+from repro.errors import ExecutionError, WorkloadError
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.machine.machine import Machine
-from repro.storage.fragment import Fragment
-from repro.storage.schema import Schema
 
-SCHEMA = Schema.of_ints("key", "payload")
+
+def _miswired(sabotage):
+    """Patch :meth:`Executor.wire_pipelines` so that *sabotage* breaks
+    the runtimes it has just wired."""
+    wire = Executor.wire_pipelines
+
+    def wire_then_break(self, plan, runtimes):
+        wire(self, plan, runtimes)
+        sabotage(runtimes)
+    return mock.patch.object(Executor, "wire_pipelines", wire_then_break)
+
+
+def _assoc_join():
+    database = make_join_database(200, 20, degree=4, theta=0.0)
+    plan = assoc_join_plan(database.entry_a, database.entry_b, "key", "key")
+    return Executor(Machine.uniform(processors=4)).execute(
+        plan, QuerySchedule.for_plan(plan, 2))
 
 
 class TestDeadlockDetection:
     def test_pipelined_op_with_no_producer_deadlocks(self):
         """A mis-wired pipelined operation (producers never close it)
         is detected instead of hanging."""
-        fragments = [Fragment("A", 0, SCHEMA, [(0, 0)])]
-        node = LeraNode("orphan", PipelinedJoinSpec(
-            fragments, "key", SCHEMA, "key", stream_cardinality=1))
-        machine = Machine.uniform(processors=4)
-        runtime = OperationRuntime(node, make_dbfunc(node.spec, machine.costs),
-                                   make_strategy("random"), cache_size=1)
-        runtime.producers_remaining = 1      # a producer that never comes
-        runtime.build_pool([0], start_time=0.0)
-        with pytest.raises(ExecutionError, match="deadlock"):
-            Simulator(machine).run_wave([runtime])
+        def phantom_producer(runtimes):
+            runtimes["join"].producers_remaining += 1   # never comes
+        with _miswired(phantom_producer), \
+                pytest.raises(WorkloadError, match="deadlock") as raised:
+            _assoc_join()
+        assert "['join']" in str(raised.value)
+
+    def test_bounded_queues_without_secondary_consumption_deadlock(self):
+        """The known hang: a one-slot queue per join instance, one
+        transmit thread and join threads that may not steal.  A tuple
+        wakes *a* parked join thread, not the owner of the queue it
+        landed in, so the transmit blocks on a full queue nobody will
+        drain.  Pinned as detected (both operations named), not fixed."""
+        database = make_join_database(1200, 120, 100, 0.0)
+        plan = assoc_join_plan(database.entry_a, database.entry_b,
+                               "key", "key")
+        schedule = QuerySchedule({
+            "transmit": OperationSchedule(1),
+            "join": OperationSchedule(3, allow_secondary=False)})
+        executor = Executor(Machine.uniform(processors=16),
+                            ExecutionOptions(queue_capacity=1))
+        with pytest.raises(WorkloadError, match="deadlock") as raised:
+            executor.execute(plan, schedule)
+        assert "['transmit', 'join']" in str(raised.value)
 
 
 class TestRouterWiring:
-    def test_consumer_without_router_raises(self, join_db):
-        plan = assoc_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
-        executor = Executor(Machine.uniform(processors=4))
-        # sabotage: executor wires the router; remove it post-build by
-        # running a custom build path
-        runtimes = executor.build_runtimes(
-            plan, QuerySchedule.for_plan(plan, 2))
-        executor.wire_pipelines(plan, runtimes)
-        runtimes["transmit"].router = None
-        for name, runtime in runtimes.items():
-            runtime.build_pool([0, 1] if name == "transmit" else [2, 3], 0.0)
-            if runtime.node.trigger_mode == "triggered":
-                runtime.seed_triggers(0.0)
-        with pytest.raises(ExecutionError, match="router"):
-            Simulator(executor.machine).run_wave(list(runtimes.values()))
+    def test_consumer_without_router_raises(self):
+        def drop_router(runtimes):
+            runtimes["transmit"].router = None
+        with _miswired(drop_router), \
+                pytest.raises(ExecutionError, match="router"):
+            _assoc_join()
 
 
 class TestSlicedModeEquivalence:

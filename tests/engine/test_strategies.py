@@ -39,6 +39,26 @@ class TestRandomStrategy:
                    for _ in range(1)]
         assert picks_a == picks_b
 
+    def test_engine_seed_variation_bounded(self):
+        """Skewed Random executions vary across seeds, but modestly."""
+        from repro.bench.workloads import make_join_database
+        from repro.engine.executor import (
+            ExecutionOptions,
+            Executor,
+            QuerySchedule,
+        )
+        from repro.lera.plans import ideal_join_plan
+        from repro.machine.machine import Machine
+        database = make_join_database(2000, 200, degree=20, theta=0.8)
+        plan = ideal_join_plan(database.entry_a, database.entry_b,
+                               "key", "key")
+        schedule = QuerySchedule.for_plan(plan, 4)
+        machine = Machine.uniform(processors=8)
+        times = [Executor(machine, ExecutionOptions(seed=seed))
+                 .execute(plan, schedule).response_time for seed in range(6)]
+        mean = sum(times) / len(times)
+        assert (max(times) - min(times)) / mean < 0.5
+
 
 class TestLPTStrategy:
     def test_picks_most_expensive(self):

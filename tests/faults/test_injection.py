@@ -1,4 +1,4 @@
-"""Fault injection through the single-query executor.
+"""Fault injection through ``Executor.execute`` (a one-query workload).
 
 Each fault type is exercised in isolation against the small join
 database: failures retry and converge to the clean result, exhausted

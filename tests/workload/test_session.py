@@ -1,10 +1,10 @@
 """The Session API: blessed surface, handles, and single-query parity.
 
-The linchpin contract: one query through ``db.session()`` (and hence
-through ``db.query()``, which wraps it) is **bit-identical** to the
-dedicated single-query executor — same virtual response time, same
-per-operation counters, same trace and observability streams.  The
-workload layer must be free for the single-query path.
+``db.query()`` and ``Executor.execute`` are both one-query workloads,
+so the parity below is structural; what it pins is the SQL front door
+(statement memo, ``prepare``, row shaping) against the plan front door
+— same virtual response time, per-operation counters, trace and
+observability streams.
 """
 
 import pytest
@@ -193,3 +193,10 @@ class TestWorkloadOptionsValidation:
     def test_nonpositive_thread_budget_rejected(self):
         with pytest.raises(WorkloadError, match="thread_budget"):
             WorkloadOptions(thread_budget=0)
+
+    def test_trace_on_the_workload_block_rejected(self):
+        """Nothing reads a workload-level ``trace``: refused, with the
+        block that does read it named."""
+        with pytest.raises(WorkloadError,
+                           match=r"ExecutionOptions\(observability="):
+            WorkloadOptions(observability=ObservabilityOptions(trace=True))
