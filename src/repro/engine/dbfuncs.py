@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ExecutionError
-from repro.lera.activation import Activation
+from repro.lera.activation import CONTROL, DATA, Activation
 from repro.lera.aggregates import Accumulator
 from repro.lera.operators import (
     JOIN_HASH,
@@ -73,9 +74,11 @@ class ExecContext:
         return extra
 
 
-@dataclass
-class ProcessResult:
+class ProcessResult(NamedTuple):
     """Outcome of processing one activation.
+
+    A tuple, as one is built per activation (see DESIGN.md); with no
+    default for ``emitted``, no two results can share one list.
 
     Attributes:
         cost: Virtual-time seconds of sequential work (un-dilated).
@@ -85,7 +88,13 @@ class ProcessResult:
     """
 
     cost: float
-    emitted: list[Row] = field(default_factory=list)
+    emitted: list[Row]
+
+
+#: ``new_record(Record, fields)`` builds a ``NamedTuple`` record from
+#: its full field tuple with no Python frame (the generated
+#: ``__new__`` is one); for the sites that build one per tuple.
+new_record = tuple.__new__
 
 
 def segment_key(fragment: Fragment) -> tuple[str, int]:
@@ -134,7 +143,7 @@ class FilterFunc(DBFunc):
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
-        if not activation.is_control:
+        if activation.kind != CONTROL:
             raise ExecutionError("FilterFunc expects control activations")
         fragment = self.spec.fragments[instance]
         penalty = (ctx.touch(segment_key(fragment), fragment.size_bytes())
@@ -161,7 +170,7 @@ class IndexScanFunc(DBFunc):
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
-        if not activation.is_control:
+        if activation.kind != CONTROL:
             raise ExecutionError("IndexScanFunc expects control activations")
         fragment = self.spec.fragments[instance]
         index = self.spec.indexes[instance]
@@ -204,7 +213,7 @@ class JoinFunc(DBFunc):
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
-        if not activation.is_control:
+        if activation.kind != CONTROL:
             raise ExecutionError("JoinFunc expects control activations")
         outer = self.spec.outer_fragments[instance]
         inner = self.spec.inner_fragments[instance]
@@ -278,7 +287,7 @@ class TransmitFunc(DBFunc):
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
-        if not activation.is_control:
+        if activation.kind != CONTROL:
             raise ExecutionError("TransmitFunc expects control activations")
         fragment = self.spec.fragments[instance]
         penalty = (ctx.touch(segment_key(fragment), fragment.size_bytes())
@@ -313,7 +322,7 @@ class PipelinedJoinFunc(DBFunc):
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
-        if not activation.is_data or activation.row is None:
+        if activation.kind != DATA or activation.row is None:
             raise ExecutionError("PipelinedJoinFunc expects data activations")
         stored = self.spec.stored_fragments[instance]
         penalty = (ctx.touch(segment_key(stored), stored.size_bytes())
@@ -324,26 +333,26 @@ class PipelinedJoinFunc(DBFunc):
         algorithm = self.spec.algorithm
         if algorithm == JOIN_NESTED_LOOP:
             matches = stored.index_on(self._stored_pos).get(key, ())
-            cost += (stored.cardinality * self.costs.tuple_pair
+            cost += (len(stored.rows) * self.costs.tuple_pair
                      + len(matches) * self.costs.result_tuple)
         elif algorithm == JOIN_TEMP_INDEX:
             if instance not in self._charged:
                 self._charged.add(instance)
-                cost += self.costs.index_build_cost(stored.cardinality)
+                cost += self.costs.index_build_cost(len(stored.rows))
             matches = stored.index_on(self._stored_pos, "sorted").lookup(key)
-            cost += self.costs.index_probe_cost(max(stored.cardinality, 1),
+            cost += self.costs.index_probe_cost(max(len(stored.rows), 1),
                                                 len(matches))
         elif algorithm == JOIN_HASH:
             matches = stored.index_on(self._stored_pos).get(key, ())
             if instance not in self._charged:
                 self._charged.add(instance)
-                cost += stored.cardinality * self.costs.index_compare
+                cost += len(stored.rows) * self.costs.index_compare
             cost += (self.costs.index_compare
                      + len(matches) * self.costs.result_tuple)
         else:  # pragma: no cover - spec validation rejects this earlier
             raise ExecutionError(f"unknown join algorithm {algorithm!r}")
-        emitted = [row + match for match in matches]
-        return ProcessResult(cost, emitted)
+        emitted = list(map(row.__add__, matches))
+        return new_record(ProcessResult, (cost, emitted))
 
     def segments(self, instance: int) -> list[tuple[tuple[str, int], int]]:
         stored = self.spec.stored_fragments[instance]
@@ -368,7 +377,7 @@ class AggregateFunc(DBFunc):
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
-        if not activation.is_data or activation.row is None:
+        if activation.kind != DATA or activation.row is None:
             raise ExecutionError("AggregateFunc expects data activations")
         row = activation.row
         state = self._states.setdefault(instance, {})
@@ -381,7 +390,7 @@ class AggregateFunc(DBFunc):
             accumulator.add(1 if position is None else row[position])
         cost = (self.costs.pipelined_activation
                 + len(accumulators) * self.costs.aggregate_tuple)
-        return ProcessResult(cost)
+        return ProcessResult(cost, [])
 
     def finalize(self, instance: int,
                  ctx: ExecContext) -> ProcessResult | None:
@@ -420,11 +429,11 @@ class StoreFunc(DBFunc):
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
-        if not activation.is_data or activation.row is None:
+        if activation.kind != DATA or activation.row is None:
             raise ExecutionError("StoreFunc expects data activations")
         self.spec.target_fragments[instance].append(activation.row)
         cost = self.costs.pipelined_activation + self.costs.store_tuple
-        return ProcessResult(cost)
+        return ProcessResult(cost, [])
 
 
 def make_dbfunc(spec, costs: CostModel) -> DBFunc:

@@ -11,6 +11,7 @@ wave by wave across the plan's chain DAG with these builders;
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.dbfuncs import make_dbfunc
@@ -25,7 +26,7 @@ from repro.lera.operators import AggregateSpec, PipelinedJoinSpec, StoreSpec
 from repro.machine.cache import REMOTE_HOME
 from repro.machine.machine import Machine
 from repro.obs.bus import OP_SEED, OP_START, EventBus
-from repro.storage.tuples import stable_hash
+from repro.storage.tuples import hash_partitions
 
 #: Data placement policies for the Allcache model.
 PLACEMENT_WARM = "warm"    # fragments start in their consumer's local cache
@@ -361,8 +362,9 @@ class Executor:
 
 
 def _router_for(consumer: LeraNode):
-    """Row -> consumer-instance routing for a pipeline edge into the
-    operation of node *consumer*.
+    """Rows -> consumer-instance routing for a pipeline edge into the
+    operation of node *consumer*: the router maps one activation's
+    emitted rows to their instance numbers, in order.
 
     Uses the same stable hash as static partitioning, so a transmitted
     stream lines up with the statically partitioned stored operand (or
@@ -376,7 +378,7 @@ def _router_for(consumer: LeraNode):
         position = spec.key_position
     elif isinstance(spec, AggregateSpec):
         if spec.group_position is None:
-            return lambda row: 0  # global aggregate: one instance
+            return lambda rows: [0] * len(rows)  # global: one instance
         position = spec.group_position
     else:
         raise PlanError(
@@ -384,7 +386,7 @@ def _router_for(consumer: LeraNode):
             f"cannot consume a pipeline")
     degree = spec.instances
 
-    def route(row, _pos=position, _deg=degree) -> int:
-        return stable_hash(row[_pos]) % _deg
+    def route(rows, _key=itemgetter(position), _deg=degree) -> list[int]:
+        return hash_partitions(map(_key, rows), _deg)
 
     return route

@@ -54,7 +54,7 @@ class DeliveryTap:
 
     def __init__(self, tag: str, node_name: str,
                  consumer: "OperationRuntime | None" = None,
-                 router: Callable[[Row], int] | None = None,
+                 router: Callable[[list[Row]], list[int]] | None = None,
                  collector: list[Row] | None = None) -> None:
         self.tag = tag
         self.node_name = node_name
@@ -78,7 +78,8 @@ class OperationRuntime:
             internal activation cache of Figure 4).
         consumer: Downstream operation fed through a pipeline edge,
             or ``None`` when this operation produces the query result.
-        router: Maps an emitted row to the consumer instance number.
+        router: Maps an activation's emitted rows to their consumer
+            instance numbers.
         producers_remaining: Pipeline producers still running; the
             input closes when this reaches zero.  Triggered operations
             close immediately after their triggers are seeded.
@@ -114,7 +115,7 @@ class OperationRuntime:
         self.bus = None
         self.tracer = None
         self.consumer: OperationRuntime | None = None
-        self.router: Callable[[Row], int] | None = None
+        self.router: Callable[[list[Row]], list[int]] | None = None
         #: Shared-work fan-out: extra delivery edges added when other
         #: queries fold onto this operation.  Empty on the private
         #: fast path (the simulator only branches on truthiness).

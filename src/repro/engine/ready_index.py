@@ -143,32 +143,6 @@ class ReadyIndex:
 
     # -- queries ---------------------------------------------------------------
 
-    def _ready_in(self, pool: int, now: float) -> list[int]:
-        """Instances tracked by *pool* with an activation ready at *now*.
-
-        First promotes heap entries with time <= now into the pool's
-        ready set, then filters the set: members admitted under a
-        faster thread's clock may still lie in this thread's future,
-        hence the per-member re-check.
-        """
-        heap = self._heaps[pool]
-        nrt = self._nrt
-        ready = self._ready[pool]
-        stale = 0
-        while heap:
-            time, instance = heap[0]
-            if time != nrt[instance] or instance in ready:
-                heapq.heappop(heap)  # stale or duplicate entry
-                stale += 1
-                continue
-            if time > now:
-                break
-            heapq.heappop(heap)
-            ready.add(instance)
-        if stale and self.obs is not None:
-            self.obs.count(self._stale_key, stale)
-        return [i for i in ready if nrt[i] <= now]
-
     def _top(self, pool: int) -> float | None:
         """Top of *pool*'s heap, purged of stale/duplicate entries."""
         heap = self._heaps[pool]
@@ -189,7 +163,7 @@ class ReadyIndex:
 
     def _floor(self, pool: int) -> float | None:
         """Smallest head time tracked by *pool*; the heap top must be
-        valid, as a :meth:`_ready_in` miss leaves it."""
+        valid, as :meth:`select`'s promotion leaves it on a miss."""
         heap = self._heaps[pool]
         nrt = self._nrt
         best = heap[0][0] if heap else None
@@ -210,33 +184,68 @@ class ReadyIndex:
         charged as ``poll_empty`` work and — only when nothing is
         ready — the earliest pending ready time visible to the thread
         (every queue with secondary access, its own mains without).
+
+        Each structure consulted — the thread's pool, then, only when
+        none of its mains is ready, the operation-wide one — first
+        promotes heap entries with time <= now into its ready set, then
+        filters the set: members admitted under a faster thread's clock
+        may still lie in this thread's future, hence the per-member
+        re-check.  Written out in one frame, as every dequeuing step
+        makes this call.
         """
         pool = thread.pool_index
-        queues = self._queues
-        main_count = self._mains_per_pool[pool]
-        mains = self._ready_in(pool, now)
+        nrt = self._nrt
         obs = self.obs
-        if obs is not None:
-            # Probe the post-promotion ready-set size this thread saw
-            # in its own pool structure (the operation-wide set is
-            # only promoted on the secondary path, so it would read
-            # stale here) — a call only when the size moved.
-            size = len(self._ready[pool])
-            series = obs.series.get(self._ready_key)
-            if series is None or series.values[-1] != size:
-                obs.sample(self._ready_key, now, size)
-        if mains:
-            mains.sort()
-            return ([queues[i] for i in mains],
-                    main_count - len(mains), None, False)
-        if not allow_secondary:
-            return [], main_count, self._floor(pool), False
-        # No own-pool queue is ready, so every operation-wide ready
-        # instance is a secondary queue of this thread.
-        secondary = self._ready_in(_GLOBAL, now)
-        secondary.sort()
-        return ([queues[i] for i in secondary], len(queues) - len(secondary),
-                None if secondary else self._floor(_GLOBAL), True)
+        for slot in (pool, _GLOBAL):
+            heap = self._heaps[slot]
+            ready = self._ready[slot]
+            if heap:
+                stale = 0
+                while heap:
+                    time, instance = heap[0]
+                    if time != nrt[instance] or instance in ready:
+                        heapq.heappop(heap)  # stale or duplicate entry
+                        stale += 1
+                        continue
+                    if time > now:
+                        break
+                    heapq.heappop(heap)
+                    ready.add(instance)
+                if stale and obs is not None:
+                    obs.count(self._stale_key, stale)
+            found = []
+            for instance in ready:
+                if nrt[instance] <= now:
+                    found.append(instance)
+            if slot != _GLOBAL:
+                if obs is not None:
+                    # Probe the post-promotion ready-set size this
+                    # thread saw in its own pool structure (the
+                    # operation-wide set is only promoted on the
+                    # secondary path, so it would read stale here) — a
+                    # call only when the size moved.
+                    size = len(ready)
+                    series = obs.series.get(self._ready_key)
+                    if series is None or series.values[-1] != size:
+                        obs.sample(self._ready_key, now, size)
+                if found:
+                    break
+                if not allow_secondary:
+                    return ([], self._mains_per_pool[pool],
+                            self._floor(pool), False)
+        # On the second pass no own-pool queue was ready, so every
+        # operation-wide ready instance is a secondary queue.
+        queues = self._queues
+        if len(found) == 1:
+            candidates = [queues[found[0]]]
+        else:
+            found.sort()
+            candidates = list(map(queues.__getitem__, found))
+        if slot != _GLOBAL:
+            return (candidates, self._mains_per_pool[pool] - len(found),
+                    None, False)
+        return (candidates, len(queues) - len(found),
+                None if found else self._floor(_GLOBAL), True)
 
     def quiet(self, thread: "WorkerThread", now: float) -> float | None:
         """The O(1) miss: ``future`` when ``select(thread, now, True)``

@@ -40,7 +40,7 @@ import math
 import random
 from typing import Callable
 
-from repro.engine.dbfuncs import ExecContext, ProcessResult
+from repro.engine.dbfuncs import ExecContext, ProcessResult, new_record
 from repro.engine.operation import OperationRuntime
 from repro.engine.queues import ActivationQueue
 from repro.engine.ready_index import ReadyIndex
@@ -76,11 +76,12 @@ DILATION_SLICES = 16
 #: (:meth:`Simulator.attach_profiler`).  The perf ledger reads the
 #: ``ready_scan`` call count as the number of event-loop steps: the
 #: *scans* — a wake-up :meth:`ReadyIndex.quiet` answers makes none.
+#: The operator bodies are timed as ``dbfunc`` on each admitted
+#: operation's ``DBFunc`` (:meth:`Simulator.add_operations`).
 _PROFILED_SECTIONS = {
     "run": "sim",
     "_index_select": "ready_scan",
     "_scan_select": "ready_scan",
-    "_run_dbfunc": "dbfunc",
     "_deliver": "deliver",
     "_fail_attempt": "fault",
     "_finalize_operation": "finalize",
@@ -90,11 +91,11 @@ _PROFILED_SECTIONS = {
 class _WorkInProgress:
     """A partially charged activation (slicing mode only)."""
 
-    __slots__ = ("result", "started_at", "remaining", "slice")
+    __slots__ = ("emitted", "started_at", "remaining", "slice")
 
-    def __init__(self, result: ProcessResult, started_at: float,
+    def __init__(self, emitted: list, started_at: float,
                  total: float) -> None:
-        self.result = result
+        self.emitted = emitted
         self.started_at = started_at
         self.remaining = total
         self.slice = max(total / DILATION_SLICES, 1e-12)
@@ -127,6 +128,7 @@ class Simulator:
         #: without one is bit-identical to an engine without the
         #: faults layer.
         self._injector = None
+        self._profiler = None
         self._heap: list[tuple[float, int, WorkerThread]] = []
         self._seq = 0
         #: The one context every activation shares on a machine that
@@ -153,6 +155,7 @@ class Simulator:
     def attach_profiler(self, profiler) -> None:
         """Time this simulator's phases as sections of *profiler*; an
         unprofiled simulator pays nothing."""
+        self._profiler = profiler
         profiler.instrument(self, _PROFILED_SECTIONS)
 
     def add_operations(self, operations: list[OperationRuntime]) -> None:
@@ -165,7 +168,10 @@ class Simulator:
         in the past of the event being processed.
         """
         added = 0
+        profiler = self._profiler
         for operation in operations:
+            if profiler is not None:
+                profiler.instrument(operation.dbfunc, {"process": "dbfunc"})
             for thread in operation.threads:
                 if thread.finished_at is None:
                     self._push(thread)
@@ -433,7 +439,10 @@ class Simulator:
                 heapq.heappush(self._heap, (thread.clock, self._seq, thread))
                 self._seq += 1
                 return
-            thread.advance(scan, busy=True)
+            # WorkerThread.advance(scan, busy=True), written out, as
+            # are the two charges below: the same additions in order.
+            thread.clock += scan
+            thread.busy_time += scan
 
         if not ready:
             # Nothing to wait for: a future comes from a polled queue,
@@ -463,7 +472,9 @@ class Simulator:
                 DEQUEUE, thread.clock, operation.name, thread.thread_id,
                 {"instance": queue.instance, "count": len(batch),
                  "secondary": secondary}))
-        thread.advance(access_cost * dilation, busy=True)
+        access_cost *= dilation
+        thread.clock += access_cost
+        thread.busy_time += access_cost
         if queue.blocked_producers and not queue.over_capacity:
             self._wake_blocked(queue, thread.clock)
 
@@ -475,7 +486,9 @@ class Simulator:
             self._push(thread)
             return
 
-        filled: set[int] = set()
+        # Consumer instances this batch enqueued into, for the
+        # back-pressure check; a terminal operation fills none.
+        filled = set() if operation.consumer is not None else None
         if (injector is not None and injector.can_fail
                 and injector.may_fail(operation.name)):
             for i, activation in enumerate(batch):
@@ -492,7 +505,12 @@ class Simulator:
         else:
             for activation in batch:
                 self._charge_whole(thread, activation, filled)
-        self._after_batch(thread, filled)
+        if filled:
+            self._after_batch(thread, filled)
+        else:
+            # No consumer queue filled, so no back-pressure to check.
+            heapq.heappush(self._heap, (thread.clock, self._seq, thread))
+            self._seq += 1
 
     def _after_batch(self, thread: WorkerThread, filled: set[int]) -> None:
         """Back-pressure check once a batch is fully processed."""
@@ -518,26 +536,42 @@ class Simulator:
     # -- whole-activation path (no over-subscription) ------------------------------
 
     def _charge_whole(self, thread: WorkerThread, activation: Activation,
-                      filled: set[int]) -> None:
-        result = self._run_dbfunc(thread, activation)
+                      filled: set[int] | None) -> None:
+        # _run_dbfunc, written out: this runs once per activation.
+        operation = thread.operation
+        ctx = self._uniform_ctx or ExecContext(self.machine, thread.thread_id)
+        cost, emitted = operation.dbfunc.process(activation.instance,
+                                                 activation, ctx)
+        operation.activation_costs.append(cost)
+        operation.activation_outputs.append(len(emitted))
+        if ctx.penalty:
+            self._add_penalty(thread, ctx.penalty)
         start = thread.clock
-        cost = self._total_cost(thread.operation, result)
-        if self._injector is not None and self._injector.adjusts_charges:
+        if emitted and (operation.consumer is not None or operation.taps):
+            cost += self._enqueue_charge(operation, len(emitted))
+        injector = self._injector
+        if injector is not None and injector.adjusts_charges:
             # Disk latency spikes and slowdown windows fold into the
             # single whole-activation charge (dilation is identically
             # 1 on this path, so the factor applies here, not in
             # _charge_factor).
-            cost = self._injector.charge(thread.operation, thread.thread_id,
-                                         activation, start, cost)
-        thread.advance(cost, busy=True)
-        tracer = thread.operation.tracer
+            cost = injector.charge(operation, thread.thread_id,
+                                   activation, start, cost)
+        thread.clock += cost
+        thread.busy_time += cost
+        tracer = operation.tracer
         if tracer is not None:
             # ExecutionTrace.record, written out: one span per activation.
             tracer.events.append(TraceEvent(
-                thread.thread_id, thread.operation.name,
+                thread.thread_id, operation.name,
                 "activation", start, thread.clock))
-        if result.emitted:
-            self._deliver(thread, result, start, filled)
+        if emitted:
+            if (operation.consumer is None and not operation.taps
+                    and not operation.primary_detached):
+                # A terminal operation collects its rows in place.
+                operation.result_rows.extend(emitted)
+            else:
+                self._deliver(thread, emitted, start, filled)
 
     # -- sliced path (over-subscription possible) ------------------------------------
 
@@ -567,8 +601,9 @@ class Simulator:
 
     def _start_work(self, thread: WorkerThread,
                     activation: Activation) -> None:
-        result = self._run_dbfunc(thread, activation)
-        total = self._total_cost(thread.operation, result)
+        total, emitted = self._run_dbfunc(thread, activation)
+        if emitted:
+            total += self._enqueue_charge(thread.operation, len(emitted))
         if self._injector is not None and self._injector.has_disk:
             # Disk latency adds to the total; slowdown windows apply
             # per slice (via _charge_factor), re-sampled as windows
@@ -576,7 +611,7 @@ class Simulator:
             total += self._injector.disk_extra(thread.operation, activation,
                                                thread.clock)
         self._in_progress[thread.thread_id] = _WorkInProgress(
-            result, thread.clock, total)
+            emitted, thread.clock, total)
 
     def _advance_slice(self, thread: WorkerThread) -> None:
         if (self._injector is not None and self._injector.perturbs_cpu
@@ -596,8 +631,8 @@ class Simulator:
                 thread.thread_id, thread.operation.name,
                 "activation", work.started_at, thread.clock))
         filled: set[int] = set()
-        if work.result.emitted:
-            self._deliver(thread, work.result, work.started_at, filled)
+        if work.emitted:
+            self._deliver(thread, work.emitted, work.started_at, filled)
         if self._pending_batch.get(thread.thread_id):
             # Back-pressure is only checked between batches, matching
             # the whole-activation path.
@@ -690,43 +725,46 @@ class Simulator:
                         thread.clock, operation.name, thread.thread_id,
                         ctx.penalty)
             if result.emitted:
-                self._deliver(thread, result, started_at, filled)
+                self._deliver(thread, result.emitted, started_at, filled)
 
     def _run_dbfunc(self, thread: WorkerThread,
                     activation: Activation) -> ProcessResult:
+        """Run the operator body on *activation* and record its cost
+        and output (the sliced path; :meth:`_charge_whole` writes this
+        out)."""
         operation = thread.operation
         ctx = self._uniform_ctx or ExecContext(self.machine, thread.thread_id)
         result = operation.dbfunc.process(activation.instance, activation, ctx)
         operation.activation_costs.append(result.cost)
         operation.activation_outputs.append(len(result.emitted))
         if ctx.penalty:
-            operation.memory_penalty += ctx.penalty
-            if operation.bus is not None:
-                operation.bus.add_memory_penalty(
-                    thread.clock, operation.name, thread.thread_id,
-                    ctx.penalty)
+            self._add_penalty(thread, ctx.penalty)
         return result
 
-    def _total_cost(self, operation: OperationRuntime,
-                    result: ProcessResult) -> float:
-        """Processing cost plus one enqueue charge per emitted row and
-        live delivery target (the primary consumer and every active
-        shared-work tap that feeds one)."""
-        cost = result.cost
-        if result.emitted:
-            targets = 0
-            if (operation.consumer is not None
-                    and not operation.primary_detached):
-                targets += 1
-            for tap in operation.taps:
-                if tap.active and tap.consumer is not None:
-                    targets += 1
-            if targets:
-                cost += len(result.emitted) * self.machine.costs.enqueue * targets
-        return cost
+    def _add_penalty(self, thread: WorkerThread, penalty: float) -> None:
+        """Account an activation's Allcache access penalty."""
+        operation = thread.operation
+        operation.memory_penalty += penalty
+        if operation.bus is not None:
+            operation.bus.add_memory_penalty(
+                thread.clock, operation.name, thread.thread_id, penalty)
 
-    def _deliver(self, thread: WorkerThread, result: ProcessResult,
-                 started_at: float, filled: set[int]) -> None:
+    def _enqueue_charge(self, operation: OperationRuntime,
+                        count: int) -> float:
+        """One enqueue charge per emitted row and live delivery target
+        (the primary consumer and every active shared-work tap that
+        feeds one), added to the processing cost of an activation that
+        emitted *count* rows."""
+        targets = 0
+        if operation.consumer is not None and not operation.primary_detached:
+            targets += 1
+        for tap in operation.taps:
+            if tap.active and tap.consumer is not None:
+                targets += 1
+        return count * self.machine.costs.enqueue * targets
+
+    def _deliver(self, thread: WorkerThread, emitted: list,
+                 started_at: float, filled: set[int] | None) -> None:
         """Route (or collect) an activation's non-empty output: to the
         primary path plus every active shared-work tap.
 
@@ -736,10 +774,9 @@ class Simulator:
         participates in back-pressure (``filled``): a slow subscriber
         must not stall the shared producer or its co-subscribers, so
         tap edges are exempt by design.  Enqueue charges are handled in
-        :meth:`_total_cost` (one per live delivery target).
+        :meth:`_enqueue_charge` (one per live delivery target).
         """
         operation = thread.operation
-        emitted = result.emitted
         duration = thread.clock - started_at
         if not operation.primary_detached:
             consumer = operation.consumer
@@ -773,14 +810,15 @@ class Simulator:
         queues = consumer.queues
         # Fast path: a single consumer instance makes routing trivial
         # (the hash router would return 0 for every row).
-        single = len(queues) == 1
+        instances = [0] * count if len(queues) == 1 else router(emitted)
         for i, row in enumerate(emitted):
-            instance = 0 if single else router(row)
+            instance = instances[i]
             ready_time = started_at + duration * (i + 1) / count
+            # Activation(DATA, instance, row), built with no frame.
             queues[instance].enqueue(
-                ready_time, Activation(DATA, instance, row))
-            if filled is not None:
-                filled.add(instance)
+                ready_time, new_record(Activation, (DATA, instance, row, None)))
+        if filled is not None:
+            filled.update(instances)
         consumer.pending_activations += count
         operation.enqueues += count
         if operation.bus is not None:

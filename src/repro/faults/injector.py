@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from repro.errors import FaultError
 from repro.faults.plan import ActivationFaults, DiskFault, FaultPlan
+from repro.lera.activation import CONTROL
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +146,7 @@ class FaultInjector:
     def disk_extra(self, operation, activation, now: float) -> float:
         """Extra I/O latency for one triggered activation, if any."""
         specs = self._disk_by_op.get(operation.name)
-        if specs is None or not activation.is_control:
+        if specs is None or activation.kind != CONTROL:
             return 0.0
         extra = 0.0
         for spec in specs:
@@ -234,7 +235,7 @@ class FaultInjector:
             if self.rng.random() < spec.rate:
                 return spec
         for spec in self._disk_by_op.get(name, ()):
-            if spec.error_rate <= 0 or not activation.is_control:
+            if spec.error_rate <= 0 or activation.kind != CONTROL:
                 continue
             if not spec.t0 <= now < spec.t1:
                 continue

@@ -13,7 +13,7 @@ through the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.storage.tuples import Row
 
@@ -26,9 +26,12 @@ TRIGGERED = "triggered"
 PIPELINED = "pipelined"
 
 
-@dataclass(frozen=True, slots=True)
-class Activation:
+class Activation(NamedTuple):
     """One activation bound for one operator instance.
+
+    A tuple, as one is built per pipelined tuple routed: its fields
+    read through C-level accessors and equality, hashing and
+    immutability are the tuple's (see DESIGN.md).
 
     Attributes:
         kind: ``CONTROL`` (trigger) or ``DATA`` (one tuple).
@@ -45,14 +48,6 @@ class Activation:
     instance: int
     row: Row | None = None
     chunk: int | None = None
-
-    @property
-    def is_control(self) -> bool:
-        return self.kind == CONTROL
-
-    @property
-    def is_data(self) -> bool:
-        return self.kind == DATA
 
 
 def trigger(instance: int) -> Activation:

@@ -8,7 +8,7 @@ across runs regardless of ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Row = tuple
 """Type alias: a relation row is a plain tuple."""
@@ -45,6 +45,20 @@ def stable_hash(value: object) -> int:
     for byte in data:
         digest = ((digest ^ byte) * _FNV_PRIME) & _MASK64
     return digest
+
+
+def hash_partitions(values: Iterable[object], degree: int) -> list[int]:
+    """``[stable_hash(v) % degree for v in values]`` in one frame: the
+    integer case is written out, as a pipeline routes every emitted
+    row through here."""
+    partitions = []
+    append = partitions.append
+    for value in values:
+        if type(value) is int:
+            append((value & _MASK64) % degree)
+        else:
+            append(stable_hash(value) % degree)
+    return partitions
 
 
 def project_row(row: Row, positions: Sequence[int]) -> Row:

@@ -12,7 +12,7 @@ import pytest
 from repro.bench.workloads import make_join_database
 from repro.engine.executor import Executor, QuerySchedule
 from repro.errors import PlanError
-from repro.lera.activation import chunk_trigger
+from repro.lera.activation import CONTROL, chunk_trigger
 from repro.lera.operators import JOIN_HASH, JOIN_NESTED_LOOP, JOIN_TEMP_INDEX
 from repro.lera.plans import ideal_join_plan
 from repro.machine.costs import DEFAULT_COSTS
@@ -120,6 +120,6 @@ class TestExecution:
 
     def test_chunk_trigger_activation(self):
         activation = chunk_trigger(3, 2)
-        assert activation.is_control
+        assert activation.kind == CONTROL
         assert activation.instance == 3
         assert activation.chunk == 2

@@ -2,6 +2,7 @@
 
 from repro.storage.tuples import (
     concat_rows,
+    hash_partitions,
     project_row,
     row_size_bytes,
     stable_hash,
@@ -39,6 +40,13 @@ class TestStableHash:
     def test_string_hash_spreads_over_buckets(self):
         buckets = {stable_hash(f"value-{i}") % 16 for i in range(200)}
         assert len(buckets) == 16
+
+    def test_hash_partitions_is_stable_hash_modulo_degree(self):
+        # The batched form a pipeline routes with: integers are written
+        # out, everything else (bools included) goes through stable_hash.
+        values = [0, 5, -1, 2**70, True, False, "paris", 1.5, (1, 2), None]
+        assert hash_partitions(iter(values), 7) == [
+            stable_hash(value) % 7 for value in values]
 
 
 class TestRowHelpers:
