@@ -25,7 +25,7 @@ Every row's variants report the same facts — ``violations`` (pinned
 alert / decision counts — and :func:`repro.bench.twins.drive` runs,
 gates and prints the table against ``twins_pins.json`` exactly as it
 does the twin table.  A run-twice determinism check is a two-variant
-parity group; an empty fault plan against no plan is another.
+parity group.
 
 To add an invariant, add a line to :data:`INVARIANTS` (and a doctoring
 to ``tests/analysis/test_chaos_audit.py``); to add a scenario, add a
@@ -387,25 +387,6 @@ def seeded(seed: int) -> Twin:
                            ("run.q2", "in", ("cancelled", "failed"))))
 
 
-def _build_empty_plan():
-    """An *empty* fault plan is bit-identical to no plan at all: the
-    injection hooks are free when nothing is injected."""
-    def run(faults):
-        session = _chaos_db(observe=False).session(
-            options=WorkloadOptions(faults=faults))
-        for sql in CHAOS_QUERIES:
-            session.submit(sql)
-        result = session.run()
-        return _facts(result, len(CHAOS_QUERIES), counters=digest([
-            (tag, execution.response_time,
-             [(name, op.busy_time, op.idle_time, op.polls, op.enqueues,
-               op.dequeue_batches, op.secondary_accesses, op.finished_at)
-              for name, op in execution.operations.items()])
-            for tag, execution in result.executions.items()]))
-    return {"no_plan": lambda: run(None),
-            "empty_plan": lambda: run(FaultPlan(seed=0))}
-
-
 # -- shared work under cancellation -------------------------------------------
 
 #: The shared-work chaos workload: three copies of one join (they fold
@@ -753,8 +734,6 @@ _SLOWED = [f"x{factor:g}" for factor in SLOWED_FACTORS]
 
 CHAOS: tuple[Twin, ...] = (
     *(seeded(seed) for seed in (0, 1, 2)),
-    Twin("empty_plan", ("no_plan", "empty_plan"), _build_empty_plan,
-         parity=(("no_plan", "empty_plan"),)),
     Twin("shared_cancel", ("run", "reference"), _build_shared,
          relations=(
              ("run.q1", "in", ("cancelled",)),

@@ -14,7 +14,7 @@ and :func:`render` prints the result:
   ``twins_pins.json`` bit for bit; the pins hold no wall clock, so
   they never need re-recording for noise;
 * **parity** — variants that must not differ (observed vs bare,
-  empty fault plan vs none, ...) agree on every fact they share;
+  cold vs warm, ...) agree on every fact they share;
 * **relations** — ``adaptive < static``, ``private >= 2.0 * shared``,
   ``coverage >= 0.9``;
 * **wall** — in at least one interleaved repeat the second variant
@@ -169,9 +169,7 @@ def _cell(mode: str, degree: int) -> Twin:
 def _build_query():
     """The pipelined single query through every path that must not
     move it: the bare executor (a one-query workload, the machinery
-    behind ``db.query()`` too), full observation and an *empty* fault
-    plan (every injector hook live, nothing injected)."""
-    from repro.faults import FaultPlan
+    behind ``db.query()`` too) and full observation."""
     from repro.lera.plans import assoc_join_plan
     from repro.scheduler.adaptive import AdaptiveScheduler
 
@@ -192,7 +190,6 @@ def _build_query():
         "executor": executor,
         "observed": lambda: executor(
             observability=ObservabilityOptions(observe=True)),
-        "empty_plan": lambda: executor(faults=FaultPlan()),
     }
 
 
@@ -376,10 +373,9 @@ def _build_bottleneck():
 TABLE: tuple[Twin, ...] = (
     *(_cell(mode, degree) for mode in ("triggered", "pipelined")
       for degree in (20, 200, 1500)),
-    Twin("query", ("executor", "observed", "empty_plan"), _build_query,
-         parity=(("executor", "observed", "empty_plan"),),
-         wall=(("executor", "observed", OBSERVED),
-               ("executor", "empty_plan", FREE))),
+    Twin("query", ("executor", "observed"), _build_query,
+         parity=(("executor", "observed"),),
+         wall=(("executor", "observed", OBSERVED),)),
     Twin("mpl4",
          ("bare", "observed", "monitored", "profiled", "back_to_back"),
          _build_mpl4,

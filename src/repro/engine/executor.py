@@ -16,7 +16,7 @@ from operator import itemgetter
 from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.dbfuncs import make_dbfunc
 from repro.engine.metrics import QueryExecution
-from repro.engine.operation import OperationRuntime
+from repro.engine.operation import DeliveryTap, OperationRuntime
 from repro.engine.trace import ExecutionTrace
 from repro.engine.strategies import RANDOM, make_strategy
 from repro.errors import ExecutionError, ExecutionFaultError, PlanError
@@ -152,9 +152,9 @@ class ExecutionOptions:
         default_factory=ObservabilityOptions)
     faults: object | None = None
     """Optional :class:`~repro.faults.plan.FaultPlan` to inject into
-    the run.  ``None`` (the default) leaves the engine bit-identical
-    to one without the faults layer; an empty plan must behave the
-    same (the fault-free-parity invariant)."""
+    the run.  ``None`` (the default) runs under the shared empty-plan
+    injector :data:`~repro.faults.injector.NO_FAULTS`, so no plan and
+    an empty plan take one path and give the same run bit for bit."""
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENTS:
@@ -290,18 +290,19 @@ class Executor:
     def wire_pipelines(self, plan: LeraGraph,
                        runtimes: dict[str, OperationRuntime]) -> None:
         """Connect the pipeline edges that have both ends in *runtimes*
-        (an end left out of the build is another query's: it is tapped)."""
+        (an end left out of the build is another query's: it is tapped).
+        The consumer's edge becomes the producer's own output edge."""
         for edge in plan.edges:
             if (edge.kind != PIPELINE or edge.producer not in runtimes
                     or edge.consumer not in runtimes):
                 continue
             producer = runtimes[edge.producer]
             consumer = runtimes[edge.consumer]
-            if producer.consumer is not None:
+            if producer.outputs[0].consumer is not None:
                 raise PlanError(
                     f"operation {edge.producer!r} has two pipeline consumers")
-            producer.consumer = consumer
-            producer.router = _router_for(consumer.node)
+            producer.outputs[0] = DeliveryTap(consumer,
+                                              _router_for(consumer.node))
             consumer.producers_remaining += 1
 
     def check_buildable(self, plan: LeraGraph,

@@ -34,30 +34,30 @@ READY_INDEX_MIN_INSTANCES = 96
 
 
 class DeliveryTap:
-    """One extra delivery edge out of a shared operation.
+    """One delivery edge out of an operation.
 
-    When the workload engine folds a subscriber query's node onto an
-    already-admitted host operation, the host keeps its normal
-    ``consumer``/``result_rows`` path (so the host query is
-    bit-identical to a private run) and gains one tap per extra
-    subscriber.  A tap either feeds a downstream pipeline consumer of
-    the subscriber (``consumer`` + ``router`` set) or collects result
-    rows for a subscriber-terminal node (``collector`` set).
+    An edge either feeds a downstream pipeline consumer (``consumer``
+    + ``router``: the router maps one activation's emitted rows to
+    their consumer instance numbers) or collects result rows
+    (``collector``).  An operation's own edge is the first of its
+    :attr:`OperationRuntime.outputs`; when the workload engine folds
+    a subscriber query's node onto it, the operation gains one more
+    edge per subscriber.
 
-    ``active`` is the reference count contribution: deactivating a
-    tap (subscriber cancelled/timed out/faulted) stops deliveries to
-    it without disturbing the host or the other taps.
+    ``active`` is the edge's subscription: deactivating it (its
+    subscriber cancelled, timed out or faulted) stops deliveries down
+    it without disturbing the other edges.
     """
 
-    __slots__ = ("tag", "node_name", "consumer", "router", "collector",
-                 "active")
+    __slots__ = ("consumer", "router", "collector", "active")
 
-    def __init__(self, tag: str, node_name: str,
-                 consumer: "OperationRuntime | None" = None,
+    def __init__(self, consumer: "OperationRuntime | None" = None,
                  router: Callable[[list[Row]], list[int]] | None = None,
                  collector: list[Row] | None = None) -> None:
-        self.tag = tag
-        self.node_name = node_name
+        if consumer is not None and router is None:
+            raise ExecutionError(
+                f"edge into operation {consumer.name!r} has a consumer "
+                f"but no router")
         self.consumer = consumer
         self.router = router
         self.collector = collector
@@ -76,10 +76,10 @@ class OperationRuntime:
         strategy: Consumption strategy instance.
         cache_size: Max activations fetched per queue access (the
             internal activation cache of Figure 4).
-        consumer: Downstream operation fed through a pipeline edge,
-            or ``None`` when this operation produces the query result.
-        router: Maps an activation's emitted rows to their consumer
-            instance numbers.
+        outputs: Delivery edges.  The first is the operation's own:
+            into the pipeline consumer, or into ``result_rows`` when
+            this operation produces the query result.  Each further
+            edge serves one query folded onto this operation.
         producers_remaining: Pipeline producers still running; the
             input closes when this reaches zero.  Triggered operations
             close immediately after their triggers are seeded.
@@ -114,16 +114,11 @@ class OperationRuntime:
         #: right query's bus/trace.
         self.bus = None
         self.tracer = None
-        self.consumer: OperationRuntime | None = None
-        self.router: Callable[[list[Row]], list[int]] | None = None
-        #: Shared-work fan-out: extra delivery edges added when other
-        #: queries fold onto this operation.  Empty on the private
-        #: fast path (the simulator only branches on truthiness).
-        self.taps: list[DeliveryTap] = []
-        #: True when the host query detached (was cancelled) while
-        #: taps still have live subscribers: primary delivery and its
-        #: enqueue charge stop, taps keep flowing.
-        self.primary_detached = False
+        self.result_rows: list[Row] = []
+        #: The own edge (``Executor.wire_pipelines`` replaces it with
+        #: the pipeline consumer's), then one edge per folded
+        #: subscriber.  Only the own edge takes part in back-pressure.
+        self.outputs = [DeliveryTap(collector=self.result_rows)]
         self.producers_remaining = 0
         self.input_closed = False
         self.waiting_threads: deque[WorkerThread] = deque()
@@ -133,7 +128,6 @@ class OperationRuntime:
         self.finished_at: float | None = None
         self.activation_costs: list[float] = []
         self.activation_outputs: list[int] = []
-        self.result_rows: list[Row] = []
         self.finalized = False
         self.finalize_cost = 0.0
         # Counters (ExecutionMetrics picks these up).

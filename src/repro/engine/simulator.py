@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.engine.dbfuncs import ExecContext, ProcessResult, new_record
 from repro.engine.operation import OperationRuntime
@@ -52,7 +52,7 @@ from repro.engine.threads import (
     WorkerThread,
 )
 from repro.engine.trace import TraceEvent
-from repro.errors import ExecutionError, ExecutionFaultError
+from repro.errors import ExecutionFaultError
 from repro.obs.bus import (
     BLOCK,
     DEQUEUE,
@@ -68,13 +68,17 @@ from repro.obs.bus import (
 from repro.lera.activation import DATA, Activation
 from repro.machine.machine import Machine
 
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.faults.injector import FaultInjector
+    from repro.prof.profiler import EngineProfiler
+
 #: Number of slices a dilated activation is split into; finer slices
 #: track the draining of concurrent threads more precisely.
 DILATION_SLICES = 16
 
-#: Method -> profiler section of the event loop's timed phases
-#: (:meth:`Simulator.attach_profiler`).  The perf ledger reads the
-#: ``ready_scan`` call count as the number of event-loop steps: the
+#: Method -> profiler section of the event loop's timed phases, wrapped
+#: once at construction when the run is profiled.  The perf ledger reads
+#: the ``ready_scan`` call count as the number of event-loop steps: the
 #: *scans* — a wake-up :meth:`ReadyIndex.quiet` answers makes none.
 #: The operator bodies are timed as ``dbfunc`` on each admitted
 #: operation's ``DBFunc`` (:meth:`Simulator.add_operations`).
@@ -105,6 +109,8 @@ class Simulator:
     """Runs operations of one (or several) queries to completion."""
 
     def __init__(self, machine: Machine, seed: int,
+                 injector: "FaultInjector",
+                 profiler: "EngineProfiler | None",
                  on_operation_complete: Callable[
                      [OperationRuntime, WorkerThread], None],
                  on_query_abort: Callable[
@@ -123,12 +129,15 @@ class Simulator:
         #: drains the owning query's wave here, and the simulation
         #: continues for the survivors.
         self.on_query_abort = on_query_abort
-        #: Optional :class:`~repro.faults.injector.FaultInjector`.
-        #: Every consultation is guarded by ``is not None``, so a run
-        #: without one is bit-identical to an engine without the
-        #: faults layer.
-        self._injector = None
-        self._profiler = None
+        #: The run's :class:`~repro.faults.injector.FaultInjector`
+        #: (``NO_FAULTS`` for a run without a plan).  Each hook sits
+        #: behind one of its precomputed flags; the one ``_step`` reads
+        #: is held here.
+        self._injector = injector
+        self._perturbs_cpu = injector.perturbs_cpu
+        #: Times the event loop's phases (and each admitted operator
+        #: body) as sections; ``None`` for an unprofiled run.
+        self._profiler = profiler
         self._heap: list[tuple[float, int, WorkerThread]] = []
         self._seq = 0
         #: The one context every activation shares on a machine that
@@ -136,7 +145,11 @@ class Simulator:
         #: machines get one per activation, owned by the thread.
         self._uniform_ctx = (ExecContext(machine, -1)
                           if machine.directory is None else None)
+        #: Threads currently runnable (not parked, blocked or done),
+        #: and the dilation factor every charge multiplies by — both
+        #: written only by :meth:`_shift_active`.
         self._active = 0
+        self._dilation = machine.dilation(0)
         #: Unfinished threads currently admitted (active + waiting +
         #: blocked).  Drives the over-subscription (slicing) decision;
         #: ``_active`` alone drives the dilation.
@@ -145,18 +158,10 @@ class Simulator:
         # Per-thread slicing state, keyed by thread id.
         self._in_progress: dict[int, _WorkInProgress] = {}
         self._pending_batch: dict[int, list[Activation]] = {}
+        if profiler is not None:
+            profiler.instrument(self, _PROFILED_SECTIONS)
 
     # -- public API -----------------------------------------------------------
-
-    def attach_faults(self, injector) -> None:
-        """Attach a fault injector for this run (``None`` detaches)."""
-        self._injector = injector
-
-    def attach_profiler(self, profiler) -> None:
-        """Time this simulator's phases as sections of *profiler*; an
-        unprofiled simulator pays nothing."""
-        self._profiler = profiler
-        profiler.instrument(self, _PROFILED_SECTIONS)
 
     def add_operations(self, operations: list[OperationRuntime]) -> None:
         """Admit built operations into the event loop.
@@ -176,13 +181,11 @@ class Simulator:
                 if thread.finished_at is None:
                     self._push(thread)
                     added += 1
-        self._active += added
         self._live += added
         self._sliced = self._live > self.machine.processors
         if operations:
-            bus = operations[0].bus
-            if bus is not None:
-                bus.sample_active(operations[0].started_at, self._active)
+            self._shift_active(added, operations[0].bus,
+                               operations[0].started_at)
 
     def add_threads(self, operation: OperationRuntime,
                     threads: list[WorkerThread]) -> None:
@@ -194,12 +197,11 @@ class Simulator:
         """
         for thread in threads:
             self._push(thread)
-        self._active += len(threads)
         self._live += len(threads)
         self._sliced = self._live > self.machine.processors
-        bus = operation.bus
-        if bus is not None and threads:
-            bus.sample_active(threads[0].started_at, self._active)
+        if threads:
+            self._shift_active(len(threads), operation.bus,
+                               threads[0].started_at)
 
     def run(self, until: float | None = None) -> float | None:
         """Drain the event loop, optionally pausing at a time boundary.
@@ -216,16 +218,20 @@ class Simulator:
         pop = heapq.heappop
         step = self._step
         limit = math.inf if until is None else until
+        # One test per pop covers both the caller's boundary and the
+        # next time-triggered fault (``inf`` when none is pending).
+        bound = min(limit, injector.next_time_at)
         while heap:
-            if heap[0][0] > limit:
-                return heap[0][0]
-            clock, _, thread = pop(heap)
-            if (injector is not None
-                    and injector.next_time_at is not None
-                    and injector.next_time_at <= clock):
-                # Time-triggered faults (memory pressure) fire between
-                # events, at the granularity of event pops.
-                injector.apply_time(clock, self.machine)
+            clock = heap[0][0]
+            if clock >= bound:
+                if clock > limit:
+                    return clock
+                if clock >= injector.next_time_at:
+                    # Memory pressure fires between events, at the
+                    # granularity of event pops.
+                    injector.apply_time(clock, self.machine)
+                    bound = min(limit, injector.next_time_at)
+            thread = pop(heap)[2]
             if thread.state != RUNNABLE:
                 continue
             if in_progress and thread.thread_id in in_progress:
@@ -287,28 +293,26 @@ class Simulator:
         heapq.heappush(self._heap, (thread.clock, self._seq, thread))
         self._seq += 1
 
-    @property
-    def _active(self) -> int:
-        """Threads currently runnable (not parked, blocked or done)."""
-        return self._active_count
+    def _shift_active(self, delta: int, bus, t: float) -> None:
+        """Move the runnable-thread count by *delta* at virtual time *t*.
 
-    @_active.setter
-    def _active(self, count: int) -> None:
-        # The only writer, so the factor every charge multiplies by is
-        # recomputed where the count moves and nowhere else.
-        self._active_count = count
-        self._dilation = self.machine.dilation(count)
+        The count's only writer: the factor every charge multiplies by
+        is recomputed where the count moves and nowhere else, and an
+        observed run (*bus* set) samples ``active_threads`` here.
+        """
+        self._active = active = self._active + delta
+        self._dilation = self.machine.dilation(active)
+        if bus is not None:
+            bus.sample_active(t, active)
 
     def _wake_one(self, operation: OperationRuntime) -> None:
         """Signal one waiting consumer thread (condition-variable style)."""
         thread = operation.waiting_threads.popleft()
         thread.state = RUNNABLE
-        self._active += 1
         self._push(thread)
-        if operation.bus is not None:
-            # Sampled at the woken thread's (parked) clock — it will
-            # jump forward when the thread next steps.
-            operation.bus.sample_active(thread.clock, self._active)
+        # Sampled at the woken thread's (parked) clock — it will jump
+        # forward when the thread next steps.
+        self._shift_active(1, operation.bus, thread.clock)
 
     def _wake_all(self, operation: OperationRuntime) -> None:
         """Broadcast: input closed, every parked thread must re-check."""
@@ -319,7 +323,6 @@ class Simulator:
         """Un-block producers once *queue* dropped below capacity."""
         for producer in queue.blocked_producers:
             producer.state = RUNNABLE
-            self._active += 1
             producer.wait_until(at_time)
             self._push(producer)
             bus = producer.operation.bus
@@ -327,7 +330,7 @@ class Simulator:
                 bus.emit(UNBLOCK, at_time, producer.operation.name,
                          producer.thread_id, queue=queue.operation_name,
                          instance=queue.instance)
-                bus.sample_active(at_time, self._active)
+            self._shift_active(1, bus, at_time)
         queue.blocked_producers.clear()
 
     # -- one thread step ---------------------------------------------------------
@@ -372,8 +375,8 @@ class Simulator:
             used_secondary = True
         return ready, polls, future, used_secondary
 
-    #: The indexed ready scan as a method of the simulator, so that
-    #: :meth:`attach_profiler` can time it like ``_scan_select``; the
+    #: The indexed ready scan as a method of the simulator, so that a
+    #: profiled run can time it like ``_scan_select``; the
     #: unprofiled path calls ``ReadyIndex.select`` with no frame in
     #: between.
     _index_select = staticmethod(ReadyIndex.select)
@@ -381,19 +384,16 @@ class Simulator:
     def _charge_factor(self, thread: WorkerThread) -> float:
         """Dilation times any injected slowdown at the thread's clock."""
         factor = self._dilation
-        injector = self._injector
-        if injector is not None and injector.perturbs_cpu:
-            factor *= injector.speed_factor(
+        if self._perturbs_cpu:
+            factor *= self._injector.speed_factor(
                 thread.operation.name, thread.thread_id, thread.clock)
         return factor
 
     def _stalled(self, thread: WorkerThread) -> bool:
-        """Park the thread to the end of a stall window covering it."""
-        injector = self._injector
-        if injector is None or not injector.perturbs_cpu:
-            return False
+        """Park the thread to the end of a stall window covering it
+        (asked only when the plan perturbs the CPU)."""
         operation = thread.operation
-        until = injector.stall_until(
+        until = self._injector.stall_until(
             operation.name, thread.thread_id, thread.clock)
         if until is None:
             return False
@@ -407,8 +407,7 @@ class Simulator:
     def _step(self, thread: WorkerThread) -> None:
         operation = thread.operation
         costs = self.machine.costs
-        injector = self._injector
-        if injector is not None and injector.perturbs_cpu:
+        if self._perturbs_cpu:
             if self._stalled(thread):
                 return
             dilation = self._charge_factor(thread)
@@ -449,10 +448,8 @@ class Simulator:
             # so the branch above took every miss that has one.
             if not operation.input_closed:
                 thread.state = WAITING
-                self._active -= 1
                 operation.waiting_threads.append(thread)
-                if operation.bus is not None:
-                    operation.bus.sample_active(thread.clock, self._active)
+                self._shift_active(-1, operation.bus, thread.clock)
             else:
                 self._finish_thread(thread)
             return
@@ -488,9 +485,10 @@ class Simulator:
 
         # Consumer instances this batch enqueued into, for the
         # back-pressure check; a terminal operation fills none.
-        filled = set() if operation.consumer is not None else None
-        if (injector is not None and injector.can_fail
-                and injector.may_fail(operation.name)):
+        filled = set() if operation.outputs[0].consumer is not None else None
+        if (self._injector.can_fail
+                and self._injector.may_fail(operation.name)):
+            injector = self._injector
             for i, activation in enumerate(batch):
                 decision = injector.attempt(operation, activation,
                                             thread.clock)
@@ -513,24 +511,21 @@ class Simulator:
             self._seq += 1
 
     def _after_batch(self, thread: WorkerThread, filled: set[int]) -> None:
-        """Back-pressure check once a batch is fully processed."""
-        consumer = thread.operation.consumer
-        if consumer is not None:
-            for instance in filled:
-                target = consumer.queues[instance]
-                if target.over_capacity:
-                    thread.state = BLOCKED
-                    self._active -= 1
-                    target.blocked_producers.append(thread)
-                    bus = thread.operation.bus
-                    if bus is not None:
-                        bus.emit(BLOCK, thread.clock,
-                                 thread.operation.name,
-                                 thread.thread_id,
-                                 target=consumer.name,
-                                 instance=instance)
-                        bus.sample_active(thread.clock, self._active)
-                    return
+        """Back-pressure check once a batch is fully processed: *filled*
+        names the instances of the own edge's consumer it enqueued into."""
+        consumer = thread.operation.outputs[0].consumer
+        for instance in filled:
+            target = consumer.queues[instance]
+            if target.over_capacity:
+                thread.state = BLOCKED
+                target.blocked_producers.append(thread)
+                bus = thread.operation.bus
+                if bus is not None:
+                    bus.emit(BLOCK, thread.clock, thread.operation.name,
+                             thread.thread_id, target=consumer.name,
+                             instance=instance)
+                self._shift_active(-1, bus, thread.clock)
+                return
         self._push(thread)
 
     # -- whole-activation path (no over-subscription) ------------------------------
@@ -547,16 +542,20 @@ class Simulator:
         if ctx.penalty:
             self._add_penalty(thread, ctx.penalty)
         start = thread.clock
-        if emitted and (operation.consumer is not None or operation.taps):
-            cost += self._enqueue_charge(operation, len(emitted))
-        injector = self._injector
-        if injector is not None and injector.adjusts_charges:
+        if emitted:
+            # Only a lone own edge ends in result_rows (a folded
+            # query's edge collects into its own list): such an
+            # operation collects in place below and enqueues nothing.
+            lone = operation.outputs[-1].collector is operation.result_rows
+            if not lone:
+                cost += self._enqueue_charge(operation.outputs, len(emitted))
+        if self._injector.adjusts_charges:
             # Disk latency spikes and slowdown windows fold into the
             # single whole-activation charge (dilation is identically
             # 1 on this path, so the factor applies here, not in
             # _charge_factor).
-            cost = injector.charge(operation, thread.thread_id,
-                                   activation, start, cost)
+            cost = self._injector.charge(operation, thread.thread_id,
+                                         activation, start, cost)
         thread.clock += cost
         thread.busy_time += cost
         tracer = operation.tracer
@@ -566,9 +565,7 @@ class Simulator:
                 thread.thread_id, operation.name,
                 "activation", start, thread.clock))
         if emitted:
-            if (operation.consumer is None and not operation.taps
-                    and not operation.primary_detached):
-                # A terminal operation collects its rows in place.
+            if lone:
                 operation.result_rows.extend(emitted)
             else:
                 self._deliver(thread, emitted, start, filled)
@@ -581,8 +578,7 @@ class Simulator:
             return
         operation = thread.operation
         injector = self._injector
-        if (injector is not None and injector.can_fail
-                and injector.may_fail(operation.name)):
+        if injector.can_fail and injector.may_fail(operation.name):
             while batch:
                 activation = batch.pop(0)
                 decision = injector.attempt(operation, activation,
@@ -603,8 +599,9 @@ class Simulator:
                     activation: Activation) -> None:
         total, emitted = self._run_dbfunc(thread, activation)
         if emitted:
-            total += self._enqueue_charge(thread.operation, len(emitted))
-        if self._injector is not None and self._injector.has_disk:
+            total += self._enqueue_charge(thread.operation.outputs,
+                                          len(emitted))
+        if self._injector.has_disk:
             # Disk latency adds to the total; slowdown windows apply
             # per slice (via _charge_factor), re-sampled as windows
             # open and close.
@@ -614,8 +611,7 @@ class Simulator:
             emitted, thread.clock, total)
 
     def _advance_slice(self, thread: WorkerThread) -> None:
-        if (self._injector is not None and self._injector.perturbs_cpu
-                and self._stalled(thread)):
+        if self._perturbs_cpu and self._stalled(thread):
             return
         work = self._in_progress[thread.thread_id]
         slice_cost = min(work.remaining, work.slice)
@@ -749,62 +745,46 @@ class Simulator:
             operation.bus.add_memory_penalty(
                 thread.clock, operation.name, thread.thread_id, penalty)
 
-    def _enqueue_charge(self, operation: OperationRuntime,
-                        count: int) -> float:
-        """One enqueue charge per emitted row and live delivery target
-        (the primary consumer and every active shared-work tap that
-        feeds one), added to the processing cost of an activation that
+    def _enqueue_charge(self, outputs: list, count: int) -> float:
+        """One enqueue charge per emitted row and active edge into a
+        consumer, added to the processing cost of an activation that
         emitted *count* rows."""
         targets = 0
-        if operation.consumer is not None and not operation.primary_detached:
-            targets += 1
-        for tap in operation.taps:
-            if tap.active and tap.consumer is not None:
+        for edge in outputs:
+            if edge.active and edge.consumer is not None:
                 targets += 1
         return count * self.machine.costs.enqueue * targets
 
     def _deliver(self, thread: WorkerThread, emitted: list,
                  started_at: float, filled: set[int] | None) -> None:
-        """Route (or collect) an activation's non-empty output: to the
-        primary path plus every active shared-work tap.
+        """Route (or collect) an activation's non-empty output down
+        every active edge.
 
         Tuples become visible progressively across the activation's
         realized duration, which is what lets a consumer overlap with
-        its producer (pipelined execution).  Only the primary consumer
-        participates in back-pressure (``filled``): a slow subscriber
-        must not stall the shared producer or its co-subscribers, so
-        tap edges are exempt by design.  Enqueue charges are handled in
-        :meth:`_enqueue_charge` (one per live delivery target).
+        its producer (pipelined execution).  Only the own edge (the
+        first) participates in back-pressure (``filled``): a slow
+        subscriber must not stall the shared producer or its
+        co-subscribers, so the edges of folded queries are exempt by
+        design.  Enqueue charges are handled in :meth:`_enqueue_charge`
+        (one per active edge into a consumer).
         """
-        operation = thread.operation
         duration = thread.clock - started_at
-        if not operation.primary_detached:
-            consumer = operation.consumer
-            if consumer is None:
-                operation.result_rows.extend(emitted)
-            else:
-                router = operation.router
-                if router is None:
-                    raise ExecutionError(
-                        f"operation {operation.name!r} has a consumer but "
-                        f"no router")
-                self._route_rows(thread, consumer, router, emitted,
-                                 started_at, duration, filled)
-        for tap in operation.taps:
-            if not tap.active:
-                continue
-            if tap.consumer is None:
-                if tap.collector is not None:
-                    tap.collector.extend(emitted)
-                continue
-            self._route_rows(thread, tap.consumer, tap.router, emitted,
-                             started_at, duration, None)
+        for edge in thread.operation.outputs:
+            if edge.active:
+                consumer = edge.consumer
+                if consumer is None:
+                    edge.collector.extend(emitted)
+                else:
+                    self._route_rows(thread, consumer, edge.router, emitted,
+                                     started_at, duration, filled)
+            filled = None
 
     def _route_rows(self, thread: WorkerThread, consumer: OperationRuntime,
                     router, emitted, started_at: float, duration: float,
                     filled: set[int] | None) -> None:
-        """Enqueue *emitted* into *consumer* (shared by primary and tap
-        delivery; ``filled=None`` skips back-pressure registration)."""
+        """Enqueue *emitted* into *consumer* down one edge
+        (``filled=None`` skips back-pressure registration)."""
         operation = thread.operation
         count = len(emitted)
         queues = consumer.queues
@@ -842,13 +822,12 @@ class Simulator:
             self._finalize_operation(thread)
         thread.state = FINISHED
         thread.finished_at = thread.clock
-        self._active -= 1
         self._live -= 1
         operation.live_threads -= 1
         if operation.bus is not None:
             operation.bus.emit(THREAD_FINISH, thread.clock, operation.name,
                                thread.thread_id)
-            operation.bus.sample_active(thread.clock, self._active)
+        self._shift_active(-1, operation.bus, thread.clock)
         if operation.live_threads > 0:
             return
         operation.finished_at = max(
@@ -859,16 +838,11 @@ class Simulator:
                                operation.name,
                                threads=len(operation.threads),
                                activations=len(operation.activation_costs))
-        consumer = operation.consumer
-        if consumer is not None:
-            consumer.producers_remaining -= 1
-            if consumer.producers_remaining <= 0:
-                consumer.close_input()
-                self._wake_all(consumer)
-        for tap in operation.taps:
-            if tap.active and tap.consumer is not None:
-                tap.consumer.producers_remaining -= 1
-                if tap.consumer.producers_remaining <= 0:
-                    tap.consumer.close_input()
-                    self._wake_all(tap.consumer)
+        for edge in operation.outputs:
+            consumer = edge.consumer
+            if edge.active and consumer is not None:
+                consumer.producers_remaining -= 1
+                if consumer.producers_remaining <= 0:
+                    consumer.close_input()
+                    self._wake_all(consumer)
         self.on_operation_complete(operation, thread)

@@ -82,37 +82,6 @@ class ExecutionTrace:
         return sum(e.duration for e in self.events
                    if e.thread_id == thread_id)
 
-    def by_thread(self) -> dict[int, list[TraceEvent]]:
-        """All spans grouped per thread, each list sorted by start.
-
-        A thread executes serially, so each per-thread list is a chain
-        of non-overlapping intervals — the *same-thread* dependency
-        edges of the critical-path analysis (:mod:`repro.diag`): span
-        ``i+1`` cannot begin before span ``i`` ends.
-        """
-        grouped: dict[int, list[TraceEvent]] = {}
-        for event in self.events:
-            grouped.setdefault(event.thread_id, []).append(event)
-        for spans in grouped.values():
-            spans.sort(key=lambda e: (e.start, e.end))
-        return grouped
-
-    def by_operation(self) -> dict[str, list[TraceEvent]]:
-        """All spans grouped per operation, each list sorted by end.
-
-        Sorted by end time because that is how the critical-path walk
-        queries them: the producer span whose finish made a consumer's
-        input available is the latest producer span ending at or
-        before the consumer span's start (*cross-operation* dependency
-        edges).
-        """
-        grouped: dict[str, list[TraceEvent]] = {}
-        for event in self.events:
-            grouped.setdefault(event.operation, []).append(event)
-        for spans in grouped.values():
-            spans.sort(key=lambda e: (e.end, e.start))
-        return grouped
-
     def _sorted_bounds(self) -> tuple[list[float], list[float]]:
         """Sorted start and end times of all events (memoized).
 

@@ -6,9 +6,10 @@ shortage.  This package makes those conditions injectable: a seeded,
 declarative :class:`FaultPlan` describes processor slowdown/stall
 windows, disk latency/error spikes, mid-run memory pressure, and
 transient activation failures; a :class:`FaultInjector` applies them
-through guarded hooks in the simulator.  A run without a plan (the
-default everywhere) is bit-identical to an engine without this
-package.
+through flag-guarded hooks in the simulator.  A run without a plan
+(the default everywhere) runs under the empty plan's shared injector,
+:data:`~repro.faults.injector.NO_FAULTS`, bit-identical to a run
+under any other empty plan.
 """
 
 from repro.faults.injector import FaultInjector, io_faults

@@ -4,9 +4,13 @@ The :class:`FaultInjector` is the only mutable piece of the faults
 layer: it owns the plan's seeded RNG (separate from the simulator's
 strategy RNG, so injecting faults never perturbs Random-strategy
 draws), the per-activation retry ledger, and the queue of pending
-memory-pressure events.  The simulator consults it through a handful
-of hooks, every one guarded by ``injector is not None`` so the
-fault-free path stays bit-identical to an engine without this layer.
+memory-pressure events.  Every simulator holds one, fixed at
+construction: a run without a plan gets :data:`NO_FAULTS`, the shared
+injector of the empty plan, so "no plan" and "empty plan" are one path.
+The simulator consults it through a handful of hooks, each behind a
+flag the injector precomputes from its plan (``perturbs_cpu``,
+``can_fail``, ``adjusts_charges``, ``has_disk``, ``next_time_at``),
+which the empty plan leaves off: nothing in it is ever mutated.
 
 Virtual-time semantics of each hook:
 
@@ -33,6 +37,7 @@ control point a retry storm started.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -104,10 +109,11 @@ class FaultInjector:
         self.has_disk = bool(self._disk_by_op)
         self.adjusts_charges = self.has_disk or self.perturbs_cpu
         self.can_fail = self._fail_any or bool(self._fail_ops)
-        #: Instant of the next pending time-triggered fault (plain
-        #: attribute, maintained by :meth:`apply_time`).
+        #: Instant of the next pending time-triggered fault, ``inf``
+        #: when none is pending (plain attribute, maintained by
+        #: :meth:`apply_time`).
         self.next_time_at = (self._pending_memory[0].at
-                             if self._pending_memory else None)
+                             if self._pending_memory else math.inf)
         # One announcement event per (window/spec, operation) pair so
         # continuous faults don't flood the bus.
         self._announced: set[tuple[int, str]] = set()
@@ -254,7 +260,7 @@ class FaultInjector:
         while self._pending_memory and self._pending_memory[0].at <= now:
             event = self._pending_memory.pop(0)
             self.next_time_at = (self._pending_memory[0].at
-                                 if self._pending_memory else None)
+                                 if self._pending_memory else math.inf)
             released = machine.shrink_cache_budget(event.factor)
             self.memory_events += 1
             if self.metrics is not None:
@@ -292,6 +298,13 @@ class FaultInjector:
         from repro.obs.bus import FAULT_SLOWDOWN
         operation.bus.emit(FAULT_SLOWDOWN, now, operation=operation.name,
                            thread_id=thread_id, factor=factor)
+
+
+#: The injector of every run without a fault plan: the empty plan's,
+#: shared by all of them.  Its flags are all off, so no hook ever
+#: mutates it (its ledger, announcements and counters stay empty) and
+#: a run pays no construction for it.
+NO_FAULTS = FaultInjector(FaultPlan())
 
 
 # ----------------------------------------------------------------------

@@ -161,9 +161,11 @@ class ActivationFaults:
 class FaultPlan:
     """A seeded bundle of faults to inject into one run.
 
-    An empty plan (``FaultPlan()``) injects nothing; attaching it to a
-    run must leave the run bit-identical to not attaching a plan at
-    all — the fault-free-parity invariant the chaos harness asserts.
+    An empty plan (``FaultPlan()``) injects nothing; a run without a
+    plan runs under the empty plan's injector
+    (:data:`~repro.faults.injector.NO_FAULTS`), and a run under any
+    other empty plan must be bit-identical to it — the fault-free-parity
+    invariant ``tests/faults/test_injection.py`` asserts.
     """
 
     seed: int = 0

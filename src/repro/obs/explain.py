@@ -85,10 +85,6 @@ class ScheduleExplanation:
         """Decisions of one step, in recording order."""
         return [d for d in self.decisions if d.step == step]
 
-    def for_target(self, target: str) -> list[Decision]:
-        """Decisions about one target (e.g. an operation name)."""
-        return [d for d in self.decisions if d.target == target]
-
     def to_json(self) -> list[dict]:
         """JSON-ready list of all decisions."""
         return [d.to_json() for d in self.decisions]

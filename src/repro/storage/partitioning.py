@@ -73,10 +73,6 @@ class HashPartitioner:
     def __init__(self, spec: PartitioningSpec) -> None:
         self.spec = spec
 
-    def fragment_for_row(self, row: Row, positions: Sequence[int]) -> int:
-        """Fragment number of a single row given key positions."""
-        return fragment_of([row[p] for p in positions], self.spec.degree)
-
     def partition(self, relation: Relation) -> list[Fragment]:
         """Split *relation* into ``spec.degree`` fragments.
 

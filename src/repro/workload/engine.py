@@ -70,6 +70,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.threads import WorkerThread
 from repro.engine.trace import ExecutionTrace
 from repro.errors import AdmissionError, ExecutionFaultError, WorkloadError
+from repro.faults.injector import NO_FAULTS, FaultInjector
 from repro.lera.operators import StoreSpec
 from repro.machine.machine import Machine
 from repro.obs.alerts import AlertBus
@@ -396,11 +397,13 @@ class _QueryJob:
         targets (*registry* is ``None``).
 
         Folded nodes get no runtimes — instead the host operator gains
-        a delivery tap at each *frontier* folded node (one whose
-        pipeline consumer is private, or which is terminal here);
-        interior folded nodes need nothing, their data flows inside the
-        host's own wiring.  The query's start-up, demand and footprint
-        are those of the private remainder.
+        a delivery edge at each *frontier* folded node (one whose
+        pipeline consumer is private, or which is terminal here).  An
+        interior folded node needs no edge, its data flows inside the
+        host's own wiring, but it subscribes all the same: the host's
+        departure must not stop work a survivor still rides.  The
+        query's start-up, demand and footprint are those of the private
+        remainder.
         """
         plan = self.plan
         self.folds = folds
@@ -410,19 +413,17 @@ class _QueryJob:
         executor.wire_pipelines(plan, self.runtimes)
         for name, shared in folds.items():
             consumer_name = plan.pipeline_consumer(name)
-            if consumer_name is not None and consumer_name in folds:
-                continue  # interior fold: data flows inside the host
             if consumer_name is None:
                 collector: list = []
                 self.shared_results[name] = collector
-                tap = DeliveryTap(self.tag, name, collector=collector)
+                edge = DeliveryTap(collector=collector)
+            elif consumer_name in folds:
+                edge = None  # interior fold
             else:
                 consumer = self.runtimes[consumer_name]
-                tap = DeliveryTap(self.tag, name, consumer=consumer,
-                                  router=_router_for(consumer.node))
+                edge = DeliveryTap(consumer, _router_for(consumer.node))
                 consumer.producers_remaining += 1
-            shared.runtime.taps.append(tap)
-            shared.attach(self.tag, tap)
+            shared.attach(self.tag, edge)
         self.startup = self.shape.startup
         if folds:
             self.startup, self.wave_totals, self.demand = (
@@ -496,7 +497,7 @@ class _QueryJob:
         this query's node names, carrying the host runtime's raw
         counters at ``cost_share = 1/len(all subscribers)``; a host's
         own shared operators get the same fractional share.  Result
-        rows of a folded terminal node come from its delivery tap's
+        rows of a folded terminal node come from its delivery edge's
         collector.
         """
         assert self.finished_at is not None
@@ -517,7 +518,7 @@ class _QueryJob:
                 if rt.finished_at is not None:
                     operations[name] = OperationMetrics.of(
                         rt, cost_share=self._share_of(rt))
-                if rt.consumer is None:
+                if rt.outputs[0].consumer is None:
                     result_rows.extend(rt.result_rows)
         return QueryExecution(
             response_time=self.finished_at - self.arrival,
@@ -631,9 +632,6 @@ class _WorkloadRun:
             self.subscribe(POINT_WAVE, controller.observe_wave)
             self.subscribe(WAVE_START, controller.before_wave)
         self.budget = workload.thread_budget or machine.processors
-        self.simulator = Simulator(machine, exec_options.seed,
-                                   self._on_operation_complete,
-                                   self._on_query_abort)
         #: Self-profiling: an explicit ``profile=True`` option makes
         #: the run own a fresh profiler (started/stopped around
         #: :meth:`run`, so coverage is structural); an enclosing
@@ -644,20 +642,22 @@ class _WorkloadRun:
         self._own_profiler = self._profile_requested and ambient is None
         self.profiler = EngineProfiler() if self._own_profiler else ambient
         if self.profiler is not None:
-            self.simulator.attach_profiler(self.profiler)
             self.profiler.instrument(self, _PROFILED_SECTIONS)
         #: One fault plan per run, from whichever options block names
-        #: it (``db.query()`` carries only the execution block).
+        #: it (``db.query()`` carries only the execution block); a run
+        #: without one shares the empty plan's injector.
         if workload.faults is not None and exec_options.faults is not None:
             raise WorkloadError(
                 "fault plans on both ExecutionOptions and WorkloadOptions; "
                 "a run injects exactly one — drop either")
         faults = (workload.faults if workload.faults is not None
                   else exec_options.faults)
-        if faults is not None:
-            from repro.faults.injector import FaultInjector
-            self.simulator.attach_faults(
-                FaultInjector(faults, bus=self.bus, metrics=self.metrics))
+        injector = (NO_FAULTS if faults is None else
+                    FaultInjector(faults, bus=self.bus, metrics=self.metrics))
+        self.simulator = Simulator(machine, exec_options.seed, injector,
+                                   self.profiler,
+                                   self._on_operation_complete,
+                                   self._on_query_abort)
         self.running: list[_QueryJob] = []
         #: That the caller asked for the serving layer is kept for the
         #: three outputs pinned to differ: priority/tenant on
@@ -913,15 +913,16 @@ class _WorkloadRun:
                         detach: bool = True) -> None:
         """Unsubscribe *job* from every shared operator it touches.
 
-        Subscriptions: taps deactivate (the host stops delivering to
-        this query) and the reference count drops; an operator whose
-        host already detached and whose last subscriber just left is
-        an orphan and is drained.  Hosted operators: with surviving
-        subscribers the runtime is *detached* — primary delivery and
-        its enqueue charge stop, the operator leaves the host's drain
-        set and keeps running for the survivors; without survivors it
-        stays in the host's wave and is drained with it.  Idempotent,
-        and a no-op for a query that folded and hosts nothing.
+        Subscriptions: this query's edges deactivate (the host stops
+        delivering to it) and the reference count drops; an operator
+        whose host already detached and whose last subscriber just
+        left is an orphan and is drained.  Hosted operators: with
+        surviving subscribers the runtime is *detached* — it leaves the
+        host's drain set and keeps running for the survivors, and its
+        own edge (with its enqueue charge) stops unless that edge feeds
+        another operator the survivors ride; without survivors it stays
+        in the host's wave and is drained with it.  Idempotent, and a
+        no-op for a query that folded and hosts nothing.
         """
         seen: set[int] = set()
         for shared in job.folds.values():
@@ -929,27 +930,31 @@ class _WorkloadRun:
                 continue
             seen.add(id(shared))
             shared.active_tags.discard(job.tag)
-            for tap in shared.taps.pop(job.tag, ()):
-                tap.active = False
+            for edge in shared.edges.pop(job.tag, ()):
+                edge.active = False
             runtime = shared.runtime
             waiters = self._waiters_of.get(id(runtime))
             if waiters is not None and job in waiters:
                 waiters.remove(job)
                 if not waiters:
                     del self._waiters_of[id(runtime)]
-            if (not shared.active_tags and runtime.primary_detached
-                    and runtime.threads and not runtime.complete):
+            if (not shared.active_tags and shared.detached
+                    and not runtime.complete):
                 self.simulator.drain_operations([runtime], now)
+        detached: list[OperationRuntime] = []
         for shared in job.hosted:
             shared.active_tags.discard(job.tag)
             shared.dead = True
             runtime = shared.runtime
-            if runtime.complete:
-                continue
-            if detach and shared.active_tags and runtime.threads:
-                runtime.primary_detached = True
-                if runtime in job.current_wave_ops:
-                    job.current_wave_ops.remove(runtime)
+            if (detach and shared.active_tags and runtime.threads
+                    and not runtime.complete):
+                shared.detached = True
+                detached.append(runtime)
+        for runtime in detached:
+            own = runtime.outputs[0]
+            own.active = own.consumer in detached
+            if runtime in job.current_wave_ops:
+                job.current_wave_ops.remove(runtime)
 
     def _finish_if_unwound(self, job: _QueryJob) -> None:
         """Terminate a CANCELLING query whose truncated wave has nothing

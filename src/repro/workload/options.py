@@ -60,9 +60,10 @@ class WorkloadOptions:
     O(queries), not O(activations)."""
     faults: object | None = None
     """Optional :class:`~repro.faults.FaultPlan` applied to the whole
-    workload's shared simulation.  ``None`` (the default) leaves the
-    engine hot path untouched — fault-free runs are bit-identical
-    with or without the faults layer imported."""
+    workload's shared simulation.  ``None`` (the default) runs under
+    the shared empty-plan injector
+    :data:`~repro.faults.injector.NO_FAULTS`: no plan and an empty
+    plan are one path through the simulator."""
     serving: ServingPolicy | None = None
     """The :class:`~repro.serve.policies.ServingPolicy` block:
     overload protection for open-loop serving — pluggable admission

@@ -5,9 +5,9 @@ workload engine: when a query is admitted, its subplans are matched —
 by canonical fingerprint (:mod:`repro.lera.fingerprint`) — against the
 subplans of queries already on the machine.  A match *folds*: the
 incoming query does not build (or pay start-up for) its own runtime;
-instead the already-running operator gains a
-:class:`~repro.engine.operation.DeliveryTap` whose output fans out to
-the new subscriber.  One scan feeds N queries; throughput at high MPL
+instead the already-running operator gains one more delivery edge (a
+:class:`~repro.engine.operation.DeliveryTap` on its ``outputs``) whose
+output fans out to the new subscriber.  One scan feeds N queries; throughput at high MPL
 scales with *distinct* work instead of query count.
 
 The pieces here are pure bookkeeping — the engine integration lives in
@@ -31,9 +31,9 @@ fingerprintable node has no materialized inputs anywhere in its
 producer cone, but a node later in its chain may, pushing the whole
 chain to a later wave; registering only wave-0 hosts guarantees every
 registered runtime has its pool built synchronously during the host's
-admission, so a cancelled host can always be *detached* (primary
-delivery stops, taps keep flowing) without ever needing to adopt an
-unstarted operator.
+admission, so a cancelled host can always be *detached* (its own edge
+stops, the subscribers' edges keep flowing) without ever needing to
+adopt an unstarted operator.
 """
 
 from __future__ import annotations
@@ -66,14 +66,19 @@ class SharedOperator:
             drained.
         all_tags: Every query that ever subscribed — the cost-share
             denominator for per-query metrics (`1/len(all_tags)`).
-        taps: Per-subscriber delivery taps (host excluded: the host
-            uses the runtime's primary consumer/result path).
+        edges: Per-subscriber delivery edges (host excluded: the host
+            uses the runtime's own edge, ``outputs[0]``; an interior
+            fold subscribes with none).
         dead: No longer accepts new subscribers (host finished,
             cancelled, or the operator faulted).
+        detached: The host left while others still subscribed, and
+            the runtime runs on for them outside the host's wave; when
+            the last of them leaves too, the orphan is drained.
     """
 
     __slots__ = ("runtime", "host_tag", "fingerprint", "complexity",
-                 "footprint", "active_tags", "all_tags", "taps", "dead")
+                 "footprint", "active_tags", "all_tags", "edges", "dead",
+                 "detached")
 
     def __init__(self, runtime: "OperationRuntime", host_tag: str,
                  fingerprint: tuple, complexity: float,
@@ -85,8 +90,9 @@ class SharedOperator:
         self.footprint = footprint
         self.active_tags: set[str] = {host_tag}
         self.all_tags: set[str] = {host_tag}
-        self.taps: dict[str, list[DeliveryTap]] = {}
+        self.edges: dict[str, list[DeliveryTap]] = {}
         self.dead = False
+        self.detached = False
 
     def valid(self, now: float) -> bool:
         """May a query admitted at *now* still fold onto this runtime?
@@ -102,12 +108,15 @@ class SharedOperator:
         runtime = self.runtime
         return not runtime.threads or runtime.started_at > now
 
-    def attach(self, tag: str, tap: "DeliveryTap") -> None:
-        """Subscribe *tag* through *tap* (already appended to the
-        runtime's tap list by the caller)."""
+    def attach(self, tag: str, edge: "DeliveryTap | None") -> None:
+        """Subscribe *tag*: through *edge*, appended to the runtime's
+        outputs, or through none for an interior fold (the data flows
+        inside the host's own wiring)."""
         self.active_tags.add(tag)
         self.all_tags.add(tag)
-        self.taps.setdefault(tag, []).append(tap)
+        if edge is not None:
+            self.runtime.outputs.append(edge)
+            self.edges.setdefault(tag, []).append(edge)
 
     def __repr__(self) -> str:
         return (f"SharedOperator({self.runtime.name!r}, host={self.host_tag!r}, "
@@ -146,11 +155,6 @@ class FoldRegistry:
     def by_runtime(self, runtime_id: int) -> SharedOperator | None:
         """The shared operator wrapping a runtime, if it is shared."""
         return self._by_runtime.get(runtime_id)
-
-    def shared_count(self) -> int:
-        """Registered operators that gained at least one subscriber."""
-        return sum(1 for s in self._by_runtime.values()
-                   if len(s.all_tags) > 1)
 
 
 def plan_folds(plan: LeraGraph, registry: FoldRegistry,

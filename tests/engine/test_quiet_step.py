@@ -35,6 +35,7 @@ from repro.faults import (
     SlowdownWindow,
     StallWindow,
 )
+from repro.faults.injector import NO_FAULTS
 from repro.lera.plans import assoc_join_plan
 from repro.machine.machine import Machine
 from repro.obs.bus import EventBus
@@ -120,13 +121,14 @@ class Rig:
         self.operations = list(runtimes.values())
         self.join = runtimes["join"]
         self.start = executor.startup_time(runtimes, schedule)
+        faults = _faults(config, self.start)
         # Exhausted retries cancel the query, as a workload would.
         self.simulator = Simulator(
-            machine, config.seed, lambda operation, thread: None,
+            machine, config.seed,
+            NO_FAULTS if faults is None else FaultInjector(faults,
+                                                           bus=self.bus),
+            None, lambda operation, thread: None,
             lambda operation, error, at: self.cancel(at))
-        faults = _faults(config, self.start)
-        if faults is not None:
-            self.simulator.attach_faults(FaultInjector(faults, bus=self.bus))
         self.next_thread_id, _ = executor.prepare_wave(
             self.operations,
             {name: schedule.of(name).threads for name in runtimes},

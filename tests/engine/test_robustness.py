@@ -11,6 +11,7 @@ from repro.engine.executor import (
     OperationSchedule,
     QuerySchedule,
 )
+from repro.engine.operation import DeliveryTap
 from repro.errors import ExecutionError, WorkloadError
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.machine.machine import Machine
@@ -67,7 +68,7 @@ class TestDeadlockDetection:
 class TestRouterWiring:
     def test_consumer_without_router_raises(self):
         def drop_router(runtimes):
-            runtimes["transmit"].router = None
+            runtimes["transmit"].outputs[0] = DeliveryTap(runtimes["join"])
         with _miswired(drop_router), \
                 pytest.raises(ExecutionError, match="router"):
             _assoc_join()

@@ -9,14 +9,27 @@
   sit in :data:`ID_KEYS`, which names, per enclosing function, what
   keeps the referent alive while the key is held.
 * **One client.**  ``Simulator(`` is constructed by exactly one module,
-  the workload engine: a second wave loop cannot return quietly.
+  the workload engine: a second wave loop cannot return quietly.  Its
+  constructor has no defaulted parameter, so a feature (a fault plan,
+  a profiler) cannot come back as an optional fork of the event loop.
+* **No dead definitions.**  Every function and class defined in the
+  package is referenced somewhere other than its definition: in the
+  package, its tests, the examples, the benchmark or the docs.
 """
 
 import ast
 import functools
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+
+#: Where a definition of the package may be referenced from.
+REFERENCE_DIRS = ("src", "tests", "examples", "perf_ledger", "benchmarks",
+                  "docs")
+REFERENCE_SUFFIXES = (".py", ".md", ".json", ".toml")
 
 #: ``(module, enclosing function) -> keeper``: every function of the
 #: package that calls ``id(...)``, and what keeps each referent alive
@@ -123,12 +136,96 @@ def simulator_builders(sources: dict[str, str]) -> set[str]:
     return builders
 
 
+def defaulted_parameters(sources: dict[str, str], module: str,
+                        cls: str) -> list[str]:
+    """Parameters of ``cls.__init__`` in *module* that have a default."""
+    for node in ast.walk(ast.parse(sources[module])):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            init = next(item for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and item.name == "__init__")
+            args = init.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            return [arg.arg for arg in defaulted]
+    raise AssertionError(f"no class {cls} in {module}")
+
+
+@functools.lru_cache(maxsize=None)
+def _outside_references() -> Counter:
+    """Identifier tokens of every text file under :data:`REFERENCE_DIRS`
+    outside the package, this audit excepted: naming a definition
+    here must not keep it alive."""
+    words = Counter()
+    for directory in REFERENCE_DIRS:
+        for path in sorted((ROOT / directory).rglob("*")):
+            if (path.suffix in REFERENCE_SUFFIXES and path.is_file()
+                    and SRC not in path.parents
+                    and path != Path(__file__).resolve()):
+                words.update(_tokens(path.read_text()))
+    return words
+
+
+def _tokens(text: str) -> list[str]:
+    return re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
+
+
+def unreferenced(sources: dict[str, str], outside: Counter) -> list[str]:
+    """Functions and classes defined in *sources* whose name occurs in
+    the package (*sources*) and *outside* it no more often than it is
+    defined.  Dunder methods are called by the language."""
+    words = Counter(outside)
+    definitions: dict[str, list[str]] = {}
+    for module, text in sources.items():
+        words.update(_tokens(text))
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))):
+                definitions.setdefault(node.name, []).append(
+                    f"{module}:{node.lineno}")
+    return [f"{site}: {name} is defined but never referenced"
+            for name, sites in sorted(definitions.items())
+            if words[name] <= len(sites) for site in sites]
+
+
 def test_every_identity_key_names_its_keeper():
     assert id_key_violations(_package()) == []
 
 
 def test_the_simulator_has_one_client():
     assert simulator_builders(_package()) == {"workload/engine.py"}
+
+
+def test_the_simulator_constructor_has_no_default():
+    assert defaulted_parameters(_package(), "engine/simulator.py",
+                                "Simulator") == []
+
+
+def test_a_defaulted_simulator_parameter_is_caught():
+    sources = dict(_package())
+    sources["engine/simulator.py"] = sources["engine/simulator.py"].replace(
+        "ExecutionFaultError, float], None]\n",
+        "ExecutionFaultError, float], None] = print\n")
+    assert defaulted_parameters(sources, "engine/simulator.py",
+                                "Simulator") == ["on_query_abort"]
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced(_package(), _outside_references()) == []
+
+
+def test_an_unreferenced_definition_is_caught():
+    doctored = {**_package(), "bench/doctored.py": (
+        "def forgotten_helper(rows):\n"
+        "    return sorted(rows)\n")}
+    assert unreferenced(doctored, _outside_references()) == [
+        "bench/doctored.py:1: forgotten_helper is defined but never "
+        "referenced"]
 
 
 def test_a_doctored_identity_key_is_caught():

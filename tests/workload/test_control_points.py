@@ -9,6 +9,8 @@ workload-bus event list and the same per-query outcome.  A bare run
 must not register a single consumer.
 """
 
+import math
+import random
 from itertools import product
 
 import pytest
@@ -22,6 +24,7 @@ from repro import (
     WorkloadOptions,
     generate_wisconsin,
 )
+from repro.faults.injector import NO_FAULTS
 from repro.obs.bus import QUERY_ADMIT, QUERY_GRANT, QUERY_REJECT
 from repro.obs.monitor import default_monitors
 from repro.workload.engine import QuerySubmission, _WorkloadRun
@@ -127,3 +130,31 @@ def test_a_bare_run_registers_no_consumer(db):
         db.machine, ExecutionOptions(),
         _options("adaptive", True, True, False), submissions)
     assert everything._listeners
+
+
+def test_a_fault_free_run_shares_the_empty_plan_injector(db):
+    """Without a fault plan the simulator holds :data:`NO_FAULTS`, one
+    object for every run — so nothing a run does may write to it: a
+    timeout, helper grants and folds all leave its ledger,
+    announcements, counters and RNG as built."""
+    submissions = []
+    for tag, sql, at, timeout in WORKLOAD:
+        compiled = db.compile(sql)
+        submissions.append(QuerySubmission(
+            tag, compiled, db.scheduler.schedule(compiled.plan, 8),
+            arrival=at, timeout=timeout))
+    run = _WorkloadRun(db.machine, ExecutionOptions(),
+                       _options("shared", False, False, False), submissions)
+    result = run.run()
+    reasons = {e.data["reason"] for e in result.bus.events_of(QUERY_GRANT)}
+    assert "helpers" in reasons
+    assert any("folds" in e.data for e in result.bus.events_of(QUERY_ADMIT))
+    assert result.status_of("q1") == "timed_out"
+    injector = run.simulator._injector
+    assert injector is NO_FAULTS
+    assert injector._attempts == {} and injector._announced == set()
+    assert (injector.injected, injector.retries, injector.aborts,
+            injector.memory_events) == (0, 0, 0, 0)
+    assert injector.next_time_at == math.inf
+    assert (injector.rng.getstate()
+            == random.Random(injector.plan.seed).getstate())

@@ -330,11 +330,13 @@ class TestShapeEquality:
 
     def test_run_free_numbers_equal_the_built_ones(self, db, chain_db):
         wisconsin = make_database(600, degree=12)
-        seen, stores = set(), set()
+        # Every plan is kept alive, so identity (not a recyclable id)
+        # tells the templates' shared plans apart.
+        seen, stores = [], set()
         for plan, schedule in _plans(db, wisconsin, chain_db):
-            if id(plan) in seen:
+            if any(plan is other for other in seen):
                 continue
-            seen.add(id(plan))
+            seen.append(plan)
             executor = Executor(db.machine)
             shape = _JobShape(plan, schedule, executor, shared=True)
             runtimes = executor.build_runtimes(plan, schedule)

@@ -11,7 +11,8 @@ End-to-end contracts of the fold pass (``WorkloadOptions(shared=True)``):
   duplicate query runs on zero threads of its own);
 * subscribers are reference-counted: cancelling one leaves the host
   and co-subscribers undisturbed, cancelling the *host* detaches its
-  primary delivery while the taps keep feeding survivors;
+  own delivery edge while the subscribers' edges keep feeding
+  survivors — an interior edge between two folded operators included;
 * a fault on a shared operator aborts the whole cohort — a subscriber
   cannot silently lose the stream it was riding;
 * the foldability window is the host's sequential start-up phase:
@@ -174,6 +175,28 @@ class TestSubscriberCancellation:
         assert host.status == CANCELLED
         assert survivor.status == DONE
         assert sorted(survivor.result().rows) == reference_rows[SQL]
+
+    @pytest.mark.parametrize("at", [0.01, 0.35])
+    def test_cancelling_the_host_keeps_an_interior_edge_flowing(
+            self, db, at):
+        """transmit -> join, both folded: the survivor rides the host's
+        transmit through the host's own edge into the shared join, so
+        the host's departure must neither drain that transmit nor stop
+        that edge — and the survivor pays half of each operator."""
+        sql = "SELECT * FROM A JOIN B ON A.unique2 = B.unique1"
+        expected = sorted(db.query(sql).rows)
+        session = db.session(options=WorkloadOptions(
+            max_concurrent=2, shared=True))
+        host = session.submit(sql, tag="q0")
+        survivor = session.submit(sql, tag="q1")
+        host.cancel(at=at)
+        result = session.run()
+        assert host.status == CANCELLED
+        assert survivor.status == DONE
+        assert len(expected) == 200
+        assert sorted(survivor.result().rows) == expected
+        assert _folded(result.execution("q1")) == {"transmit": 0.5,
+                                                   "join": 0.5}
 
 
 class TestCohortAbort:
