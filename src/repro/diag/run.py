@@ -14,7 +14,9 @@ exact same numbers (floats survive the JSON round trip bit-exactly).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -23,33 +25,27 @@ from bisect import bisect_right
 from repro.engine.trace import ExecutionTrace
 from repro.errors import ReproError
 from repro.obs.bus import DEQUEUE, ENQUEUE, Event
-from repro.obs.export import LoadedRun, read_jsonl
+from repro.obs.export import OP_FIELDS, LoadedRun, read_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.engine.metrics import QueryExecution
 
 
-@dataclass(frozen=True)
-class OpView:
-    """Per-operation aggregates, identical from both sources."""
+class OpView(namedtuple("OpView", ("name", *OP_FIELDS))):
+    """Per-operation aggregates, identical from both sources: the
+    ``name`` and :data:`~repro.obs.export.OP_FIELDS` of an ``op``
+    record."""
 
-    name: str
-    trigger_mode: str
-    instances: int
-    threads: int
-    strategy: str
-    started_at: float
-    finished_at: float
-    busy_time: float
-    idle_time: float
-    work: float
-    activations: int
-    queue_activations: tuple[int, ...]
-    enqueues: int
-    dequeue_batches: int
-    secondary_accesses: int
-    polls: int
-    memory_penalty: float
+    __slots__ = ()
+
+    @classmethod
+    def read(cls, name: str, value) -> "OpView":
+        """The view of operation *name*, ``value(field)`` reading each
+        field (an attribute of live metrics, a key of a reloaded
+        record); per-queue counts become a tuple either way."""
+        view = cls(name, *map(value, OP_FIELDS))
+        return view._replace(
+            queue_activations=tuple(view.queue_activations))
 
     @property
     def steal_ratio(self) -> float:
@@ -108,28 +104,8 @@ class ObservedRun:
                 "execution was not observed; run with ExecutionOptions("
                 "observability=ObservabilityOptions(observe=True)) "
                 "to diagnose it")
-        ops = {
-            name: OpView(
-                name=name,
-                trigger_mode=op.trigger_mode,
-                instances=op.instances,
-                threads=op.threads,
-                strategy=op.strategy,
-                started_at=op.started_at,
-                finished_at=op.finished_at,
-                busy_time=op.busy_time,
-                idle_time=op.idle_time,
-                work=op.work,
-                activations=op.activations,
-                queue_activations=tuple(op.queue_activations),
-                enqueues=op.enqueues,
-                dequeue_batches=op.dequeue_batches,
-                secondary_accesses=op.secondary_accesses,
-                polls=op.polls,
-                memory_penalty=op.memory_penalty,
-            )
-            for name, op in execution.operations.items()
-        }
+        ops = {name: OpView.read(name, partial(getattr, op))
+               for name, op in execution.operations.items()}
         return cls(
             response_time=execution.response_time,
             startup_time=execution.startup_time,
@@ -145,28 +121,8 @@ class ObservedRun:
     @classmethod
     def from_loaded(cls, loaded: LoadedRun) -> "ObservedRun":
         """Adapt a reloaded JSONL event log."""
-        ops = {
-            record["name"]: OpView(
-                name=record["name"],
-                trigger_mode=record["trigger_mode"],
-                instances=record["instances"],
-                threads=record["threads"],
-                strategy=record["strategy"],
-                started_at=record["started_at"],
-                finished_at=record["finished_at"],
-                busy_time=record["busy_time"],
-                idle_time=record["idle_time"],
-                work=record["work"],
-                activations=record["activations"],
-                queue_activations=tuple(record["queue_activations"]),
-                enqueues=record["enqueues"],
-                dequeue_batches=record["dequeue_batches"],
-                secondary_accesses=record["secondary_accesses"],
-                polls=record["polls"],
-                memory_penalty=record["memory_penalty"],
-            )
-            for record in loaded.ops
-        }
+        ops = {record["name"]: OpView.read(record["name"], record.__getitem__)
+               for record in loaded.ops}
         return cls(
             response_time=loaded.meta["response_time"],
             startup_time=loaded.meta["startup_time"],

@@ -114,6 +114,14 @@ class OperationRuntime:
         #: right query's bus/trace.
         self.bus = None
         self.tracer = None
+        #: Its holders in a workload run, as references: the query
+        #: whose wave started it (until that query finishes) and the
+        #: shared operator offering it as a fold target.
+        self.job = None
+        self.shared = None
+        #: Can the run's fault plan fail one of its activations?  Fixed
+        #: when the simulator admits the operation.
+        self.may_fail = False
         self.result_rows: list[Row] = []
         #: The own edge (``Executor.wire_pipelines`` replaces it with
         #: the pipeline consumer's), then one edge per folded

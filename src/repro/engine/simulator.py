@@ -174,9 +174,12 @@ class Simulator:
         """
         added = 0
         profiler = self._profiler
+        injector = self._injector
         for operation in operations:
             if profiler is not None:
                 profiler.instrument(operation.dbfunc, {"process": "dbfunc"})
+            operation.may_fail = (injector.can_fail
+                                  and injector.may_fail(operation.name))
             for thread in operation.threads:
                 if thread.finished_at is None:
                     self._push(thread)
@@ -486,19 +489,13 @@ class Simulator:
         # Consumer instances this batch enqueued into, for the
         # back-pressure check; a terminal operation fills none.
         filled = set() if operation.outputs[0].consumer is not None else None
-        if (self._injector.can_fail
-                and self._injector.may_fail(operation.name)):
-            injector = self._injector
+        if operation.may_fail:
             for i, activation in enumerate(batch):
-                decision = injector.attempt(operation, activation,
-                                            thread.clock)
-                if decision is None:
+                failed = self._attempt(thread, activation,
+                                       len(batch) - i - 1)
+                if failed is None:
                     self._charge_whole(thread, activation, filled)
-                    continue
-                self._fail_attempt(thread, activation, decision)
-                if decision.aborts:
-                    operation.discarded += len(batch) - i - 1
-                    self._abort_query(thread, activation, decision)
+                elif failed.aborts:
                     return
         else:
             for activation in batch:
@@ -576,21 +573,14 @@ class Simulator:
         batch = self._pending_batch.get(thread.thread_id)
         if not batch:
             return
-        operation = thread.operation
-        injector = self._injector
-        if injector.can_fail and injector.may_fail(operation.name):
+        if thread.operation.may_fail:
             while batch:
                 activation = batch.pop(0)
-                decision = injector.attempt(operation, activation,
-                                            thread.clock)
-                if decision is None:
+                failed = self._attempt(thread, activation, len(batch))
+                if failed is None:
                     self._start_work(thread, activation)
                     return
-                self._fail_attempt(thread, activation, decision)
-                if decision.aborts:
-                    operation.discarded += len(batch)
-                    self._pending_batch.pop(thread.thread_id, None)
-                    self._abort_query(thread, activation, decision)
+                if failed.aborts:
                     return
             return
         self._start_work(thread, batch.pop(0))
@@ -639,6 +629,26 @@ class Simulator:
         self._after_batch(thread, filled)
 
     # -- fault handling -------------------------------------------------------------
+
+    def _attempt(self, thread: WorkerThread, activation: Activation,
+                 rest: int):
+        """One processing attempt of *activation* under the fault plan.
+
+        Returns ``None`` when it may run; otherwise the failure is
+        charged (:meth:`_fail_attempt`) and its decision returned.  A
+        decision that ``aborts`` has also discarded the *rest* of the
+        thread's batch and aborted the owning query.
+        """
+        decision = self._injector.attempt(thread.operation, activation,
+                                          thread.clock)
+        if decision is None:
+            return None
+        self._fail_attempt(thread, activation, decision)
+        if decision.aborts:
+            thread.operation.discarded += rest
+            self._pending_batch.pop(thread.thread_id, None)
+            self._abort_query(thread, activation, decision)
+        return decision
 
     def _fail_attempt(self, thread: WorkerThread, activation: Activation,
                       decision) -> None:

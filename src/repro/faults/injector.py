@@ -98,9 +98,11 @@ class FaultInjector:
         self._disk_by_op: dict[str, list[DiskFault]] = {}
         for spec in plan.disk:
             self._disk_by_op.setdefault(spec.operation, []).append(spec)
-        # Retry ledger: id(activation) -> (attempts, activation).  The
-        # activation object is pinned so its id stays unique while
-        # tracked; entries are dropped on success or abort.
+        # Retry ledger: the activation's address -> (attempts,
+        # activation).  Activations hash by value, so equal ones must
+        # not share a count; the entry pins the activation so its
+        # address stays unique while tracked, and goes on success or
+        # abort.
         self._attempts: dict[int, tuple[int, object]] = {}
         self._pending_memory = sorted(plan.memory, key=lambda m: m.at)
         # Precomputed hot-path gates: the simulator consults these

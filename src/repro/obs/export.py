@@ -68,6 +68,20 @@ _US = 1e6
 SCHEMA_VERSION = 4
 
 
+#: The per-operation aggregates after an ``op`` record's ``name``, read
+#: by attribute off its :class:`~repro.engine.metrics.OperationMetrics`.
+#: The diagnostics layer's ``OpView`` is ``name`` plus these.
+OP_FIELDS = ("trigger_mode", "instances", "threads", "strategy",
+             "started_at", "finished_at", "busy_time", "idle_time", "work",
+             "activations", "queue_activations", "enqueues",
+             "dequeue_batches", "secondary_accesses", "polls",
+             "memory_penalty")
+
+#: The fault-layer tail of an ``op`` record.
+_OP_FAULT_FIELDS = ("faults_injected", "fault_retries", "fault_aborts",
+                    "discarded", "stalled_time")
+
+
 def _require_obs(execution: "QueryExecution") -> EventBus:
     if execution.obs is None:
         raise ReproError(
@@ -105,31 +119,10 @@ def jsonl_records(execution: "QueryExecution") -> Iterator[dict]:
         "result_rows": execution.result_cardinality,
     }
     for name, op in execution.operations.items():
-        yield {
-            "type": "op",
-            "name": name,
-            "trigger_mode": op.trigger_mode,
-            "instances": op.instances,
-            "threads": op.threads,
-            "strategy": op.strategy,
-            "started_at": op.started_at,
-            "finished_at": op.finished_at,
-            "busy_time": op.busy_time,
-            "idle_time": op.idle_time,
-            "work": op.work,
-            "activations": op.activations,
-            "queue_activations": list(op.queue_activations),
-            "enqueues": op.enqueues,
-            "dequeue_batches": op.dequeue_batches,
-            "secondary_accesses": op.secondary_accesses,
-            "polls": op.polls,
-            "memory_penalty": op.memory_penalty,
-            "faults_injected": op.faults_injected,
-            "fault_retries": op.fault_retries,
-            "fault_aborts": op.fault_aborts,
-            "discarded": op.discarded,
-            "stalled_time": op.stalled_time,
-        }
+        record = {"type": "op", "name": name}
+        for field in OP_FIELDS + _OP_FAULT_FIELDS:
+            record[field] = getattr(op, field)
+        yield record
     for event in bus.events:
         yield _event_record(event)
     if execution.trace is not None:

@@ -247,38 +247,39 @@ class _HeapPolicy(AdmissionPolicy):
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
-        self._dead: set[int] = set()
-        self._live: dict[int, object] = {}
+        #: Waiting jobs, and popped ones whose heap entry is not yet
+        #: skimmed off.
+        self._live: set = set()
+        self._dead: set = set()
 
     def _key(self, job) -> tuple:
         raise NotImplementedError
 
     def push(self, job) -> None:
         heapq.heappush(self._heap, (*self._key(job), job.order, job))
-        self._live[id(job)] = job
+        self._live.add(job)
 
     def _skim(self) -> None:
-        while self._heap and id(self._heap[0][-1]) in self._dead:
-            entry = heapq.heappop(self._heap)
-            self._dead.discard(id(entry[-1]))
+        while self._heap and self._heap[0][-1] in self._dead:
+            self._dead.discard(heapq.heappop(self._heap)[-1])
 
     def peek(self):
         self._skim()
         return self._heap[0][-1] if self._heap else None
 
     def pop(self, job) -> None:
-        if id(job) not in self._live:
+        if job not in self._live:
             raise WorkloadError(
                 f"cannot pop {job.tag!r}: not in the wait queue")
-        del self._live[id(job)]
+        self._live.remove(job)
         self._skim()
         if self._heap and self._heap[0][-1] is job:
             heapq.heappop(self._heap)
         else:
-            self._dead.add(id(job))
+            self._dead.add(job)
 
     def jobs(self) -> list:
-        return sorted(self._live.values(), key=lambda job: job.order)
+        return sorted(self._live, key=lambda job: job.order)
 
     def __len__(self) -> int:
         return len(self._live)
@@ -310,7 +311,7 @@ class PriorityPolicy(_HeapPolicy):
                        (job.priority, -job.arrival, -job.order, job))
 
     def victim(self, now: float):
-        while self._shed_heap and id(self._shed_heap[0][-1]) not in self._live:
+        while self._shed_heap and self._shed_heap[0][-1] not in self._live:
             heapq.heappop(self._shed_heap)
         return self._shed_heap[0][-1] if self._shed_heap else None
 
@@ -347,7 +348,7 @@ class EdfPolicy(_HeapPolicy):
                        (-_deadline_of(job), -job.arrival, -job.order, job))
 
     def victim(self, now: float):
-        while self._shed_heap and id(self._shed_heap[0][-1]) not in self._live:
+        while self._shed_heap and self._shed_heap[0][-1] not in self._live:
             heapq.heappop(self._shed_heap)
         return self._shed_heap[0][-1] if self._shed_heap else None
 

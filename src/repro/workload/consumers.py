@@ -87,7 +87,7 @@ class _Telemetry:
             self.metrics.counter(FOLD_ATTEMPTS).inc(now, shareable)
         if folds:
             self.metrics.counter(FOLD_HITS).inc(now, len(folds))
-            for shared in {id(s): s for s in folds.values()}.values():
+            for shared in job.subscriptions:
                 self.metrics.gauge(
                     FOLD_SUBSCRIBERS, operator=shared.runtime.name).set(
                     now, len(shared.active_tags))

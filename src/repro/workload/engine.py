@@ -367,6 +367,8 @@ class _QueryJob:
         #: Shared-work state.  All empty on the private path, so every
         #: sharing branch below reduces to the private behaviour.
         self.folds: dict[str, SharedOperator] = {}
+        #: The distinct shared operators of ``folds``, first seen first.
+        self.subscriptions: tuple[SharedOperator, ...] = ()
         self.hosted: list[SharedOperator] = []
         self.shared_results: dict[str, list] = {}
         self.current_wave_shared: list[SharedOperator] = []
@@ -407,6 +409,7 @@ class _QueryJob:
         """
         plan = self.plan
         self.folds = folds
+        self.subscriptions = tuple(dict.fromkeys(folds.values()))
         self.footprint = footprint
         self.runtimes = executor.build_runtimes(plan, self.schedule,
                                                 skip=folds)
@@ -460,13 +463,15 @@ class _QueryJob:
         if not self.folds and not self.hosted:
             return self.complexity
         total = self.complexity
-        seen: set[int] = set()
+        # Each subscription is priced at its first fold, keeping the
+        # sum's order.
+        firsts = iter(self.subscriptions)
+        upcoming = next(firsts, None)
         for name, shared in self.folds.items():
             total -= self.shape.node_complexities[name]
-            if id(shared) in seen:
-                continue
-            seen.add(id(shared))
-            total += shared.complexity / max(1, len(shared.active_tags))
+            if shared is upcoming:
+                total += shared.complexity / max(1, len(shared.active_tags))
+                upcoming = next(firsts, None)
         for shared in self.hosted:
             count = len(shared.active_tags)
             if count > 1:
@@ -598,12 +603,6 @@ class _WorkloadRun:
                                                workload.shared)
             self.jobs.append(_QueryJob(s, order, self._shapes[pair],
                                        exec_options, workload.shared))
-        #: Owner of each started runtime, and the subscribers waiting
-        #: on a shared one to complete before their wave can advance.
-        #: Keyed by ``id(runtime)``: an entry leaves with its job, before
-        #: the runtime can be collected and the id recycled.
-        self._job_of: dict[int, _QueryJob] = {}
-        self._waiters_of: dict[int, list[_QueryJob]] = {}
         self.bus = EventBus()
         #: Control point -> subscribed consumers, in registration
         #: order.  A feature that is off registers nothing.
@@ -752,8 +751,6 @@ class _WorkloadRun:
                 f"workload did not complete: queries {list(stuck)} never "
                 f"finished (deadlock or admission starvation); unfinished "
                 f"operations per query: {stuck}")
-        assert not self._job_of and not self._waiters_of, (
-            "a finished job left an owner entry behind")
         executions = {job.tag: job.execution for job in self.jobs}
         return WorkloadResult(
             executions=executions,
@@ -875,8 +872,7 @@ class _WorkloadRun:
         capacity eventually regranted to survivors — instead of the
         fault tearing down the whole workload.
         """
-        job = self._job_of.get(id(operation))
-        shared = self.sharing.by_runtime(id(operation))
+        job, shared = operation.job, operation.shared
         if job is None and shared is None:
             raise error
         cohort: list[_QueryJob] = []
@@ -924,20 +920,13 @@ class _WorkloadRun:
         in the host's wave and is drained with it.  Idempotent, and a
         no-op for a query that folded and hosts nothing.
         """
-        seen: set[int] = set()
-        for shared in job.folds.values():
-            if id(shared) in seen:
-                continue
-            seen.add(id(shared))
+        for shared in job.subscriptions:
             shared.active_tags.discard(job.tag)
             for edge in shared.edges.pop(job.tag, ()):
                 edge.active = False
+            if job in shared.waiters:
+                shared.waiters.remove(job)
             runtime = shared.runtime
-            waiters = self._waiters_of.get(id(runtime))
-            if waiters is not None and job in waiters:
-                waiters.remove(job)
-                if not waiters:
-                    del self._waiters_of[id(runtime)]
             if (not shared.active_tags and shared.detached
                     and not runtime.complete):
                 self.simulator.drain_operations([runtime], now)
@@ -1189,17 +1178,12 @@ class _WorkloadRun:
         while True:
             job.wave_index += 1
             job.wave_started_at = at
-            own_ops: list[OperationRuntime] = []
-            shared_list: list[SharedOperator] = []
-            seen: set[int] = set()
-            for chain in job.waves[job.wave_index]:
-                for node in chain.nodes:
-                    shared = job.folds.get(node.name)
-                    if shared is None:
-                        own_ops.append(job.runtimes[node.name])
-                    elif id(shared) not in seen:
-                        seen.add(id(shared))
-                        shared_list.append(shared)
+            names = [node.name for chain in job.waves[job.wave_index]
+                     for node in chain.nodes]
+            own_ops = [job.runtimes[name] for name in names
+                       if name not in job.folds]
+            shared_list = list(dict.fromkeys(
+                job.folds[name] for name in names if name in job.folds))
             job.current_wave_shared = shared_list
             wave_threads = 0
             if own_ops:
@@ -1224,7 +1208,7 @@ class _WorkloadRun:
             job.wave_threads = wave_threads
             job.max_threads = max(job.max_threads, wave_threads)
             for op in own_ops:
-                self._job_of[id(op)] = job
+                op.job = job
             if job.bus is not None:
                 # ``shared`` names the operators ridden this wave; the
                 # key exists only for a query that folded something.
@@ -1237,8 +1221,7 @@ class _WorkloadRun:
                 self.simulator.add_operations(own_ops)
             pending = [s for s in shared_list if not s.runtime.complete]
             for shared in pending:
-                self._waiters_of.setdefault(
-                    id(shared.runtime), []).append(job)
+                shared.waiters.append(job)
             if own_ops or pending:
                 return
             # Everything in this wave folded onto already-finished
@@ -1255,12 +1238,12 @@ class _WorkloadRun:
 
     def _on_operation_complete(self, operation: OperationRuntime,
                                thread: WorkerThread) -> None:
-        if self._waiters_of:
-            waiters = self._waiters_of.pop(id(operation), None)
-            if waiters:
-                for waiter in list(waiters):
-                    self._advance_if_wave_done(waiter)
-        job = self._job_of.get(id(operation))
+        shared = operation.shared
+        if shared is not None and shared.waiters:
+            waiters, shared.waiters = shared.waiters, []
+            for waiter in waiters:
+                self._advance_if_wave_done(waiter)
+        job = operation.job
         if job is None:
             return
         self._advance_if_wave_done(job)
@@ -1307,12 +1290,18 @@ class _WorkloadRun:
             # stopped; its finish event says what it ended as.
             status = {"status": outcome}
         job.execution = job.build_execution(status=outcome)
-        # Metrics are frozen: let the runtimes go (a hosted operator
-        # with live subscribers lives on through its SharedOperator).
+        # Metrics are frozen: let the runtimes and the shared operators
+        # go (a hosted operator with live subscribers lives on through
+        # their jobs).
         for runtime in job.runtimes.values():
-            self._job_of.pop(id(runtime), None)
+            runtime.job = None
         job.runtimes = {}
         job.current_wave_ops = []
+        job.folds = {}
+        job.subscriptions = ()
+        job.hosted = []
+        job.current_wave_shared = []
+        job.shared_results = {}
         self.running.remove(job)
         self.admission.release(job.footprint, at=finish)
         self._emit(QUERY_FINISH, finish, job,

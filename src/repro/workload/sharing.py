@@ -74,11 +74,13 @@ class SharedOperator:
         detached: The host left while others still subscribed, and
             the runtime runs on for them outside the host's wave; when
             the last of them leaves too, the orphan is drained.
+        waiters: Subscriber jobs whose current wave waits for the
+            runtime to complete.
     """
 
     __slots__ = ("runtime", "host_tag", "fingerprint", "complexity",
                  "footprint", "active_tags", "all_tags", "edges", "dead",
-                 "detached")
+                 "detached", "waiters")
 
     def __init__(self, runtime: "OperationRuntime", host_tag: str,
                  fingerprint: tuple, complexity: float,
@@ -93,6 +95,7 @@ class SharedOperator:
         self.edges: dict[str, list[DeliveryTap]] = {}
         self.dead = False
         self.detached = False
+        self.waiters: list = []
 
     def valid(self, now: float) -> bool:
         """May a query admitted at *now* still fold onto this runtime?
@@ -124,11 +127,15 @@ class SharedOperator:
 
 
 class FoldRegistry:
-    """Fingerprint -> :class:`SharedOperator` for one workload run."""
+    """Fingerprint -> :class:`SharedOperator` for one workload run.
+
+    An entry stays until a later one replaces it under the same
+    fingerprint: once their queries have finished, only the latest
+    entry per fingerprint still holds a runtime.
+    """
 
     def __init__(self) -> None:
         self._entries: dict[tuple, SharedOperator] = {}
-        self._by_runtime: dict[int, SharedOperator] = {}
 
     def lookup(self, fingerprint: tuple, now: float) -> SharedOperator | None:
         """A live, still-foldable entry for *fingerprint*, if any."""
@@ -143,18 +150,15 @@ class FoldRegistry:
         Returns False (and keeps the incumbent) when a live entry for
         the fingerprint already exists — the caller should have folded
         onto it instead; this only happens for duplicate subplans
-        *within* one query, which stay private by design.
+        *within* one query, which stay private by design.  On success
+        the runtime points back at *shared* (``runtime.shared``).
         """
         incumbent = self._entries.get(shared.fingerprint)
         if incumbent is not None and incumbent.valid(now):
             return False
         self._entries[shared.fingerprint] = shared
-        self._by_runtime[id(shared.runtime)] = shared
+        shared.runtime.shared = shared
         return True
-
-    def by_runtime(self, runtime_id: int) -> SharedOperator | None:
-        """The shared operator wrapping a runtime, if it is shared."""
-        return self._by_runtime.get(runtime_id)
 
 
 def plan_folds(plan: LeraGraph, registry: FoldRegistry,
@@ -191,14 +195,8 @@ def projected_footprint(plan: LeraGraph, footprints: dict[str, int],
     (``ceil(footprint / (subscribers + 1))``) — the memory-gate face
     of fractional cost attribution.
     """
-    total = 0
-    seen: set[int] = set()
-    for node in plan.nodes:
-        shared = folds.get(node.name)
-        if shared is None:
-            total += footprints[node.name]
-        elif id(shared) not in seen:
-            seen.add(id(shared))
-            count = len(shared.active_tags) + 1
-            total += -(-shared.footprint // count)
+    total = sum(footprints[node.name] for node in plan.nodes
+                if node.name not in folds)
+    for shared in dict.fromkeys(folds.values()):
+        total += -(-shared.footprint // (len(shared.active_tags) + 1))
     return total

@@ -3,10 +3,12 @@
 * **Identity keys.**  A mapping or set keyed on ``id(x)`` is sound only
   while something keeps ``x`` alive: once ``x`` is collected its id can
   be handed to a new object, and the stale entry answers for it.  That
-  went wrong twice (the workload run's never-pruned owner maps, and a
-  ``JoinSpec`` memo keyed on a dropped cost model).  Every ``id(...)``
-  call in the package is such a key or part of one, so every call must
-  sit in :data:`ID_KEYS`, which names, per enclosing function, what
+  went wrong three times (the workload run's never-pruned owner maps, a
+  ``JoinSpec`` memo keyed on a dropped cost model, and a fold registry
+  that kept every host runtime).  So an object is its own key, or the
+  reference sits on the object it describes; the ``id(...)`` calls
+  left are for objects that cannot be keys, and every call must sit in
+  :data:`ID_KEYS`, which names, per enclosing function, why and what
   keeps the referent alive while the key is held.
 * **One client.**  ``Simulator(`` is constructed by exactly one module,
   the workload engine: a second wave loop cannot return quietly.  Its
@@ -31,52 +33,27 @@ REFERENCE_DIRS = ("src", "tests", "examples", "perf_ledger", "benchmarks",
                   "docs")
 REFERENCE_SUFFIXES = (".py", ".md", ".json", ".toml")
 
-#: ``(module, enclosing function) -> keeper``: every function of the
-#: package that calls ``id(...)``, and what keeps each referent alive
-#: for as long as its key is held.
+#: ``(module, enclosing function) -> reason``: every function of the
+#: package that calls ``id(...)``, why that object cannot be its own
+#: key, and what keeps it alive for as long as its key is held.
+#: Everything else is keyed by reference: ``runtime.job``,
+#: ``runtime.shared``, ``shared.waiters``, the heap policies' job sets.
 ID_KEYS = {
     ("workload/engine.py", "_WorkloadRun.__init__"):
-        "_shapes: the run's own jobs hold every (plan, schedule) pair",
-    ("workload/engine.py", "_WorkloadRun._start_wave"):
-        "_job_of / _waiters_of: the job holds its runtimes, the "
-        "SharedOperator its runtime, until _finish drops the entries; "
-        "seen: job.folds holds every SharedOperator",
-    ("workload/engine.py", "_WorkloadRun._on_operation_complete"):
-        "_job_of / _waiters_of: the completing runtime is the argument",
-    ("workload/engine.py", "_WorkloadRun._on_query_abort"):
-        "_job_of / FoldRegistry._by_runtime: the failing runtime is the "
-        "argument",
-    ("workload/engine.py", "_WorkloadRun._release_shared"):
-        "_waiters_of: the SharedOperator holds its runtime; "
-        "seen: job.folds holds every SharedOperator",
-    ("workload/engine.py", "_WorkloadRun._finish"):
-        "_job_of: job.runtimes holds the runtime until after the pop",
-    ("workload/engine.py", "_QueryJob.effective_complexity"):
-        "seen: job.folds holds every SharedOperator",
-    ("workload/sharing.py", "FoldRegistry.register"):
-        "_by_runtime: the SharedOperator value holds its runtime",
-    ("workload/sharing.py", "projected_footprint"):
-        "seen: the folds argument holds every SharedOperator",
-    ("workload/consumers.py", "_Telemetry.on_fold"):
-        "{id(s): s}: the dict's values are the referents",
-    ("serve/policies.py", "_HeapPolicy.push"):
-        "_live: the dict's values are the referents",
-    ("serve/policies.py", "_HeapPolicy.pop"):
-        "_live: the dict's values; _dead: the heap entry still holds "
-        "the job until _skim pops it",
-    ("serve/policies.py", "_HeapPolicy._skim"):
-        "_dead: the heap entry being skimmed holds the job",
-    ("serve/policies.py", "PriorityPolicy.victim"):
-        "_live: the shed heap's entry holds the job",
-    ("serve/policies.py", "EdfPolicy.victim"):
-        "_live: the shed heap's entry holds the job",
+        "_shapes: a QuerySchedule holds a dict and is unhashable; the "
+        "run's own jobs hold every (plan, schedule) pair",
     ("faults/injector.py", "FaultInjector.attempt"):
-        "_attempts: the ledger value pins the activation",
+        "_attempts: an Activation is a NamedTuple that hashes by value, "
+        "and equal activations must not share a retry count; the ledger "
+        "value pins the activation",
     ("faults/injector.py", "FaultInjector._announce"):
-        "_announced: the injector's FaultPlan holds every spec",
+        "_announced: a frozen DiskFault hashes by value, and equal specs "
+        "must each announce; the injector's FaultPlan holds every spec",
     ("lera/fingerprint.py", "_fragment_key"):
-        "fingerprints: the plan's specs hold their fragments, and a "
-        "FoldRegistry entry holds its host runtime's plan node",
+        "fingerprints: a fingerprint is plain data (tuples of str and "
+        "int) compared as a value; the plan's specs hold their "
+        "fragments, and a FoldRegistry entry holds its host runtime's "
+        "plan node",
 }
 
 

@@ -42,8 +42,10 @@ from repro.workload.options import WorkloadOptions
 _ORDER = _count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
+    """Hashed by identity, like the engine's jobs."""
+
     tag: str
     arrival: float = 0.0
     priority: int = 0

@@ -28,9 +28,10 @@ from repro.serve.policies import (
 _ORDER = count()
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
-    """The attribute surface the policies consume."""
+    """The attribute surface the policies consume, hashed by identity
+    like the engine's jobs (the heap policies key on the job)."""
 
     tag: str
     arrival: float = 0.0

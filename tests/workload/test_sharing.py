@@ -20,17 +20,26 @@ End-to-end contracts of the fold pass (``WorkloadOptions(shared=True)``):
   still return the right rows);
 * admission prices folded work fractionally: a duplicate whose plan
   folds entirely squeezes under a memory gate that would have queued
-  a private copy.
+  a private copy;
+* a finished query lets go of its runtimes in shared mode as in
+  private mode: the fold registry keeps at most its latest entry per
+  fingerprint, and a finished job drops its shared operators.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from repro import DBS3, WorkloadOptions, generate_wisconsin
+from repro.engine.executor import Executor
 from repro.faults import ActivationFaults, FaultPlan
 from repro.lera.plans import ideal_join_plan
 from repro.obs.bus import QUERY_ABORT, QUERY_ADMIT
 from repro.workload.admission import plan_footprint
+from repro.workload.engine import _WorkloadRun
 from repro.workload.session import CANCELLED, DONE, FAILED
+from repro.workload.sharing import FoldRegistry, SharedOperator
 
 SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
 SQL_CD = "SELECT * FROM C JOIN D ON C.unique1 = D.unique1"
@@ -277,3 +286,54 @@ class TestFractionalAdmission:
         assert admit_times[True]["q0"] == 0.0
         assert admit_times[True]["q1"] == 0.0
         assert admit_times[False]["q1"] > 0.0
+
+
+class _Runtime:
+    """What the fold registry reads of a runtime: an unbuilt pool."""
+
+    threads = ()
+    started_at = 0.0
+    shared = None
+
+
+class TestRetention:
+    def test_a_replaced_registry_entry_lets_go_of_its_runtime(self):
+        registry = FoldRegistry()
+        first = SharedOperator(_Runtime(), "q0", ("scan",), 1.0, 1)
+        runtime = weakref.ref(first.runtime)
+        assert registry.register(first, 0.0)
+        first.dead = True  # its host finished
+        assert registry.register(
+            SharedOperator(_Runtime(), "q1", ("scan",), 1.0, 1), 0.0)
+        del first
+        gc.collect()
+        assert runtime() is None
+
+    def test_sequential_shared_queries_let_go_of_their_runtimes(
+            self, db, monkeypatch):
+        """Twenty identical queries one after another: none folds (each
+        host has finished when the next is admitted), and by the end
+        only the registry's latest entry may still hold a runtime."""
+        built, live = [], []
+        build_runtimes = Executor.build_runtimes
+        assemble = _WorkloadRun._assemble
+
+        def counting_build(executor, *args, **kwargs):
+            runtimes = build_runtimes(executor, *args, **kwargs)
+            built.extend(weakref.ref(rt) for rt in runtimes.values())
+            return runtimes
+
+        def counting_assemble(run):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in built))
+            return assemble(run)
+
+        monkeypatch.setattr(Executor, "build_runtimes", counting_build)
+        monkeypatch.setattr(_WorkloadRun, "_assemble", counting_assemble)
+        session = db.session(options=WorkloadOptions(
+            max_concurrent=1, shared=True))
+        for i in range(20):
+            session.submit(SQL, tag=f"q{i}")
+        session.run()
+        assert len(built) == 20
+        assert live[0] <= 1
