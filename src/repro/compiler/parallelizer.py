@@ -14,6 +14,7 @@ and produce the physical plan plus its output schema and projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.compiler.optimizer import (
     NormalizedQuery,
@@ -71,11 +72,17 @@ class CompiledQuery:
         return Schema(attributes)
 
     def shape_rows(self, rows: list[Row]) -> list[Row]:
-        """Apply the SELECT-list projection to raw plan output."""
+        """Apply the SELECT-list projection to raw plan output.
+
+        One ``itemgetter`` over the batch; it returns a bare value for a
+        single position, which ``zip`` wraps back into 1-tuples.
+        """
         if self.projection is None:
             return rows
-        positions = self.projection
-        return [tuple(row[p] for p in positions) for row in rows]
+        columns = itemgetter(*self.projection)
+        if len(self.projection) == 1:
+            return list(zip(map(columns, rows)))
+        return list(map(columns, rows))
 
 
 def _predicate_for(term: RelationTerm, schema: Schema) -> Predicate:

@@ -8,12 +8,16 @@ from the calibrated cost model.
 Costing note: for the nested-loop algorithm the *cost* charged is the
 full outer x inner scan the 1995 prototype would have executed, while
 the *matching* itself uses a hash table so the Python reproduction
-stays fast.  Results are identical; only wall-clock time differs.
+stays fast: one comprehension tests each outer row's key against the
+inner table's read-only view (``HashIndex.table``) and joins only the
+rows that match.  Results are identical; only wall-clock time differs.
 Index-based algorithms execute their actual data structure
-(:class:`~repro.storage.indexes.SortedIndex` / hash table).
+(:class:`~repro.storage.indexes.SortedIndex` / hash table).  Selection
+is a set at a time as well (:meth:`~repro.lera.predicates.Predicate
+.select`, one call per fragment).
 
 A structure over a whole stored fragment is borrowed from the fragment
-(``Fragment.index_on``: built once, shared, read-only); the *charge*
+(``Fragment.index_on``: built once, shared, immutable); the *charge*
 for building it is still made in every execution.
 """
 
@@ -148,8 +152,7 @@ class FilterFunc(DBFunc):
         fragment = self.spec.fragments[instance]
         penalty = (ctx.touch(segment_key(fragment), fragment.size_bytes())
                    if ctx.tracks_memory else 0.0)
-        predicate = self.spec.predicate.fn
-        emitted = [row for row in fragment.rows if predicate(row)]
+        emitted = self.spec.predicate.select(fragment.rows)
         cost = (self.costs.trigger_activation
                 + fragment.cardinality * self.costs.filter_tuple
                 + len(emitted) * self.costs.store_tuple
@@ -204,7 +207,8 @@ class JoinFunc(DBFunc):
         self._outer_pos = spec.outer_fragments[0].schema.position(spec.outer_key)
         self._inner_pos = spec.inner_fragments[0].schema.position(spec.inner_key)
 
-    def _outer_index(self, outer: Fragment, outer_rows: list[Row], kind: str):
+    def _outer_index(self, outer: Fragment, outer_rows: tuple[Row, ...],
+                     kind: str):
         """The fragment's own index at ``grain == 1``; a chunk builds over
         its slice — repeated work, the genuine price of the finer grain."""
         if self.spec.grain == 1:
@@ -232,12 +236,13 @@ class JoinFunc(DBFunc):
         emitted: list[Row] = []
         algorithm = self.spec.algorithm
         if algorithm == JOIN_NESTED_LOOP:
-            table_get = inner.index_on(self._inner_pos).get
-            emit = emitted.append
+            table = inner.index_on(self._inner_pos).table
             outer_pos = self._outer_pos
-            for left in outer_rows:
-                for right in table_get(left[outer_pos], ()):
-                    emit(left + right)
+            # No call per outer row: a row without a match costs one
+            # subscript and one membership test; only hits are joined.
+            emitted = [left + right for left in outer_rows
+                       if left[outer_pos] in table
+                       for right in table[left[outer_pos]]]
             cost += self.costs.nested_loop_cost(
                 slice_cardinality, len(inner.rows), len(emitted))
         elif algorithm == JOIN_TEMP_INDEX:
@@ -415,8 +420,10 @@ class StoreFunc(DBFunc):
     """Pipelined materialization into hash-partitioned fragments.
 
     The run-time half of multi-chain plans: each activation's tuple is
-    appended to the instance's target fragment, which a later chain
-    reads as a statically partitioned operand.
+    buffered for the instance's target fragment, and :meth:`finalize`
+    publishes the buffer into the fragment as one tuple, which a later
+    chain reads as a statically partitioned operand.  Stored rows stay
+    immutable; the buffer is the only container that grows.
     """
 
     def __init__(self, spec: StoreSpec, costs: CostModel) -> None:
@@ -426,14 +433,20 @@ class StoreFunc(DBFunc):
         # execution starts them empty (one StoreFunc per execution).
         for fragment in spec.target_fragments:
             fragment.clear()
+        self._buffers: list[list[Row]] = [[] for _ in spec.target_fragments]
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
         if activation.kind != DATA or activation.row is None:
             raise ExecutionError("StoreFunc expects data activations")
-        self.spec.target_fragments[instance].append(activation.row)
+        self._buffers[instance].append(activation.row)
         cost = self.costs.pipelined_activation + self.costs.store_tuple
         return ProcessResult(cost, [])
+
+    def finalize(self, instance: int, ctx: ExecContext) -> None:
+        """Publish the instance's rows; no virtual time (``None``)."""
+        self.spec.target_fragments[instance].extend(self._buffers[instance])
+        self._buffers[instance] = []
 
 
 def make_dbfunc(spec, costs: CostModel) -> DBFunc:

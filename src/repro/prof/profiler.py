@@ -18,6 +18,16 @@ The CI ``profile-smoke`` gate holds that sum to at least 90 % of
 measured wall time at MPL 4 — if the engine grows a hot path outside
 any section, the gate catches the blind spot.
 
+The cyclic collector gets a section of its own: inside a
+:func:`profile` block a ``gc.callbacks`` hook opens ``gc`` when a
+collection starts under an open section and closes it when it ends,
+so a collector pause is charged to ``...;gc`` and not to whichever
+section it interrupted.  A collection may start inside
+:meth:`EngineProfiler.enter` / :meth:`EngineProfiler.exit` (they
+allocate); both only allocate while the section stack is consistent,
+so the nested ``gc`` frame lands under the right parent.  Outside a
+:func:`profile` block no hook is installed.
+
 Output formats:
 
 * :meth:`EngineProfiler.folded` — classic folded-stack lines
@@ -39,6 +49,7 @@ executor layers pick up at run start — so profiling a run is::
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 
@@ -54,7 +65,8 @@ class EngineProfiler:
     is two ``perf_counter_ns`` reads and a dict update.
     """
 
-    __slots__ = ("nodes", "_stack", "_started_ns", "_stopped_ns")
+    __slots__ = ("nodes", "_stack", "_started_ns", "_stopped_ns",
+                 "_gc_open")
 
     def __init__(self) -> None:
         #: path tuple -> [calls, self_ns, total_ns]
@@ -63,6 +75,8 @@ class EngineProfiler:
         self._stack: list[list] = []
         self._started_ns: int | None = None
         self._stopped_ns: int | None = None
+        #: Whether the running collection opened a ``gc`` section.
+        self._gc_open = False
 
     def __repr__(self) -> str:
         return (f"EngineProfiler(sections={len(self.nodes)}, "
@@ -94,21 +108,41 @@ class EngineProfiler:
 
     def enter(self, name: str) -> None:
         """Open section *name* (nested under any open section)."""
-        self._stack.append([name, time.perf_counter_ns(), 0])
+        # Allocate before the clock is read and the frame is pushed: a
+        # collection the allocation starts belongs to the parent.
+        frame = [name, 0, 0]
+        frame[1] = time.perf_counter_ns()
+        self._stack.append(frame)
 
     def exit(self) -> None:
         """Close the innermost open section."""
-        name, entered, child_ns = self._stack.pop()
-        elapsed = time.perf_counter_ns() - entered
-        path = tuple(frame[0] for frame in self._stack) + (name,)
+        # Read the clock, pop and credit the parent before allocating
+        # anything: a collection the path or node allocation starts
+        # happens after this section, under its parent.
+        now = time.perf_counter_ns()
+        stack = self._stack
+        name, entered, child_ns = stack.pop()
+        elapsed = now - entered
+        if stack:
+            stack[-1][2] += elapsed
+        path = tuple([frame[0] for frame in stack]) + (name,)
         node = self.nodes.get(path)
         if node is None:
             node = self.nodes[path] = [0, 0, 0]
         node[0] += 1
         node[1] += elapsed - child_ns
         node[2] += elapsed
-        if self._stack:
-            self._stack[-1][2] += elapsed
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        """``gc.callbacks`` hook: a collection under an open section is
+        section ``gc`` of its own."""
+        if phase == "start":
+            if self._stack:
+                self._gc_open = True
+                self.enter("gc")
+        elif self._gc_open:
+            self._gc_open = False
+            self.exit()
 
     @contextmanager
     def section(self, name: str):
@@ -219,15 +253,19 @@ def active_profiler() -> EngineProfiler | None:
 def profile():
     """Install a fresh :class:`EngineProfiler` as the active one for
     the duration of the block and yield it (started/stopped around
-    the block, so ``coverage()`` is relative to the block's wall)."""
+    the block, so ``coverage()`` is relative to the block's wall).
+    Collector pauses under an open section time as section ``gc``."""
     global _ACTIVE
     if _ACTIVE is not None:
         raise ReproError("profile() blocks do not nest")
     prof = EngineProfiler()
     _ACTIVE = prof
     prof.start()
+    hook = prof._on_gc
+    gc.callbacks.append(hook)
     try:
         yield prof
     finally:
+        gc.callbacks.remove(hook)
         prof.stop()
         _ACTIVE = None

@@ -23,7 +23,9 @@ class Fragment:
         relation_name: Name of the relation this fragment belongs to.
         index: Fragment number within the partitioning (0-based).
         schema: Schema shared with the parent relation.
-        rows: The fragment's rows.
+        rows: The fragment's rows, a tuple: stored data is immutable
+            (see DESIGN.md), so a row container handed to an operator
+            cannot be changed under another execution.
         disk: Identifier of the (simulated) disk holding the fragment,
             assigned round-robin by the placement policy; ``None`` for
             transient fragments produced at run time.
@@ -37,7 +39,7 @@ class Fragment:
         self.relation_name = relation_name
         self.index = index
         self.schema = schema
-        self.rows: list[Row] = list(rows)
+        self.rows: tuple[Row, ...] = tuple(rows)
         self.disk = disk
         self._size_cache: int | None = None
         self._indexes: dict[tuple[int, str], HashIndex | SortedIndex] = {}
@@ -61,9 +63,8 @@ class Fragment:
         """Approximate footprint of the fragment, in bytes.
 
         Memoized — the engine's cost accounting asks for footprints on
-        hot paths; :meth:`append` and :meth:`clear` invalidate the
-        cache.  Mutating ``rows`` directly bypasses the invalidation, so
-        incremental builders must go through :meth:`append`.
+        hot paths; :meth:`extend` and :meth:`clear` invalidate the
+        cache.
         """
         size = self._size_cache
         if size is None:
@@ -75,10 +76,10 @@ class Fragment:
                  kind: str = "hash") -> HashIndex | SortedIndex:
         """The fragment's index of *kind* on attribute *position*.
 
-        Built once and kept until :meth:`append` or :meth:`clear`: every
+        Built once and kept until :meth:`extend` or :meth:`clear`: every
         execution over this fragment, concurrent ones included, probes
-        the same structure, so its match lists are read-only.  What an
-        execution is *charged* for a build is the cost model's business.
+        the same (immutable) structure.  What an execution is *charged*
+        for a build is the cost model's business.
         """
         index = self._indexes.get((position, kind))
         if index is None:
@@ -86,15 +87,25 @@ class Fragment:
             self._indexes[position, kind] = index
         return index
 
-    def append(self, row: Row) -> None:
-        """Add one row (used when building fragments incrementally)."""
-        self.rows.append(row)
+    def extend(self, rows: Iterable[Row]) -> None:
+        """Publish *rows* after the current ones, as one new tuple.
+
+        The way a run-time target grows: ``StoreFunc`` buffers an
+        instance's rows and publishes them here once.  The size and
+        the indexes that described the old rows are dropped.
+        """
+        self.rows += tuple(rows)
         self._size_cache = None
         if self._indexes:
             self._indexes = {}
 
+    def append(self, row: Row) -> None:
+        """Add one row: a copy of the tuple per call, so for small
+        hand-built fragments only (a loop of these is quadratic)."""
+        self.extend((row,))
+
     def clear(self) -> None:
         """Drop every row, and the size and indexes that described them."""
-        self.rows = []
+        self.rows = ()
         self._size_cache = None
         self._indexes = {}

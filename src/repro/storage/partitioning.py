@@ -81,18 +81,18 @@ class HashPartitioner:
         modulo the degree.
         """
         positions = relation.schema.positions(self.spec.keys)
-        fragments = [Fragment(relation.name, i, relation.schema)
-                     for i in range(self.spec.degree)]
         degree = self.spec.degree
+        buckets: list[list[Row]] = [[] for _ in range(degree)]
         if len(positions) == 1:
             position = positions[0]
             for row in relation.rows:
-                fragments[stable_hash(row[position]) % degree].append(row)
+                buckets[stable_hash(row[position]) % degree].append(row)
         else:
             for row in relation.rows:
                 key = tuple(row[p] for p in positions)
-                fragments[stable_hash(key) % degree].append(row)
-        return fragments
+                buckets[stable_hash(key) % degree].append(row)
+        return [Fragment(relation.name, i, relation.schema, bucket)
+                for i, bucket in enumerate(buckets)]
 
 
 def repartition_row(row: Row, position: int, degree: int) -> int:

@@ -12,7 +12,8 @@ from repro.storage.tuples import Row, row_size_bytes
 class Relation:
     """A named, memory-resident relation.
 
-    Rows are stored as a list of tuples matching ``schema``.  The class
+    Rows are stored as a tuple of tuples matching ``schema``: stored
+    data is immutable (see DESIGN.md).  The class
     is deliberately simple — partitioning into :class:`~repro.storage
     .fragment.Fragment` objects is what the engine actually operates
     on; a ``Relation`` is the logical, un-fragmented view.
@@ -25,7 +26,7 @@ class Relation:
             raise SchemaError("relation name must be non-empty")
         self.name = name
         self.schema = schema
-        self.rows: list[Row] = list(rows)
+        self.rows: tuple[Row, ...] = tuple(rows)
 
     # -- container protocol ---------------------------------------------------
 

@@ -61,7 +61,9 @@ class TestStoreFunc:
         func = StoreFunc(spec, DEFAULT_COSTS)
         result = func.process(1, tuple_activation(1, (7, 70)), _ctx())
         assert result.emitted == []
-        assert spec.target_fragments[1].rows == [(7, 70)]
+        assert spec.target_fragments[1].rows == ()
+        assert func.finalize(1, _ctx()) is None
+        assert spec.target_fragments[1].rows == ((7, 70),)
         assert result.cost > 0
 
     def test_rejects_control_activation(self):

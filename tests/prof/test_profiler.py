@@ -1,6 +1,9 @@
 """The engine self-profiler: attribution math, the ambient ``profile()``
 context manager, and the live-run coverage contract."""
 
+import gc
+import types
+
 import pytest
 
 from repro import (
@@ -95,6 +98,76 @@ class TestAmbientProfile:
                 with profile():
                     pass  # pragma: no cover - never reached
         assert active_profiler() is None
+
+
+class TestCollectorSection:
+    def test_a_collection_under_a_section_is_its_own_section(self):
+        with profile() as profiler:
+            profiler.enter("sim")
+            gc.collect()
+            profiler.exit()
+            gc.collect()  # no section open: not attributed
+        assert profiler.nodes[("sim", "gc")][0] >= 1
+        assert ("gc",) not in profiler.nodes
+        sim_calls, sim_self, sim_total = profiler.nodes[("sim",)]
+        assert sim_self == sim_total - profiler.nodes[("sim", "gc")][2]
+
+    def test_only_a_profile_block_installs_the_hook(self):
+        hooks = list(gc.callbacks)
+        EngineProfiler().start()
+        assert gc.callbacks == hooks
+        with profile():
+            assert len(gc.callbacks) == len(hooks) + 1
+        assert gc.callbacks == hooks
+        with pytest.raises(RuntimeError):
+            with profile():
+                raise RuntimeError("the hook goes even on an error")
+        assert gc.callbacks == hooks
+
+    def test_collections_inside_enter_and_exit(self, monkeypatch):
+        # A generation-0 threshold of 1 starts a collection at every
+        # tracked allocation, so enter/exit are interrupted mid-way.  The
+        # profiler's clock moves only while a collection runs (1000 ns
+        # each), so any self time outside a ``gc`` node is misattributed.
+        clock = [0]
+        monkeypatch.setattr("repro.prof.profiler.time",
+                            types.SimpleNamespace(
+                                perf_counter_ns=lambda: clock[0]))
+
+        def pause(phase, info):
+            if phase == "start":
+                clock[0] += 1000
+
+        thresholds = gc.get_threshold()
+        try:
+            with profile() as profiler:
+                gc.callbacks.append(pause)  # after the profiler's hook
+                gc.set_threshold(1, 1, 1)
+                for _ in range(200):
+                    profiler.enter("sim")
+                    profiler.enter("dbfunc")
+                    profiler.exit()
+                    with profiler.section("deliver"):
+                        pass
+                    profiler.exit()
+                gc.set_threshold(*thresholds)
+        finally:
+            gc.set_threshold(*thresholds)
+            if pause in gc.callbacks:
+                gc.callbacks.remove(pause)
+        assert profiler._stack == [] and not profiler._gc_open
+        assert profiler.nodes[("sim",)][0] == 200
+        assert profiler.nodes[("sim", "dbfunc")][0] == 200
+        collected = {path: node for path, node in profiler.nodes.items()
+                     if path[-1] == "gc"}
+        assert collected and all(len(path) > 1 for path in collected)
+        for path, (calls, self_ns, total_ns) in profiler.nodes.items():
+            expected = 1000 * calls if path in collected else 0
+            assert self_ns == expected, path
+            children = sum(node[2] for child, node in profiler.nodes.items()
+                           if child[:-1] == path)
+            assert total_ns == self_ns + children, path
+        assert 0.0 < profiler.coverage() <= 1.0
 
 
 # -- the live run -------------------------------------------------------------

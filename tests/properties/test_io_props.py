@@ -35,7 +35,7 @@ class TestCsvRoundTripProperties:
         path = tmp_path_factory.mktemp("csv") / "r.csv"
         relation_to_csv(relation, path)
         loaded = relation_from_csv("R", path, schema)
-        assert loaded.rows == rows
+        assert loaded.rows == tuple(rows)
 
     @given(rows=mixed_rows)
     @settings(max_examples=40, deadline=None)

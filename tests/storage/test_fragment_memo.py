@@ -159,7 +159,7 @@ class TestInvalidation:
         assert list(appended.lookup(1)) == [(1, 10), (1, 11)]
         assert list(index.lookup(1)) == [(1, 10)], "a borrowed index moved"
         fragment.clear()
-        assert fragment.rows == [] and fragment.size_bytes() == 0
+        assert fragment.rows == () and fragment.size_bytes() == 0
         assert list(fragment.index_on(0, kind).lookup(1)) == []
 
     def test_kinds_and_positions_are_separate(self):

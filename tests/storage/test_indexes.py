@@ -10,11 +10,11 @@ ROWS = [(3, "c"), (1, "a"), (2, "b"), (1, "a2"), (5, "e")]
 class TestHashIndex:
     def test_lookup_hit(self):
         index = HashIndex(ROWS, 0)
-        assert index.lookup(2) == [(2, "b")]
+        assert index.lookup(2) == ((2, "b"),)
 
     def test_lookup_duplicates_preserve_order(self):
         index = HashIndex(ROWS, 0)
-        assert index.lookup(1) == [(1, "a"), (1, "a2")]
+        assert index.lookup(1) == ((1, "a"), (1, "a2"))
 
     def test_lookup_miss_is_empty(self):
         index = HashIndex(ROWS, 0)
@@ -37,14 +37,14 @@ class TestHashIndex:
 class TestSortedIndex:
     def test_lookup_hit(self):
         index = SortedIndex(ROWS, 0)
-        assert index.lookup(3) == [(3, "c")]
+        assert index.lookup(3) == ((3, "c"),)
 
     def test_lookup_duplicates(self):
         index = SortedIndex(ROWS, 0)
         assert sorted(index.lookup(1)) == [(1, "a"), (1, "a2")]
 
     def test_lookup_miss(self):
-        assert SortedIndex(ROWS, 0).lookup(4) == []
+        assert SortedIndex(ROWS, 0).lookup(4) == ()
 
     def test_range_lookup_inclusive(self):
         index = SortedIndex(ROWS, 0)
@@ -52,7 +52,7 @@ class TestSortedIndex:
         assert keys == [2, 3]
 
     def test_range_lookup_empty(self):
-        assert SortedIndex(ROWS, 0).range_lookup(10, 20) == []
+        assert SortedIndex(ROWS, 0).range_lookup(10, 20) == ()
 
     def test_build_cost_nlogn(self):
         assert SortedIndex.build_cost_units(1024) == 1024 * 10
@@ -63,7 +63,7 @@ class TestSortedIndex:
 
     def test_empty_index(self):
         index = SortedIndex([], 0)
-        assert index.lookup(1) == []
+        assert index.lookup(1) == ()
         assert len(index) == 0
 
 

@@ -30,7 +30,7 @@ class TestRoundTrip:
         path = tmp_path / "e.csv"
         relation_to_csv(relation, path)
         loaded = relation_from_csv("E", path, small_schema)
-        assert loaded.rows == []
+        assert loaded.rows == ()
 
 
 class TestInference:
@@ -39,7 +39,7 @@ class TestInference:
         path.write_text("id,score,city\n1,2.5,paris\n2,3.5,lyon\n")
         loaded = relation_from_csv("I", path)
         assert [a.kind for a in loaded.schema] == ["int", "float", "str"]
-        assert loaded.rows == [(1, 2.5, "paris"), (2, 3.5, "lyon")]
+        assert loaded.rows == ((1, 2.5, "paris"), (2, 3.5, "lyon"))
 
     def test_empty_file_with_header_defaults_to_str(self, tmp_path):
         path = tmp_path / "h.csv"

@@ -42,7 +42,7 @@ class TestReferenceOperators:
         left = Relation("L", Schema.of_ints("k", "x"), [(1, 10), (2, 20)])
         right = Relation("R", Schema.of_ints("j", "y"), [(2, 200), (3, 300)])
         joined = left.join(right, "k", "j")
-        assert joined.rows == [(2, 20, 2, 200)]
+        assert joined.rows == ((2, 20, 2, 200),)
 
     def test_join_handles_duplicates(self):
         left = Relation("L", Schema.of_ints("k"), [(1,), (1,)])
@@ -56,7 +56,7 @@ class TestReferenceOperators:
 
     def test_sorted_by(self):
         relation = Relation("S", Schema.of_ints("k"), [(3,), (1,), (2,)])
-        assert relation.sorted_by("k").rows == [(1,), (2,), (3,)]
+        assert relation.sorted_by("k").rows == ((1,), (2,), (3,))
 
     def test_empty_join(self):
         left = Relation("L", Schema.of_ints("k"), [(1,)])
