@@ -72,9 +72,9 @@ def main() -> None:
     print("\nThe straggler, made visible (degree 20, LPT, traced):")
     database = make_join_database(CARD_A // 5, CARD_B // 5, 20, 1.0)
     plan = ideal_join_plan(database.entry_a, database.entry_b, "key", "key")
-    traced = Executor(machine, ExecutionOptions(observability=ObservabilityOptions(trace=True))).execute(
+    traced = Executor(machine, ExecutionOptions(observability=ObservabilityOptions(observe=True))).execute(
         plan, QuerySchedule.for_plan(plan, THREADS, strategy="lpt"))
-    print(traced.trace.gantt(width=70))
+    print(traced.obs.trace.gantt(width=70))
 
 
 if __name__ == "__main__":

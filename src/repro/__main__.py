@@ -196,8 +196,6 @@ def diagnose_workload_log(path: str, run) -> int:
     otherwise only run inside tests; exits nonzero on any invariant
     violation so CI can gate on a recorded run.
     """
-    from types import SimpleNamespace
-
     from repro.obs.alerts import Alert, AlertBus
     from repro.obs.bus import SCHEDULE_RESPLIT, SCHEDULE_SWITCH
     from repro.obs.export import verify_workload_jsonl
@@ -220,7 +218,7 @@ def diagnose_workload_log(path: str, run) -> int:
     if run.profile is not None:
         print("\n" + EngineProfiler.from_json(run.profile).render())
 
-    decisions = [e for e in run.events
+    decisions = [e for e in run.obs.events
                  if e.kind in (SCHEDULE_RESPLIT, SCHEDULE_SWITCH)]
     if decisions:
         print("\nadaptive scheduling decisions:")
@@ -228,11 +226,11 @@ def diagnose_workload_log(path: str, run) -> int:
         detail = ", ".join(f"{k}={v}" for k, v in (event.data or {}).items())
         print(f"  t={event.t:8.4f}  {event.kind:<17} {detail}")
 
-    # assemble_spans only reads ``bus.events`` — the reloaded events
-    # are live Event objects, so the span model rebuilds faithfully.
+    # The reloaded bus holds live Event objects, so the span model
+    # rebuilds faithfully.
     problems: list[str] = []
     try:
-        spans = assemble_spans(SimpleNamespace(events=run.events))
+        spans = assemble_spans(run.obs)
         problems += verify_spans(spans, makespan=meta.get("makespan"))
     except Exception as error:  # truncated/garbled stream
         problems.append(f"span assembly failed: {error}")

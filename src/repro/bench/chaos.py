@@ -86,7 +86,7 @@ _EPS = 1e-9
 def _chaos_db(observe: bool = True) -> DBS3:
     """The small four-relation database every chaos run executes on."""
     options = ExecutionOptions(observability=ObservabilityOptions(
-        trace=observe, observe=observe))
+        observe=observe))
     db = DBS3(processors=48, options=options)
     db.create_table(generate_wisconsin("A", 2_000, seed=1), "unique1",
                     degree=20)
@@ -159,7 +159,7 @@ def _monotone_time(result, submitted) -> Iterator[str]:
             yield (f"{tag}/{name}: finished_at {op.finished_at} past the "
                    f"makespan {result.makespan}")
     for tag, execution in result.executions.items():
-        spans = execution.trace.events if execution.trace is not None else ()
+        spans = execution.obs.trace.events if execution.obs is not None else ()
         backwards = next((s for s in spans if s.end + _EPS < s.start), None)
         if backwards is not None:
             yield (f"{tag}: span {backwards.operation}/{backwards.kind} runs "
@@ -696,7 +696,7 @@ def serving_run(seed: int = 0):
                               queue_limit=SERVING_CHAOS_QUEUE_LIMIT))
     options = ExecutionOptions(
         seed=seed,
-        observability=ObservabilityOptions(trace=True, observe=True))
+        observability=ObservabilityOptions(observe=True))
     return (WorkloadExecutor(machine, options, workload).execute(submissions),
             cancelled)
 

@@ -198,7 +198,7 @@ def _block_intervals(run: ObservedRun
     intervals, from paired ``queue.block`` / ``queue.unblock`` events."""
     opened: dict[int, tuple[float, str]] = {}
     intervals: dict[int, list[tuple[float, float, str]]] = {}
-    for event in run.events:
+    for event in run.obs.events:
         if event.kind == BLOCK and event.thread_id is not None:
             target = (event.data or {}).get("target", event.operation or "?")
             opened[event.thread_id] = (event.t, target)
@@ -248,7 +248,7 @@ def critical_path(source) -> CriticalPath:
     :class:`~repro.obs.export.LoadedRun`, or a JSONL log path.
     """
     run = ObservedRun.of(source)
-    spans = run.trace.events
+    spans = run.obs.trace.events
     if not spans:
         raise ReproError("observed run has an empty span trace; "
                          "nothing to extract a critical path from")
@@ -402,7 +402,7 @@ def _attribute_penalties(run: ObservedRun, spans, on_path: list[int],
             (span.start, span.end, span.operation))
     for intervals in path_by_thread.values():
         intervals.sort()
-    for event in run.events:
+    for event in run.obs.events:
         if event.kind != MEMORY or event.thread_id is None:
             continue
         intervals = path_by_thread.get(event.thread_id)

@@ -1,15 +1,17 @@
 """A uniform view over an observed execution, live or reloaded.
 
 The diagnostics layer never touches the engine: everything it needs —
-per-operation aggregates, the structured event stream, the activation
-span trace — exists both on a live
-:class:`~repro.engine.metrics.QueryExecution` (run with
-``ObservabilityOptions(observe=True)``) and in a reloaded JSONL event log
-(:func:`repro.obs.export.read_jsonl`).  :class:`ObservedRun` adapts
-either source to one shape, which is what makes "diagnosing from a
-reloaded log gives results identical to diagnosing the live
-execution" true by construction: both paths feed the analyses the
-exact same numbers (floats survive the JSON round trip bit-exactly).
+per-operation aggregates, and an :class:`~repro.obs.bus.EventBus`
+holding the structured event stream and the activation span trace —
+exists both on a live :class:`~repro.engine.metrics.QueryExecution`
+(run with ``ObservabilityOptions(observe=True)``) and in a reloaded
+JSONL event log (:func:`repro.obs.export.read_jsonl`).
+:class:`ObservedRun` holds either bus by reference; the two sources
+differ only in where the meta numbers and the :class:`OpView` rows
+come from.  That is what makes "diagnosing from a reloaded log gives
+results identical to diagnosing the live execution" true by
+construction: both paths feed the analyses the exact same numbers
+(floats survive the JSON round trip bit-exactly).
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from typing import TYPE_CHECKING
 
 from bisect import bisect_right
 
-from repro.engine.trace import ExecutionTrace
 from repro.errors import ReproError
-from repro.obs.bus import DEQUEUE, ENQUEUE, Event
+from repro.obs.bus import DEQUEUE, ENQUEUE, EventBus
 from repro.obs.export import OP_FIELDS, LoadedRun, read_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -81,8 +82,9 @@ class ObservedRun:
     total_threads: int
     dilation: float
     ops: dict[str, OpView]
-    events: list[Event]
-    trace: ExecutionTrace
+    obs: EventBus
+    """The run's recorder, by reference: the live execution's bus or
+    the one :func:`~repro.obs.export.read_jsonl` rebuilt."""
     source: str = "live"
     status: str = "done"
     """Terminal status of the run (``done`` / ``cancelled`` /
@@ -99,7 +101,7 @@ class ObservedRun:
     @classmethod
     def from_execution(cls, execution: "QueryExecution") -> "ObservedRun":
         """Adapt a live observed execution."""
-        if execution.obs is None or execution.trace is None:
+        if execution.obs is None:
             raise ReproError(
                 "execution was not observed; run with ExecutionOptions("
                 "observability=ObservabilityOptions(observe=True)) "
@@ -112,8 +114,7 @@ class ObservedRun:
             total_threads=execution.total_threads,
             dilation=execution.dilation,
             ops=ops,
-            events=list(execution.obs.events),
-            trace=execution.trace,
+            obs=execution.obs,
             source="live",
             status=execution.status,
         )
@@ -129,8 +130,7 @@ class ObservedRun:
             total_threads=loaded.meta["total_threads"],
             dilation=loaded.meta["dilation"],
             ops=ops,
-            events=list(loaded.events),
-            trace=loaded.trace,
+            obs=loaded.obs,
             source="jsonl",
             status=loaded.status,
         )
@@ -153,7 +153,7 @@ class ObservedRun:
         """Operations that feed *operation* through a pipeline edge."""
         if self._producers is None:
             producers: dict[str, set[str]] = {}
-            for event in self.events:
+            for event in self.obs.events:
                 if event.kind == ENQUEUE and event.data is not None:
                     consumer = event.data.get("consumer")
                     if consumer is not None and event.operation is not None:
@@ -167,7 +167,7 @@ class ObservedRun:
         """Per-thread busy time from the span trace (optionally one
         operation's pool only)."""
         busy: dict[int, float] = {}
-        for span in self.trace.events:
+        for span in self.obs.trace.events:
             if operation is not None and span.operation != operation:
                 continue
             busy[span.thread_id] = busy.get(span.thread_id, 0.0) + \
@@ -191,7 +191,7 @@ class ObservedRun:
         op = self.ops[operation] if operation in self.ops else None
         instances = op.instances if op is not None else 0
         dequeues: dict[int, tuple[list[float], list[int]]] = {}
-        for event in self.events:
+        for event in self.obs.events:
             if (event.kind == DEQUEUE and event.operation == operation
                     and event.thread_id is not None
                     and event.data is not None):
@@ -201,7 +201,7 @@ class ObservedRun:
                 targets.append(event.data["instance"])
                 instances = max(instances, event.data["instance"] + 1)
         busy = [0.0] * instances
-        for span in self.trace.events:
+        for span in self.obs.trace.events:
             if span.operation != operation or span.kind != "activation":
                 continue
             thread_dequeues = dequeues.get(span.thread_id)

@@ -17,7 +17,6 @@ from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.dbfuncs import make_dbfunc
 from repro.engine.metrics import QueryExecution
 from repro.engine.operation import DeliveryTap, OperationRuntime
-from repro.engine.trace import ExecutionTrace
 from repro.engine.strategies import RANDOM, make_strategy
 from repro.errors import ExecutionError, ExecutionFaultError, PlanError
 from repro.lera.activation import PIPELINED, TRIGGERED
@@ -96,15 +95,11 @@ class ObservabilityOptions:
     can nest the same block instead of repeating the knobs.
     """
 
-    trace: bool = False
-    """Record an :class:`~repro.engine.trace.ExecutionTrace` (one event
-    per activation) exposed as ``QueryExecution.trace``.  Per query,
-    so ``ExecutionOptions`` only: ``WorkloadOptions`` refuses it."""
     observe: bool = False
     """Attach an :class:`~repro.obs.bus.EventBus` to the execution:
-    structured events, time-series probes and counters end up on
-    ``QueryExecution.obs`` (exportable via :mod:`repro.obs.export`).
-    Implies span tracing, so ``QueryExecution.trace`` is also set.
+    structured events, the activation trace (one span per activation,
+    ``QueryExecution.obs.trace``), time-series probes and counters end
+    up on ``QueryExecution.obs`` (exportable via :mod:`repro.obs.export`).
     Virtual-time behaviour is unchanged; only wall clock pays."""
     monitors: tuple = ()
     """Streaming :class:`~repro.obs.monitor.Monitor` rules the workload
@@ -167,10 +162,6 @@ class ExecutionOptions:
 
     # Read-only views of the nested block, so call sites can keep
     # asking ``options.observe`` (non-annotated, hence not fields).
-    @property
-    def trace(self) -> bool:
-        return self.observability.trace
-
     @property
     def observe(self) -> bool:
         return self.observability.observe
@@ -238,18 +229,16 @@ class Executor:
         return runtimes
 
     def attach_observability(self, runtimes: dict[str, OperationRuntime],
-                             bus: EventBus | None,
-                             tracer: ExecutionTrace | None) -> None:
-        """Point every runtime (and its queues) at *bus*/*tracer*.
+                             bus: EventBus | None) -> None:
+        """Point every runtime (and its queues) at *bus*.
 
         Must run before any trigger seeding so the queue-depth probe
         sees the seeding enqueues.  In a workload each query gets its
-        own bus/tracer, which is what keeps per-query attribution
-        intact inside the shared simulation.
+        own bus, which is what keeps per-query attribution intact
+        inside the shared simulation.
         """
         for runtime in runtimes.values():
             runtime.bus = bus
-            runtime.tracer = tracer
             if bus is not None:
                 for queue in runtime.queues:
                     queue.obs = bus

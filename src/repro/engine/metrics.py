@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.formulas import OperatorProfile
 from repro.engine.operation import OperationRuntime
-from repro.engine.trace import ExecutionTrace
 from repro.errors import ExecutionError
 from repro.obs.bus import EventBus
 from repro.storage.tuples import Row
@@ -161,11 +160,10 @@ class QueryExecution:
     dilation: float
     operations: dict[str, OperationMetrics]
     result_rows: list[Row] = field(repr=False)
-    trace: ExecutionTrace | None = field(default=None, repr=False)
-    """Per-activation events, present when tracing was enabled."""
     obs: EventBus | None = field(default=None, repr=False)
-    """Structured events, probe series and counters, present when the
-    execution ran with ``ObservabilityOptions(observe=True)``; export via
+    """Structured events, the activation trace, probe series and
+    counters, present when the execution ran with
+    ``ObservabilityOptions(observe=True)``; export via
     :mod:`repro.obs.export`."""
     status: str = STATUS_DONE
     """Terminal state: ``done``, or — for workload queries —

@@ -108,12 +108,11 @@ class OperationRuntime:
         ]
         self.threads: list[WorkerThread] = []
         self.ready_index: ReadyIndex | None = None
-        #: Per-operation observability hooks (set by the executor).
-        #: Keeping them here — not on the simulator — is what lets a
-        #: shared workload simulation attribute every event to the
-        #: right query's bus/trace.
+        #: Per-operation observability hook (set by the executor).
+        #: Keeping it here — not on the simulator — is what lets a
+        #: shared workload simulation attribute every event and span
+        #: to the right query's bus.
         self.bus = None
-        self.tracer = None
         #: Its holders in a workload run, as references: the query
         #: whose wave started it (until that query finishes) and the
         #: shared operator offering it as a fold target.

@@ -555,10 +555,10 @@ class Simulator:
                                          activation, start, cost)
         thread.clock += cost
         thread.busy_time += cost
-        tracer = operation.tracer
-        if tracer is not None:
+        bus = operation.bus
+        if bus is not None:
             # ExecutionTrace.record, written out: one span per activation.
-            tracer.events.append(TraceEvent(
+            bus.trace.events.append(TraceEvent(
                 thread.thread_id, operation.name,
                 "activation", start, thread.clock))
         if emitted:
@@ -611,9 +611,9 @@ class Simulator:
             self._push(thread)
             return
         del self._in_progress[thread.thread_id]
-        tracer = thread.operation.tracer
-        if tracer is not None:
-            tracer.events.append(TraceEvent(
+        bus = thread.operation.bus
+        if bus is not None:
+            bus.trace.events.append(TraceEvent(
                 thread.thread_id, thread.operation.name,
                 "activation", work.started_at, thread.clock))
         filled: set[int] = set()
@@ -667,16 +667,15 @@ class Simulator:
         if decision.wasted > 0.0:
             thread.advance(decision.wasted * self._charge_factor(thread),
                            busy=True)
-            if operation.tracer is not None:
-                operation.tracer.record(thread.thread_id, operation.name,
-                                        "fault", start, thread.clock)
-        if operation.bus is not None:
-            operation.bus.emit(FAULT_ACTIVATION, thread.clock, operation.name,
-                               thread.thread_id, instance=activation.instance,
-                               attempt=decision.attempt,
-                               wasted=decision.wasted,
-                               backoff=decision.backoff,
-                               aborts=decision.aborts)
+        bus = operation.bus
+        if bus is not None:
+            if decision.wasted > 0.0:
+                bus.trace.record(thread.thread_id, operation.name,
+                                 "fault", start, thread.clock)
+            bus.emit(FAULT_ACTIVATION, thread.clock, operation.name,
+                     thread.thread_id, instance=activation.instance,
+                     attempt=decision.attempt, wasted=decision.wasted,
+                     backoff=decision.backoff, aborts=decision.aborts)
         if decision.aborts:
             operation.fault_aborts += 1
             return
@@ -707,6 +706,7 @@ class Simulator:
         """End-of-input emission, executed once by the last live thread."""
         operation = thread.operation
         operation.finalized = True
+        bus = operation.bus
         filled: set[int] = set()
         for instance in range(operation.instances):
             ctx = self._uniform_ctx or ExecContext(self.machine,
@@ -719,17 +719,15 @@ class Simulator:
             started_at = thread.clock
             thread.advance(result.cost * self._charge_factor(thread),
                            busy=True)
-            if operation.tracer is not None:
-                operation.tracer.record(thread.thread_id, operation.name,
-                                        "finalize", started_at, thread.clock)
-            if operation.bus is not None:
-                operation.bus.emit(OP_FINALIZE, thread.clock, operation.name,
-                                   thread.thread_id, instance=instance,
-                                   cost=result.cost)
+            if bus is not None:
+                bus.trace.record(thread.thread_id, operation.name,
+                                 "finalize", started_at, thread.clock)
+                bus.emit(OP_FINALIZE, thread.clock, operation.name,
+                         thread.thread_id, instance=instance,
+                         cost=result.cost)
                 if ctx.penalty:
-                    operation.bus.add_memory_penalty(
-                        thread.clock, operation.name, thread.thread_id,
-                        ctx.penalty)
+                    bus.add_memory_penalty(thread.clock, operation.name,
+                                           thread.thread_id, ctx.penalty)
             if result.emitted:
                 self._deliver(thread, result.emitted, started_at, filled)
 

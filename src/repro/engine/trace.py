@@ -1,8 +1,9 @@
 """Execution traces and the ASCII Gantt renderer.
 
-When tracing is enabled (``ObservabilityOptions(trace=True)``), the
-simulator records one event per processed activation — which thread,
-which operation, which virtual-time interval.  The trace renders as a
+An observed execution (``ObservabilityOptions(observe=True)``) keeps
+its trace on the bus, ``QueryExecution.obs.trace``: the simulator
+records one event per processed activation — which thread, which
+operation, which virtual-time interval.  The trace renders as a
 Gantt chart (one row per thread, one glyph per operation), which makes
 the paper's load-balancing stories directly *visible*: a skewed
 triggered join under static binding shows one long straggler row; the
@@ -29,7 +30,7 @@ class TraceEvent(NamedTuple):
 
     thread_id: int
     operation: str
-    kind: str              # "activation" or "finalize"
+    kind: str              # "activation", "finalize" or "fault"
     start: float
     end: float
 

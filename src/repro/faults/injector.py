@@ -119,10 +119,6 @@ class FaultInjector:
         # One announcement event per (window/spec, operation) pair so
         # continuous faults don't flood the bus.
         self._announced: set[tuple[int, str]] = set()
-        self.injected = 0
-        self.retries = 0
-        self.aborts = 0
-        self.memory_events = 0
 
     # ------------------------------------------------------------------
     # CPU perturbation
@@ -201,7 +197,6 @@ class FaultInjector:
             self._attempts.pop(key, None)
             return None
         attempts = self._attempts.get(key, (0, None))[0] + 1
-        self.injected += 1
         if self.metrics is not None:
             from repro.obs.metrics import FAULTS_INJECTED
             self.metrics.counter(
@@ -211,7 +206,6 @@ class FaultInjector:
             wasted = operation.queues[activation.instance].cost_estimate
         if attempts > spec.max_retries:
             self._attempts.pop(key, None)
-            self.aborts += 1
             if self.metrics is not None:
                 from repro.obs.metrics import FAULT_ABORTS
                 self.metrics.counter(
@@ -220,7 +214,6 @@ class FaultInjector:
                 wasted=wasted, backoff=0.0, attempt=attempts,
                 aborts=True, operation=operation.name)
         self._attempts[key] = (attempts, activation)
-        self.retries += 1
         backoff = min(spec.backoff * (2.0 ** (attempts - 1)),
                       spec.backoff_cap)
         if self.metrics is not None:
@@ -264,7 +257,6 @@ class FaultInjector:
             self.next_time_at = (self._pending_memory[0].at
                                  if self._pending_memory else math.inf)
             released = machine.shrink_cache_budget(event.factor)
-            self.memory_events += 1
             if self.metrics is not None:
                 from repro.obs.metrics import FAULT_MEMORY_EVENTS
                 self.metrics.counter(FAULT_MEMORY_EVENTS).inc(now)

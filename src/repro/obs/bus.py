@@ -11,7 +11,7 @@ record into ``events`` / ``counters`` themselves, a queue-depth move is
 one :meth:`EventBus.add` frame, and a probe that repeats its last value
 stores nothing.  Exporters are views over what is stored.
 
-The bus records three things:
+The bus records four things:
 
 * **events** — discrete, structured records (enqueue batches, dequeue
   batches with a steal flag, capacity blocking, memory penalties,
@@ -22,7 +22,14 @@ The bus records three things:
   cumulative Allcache penalty;
 * **counters** — plain scalar tallies with no time axis (ready-index
   notification and stale-drop churn), for quantities too hot to
-  timestamp individually.
+  timestamp individually;
+* **trace** — the activation trace, an
+  :class:`~repro.engine.trace.ExecutionTrace` holding one span per
+  activation, finalize and wasted fault attempt (what the Gantt chart,
+  the critical path and the work-skew findings read).
+
+A reloaded JSONL log is a bus too (:func:`repro.obs.export.read_jsonl`
+fills all four stores), so every reader takes one recorder either way.
 
 Counts recorded here deliberately mirror the end-of-run aggregates of
 :class:`~repro.engine.metrics.OperationMetrics` (enqueues, dequeue
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from repro.engine.trace import ExecutionTrace
 from repro.obs.probes import ACTIVE_THREADS, MEMORY_PENALTY, Series
 
 #: Event taxonomy.  ``queue.dequeue`` with ``secondary=True`` is a
@@ -120,18 +128,21 @@ class Event(NamedTuple):
 
 
 class EventBus:
-    """Collects events, probe series and scalar counters for one run."""
+    """Collects events, probe series, scalar counters and the
+    activation trace for one run."""
 
-    __slots__ = ("events", "series", "counters")
+    __slots__ = ("events", "series", "counters", "trace")
 
     def __init__(self) -> None:
         self.events: list[Event] = []
         self.series: dict[str, Series] = {}
         self.counters: dict[str, float] = {}
+        self.trace = ExecutionTrace()
 
     def __repr__(self) -> str:
         return (f"EventBus(events={len(self.events)}, "
-                f"series={len(self.series)}, counters={len(self.counters)})")
+                f"series={len(self.series)}, counters={len(self.counters)}, "
+                f"spans={len(self.trace)})")
 
     # -- recording ----------------------------------------------------------
 

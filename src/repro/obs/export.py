@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from repro.engine.trace import ExecutionTrace
 from repro.errors import ReproError
 from repro.obs.bus import (
     BLOCK,
@@ -125,11 +124,10 @@ def jsonl_records(execution: "QueryExecution") -> Iterator[dict]:
         yield record
     for event in bus.events:
         yield _event_record(event)
-    if execution.trace is not None:
-        for span in execution.trace.events:
-            yield {"type": "span", "thread": span.thread_id,
-                   "op": span.operation, "kind": span.kind,
-                   "start": span.start, "end": span.end}
+    for span in bus.trace.events:
+        yield {"type": "span", "thread": span.thread_id,
+               "op": span.operation, "kind": span.kind,
+               "start": span.start, "end": span.end}
     for name in sorted(bus.series):
         for t, value in bus.series[name].to_pairs():
             yield {"type": "sample", "name": name, "t": t, "value": value}
@@ -200,21 +198,19 @@ _EVENT_FIELD_KEYS = frozenset(("type", "kind", "t", "op", "thread"))
 class LoadedRun:
     """One JSONL event log parsed back into live objects.
 
-    The inverse of :func:`write_jsonl`: ``events`` are real
-    :class:`~repro.obs.bus.Event` objects, ``trace`` a real
-    :class:`~repro.engine.trace.ExecutionTrace`, ``series`` real
-    :class:`~repro.obs.probes.Series` holding exactly the stored
-    samples (a series stores changes only, so no sample was dropped).  ``meta`` and ``ops`` stay plain
+    The inverse of :func:`write_jsonl`: ``obs`` is a real
+    :class:`~repro.obs.bus.EventBus` whose four stores hold exactly
+    what the live bus held — :class:`~repro.obs.bus.Event` objects,
+    the activation trace, :class:`~repro.obs.probes.Series` with the
+    stored samples (a series stores changes only, so no sample was
+    dropped) and the counters.  ``meta`` and ``ops`` stay plain
     dicts, exactly as written.  :mod:`repro.diag` analyses a
     ``LoadedRun`` identically to the live execution it came from.
     """
 
     meta: dict
     ops: list[dict] = field(default_factory=list)
-    events: list[Event] = field(default_factory=list)
-    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    series: dict[str, Series] = field(default_factory=dict)
-    counters: dict[str, float] = field(default_factory=dict)
+    obs: EventBus = field(default_factory=EventBus)
     #: Workload records: per-query span dicts and registry snapshot
     #: rows (both exactly as written; empty for per-query logs).
     qspans: list[dict] = field(default_factory=list)
@@ -289,20 +285,20 @@ def read_jsonl(path: str | Path) -> LoadedRun:
             elif kind == "op":
                 run.ops.append(record)
             elif kind == "event":
-                run.events.append(_load_event(record))
+                run.obs.events.append(_load_event(record))
             elif kind == "span":
-                run.trace.record(record["thread"], record["op"],
-                                 record["kind"], record["start"],
-                                 record["end"])
+                run.obs.trace.record(record["thread"], record["op"],
+                                     record["kind"], record["start"],
+                                     record["end"])
             elif kind == "sample":
-                series = run.series.get(record["name"])
+                series = run.obs.series.get(record["name"])
                 if series is None:
-                    series = run.series[record["name"]] = Series(
+                    series = run.obs.series[record["name"]] = Series(
                         record["name"])
                 series.times.append(record["t"])
                 series.values.append(record["value"])
             elif kind == "counter":
-                run.counters[record["name"]] = record["value"]
+                run.obs.counters[record["name"]] = record["value"]
             elif kind == "qspan":
                 run.qspans.append(record)
             elif kind == "metric":
@@ -331,9 +327,7 @@ def chrome_trace(execution: "QueryExecution") -> dict:
     probe series.
     """
     bus = _require_obs(execution)
-    trace = execution.trace
-    if trace is None:
-        raise ReproError("observed execution carries no span trace")
+    trace = bus.trace
     events: list[dict] = [{
         "name": "process_name", "ph": "M", "pid": _PID, "tid": 0,
         "args": {"name": "DBS3 virtual-time execution"},

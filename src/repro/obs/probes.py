@@ -4,9 +4,18 @@ A :class:`Series` is a named sequence of ``(virtual_time, value)``
 samples.  The event bus maintains one series per probed quantity —
 queue depth per operation, ready-set size, active threads, cumulative
 memory penalty — appending a sample whenever the underlying counter
-changes.  Because the engine is a discrete-event simulator, sampling
-on change loses nothing: between samples the quantity is exactly
-constant, so a series is a complete step function of virtual time.
+changes.  Samples are kept in *emission* order, and the value is the
+counter's running total in that order.
+
+Emission order is not virtual-time order.  Distinct thread clocks
+interleave, and the queue-depth probe stamps an enqueue at the row's
+future ready time while its dequeues are stamped at the consumer's
+clock: on a pipelined join a ``queue_depth/*`` series steps back in
+time hundreds of times.  So a series is a record of counter moves, not
+a step function of virtual time: its values are exact (the last one
+is the final count, the largest the peak reached in emission order),
+but reading one "at" an instant needs a time-ordered replay of the
+deltas, which nothing here does.
 
 Series are what the Chrome-trace exporter turns into counter tracks
 and what :func:`repro.obs.export.metrics_snapshot` summarizes.
@@ -14,13 +23,11 @@ and what :func:`repro.obs.export.metrics_snapshot` summarizes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from repro.errors import ReproError
 
 
 class Series:
-    """One probed quantity over virtual time (a step function)."""
+    """One probed quantity's sampled values, in emission order."""
 
     __slots__ = ("name", "times", "values")
 
@@ -38,10 +45,8 @@ class Series:
     def sample(self, t: float, value: float) -> None:
         """Append one sample unless it repeats the last value: a series
         stores changes only, so what it holds is what exporters write.
-        Virtual time must not go backwards by more than simulator
-        tie-breaking allows; samples are kept in arrival order (which
-        the engine emits non-decreasing per probe site, but distinct
-        thread clocks may interleave)."""
+        Samples are kept in arrival order; *t* may lie before the
+        previous sample's time (see the module docstring)."""
         values = self.values
         if not values or values[-1] != value:
             self.times.append(t)
@@ -60,16 +65,6 @@ class Series:
         if not self.values:
             raise ReproError(f"series {self.name!r} has no samples")
         return max(self.values)
-
-    def at(self, t: float) -> float:
-        """Step-function value at virtual time *t* (0 before the
-        first sample).  Requires samples in non-decreasing time order;
-        the engine's probe sites emit them that way per series because
-        every series is driven by one monotone counter."""
-        index = bisect_right(self.times, t)
-        if index == 0:
-            return 0.0
-        return self.values[index - 1]
 
     def to_pairs(self) -> list[tuple[float, float]]:
         """The samples as ``(time, value)`` pairs."""

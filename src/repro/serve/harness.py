@@ -116,7 +116,7 @@ def build_submissions(templates, times, machine=None, seed: int = 0,
     Each template is planned and scheduled (adaptive scheduler over
     *machine*) once and all its arrivals share that pair: a plan without
     a ``StoreSpec`` holds no run state — runtimes, queues, dbfunc state,
-    bus and tracer are per job, as folding already assumes.  With
+    and bus are per job, as folding already assumes.  With
     ``timeouts=False`` the SLOs are dropped — the pure-queueing FIFO
     baseline the benchmark contrasts against.
     """

@@ -1,8 +1,8 @@
 """The multi-query workload engine.
 
 Admits several compiled queries into **one** shared virtual-time
-simulation.  Each query keeps its own plan, schedule, observability
-bus and trace; the machine — processors, dilation, the event heap —
+simulation.  Each query keeps its own plan, schedule and
+observability bus; the machine — processors, dilation, the event heap —
 is shared, so concurrent queries contend exactly the way the paper's
 threads do inside one query.
 
@@ -68,7 +68,6 @@ from repro.engine.metrics import (
 from repro.engine.operation import DeliveryTap, OperationRuntime
 from repro.engine.simulator import Simulator
 from repro.engine.threads import WorkerThread
-from repro.engine.trace import ExecutionTrace
 from repro.errors import AdmissionError, ExecutionFaultError, WorkloadError
 from repro.faults.injector import NO_FAULTS, FaultInjector
 from repro.lera.operators import StoreSpec
@@ -194,7 +193,7 @@ class WorkloadResult:
     """Outcome of one executed workload."""
 
     executions: dict[str, QueryExecution]
-    """Per-query execution (metrics, rows, trace, obs), keyed by tag."""
+    """Per-query execution (metrics, rows, obs), keyed by tag."""
     order: tuple[str, ...]
     """Tags in submission order."""
     makespan: float
@@ -373,9 +372,6 @@ class _QueryJob:
         self.shared_results: dict[str, list] = {}
         self.current_wave_shared: list[SharedOperator] = []
         self.bus = EventBus() if exec_options.observe else None
-        self.tracer = (ExecutionTrace()
-                       if exec_options.trace or exec_options.observe
-                       else None)
         self.state = QUEUED
         self.wave_started_at = 0.0
         self.grant = 0
@@ -431,7 +427,7 @@ class _QueryJob:
         if folds:
             self.startup, self.wave_totals, self.demand = (
                 self.shape.without(folds))
-        executor.attach_observability(self.runtimes, self.bus, self.tracer)
+        executor.attach_observability(self.runtimes, self.bus)
         if registry is None:
             return
         # Offer this query's own shareable first-wave operators as fold
@@ -532,7 +528,6 @@ class _QueryJob:
             dilation=self.max_dilation,
             operations=operations,
             result_rows=result_rows,
-            trace=self.tracer,
             obs=self.bus,
             status=status,
         )
@@ -774,7 +769,7 @@ class _WorkloadRun:
         With nothing running and nothing queued, every prior thread
         has terminated, so a query arriving now can reuse ids from 0 —
         giving it the *same* thread ids (hence bit-identical events
-        and trace) as if the earlier queries had never been submitted.
+        and spans) as if the earlier queries had never been submitted.
         That is what makes cancellation side-effect-free for late
         survivors.  Allcache machines are exempt: thread ids name
         per-processor local caches there, and reusing an id would

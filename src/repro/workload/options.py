@@ -55,7 +55,7 @@ class WorkloadOptions:
     :class:`~repro.obs.spans.QuerySpan` assembly for this run
     (``result.metrics`` / ``result.spans`` / ``result.report()``);
     per-query ``ExecutionOptions.observability.observe`` implies it.
-    ``trace`` is per query and refused here.  The raw workload event
+    The raw workload event
     stream (submit/admit/grant/finish) is always collected — it is
     O(queries), not O(activations)."""
     faults: object | None = None
@@ -94,10 +94,6 @@ class WorkloadOptions:
             raise WorkloadError(
                 f"observability must be an ObservabilityOptions, got "
                 f"{type(self.observability).__name__}")
-        if self.observability.trace:
-            raise WorkloadError(
-                "trace records one query's activations; set it on "
-                "ExecutionOptions(observability=...), not on WorkloadOptions")
         if (self.serving is not None
                 and not isinstance(self.serving, ServingPolicy)):
             raise WorkloadError(

@@ -72,7 +72,7 @@ class TestInstanceWorkReconstruction:
         run = ObservedRun.of(fig12_skewed)
         reconstructed = sum(run.instance_busy_times("join"))
         activation_busy = sum(
-            span.duration for span in run.trace.events
+            span.duration for span in run.obs.trace.events
             if span.operation == "join" and span.kind == "activation")
         assert reconstructed == pytest.approx(activation_busy)
 

@@ -117,7 +117,7 @@ class Rig:
         runtimes = executor.build_runtimes(plan, schedule)
         executor.wire_pipelines(plan, runtimes)
         self.bus = EventBus() if config.observe else None
-        executor.attach_observability(runtimes, self.bus, None)
+        executor.attach_observability(runtimes, self.bus)
         self.operations = list(runtimes.values())
         self.join = runtimes["join"]
         self.start = executor.startup_time(runtimes, schedule)

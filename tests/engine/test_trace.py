@@ -18,7 +18,7 @@ from repro.machine.machine import Machine
 def _traced(plan, threads=4, strategy="random"):
     executor = Executor(Machine.uniform(processors=8),
                         ExecutionOptions(
-                            observability=ObservabilityOptions(trace=True)))
+                            observability=ObservabilityOptions(observe=True)))
     return executor.execute(plan,
                             QuerySchedule.for_plan(plan, threads, strategy))
 
@@ -27,13 +27,13 @@ class TestTraceCollection:
     def test_one_event_per_activation(self, join_db):
         plan = ideal_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
         execution = _traced(plan)
-        assert execution.trace is not None
-        assert len(execution.trace) == join_db.degree
+        assert execution.obs is not None
+        assert len(execution.obs.trace) == join_db.degree
 
     def test_pipeline_traces_both_operations(self, join_db):
         plan = assoc_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
         execution = _traced(plan, threads=2)
-        trace = execution.trace
+        trace = execution.obs.trace
         assert set(trace.operations()) == {"transmit", "join"}
         join_events = [e for e in trace.events if e.operation == "join"]
         assert len(join_events) == join_db.entry_b.cardinality
@@ -42,25 +42,25 @@ class TestTraceCollection:
         plan = ideal_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
         executor = Executor(Machine.uniform(processors=8))
         execution = executor.execute(plan, QuerySchedule.for_plan(plan, 2))
-        assert execution.trace is None
+        assert execution.obs is None
 
     def test_events_have_positive_duration(self, join_db):
         plan = ideal_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
-        for event in _traced(plan).trace.events:
+        for event in _traced(plan).obs.trace.events:
             assert event.duration > 0
 
     def test_events_within_response_time(self, join_db):
         plan = assoc_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
         execution = _traced(plan, threads=2)
-        start, end = execution.trace.span
+        start, end = execution.obs.trace.span
         assert start >= execution.startup_time - 1e-9
         assert end <= execution.response_time + 1e-9
 
     def test_busy_time_matches_metrics(self, join_db):
         plan = ideal_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
         execution = _traced(plan, threads=2)
-        traced_busy = sum(execution.trace.busy_time(t)
-                          for t in execution.trace.thread_ids())
+        traced_busy = sum(execution.obs.trace.busy_time(t)
+                          for t in execution.obs.trace.thread_ids())
         metric_busy = execution.operation("join").busy_time
         # trace records activation intervals; metrics also count queue
         # machinery, so trace <= metrics, within a small margin.
@@ -81,7 +81,7 @@ class TestTraceCollection:
         plan = aggregate_plan(entry, (AggregateExpr("count"),),
                               group_by="grp")
         execution = _traced(plan, threads=2)
-        kinds = {e.kind for e in execution.trace.events}
+        kinds = {e.kind for e in execution.obs.trace.events}
         assert "finalize" in kinds
 
 
@@ -147,7 +147,7 @@ class TestGantt:
     def test_renders_rows_and_legend(self, join_db):
         plan = assoc_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
         execution = _traced(plan, threads=2)
-        chart = execution.trace.gantt(width=40)
+        chart = execution.obs.trace.gantt(width=40)
         lines = chart.splitlines()
         # header + one row per thread + legend
         assert len(lines) == 1 + 4 + 1
@@ -193,7 +193,7 @@ class TestGantt:
 
     def test_few_operations_have_unique_glyphs_and_no_note(self, join_db):
         plan = assoc_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
-        chart = _traced(plan, threads=2).trace.gantt(width=40)
+        chart = _traced(plan, threads=2).obs.trace.gantt(width=40)
         assert "note:" not in chart
 
     def test_skew_straggler_visible(self, skewed_join_db):
@@ -202,7 +202,7 @@ class TestGantt:
         plan = ideal_join_plan(skewed_join_db.entry_a, skewed_join_db.entry_b,
                                "key", "key")
         execution = _traced(plan, threads=8, strategy="lpt")
-        trace = execution.trace
+        trace = execution.obs.trace
         ends = [max((e.end for e in trace.events_of(t)), default=0.0)
                 for t in trace.thread_ids()]
         assert max(ends) > 1.5 * sorted(ends)[len(ends) // 2]

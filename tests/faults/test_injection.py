@@ -40,7 +40,7 @@ def _run(join_db, faults=None, machine=None, pipelined=True, observe=False):
     from repro.engine.executor import ObservabilityOptions
     options = ExecutionOptions(
         faults=faults,
-        observability=ObservabilityOptions(trace=observe, observe=observe))
+        observability=ObservabilityOptions(observe=observe))
     return Executor(machine, options).execute(plan, schedule)
 
 
@@ -147,7 +147,7 @@ class TestCpuFaults:
         assert len(slowdowns) == len(announced)
         assert all(record["factor"] == 4.0 and "data" not in record
                    for record in slowdowns)
-        assert read_jsonl(path).events == list(slowed.obs.events)
+        assert read_jsonl(path).obs.events == slowed.obs.events
 
     def test_stall_parks_threads_and_charges_stalled_time(self, join_db):
         clean = _run(join_db)

@@ -1,11 +1,15 @@
 """Every ``make <target>`` and ``python -m repro <subcommand>`` the docs
-name exists: a target of the Makefile, a key of ``COMMANDS``."""
+name exists: a target of the Makefile, a key of ``COMMANDS``; and every
+option a ``python`` snippet of the docs passes is a field of its block."""
 
+import ast
+import dataclasses
 import pathlib
 import re
 
 import pytest
 
+import repro
 from repro.__main__ import COMMANDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -41,3 +45,57 @@ def test_the_check_sees_stale_names():
                  "to make skew, `python -m repro.bench.twins`\n"
                  "        run: make perf") == (
         {"gone-demo", "perf"}, {"compare"})
+
+
+#: Documents whose ``python`` blocks are read (never run), and the
+#: option blocks whose keywords those blocks must spell as fields.
+SNIPPET_DOCUMENTS = sorted([ROOT / "README.md", ROOT / "DESIGN.md",
+                            *(ROOT / "docs").glob("*.md")])
+OPTION_BLOCKS = {name: {field.name for field
+                        in dataclasses.fields(getattr(repro, name))}
+                 for name in ("ObservabilityOptions", "ExecutionOptions",
+                              "WorkloadOptions", "ServingPolicy",
+                              "SchedulingPolicy")}
+
+
+def python_blocks(text: str) -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", text,
+                      flags=re.MULTILINE | re.DOTALL)
+
+
+def unknown_options(source: str) -> list[str]:
+    """``Block(keyword=...)`` calls in *source* whose keyword is not a
+    field of the option block (called by name or as an attribute)."""
+    unknown = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        fields = OPTION_BLOCKS.get(name)
+        if fields is None:
+            continue
+        unknown += [f"{name}({keyword.arg}=...)"
+                    for keyword in node.keywords
+                    if keyword.arg is not None and keyword.arg not in fields]
+    return unknown
+
+
+@pytest.mark.parametrize("document", SNIPPET_DOCUMENTS,
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_snippets_name_only_existing_options(document):
+    unknown = [option for block in python_blocks(document.read_text())
+               for option in unknown_options(block)]
+    assert unknown == [], f"no such option field: {unknown}"
+
+
+def test_the_snippet_check_sees_a_removed_knob():
+    """Guard the guard: a snippet still spelling a knob that went."""
+    doctored = ("Then trace it:\n\n```python\n"
+                "from repro import ExecutionOptions, ObservabilityOptions\n"
+                "options = ExecutionOptions(seed=1, observability="
+                "ObservabilityOptions(trace=True, observe=True))\n"
+                "```\n")
+    blocks = python_blocks(doctored)
+    assert len(blocks) == 1
+    assert unknown_options(blocks[0]) == ["ObservabilityOptions(trace=...)"]

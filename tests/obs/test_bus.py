@@ -31,16 +31,6 @@ class TestSeries:
         with pytest.raises(ReproError):
             Series("empty").peak
 
-    def test_at_is_a_step_function(self):
-        series = Series("depth")
-        series.sample(1.0, 5)
-        series.sample(2.0, 7)
-        assert series.at(0.5) == 0.0       # before first sample
-        assert series.at(1.0) == 5
-        assert series.at(1.9) == 5
-        assert series.at(2.0) == 7
-        assert series.at(99.0) == 7
-
     def test_a_series_keeps_only_changes(self):
         # A sample repeating the last value stores nothing; the first
         # sample of every run of equal values is the one kept.

@@ -143,20 +143,20 @@ class TestReadJsonl:
     def test_events_round_trip_to_event_objects(self, observed, reloaded):
         # Event is a named tuple, so this compares kind, time,
         # operation, thread and the full payload of every event.
-        assert reloaded.events == list(observed.obs.events)
+        assert reloaded.obs.events == observed.obs.events
 
     def test_spans_round_trip_to_trace(self, observed, reloaded):
-        assert reloaded.trace.events == observed.trace.events
+        assert reloaded.obs.trace.events == observed.obs.trace.events
 
     def test_series_round_trip_compacted(self, observed, reloaded):
         # A series stores changes only, so what was stored is what was
         # written and what comes back.
-        assert set(reloaded.series) == set(observed.obs.series)
+        assert set(reloaded.obs.series) == set(observed.obs.series)
         for name, series in observed.obs.series.items():
-            assert reloaded.series[name].to_pairs() == series.to_pairs()
+            assert reloaded.obs.series[name].to_pairs() == series.to_pairs()
 
     def test_counters_round_trip(self, observed, reloaded):
-        assert reloaded.counters == dict(observed.obs.counters)
+        assert reloaded.obs.counters == observed.obs.counters
 
     def test_op_records_round_trip(self, observed, reloaded):
         by_name = {record["name"]: record for record in reloaded.ops}
@@ -231,7 +231,7 @@ class TestChromeTrace:
     def test_spans_use_microseconds(self, observed):
         document = chrome_trace(observed)
         spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
-        start, end = observed.trace.span
+        start, end = observed.obs.trace.span
         assert min(s["ts"] for s in spans) == pytest.approx(start * 1e6)
         assert max(s["ts"] + s["dur"] for s in spans) == pytest.approx(
             end * 1e6)

@@ -1,5 +1,5 @@
-"""Series step-function semantics, edge cases, and the self-audit
-under deliberate bus corruption."""
+"""Series sampling semantics, edge cases, and the self-audit under
+deliberate bus corruption."""
 
 import pytest
 
@@ -18,11 +18,6 @@ from repro.obs.probes import Series
 
 
 class TestEmptySeries:
-    def test_at_is_zero_anywhere(self):
-        series = Series("empty")
-        assert series.at(0.0) == 0.0
-        assert series.at(123.4) == 0.0
-
     def test_len_and_pairs(self):
         series = Series("empty")
         assert len(series) == 0
@@ -44,26 +39,6 @@ class TestStepFunction:
             s.sample(t, value)
         return s
 
-    def test_before_first_sample(self, series):
-        assert series.at(-0.5) == 0.0
-
-    def test_at_exact_boundaries(self, series):
-        # at() is right-continuous: the value at a sample time is the
-        # value that sample set.
-        assert series.at(0.0) == 1.0
-        assert series.at(1.0) == 3.0
-        assert series.at(2.0) == 2.0
-
-    def test_between_samples(self, series):
-        assert series.at(0.5) == 1.0
-        assert series.at(1.999) == 3.0
-
-    def test_at_and_beyond_last_boundary(self, series):
-        # The step function extends flat past the last sample.
-        assert series.at(2.0) == 2.0
-        assert series.at(100.0) == 2.0
-        assert series.at(100.0) == series.last
-
     def test_peak(self, series):
         assert series.peak == 3.0
 
@@ -71,15 +46,13 @@ class TestStepFunction:
 class TestRepeatedTimestamps:
     def test_last_sample_at_a_time_wins(self):
         # Discrete-event ties: several updates can land on the same
-        # virtual instant; the final state at that instant is what the
-        # step function must report.
+        # virtual instant; each is kept, and the last one is the value.
         series = Series("ties")
         series.sample(1.0, 5.0)
         series.sample(1.0, 7.0)
         series.sample(1.0, 4.0)
-        assert series.at(1.0) == 4.0
-        assert series.at(2.0) == 4.0
-        assert series.at(0.9) == 0.0
+        assert series.to_pairs() == [(1.0, 5.0), (1.0, 7.0), (1.0, 4.0)]
+        assert series.last == 4.0
         assert series.peak == 7.0
 
     def test_compaction_keeps_value_changes_only(self):
@@ -88,9 +61,18 @@ class TestRepeatedTimestamps:
                          (2.0, 2.0), (3.0, 1.0)):
             series.sample(t, value)
         assert series.to_pairs() == [(0.0, 1.0), (1.0, 2.0), (3.0, 1.0)]
-        # The step function is the one the repeated samples described.
-        assert [series.at(t) for t in (0.5, 1.0, 2.0, 3.0)] == [
-            1.0, 2.0, 2.0, 1.0]
+
+
+class TestEmissionOrder:
+    def test_a_sample_back_in_time_keeps_arrival_order(self):
+        # The queue-depth probe stamps an enqueue at the row's future
+        # ready time, so samples can arrive out of time order; the
+        # series keeps them as they came and sorts nothing.
+        series = Series("depth")
+        series.sample(2.0, 1.0)
+        series.sample(1.0, 0.0)
+        assert series.to_pairs() == [(2.0, 1.0), (1.0, 0.0)]
+        assert series.last == 0.0
 
 
 class TestSelfAuditCorruption:

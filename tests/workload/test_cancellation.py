@@ -42,7 +42,7 @@ SQL_CD = "SELECT * FROM C JOIN D ON C.unique1 = D.unique1"
 @pytest.fixture
 def db():
     options = ExecutionOptions(
-        observability=ObservabilityOptions(trace=True, observe=True))
+        observability=ObservabilityOptions(observe=True))
     db = DBS3(processors=48, options=options)
     db.create_table(generate_wisconsin("A", 2_000, seed=1), "unique1",
                     degree=20)
@@ -246,7 +246,7 @@ class TestCancellationParity:
                 for name, m in execution.operations.items()
             },
             "spans": [(s.thread_id, s.operation, s.kind, s.start, s.end)
-                      for s in execution.trace.events],
+                      for s in execution.obs.trace.events],
             "events": [(e.kind, e.t, e.operation, e.thread_id)
                        for e in execution.obs.events],
         }

@@ -153,8 +153,6 @@ def test_a_fault_free_run_shares_the_empty_plan_injector(db):
     injector = run.simulator._injector
     assert injector is NO_FAULTS
     assert injector._attempts == {} and injector._announced == set()
-    assert (injector.injected, injector.retries, injector.aborts,
-            injector.memory_events) == (0, 0, 0, 0)
     assert injector.next_time_at == math.inf
     assert (injector.rng.getstate()
             == random.Random(injector.plan.seed).getstate())

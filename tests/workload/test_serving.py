@@ -61,7 +61,7 @@ SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
 @pytest.fixture
 def db():
     options = ExecutionOptions(
-        observability=ObservabilityOptions(trace=True, observe=True))
+        observability=ObservabilityOptions(observe=True))
     db = DBS3(processors=16, options=options)
     db.create_table(generate_wisconsin("A", 600, seed=1), "unique1",
                     degree=8)

@@ -7,6 +7,8 @@ so the parity below is structural; what it pins is the SQL front door
 observability streams.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -34,7 +36,7 @@ def db():
 @pytest.fixture
 def observed_db():
     options = ExecutionOptions(
-        observability=ObservabilityOptions(trace=True, observe=True))
+        observability=ObservabilityOptions(observe=True))
     db = DBS3(processors=72, options=options)
     db.create_table(generate_wisconsin("A", 2_000), "unique1", degree=20)
     db.create_table(generate_wisconsin("B", 200), "unique1", degree=20)
@@ -71,7 +73,7 @@ class TestSingleQueryParity:
         compiled = db.compile(SQL)
         schedule = db.scheduler.schedule(compiled.plan, 10)
         direct = db.executor.execute(compiled.plan, schedule)
-        assert via_session.trace.events == direct.trace.events
+        assert via_session.obs.trace.events == direct.obs.trace.events
         assert via_session.obs.events == direct.obs.events
         assert via_session.obs.counters == direct.obs.counters
         assert via_session.obs.series.keys() == direct.obs.series.keys()
@@ -195,8 +197,10 @@ class TestWorkloadOptionsValidation:
             WorkloadOptions(thread_budget=0)
 
     def test_trace_on_the_workload_block_rejected(self):
-        """Nothing reads a workload-level ``trace``: refused, with the
-        block that does read it named."""
-        with pytest.raises(WorkloadError,
-                           match=r"ExecutionOptions\(observability="):
+        """The activation trace is a store of the per-query bus, so
+        ``observe`` is the only switch: a ``trace`` knob exists on no
+        block any more."""
+        with pytest.raises(TypeError, match="trace"):
             WorkloadOptions(observability=ObservabilityOptions(trace=True))
+        assert [f.name for f in dataclasses.fields(ObservabilityOptions)] \
+            == ["observe", "monitors", "profile"]
