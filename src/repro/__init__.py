@@ -102,7 +102,6 @@ from repro.storage import (
 from repro.workload import (
     QueryHandle,
     QuerySubmission,
-    SchedulingPolicy,
     Session,
     WorkloadExecutor,
     WorkloadOptions,
@@ -158,7 +157,6 @@ __all__ = [
     "StallWindow",
     "ReproError",
     "SchedulerError",
-    "SchedulingPolicy",
     "Schema",
     "SchemaError",
     "Session",

@@ -88,7 +88,6 @@ def demo() -> None:
 def concurrent_run(args: argparse.Namespace) -> int:
     """``run --concurrent N``: the twin table's MPL workload (the joins
     of its ``mpl4`` row, alternating triggered and pipelined), N wide."""
-    from repro.adapt.policy import SchedulingPolicy
     from repro.bench import twins
     from repro.bench.runners import run_concurrent_workload
     from repro.bench.workloads import make_join_database
@@ -101,7 +100,7 @@ def concurrent_run(args: argparse.Namespace) -> int:
     database = make_join_database(twins.CARD_A, twins.CARD_B, twins.DEGREE,
                                   theta=0.0)
     options = WorkloadOptions(
-        scheduling=SchedulingPolicy(policy=args.policy),
+        scheduling=args.policy,
         observability=ObservabilityOptions(
             observe=bool(args.report or args.events_out or args.prom_out),
             monitors=default_monitors() if args.monitors else (),

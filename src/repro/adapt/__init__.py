@@ -1,10 +1,9 @@
 """Adaptive scheduling: diagnostics-driven decisions at run time.
 
-The blessed surface of the adaptive layer is the frozen
-:class:`SchedulingPolicy` block (nested in
-:class:`~repro.workload.options.WorkloadOptions` as ``scheduling=``)
-plus the controller machinery the workload engine arms when
-``policy="adaptive"``.
+The controller machinery the workload engine arms when
+``WorkloadOptions(scheduling="adaptive")``: it re-splits a wave's
+thread grant toward the blamed producers and switches Random consumers
+to LPT on the Fig 12 straggler signature.
 """
 
 from repro.adapt.controller import (
@@ -13,19 +12,9 @@ from repro.adapt.controller import (
     resplit_shares,
     wave_evidence,
 )
-from repro.adapt.policy import (
-    POLICIES,
-    POLICY_ADAPTIVE,
-    POLICY_STATIC,
-    SchedulingPolicy,
-)
 
 __all__ = [
-    "POLICIES",
-    "POLICY_ADAPTIVE",
-    "POLICY_STATIC",
     "AdaptiveController",
-    "SchedulingPolicy",
     "WaveEvidence",
     "resplit_shares",
     "wave_evidence",

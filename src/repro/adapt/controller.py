@@ -29,7 +29,7 @@ oversized for the build side is oversized for the probe side.
 Every decision is a pure function of virtual-time state (thread
 stamps, static estimates, the thresholds below), so adaptive runs are
 byte-reproducible per seed; with the controller absent
-(``policy="static"``) the engine takes the exact legacy code paths —
+(``scheduling="static"``) the engine takes the exact legacy code paths —
 bit-identical to the pre-controller engine.
 """
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.adapt.policy import SchedulingPolicy
 from repro.engine.strategies import LPT, RANDOM, make_strategy
 from repro.lera.activation import TRIGGERED
 from repro.obs.bus import SCHEDULE_RESPLIT, SCHEDULE_SWITCH
@@ -172,26 +171,24 @@ def resplit_shares(shares: list[int], modes: list[str],
 class AdaptiveController:
     """Mid-flight scheduling decisions for one workload run.
 
-    Built by a ``_WorkloadRun`` when ``SchedulingPolicy(policy=
+    Built by a ``_WorkloadRun`` when ``WorkloadOptions(scheduling=
     "adaptive")``, which subscribes :meth:`observe_wave` to its
     ``wave`` control point and :meth:`before_wave` to ``wave.start``;
     under the static policy nothing is built or subscribed.  Both
     read the engine's per-query job (``tag``, ``wave_index``, ...).
-    Emits a ``schedule.resplit`` / ``schedule.switch`` event
-    on the workload bus for every decision taken, and records the same
-    decisions on :attr:`explanation` (surfaced as
-    ``WorkloadResult.decisions``).
+    Emits a :data:`~repro.obs.bus.SCHEDULE_RESPLIT` /
+    :data:`~repro.obs.bus.SCHEDULE_SWITCH` event on the workload bus
+    for every decision taken, and records the same decisions on
+    :attr:`explanation` (surfaced as ``WorkloadResult.decisions``).
     """
 
-    def __init__(self, policy: SchedulingPolicy, bus) -> None:
-        self.policy = policy
+    def __init__(self, bus) -> None:
         self.bus = bus
         self.explanation = ScheduleExplanation()
         self._pending: dict[str, WaveEvidence] = {}
 
     def __repr__(self) -> str:
-        return (f"AdaptiveController(policy={self.policy.policy!r}, "
-                f"decisions={len(self.explanation)})")
+        return f"AdaptiveController(decisions={len(self.explanation)})"
 
     # -- wave barrier ----------------------------------------------------------
 
@@ -232,8 +229,7 @@ class AdaptiveController:
                        base: list[int], wave_total: int,
                        shares: list[int], evidence: WaveEvidence,
                        at: float) -> list[int]:
-        if (not self.policy.resplit or evidence.boost <= 1.0
-                or len(wave_ops) < 2):
+        if evidence.boost <= 1.0 or len(wave_ops) < 2:
             return shares
         modes = [op.node.trigger_mode for op in wave_ops]
         if len(set(modes)) < 2:

@@ -596,15 +596,13 @@ def run_adaptive_workload(factor: float, policy: str):
     wave-0 evidence transfer to wave 1.  Returns the
     :class:`~repro.workload.engine.WorkloadResult`.
     """
-    from repro.adapt.policy import SchedulingPolicy
-
     db, plan, schema = build_adaptive_scenario()
     faults = None if factor == 1.0 else FaultPlan(seed=0, slowdowns=(
         SlowdownWindow(0.0, float("inf"), factor, operation="join1"),
         SlowdownWindow(0.0, float("inf"), factor, operation="join2"),
     ))
     session = db.session(options=WorkloadOptions(
-        scheduling=SchedulingPolicy(policy=policy), faults=faults))
+        scheduling=policy, faults=faults))
     session.submit_plan(plan, schema, threads=ADAPTIVE_THREADS, tag="q0")
     return session.run()
 

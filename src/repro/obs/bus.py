@@ -73,11 +73,9 @@ QUERY_ABORT = "query.abort"      # aborted by an exhausted fault retry
 QUERY_REJECT = "query.reject"    # rejected/shed pre-admission (terminal)
 
 #: Serving / overload protection (:mod:`repro.serve`).  Workload-bus
-#: records of the overload layer's level transitions: backpressure
-#: engages when the bounded wait queue saturates, brownout when a
-#: monitor alert (SLO burn rate, retry storm) trips the degraded mode.
+#: record of the overload layer's level transition: backpressure
+#: engages when the bounded wait queue saturates.
 SERVE_BACKPRESSURE = "serve.backpressure"  # bounded queue hit/left its limit
-SERVE_BROWNOUT = "serve.brownout"          # brownout tripped or cleared
 
 #: Fault injection (:mod:`repro.faults`).  Per-operation kinds appear
 #: on the query's bus; ``fault.memory`` is machine-level and appears
@@ -99,7 +97,7 @@ EVENT_KINDS = (
     ENQUEUE, DEQUEUE, BLOCK, UNBLOCK, THREAD_FINISH, MEMORY,
     QUERY_SUBMIT, QUERY_ADMIT, QUERY_GRANT, QUERY_FINISH,
     QUERY_CANCEL, QUERY_ABORT, QUERY_REJECT,
-    SERVE_BACKPRESSURE, SERVE_BROWNOUT,
+    SERVE_BACKPRESSURE,
     FAULT_ACTIVATION, FAULT_DISK, FAULT_MEMORY, FAULT_STALL,
     FAULT_SLOWDOWN,
     SCHEDULE_RESPLIT, SCHEDULE_SWITCH,

@@ -17,10 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: The four decision steps, in top-down order.  The workload layer
-#: adds a "step 0" above them: the split of the machine's thread
-#: budget across concurrently running queries.
-STEP_QUERY_SPLIT = "query_split"         # step 0: threads per running query
+#: The four decision steps, in top-down order.
 STEP_THREAD_COUNT = "thread_count"       # step 1: query degree of parallelism
 STEP_CHAIN_SPLIT = "chain_split"         # step 2: threads per chain
 STEP_OPERATION_SPLIT = "operation_split" # step 3: threads per operator
@@ -36,9 +33,9 @@ STEP_SWITCH = "strategy_switch"          # Random->LPT mid-flight
 STEPS = (STEP_THREAD_COUNT, STEP_CHAIN_SPLIT,
          STEP_OPERATION_SPLIT, STEP_STRATEGY)
 
-#: All steps including the workload-level step 0 and the adaptive
-#: controller's mid-flight decisions (render order).
-ALL_STEPS = (STEP_QUERY_SPLIT,) + STEPS + (STEP_RESPLIT, STEP_SWITCH)
+#: All steps including the adaptive controller's mid-flight
+#: decisions (render order).
+ALL_STEPS = STEPS + (STEP_RESPLIT, STEP_SWITCH)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,6 @@ class ScheduleExplanation:
     def render(self) -> str:
         """Human-readable report, one block per step."""
         titles = {
-            STEP_QUERY_SPLIT: "step 0 — threads per running query",
             STEP_THREAD_COUNT: "step 1 — query thread count",
             STEP_CHAIN_SPLIT: "step 2 — threads per chain",
             STEP_OPERATION_SPLIT: "step 3 — threads per operator",

@@ -72,7 +72,6 @@ FOLD_COST_SHARE = "fold_cost_share"                  # labels: query, operator
 QUERIES_SHED = "queries_shed_total"                  # label: reason
 QUERIES_REJECTED = "queries_rejected_total"          # label: reason
 BACKPRESSURE_ENGAGED = "backpressure_engaged"
-BROWNOUT_ACTIVE = "brownout_active"
 FAULTS_INJECTED = "faults_injected_total"            # label: operation
 FAULT_RETRIES = "fault_retries_total"                # label: operation
 FAULT_ABORTS = "fault_aborts_total"                  # label: operation

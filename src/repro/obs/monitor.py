@@ -231,7 +231,7 @@ class LatencySloMonitor(Monitor):
         if ctx.get("status") in ("rejected", "shed"):
             # Shed/rejected queries never ran: their (tiny) queue
             # residence would dilute the burn-rate denominator and
-            # hand the brownout loop a false recovery signal.
+            # report a recovery that never happened.
             return
         latency = ctx.get("latency")
         if latency is None:

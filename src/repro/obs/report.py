@@ -24,7 +24,6 @@ from repro.errors import ReproError
 from repro.obs.metrics import (
     ADMISSION_QUEUE_DEPTH,
     ADMISSION_WAIT,
-    BROWNOUT_ACTIVE,
     FAULT_ABORTS,
     FAULT_BACKOFF,
     FAULT_MEMORY_EVENTS,
@@ -137,8 +136,6 @@ class WorkloadReport:
             reasons = self.serving.get("reasons", {})
             bits.extend(f"{reason}={count}"
                         for reason, count in sorted(reasons.items()))
-            if self.serving.get("brownout_tripped"):
-                bits.append("brownout")
             lines.append("  serving    : " + " ".join(bits))
         for problem in self.problems:
             lines.append(f"  AUDIT      : {problem}")
@@ -224,15 +221,12 @@ def build_workload_report(result) -> WorkloadReport:
         rejected_total += int(counter.value)
         reason = counter.labels.get("reason", "?")
         reasons[reason] = reasons.get(reason, 0) + int(counter.value)
-    brownout = metrics.get(BROWNOUT_ACTIVE)
     serving: dict = {}
-    if shed_total or rejected_total or brownout is not None:
+    if shed_total or rejected_total:
         serving = {
             "shed": shed_total,
             "rejected": rejected_total,
             "reasons": reasons,
-            "brownout_tripped": bool(brownout is not None
-                                     and brownout.peak > 0),
         }
 
     problems = verify_spans(spans, result.executions,

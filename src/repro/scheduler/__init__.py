@@ -2,7 +2,6 @@
 
 from repro.scheduler.adaptive import AdaptiveScheduler, StaticScheduler
 from repro.scheduler.allocation import (
-    ResourceVector,
     allocate_to_chains,
     allocate_to_operations,
     allocate_to_queries,
@@ -26,7 +25,6 @@ __all__ = [
     "AdaptiveScheduler",
     "ChainEstimate",
     "DEFAULT_SKEW_THRESHOLD",
-    "ResourceVector",
     "StaticScheduler",
     "allocate_to_chains",
     "allocate_to_operations",

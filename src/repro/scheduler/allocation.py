@@ -6,20 +6,12 @@ in [Wilschut92]), optionally damped for multi-user throughput
 ([Rahm93]).  Step 2 distributes the total over the chain tree by
 solving the proportional-complexity equation system of Section 3.
 Step 3 splits each chain's threads over its operators by complexity
-ratio.
-
-The workload layer's "step 0" (:func:`allocate_to_queries`) optionally
-generalizes from a CPU-only thread count to multi-resource vectors
-(CPU, memory footprint, disk bandwidth) after Garofalakis &
-Ioannidis's malleable-scheduling model: a query's grant is capped at
-the thread-equivalent of its *binding* resource, so a memory-heavy
-query cannot monopolize threads its footprint would stall anyway.
+ratio.  The workload layer's "step 0" (:func:`allocate_to_queries`)
+applies the same proportional split across running queries.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SchedulerError
@@ -98,66 +90,6 @@ def choose_thread_count(work: float, machine: Machine,
     return chosen
 
 
-@dataclass(frozen=True)
-class ResourceVector:
-    """A query's demand (or the machine's capacity) along the three
-    scheduled resource axes.
-
-    ``None`` leaves an axis unconstrained — a capacity vector of all
-    ``None`` makes the multi-resource path a no-op, and the legacy
-    CPU-only call (no vectors at all) is byte-identical to the
-    pre-vector allocator.
-    """
-
-    cpu: float | None = None
-    """Thread-count axis (demand: the four-step schedule's thread
-    count; capacity: the machine budget)."""
-    memory_bytes: float | None = None
-    """Stored-data footprint axis (demand: the query's estimated
-    footprint; capacity: the workload memory limit)."""
-    disk_bytes: float | None = None
-    """Disk-bandwidth axis (demand: bytes the query streams from
-    store; capacity: modeled bytes available per granted run)."""
-
-    #: Axis attribute names, in scheduling order.
-    AXES = ("cpu", "memory_bytes", "disk_bytes")
-
-    def __post_init__(self) -> None:
-        for axis in self.AXES:
-            value = getattr(self, axis)
-            if value is not None and value < 0:
-                raise SchedulerError(
-                    f"ResourceVector.{axis} must be >= 0, got {value}")
-
-
-def _resource_caps(demands: list[int], complexities: list[float],
-                   resources: list[ResourceVector],
-                   capacities: ResourceVector) -> list[int]:
-    """Thread-equivalent cap per query from its binding resource.
-
-    Each query is entitled to its complexity-weight share of every
-    capacity axis; where its need exceeds the entitlement, the grant
-    scales down by the worst (binding) axis's factor — never below one
-    thread, so progress is always possible.
-    """
-    count = len(demands)
-    total_weight = sum(complexities)
-    caps = []
-    for i in range(count):
-        weight = (complexities[i] / total_weight if total_weight > 0
-                  else 1.0 / count)
-        factor = 1.0
-        for axis in ResourceVector.AXES:
-            capacity = getattr(capacities, axis)
-            need = getattr(resources[i], axis)
-            if capacity is None or need is None or need <= 0:
-                continue
-            allowed = capacity * weight
-            factor = min(factor, allowed / need)
-        caps.append(max(1, math.floor(demands[i] * factor)))
-    return caps
-
-
 def _largest_remainder(total: int, weights: list[float],
                        minimum: int = 1) -> list[int]:
     """Split *total* integer units proportionally to *weights*.
@@ -194,12 +126,7 @@ def _largest_remainder(total: int, weights: list[float],
 
 
 def allocate_to_queries(budget: int, demands: list[int],
-                        complexities: list[float],
-                        labels: list[str] | None = None,
-                        explain: "ScheduleExplanation | None" = None,
-                        resources: list[ResourceVector] | None = None,
-                        capacities: ResourceVector | None = None
-                        ) -> list[int]:
+                        complexities: list[float]) -> list[int]:
     """Workload step 0: split the machine's budget across running queries.
 
     The same proportional-complexity equation system the paper applies
@@ -217,15 +144,6 @@ def allocate_to_queries(budget: int, demands: list[int],
         budget: Machine thread budget to distribute (>= 1).
         demands: Per-query demanded thread count (each >= 1).
         complexities: Per-query estimated complexity weights.
-        labels: Optional per-query names for the explanation record.
-        explain: Optional decision recorder (purely passive).
-        resources: Optional per-query :class:`ResourceVector` demands;
-            with *capacities*, each query's grant is additionally
-            capped at the thread-equivalent of its binding resource
-            (the multi-resource generalization of step 0).  ``None``
-            (the default) is byte-identical to the CPU-only allocator.
-        capacities: Machine capacity vector the running queries share;
-            required when *resources* is given.
 
     Returns:
         Per-query grants, aligned with *demands*; each grant is in
@@ -243,19 +161,6 @@ def allocate_to_queries(budget: int, demands: list[int],
     for demand in demands:
         if demand < 1:
             raise SchedulerError(f"demands must be >= 1, got {demand}")
-    if resources is not None:
-        if capacities is None:
-            raise SchedulerError(
-                "resources given without a capacities vector")
-        if len(resources) != count:
-            raise SchedulerError(
-                f"{count} demands but {len(resources)} resource vectors")
-        # The binding resource tightens each query's demand cap before
-        # the thread split; the water-filling below then never grants
-        # past what the scarcest axis supports.
-        demands = [min(demand, cap) for demand, cap in
-                   zip(demands, _resource_caps(demands, complexities,
-                                               resources, capacities))]
 
     if count == 1:
         grants = [demands[0]]
@@ -283,18 +188,6 @@ def allocate_to_queries(budget: int, demands: list[int],
                 for i in open_queries:
                     grants[i] = 1
                 break
-    if explain is not None:
-        from repro.obs.explain import STEP_QUERY_SPLIT
-        total_weight = sum(complexities)
-        for i, grant in enumerate(grants):
-            target = labels[i] if labels is not None else f"query:{i}"
-            explain.record(
-                STEP_QUERY_SPLIT, target, grant,
-                ("lone running query: full demand" if count == 1
-                 else "complexity share of the machine budget, "
-                      "capped at demand"),
-                budget=budget, demand=demands[i],
-                complexity=complexities[i], total_complexity=total_weight)
     return grants
 
 

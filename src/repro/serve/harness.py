@@ -31,7 +31,6 @@ from repro.obs.bus import (
     QUERY_REJECT,
     QUERY_SUBMIT,
     SERVE_BACKPRESSURE,
-    SERVE_BROWNOUT,
 )
 from repro.obs.metrics import percentile
 from repro.serve.arrivals import ArrivalProcess, make_arrival_process
@@ -155,7 +154,6 @@ def build_submissions(templates, times, machine=None, seed: int = 0,
 
 def run_serving(templates=None, arrival: str | ArrivalProcess = "poisson",
                 rate: float = 1.0, count: int = 100, seed: int = 0,
-                serving: ServingPolicy | None = None,
                 machine=None, workload: WorkloadOptions | None = None,
                 observe: bool = True,
                 timeouts: bool = True) -> WorkloadResult:
@@ -163,9 +161,7 @@ def run_serving(templates=None, arrival: str | ArrivalProcess = "poisson",
 
     Generates *count* arrivals from the named (or given) arrival
     process at long-run *rate*, draws the template mix, and executes
-    under *serving* — or, when a full :class:`WorkloadOptions` is
-    passed, under exactly those options (*serving* is then ignored in
-    favour of ``workload.serving``).
+    under *workload* (the default options when ``None``).
     """
     from repro.bench.runners import default_machine
 
@@ -176,8 +172,6 @@ def run_serving(templates=None, arrival: str | ArrivalProcess = "poisson",
     times = process.times(count, seed=seed)
     submissions = build_submissions(templates, times, machine=machine,
                                     seed=seed, timeouts=timeouts)
-    if workload is None:
-        workload = WorkloadOptions(serving=serving)
     options = ExecutionOptions(
         seed=seed, observability=ObservabilityOptions(observe=observe))
     return WorkloadExecutor(machine, options, workload).execute(submissions)
@@ -208,14 +202,14 @@ def measure_saturation(templates, machine=None, count: int = 200,
 
 #: Event kinds whose full payloads constitute the run's decision log.
 DECISION_KINDS = (QUERY_SUBMIT, QUERY_ADMIT, QUERY_REJECT, QUERY_CANCEL,
-                  QUERY_FINISH, SERVE_BACKPRESSURE, SERVE_BROWNOUT)
+                  QUERY_FINISH, SERVE_BACKPRESSURE)
 
 
 def decision_log(result: WorkloadResult) -> tuple:
     """The run's full arrival + admission decision sequence.
 
-    Every submit/admit/reject/cancel/finish and every backpressure or
-    brownout transition, in emission order, with full payloads.  Two
+    Every submit/admit/reject/cancel/finish and every backpressure
+    transition, in emission order, with full payloads.  Two
     runs of the same seed must produce *equal* logs — the per-seed
     determinism property the hypothesis suite and the chaos twin
     audit pin.

@@ -11,7 +11,7 @@ Two layers:
 * :class:`ServingPolicy` — the frozen configuration block nested in
   :class:`~repro.workload.options.WorkloadOptions` (``serving=``).
   ``None`` (the default) makes the engine serve under the default
-  block — FIFO, unbounded, no brownout — bit-identical to the
+  block — FIFO, unbounded — bit-identical to the
   pre-serving engine.
 * :class:`AdmissionPolicy` subclasses — the per-run mutable queue
   structures.  Each owns an *indexed* wait queue (deque or
@@ -71,9 +71,9 @@ class ServingPolicy:
 
     Attached to :class:`~repro.workload.options.WorkloadOptions` as
     ``serving=``.  A ``ServingPolicy()`` with all defaults is the
-    layer in its mildest form — FIFO order, unbounded queue, no
-    brownout — and is what the engine runs under when ``serving`` is
-    ``None``; asking for it explicitly only changes what is *reported*
+    layer in its mildest form — FIFO order, unbounded queue — and is
+    what the engine runs under when ``serving`` is ``None``; asking
+    for it explicitly only changes what is *reported*
     (priority/tenant on ``query.submit``, ``rejected`` instead of a
     raise, per-class latency labels), which the twin table's
     ``serving`` row pins at equal virtual makespan.
@@ -89,17 +89,6 @@ class ServingPolicy:
     tenant_weights: Mapping[str, float] | None = None
     """Fair-share weights by tenant name (``fair_share`` only);
     unlisted tenants weigh 1.0."""
-    brownout: bool = False
-    """Degrade before shedding: while a critical monitor signal is
-    active (the SLO burn-rate or retry-storm alert), step-0 grants
-    shrink by :attr:`brownout_factor` — trading per-query parallelism
-    (and its dilation cost) for throughput — and, with shared-work
-    execution on, a fully-foldable waiter may be admitted past the
-    concurrency bound since it rides existing work for free.
-    Requires monitor rules to be installed; without them there is no
-    signal and brownout never trips."""
-    brownout_factor: float = 0.5
-    """Grant multiplier while browned out (clamped to >= 1 thread)."""
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -110,10 +99,6 @@ class ServingPolicy:
             raise WorkloadError(
                 f"queue_limit must be >= 1, got {self.queue_limit} "
                 f"(a zero-slot queue would shed every waiting query)")
-        if not 0.0 < self.brownout_factor <= 1.0:
-            raise WorkloadError(
-                f"brownout_factor must be in (0, 1], got "
-                f"{self.brownout_factor}")
         if self.tenant_weights is not None:
             frozen = tuple(sorted(self.tenant_weights.items()))
             for tenant, weight in frozen:

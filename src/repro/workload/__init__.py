@@ -14,18 +14,17 @@ Public face: :class:`~repro.workload.session.Session` /
 one-query workloads of this engine: it is the only one there is.
 """
 
-from repro.adapt.policy import (
-    POLICIES,
-    POLICY_ADAPTIVE,
-    POLICY_STATIC,
-    SchedulingPolicy,
-)
 from repro.workload.engine import (
     QuerySubmission,
     WorkloadExecutor,
     WorkloadResult,
 )
-from repro.workload.options import WorkloadOptions
+from repro.workload.options import (
+    POLICIES,
+    POLICY_ADAPTIVE,
+    POLICY_STATIC,
+    WorkloadOptions,
+)
 from repro.workload.session import (
     CANCELLED,
     DONE,
@@ -51,7 +50,6 @@ __all__ = [
     "TIMED_OUT",
     "QueryHandle",
     "QuerySubmission",
-    "SchedulingPolicy",
     "Session",
     "WorkloadExecutor",
     "WorkloadOptions",

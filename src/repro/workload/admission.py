@@ -1,6 +1,7 @@
 """Admission control for multi-query workloads.
 
-Two gates, checked in FIFO order over the arrival queue:
+Two gates, checked for the head of the wait queue in the serving
+policy's order (FIFO unless a ``serving`` block picks another):
 
 * a **concurrency bound** (``max_concurrent``): the classic
   multiprogramming-level limit — beyond it, extra queries only add
@@ -70,11 +71,14 @@ def plan_footprint(plan: LeraGraph, costs: CostModel) -> int:
 
 
 class AdmissionController:
-    """Tracks running capacity and decides who may enter, FIFO.
+    """Tracks running capacity and decides whether the next query
+    fits.
 
-    The controller is deliberately order-preserving: the head of the
-    queue is admitted or nobody is, so a small query can never
-    starve a large one by slipping past it (no convoy re-ordering).
+    *Who* is next is the serving policy's order
+    (:mod:`repro.serve.policies`: FIFO, priority, fair-share or EDF);
+    the engine offers capacity only to that policy's head — it is
+    admitted or nobody is, so a small query can never starve a large
+    one by slipping past it (no convoy re-ordering).
     """
 
     def __init__(self, options: WorkloadOptions, metrics=None) -> None:
@@ -99,13 +103,6 @@ class AdmissionController:
         if limit is not None and self.used_bytes + footprint > limit:
             return False
         return True
-
-    def fits_memory(self, footprint: int) -> bool:
-        """Would *footprint* fit the memory gate alone, ignoring the
-        concurrency bound?  Brownout fold-through uses this: a fully
-        folded query adds no machine work, so only memory matters."""
-        limit = self.options.memory_limit_bytes
-        return limit is None or self.used_bytes + footprint <= limit
 
     def acquire(self, footprint: int, at: float = 0.0) -> None:
         self.running_count += 1

@@ -19,13 +19,11 @@ from repro.obs.bus import (
     QUERY_REJECT,
     QUERY_SUBMIT,
     SERVE_BACKPRESSURE,
-    SERVE_BROWNOUT,
 )
 from repro.obs.metrics import (
     ADMISSION_QUEUE_DEPTH,
     ADMISSION_WAIT,
     BACKPRESSURE_ENGAGED,
-    BROWNOUT_ACTIVE,
     FOLD_ATTEMPTS,
     FOLD_COST_SHARE,
     FOLD_HITS,
@@ -68,7 +66,6 @@ class _Telemetry:
         run.subscribe(POINT_ADMISSION, self.sample_levels)
         run.subscribe(QUERY_REJECT, self.on_reject)
         run.subscribe(SERVE_BACKPRESSURE, self.on_backpressure)
-        run.subscribe(SERVE_BROWNOUT, self.on_brownout)
         run.subscribe(POINT_FINISH, self.on_finish)
 
     def on_submit(self, now, job, **_) -> None:
@@ -109,9 +106,6 @@ class _Telemetry:
     def on_backpressure(self, now, job, engaged, **_) -> None:
         self.metrics.gauge(BACKPRESSURE_ENGAGED).set(
             now, 1.0 if engaged else 0.0)
-
-    def on_brownout(self, now, job, active, **_) -> None:
-        self.metrics.gauge(BROWNOUT_ACTIVE).set(now, 1.0 if active else 0.0)
 
     def on_finish(self, now, job, status) -> None:
         """One query reached a terminal state: the end-to-end latency,

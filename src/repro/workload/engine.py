@@ -26,10 +26,10 @@ Life of a query here:
    per-operation split rescales the query's own schedule to its
    current grant (largest-remainder, the paper's step-3 rule).
 5. **re-grant**: when a query completes, its runtimes are let go and
-   the freed capacity is redistributed; with ``rebalance`` on,
-   still-running queries grow their *current* wave mid-flight with
-   helper threads (pure secondary consumers — the paper's dynamic
-   allocation generalized across queries).
+   the freed capacity is redistributed, and still-running queries
+   grow their *current* wave mid-flight with helper threads (pure
+   secondary consumers — the paper's dynamic allocation generalized
+   across queries).
 
 Each of those instants is a named *control point* that
 :class:`_WorkloadRun` fires exactly once, with the query and the facts
@@ -82,7 +82,6 @@ from repro.obs.bus import (
     QUERY_REJECT,
     QUERY_SUBMIT,
     SERVE_BACKPRESSURE,
-    SERVE_BROWNOUT,
     WAVE_END,
     WAVE_START,
     EventBus,
@@ -99,11 +98,7 @@ from repro.obs.explain import ScheduleExplanation
 from repro.obs.spans import SpanSet, assemble_spans
 from repro.adapt.controller import AdaptiveController
 from repro.prof.profiler import EngineProfiler, active_profiler
-from repro.scheduler.allocation import (
-    ResourceVector,
-    _largest_remainder,
-    allocate_to_queries,
-)
+from repro.scheduler.allocation import _largest_remainder, allocate_to_queries
 from repro.scheduler.complexity import operator_complexity, query_complexity
 from repro.serve.policies import (
     REJECT_IDLE,
@@ -116,7 +111,7 @@ from repro.serve.policies import (
 )
 from repro.workload.admission import AdmissionController, node_footprints
 from repro.workload.consumers import POINT_FOLD, _MonitorFeed, _Telemetry
-from repro.workload.options import WorkloadOptions
+from repro.workload.options import POLICY_ADAPTIVE, WorkloadOptions
 from repro.workload.sharing import (
     FoldRegistry,
     SharedOperator,
@@ -224,7 +219,7 @@ class WorkloadResult:
     decisions: ScheduleExplanation | None = None
     """Mid-flight decision log of the adaptive controller (resplits
     and strategy switches with their evidence), populated when
-    ``SchedulingPolicy(policy="adaptive")``.  ``None`` under the
+    ``WorkloadOptions(scheduling="adaptive")``.  ``None`` under the
     static policy — the controller does not exist then."""
 
     def __post_init__(self) -> None:
@@ -554,7 +549,7 @@ class WorkloadExecutor:
 
 
 #: What a run without a ``serving`` block serves under: FIFO deque, no
-#: queue bound, no brownout.
+#: queue bound.
 _DEFAULT_SERVING = ServingPolicy()
 
 #: Methods of a run the self-profiler times, by section name.  Applied
@@ -620,8 +615,8 @@ class _WorkloadRun:
             self.alerts = monitors.alerts
             _MonitorFeed(self, monitors)
         self.decisions: ScheduleExplanation | None = None
-        if workload.scheduling.adaptive:
-            controller = AdaptiveController(workload.scheduling, self.bus)
+        if workload.scheduling == POLICY_ADAPTIVE:
+            controller = AdaptiveController(self.bus)
             self.decisions = controller.explanation
             self.subscribe(POINT_WAVE, controller.observe_wave)
             self.subscribe(WAVE_START, controller.before_wave)
@@ -660,7 +655,6 @@ class _WorkloadRun:
         self.serving_requested = workload.serving is not None
         self.serving = workload.serving or _DEFAULT_SERVING
         self.queue = make_admission_policy(self.serving)
-        self.brownout = False
         self._backpressure = False
         self.next_thread_id = 0
         #: The single sequential-initialization thread: start-ups of
@@ -979,26 +973,6 @@ class _WorkloadRun:
             self._emit(SERVE_BACKPRESSURE, now, engaged=engaged,
                        depth=len(self.queue), limit=limit)
 
-    def _update_brownout(self, now: float) -> None:
-        """Trip (or clear) brownout from the monitor alert state.
-
-        Brownout follows the *level* of the critical serving signals —
-        the latency-SLO burn-rate alert and the retry-storm alert.
-        While active, step-0 grants shrink by ``brownout_factor``
-        (degrade per-query parallelism before shedding anyone) and
-        fully folded queries may be admitted past the concurrency
-        bound (they ride running work for free).
-        """
-        alerts = self.alerts
-        if not self.serving.brownout or alerts is None:
-            return
-        active = (alerts.is_active("latency_slo", "burn")
-                  or alerts.is_active("retry_storm", "total"))
-        if active != self.brownout:
-            self.brownout = active
-            self._emit(SERVE_BROWNOUT, now, active=active,
-                       factor=self.serving.brownout_factor)
-
     # -- admission ------------------------------------------------------------
 
     def _try_admit(self, now: float) -> None:
@@ -1012,7 +986,6 @@ class _WorkloadRun:
         them — the first arrival does not grab its full demand just
         because it was popped first.
         """
-        self._update_brownout(now)
         shared = self.workload.shared
         admitted: list[_QueryJob] = []
         while True:
@@ -1030,15 +1003,7 @@ class _WorkloadRun:
             folds, footprint = (self._plan_folds(job, now) if shared
                                 else ({}, job.footprint))
             if not self.admission.fits(footprint):
-                if (self.brownout and folds
-                        and len(folds) == len(job.plan.nodes)
-                        and self.admission.fits_memory(footprint)):
-                    # Brownout fold-through: every node of this query
-                    # folds onto already-running work, so admitting it
-                    # past the concurrency bound adds no machine load —
-                    # it only lets the fold amortize further.
-                    pass
-                elif self.running or admitted:
+                if self.running or admitted:
                     break
                 elif self.serving_requested:
                     # Nothing runs, yet the head still does not fit:
@@ -1125,32 +1090,12 @@ class _WorkloadRun:
         """
         demands = [job.demand for job in self.running]
         weights = [job.effective_complexity for job in self.running]
-        if self.workload.scheduling.multi_resource:
-            # Garofalakis-style step 0: the grant is capped at the
-            # thread-equivalent of each query's binding resource — the
-            # thread budget or the stored-data footprint (the
-            # allocator's disk axis has no modelled capacity here and
-            # stays unbound).
-            grants = allocate_to_queries(
-                self.budget, demands, weights,
-                resources=[ResourceVector(cpu=job.demand,
-                                          memory_bytes=job.footprint)
-                           for job in self.running],
-                capacities=ResourceVector(
-                    cpu=self.budget,
-                    memory_bytes=self.workload.memory_limit_bytes))
-        else:
-            # A pure function of these (the budget is the run's).
-            key = (*demands, *weights)
-            grants = self._allocations.get(key)
-            if grants is None:
-                grants = self._allocations[key] = allocate_to_queries(
-                    self.budget, demands, weights)
-        if self.brownout:
-            # Browned out: trade per-query parallelism (and its
-            # dilation cost) for throughput before shedding anyone.
-            factor = self.serving.brownout_factor
-            grants = [max(1, int(grant * factor)) for grant in grants]
+        # A pure function of these (the budget is the run's).
+        key = (*demands, *weights)
+        grants = self._allocations.get(key)
+        if grants is None:
+            grants = self._allocations[key] = allocate_to_queries(
+                self.budget, demands, weights)
         return {job.tag: grant
                 for job, grant in zip(self.running, grants)}
 
@@ -1314,7 +1259,6 @@ class _WorkloadRun:
     # -- dynamic reallocation ---------------------------------------------------
 
     def _refresh_grants(self, now: float) -> None:
-        self._update_brownout(now)
         grants = self._grants()
         for job in self.running:
             new = grants[job.tag]
@@ -1324,8 +1268,7 @@ class _WorkloadRun:
             job.grant = new
             self._emit(QUERY_GRANT, now, job, threads=new, budget=self.budget,
                        reason="regrant" if grew else "shrink")
-            if (grew and self.workload.scheduling.rebalance
-                    and job.current_wave_ops):
+            if grew and job.current_wave_ops:
                 self._grow_current_wave(job, now)
         self._notify(POINT_REGRANT, now)
 

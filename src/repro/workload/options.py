@@ -5,10 +5,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.adapt.policy import SchedulingPolicy
 from repro.engine.executor import ObservabilityOptions
 from repro.errors import WorkloadError
 from repro.serve.policies import ServingPolicy
+
+#: The two scheduling modes (``WorkloadOptions.scheduling``).
+POLICY_STATIC = "static"
+POLICY_ADAPTIVE = "adaptive"
+POLICIES = (POLICY_STATIC, POLICY_ADAPTIVE)
 
 
 @dataclass(frozen=True)
@@ -19,11 +23,6 @@ class WorkloadOptions:
     observability) stay in :class:`~repro.engine.executor
     .ExecutionOptions`; this block only holds what exists *between*
     queries.
-
-    Scheduling behaviour (including the mid-wave ``rebalance``
-    toggle) lives in the nested
-    :class:`~repro.adapt.policy.SchedulingPolicy` block
-    (``scheduling=``).
     """
 
     max_concurrent: int = 4
@@ -43,11 +42,16 @@ class WorkloadOptions:
     shared operator's output fans out to every subscriber.  Off (the
     default), nothing folds and the run is bit-identical to the
     pre-sharing engine."""
-    scheduling: SchedulingPolicy = field(default_factory=SchedulingPolicy)
-    """The :class:`~repro.adapt.policy.SchedulingPolicy` block:
-    ``policy="static"`` (default, bit-identical to the pre-controller
-    engine) or ``policy="adaptive"``, plus the mid-wave ``rebalance``
-    toggle and the adaptive decision thresholds."""
+    scheduling: str = POLICY_STATIC
+    """One of :data:`POLICIES`.  ``"static"`` freezes the four-step
+    schedule at submit time (bit-identical to the pre-controller
+    engine); ``"adaptive"`` arms the
+    :class:`~repro.adapt.controller.AdaptiveController`, which
+    re-decides at wave boundaries from observed virtual-time state:
+    it re-splits a wave's grant toward the blamed producers and
+    switches Random consumers to LPT on the Fig 12 signature.  Its
+    decisions are pure functions of virtual-time state, so runs stay
+    byte-reproducible per seed either way."""
     observability: ObservabilityOptions = field(
         default_factory=ObservabilityOptions)
     """Workload-level telemetry knobs.  ``observe=True`` turns on the
@@ -67,10 +71,10 @@ class WorkloadOptions:
     serving: ServingPolicy | None = None
     """The :class:`~repro.serve.policies.ServingPolicy` block:
     overload protection for open-loop serving — pluggable admission
-    order (FIFO / priority / fair-share / EDF), a bounded wait queue
-    with backpressure and load shedding, and brownout degradation.
+    order (FIFO / priority / fair-share / EDF) and a bounded wait queue
+    with backpressure and load shedding.
     ``None`` (the default) runs under the default policy — FIFO order,
-    unbounded queue, no brownout — with queries that cannot ever be
+    unbounded queue — with queries that cannot ever be
     admitted *raising* instead of being rejected: bit-identical to
     the pre-serving engine."""
 
@@ -86,10 +90,10 @@ class WorkloadOptions:
         if self.thread_budget is not None and self.thread_budget < 1:
             raise WorkloadError(
                 f"thread_budget must be >= 1, got {self.thread_budget}")
-        if not isinstance(self.scheduling, SchedulingPolicy):
+        if self.scheduling not in POLICIES:
             raise WorkloadError(
-                f"scheduling must be a SchedulingPolicy, got "
-                f"{type(self.scheduling).__name__}")
+                f"unknown scheduling policy {self.scheduling!r}; "
+                f"expected one of {POLICIES}")
         if not isinstance(self.observability, ObservabilityOptions):
             raise WorkloadError(
                 f"observability must be an ObservabilityOptions, got "

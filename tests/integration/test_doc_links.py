@@ -54,8 +54,7 @@ SNIPPET_DOCUMENTS = sorted([ROOT / "README.md", ROOT / "DESIGN.md",
 OPTION_BLOCKS = {name: {field.name for field
                         in dataclasses.fields(getattr(repro, name))}
                  for name in ("ObservabilityOptions", "ExecutionOptions",
-                              "WorkloadOptions", "ServingPolicy",
-                              "SchedulingPolicy")}
+                              "WorkloadOptions", "ServingPolicy")}
 
 
 def python_blocks(text: str) -> list[str]:

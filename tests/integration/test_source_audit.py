@@ -17,6 +17,13 @@
 * **No dead definitions.**  Every function and class defined in the
   package is referenced somewhere other than its definition: in the
   package, its tests, the examples, the benchmark or the docs.
+* **Every option has a caller.**  A field of an option block exists
+  only if some caller outside the tests sets it (DESIGN.md §7): it is
+  passed as a keyword somewhere in ``src``, ``perf_ledger`` or
+  ``benchmarks``, or positionally to the block's constructor there.
+  The fields that stay without one sit in
+  :data:`OPTIONS_WITHOUT_CALLER`, each with its reason and the test
+  that varies it; a listed field that gains a caller must leave.
 """
 
 import ast
@@ -57,11 +64,51 @@ ID_KEYS = {
 }
 
 
+#: Option blocks under the census: module (relative to ``src/repro``)
+#: -> the frozen dataclasses defined there.
+OPTION_BLOCKS = {
+    "engine/executor.py": ("ObservabilityOptions", "ExecutionOptions",
+                           "OperationSchedule"),
+    "workload/options.py": ("WorkloadOptions",),
+    "serve/policies.py": ("ServingPolicy",),
+}
+
+#: Where a caller that sets an option may live: the tests do not count.
+CALLER_DIRS = ("src", "perf_ledger", "benchmarks")
+
+#: ``"Block.field" -> (reason, behaviour test)``: every option field no
+#: caller outside the tests sets, why it stays, and the test that runs
+#: its non-default value.
+OPTIONS_WITHOUT_CALLER = {
+    "WorkloadOptions.memory_limit_bytes": (
+        "the admission memory gate: a bounded budget staggers "
+        "admission, rejects a query that can never fit "
+        "(REJECT_MEMORY) and feeds MemoryPressureMonitor; every "
+        "benchmark and figure runs unbounded",
+        "tests/workload/test_engine.py::TestArrivalsAndAdmission"
+        "::test_memory_gate_staggers_admission"),
+    "ServingPolicy.tenant_weights": (
+        "fair-share weights: `serve --policy fair_share` weighs every "
+        "tenant 1.0, and no benchmark or figure runs fair_share",
+        "tests/serve/test_policies.py::TestFairSharePolicy"
+        "::test_weights_scale_the_share"),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _package() -> dict[str, str]:
     """Module path (relative to ``src/repro``) -> source text."""
     return {path.relative_to(SRC).as_posix(): path.read_text()
             for path in sorted(SRC.rglob("*.py"))}
+
+
+@functools.lru_cache(maxsize=None)
+def _callers() -> dict[str, str]:
+    """Path (relative to the repo) -> source text, for every module
+    under :data:`CALLER_DIRS`."""
+    return {path.relative_to(ROOT).as_posix(): path.read_text()
+            for directory in CALLER_DIRS
+            for path in sorted((ROOT / directory).rglob("*.py"))}
 
 
 def id_key_sites(sources: dict[str, str]) -> dict[tuple[str, str], list[int]]:
@@ -170,6 +217,71 @@ def unreferenced(sources: dict[str, str], outside: Counter) -> list[str]:
             if words[name] <= len(sites) for site in sites]
 
 
+def option_fields(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Option block -> its fields, in declaration order."""
+    fields = {}
+    for module, names in OPTION_BLOCKS.items():
+        for node in ast.parse(sources[module]).body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                fields[node.name] = [
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)]
+    return fields
+
+
+def set_options(callers: dict[str, str],
+                fields: dict[str, list[str]]) -> set[str]:
+    """``"Block.field"`` names that *callers* set: a keyword of the
+    field's name in any call, or a positional argument of the block's
+    constructor."""
+    owners: dict[str, list[str]] = {}
+    for block, names in fields.items():
+        for name in names:
+            owners.setdefault(name, []).append(block)
+    found = set()
+    for text in callers.values():
+        for callee, positional, keywords in _calls(text):
+            found.update(f"{block}.{keyword}" for keyword in keywords
+                         for block in owners.get(keyword, ()))
+            if callee in fields:
+                found.update(f"{callee}.{name}" for name
+                             in fields[callee][:positional])
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _calls(text: str) -> tuple[tuple[str | None, int, tuple[str, ...]], ...]:
+    """Every call in *text*: the callee's name, its plain positional
+    argument count and its keyword names (``**`` spreads skipped)."""
+    calls = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.append((
+                getattr(func, "id", None) or getattr(func, "attr", None),
+                sum(not isinstance(arg, ast.Starred) for arg in node.args),
+                tuple(keyword.arg for keyword in node.keywords
+                      if keyword.arg is not None)))
+    return tuple(calls)
+
+
+def census_violations(fields: dict[str, list[str]],
+                      found: set[str]) -> list[str]:
+    """Fields nobody sets and no reason covers, then listed fields
+    that have a caller (or no longer exist)."""
+    declared = [f"{block}.{name}" for block, names in fields.items()
+                for name in names]
+    unset = [f"{name} has no caller outside the tests and no reason in "
+             f"OPTIONS_WITHOUT_CALLER" for name in declared
+             if name not in found and name not in OPTIONS_WITHOUT_CALLER]
+    stale = [f"OPTIONS_WITHOUT_CALLER entry {name} "
+             + ("has a caller now" if name in found else "names no field")
+             for name in OPTIONS_WITHOUT_CALLER
+             if name in found or name not in declared]
+    return unset + stale
+
+
 def test_every_identity_key_names_its_keeper():
     assert id_key_violations(_package()) == []
 
@@ -229,3 +341,44 @@ def test_a_second_client_is_caught():
         "    return simulator.Simulator(machine, 0, print, print)\n")}
     assert simulator_builders(doctored) == {"workload/engine.py",
                                             "engine/doctored.py"}
+
+
+def test_every_option_has_a_caller_or_a_reason():
+    fields = option_fields(_package())
+    assert sorted(fields) == sorted(name for names in OPTION_BLOCKS.values()
+                                    for name in names)
+    assert census_violations(fields, set_options(_callers(), fields)) == []
+
+
+def test_every_option_without_a_caller_has_a_behaviour_test():
+    for name, (reason, test) in OPTIONS_WITHOUT_CALLER.items():
+        path, *scope = test.split("::")
+        text = (ROOT / path).read_text()
+        assert reason and all(re.search(rf"^\s*(class|def) {part}\b", text,
+                                        flags=re.MULTILINE)
+                              for part in scope), f"{name}: no {test}"
+
+
+def test_a_field_nobody_sets_is_caught():
+    sources = dict(_package())
+    sources["serve/policies.py"] = sources["serve/policies.py"].replace(
+        "    tenant_weights: Mapping[str, float] | None = None\n",
+        "    tenant_weights: Mapping[str, float] | None = None\n"
+        "    brownout: bool = False\n")
+    fields = option_fields(sources)
+    assert census_violations(fields, set_options(_callers(), fields)) == [
+        "ServingPolicy.brownout has no caller outside the tests and no "
+        "reason in OPTIONS_WITHOUT_CALLER"]
+
+
+def test_a_listed_field_that_gained_a_caller_is_reported_stale():
+    doctored = {**_callers(), "perf_ledger/doctored.py": (
+        "from repro import ServingPolicy, WorkloadOptions\n"
+        "options = WorkloadOptions(memory_limit_bytes=1 << 20, serving="
+        "ServingPolicy('fair_share', None, {'web': 2.0}))\n")}
+    fields = option_fields(_package())
+    assert census_violations(fields, set_options(doctored, fields)) == [
+        "OPTIONS_WITHOUT_CALLER entry WorkloadOptions.memory_limit_bytes "
+        "has a caller now",
+        "OPTIONS_WITHOUT_CALLER entry ServingPolicy.tenant_weights has a "
+        "caller now"]

@@ -20,7 +20,7 @@ it, never change an answer, never behave differently on replay:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adapt import SchedulingPolicy, resplit_shares, wave_evidence
+from repro.adapt import resplit_shares, wave_evidence
 from repro.adapt.controller import BOOST_CAP
 from repro.bench.chaos import (
     ADAPTIVE_THREADS,
@@ -130,7 +130,7 @@ class TestAdaptiveWorkloadProperties:
         def run(policy):
             db, plan, schema = build_adaptive_scenario()
             session = db.session(options=WorkloadOptions(
-                scheduling=SchedulingPolicy(policy=policy)))
+                scheduling=policy))
             session.submit_plan(plan, schema, threads=threads, tag="q0")
             return session.run()
 
@@ -156,9 +156,7 @@ class TestAdaptiveWorkloadProperties:
                 SlowdownWindow(0.0, float("inf"), factor,
                                operation="join1", thread_ids=(0, 1)),))
             session = db.session(options=WorkloadOptions(
-                scheduling=SchedulingPolicy(policy=policy,
-                                            resplit=False),
-                faults=faults))
+                scheduling=policy, faults=faults))
             session.submit_plan(plan, schema, threads=ADAPTIVE_THREADS,
                                 schedule=schedule, tag="q0")
             return session.run()

@@ -49,7 +49,6 @@ class TestServingPolicyConfig:
         assert config.policy == "fifo"
         assert config.queue_limit is None
         assert config.tenant_weights is None
-        assert config.brownout is False
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(WorkloadError, match="unknown admission policy"):
@@ -58,11 +57,6 @@ class TestServingPolicyConfig:
     def test_queue_limit_must_hold_at_least_one(self):
         with pytest.raises(WorkloadError, match="queue_limit"):
             ServingPolicy(queue_limit=0)
-
-    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
-    def test_brownout_factor_bounds(self, factor):
-        with pytest.raises(WorkloadError, match="brownout_factor"):
-            ServingPolicy(brownout_factor=factor)
 
     def test_tenant_weights_validated_and_frozen(self):
         with pytest.raises(WorkloadError, match="tenant weight"):

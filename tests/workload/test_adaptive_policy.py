@@ -1,10 +1,11 @@
-"""Adaptive scheduling: the SchedulingPolicy API and the controller.
+"""Adaptive scheduling: the ``WorkloadOptions.scheduling`` mode and the
+controller.
 
 Acceptance behaviors from the diagnostics-driven-scheduling design:
 
-* ``SchedulingPolicy`` holds the four knobs some caller sets
-  (validated at construction) and nests in ``WorkloadOptions``, which
-  no longer takes a flat ``rebalance=``;
+* ``WorkloadOptions(scheduling=...)`` names one of the two modes
+  (validated at construction); the controller's switches and
+  thresholds are not options;
 * with the producer joins slowed, the controller re-splits the wave
   grant toward the blamed producers (conserving the thread budget
   exactly), beats the static policy in virtual time, and changes no
@@ -12,10 +13,8 @@ Acceptance behaviors from the diagnostics-driven-scheduling design:
 * with a thread-targeted slowdown faking the Fig 12
   equal-counts/unequal-costs signature, a Random consumer switches to
   LPT — again without changing a row;
-* ``policy="static"`` and the no-signal adaptive run are bit-identical
-  to each other (the escape hatch);
-* step 0 generalizes to multi-resource grant vectors without moving
-  the CPU-only path.
+* ``scheduling="static"`` and the no-signal adaptive run are
+  bit-identical to each other (the escape hatch).
 """
 
 import dataclasses
@@ -23,7 +22,7 @@ import warnings
 
 import pytest
 
-from repro.adapt import SchedulingPolicy, resplit_shares
+from repro.adapt import resplit_shares
 from repro.bench.chaos import (
     ADAPTIVE_THREADS,
     build_adaptive_scenario,
@@ -41,8 +40,7 @@ from repro.faults import FaultPlan, SlowdownWindow
 from repro.lera.activation import PIPELINED, TRIGGERED
 from repro.obs.bus import SCHEDULE_RESPLIT, SCHEDULE_SWITCH
 from repro.obs.explain import STEP_RESPLIT, STEP_SWITCH
-from repro.scheduler.allocation import ResourceVector, allocate_to_queries
-from repro.workload.options import WorkloadOptions
+from repro.workload.options import POLICIES, WorkloadOptions
 
 
 def _rows(result):
@@ -50,51 +48,50 @@ def _rows(result):
 
 
 class TestSchedulingPolicyApi:
+    """The scheduling mode is one field of ``WorkloadOptions``."""
+
     def test_defaults_are_static(self):
-        policy = SchedulingPolicy()
-        assert policy.policy == "static"
-        assert not policy.adaptive
-        assert policy.rebalance
+        assert POLICIES == ("static", "adaptive")
+        assert WorkloadOptions().scheduling == "static"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(WorkloadError, match="unknown scheduling policy"):
-            SchedulingPolicy(policy="clairvoyant")
+            WorkloadOptions(scheduling="clairvoyant")
 
     def test_only_the_knobs_somebody_sets_are_fields(self):
-        """The decision thresholds are constants of
-        :mod:`repro.adapt.controller`, not options."""
-        assert [f.name for f in dataclasses.fields(SchedulingPolicy)] == [
-            "policy", "resplit", "multi_resource", "rebalance"]
-        with pytest.raises(TypeError, match="boost_cap"):
-            SchedulingPolicy(boost_cap=2.0)
+        """The controller's switches and decision thresholds are
+        constants of :mod:`repro.adapt.controller`, not options."""
+        names = [f.name for f in dataclasses.fields(WorkloadOptions)]
+        assert names.count("scheduling") == 1
+        for knob in ("resplit", "multi_resource", "rebalance", "boost_cap"):
+            assert knob not in names
+            with pytest.raises(TypeError, match=knob):
+                WorkloadOptions(**{knob: False})
 
     def test_replace_returns_an_updated_copy(self):
-        policy = SchedulingPolicy()
-        adaptive = policy.replace(policy="adaptive", resplit=False)
-        assert adaptive.adaptive and not adaptive.resplit
-        assert policy.policy == "static" and policy.resplit
+        options = WorkloadOptions()
+        adaptive = options.replace(scheduling="adaptive")
+        assert adaptive.scheduling == "adaptive"
+        assert options.scheduling == "static"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            SchedulingPolicy().policy = "adaptive"
+            WorkloadOptions().scheduling = "adaptive"
 
     def test_nested_in_workload_options(self):
-        options = WorkloadOptions(
-            scheduling=SchedulingPolicy(policy="adaptive"))
-        assert options.scheduling.adaptive
-        assert WorkloadOptions().scheduling == SchedulingPolicy()
+        assert WorkloadOptions(scheduling="adaptive").scheduling == "adaptive"
 
     def test_workload_options_replace_swaps_the_block(self):
         options = WorkloadOptions(max_concurrent=2)
-        swapped = options.replace(
-            scheduling=SchedulingPolicy(policy="adaptive"))
-        assert swapped.scheduling.adaptive
+        swapped = options.replace(scheduling="adaptive")
+        assert swapped.scheduling == "adaptive"
         assert swapped.max_concurrent == 2
-        assert not options.scheduling.adaptive
+        assert options.scheduling == "static"
 
     def test_non_policy_scheduling_rejected(self):
-        with pytest.raises(WorkloadError, match="scheduling"):
-            WorkloadOptions(scheduling="adaptive")
+        for mode in (None, "Adaptive", ("adaptive",)):
+            with pytest.raises(WorkloadError, match="scheduling"):
+                WorkloadOptions(scheduling=mode)
 
 
 class TestDeprecatedRebalanceAlias:
@@ -106,7 +103,7 @@ class TestDeprecatedRebalanceAlias:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             WorkloadOptions()
-            WorkloadOptions(scheduling=SchedulingPolicy(rebalance=False))
+            WorkloadOptions(scheduling="adaptive")
 
 
 class TestMonitorsValidation:
@@ -191,8 +188,7 @@ class TestStrategySwitch:
             SlowdownWindow(0.0, float("inf"), 8.0,
                            operation="join1", thread_ids=(0, 1)),))
         session = db.session(options=WorkloadOptions(
-            scheduling=SchedulingPolicy(policy=policy, resplit=False),
-            faults=faults))
+            scheduling=policy, faults=faults))
         session.submit_plan(plan, schema, threads=ADAPTIVE_THREADS,
                             schedule=schedule, tag="q0")
         return session.run()
@@ -212,9 +208,26 @@ class TestStrategySwitch:
         assert event.data["observed"]
 
     def test_decision_log_records_the_switch(self, pair):
+        """Resplit fires beside the switch in this scenario: two kinds
+        of decision in one run, each logged once per bus event."""
         _, adaptive = pair
-        assert [d.step for d in adaptive.decisions.decisions].count(
-            STEP_SWITCH) == len(adaptive.bus.events_of(SCHEDULE_SWITCH))
+        # What one decision and its bus event both name: the target
+        # and the value chosen for it.
+        pairs = (
+            (STEP_RESPLIT, SCHEDULE_RESPLIT,
+             lambda e: (f"{e.data['tag']}/w{e.data['wave']}",
+                        e.data["after"])),
+            (STEP_SWITCH, SCHEDULE_SWITCH,
+             lambda e: (e.operation, e.data["after"])),
+        )
+        for step, kind, key in pairs:
+            logged = [(d.target, d.chosen)
+                      for d in adaptive.decisions.decisions if d.step == step]
+            events = [key(e) for e in adaptive.bus.events_of(kind)]
+            assert logged, f"no {step} decision recorded"
+            assert logged == events
+        assert {d.step for d in adaptive.decisions.decisions} == {
+            STEP_RESPLIT, STEP_SWITCH}
 
     def test_switch_changes_no_result_row(self, pair):
         static, adaptive = pair
@@ -234,55 +247,3 @@ class TestResplitShares:
         shares = [5, 5]
         assert resplit_shares(shares, [TRIGGERED, TRIGGERED], 0.9) == shares
         assert resplit_shares(shares, [PIPELINED, PIPELINED], 0.9) == shares
-
-
-class TestMultiResourceAllocation:
-    def test_memory_axis_caps_the_grant(self):
-        grants = allocate_to_queries(
-            20, [10, 10], [1.0, 1.0],
-            resources=[ResourceVector(cpu=10, memory_bytes=900),
-                       ResourceVector(cpu=10, memory_bytes=100)],
-            capacities=ResourceVector(cpu=20, memory_bytes=1000))
-        # Equal complexity weights split the memory capacity evenly
-        # (500 each): the hungry query is capped at half its demand.
-        assert grants[0] == 5
-        assert grants[1] == 10
-
-    def test_unbound_axes_reproduce_the_cpu_only_split(self):
-        legacy = allocate_to_queries(16, [10, 10], [1.0, 3.0])
-        vectors = allocate_to_queries(
-            16, [10, 10], [1.0, 3.0],
-            resources=[ResourceVector(), ResourceVector()],
-            capacities=ResourceVector())
-        assert vectors == legacy
-
-    def test_cpu_axis_is_an_entitlement_not_a_pass_through(self):
-        # Naming the CPU axis tightens each query to its complexity-
-        # weight share of the capacity *before* water-filling — the
-        # malleable-scheduling semantics, deliberately different from
-        # the share-then-redistribute CPU-only path.
-        grants = allocate_to_queries(
-            16, [10, 10], [1.0, 3.0],
-            resources=[ResourceVector(cpu=10), ResourceVector(cpu=10)],
-            capacities=ResourceVector(cpu=16))
-        assert grants == [4, 10]
-
-    def test_resources_without_capacities_rejected(self):
-        with pytest.raises(Exception):
-            allocate_to_queries(16, [10], [1.0],
-                                resources=[ResourceVector(cpu=10)])
-
-    def test_negative_axis_rejected(self):
-        with pytest.raises(Exception):
-            ResourceVector(cpu=-1.0)
-
-    def test_multi_resource_workload_matches_cpu_only_when_unbound(self):
-        cpu_only = _Scenario.run("static", factor=1.0)
-        db, plan, schema = build_adaptive_scenario()
-        session = db.session(options=WorkloadOptions(
-            scheduling=SchedulingPolicy(multi_resource=True)))
-        session.submit_plan(plan, schema, threads=ADAPTIVE_THREADS,
-                            tag="q0")
-        vectors = session.run()
-        assert vectors.makespan == cpu_only.makespan
-        assert _rows(vectors) == _rows(cpu_only)

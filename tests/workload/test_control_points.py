@@ -19,7 +19,6 @@ from repro import (
     DBS3,
     ExecutionOptions,
     ObservabilityOptions,
-    SchedulingPolicy,
     ServingPolicy,
     WorkloadOptions,
     generate_wisconsin,
@@ -48,7 +47,7 @@ FEATURES = {
     "bare": {},
     "shared": {"shared": True},
     "serving": {"serving": ServingPolicy("edf", queue_limit=1)},
-    "adaptive": {"scheduling": SchedulingPolicy(policy="adaptive")},
+    "adaptive": {"scheduling": "adaptive"},
 }
 
 OBSERVERS = list(product((False, True), repeat=3))

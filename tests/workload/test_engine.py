@@ -7,8 +7,8 @@ Acceptance behaviors from the concurrent-workload design:
   machine);
 * with ``max_concurrent=1`` the workload degenerates to exactly the
   serial back-to-back timing (admission queueing is faithful);
-* every query completion triggers an observable re-grant, and with
-  ``rebalance`` helper threads join still-running waves mid-flight.
+* every query completion triggers an observable re-grant, and
+  helper threads join still-running waves mid-flight.
 """
 
 import pytest
@@ -16,7 +16,6 @@ import pytest
 from repro import (
     DBS3,
     AdmissionError,
-    SchedulingPolicy,
     WorkloadError,
     WorkloadExecutor,
     WorkloadOptions,
@@ -137,17 +136,6 @@ class TestDynamicReallocation:
         assert helpers, "no helper threads were added mid-wave"
         assert all(e.data["threads"] >= 1 and e.data["pool"] for e in helpers)
 
-    def test_rebalance_off_still_completes(self, db, serial_times):
-        session = db.session(WorkloadOptions(
-            scheduling=SchedulingPolicy(rebalance=False)))
-        for sql in QUERIES:
-            session.submit(sql)
-        result = session.run()
-        assert result.makespan < sum(serial_times.values())
-        bus = result.bus
-        helpers = [e for e in bus.events_of(QUERY_GRANT)
-                   if e.data["reason"] == "helpers"]
-        assert not helpers
 
     def test_initial_grants_respect_the_budget(self, db):
         session = db.session()

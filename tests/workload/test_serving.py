@@ -5,9 +5,9 @@ Contracts under test: ``serving=None`` and a default
 a bounded queue sheds the policy's victim pre-admission with the
 full client surface intact (terminal status, ``QueryShedError``,
 ``query.reject`` event, backpressure signal, span reject reason,
-report serving section); memory- and deadline-infeasible queries
-become ``rejected``/``shed`` statuses instead of raising into the
-open-loop stream; and brownout without monitor rules never trips.
+report serving section); and memory- and deadline-infeasible
+queries become ``rejected``/``shed`` statuses instead of raising into
+the open-loop stream.
 """
 
 import gc
@@ -33,12 +33,7 @@ from repro.errors import QueryRejectedError, QueryShedError
 from repro.faults.plan import ActivationFaults, FaultPlan
 from repro.lera.graph import LeraGraph
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
-from repro.obs.bus import (
-    QUERY_ADMIT,
-    QUERY_REJECT,
-    SERVE_BACKPRESSURE,
-    SERVE_BROWNOUT,
-)
+from repro.obs.bus import QUERY_ADMIT, QUERY_REJECT, SERVE_BACKPRESSURE
 from repro.obs.monitor import POINT_FINISH
 from repro.scheduler.adaptive import AdaptiveScheduler
 from repro.serve.arrivals import make_arrival_process
@@ -176,19 +171,6 @@ class TestInfeasibleRejection:
         assert fine.status == DONE
         rejects = [e for e in result.bus.events if e.kind == QUERY_REJECT]
         assert rejects[0].data["reason"] == "deadline_infeasible"
-
-
-class TestBrownout:
-    def test_without_monitor_rules_brownout_never_trips(self, db):
-        session = db.session(WorkloadOptions(
-            max_concurrent=2,
-            serving=ServingPolicy(brownout=True, brownout_factor=0.5)))
-        _submit_wave(session)
-        result = session.run()
-        assert all(result.status_of(f"q{i}") == DONE for i in range(4))
-        assert not [e for e in result.bus.events
-                    if e.kind == SERVE_BROWNOUT]
-        assert not result.report().serving.get("brownout_tripped", False)
 
 
 def _arrivals(count, rate):
