@@ -65,7 +65,6 @@ from repro.errors import (
 )
 from repro.faults import (
     ActivationFaults,
-    DiskFault,
     FaultPlan,
     MemoryPressure,
     SlowdownWindow,
@@ -120,7 +119,6 @@ __all__ = [
     "CompilationError",
     "CostModel",
     "DBS3",
-    "DiskFault",
     "DiurnalArrivals",
     "ExecutionError",
     "ExecutionFaultError",

@@ -19,6 +19,7 @@ from repro.engine.metrics import QueryExecution
 from repro.engine.operation import DeliveryTap, OperationRuntime
 from repro.engine.strategies import RANDOM, make_strategy
 from repro.errors import ExecutionError, ExecutionFaultError, PlanError
+from repro.faults.plan import FaultPlan
 from repro.lera.activation import PIPELINED, TRIGGERED
 from repro.lera.graph import PIPELINE, LeraGraph, LeraNode
 from repro.lera.operators import AggregateSpec, PipelinedJoinSpec, StoreSpec
@@ -106,13 +107,14 @@ class ObservabilityOptions:
     engine evaluates at virtual-time control points (admission,
     regrant, wave barriers, query finish).  A non-empty tuple implies
     workload metrics (the rules read the registry); fired alerts land
-    on ``WorkloadResult.alerts`` (:meth:`Executor.execute` evaluates
-    them too, but returns no workload result to read them from)."""
+    on ``WorkloadResult.alerts``.  A workload setting:
+    :class:`ExecutionOptions` refuses it."""
     profile: bool = False
     """Self-profile the engine's *wall-clock* hot paths with an
     :class:`~repro.prof.profiler.EngineProfiler` exposed as
     ``WorkloadResult.profile``.  Measures the simulator, not the
-    simulated system; virtual-time behaviour is unchanged."""
+    simulated system; virtual-time behaviour is unchanged.  A workload
+    setting: :class:`ExecutionOptions` refuses it."""
 
     def __post_init__(self) -> None:
         # A stray non-Monitor in the tuple used to surface only deep
@@ -137,7 +139,8 @@ class ObservabilityOptions:
 class ExecutionOptions:
     """Executor knobs orthogonal to the schedule.
 
-    Observability flags live in the nested ``observability`` block.
+    Observability flags live in the nested ``observability`` block;
+    of those, only ``observe`` is per query.
     """
 
     placement: str = PLACEMENT_WARM
@@ -145,7 +148,7 @@ class ExecutionOptions:
     seed: int = 0
     observability: ObservabilityOptions = field(
         default_factory=ObservabilityOptions)
-    faults: object | None = None
+    faults: FaultPlan | None = None
     """Optional :class:`~repro.faults.plan.FaultPlan` to inject into
     the run.  ``None`` (the default) runs under the shared empty-plan
     injector :data:`~repro.faults.injector.NO_FAULTS`, so no plan and
@@ -159,6 +162,19 @@ class ExecutionOptions:
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ExecutionError(
                 f"queue capacity must be >= 1, got {self.queue_capacity}")
+        if not isinstance(self.observability, ObservabilityOptions):
+            raise ExecutionError(
+                f"observability must be an ObservabilityOptions, got "
+                f"{type(self.observability).__name__}")
+        if self.observability.monitors or self.observability.profile:
+            raise ExecutionError(
+                "monitors and profile are workload settings (their "
+                "alerts and self-profile land on the WorkloadResult); "
+                "set them with WorkloadOptions(observability=...)")
+        if self.faults is not None and not isinstance(self.faults, FaultPlan):
+            raise ExecutionError(
+                f"faults must be a FaultPlan (or None), got "
+                f"{type(self.faults).__name__}")
 
     # Read-only views of the nested block, so call sites can keep
     # asking ``options.observe`` (non-annotated, hence not fields).

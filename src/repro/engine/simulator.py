@@ -131,8 +131,8 @@ class Simulator:
         self.on_query_abort = on_query_abort
         #: The run's :class:`~repro.faults.injector.FaultInjector`
         #: (``NO_FAULTS`` for a run without a plan).  Each hook sits
-        #: behind one of its precomputed flags; the one ``_step`` reads
-        #: is held here.
+        #: behind one of its precomputed flags; the one the per-step
+        #: and per-activation paths read is held here.
         self._injector = injector
         self._perturbs_cpu = injector.perturbs_cpu
         #: Times the event loop's phases (and each admitted operator
@@ -396,8 +396,7 @@ class Simulator:
         """Park the thread to the end of a stall window covering it
         (asked only when the plan perturbs the CPU)."""
         operation = thread.operation
-        until = self._injector.stall_until(
-            operation.name, thread.thread_id, thread.clock)
+        until = self._injector.stall_until(operation.name, thread.clock)
         if until is None:
             return False
         if operation.bus is not None:
@@ -546,13 +545,12 @@ class Simulator:
             lone = operation.outputs[-1].collector is operation.result_rows
             if not lone:
                 cost += self._enqueue_charge(operation.outputs, len(emitted))
-        if self._injector.adjusts_charges:
-            # Disk latency spikes and slowdown windows fold into the
-            # single whole-activation charge (dilation is identically
-            # 1 on this path, so the factor applies here, not in
-            # _charge_factor).
+        if self._perturbs_cpu:
+            # Slowdown windows fold into the single whole-activation
+            # charge (dilation is identically 1 on this path, so the
+            # factor applies here, not in _charge_factor).
             cost = self._injector.charge(operation, thread.thread_id,
-                                         activation, start, cost)
+                                         start, cost)
         thread.clock += cost
         thread.busy_time += cost
         bus = operation.bus
@@ -591,12 +589,8 @@ class Simulator:
         if emitted:
             total += self._enqueue_charge(thread.operation.outputs,
                                           len(emitted))
-        if self._injector.has_disk:
-            # Disk latency adds to the total; slowdown windows apply
-            # per slice (via _charge_factor), re-sampled as windows
-            # open and close.
-            total += self._injector.disk_extra(thread.operation, activation,
-                                               thread.clock)
+        # Slowdown windows apply per slice (via _charge_factor),
+        # re-sampled as windows open and close.
         self._in_progress[thread.thread_id] = _WorkInProgress(
             emitted, thread.clock, total)
 

@@ -72,7 +72,8 @@ class QueryShedError(QueryRejectedError):
 
 
 class FaultError(ReproError):
-    """An injected fault fired (or a fault plan is malformed)."""
+    """A fault plan is malformed (and the base of a query aborted by
+    an injected fault)."""
 
 
 class ExecutionFaultError(FaultError):

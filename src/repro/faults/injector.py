@@ -9,13 +9,14 @@ construction: a run without a plan gets :data:`NO_FAULTS`, the shared
 injector of the empty plan, so "no plan" and "empty plan" are one path.
 The simulator consults it through a handful of hooks, each behind a
 flag the injector precomputes from its plan (``perturbs_cpu``,
-``can_fail``, ``adjusts_charges``, ``has_disk``, ``next_time_at``),
-which the empty plan leaves off: nothing in it is ever mutated.
+``can_fail``, ``next_time_at``), which the empty plan leaves off:
+nothing in it is ever mutated.
 
 Virtual-time semantics of each hook:
 
-* ``stall_until`` — a thread about to run inside a stall window is
-  parked (idle) until the window ends.
+* ``stall_until`` — a thread about to run inside a stall window of its
+  operator (or of every operator) is parked (idle) until the window
+  ends.
 * ``speed_factor`` — multiplies into the dilation factor of every
   work/poll/access charge whose *start* instant falls inside a
   matching slowdown window (sliced execution therefore re-samples the
@@ -23,8 +24,10 @@ Virtual-time semantics of each hook:
 * ``attempt`` — decides whether a dequeued activation's processing
   attempt fails *before* its DBFunc runs (stateful operators must not
   observe failed attempts); returns the retry/abort decision.
-* ``charge`` — folds disk latency spikes and the slowdown factor into
-  one activation's work charge.
+* ``charge`` — multiplies one whole activation's work charge by the
+  slowdown factor at its start, and announces the first slowdown each
+  thread of an operator meets (the sliced path charges the factor per
+  slice through ``speed_factor`` instead, unannounced).
 * ``apply_time`` — fires memory-pressure events whose instant has
   passed, shrinking the machine's Allcache budget.
 
@@ -39,12 +42,9 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.errors import FaultError
-from repro.faults.plan import ActivationFaults, DiskFault, FaultPlan
-from repro.lera.activation import CONTROL
+from repro.faults.plan import FaultPlan
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,14 +61,6 @@ class FailureDecision:
     attempt: int
     aborts: bool
     operation: str
-
-
-def _matches(window, op_name: str, thread_id: int | None) -> bool:
-    if window.operation is not None and window.operation != op_name:
-        return False
-    if window.thread_ids is not None and thread_id not in window.thread_ids:
-        return False
-    return True
 
 
 class FaultInjector:
@@ -93,11 +85,6 @@ class FaultInjector:
         self._fail_ops = {
             spec.operation for spec in plan.activations
             if spec.operation is not None and spec.rate > 0}
-        self._fail_ops.update(
-            spec.operation for spec in plan.disk if spec.error_rate > 0)
-        self._disk_by_op: dict[str, list[DiskFault]] = {}
-        for spec in plan.disk:
-            self._disk_by_op.setdefault(spec.operation, []).append(spec)
         # Retry ledger: the activation's address -> (attempts,
         # activation).  Activations hash by value, so equal ones must
         # not share a count; the entry pins the activation so its
@@ -108,28 +95,25 @@ class FaultInjector:
         # Precomputed hot-path gates: the simulator consults these
         # plain attributes before paying a method call, so an empty
         # plan costs one attribute check per site and nothing more.
-        self.has_disk = bool(self._disk_by_op)
-        self.adjusts_charges = self.has_disk or self.perturbs_cpu
         self.can_fail = self._fail_any or bool(self._fail_ops)
         #: Instant of the next pending time-triggered fault, ``inf``
         #: when none is pending (plain attribute, maintained by
         #: :meth:`apply_time`).
         self.next_time_at = (self._pending_memory[0].at
                              if self._pending_memory else math.inf)
-        # One announcement event per (window/spec, operation) pair so
+        # One slowdown announcement per (thread, operation) pair so
         # continuous faults don't flood the bus.
         self._announced: set[tuple[int, str]] = set()
 
     # ------------------------------------------------------------------
     # CPU perturbation
 
-    def stall_until(self, op_name: str, thread_id: int,
-                    now: float) -> float | None:
+    def stall_until(self, op_name: str, now: float) -> float | None:
         """End of the latest stall window covering *now*, if any."""
         until = None
         for window in self.plan.stalls:
             if (window.t0 <= now < window.t1
-                    and _matches(window, op_name, thread_id)):
+                    and window.operation in (None, op_name)):
                 if until is None or window.t1 > until:
                     until = window.t1
         return until
@@ -140,39 +124,23 @@ class FaultInjector:
         factor = 1.0
         for window in self.plan.slowdowns:
             if (window.t0 <= now < window.t1
-                    and _matches(window, op_name, thread_id)):
+                    and window.operation in (None, op_name)
+                    and (window.thread_ids is None
+                         or thread_id in window.thread_ids)):
                 factor *= window.factor
         return factor
 
     # ------------------------------------------------------------------
-    # Per-activation charges (disk latency + slowdown)
+    # Whole-activation charges (slowdown)
 
-    def disk_extra(self, operation, activation, now: float) -> float:
-        """Extra I/O latency for one triggered activation, if any."""
-        specs = self._disk_by_op.get(operation.name)
-        if specs is None or activation.kind != CONTROL:
-            return 0.0
-        extra = 0.0
-        for spec in specs:
-            if spec.extra_latency <= 0 or not spec.t0 <= now < spec.t1:
-                continue
-            if (spec.instances is not None
-                    and activation.instance not in spec.instances):
-                continue
-            extra += spec.extra_latency
-            self._announce(spec, operation, now, spec.extra_latency)
-        return extra
-
-    def charge(self, operation, thread_id: int, activation,
-               now: float, cost: float) -> float:
-        """Adjust one whole-activation work charge for active faults."""
-        if self._disk_by_op:
-            cost += self.disk_extra(operation, activation, now)
-        if self.perturbs_cpu:
-            factor = self.speed_factor(operation.name, thread_id, now)
-            if factor != 1.0:
-                cost *= factor
-                self._announce_slowdown(operation, thread_id, now, factor)
+    def charge(self, operation, thread_id: int, now: float,
+               cost: float) -> float:
+        """One whole-activation work charge under the slowdown factor
+        at its start."""
+        factor = self.speed_factor(operation.name, thread_id, now)
+        if factor != 1.0:
+            cost *= factor
+            self._announce_slowdown(operation, thread_id, now, factor)
         return cost
 
     # ------------------------------------------------------------------
@@ -190,7 +158,7 @@ class FaultInjector:
         The RNG is only consulted for activations an applicable spec
         targets, so un-targeted operators never advance it.
         """
-        spec = self._draw_failure(operation, activation, now)
+        spec = self._draw_failure(operation)
         key = id(activation)
         if spec is None:
             # A clean attempt after earlier failures: retry succeeded.
@@ -201,9 +169,7 @@ class FaultInjector:
             from repro.obs.metrics import FAULTS_INJECTED
             self.metrics.counter(
                 FAULTS_INJECTED, operation=operation.name).inc(now)
-        wasted = spec_wasted = getattr(spec, "wasted_cost", None)
-        if spec_wasted is None:
-            wasted = operation.queues[activation.instance].cost_estimate
+        wasted = operation.queues[activation.instance].cost_estimate
         if attempts > spec.max_retries:
             self._attempts.pop(key, None)
             if self.metrics is not None:
@@ -225,7 +191,7 @@ class FaultInjector:
             wasted=wasted, backoff=backoff, attempt=attempts,
             aborts=False, operation=operation.name)
 
-    def _draw_failure(self, operation, activation, now: float):
+    def _draw_failure(self, operation):
         """The first applicable spec whose seeded draw fires, if any."""
         name = operation.name
         for spec in self.plan.activations:
@@ -234,16 +200,6 @@ class FaultInjector:
             if spec.operation is not None and spec.operation != name:
                 continue
             if self.rng.random() < spec.rate:
-                return spec
-        for spec in self._disk_by_op.get(name, ()):
-            if spec.error_rate <= 0 or activation.kind != CONTROL:
-                continue
-            if not spec.t0 <= now < spec.t1:
-                continue
-            if (spec.instances is not None
-                    and activation.instance not in spec.instances):
-                continue
-            if self.rng.random() < spec.error_rate:
                 return spec
         return None
 
@@ -269,23 +225,11 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Bus announcements
 
-    def _announce(self, spec, operation, now: float,
-                  extra_latency: float) -> None:
-        if operation.bus is None:
-            return
-        key = (id(spec), operation.name)
-        if key in self._announced:
-            return
-        self._announced.add(key)
-        from repro.obs.bus import FAULT_DISK
-        operation.bus.emit(FAULT_DISK, now, operation=operation.name,
-                           extra_latency=extra_latency)
-
     def _announce_slowdown(self, operation, thread_id: int, now: float,
                            factor: float) -> None:
         if operation.bus is None:
             return
-        key = (-1 - thread_id, operation.name)
+        key = (thread_id, operation.name)
         if key in self._announced:
             return
         self._announced.add(key)
@@ -300,34 +244,3 @@ class FaultInjector:
 #: a run pays no construction for it.
 NO_FAULTS = FaultInjector(FaultPlan())
 
-
-# ----------------------------------------------------------------------
-# Real-file I/O faults (storage/io.py hook)
-
-
-@contextmanager
-def io_faults(plan: FaultPlan):
-    """Install the plan's I/O error paths into :mod:`repro.storage.io`.
-
-    While active, any CSV load/save whose path contains one of
-    ``plan.io_error_paths`` as a substring raises
-    :class:`~repro.errors.FaultError`.  Restores the previous hook on
-    exit.
-    """
-    from repro.storage import io as storage_io
-
-    patterns = plan.io_error_paths
-
-    def hook(mode: str, path) -> None:
-        text = str(path)
-        for pattern in patterns:
-            if pattern in text:
-                raise FaultError(
-                    f"injected I/O fault: {mode} {text!r} matches "
-                    f"{pattern!r}")
-
-    previous = storage_io.set_io_fault_hook(hook if patterns else None)
-    try:
-        yield
-    finally:
-        storage_io.set_io_fault_hook(previous)

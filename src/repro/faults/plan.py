@@ -12,11 +12,9 @@ seconds):
 
 * :class:`SlowdownWindow` — targeted threads process work ``factor``
   times slower inside the window (a processor busy with outside work).
-* :class:`StallWindow` — targeted threads freeze entirely inside the
-  window (a page fault storm, a preempted processor).
-* :class:`DiskFault` — triggered (fragment-scan) activations of one
-  operator pay extra I/O latency and/or fail transiently at a seeded
-  rate.
+* :class:`StallWindow` — the threads of one operator (or of every
+  operator) freeze entirely inside the window (a page fault storm, a
+  preempted processor).
 * :class:`MemoryPressure` — at instant ``at`` the machine's Allcache
   budget shrinks to ``factor`` of its current size; eviction pressure
   follows naturally.
@@ -25,12 +23,16 @@ seconds):
   exponential virtual-time backoff; after ``max_retries`` failed
   attempts the query aborts with
   :class:`~repro.errors.ExecutionFaultError`.
+
+Disks are placement metadata only (the paper's measurements are
+memory-resident), so there is no disk or file-I/O fault: every kind
+above is one some run injects.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import FaultError
 
@@ -38,11 +40,6 @@ from repro.errors import FaultError
 def _check_window(t0: float, t1: float) -> None:
     if t0 < 0 or t1 <= t0:
         raise FaultError(f"fault window [{t0}, {t1}) is empty or negative")
-
-
-def _check_rate(rate: float, label: str) -> None:
-    if not 0.0 <= rate <= 1.0:
-        raise FaultError(f"{label} must be within [0, 1], got {rate}")
 
 
 @dataclass(frozen=True)
@@ -70,47 +67,15 @@ class SlowdownWindow:
 
 @dataclass(frozen=True)
 class StallWindow:
-    """Targeted threads freeze entirely during ``[t0, t1)``."""
+    """The threads of ``operation`` freeze entirely during ``[t0, t1)``;
+    ``None`` freezes every operator's threads."""
 
     t0: float
     t1: float
     operation: str | None = None
-    thread_ids: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         _check_window(self.t0, self.t1)
-
-
-@dataclass(frozen=True)
-class DiskFault:
-    """I/O trouble on one operator's fragment scans.
-
-    Applies to *triggered* (control/chunk) activations only — the ones
-    that model reading a fragment off storage.  ``extra_latency`` is
-    added to every such activation's cost inside the window;
-    ``error_rate`` makes the scan fail transiently (retried like an
-    :class:`ActivationFaults` failure).
-    """
-
-    operation: str
-    extra_latency: float = 0.0
-    error_rate: float = 0.0
-    instances: tuple[int, ...] | None = None
-    t0: float = 0.0
-    t1: float = float("inf")
-    max_retries: int = 5
-    backoff: float = 0.01
-    backoff_cap: float = 0.16
-
-    def __post_init__(self) -> None:
-        if self.t0 < 0 or self.t1 <= self.t0:
-            raise FaultError(
-                f"disk fault window [{self.t0}, {self.t1}) is empty")
-        if self.extra_latency < 0:
-            raise FaultError("extra_latency must be >= 0")
-        _check_rate(self.error_rate, "error_rate")
-        if self.max_retries < 0 or self.backoff <= 0 or self.backoff_cap <= 0:
-            raise FaultError("retry parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,11 +100,12 @@ class ActivationFaults:
 
     Each processing attempt of a matching activation fails with
     probability ``rate`` (drawn from the plan's seeded RNG).  A failed
-    attempt charges the wasted work, then re-enqueues the *same*
-    activation at ``now + backoff`` through the normal queue, so the
-    Random/LPT consumption strategies redistribute the retry; the
-    backoff doubles per attempt up to ``backoff_cap``.  The attempt
-    after ``max_retries`` failures aborts the query.
+    attempt charges its queue's cost estimate as wasted work, then
+    re-enqueues the *same* activation at ``now + backoff`` through the
+    normal queue, so the Random/LPT consumption strategies
+    redistribute the retry; the backoff doubles per attempt up to
+    ``backoff_cap``.  The attempt after ``max_retries`` failures
+    aborts the query.
     """
 
     operation: str | None = None
@@ -147,14 +113,14 @@ class ActivationFaults:
     max_retries: int = 3
     backoff: float = 0.01
     backoff_cap: float = 0.16
-    wasted_cost: float | None = None
 
     def __post_init__(self) -> None:
-        _check_rate(self.rate, "activation fault rate")
+        if not 0.0 <= self.rate <= 1.0:
+            raise FaultError(
+                f"activation fault rate must be within [0, 1], got "
+                f"{self.rate}")
         if self.max_retries < 0 or self.backoff <= 0 or self.backoff_cap <= 0:
             raise FaultError("retry parameters must be positive")
-        if self.wasted_cost is not None and self.wasted_cost < 0:
-            raise FaultError("wasted_cost must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -171,36 +137,30 @@ class FaultPlan:
     seed: int = 0
     slowdowns: tuple[SlowdownWindow, ...] = ()
     stalls: tuple[StallWindow, ...] = ()
-    disk: tuple[DiskFault, ...] = ()
     memory: tuple[MemoryPressure, ...] = ()
     activations: tuple[ActivationFaults, ...] = ()
-    io_error_paths: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("slowdowns", "stalls", "disk", "memory",
-                     "activations", "io_error_paths"):
+        # A spec in the wrong group would otherwise fail deep inside
+        # the run on a missing attribute; refuse it here.
+        for name, kind in (("slowdowns", SlowdownWindow),
+                           ("stalls", StallWindow),
+                           ("memory", MemoryPressure),
+                           ("activations", ActivationFaults)):
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 raise FaultError(f"FaultPlan.{name} must be a tuple")
+            for item in value:
+                if not isinstance(item, kind):
+                    raise FaultError(
+                        f"FaultPlan.{name} holds {kind.__name__}s, got "
+                        f"{type(item).__name__}: {item!r}")
 
     @property
     def is_empty(self) -> bool:
         """True when the plan injects nothing at all."""
-        return not (self.slowdowns or self.stalls or self.disk
-                    or self.memory or self.activations
-                    or self.io_error_paths)
-
-    def describe(self) -> str:
-        """One line per fault, for the chaos CLI."""
-        lines = [f"fault plan (seed={self.seed})"]
-        for group in fields(self):
-            if group.name in ("seed",):
-                continue
-            for item in getattr(self, group.name):
-                lines.append(f"  {item!r}")
-        if self.is_empty:
-            lines.append("  (empty)")
-        return "\n".join(lines)
+        return not (self.slowdowns or self.stalls or self.memory
+                    or self.activations)
 
     @classmethod
     def generate(cls, seed: int, operations: tuple[str, ...],

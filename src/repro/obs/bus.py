@@ -81,7 +81,6 @@ SERVE_BACKPRESSURE = "serve.backpressure"  # bounded queue hit/left its limit
 #: on the query's bus; ``fault.memory`` is machine-level and appears
 #: on the workload bus.
 FAULT_ACTIVATION = "fault.activation"  # one failed processing attempt
-FAULT_DISK = "fault.disk"              # disk latency/error spike active
 FAULT_MEMORY = "fault.memory"          # Allcache budget shrank mid-run
 FAULT_STALL = "fault.stall"            # a thread froze for a window
 FAULT_SLOWDOWN = "fault.slowdown"      # a slowdown window took effect
@@ -91,21 +90,6 @@ FAULT_SLOWDOWN = "fault.slowdown"      # a slowdown window took effect
 #: payloads so the diagnose CLI can explain exactly what moved.
 SCHEDULE_RESPLIT = "schedule.resplit"  # wave grant re-split by blame
 SCHEDULE_SWITCH = "schedule.switch"    # Random->LPT strategy switch
-
-EVENT_KINDS = (
-    WAVE_START, WAVE_END, OP_START, OP_SEED, OP_FINALIZE, OP_FINISH,
-    ENQUEUE, DEQUEUE, BLOCK, UNBLOCK, THREAD_FINISH, MEMORY,
-    QUERY_SUBMIT, QUERY_ADMIT, QUERY_GRANT, QUERY_FINISH,
-    QUERY_CANCEL, QUERY_ABORT, QUERY_REJECT,
-    SERVE_BACKPRESSURE,
-    FAULT_ACTIVATION, FAULT_DISK, FAULT_MEMORY, FAULT_STALL,
-    FAULT_SLOWDOWN,
-    SCHEDULE_RESPLIT, SCHEDULE_SWITCH,
-)
-
-#: Scalar-counter name prefixes (ready-index churn).
-READY_NOTIFY_PREFIX = "ready_notify/"
-READY_STALE_PREFIX = "ready_stale_drops/"
 
 
 class Event(NamedTuple):

@@ -21,30 +21,9 @@ _CONVERTERS = {
     "str": str,
 }
 
-#: Optional fault hook consulted before every load/save, called as
-#: ``hook(mode, path)`` with mode ``"read"``/``"write"``; it may raise
-#: :class:`~repro.errors.FaultError` to model an I/O failure.  ``None``
-#: (the default) costs one module-global check per call.  Installed by
-#: :func:`repro.faults.injector.io_faults`.
-_io_fault_hook = None
-
-
-def set_io_fault_hook(hook):
-    """Install (or clear, with ``None``) the I/O fault hook.
-
-    Returns the previous hook so callers can restore it.
-    """
-    global _io_fault_hook
-    previous = _io_fault_hook
-    _io_fault_hook = hook
-    return previous
-
-
 def relation_to_csv(relation: Relation, path: str | pathlib.Path) -> None:
     """Write *relation* to *path* as CSV with a header row."""
     path = pathlib.Path(path)
-    if _io_fault_hook is not None:
-        _io_fault_hook("write", path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(relation.schema.names)
@@ -84,8 +63,6 @@ def relation_from_csv(name: str, path: str | pathlib.Path,
             a value that does not convert to its attribute kind.
     """
     path = pathlib.Path(path)
-    if _io_fault_hook is not None:
-        _io_fault_hook("read", path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         try:

@@ -597,10 +597,9 @@ class _WorkloadRun:
         #: Control point -> subscribed consumers, in registration
         #: order.  A feature that is off registers nothing.
         self._listeners: dict[str, list] = {}
-        #: Monitor rules come from either options block; non-empty
-        #: rules imply metrics (the rules read the registry).
-        rules = (workload.observability.monitors
-                 or exec_options.observability.monitors)
+        #: Monitor rules are a workload setting; non-empty rules
+        #: imply metrics (the rules read the registry).
+        rules = workload.observability.monitors
         self.metrics = (MetricsRegistry()
                         if exec_options.observe
                         or workload.observability.observe
@@ -625,8 +624,7 @@ class _WorkloadRun:
         #: the run own a fresh profiler (started/stopped around
         #: :meth:`run`, so coverage is structural); an enclosing
         #: ``profile()`` block is picked up without owning it.
-        self._profile_requested = (exec_options.observability.profile
-                                   or workload.observability.profile)
+        self._profile_requested = workload.observability.profile
         ambient = active_profiler()
         self._own_profiler = self._profile_requested and ambient is None
         self.profiler = EngineProfiler() if self._own_profiler else ambient

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.executor import ObservabilityOptions
 from repro.errors import WorkloadError
+from repro.faults.plan import FaultPlan
 from repro.serve.policies import ServingPolicy
 
 #: The two scheduling modes (``WorkloadOptions.scheduling``).
@@ -62,7 +63,7 @@ class WorkloadOptions:
     The raw workload event
     stream (submit/admit/grant/finish) is always collected — it is
     O(queries), not O(activations)."""
-    faults: object | None = None
+    faults: FaultPlan | None = None
     """Optional :class:`~repro.faults.FaultPlan` applied to the whole
     workload's shared simulation.  ``None`` (the default) runs under
     the shared empty-plan injector
@@ -98,6 +99,10 @@ class WorkloadOptions:
             raise WorkloadError(
                 f"observability must be an ObservabilityOptions, got "
                 f"{type(self.observability).__name__}")
+        if self.faults is not None and not isinstance(self.faults, FaultPlan):
+            raise WorkloadError(
+                f"faults must be a FaultPlan (or None), got "
+                f"{type(self.faults).__name__}")
         if (self.serving is not None
                 and not isinstance(self.serving, ServingPolicy)):
             raise WorkloadError(

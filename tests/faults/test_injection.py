@@ -2,8 +2,8 @@
 
 Each fault type is exercised in isolation against the small join
 database: failures retry and converge to the clean result, exhausted
-retries abort with :class:`ExecutionFaultError`, latency/slowdown/
-stall faults dilate virtual time monotonically, and — the load-bearing
+retries abort with :class:`ExecutionFaultError`, slowdown and stall
+faults dilate virtual time, and — the load-bearing
 invariant — an empty plan (or no plan) leaves the run bit-identical.
 """
 
@@ -13,21 +13,18 @@ import pytest
 
 from repro.engine.executor import ExecutionOptions, Executor
 from repro.engine.metrics import STATUS_DONE
-from repro.errors import ExecutionFaultError, FaultError
+from repro.errors import ExecutionFaultError
 from repro.faults import (
     ActivationFaults,
-    DiskFault,
     FaultPlan,
     MemoryPressure,
     SlowdownWindow,
     StallWindow,
 )
-from repro.faults.injector import io_faults
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.machine.machine import Machine
 from repro.obs.export import read_jsonl, write_jsonl
 from repro.scheduler.adaptive import AdaptiveScheduler
-from repro.storage.io import relation_to_csv
 
 THREADS = 8
 
@@ -101,25 +98,6 @@ class TestRetries:
             _run(join_db, faults=faults)
 
 
-class TestDiskFaults:
-    def test_extra_latency_dilates_monotonically(self, join_db):
-        responses = []
-        for extra in (0.0, 0.001, 0.01):
-            faults = None if extra == 0.0 else FaultPlan(
-                disk=(DiskFault("join", extra_latency=extra),))
-            responses.append(
-                _run(join_db, faults=faults, pipelined=False).response_time)
-        assert responses[0] < responses[1] < responses[2]
-
-    def test_disk_errors_retry_to_clean_result(self, join_db):
-        clean = _run(join_db, pipelined=False)
-        faults = FaultPlan(seed=2, disk=(
-            DiskFault("join", error_rate=0.2, max_retries=50),))
-        faulted = _run(join_db, faults=faults, pipelined=False)
-        assert sorted(faulted.result_rows) == sorted(clean.result_rows)
-        assert faulted.operations["join"].faults_injected > 0
-
-
 class TestCpuFaults:
     def test_slowdown_dilates_response(self, join_db):
         clean = _run(join_db)
@@ -160,6 +138,19 @@ class TestCpuFaults:
         assert stalled.operations["join"].stalled_time > 0.0
         assert sorted(stalled.result_rows) == sorted(clean.result_rows)
 
+    def test_machine_wide_stall_parks_every_operation(self, join_db):
+        # A stall naming no operation freezes every operator's threads:
+        # each pool that runs inside the window is charged stalled
+        # idle time, and the answer is the clean run's.
+        clean = _run(join_db)
+        stalled = _run(join_db, faults=FaultPlan(stalls=(
+            StallWindow(0.0, 0.25),)))
+        assert stalled.response_time > clean.response_time
+        assert sorted(stalled.result_rows) == sorted(clean.result_rows)
+        for name, op in stalled.operations.items():
+            assert op.stalled_time > 0.0, name
+            assert op.idle_time >= op.stalled_time, name
+
 
 class TestMemoryPressure:
     def test_shrinking_allcache_budget_raises_penalty(self, join_db):
@@ -174,25 +165,6 @@ class TestMemoryPressure:
                        for op in clean.operations.values())
         assert penalty >= baseline
         assert pressured.response_time >= clean.response_time
-
-
-class TestIoFaults:
-    def test_matching_path_raises(self, tmp_path, small_relation):
-        plan = FaultPlan(io_error_paths=("flaky",))
-        with io_faults(plan):
-            with pytest.raises(FaultError, match="injected I/O fault"):
-                relation_to_csv(small_relation, tmp_path / "flaky.csv")
-
-    def test_non_matching_path_unaffected(self, tmp_path, small_relation):
-        plan = FaultPlan(io_error_paths=("flaky",))
-        with io_faults(plan):
-            relation_to_csv(small_relation, tmp_path / "steady.csv")
-        assert (tmp_path / "steady.csv").exists()
-
-    def test_hook_restored_on_exit(self, tmp_path, small_relation):
-        with io_faults(FaultPlan(io_error_paths=("flaky",))):
-            pass
-        relation_to_csv(small_relation, tmp_path / "flaky.csv")
 
 
 class TestSeededDeterminism:

@@ -14,11 +14,13 @@
   the workload engine: a second wave loop cannot return quietly.  Its
   constructor has no defaulted parameter, so a feature (a fault plan,
   a profiler) cannot come back as an optional fork of the event loop.
-* **No dead definitions.**  Every function and class defined in the
-  package is referenced somewhere other than its definition: in the
-  package, its tests, the examples, the benchmark or the docs.
-* **Every option has a caller.**  A field of an option block exists
-  only if some caller outside the tests sets it (DESIGN.md §7): it is
+* **No dead definitions.**  Every function, class and module-level
+  ``UPPER_CASE`` constant defined in the package is referenced
+  somewhere other than its definition: in the package, its tests, the
+  examples, the benchmark or the docs.
+* **Every option has a caller.**  A field of an option block (the
+  fault plan's five dataclasses included) exists only if some caller
+  outside the tests sets it (DESIGN.md §7): it is
   passed as a keyword somewhere in ``src``, ``perf_ledger`` or
   ``benchmarks``, or positionally to the block's constructor there.
   The fields that stay without one sit in
@@ -53,9 +55,6 @@ ID_KEYS = {
         "_attempts: an Activation is a NamedTuple that hashes by value, "
         "and equal activations must not share a retry count; the ledger "
         "value pins the activation",
-    ("faults/injector.py", "FaultInjector._announce"):
-        "_announced: a frozen DiskFault hashes by value, and equal specs "
-        "must each announce; the injector's FaultPlan holds every spec",
     ("lera/fingerprint.py", "_fragment_key"):
         "fingerprints: a fingerprint is plain data (tuples of str and "
         "int) compared as a value; the plan's specs hold their "
@@ -71,6 +70,8 @@ OPTION_BLOCKS = {
                            "OperationSchedule"),
     "workload/options.py": ("WorkloadOptions",),
     "serve/policies.py": ("ServingPolicy",),
+    "faults/plan.py": ("FaultPlan", "SlowdownWindow", "StallWindow",
+                       "MemoryPressure", "ActivationFaults"),
 }
 
 #: Where a caller that sets an option may live: the tests do not count.
@@ -197,21 +198,36 @@ def _tokens(text: str) -> list[str]:
     return re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
 
 
+def _definitions(tree: ast.Module):
+    """``(name, line)`` of every function and class in *tree* (dunder
+    methods are called by the language) and of every module-level
+    ``UPPER_CASE`` assignment."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))):
+            yield node.name, node.lineno
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            if (isinstance(target, ast.Name)
+                    and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)):
+                yield target.id, node.lineno
+
+
 def unreferenced(sources: dict[str, str], outside: Counter) -> list[str]:
-    """Functions and classes defined in *sources* whose name occurs in
-    the package (*sources*) and *outside* it no more often than it is
-    defined.  Dunder methods are called by the language."""
+    """Definitions in *sources* (:func:`_definitions`) whose name occurs
+    in the package (*sources*) and *outside* it no more often than it
+    is defined."""
     words = Counter(outside)
     definitions: dict[str, list[str]] = {}
     for module, text in sources.items():
         words.update(_tokens(text))
-        for node in ast.walk(ast.parse(text)):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))):
-                definitions.setdefault(node.name, []).append(
-                    f"{module}:{node.lineno}")
+        for name, line in _definitions(ast.parse(text)):
+            definitions.setdefault(name, []).append(f"{module}:{line}")
     return [f"{site}: {name} is defined but never referenced"
             for name, sites in sorted(definitions.items())
             if words[name] <= len(sites) for site in sites]
@@ -314,6 +330,16 @@ def test_an_unreferenced_definition_is_caught():
         "    return sorted(rows)\n")}
     assert unreferenced(doctored, _outside_references()) == [
         "bench/doctored.py:1: forgotten_helper is defined but never "
+        "referenced"]
+
+
+def test_an_unreferenced_constant_is_caught():
+    doctored = {**_package(), "bench/doctored.py": (
+        "FORGOTTEN_LIMIT = 64\n"
+        "_ROW_LIMIT: int = 8\n"
+        "limits = [_ROW_LIMIT]\n")}
+    assert unreferenced(doctored, _outside_references()) == [
+        "bench/doctored.py:1: FORGOTTEN_LIMIT is defined but never "
         "referenced"]
 
 

@@ -14,12 +14,14 @@ import pytest
 from repro import (
     DBS3,
     AdmissionError,
+    ExecutionError,
     ExecutionOptions,
     ObservabilityOptions,
     WorkloadError,
     WorkloadOptions,
     generate_wisconsin,
 )
+from repro.obs.monitor import default_monitors
 from repro.workload.session import DONE, PENDING
 
 SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
@@ -204,3 +206,26 @@ class TestWorkloadOptionsValidation:
             WorkloadOptions(observability=ObservabilityOptions(trace=True))
         assert [f.name for f in dataclasses.fields(ObservabilityOptions)] \
             == ["observe", "monitors", "profile"]
+
+    def test_faults_that_are_not_a_plan_rejected(self):
+        with pytest.raises(WorkloadError, match="faults must be a FaultPlan"):
+            WorkloadOptions(faults="not a plan")
+
+
+class TestExecutionOptionsValidation:
+    def test_faults_that_are_not_a_plan_rejected(self):
+        # Otherwise the run fails with AttributeError (no attribute
+        # 'seed').
+        with pytest.raises(ExecutionError, match="faults must be a FaultPlan"):
+            ExecutionOptions(faults="not a plan")
+
+    def test_monitors_are_a_workload_setting(self):
+        with pytest.raises(ExecutionError,
+                           match=r"WorkloadOptions\(observability=\.\.\.\)"):
+            ExecutionOptions(observability=ObservabilityOptions(
+                monitors=default_monitors()))
+
+    def test_profile_is_a_workload_setting(self):
+        with pytest.raises(ExecutionError,
+                           match=r"WorkloadOptions\(observability=\.\.\.\)"):
+            ExecutionOptions(observability=ObservabilityOptions(profile=True))
