@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.engine.queues import ActivationQueue
 from repro.engine.ready_index import ReadyIndex
-from repro.engine.strategies import ConsumptionStrategy
+from repro.engine.strategies import ConsumptionStrategy, lpt_keys
 from repro.engine.threads import WorkerThread
 from repro.errors import ExecutionError
 from repro.lera.activation import TRIGGERED
@@ -74,6 +74,9 @@ class OperationRuntime:
         queues: One activation queue per instance.
         threads: The thread pool (filled by the executor).
         strategy: Consumption strategy instance.
+        lpt_keys: LPT's rank of each instance
+            (:func:`~repro.engine.strategies.lpt_keys` of the queues'
+            cost estimates), handed to every ``choose``.
         cache_size: Max activations fetched per queue access (the
             internal activation cache of Figure 4).
         outputs: Delivery edges.  The first is the operation's own:
@@ -106,6 +109,7 @@ class OperationRuntime:
                             capacity=queue_capacity, cost_estimate=estimates[i])
             for i in range(node.instances)
         ]
+        self.lpt_keys = lpt_keys(estimates)
         self.threads: list[WorkerThread] = []
         self.ready_index: ReadyIndex | None = None
         #: Per-operation observability hook (set by the executor).
@@ -180,7 +184,7 @@ class OperationRuntime:
         pool_size = len(self.threads)
         for thread in self.threads:
             thread.assign_main_queues(
-                [q for i, q in enumerate(self.queues) if i % pool_size == thread.pool_index])
+                self.queues[thread.pool_index::pool_size])
         # Main queues partition the operation's queues across the pool
         # (the modulo rule above), which is what lets the ready index
         # keep one heap per pool slot.  Low-degree operations stay on
@@ -253,15 +257,6 @@ class OperationRuntime:
         self.input_closed = True
 
     # -- queue-state helpers ------------------------------------------------------
-
-    def earliest_pending(self) -> float | None:
-        """Smallest ready time among all pending activations, if any."""
-        earliest: float | None = None
-        for queue in self.queues:
-            t = queue.next_ready_time()
-            if t is not None and (earliest is None or t < earliest):
-                earliest = t
-        return earliest
 
     @property
     def drained(self) -> bool:

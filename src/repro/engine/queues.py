@@ -51,16 +51,14 @@ class ActivationQueue:
             an activation while a target queue is at or over capacity
             block until a consumer drains it (``None`` = unbounded).
         cost_estimate: Static estimate of one activation's processing
-            cost for this instance — what the LPT strategy ranks
-            queues by (derived from fragment cardinalities).
-        lpt_key: ``(cost_estimate, -instance)``, LPT's rank, fixed here
-            so a choice among candidates builds no tuples.
+            cost for this instance (from fragment cardinalities), the
+            input of the owning operation's LPT ``lpt_keys``.
         depth_key: Name of the operation's queue-depth probe, fixed
             here so an observed enqueue builds no string.
     """
 
     __slots__ = ("operation_name", "instance", "kind", "capacity",
-                 "cost_estimate", "lpt_key", "depth_key", "_heap", "_seq",
+                 "cost_estimate", "depth_key", "_heap", "_seq",
                  "enqueued", "consumed", "blocked_producers", "listener",
                  "obs")
 
@@ -73,7 +71,6 @@ class ActivationQueue:
         self.kind = kind
         self.capacity = capacity
         self.cost_estimate = cost_estimate
-        self.lpt_key = (cost_estimate, -instance)
         self.depth_key = queue_depth_key(operation_name)
         self._heap: list[tuple[float, int, Activation]] = []
         self._seq = 0

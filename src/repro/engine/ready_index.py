@@ -37,7 +37,7 @@ replaces, and over only the plausibly ready queues instead of all d.
 Selection mirrors the legacy scan exactly, without iterating queues:
 
 * ready main candidates are the own-pool members with head <= now,
-  returned in instance order (the order the scan produced);
+  returned as unsorted instance ids — the *set* the scan produced;
 * secondary candidates — consulted only when no main is ready — come
   from the operation-wide structure: since no own-pool queue is ready,
   every operation-wide ready instance is necessarily secondary;
@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.engine.operation import OperationRuntime
-    from repro.engine.queues import ActivationQueue
     from repro.engine.threads import WorkerThread
 
 #: Sentinel pool id of the operation-wide structure.
@@ -68,13 +67,12 @@ _GLOBAL = -1
 class ReadyIndex:
     """Per-operation index over its activation queues' head ready times."""
 
-    __slots__ = ("_queues", "_nrt", "_pool_of", "_heaps", "_ready",
+    __slots__ = ("_nrt", "_pool_of", "_heaps", "_ready",
                  "_mains_per_pool", "_track_global", "obs",
                  "_notify_key", "_stale_key", "_ready_key")
 
     def __init__(self, operation: "OperationRuntime") -> None:
         queues = operation.queues
-        self._queues = queues
         #: Observability hook (an EventBus), attached by the executor
         #: when observability is on; ``None`` costs one check per site.
         self.obs = None
@@ -175,12 +173,12 @@ class ReadyIndex:
 
     def select(self, thread: "WorkerThread", now: float,
                allow_secondary: bool
-               ) -> tuple[list["ActivationQueue"], int, float | None, bool]:
-        """Candidate queues for *thread* at time *now*.
+               ) -> tuple[list[int], int, float | None, bool]:
+        """Ready instance ids for *thread* at time *now*.
 
         Returns ``(ready, polls, future, used_secondary)`` reproducing
-        the legacy linear scan bit-for-bit: the same candidate list in
-        the same (instance) order, the same count of not-ready queues
+        the legacy linear scan bit-for-bit: the same set of ready
+        instance ids (unsorted), the same count of not-ready queues
         charged as ``poll_empty`` work and — only when nothing is
         ready — the earliest pending ready time visible to the thread
         (every queue with secondary access, its own mains without).
@@ -235,16 +233,10 @@ class ReadyIndex:
                             self._floor(pool), False)
         # On the second pass no own-pool queue was ready, so every
         # operation-wide ready instance is a secondary queue.
-        queues = self._queues
-        if len(found) == 1:
-            candidates = [queues[found[0]]]
-        else:
-            found.sort()
-            candidates = list(map(queues.__getitem__, found))
         if slot != _GLOBAL:
-            return (candidates, self._mains_per_pool[pool] - len(found),
+            return (found, self._mains_per_pool[pool] - len(found),
                     None, False)
-        return (candidates, len(queues) - len(found),
+        return (found, len(self._nrt) - len(found),
                 None if found else self._floor(_GLOBAL), True)
 
     def quiet(self, thread: "WorkerThread", now: float) -> float | None:

@@ -339,8 +339,7 @@ class Simulator:
     # -- one thread step ---------------------------------------------------------
 
     def _scan_select(self, thread: WorkerThread, now: float
-                     ) -> tuple[list[ActivationQueue], int,
-                                float | None, bool]:
+                     ) -> tuple[list[int], int, float | None, bool]:
         """Legacy candidate selection: linear scan over every queue.
 
         Scans main queues first, falling back to secondary queues; the
@@ -351,12 +350,12 @@ class Simulator:
         below ``READY_INDEX_MIN_INSTANCES`` (they carry no index).
         """
         operation = thread.operation
-        ready: list[ActivationQueue] = []
+        ready: list[int] = []
         polls = 0
         future: float | None = None
         for queue in thread.main_queues:
             if queue.has_ready(now):
-                ready.append(queue)
+                ready.append(queue.instance)
             else:
                 polls += 1
                 t = queue.next_ready_time()
@@ -369,7 +368,7 @@ class Simulator:
                 if queue.instance in main_set:
                     continue
                 if queue.has_ready(now):
-                    ready.append(queue)
+                    ready.append(queue.instance)
                 else:
                     polls += 1
                     t = queue.next_ready_time()
@@ -456,12 +455,14 @@ class Simulator:
                 self._finish_thread(thread)
             return
 
-        queue = operation.strategy.choose(self.rng, ready)
+        instance = operation.strategy.choose(self.rng, ready,
+                                             operation.lpt_keys)
+        queue = operation.queues[instance]
         batch = queue.dequeue_ready(thread.clock, operation.cache_size)
         operation.pending_activations -= len(batch)
         operation.dequeue_batches += 1
         access_cost = costs.dequeue_batch
-        secondary = used_secondary or queue.instance not in thread.main_queue_set
+        secondary = used_secondary or instance not in thread.main_queue_set
         if secondary:
             access_cost += costs.secondary_access
             operation.secondary_accesses += 1
@@ -469,7 +470,7 @@ class Simulator:
             # EventBus.emit, written out: one record per dequeue batch.
             operation.bus.events.append(Event(
                 DEQUEUE, thread.clock, operation.name, thread.thread_id,
-                {"instance": queue.instance, "count": len(batch),
+                {"instance": instance, "count": len(batch),
                  "secondary": secondary}))
         access_cost *= dilation
         thread.clock += access_cost

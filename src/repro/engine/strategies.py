@@ -5,36 +5,35 @@ Currently, DBS3 supports two strategies: Random and LPT.  For all
 strategies, main queues are always considered first."  (Section 3,
 step 4.)
 
-The strategy only picks *which* non-empty candidate queue a thread
-serves next; the main-before-secondary discipline is enforced by the
-simulator, which builds the candidate list.
+The strategy only picks *which* ready instance a thread serves next;
+the main-before-secondary discipline is enforced by the simulator,
+whose selection hands over the ready instance ids unsorted.  Random and
+RoundRobin sort them (Random only when it draws); LPT is order-free.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from operator import attrgetter
 
-from repro.engine.queues import ActivationQueue
 from repro.errors import ExecutionError
 
 RANDOM = "random"
 LPT = "lpt"
 ROUND_ROBIN = "round_robin"
 STRATEGIES = (RANDOM, LPT, ROUND_ROBIN)
-_LPT_KEY = attrgetter("lpt_key")
 
 
 class ConsumptionStrategy(ABC):
-    """Chooses one queue among the candidates holding ready activations."""
+    """Chooses one instance among those holding ready activations."""
 
     name: str = "abstract"
 
     @abstractmethod
-    def choose(self, rng: random.Random,
-               candidates: list[ActivationQueue]) -> ActivationQueue:
-        """Pick a queue; *candidates* is non-empty."""
+    def choose(self, rng: random.Random, ready: list[int],
+               keys: list[int]) -> int:
+        """Pick from *ready* (non-empty, unsorted, the strategy's to
+        reorder); *keys* is the operation's :func:`lpt_keys`."""
 
 
 class RandomStrategy(ConsumptionStrategy):
@@ -46,11 +45,12 @@ class RandomStrategy(ConsumptionStrategy):
 
     name = RANDOM
 
-    def choose(self, rng: random.Random,
-               candidates: list[ActivationQueue]) -> ActivationQueue:
-        if len(candidates) == 1:
-            return candidates[0]
-        return candidates[rng.randrange(len(candidates))]
+    def choose(self, rng: random.Random, ready: list[int],
+               keys: list[int]) -> int:
+        if len(ready) == 1:
+            return ready[0]
+        ready.sort()
+        return ready[rng.randrange(len(ready))]
 
 
 class LPTStrategy(ConsumptionStrategy):
@@ -60,14 +60,14 @@ class LPTStrategy(ConsumptionStrategy):
     expensive activations."  DBS3 does not estimate per-activation
     times at run time; queues are ranked by static fragment-size
     information captured in ``cost_estimate``; among equal estimates
-    the lowest instance wins (``ActivationQueue.lpt_key``).
+    the lowest instance wins (both folded into :func:`lpt_keys`).
     """
 
     name = LPT
 
-    def choose(self, rng: random.Random,
-               candidates: list[ActivationQueue]) -> ActivationQueue:
-        return max(candidates, key=_LPT_KEY)
+    def choose(self, rng: random.Random, ready: list[int],
+               keys: list[int]) -> int:
+        return max(ready, key=keys.__getitem__)
 
 
 class RoundRobinStrategy(ConsumptionStrategy):
@@ -79,11 +79,23 @@ class RoundRobinStrategy(ConsumptionStrategy):
     def __init__(self) -> None:
         self._cursor = 0
 
-    def choose(self, rng: random.Random,
-               candidates: list[ActivationQueue]) -> ActivationQueue:
-        choice = candidates[self._cursor % len(candidates)]
+    def choose(self, rng: random.Random, ready: list[int],
+               keys: list[int]) -> int:
+        ready.sort()
+        choice = ready[self._cursor % len(ready)]
         self._cursor += 1
         return choice
+
+
+def lpt_keys(estimates: list[float]) -> list[int]:
+    """LPT's rank of each instance: higher for a dearer estimate and,
+    among equal estimates, for the lower instance (the stable sort
+    keeps ties in descending instance order)."""
+    keys = [0] * len(estimates)
+    for rank, instance in enumerate(sorted(
+            range(len(estimates) - 1, -1, -1), key=estimates.__getitem__)):
+        keys[instance] = rank
+    return keys
 
 
 def make_strategy(name: str) -> ConsumptionStrategy:

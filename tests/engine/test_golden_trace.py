@@ -36,8 +36,13 @@ THREADS = 10
 
 #: (plan kind, Zipf theta, strategy) -> pinned (response_time, polls of
 #: the join operation).  Captured from the pre-index engine; the index
-#: reproduces them exactly.
+#: reproduces them exactly.  The theta-0 LPT row was captured from the
+#: engine whose strategies chose among sorted queue lists: there every
+#: fragment estimate ties, so LPT's lower-instance tie-break makes each
+#: pick (the fragments are equal, so any tie order gives this trace;
+#: tests/engine/test_strategies.py pins the order itself).
 GOLDEN = {
+    ("ideal", 0.0, "lpt"): (0.5069739999999998, 1860),
     ("ideal", 0.5, "lpt"): (0.5249889999999998, 2867),
     ("ideal", 0.5, "random"): (0.5436459999999997, 2697),
     ("assoc", 0.0, "lpt"): (1.5369009999999996, 285013),

@@ -87,17 +87,6 @@ class TestLifecycle:
         operation.pending_activations = 0
         assert operation.drained
 
-    def test_earliest_pending(self):
-        operation = _triggered(3)
-        operation.build_pool([0], start_time=0.0)
-        operation.queues[1].enqueue(5.0, _make_trigger(1))
-        operation.queues[2].enqueue(2.0, _make_trigger(2))
-        assert operation.earliest_pending() == 2.0
-
-    def test_earliest_pending_empty(self):
-        operation = _triggered(2)
-        assert operation.earliest_pending() is None
-
     def test_complete_requires_built_pool(self):
         operation = _triggered()
         assert not operation.complete
@@ -105,8 +94,3 @@ class TestLifecycle:
     def test_response_time_zero_before_finish(self):
         operation = _triggered()
         assert operation.response_time == 0.0
-
-
-def _make_trigger(instance):
-    from repro.lera.activation import trigger
-    return trigger(instance)

@@ -13,7 +13,7 @@ from repro.engine.operation import (
     OperationRuntime,
 )
 from repro.engine.ready_index import ReadyIndex
-from repro.engine.strategies import make_strategy
+from repro.engine.strategies import RoundRobinStrategy, make_strategy
 from repro.lera.activation import trigger, tuple_activation
 from repro.lera.graph import LeraNode
 from repro.lera.operators import ScanFilterSpec
@@ -44,14 +44,15 @@ def _operation(instances=12, threads=3, allow_secondary=True,
 
 
 def _scan_reference(thread, now):
-    """The legacy per-step scan, restated (mirrors Simulator._scan_select)."""
+    """The legacy per-step scan, restated (mirrors Simulator._scan_select):
+    the ready instance ids in instance order."""
     operation = thread.operation
     ready = []
     polls = 0
     future = None
     for queue in thread.main_queues:
         if queue.has_ready(now):
-            ready.append(queue)
+            ready.append(queue.instance)
         else:
             polls += 1
             t = queue.next_ready_time()
@@ -64,7 +65,7 @@ def _scan_reference(thread, now):
             if queue.instance in main_set:
                 continue
             if queue.has_ready(now):
-                ready.append(queue)
+                ready.append(queue.instance)
             else:
                 polls += 1
                 t = queue.next_ready_time()
@@ -88,7 +89,10 @@ def _assert_matches_scan(operation, now):
                 [], len(operation.queues), quiet, True)
         got_ready, got_polls, got_future, got_secondary = index.select(
             thread, now, operation.allow_secondary)
-        assert got_ready == want_ready, f"thread {thread.pool_index} @ {now}"
+        # The index hands the ids over unsorted; the strategies that
+        # index by position sort them.
+        assert sorted(got_ready) == want_ready, (
+            f"thread {thread.pool_index} @ {now}")
         assert got_polls == want_polls, f"thread {thread.pool_index} @ {now}"
         if want_ready:
             assert got_future is None
@@ -113,10 +117,15 @@ class TestSelection:
             operation.queues[instance].enqueue(1.0, trigger(instance))
         ready, polls, _, used_secondary = operation.ready_index.select(
             operation.threads[0], 2.0, True)
-        assert [q.instance for q in ready] == [0, 6, 9]
+        assert sorted(ready) == [0, 6, 9]
         assert polls == 1          # instance 3 scanned empty
         assert not used_secondary
         _assert_matches_scan(operation, 2.0)
+        # Selection hands the ids over unsorted; a positional strategy
+        # puts them in instance order before it picks.
+        assert RoundRobinStrategy().choose(
+            random.Random(0), ready, operation.lpt_keys) == 0
+        assert ready == [0, 6, 9]
 
     def test_future_main_not_selected(self):
         operation = _operation()
@@ -135,7 +144,7 @@ class TestSelection:
         operation.queues[5].enqueue(1.0, trigger(5))
         ready, polls, _, used_secondary = operation.ready_index.select(
             operation.threads[0], 2.0, True)
-        assert [q.instance for q in ready] == [1, 5]
+        assert sorted(ready) == [1, 5]
         assert used_secondary
         # 4 own mains + 6 not-ready secondaries were scanned empty.
         assert polls == 10
@@ -147,7 +156,7 @@ class TestSelection:
         operation.queues[3].enqueue(1.0, trigger(3))   # own main, later
         ready, _, _, used_secondary = operation.ready_index.select(
             operation.threads[0], 2.0, True)
-        assert [q.instance for q in ready] == [3]
+        assert ready == [3]
         assert not used_secondary
 
     def test_no_secondary_when_disallowed(self):
@@ -169,7 +178,7 @@ class TestIncrementalMaintenance:
         queue = operation.queues[0]
         queue.enqueue(1.0, trigger(0))
         thread = operation.threads[0]
-        assert operation.ready_index.select(thread, 2.0, True)[0] == [queue]
+        assert operation.ready_index.select(thread, 2.0, True)[0] == [0]
         queue.dequeue_ready(2.0, limit=1)
         assert operation.ready_index.select(thread, 2.0, True)[0] == []
         _assert_matches_scan(operation, 2.0)
@@ -183,7 +192,7 @@ class TestIncrementalMaintenance:
         thread = operation.threads[0]
         assert operation.ready_index.select(thread, 2.0, True)[::2] == (
             [], 5.0)
-        assert operation.ready_index.select(thread, 5.0, True)[0] == [queue]
+        assert operation.ready_index.select(thread, 5.0, True)[0] == [0]
 
     def test_earlier_enqueue_displaces_head(self):
         operation = _operation()
@@ -205,7 +214,7 @@ class TestIncrementalMaintenance:
         queue.enqueue(5.0, trigger(0))
         fast, slow = operation.threads[0], operation.threads[0]
         # A query at now=10 admits the entry to the ready set ...
-        assert operation.ready_index.select(fast, 10.0, True)[0] == [queue]
+        assert operation.ready_index.select(fast, 10.0, True)[0] == [0]
         # ... but a query at now=4 must still see it as not ready.
         assert operation.ready_index.select(slow, 4.0, True)[0] == []
         _assert_matches_scan(operation, 4.0)

@@ -13,6 +13,11 @@ operator body on each activation, charges it and routes its output
 into the consumer's queues.  Its frames are counted the same way, over
 every ``_step`` that dequeued.
 
+The third budget counts the dequeuing step of a triggered join under
+LPT at a degree the ready index serves, where each step chooses among
+about sixteen ready instances: a key function or helper called per
+candidate would add a frame per candidate.
+
 The counts repeat exactly on one interpreter; on failure the
 per-function histogram names the frame that came back.
 """
@@ -22,9 +27,14 @@ from collections import Counter
 
 from test_quiet_step import Config, Rig
 
+from repro.bench.runners import default_machine
+from repro.bench.workloads import make_join_database
+from repro.engine.executor import ExecutionOptions, Executor, QuerySchedule
+from repro.engine.operation import READY_INDEX_MIN_INSTANCES
 from repro.engine.queues import ActivationQueue
 from repro.engine.simulator import Simulator
 from repro.engine.threads import RUNNABLE
+from repro.lera.plans import ideal_join_plan
 
 #: Mean Python frames per fruitless poll: 3.09 measured (``_top`` on
 #: 9 % of them), 7.09 before the factor was cached and the charge and
@@ -35,6 +45,10 @@ FRAME_BUDGET = 3.2
 #: the charge, the delivery and the pool promotion were written out,
 #: the router took a batch and the per-activation records became tuples.
 DEQUEUE_FRAME_BUDGET = 17.0
+
+#: Mean Python frames per dequeuing step of the triggered LPT join:
+#: 12.01 measured, with 15.6 ready instances per choice on average.
+LPT_DEQUEUE_FRAME_BUDGET = 13.0
 
 
 def _profile_steps(play, counts):
@@ -108,3 +122,24 @@ def test_a_dequeuing_step_is_at_most_seventeen_frames():
     steps, frames = _profile_steps(_rig().play, _dequeuing)
     assert steps > 200, "the workload no longer dequeues per tuple"
     _assert_budget(steps, frames, DEQUEUE_FRAME_BUDGET, "dequeuing step")
+
+
+def test_a_triggered_lpt_dequeuing_step_has_no_frame_per_candidate():
+    # The IdealJoin at degree 120 on four threads, its strategy LPT;
+    # the fragments' indexes are built by one warm-up run, as the
+    # benchmark's warm-up op builds them.
+    degree = READY_INDEX_MIN_INSTANCES + 24
+    database = make_join_database(20 * degree, 2 * degree, degree, 0.5)
+    plan = ideal_join_plan(database.entry_a, database.entry_b, "key", "key")
+    schedule = QuerySchedule.for_plan(plan, 4).with_strategy("join", "lpt")
+    executor = Executor(default_machine(), ExecutionOptions(seed=0))
+
+    def play():
+        execution = executor.execute(plan, schedule)
+        assert execution.result_cardinality == database.expected_matches
+
+    play()
+    steps, frames = _profile_steps(play, _dequeuing)
+    assert steps == degree, "one dequeuing step per trigger"
+    _assert_budget(steps, frames, LPT_DEQUEUE_FRAME_BUDGET,
+                   "triggered LPT dequeuing step")

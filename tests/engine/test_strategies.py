@@ -1,41 +1,50 @@
-"""Consumption strategies: Random, LPT, RoundRobin."""
+"""Consumption strategies: Random, LPT, RoundRobin.
+
+A strategy picks an instance id from the ready ids selection found,
+handed over in no particular order.  The property at the end holds the
+id API to the strategies as they were when they chose among queue
+objects sorted by instance (restated here as the oracle): the same
+instance, and the same RNG stream, for every candidate set and order.
+"""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.queues import ActivationQueue
 from repro.engine.strategies import (
     LPTStrategy,
     RandomStrategy,
     RoundRobinStrategy,
+    lpt_keys,
     make_strategy,
 )
 from repro.errors import ExecutionError
 
 
-def _queues(estimates):
-    return [ActivationQueue("op", i, "triggered", cost_estimate=e)
-            for i, e in enumerate(estimates)]
-
-
 class TestRandomStrategy:
     def test_single_candidate_shortcut(self):
-        queues = _queues([1.0])
-        assert RandomStrategy().choose(random.Random(0), queues) is queues[0]
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert RandomStrategy().choose(rng, [4], lpt_keys([1.0] * 5)) == 4
+        assert rng.getstate() == state      # no draw for a lone candidate
 
     def test_covers_all_candidates(self):
-        queues = _queues([1.0, 1.0, 1.0])
+        keys = lpt_keys([1.0, 1.0, 1.0])
         rng = random.Random(0)
         strategy = RandomStrategy()
-        chosen = {strategy.choose(rng, queues).instance for _ in range(100)}
+        chosen = {strategy.choose(rng, [2, 0, 1], keys) for _ in range(100)}
         assert chosen == {0, 1, 2}
 
     def test_deterministic_for_seed(self):
-        queues = _queues([1.0] * 5)
-        picks_a = [RandomStrategy().choose(random.Random(7), queues).instance
+        keys = lpt_keys([1.0] * 5)
+        picks_a = [RandomStrategy().choose(random.Random(7), [3, 1, 4, 0, 2],
+                                           keys)
                    for _ in range(1)]
-        picks_b = [RandomStrategy().choose(random.Random(7), queues).instance
+        picks_b = [RandomStrategy().choose(random.Random(7), [0, 1, 2, 3, 4],
+                                           keys)
                    for _ in range(1)]
         assert picks_a == picks_b
 
@@ -62,39 +71,48 @@ class TestRandomStrategy:
 
 class TestLPTStrategy:
     def test_picks_most_expensive(self):
-        queues = _queues([1.0, 9.0, 3.0])
-        assert LPTStrategy().choose(random.Random(0), queues).instance == 1
+        keys = lpt_keys([1.0, 9.0, 3.0])
+        assert LPTStrategy().choose(random.Random(0), [0, 1, 2], keys) == 1
 
     def test_tie_breaks_on_lower_instance(self):
-        queues = _queues([5.0, 5.0])
-        assert LPTStrategy().choose(random.Random(0), queues).instance == 0
+        keys = lpt_keys([5.0, 5.0])
+        assert LPTStrategy().choose(random.Random(0), [1, 0], keys) == 0
+        assert LPTStrategy().choose(random.Random(0), [0, 1], keys) == 0
 
     def test_ignores_rng(self):
-        queues = _queues([1.0, 2.0])
+        keys = lpt_keys([1.0, 2.0])
         for seed in range(5):
-            assert LPTStrategy().choose(random.Random(seed), queues).instance == 1
+            rng = random.Random(seed)
+            state = rng.getstate()
+            assert LPTStrategy().choose(rng, [0, 1], keys) == 1
+            assert rng.getstate() == state
 
     def test_lpt_order_matches_descending_estimates(self):
         """Serving queues in LPT order processes the most expensive
         activations with highest priority, as in [Graham69]."""
-        queues = _queues([2.0, 8.0, 5.0, 1.0])
+        keys = lpt_keys([2.0, 8.0, 5.0, 1.0])
         strategy = LPTStrategy()
         order = []
-        remaining = list(queues)
+        remaining = [3, 0, 2, 1]
         while remaining:
-            pick = strategy.choose(random.Random(0), remaining)
-            order.append(pick.instance)
+            pick = strategy.choose(random.Random(0), list(remaining), keys)
+            order.append(pick)
             remaining.remove(pick)
         assert order == [1, 2, 0, 3]
 
 
 class TestRoundRobinStrategy:
     def test_rotates(self):
-        queues = _queues([1.0, 1.0, 1.0])
+        keys = lpt_keys([1.0, 1.0, 1.0])
         strategy = RoundRobinStrategy()
         rng = random.Random(0)
-        picks = [strategy.choose(rng, queues).instance for _ in range(6)]
+        picks = [strategy.choose(rng, [2, 1, 0], keys) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
+
+
+class TestLptKeys:
+    def test_dearer_ranks_higher_and_ties_go_to_the_lower_instance(self):
+        assert lpt_keys([2.0, 8.0, 2.0, 8.0]) == [1, 3, 0, 2]
 
 
 class TestFactory:
@@ -109,3 +127,60 @@ class TestFactory:
     def test_unknown_rejected(self):
         with pytest.raises(ExecutionError):
             make_strategy("greedy")
+
+
+# -- the queue-list strategies, restated as the oracle -------------------------
+
+def _oracle_random(state, rng, candidates):
+    if len(candidates) == 1:
+        return candidates[0]
+    return candidates[rng.randrange(len(candidates))]
+
+
+def _oracle_lpt(state, rng, candidates):
+    return max(candidates, key=lambda q: (q.cost_estimate, -q.instance))
+
+
+def _oracle_round_robin(state, rng, candidates):
+    choice = candidates[state["cursor"] % len(candidates)]
+    state["cursor"] += 1
+    return choice
+
+
+ORACLES = {
+    "random": _oracle_random,
+    "lpt": _oracle_lpt,
+    "round_robin": _oracle_round_robin,
+}
+
+
+@st.composite
+def _picks(draw):
+    """Estimates with forced ties, then a run of non-empty candidate
+    sets, each handed over in a shuffled order."""
+    degree = draw(st.integers(1, 12))
+    estimates = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                              min_size=degree, max_size=degree))
+    ids = st.lists(st.integers(0, degree - 1), min_size=1, unique=True)
+    steps = draw(st.lists(ids.flatmap(st.permutations), min_size=1,
+                          max_size=6))
+    return estimates, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLES)), picks=_picks(),
+       seed=st.integers(0, 2**32 - 1))
+def test_id_choice_matches_the_queue_list_choice(name, picks, seed):
+    estimates, steps = picks
+    queues = [ActivationQueue("op", i, "triggered", cost_estimate=e)
+              for i, e in enumerate(estimates)]
+    keys = lpt_keys(estimates)
+    strategy = make_strategy(name)
+    oracle, oracle_state = ORACLES[name], {"cursor": 0}
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for ready in steps:
+        # The scan's candidate list: queue objects in instance order.
+        candidates = [queues[i] for i in sorted(ready)]
+        want = oracle(oracle_state, oracle_rng, candidates).instance
+        assert strategy.choose(rng, list(ready), keys) == want
+        assert rng.getstate() == oracle_rng.getstate()
