@@ -28,7 +28,7 @@ from repro.scheduler.complexity import query_complexity
 def main() -> None:
     machine = Machine.uniform(processors=32)
     scheduler = AdaptiveScheduler(machine)
-    catalog = Catalog(disk_count=8)
+    catalog = Catalog()
 
     # A skewed join database plus an independent Wisconsin relation.
     database = make_join_database(30_000, 3_000, degree=60, theta=0.9,

@@ -22,7 +22,7 @@ from repro.engine.executor import PLACEMENT_COLD, PLACEMENT_WARM
 
 
 def main() -> None:
-    catalog = Catalog(disk_count=8)
+    catalog = Catalog()
     entry = make_selection_table(cardinality=50_000, degree=100,
                                  catalog=catalog)
     predicate = attribute_predicate(entry.relation.schema, "unique2", "<",

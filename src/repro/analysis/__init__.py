@@ -5,7 +5,6 @@ from repro.analysis.formulas import (
     ideal_time,
     nmax,
     nmax_from_costs,
-    overhead_from_times,
     skew_overhead_bound,
     worst_time,
 )
@@ -14,12 +13,7 @@ from repro.analysis.predictor import (
     QueryPrediction,
     predict,
 )
-from repro.analysis.speedup import (
-    SpeedupCurve,
-    skew_limited_speedup,
-    speedup,
-    theoretical_speedup,
-)
+from repro.analysis.speedup import SpeedupCurve, speedup
 
 __all__ = [
     "OperatorPrediction",
@@ -29,11 +23,8 @@ __all__ = [
     "ideal_time",
     "nmax",
     "nmax_from_costs",
-    "overhead_from_times",
     "predict",
-    "skew_limited_speedup",
     "skew_overhead_bound",
     "speedup",
-    "theoretical_speedup",
     "worst_time",
 ]

@@ -61,13 +61,6 @@ def skew_overhead_bound(activations: int, mean_cost: float, max_cost: float,
     return (max_cost / mean_cost) * (threads - 1) / activations
 
 
-def overhead_from_times(measured: float, ideal: float) -> float:
-    """Observed ``v`` given a measured and an ideal time: ``T/Tideal - 1``."""
-    if ideal <= 0:
-        raise ReproError(f"ideal time must be > 0, got {ideal}")
-    return measured / ideal - 1.0
-
-
 def nmax(activations: int, mean_cost: float, max_cost: float) -> float:
     """Largest useful degree of parallelism for a triggered operator.
 

@@ -1,8 +1,8 @@
-"""Speed-up curves: measured, theoretical, and skew-limited.
+"""Measured speed-up curves.
 
-Figures 14 and 15 plot measured speed-up against the *theoretical*
-linear speed-up (capped by the processor count) and, for triggered
-operators under skew, against the nmax ceiling.
+Figures 14 and 15 plot measured speed-up against the thread count;
+for triggered operators under skew the curve plateaus at the nmax
+ceiling.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.formulas import OperatorProfile
 from repro.errors import ReproError
 
 
@@ -19,34 +18,6 @@ def speedup(sequential_time: float, parallel_time: float) -> float:
     if parallel_time <= 0:
         raise ReproError(f"parallel time must be > 0, got {parallel_time}")
     return sequential_time / parallel_time
-
-
-def theoretical_speedup(threads: int, processors: int) -> float:
-    """Linear speed-up up to the processor count, flat beyond.
-
-    The paper's "theoretical speed-up" series: with simple queries
-    there is no benefit in allocating more threads than processors.
-    """
-    if threads < 1:
-        raise ReproError(f"threads must be >= 1, got {threads}")
-    if processors < 1:
-        raise ReproError(f"processors must be >= 1, got {processors}")
-    return float(min(threads, processors))
-
-
-def skew_limited_speedup(profile: OperatorProfile, threads: int,
-                         processors: int) -> float:
-    """Best possible speed-up for a triggered operator under skew.
-
-    The response time cannot drop below ``max(Tideal, Pmax)``, so the
-    speed-up plateaus at ``nmax`` once ``threads`` exceeds it.
-    """
-    effective = min(threads, processors)
-    sequential = profile.total_cost
-    bound = profile.lower_bound_time(effective)
-    if bound <= 0:
-        return float(effective)
-    return sequential / bound
 
 
 @dataclass(frozen=True)
@@ -83,12 +54,6 @@ class SpeedupCurve:
         """Highest speed-up reached along the curve."""
         return max(self.speedups)
 
-    @property
-    def peak_threads(self) -> int:
-        """Thread count at which the peak occurs."""
-        best = max(range(len(self.speedups)), key=lambda i: self.speedups[i])
-        return self.thread_counts[best]
-
     def ceiling(self, tolerance: float = 0.05) -> float:
         """Plateau value: the level the curve saturates at.
 
@@ -98,8 +63,3 @@ class SpeedupCurve:
         peak = self.peak
         plateau = [s for s in self.speedups if s >= peak * (1 - tolerance)]
         return sum(plateau) / len(plateau)
-
-    def efficiency_at(self, threads: int) -> float:
-        """Speed-up divided by thread count at one measured point."""
-        index = self.thread_counts.index(threads)
-        return self.speedups[index] / threads

@@ -147,7 +147,7 @@ FIG08_SMALL_THREADS = (2, 3, 4, 6, 8)
 def _build_fig08(thread_counts):
     relation = generate_wisconsin("DewittA", FIG08_CARDINALITY, seed=7,
                                   with_strings=True)
-    entry = Catalog(disk_count=8).register(
+    entry = Catalog().register(
         relation, PartitioningSpec.on("unique1", 200))
     plan = selection_plan(entry, attribute_predicate(
         relation.schema, "unique2", "<", FIG08_CARDINALITY // 100,

@@ -137,8 +137,7 @@ def make_jps_workload(card_r: int = 4000, card_s: int = 4000,
     catalog = Catalog()
     relation_s, fragments_s = skewed_fragments("S", card_s, degree, 0.0)
     hot_key = fragments_s[0].rows[0][0]
-    for _ in range(hot_matches):
-        fragments_s[0].append((hot_key, -1))
+    fragments_s[0].extend([(hot_key, -1)] * hot_matches)
     relation_s = Relation("S", relation_s.schema,
                           [row for f in fragments_s for row in f.rows])
     entry_s = catalog.register_fragments(
@@ -147,9 +146,3 @@ def make_jps_workload(card_r: int = 4000, card_s: int = 4000,
     predicate = Predicate("true", lambda row: True, 1.0)
     plan = filter_join_plan(entry_r, entry_s, predicate, "key", "key")
     return TaxonomyWorkload("JPS", plan, entry_r, entry_s)
-
-
-def all_workloads(**kwargs) -> list[TaxonomyWorkload]:
-    """One workload per taxonomy entry, with shared size parameters."""
-    return [make_avs_workload(**kwargs), make_ss_workload(**kwargs),
-            make_rs_workload(**kwargs), make_jps_workload(**kwargs)]

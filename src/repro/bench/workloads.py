@@ -85,7 +85,7 @@ def make_join_database(card_a: int, card_b: int, degree: int, theta: float,
     same placement.
     """
     if catalog is None:
-        catalog = Catalog(disk_count=8)
+        catalog = Catalog()
     relation_a, fragments_a = skewed_fragments(name_a, card_a, degree, theta)
     relation_b, fragments_b = skewed_fragments(name_b, card_b, degree, 0.0,
                                                payload_base=1_000_000_000)
@@ -100,6 +100,6 @@ def make_selection_table(cardinality: int = 200_000, degree: int = 200,
                          name: str = "DewittA") -> TableEntry:
     """The Figure 8 workload: a Wisconsin relation for parallel selection."""
     if catalog is None:
-        catalog = Catalog(disk_count=8)
+        catalog = Catalog()
     relation = generate_wisconsin(name, cardinality, seed=seed)
     return catalog.register(relation, PartitioningSpec.on("unique1", degree))

@@ -22,11 +22,6 @@ from repro.compiler.parallelizer import CompiledQuery, parallelize
 from repro.compiler.parser import parse
 
 
-def compile_query(sql: str, catalog, algorithm: str = "nested_loop") -> CompiledQuery:
-    """Full pipeline: parse, normalize, parallelize one SQL query."""
-    return parallelize(normalize(parse(sql), catalog), catalog, algorithm)
-
-
 __all__ = [
     "CompiledQuery",
     "Comparison",
@@ -41,7 +36,6 @@ __all__ = [
     "RANGE_SELECTIVITY",
     "RelationTerm",
     "base_relations",
-    "compile_query",
     "default_selectivity",
     "normalize",
     "parallelize",

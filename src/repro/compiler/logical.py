@@ -21,9 +21,6 @@ class Comparison:
     op: str
     value: object
 
-    def describe(self) -> str:
-        return f"{self.attribute} {self.op} {self.value!r}"
-
 
 @dataclass(frozen=True)
 class LogicalScan:

@@ -22,7 +22,6 @@ from repro.compiler.parallelizer import CompiledQuery, parallelize
 from repro.compiler.parser import lift, parse_tokens
 from repro.core.results import QueryResult
 from repro.engine.executor import ExecutionOptions, Executor, QuerySchedule
-from repro.lera.graph import LeraGraph
 from repro.lera.operators import JOIN_NESTED_LOOP
 from repro.machine.machine import Machine
 from repro.scheduler.adaptive import AdaptiveScheduler
@@ -30,7 +29,6 @@ from repro.storage.catalog import Catalog, TableEntry
 from repro.storage.fragment import Fragment
 from repro.storage.partitioning import PartitioningSpec
 from repro.storage.relation import Relation
-from repro.storage.schema import Schema
 from repro.workload.options import WorkloadOptions
 from repro.workload.session import Session
 
@@ -48,7 +46,6 @@ class DBS3:
             Allcache memory model.
         processors: Shortcut to build a default machine with this many
             processors (ignored when *machine* is given).
-        disks: Simulated disk count for round-robin placement.
         options: Executor options (placement policy, queue capacity,
             RNG seed).
         skew_threshold: Pmax/P ratio beyond which the scheduler picks
@@ -56,10 +53,10 @@ class DBS3:
     """
 
     def __init__(self, machine: Machine | None = None, processors: int = 72,
-                 disks: int = 8, options: ExecutionOptions | None = None,
+                 options: ExecutionOptions | None = None,
                  skew_threshold: float = 1.5) -> None:
         self.machine = machine or Machine.uniform(processors=processors)
-        self.catalog = Catalog(disk_count=disks)
+        self.catalog = Catalog()
         self.scheduler = AdaptiveScheduler(self.machine,
                                            skew_threshold=skew_threshold)
         self.executor = Executor(self.machine, options)
@@ -72,8 +69,8 @@ class DBS3:
                      degree: int) -> TableEntry:
         """Register a relation, hash partitioned on *partition_key*.
 
-        The degree of partitioning is independent of both the disk
-        count and any later degree of parallelism.
+        The degree of partitioning is independent of any later degree
+        of parallelism.
         """
         spec = PartitioningSpec.on(partition_key, degree)
         return self.catalog.register(relation, spec)
@@ -174,15 +171,6 @@ class DBS3:
         """
         return self.session().submit(sql, threads=threads, algorithm=algorithm,
                                      schedule=schedule).result()
-
-    def execute_plan(self, plan: LeraGraph, output_schema: Schema,
-                     threads: int | None = None,
-                     schedule: QuerySchedule | None = None,
-                     description: str = "custom plan") -> QueryResult:
-        """Run a hand-built Lera-par plan through scheduler + engine."""
-        return self.session().submit_plan(
-            plan, output_schema, threads=threads, schedule=schedule,
-            description=description).result()
 
     # -- introspection ----------------------------------------------------------------
 

@@ -194,12 +194,6 @@ class QueryExecution:
     def total_activations(self) -> int:
         return sum(op.activations for op in self.operations.values())
 
-    def speedup_against(self, sequential_time: float) -> float:
-        """``Tseq / response_time``."""
-        if self.response_time <= 0:
-            raise ExecutionError("response time is zero")
-        return sequential_time / self.response_time
-
     def summary(self) -> str:
         """A human-readable execution report (one block per operation)."""
         lines = [

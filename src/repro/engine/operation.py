@@ -140,7 +140,6 @@ class OperationRuntime:
         self.activation_costs: list[float] = []
         self.activation_outputs: list[int] = []
         self.finalized = False
-        self.finalize_cost = 0.0
         # Counters (ExecutionMetrics picks these up).
         self.polls = 0
         self.enqueues = 0

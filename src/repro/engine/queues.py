@@ -59,8 +59,7 @@ class ActivationQueue:
 
     __slots__ = ("operation_name", "instance", "kind", "capacity",
                  "cost_estimate", "depth_key", "_heap", "_seq",
-                 "enqueued", "consumed", "blocked_producers", "listener",
-                 "obs")
+                 "enqueued", "blocked_producers", "listener", "obs")
 
     def __init__(self, operation_name: str, instance: int, kind: str,
                  capacity: int | None = None, cost_estimate: float = 0.0) -> None:
@@ -75,7 +74,6 @@ class ActivationQueue:
         self._heap: list[tuple[float, int, Activation]] = []
         self._seq = 0
         self.enqueued = 0
-        self.consumed = 0
         self.blocked_producers: list["WorkerThread"] = []
         self.listener = None
         self.obs = None
@@ -108,10 +106,6 @@ class ActivationQueue:
         return self.capacity is not None and len(self._heap) >= self.capacity
 
     # -- consumer side -------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._heap
 
     def has_ready(self, now: float) -> bool:
         """Is at least one activation consumable at virtual time *now*?"""
@@ -150,7 +144,6 @@ class ActivationQueue:
         heap = self._heap
         while heap and len(batch) < limit and heap[0][0] <= now:
             batch.append(heapq.heappop(heap)[2])
-        self.consumed += len(batch)
         if batch and self.listener is not None:
             self.listener.notify(self.instance,
                                  heap[0][0] if heap else None)

@@ -710,7 +710,6 @@ class Simulator:
             if result is None:
                 continue
             operation.memory_penalty += ctx.penalty
-            operation.finalize_cost += result.cost
             started_at = thread.clock
             thread.advance(result.cost * self._charge_factor(thread),
                            busy=True)

@@ -44,8 +44,8 @@ class ExecutionTrace:
     """All busy intervals of one execution."""
 
     events: list[TraceEvent] = field(default_factory=list)
-    #: ``(event_count, sorted_starts, sorted_ends)`` memo for the
-    #: sweep-based queries below; invalidated by length change.
+    #: ``(event_count, sorted_starts, sorted_ends)`` memo for
+    #: :meth:`active_threads`; invalidated by length change.
     _bounds_cache: tuple | None = field(default=None, repr=False,
                                         compare=False)
 
@@ -86,8 +86,8 @@ class ExecutionTrace:
     def _sorted_bounds(self) -> tuple[list[float], list[float]]:
         """Sorted start and end times of all events (memoized).
 
-        Both sweep queries below work off these; the memo is keyed on
-        the event count, so appending events invalidates it.
+        The memo is keyed on the event count, so appending events
+        invalidates it.
         """
         cache = self._bounds_cache
         if cache is not None and cache[0] == len(self.events):
@@ -106,56 +106,6 @@ class ExecutionTrace:
         """
         starts, ends = self._sorted_bounds()
         return bisect_right(starts, instant) - bisect_right(ends, instant)
-
-    def utilization_timeline(self, bins: int = 20) -> list[float]:
-        """Mean busy-thread count per time bin across the span.
-
-        One sorted boundary sweep — O(E log E + bins) — instead of
-        rescanning every event per bin: walk the merged start/end
-        boundaries keeping a running active count, and distribute each
-        constant-activity segment over the bins it overlaps.
-        """
-        start, end = self.span
-        if end <= start:
-            return [0.0] * bins
-        width = (end - start) / bins
-        starts, ends = self._sorted_bounds()
-        timeline = [0.0] * bins
-        count = len(starts)
-        si = ei = 0
-        active = 0
-        prev = start
-        while ei < count:
-            take_start = si < count and starts[si] <= ends[ei]
-            t = starts[si] if take_start else ends[ei]
-            if t > prev:
-                if active:
-                    self._spread(timeline, prev, t, active, start, width)
-                prev = t
-            if take_start:
-                active += 1
-                si += 1
-            else:
-                active -= 1
-                ei += 1
-        threads = max(len(self.thread_ids()), 1)
-        scale = width * threads
-        return [busy / scale for busy in timeline]
-
-    @staticmethod
-    def _spread(timeline: list[float], a: float, b: float, weight: int,
-                start: float, width: float) -> None:
-        """Add ``weight * overlap`` of segment ``[a, b)`` to each bin."""
-        bins = len(timeline)
-        lo = min(int((a - start) / width), bins - 1)
-        hi = min(int((b - start) / width), bins - 1)
-        if lo == hi:
-            timeline[lo] += weight * (b - a)
-            return
-        timeline[lo] += weight * (start + (lo + 1) * width - a)
-        for i in range(lo + 1, hi):
-            timeline[i] += weight * width
-        timeline[hi] += weight * (b - (start + hi * width))
 
     # -- rendering ------------------------------------------------------------
 

@@ -24,7 +24,7 @@ seconds):
   attempts the query aborts with
   :class:`~repro.errors.ExecutionFaultError`.
 
-Disks are placement metadata only (the paper's measurements are
+Disks are not modelled (the paper's measurements are
 memory-resident), so there is no disk or file-I/O fault: every kind
 above is one some run injects.
 """
@@ -155,12 +155,6 @@ class FaultPlan:
                     raise FaultError(
                         f"FaultPlan.{name} holds {kind.__name__}s, got "
                         f"{type(item).__name__}: {item!r}")
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return not (self.slowdowns or self.stalls or self.memory
-                    or self.activations)
 
     @classmethod
     def generate(cls, seed: int, operations: tuple[str, ...],

@@ -58,8 +58,3 @@ def trigger(instance: int) -> Activation:
 def chunk_trigger(instance: int, chunk: int) -> Activation:
     """One of several control activations covering a fragment slice."""
     return Activation(CONTROL, instance, None, chunk)
-
-
-def tuple_activation(instance: int, row: Row) -> Activation:
-    """A data activation conveying one pipelined tuple."""
-    return Activation(DATA, instance, row)

@@ -107,12 +107,6 @@ class ScanFilterSpec(OperatorSpec):
     def estimated_instance_costs(self, costs: CostModel) -> list[float]:
         return [f.cardinality * costs.filter_tuple for f in self.fragments]
 
-    def estimated_output_cardinality(self) -> float:
-        """Rows expected to pass the filter across all instances."""
-        total = sum(f.cardinality for f in self.fragments)
-        selectivity = self.predicate.selectivity
-        return total * (selectivity if selectivity is not None else 1.0)
-
 
 @dataclass
 class JoinSpec(OperatorSpec):
@@ -241,10 +235,6 @@ class TransmitSpec(OperatorSpec):
 
     def estimated_instance_costs(self, costs: CostModel) -> list[float]:
         return [f.cardinality * costs.transmit_tuple for f in self.fragments]
-
-    def total_tuples(self) -> int:
-        """Number of data activations the downstream operator receives."""
-        return sum(f.cardinality for f in self.fragments)
 
 
 @dataclass

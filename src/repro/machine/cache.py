@@ -178,13 +178,3 @@ class AllcacheDirectory:
             for gone in cache.resize(capacity_bytes):
                 if self.home.get(gone) == cache.owner:
                     self.home[gone] = REMOTE_HOME
-
-    def total_stats(self) -> CacheStats:
-        """Aggregate counters across all local caches."""
-        total = CacheStats()
-        for cache in self.caches.values():
-            total.local_hits += cache.stats.local_hits
-            total.remote_misses += cache.stats.remote_misses
-            total.capacity_evictions += cache.stats.capacity_evictions
-            total.lines_shipped += cache.stats.lines_shipped
-        return total

@@ -76,14 +76,8 @@ class Series:
 ACTIVE_THREADS = "active_threads"
 MEMORY_PENALTY = "memory_penalty"
 QUEUE_DEPTH_PREFIX = "queue_depth/"
-READY_SET_PREFIX = "ready_set/"
 
 
 def queue_depth_key(operation_name: str) -> str:
     """Series name of one operation's total pending-activation depth."""
     return QUEUE_DEPTH_PREFIX + operation_name
-
-
-def ready_set_key(operation_name: str) -> str:
-    """Series name of one operation's ready-index ready-set size."""
-    return READY_SET_PREFIX + operation_name

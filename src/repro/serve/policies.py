@@ -25,9 +25,9 @@ Policies (names in :data:`POLICIES`):
 * ``fifo`` — arrival order, head-or-nobody (the legacy discipline).
 * ``priority`` — strict priority classes, FIFO within a class; the
   overflow victim is the lowest-priority, youngest waiter.
-* ``fair_share`` — weighted fair share across tenants: the tenant
-  with the least admitted work per unit weight goes next; the
-  overflow victim comes from the most over-share tenant.
+* ``fair_share`` — equal fair share across tenants: the tenant with
+  the least admitted work goes next; the overflow victim comes from
+  the most over-share tenant.
 * ``edf`` — earliest deadline first, using the timeout machinery's
   per-query deadlines; provably deadline-infeasible waiters (the
   sequential start-up alone already overruns the deadline) are shed
@@ -41,10 +41,10 @@ hypothesis suite holds the policies to that.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 
@@ -86,9 +86,6 @@ class ServingPolicy:
     policy's overflow victim is shed (terminal status ``shed``) and a
     backpressure signal is emitted.  ``None`` leaves the queue
     unbounded (no shedding, no backpressure)."""
-    tenant_weights: Mapping[str, float] | None = None
-    """Fair-share weights by tenant name (``fair_share`` only);
-    unlisted tenants weigh 1.0."""
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -99,32 +96,10 @@ class ServingPolicy:
             raise WorkloadError(
                 f"queue_limit must be >= 1, got {self.queue_limit} "
                 f"(a zero-slot queue would shed every waiting query)")
-        if self.tenant_weights is not None:
-            frozen = tuple(sorted(self.tenant_weights.items()))
-            for tenant, weight in frozen:
-                if weight <= 0:
-                    raise WorkloadError(
-                        f"tenant weight must be > 0, got {weight} for "
-                        f"tenant {tenant!r}")
-            object.__setattr__(self, "tenant_weights", frozen)
-
-    def weight_of(self, tenant: str) -> float:
-        """Fair-share weight of *tenant* (1.0 when unlisted)."""
-        if self.tenant_weights:
-            for name, weight in self.tenant_weights:
-                if name == tenant:
-                    return weight
-        return 1.0
 
     def replace(self, **changes) -> "ServingPolicy":
         """Copy with the given fields replaced."""
-        import dataclasses
-        merged = {f.name: getattr(self, f.name)
-                  for f in dataclasses.fields(self)}
-        merged.update(changes)
-        if merged.get("tenant_weights") is not None:
-            merged["tenant_weights"] = dict(merged["tenant_weights"])
-        return ServingPolicy(**merged)
+        return dataclasses.replace(self, **changes)
 
 
 def _deadline_of(job) -> float:
@@ -339,11 +314,11 @@ class EdfPolicy(_HeapPolicy):
 
 
 class FairSharePolicy(AdmissionPolicy):
-    """Weighted fair share across tenants.
+    """Equal fair share across tenants.
 
     Per-tenant FIFO queues plus a cumulative admitted-work tally; the
     next candidate is the head of the queue of the tenant with the
-    least ``admitted_work / weight`` (ties break on the tenant name).
+    least admitted work (ties break on the tenant name).
     The overflow victim is the *youngest* waiter of the most
     over-share tenant — overload cannot starve a light tenant because
     a heavy one keeps arriving.
@@ -351,15 +326,13 @@ class FairSharePolicy(AdmissionPolicy):
 
     name = POLICY_FAIR_SHARE
 
-    def __init__(self, config: ServingPolicy) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._queues: dict[str, deque] = {}
         self._admitted_work: dict[str, float] = {}
         self._count = 0
 
     def _share(self, tenant: str) -> float:
-        return (self._admitted_work.get(tenant, 0.0)
-                / self._config.weight_of(tenant))
+        return self._admitted_work.get(tenant, 0.0)
 
     def push(self, job) -> None:
         self._queues.setdefault(job.tenant, deque()).append(job)
@@ -421,7 +394,7 @@ def make_admission_policy(serving: ServingPolicy | None) -> AdmissionPolicy:
     if serving.policy == POLICY_EDF:
         return EdfPolicy()
     if serving.policy == POLICY_FAIR_SHARE:
-        return FairSharePolicy(serving)
+        return FairSharePolicy()
     raise WorkloadError(f"unknown admission policy {serving.policy!r}")
 
 

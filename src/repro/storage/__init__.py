@@ -1,39 +1,30 @@
 """Storage substrate: relations, fragments, partitioning, catalog.
 
 This package implements Lera-par's statically partitioned storage
-model: relations are hash partitioned into fragments which are placed
-round-robin on (simulated) disks, plus the Wisconsin benchmark
-generator and Zipf skew machinery used by every experiment.
+model: relations are hash partitioned into memory-resident fragments
+(the paper's runs are memory-resident, so disks are not modelled),
+plus the Wisconsin benchmark generator and Zipf skew machinery used by
+every experiment.
 """
 
 from repro.storage.catalog import Catalog, TableEntry
-from repro.storage.disks import Disk, DiskArray
 from repro.storage.fragment import Fragment
 from repro.storage.indexes import HashIndex, SortedIndex, build_index
-from repro.storage.io import relation_from_csv, relation_to_csv
-from repro.storage.partitioning import (
-    HashPartitioner,
-    PartitioningSpec,
-    fragment_of,
-    repartition_row,
-)
+from repro.storage.partitioning import HashPartitioner, PartitioningSpec
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, Schema
 from repro.storage.skew import (
     skew_ratio,
-    theoretical_skew_ratio,
     zipf_cardinalities,
     zipf_weights,
 )
 from repro.storage.statistics import FragmentStatistics
-from repro.storage.tuples import Row, concat_rows, project_row, stable_hash
+from repro.storage.tuples import Row, stable_hash
 from repro.storage.wisconsin import generate_wisconsin, wisconsin_schema
 
 __all__ = [
     "Attribute",
     "Catalog",
-    "Disk",
-    "DiskArray",
     "Fragment",
     "FragmentStatistics",
     "HashIndex",
@@ -45,16 +36,9 @@ __all__ = [
     "SortedIndex",
     "TableEntry",
     "build_index",
-    "concat_rows",
-    "fragment_of",
     "generate_wisconsin",
-    "relation_from_csv",
-    "relation_to_csv",
-    "project_row",
-    "repartition_row",
     "skew_ratio",
     "stable_hash",
-    "theoretical_skew_ratio",
     "wisconsin_schema",
     "zipf_cardinalities",
     "zipf_weights",

@@ -1,9 +1,8 @@
 """The catalog: partitioned relations known to the system.
 
 Registering a relation partitions it according to its
-:class:`~repro.storage.partitioning.PartitioningSpec`, places the
-fragments round-robin on the disk array, and records fragment
-statistics for the scheduler.  The catalog also answers the
+:class:`~repro.storage.partitioning.PartitioningSpec` and records
+fragment statistics for the scheduler.  The catalog also answers the
 co-partitioning question that decides IdealJoin vs AssocJoin.
 """
 
@@ -13,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import CatalogError
-from repro.storage.disks import DiskArray
 from repro.storage.fragment import Fragment
 from repro.storage.partitioning import HashPartitioner, PartitioningSpec
 from repro.storage.relation import Relation
@@ -67,11 +65,10 @@ class TableEntry:
 
 
 class Catalog:
-    """Name -> :class:`TableEntry` registry with a shared disk array."""
+    """Name -> :class:`TableEntry` registry."""
 
-    def __init__(self, disk_count: int = 1) -> None:
+    def __init__(self) -> None:
         self._entries: dict[str, TableEntry] = {}
-        self.disks = DiskArray(disk_count)
         #: Moves with what statements compile and schedule to: on register,
         #: register_fragments, drop and every index build.
         self.version = 0
@@ -88,7 +85,7 @@ class Catalog:
     # -- registration -----------------------------------------------------
 
     def register(self, relation: Relation, spec: PartitioningSpec) -> TableEntry:
-        """Partition *relation* per *spec*, place it on disks, record it.
+        """Partition *relation* per *spec* and record it.
 
         Raises :class:`CatalogError` if the name is already taken or
         the partitioning key is not in the relation's schema.
@@ -122,7 +119,6 @@ class Catalog:
 
     def _place(self, relation: Relation, spec: PartitioningSpec,
                fragments: list[Fragment]) -> TableEntry:
-        self.disks.place_round_robin(fragments)
         entry = TableEntry(relation, spec, fragments,
                            FragmentStatistics.of(fragments), catalog=self)
         self._entries[relation.name] = entry
@@ -130,8 +126,8 @@ class Catalog:
         return entry
 
     def drop(self, name: str) -> None:
-        """Remove a relation from the catalog and its fragments from the disks."""
-        self.disks.remove(self.entry(name).fragments)
+        """Remove a relation from the catalog."""
+        self.entry(name)                  # CatalogError when unknown
         del self._entries[name]
         self.version += 1
 

@@ -26,21 +26,17 @@ class Fragment:
         rows: The fragment's rows, a tuple: stored data is immutable
             (see DESIGN.md), so a row container handed to an operator
             cannot be changed under another execution.
-        disk: Identifier of the (simulated) disk holding the fragment,
-            assigned round-robin by the placement policy; ``None`` for
-            transient fragments produced at run time.
     """
 
-    __slots__ = ("relation_name", "index", "schema", "rows", "disk",
-                 "_size_cache", "_indexes")
+    __slots__ = ("relation_name", "index", "schema", "rows", "_size_cache",
+                 "_indexes")
 
     def __init__(self, relation_name: str, index: int, schema: Schema,
-                 rows: Iterable[Row] = (), disk: int | None = None) -> None:
+                 rows: Iterable[Row] = ()) -> None:
         self.relation_name = relation_name
         self.index = index
         self.schema = schema
         self.rows: tuple[Row, ...] = tuple(rows)
-        self.disk = disk
         self._size_cache: int | None = None
         self._indexes: dict[tuple[int, str], HashIndex | SortedIndex] = {}
 
@@ -52,7 +48,7 @@ class Fragment:
 
     def __repr__(self) -> str:
         return (f"Fragment({self.relation_name!r}[{self.index}], "
-                f"|rows|={len(self.rows)}, disk={self.disk})")
+                f"|rows|={len(self.rows)})")
 
     @property
     def cardinality(self) -> int:
@@ -98,11 +94,6 @@ class Fragment:
         self._size_cache = None
         if self._indexes:
             self._indexes = {}
-
-    def append(self, row: Row) -> None:
-        """Add one row: a copy of the tuple per call, so for small
-        hand-built fragments only (a loop of these is quadratic)."""
-        self.extend((row,))
 
     def clear(self) -> None:
         """Drop every row, and the size and indexes that described them."""

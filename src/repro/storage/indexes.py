@@ -9,10 +9,10 @@ Two index kinds back the paper's join algorithms:
   profitable (smaller fragments build super-linearly cheaper).
 
 Indexes store rows directly (fragments are memory-resident), and both
-expose ``lookup(key) -> tuple[Row, ...]`` plus build statistics used by
-the cost model.  Like the rows they index they are immutable: every
-match list is a tuple, so the collector untracks a built index (see
-DESIGN.md).
+expose ``lookup(key) -> tuple[Row, ...]``; what a build costs is the
+machine model's business (``CostModel.index_build_cost``).  Like the
+rows they index they are immutable: every match list is a tuple, so
+the collector untracks a built index (see DESIGN.md).
 
 One build path: :func:`build_index` is the only place rows are hashed
 or sorted by key.  An index over a *whole* stored fragment is asked of
@@ -24,7 +24,6 @@ its user.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from types import MappingProxyType
@@ -65,15 +64,6 @@ class HashIndex:
         """All rows whose key attribute equals *key* (possibly empty)."""
         return self.get(key, ())
 
-    def distinct_keys(self) -> int:
-        """Number of distinct key values indexed."""
-        return len(self.table)
-
-    @staticmethod
-    def build_cost_units(cardinality: int) -> float:
-        """Abstract cost units to build the index: linear in rows."""
-        return float(cardinality)
-
 
 class SortedIndex:
     """Sorted-array index with binary search — the paper's temp index.
@@ -101,19 +91,6 @@ class SortedIndex:
         lo = bisect_left(self._keys, key)
         hi = bisect_right(self._keys, key)
         return self._rows[lo:hi]
-
-    def range_lookup(self, low: object, high: object) -> tuple[Row, ...]:
-        """Rows with ``low <= key <= high`` (inclusive range scan)."""
-        lo = bisect_left(self._keys, low)
-        hi = bisect_right(self._keys, high)
-        return self._rows[lo:hi]
-
-    @staticmethod
-    def build_cost_units(cardinality: int) -> float:
-        """Abstract cost units to build: ``n * log2(n)`` comparisons."""
-        if cardinality <= 1:
-            return float(cardinality)
-        return cardinality * math.log2(cardinality)
 
 
 def build_index(rows: Sequence[Row], key_position: int, kind: str = "hash"):

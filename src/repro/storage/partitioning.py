@@ -1,17 +1,17 @@
 """Static hash partitioning — the Lera-par storage model.
 
-Relations are partitioned by hashing one or more attributes; fragments
-are then distributed onto disks round-robin, so the *degree of
-partitioning* is independent of the number of disks (Section 2 of the
-paper).  Co-partitioning of two relations (same key domain, same
-degree, same method) is what lets the compiler emit an IdealJoin
-instead of an AssocJoin.
+Relations are partitioned by hashing one or more attributes.  In the
+paper fragments are then placed on disks round-robin, so the *degree
+of partitioning* is independent of the number of disks (Section 2);
+the runs are memory-resident, so placement is not modelled here.
+Co-partitioning of two relations (same key domain, same degree, same
+method) is what lets the compiler emit an IdealJoin instead of an
+AssocJoin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import PartitioningError
 from repro.storage.fragment import Fragment
@@ -60,13 +60,6 @@ class PartitioningSpec:
                 and len(self.keys) == len(other.keys))
 
 
-def fragment_of(key_values: Sequence[object], degree: int) -> int:
-    """Map a key-value vector to its fragment number."""
-    if len(key_values) == 1:
-        return stable_hash(key_values[0]) % degree
-    return stable_hash(tuple(key_values)) % degree
-
-
 class HashPartitioner:
     """Partitions relations according to a :class:`PartitioningSpec`."""
 
@@ -93,12 +86,3 @@ class HashPartitioner:
                 buckets[stable_hash(key) % degree].append(row)
         return [Fragment(relation.name, i, relation.schema, bucket)
                 for i, bucket in enumerate(buckets)]
-
-
-def repartition_row(row: Row, position: int, degree: int) -> int:
-    """Dynamic repartitioning of one tuple (the Transmit operator).
-
-    Uses the same hash as static partitioning so that a repartitioned
-    stream lines up with a statically partitioned build side.
-    """
-    return stable_hash(row[position]) % degree

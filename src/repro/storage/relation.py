@@ -87,9 +87,3 @@ class Relation:
                    for left in self.rows
                    for right in table.get(left[left_pos], ()))
         return Relation(name or f"{self.name}_{other.name}", out_schema, matches)
-
-    def sorted_by(self, key: str) -> "Relation":
-        """Return a copy sorted on one attribute (ascending)."""
-        position = self.schema.position(key)
-        return Relation(self.name, self.schema,
-                        sorted(self.rows, key=lambda row: row[position]))

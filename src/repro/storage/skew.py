@@ -14,7 +14,6 @@ real joins with verifiable results.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from repro.errors import PartitioningError
@@ -70,18 +69,3 @@ def skew_ratio(cardinalities: Sequence[int]) -> float:
     mean = total / len(cardinalities)
     return max(cardinalities) / mean
 
-
-def theoretical_skew_ratio(degree: int, theta: float) -> float:
-    """``Pmax / P`` implied by a pure Zipf law (no rounding)."""
-    weights = zipf_weights(degree, theta)
-    return max(weights) * degree
-
-
-def sample_zipf_fragment(degree: int, theta: float, rng: random.Random) -> int:
-    """Draw one fragment index (0-based) according to Zipf weights.
-
-    Used by the workload generator to produce tuple streams whose
-    *redistribution* is skewed (RS in Walton's taxonomy).
-    """
-    weights = zipf_weights(degree, theta)
-    return rng.choices(range(degree), weights=weights, k=1)[0]

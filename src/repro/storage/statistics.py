@@ -55,20 +55,3 @@ class FragmentStatistics:
         if mean == 0:
             return 1.0
         return self.largest / mean
-
-    def is_skewed(self, threshold: float = 1.5) -> bool:
-        """Heuristic skew detector used by scheduler step 4.
-
-        A perfectly uniform partitioning has ratio 1.0; hash
-        partitioning of uniform data stays close to that.  A ratio
-        above *threshold* indicates AVS/TPS worth switching to LPT for.
-        """
-        return self.skew_ratio > threshold
-
-    def descending_order(self) -> list[int]:
-        """Fragment indexes sorted by decreasing cardinality.
-
-        This is the LPT service order for triggered operators.
-        """
-        return sorted(range(self.degree),
-                      key=lambda i: self.cardinalities[i], reverse=True)

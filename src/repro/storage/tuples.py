@@ -8,7 +8,7 @@ across runs regardless of ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Row = tuple
 """Type alias: a relation row is a plain tuple."""
@@ -59,16 +59,6 @@ def hash_partitions(values: Iterable[object], degree: int) -> list[int]:
         else:
             append(stable_hash(value) % degree)
     return partitions
-
-
-def project_row(row: Row, positions: Sequence[int]) -> Row:
-    """Return the sub-tuple of *row* at *positions*, in order."""
-    return tuple(row[p] for p in positions)
-
-
-def concat_rows(left: Row, right: Row) -> Row:
-    """Concatenate two rows, as a join does."""
-    return left + right
 
 
 def row_size_bytes(row: Row, default_int: int = 8, default_str_overhead: int = 1) -> int:

@@ -9,7 +9,6 @@ from repro.analysis.formulas import (
     ideal_time,
     nmax,
     nmax_from_costs,
-    overhead_from_times,
     skew_overhead_bound,
     worst_time,
 )
@@ -46,13 +45,6 @@ class TestEquations:
             ideal_time(10, 1.0, 0)
         with pytest.raises(ReproError):
             skew_overhead_bound(10, 1.0, 1.0, 0)
-
-    def test_overhead_from_times(self):
-        assert overhead_from_times(12.0, 10.0) == pytest.approx(0.2)
-
-    def test_overhead_rejects_zero_ideal(self):
-        with pytest.raises(ReproError):
-            overhead_from_times(1.0, 0.0)
 
 
 class TestNmax:

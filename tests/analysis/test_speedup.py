@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.analysis.formulas import OperatorProfile
-from repro.analysis.speedup import (
-    SpeedupCurve,
-    skew_limited_speedup,
-    speedup,
-    theoretical_speedup,
-)
+from repro.analysis.speedup import SpeedupCurve, speedup
 from repro.errors import ReproError
 
 
@@ -19,32 +13,6 @@ class TestBasics:
     def test_speedup_rejects_zero(self):
         with pytest.raises(ReproError):
             speedup(1.0, 0.0)
-
-    def test_theoretical_linear_then_flat(self):
-        assert theoretical_speedup(10, 70) == 10
-        assert theoretical_speedup(70, 70) == 70
-        assert theoretical_speedup(100, 70) == 70
-
-    def test_theoretical_rejects_bad_inputs(self):
-        with pytest.raises(ReproError):
-            theoretical_speedup(0, 70)
-        with pytest.raises(ReproError):
-            theoretical_speedup(10, 0)
-
-
-class TestSkewLimited:
-    def test_uniform_profile_scales_linearly(self):
-        profile = OperatorProfile.of([1.0] * 100)
-        assert skew_limited_speedup(profile, 10, 70) == pytest.approx(10.0)
-
-    def test_skewed_profile_hits_nmax(self):
-        profile = OperatorProfile.of([1.0] * 99 + [101.0])
-        # total = 200, Pmax = 101 -> nmax ~= 1.98
-        assert skew_limited_speedup(profile, 70, 70) == pytest.approx(200 / 101)
-
-    def test_processor_cap_applies(self):
-        profile = OperatorProfile.of([1.0] * 1000)
-        assert skew_limited_speedup(profile, 100, 70) == pytest.approx(70.0)
 
 
 class TestSpeedupCurve:
@@ -67,12 +35,7 @@ class TestSpeedupCurve:
     def test_peak(self):
         curve = SpeedupCurve((10, 20, 30), (9.0, 18.0, 17.0))
         assert curve.peak == 18.0
-        assert curve.peak_threads == 20
 
     def test_ceiling_averages_plateau(self):
         curve = SpeedupCurve((10, 20, 30, 40), (5.0, 5.9, 6.0, 5.95))
         assert 5.9 <= curve.ceiling() <= 6.0
-
-    def test_efficiency(self):
-        curve = SpeedupCurve((10, 20), (9.0, 16.0))
-        assert curve.efficiency_at(20) == pytest.approx(0.8)

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.bench.workloads import make_join_database, skewed_fragments
-from repro.compiler import compile_query
+from repro.compiler import normalize, parallelize, parse
 from repro.errors import CompilationError
 from repro.storage.catalog import Catalog
 from repro.storage.partitioning import PartitioningSpec
+
+
+def compile_query(sql, catalog, algorithm="nested_loop"):
+    return parallelize(normalize(parse(sql), catalog), catalog, algorithm)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ def wisconsin_1k() -> Relation:
 
 @pytest.fixture
 def catalog() -> Catalog:
-    return Catalog(disk_count=4)
+    return Catalog()
 
 
 @pytest.fixture

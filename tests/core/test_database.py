@@ -95,8 +95,8 @@ class TestExplainAndPlanExecution:
                                "unique1", "unique1")
         schema = db.table("A").relation.schema.concat(
             db.table("B").relation.schema)
-        result = db.execute_plan(plan, schema, threads=2,
-                                 description="hand-built")
+        result = db.session().submit_plan(plan, schema, threads=2,
+                                          description="hand-built").result()
         assert result.cardinality == 200
         assert result.description == "hand-built"
 

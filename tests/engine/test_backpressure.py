@@ -10,7 +10,7 @@ from repro.engine.executor import (
     QuerySchedule,
 )
 from repro.engine.queues import ActivationQueue
-from repro.lera.activation import tuple_activation
+from repro.lera.activation import DATA, Activation
 from repro.lera.plans import assoc_join_plan
 from repro.machine.machine import Machine
 
@@ -18,9 +18,9 @@ from repro.machine.machine import Machine
 class TestQueueCapacityUnit:
     def test_over_capacity_transitions(self):
         queue = ActivationQueue("op", 0, "pipelined", capacity=2)
-        queue.enqueue(0.0, tuple_activation(0, (1,)))
+        queue.enqueue(0.0, Activation(DATA, 0, (1,)))
         assert not queue.over_capacity
-        queue.enqueue(0.0, tuple_activation(0, (2,)))
+        queue.enqueue(0.0, Activation(DATA, 0, (2,)))
         assert queue.over_capacity
         queue.dequeue_ready(1.0, limit=1)
         assert not queue.over_capacity

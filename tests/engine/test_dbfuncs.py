@@ -12,7 +12,7 @@ from repro.engine.dbfuncs import (
     segment_key,
 )
 from repro.errors import ExecutionError
-from repro.lera.activation import trigger, tuple_activation
+from repro.lera.activation import DATA, Activation, trigger
 from repro.lera.operators import (
     JOIN_HASH,
     JOIN_NESTED_LOOP,
@@ -60,7 +60,7 @@ class TestFilterFunc:
 
     def test_rejects_data_activation(self):
         with pytest.raises(ExecutionError):
-            self._func().process(0, tuple_activation(0, (1, 1)), _ctx())
+            self._func().process(0, Activation(DATA, 0, (1, 1)), _ctx())
 
     def test_segments_reported(self):
         segments = self._func().segments(0)
@@ -99,7 +99,7 @@ class TestJoinFunc:
 
     def test_rejects_data_activation(self):
         with pytest.raises(ExecutionError):
-            self._func(JOIN_HASH).process(0, tuple_activation(0, (1, 1)), _ctx())
+            self._func(JOIN_HASH).process(0, Activation(DATA, 0, (1, 1)), _ctx())
 
 
 class TestTransmitFunc:
@@ -129,25 +129,25 @@ class TestPipelinedJoinFunc:
                                            JOIN_HASH])
     def test_probe_matches(self, algorithm):
         result = self._func(algorithm).process(
-            0, tuple_activation(0, (4, 100)), _ctx())
+            0, Activation(DATA, 0, (4, 100)), _ctx())
         assert sorted(result.emitted) == [(4, 100, 4, 2), (4, 100, 4, 3)]
 
     def test_probe_miss_is_empty(self):
-        result = self._func().process(0, tuple_activation(0, (99, 0)), _ctx())
+        result = self._func().process(0, Activation(DATA, 0, (99, 0)), _ctx())
         assert result.emitted == []
 
     def test_index_build_charged_once(self):
         func = self._func(JOIN_TEMP_INDEX)
-        first = func.process(0, tuple_activation(0, (4, 0)), _ctx()).cost
-        second = func.process(0, tuple_activation(0, (4, 0)), _ctx()).cost
+        first = func.process(0, Activation(DATA, 0, (4, 0)), _ctx()).cost
+        second = func.process(0, Activation(DATA, 0, (4, 0)), _ctx()).cost
         assert first > second  # lazy build charged on first activation
 
     def test_instances_have_independent_state(self):
         func = self._func(JOIN_TEMP_INDEX)
-        func.process(0, tuple_activation(0, (4, 0)), _ctx())
+        func.process(0, Activation(DATA, 0, (4, 0)), _ctx())
         # instance 1's first probe still pays its own build
-        first = func.process(1, tuple_activation(1, (1, 0)), _ctx()).cost
-        second = func.process(1, tuple_activation(1, (1, 0)), _ctx()).cost
+        first = func.process(1, Activation(DATA, 1, (1, 0)), _ctx()).cost
+        second = func.process(1, Activation(DATA, 1, (1, 0)), _ctx()).cost
         assert first > second
 
     def test_rejects_control_activation(self):

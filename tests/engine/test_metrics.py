@@ -114,10 +114,6 @@ class TestQueryExecution:
         expected = join_db.degree + join_db.entry_b.cardinality
         assert execution.total_activations == expected
 
-    def test_speedup_against(self, execution):
-        assert execution.speedup_against(
-            execution.response_time) == pytest.approx(1.0)
-
     def test_response_includes_startup(self, execution):
         assert execution.response_time > execution.startup_time
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.queues import ActivationQueue
 from repro.errors import ExecutionError
-from repro.lera.activation import trigger, tuple_activation
+from repro.lera.activation import DATA, Activation, trigger
 
 
 def _queue(kind="pipelined", capacity=None, estimate=0.0):
@@ -15,21 +15,21 @@ def _queue(kind="pipelined", capacity=None, estimate=0.0):
 class TestEnqueueDequeue:
     def test_starts_empty(self):
         queue = _queue()
-        assert queue.is_empty
+        assert len(queue) == 0
         assert not queue.has_ready(100.0)
         assert queue.next_ready_time() is None
 
     def test_fifo_within_same_ready_time(self):
         queue = _queue()
         for i in range(5):
-            queue.enqueue(1.0, tuple_activation(0, (i,)))
+            queue.enqueue(1.0, Activation(DATA, 0, (i,)))
         batch = queue.dequeue_ready(1.0, limit=5)
         assert [a.row[0] for a in batch] == [0, 1, 2, 3, 4]
 
     def test_ready_time_orders_across_producers(self):
         queue = _queue()
-        queue.enqueue(2.0, tuple_activation(0, ("late",)))
-        queue.enqueue(1.0, tuple_activation(0, ("early",)))
+        queue.enqueue(2.0, Activation(DATA, 0, ("late",)))
+        queue.enqueue(1.0, Activation(DATA, 0, ("early",)))
         batch = queue.dequeue_ready(3.0, limit=2)
         assert [a.row[0] for a in batch] == ["early", "late"]
 
@@ -43,15 +43,15 @@ class TestEnqueueDequeue:
     def test_dequeue_respects_limit(self):
         queue = _queue()
         for i in range(10):
-            queue.enqueue(0.0, tuple_activation(0, (i,)))
+            queue.enqueue(0.0, Activation(DATA, 0, (i,)))
         batch = queue.dequeue_ready(1.0, limit=3)
         assert len(batch) == 3
         assert len(queue) == 7
 
     def test_dequeue_stops_at_future_items(self):
         queue = _queue()
-        queue.enqueue(1.0, tuple_activation(0, ("a",)))
-        queue.enqueue(9.0, tuple_activation(0, ("b",)))
+        queue.enqueue(1.0, Activation(DATA, 0, ("a",)))
+        queue.enqueue(9.0, Activation(DATA, 0, ("b",)))
         batch = queue.dequeue_ready(2.0, limit=10)
         assert len(batch) == 1
         assert queue.next_ready_time() == 9.0
@@ -61,21 +61,21 @@ class TestEnqueueDequeue:
         queue.enqueue(0.0, trigger(0))
         queue.dequeue_ready(1.0, limit=1)
         assert queue.enqueued == 1
-        assert queue.consumed == 1
+        assert len(queue) == 0
 
 
 class TestCapacity:
     def test_unbounded_never_over(self):
         queue = _queue()
         for i in range(1000):
-            queue.enqueue(0.0, tuple_activation(0, (i,)))
+            queue.enqueue(0.0, Activation(DATA, 0, (i,)))
         assert not queue.over_capacity
 
     def test_over_capacity_flag(self):
         queue = _queue(capacity=2)
-        queue.enqueue(0.0, tuple_activation(0, (1,)))
+        queue.enqueue(0.0, Activation(DATA, 0, (1,)))
         assert not queue.over_capacity
-        queue.enqueue(0.0, tuple_activation(0, (2,)))
+        queue.enqueue(0.0, Activation(DATA, 0, (2,)))
         assert queue.over_capacity
 
     def test_capacity_must_be_positive(self):

@@ -91,7 +91,7 @@ def _faults(config, start):
         activations=(() if config.retry is None else (ActivationFaults(
             config.retry[0], config.retry[1], config.retry[2],
             backoff=0.002),)))
-    return None if plan.is_empty else plan
+    return None if plan == FaultPlan(seed=config.seed) else plan
 
 
 class Rig:

@@ -14,7 +14,7 @@ from repro.engine.operation import (
 )
 from repro.engine.ready_index import ReadyIndex
 from repro.engine.strategies import RoundRobinStrategy, make_strategy
-from repro.lera.activation import trigger, tuple_activation
+from repro.lera.activation import DATA, Activation, trigger
 from repro.lera.graph import LeraNode
 from repro.lera.operators import ScanFilterSpec
 from repro.lera.predicates import TRUE
@@ -186,8 +186,8 @@ class TestIncrementalMaintenance:
     def test_dequeue_reveals_next_head(self):
         operation = _operation()
         queue = operation.queues[0]
-        queue.enqueue(1.0, tuple_activation(0, ("a",)))
-        queue.enqueue(5.0, tuple_activation(0, ("b",)))
+        queue.enqueue(1.0, Activation(DATA, 0, ("a",)))
+        queue.enqueue(5.0, Activation(DATA, 0, ("b",)))
         queue.dequeue_ready(2.0, limit=1)
         thread = operation.threads[0]
         assert operation.ready_index.select(thread, 2.0, True)[::2] == (
@@ -197,11 +197,11 @@ class TestIncrementalMaintenance:
     def test_earlier_enqueue_displaces_head(self):
         operation = _operation()
         queue = operation.queues[0]
-        queue.enqueue(9.0, tuple_activation(0, ("late",)))
+        queue.enqueue(9.0, Activation(DATA, 0, ("late",)))
         thread = operation.threads[0]
         index = operation.ready_index
         assert index.select(thread, 0.0, True)[2] == 9.0
-        queue.enqueue(3.0, tuple_activation(0, ("early",)))
+        queue.enqueue(3.0, Activation(DATA, 0, ("early",)))
         assert index.select(thread, 0.0, True)[2] == 3.0
         # The stale 9.0 entry must not resurface after consuming 3.0.
         queue.dequeue_ready(4.0, limit=1)
@@ -286,8 +286,8 @@ class TestQuiet:
             operation = _operation()
             index = operation.ready_index
             queue = operation.queues[0]
-            queue.enqueue(9.0, tuple_activation(0, ("late",)))
-            queue.enqueue(3.0, tuple_activation(0, ("early",)))
+            queue.enqueue(9.0, Activation(DATA, 0, ("late",)))
+            queue.enqueue(3.0, Activation(DATA, 0, ("early",)))
             queue.dequeue_ready(4.0, limit=1)     # 3.0 entries go stale
             index.obs = obs = Counts()
             ask(index, operation.threads[0])
@@ -326,7 +326,7 @@ class TestFuzzAgainstScan:
             if action < 0.45:
                 queue = queues[rng.randrange(len(queues))]
                 queue.enqueue(round(rng.uniform(0.0, 50.0), 3),
-                              tuple_activation(queue.instance, (step,)))
+                              Activation(DATA, queue.instance, (step,)))
             elif action < 0.75:
                 queue = queues[rng.randrange(len(queues))]
                 queue.dequeue_ready(round(rng.uniform(0.0, 50.0), 3),

@@ -64,15 +64,6 @@ class TestValidation:
             FaultPlan(memory=(SlowdownWindow(0, 1, 2.0),))
 
 
-class TestPlanShape:
-    def test_empty_plan_is_empty(self):
-        assert FaultPlan().is_empty
-
-    def test_nonempty_plan_is_not_empty(self):
-        plan = FaultPlan(activations=(ActivationFaults(rate=0.1),))
-        assert not plan.is_empty
-
-
 class TestGenerate:
     OPS = ("scan_a", "transmit", "join")
 
@@ -86,7 +77,7 @@ class TestGenerate:
 
     def test_generated_plan_targets_known_operations(self):
         plan = FaultPlan.generate(0, self.OPS)
-        assert not plan.is_empty
+        assert plan != FaultPlan(seed=0)
         for spec in plan.activations:
             assert spec.operation in self.OPS
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.skew_taxonomy import (
-    all_workloads,
     make_avs_workload,
     make_jps_workload,
     make_rs_workload,
@@ -16,6 +15,11 @@ from repro.storage.tuples import stable_hash
 MACHINE = Machine.uniform(processors=8)
 
 SIZES = dict(card_r=800, card_s=800, degree=8)
+
+
+def all_workloads(**kwargs):
+    return [make(**kwargs) for make in (make_avs_workload, make_ss_workload,
+                                        make_rs_workload, make_jps_workload)]
 
 
 def _run(workload, threads=4):

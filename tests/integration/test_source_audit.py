@@ -14,10 +14,16 @@
   the workload engine: a second wave loop cannot return quietly.  Its
   constructor has no defaulted parameter, so a feature (a fault plan,
   a profiler) cannot come back as an optional fork of the event loop.
-* **No dead definitions.**  Every function, class and module-level
-  ``UPPER_CASE`` constant defined in the package is referenced
-  somewhere other than its definition: in the package, its tests, the
-  examples, the benchmark or the docs.
+* **Every definition has a caller outside the tests.**  Every
+  function, class and module-level ``UPPER_CASE`` constant defined in
+  the package is referenced somewhere other than its definition
+  (DESIGN.md §7): in the package, ``perf_ledger``, ``benchmarks`` or
+  the examples tier-1 runs.  The tests and the docs do not count, nor
+  does a package ``__init__`` passing a name on (its import and its
+  ``__all__`` entry).  The definitions that stay without a caller sit
+  in :data:`DEFINITIONS_WITHOUT_CALLER`, each with its reason and the
+  test that runs it; a listed definition that gains a caller must
+  leave.
 * **Every option has a caller.**  A field of an option block (the
   fault plan's five dataclasses included) exists only if some caller
   outside the tests sets it (DESIGN.md §7): it is
@@ -36,11 +42,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
-
-#: Where a definition of the package may be referenced from.
-REFERENCE_DIRS = ("src", "tests", "examples", "perf_ledger", "benchmarks",
-                  "docs")
-REFERENCE_SUFFIXES = (".py", ".md", ".json", ".toml")
 
 #: ``(module, enclosing function) -> reason``: every function of the
 #: package that calls ``id(...)``, why that object cannot be its own
@@ -77,6 +78,10 @@ OPTION_BLOCKS = {
 #: Where a caller that sets an option may live: the tests do not count.
 CALLER_DIRS = ("src", "perf_ledger", "benchmarks")
 
+#: Where a definition of the package may be called from: the callers,
+#: and the examples tier-1 runs.  The tests and the docs do not count.
+REFERENCE_DIRS = CALLER_DIRS + ("examples",)
+
 #: ``"Block.field" -> (reason, behaviour test)``: every option field no
 #: caller outside the tests sets, why it stays, and the test that runs
 #: its non-default value.
@@ -88,11 +93,24 @@ OPTIONS_WITHOUT_CALLER = {
         "benchmark and figure runs unbounded",
         "tests/workload/test_engine.py::TestArrivalsAndAdmission"
         "::test_memory_gate_staggers_admission"),
-    "ServingPolicy.tenant_weights": (
-        "fair-share weights: `serve --policy fair_share` weighs every "
-        "tenant 1.0, and no benchmark or figure runs fair_share",
-        "tests/serve/test_policies.py::TestFairSharePolicy"
-        "::test_weights_scale_the_share"),
+}
+
+#: ``"module:name" -> (reason, behaviour test)``: every definition no
+#: caller outside the tests references, why it stays, and the test
+#: that runs it.
+DEFINITIONS_WITHOUT_CALLER = {
+    "workload/admission.py:runtime_footprint": (
+        "the after-build oracle: the footprint admission prices a job "
+        "with before building it (node_footprints) must equal what the "
+        "built runtimes read",
+        "tests/workload/test_engine.py::TestShapeEquality"
+        "::test_run_free_numbers_equal_the_built_ones"),
+    "core/database.py:drop_table": (
+        "the only way to replace a table under the same name; the "
+        "statement memo's recreate check (and its fuzz's recreate move) "
+        "is what proves a replaced table invalidates its memo",
+        "tests/core/test_statement_memo.py::TestStaleness"
+        "::test_drop_and_recreate_under_the_same_name"),
 }
 
 
@@ -180,18 +198,27 @@ def defaulted_parameters(sources: dict[str, str], module: str,
 
 
 @functools.lru_cache(maxsize=None)
+def _modules() -> dict[str, str]:
+    """Path (relative to the repo) -> source text, for every module
+    outside the package under :data:`REFERENCE_DIRS` and the tests
+    (:func:`outside_references` decides which of them count)."""
+    return {path.relative_to(ROOT).as_posix(): path.read_text()
+            for directory in REFERENCE_DIRS + ("tests",)
+            for path in sorted((ROOT / directory).rglob("*.py"))
+            if SRC not in path.parents}
+
+
+def outside_references(modules: dict[str, str]) -> Counter:
+    """Identifier tokens of the *modules* (:func:`_modules`' shape) that
+    lie under :data:`REFERENCE_DIRS`."""
+    return Counter(token for path, text in modules.items()
+                   if path.split("/")[0] in REFERENCE_DIRS
+                   for token in _tokens(text))
+
+
+@functools.lru_cache(maxsize=None)
 def _outside_references() -> Counter:
-    """Identifier tokens of every text file under :data:`REFERENCE_DIRS`
-    outside the package, this audit excepted: naming a definition
-    here must not keep it alive."""
-    words = Counter()
-    for directory in REFERENCE_DIRS:
-        for path in sorted((ROOT / directory).rglob("*")):
-            if (path.suffix in REFERENCE_SUFFIXES and path.is_file()
-                    and SRC not in path.parents
-                    and path != Path(__file__).resolve()):
-                words.update(_tokens(path.read_text()))
-    return words
+    return outside_references(_modules())
 
 
 def _tokens(text: str) -> list[str]:
@@ -218,19 +245,50 @@ def _definitions(tree: ast.Module):
                 yield target.id, node.lineno
 
 
+def _re_exports(tree: ast.Module):
+    """Names a package ``__init__`` imports or lists in ``__all__``:
+    passing a name on is not a use of it."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name)
+                      and target.id == "__all__"
+                      for target in node.targets)):
+            yield from (element.value for element in ast.walk(node.value)
+                        if isinstance(element, ast.Constant)
+                        and isinstance(element.value, str))
+
+
 def unreferenced(sources: dict[str, str], outside: Counter) -> list[str]:
     """Definitions in *sources* (:func:`_definitions`) whose name occurs
-    in the package (*sources*) and *outside* it no more often than it
-    is defined."""
+    in the package (*sources*, re-exports not counted) and *outside* it
+    no more often than it is defined, and no reason covers; then listed
+    definitions that have a caller (or no longer exist)."""
     words = Counter(outside)
-    definitions: dict[str, list[str]] = {}
+    definitions: dict[str, list[tuple[str, int]]] = {}
     for module, text in sources.items():
+        tree = ast.parse(text)
         words.update(_tokens(text))
-        for name, line in _definitions(ast.parse(text)):
-            definitions.setdefault(name, []).append(f"{module}:{line}")
-    return [f"{site}: {name} is defined but never referenced"
-            for name, sites in sorted(definitions.items())
-            if words[name] <= len(sites) for site in sites]
+        if module.endswith("__init__.py"):
+            words.subtract(_re_exports(tree))
+        for name, line in _definitions(tree):
+            definitions.setdefault(name, []).append((module, line))
+    uncalled = [(f"{module}:{name}",
+                 f"{module}:{line}: {name} is defined but never referenced")
+                for name, sites in sorted(definitions.items())
+                if words[name] <= len(sites) for module, line in sites]
+    declared = {f"{module}:{name}" for name, sites in definitions.items()
+                for module, _line in sites}
+    uncalled_sites = {site for site, _message in uncalled}
+    unlisted = [message for site, message in uncalled
+                if site not in DEFINITIONS_WITHOUT_CALLER]
+    stale = [f"DEFINITIONS_WITHOUT_CALLER entry {site} "
+             + ("has a caller now" if site in declared
+                else "names no definition")
+             for site in DEFINITIONS_WITHOUT_CALLER
+             if site not in uncalled_sites]
+    return unlisted + stale
 
 
 def option_fields(sources: dict[str, str]) -> dict[str, list[str]]:
@@ -324,6 +382,41 @@ def test_every_definition_is_referenced():
     assert unreferenced(_package(), _outside_references()) == []
 
 
+def test_a_definition_only_a_test_calls_is_caught():
+    doctored = {**_package(), "storage/doctored.py": (
+        "def tested_helper(rows):\n"
+        "    return sorted(rows)\n")}
+    modules = {**_modules(), "tests/storage/test_doctored.py": (
+        "from repro.storage.doctored import tested_helper\n"
+        "def test_sorts():\n"
+        "    assert tested_helper([2, 1]) == [1, 2]\n")}
+    assert unreferenced(doctored, outside_references(modules)) == [
+        "storage/doctored.py:1: tested_helper is defined but never "
+        "referenced"]
+
+
+def test_a_definition_only_a_package_re_exports_is_caught():
+    sources = dict(_package())
+    sources["storage/doctored.py"] = (
+        "def exported_helper(rows):\n"
+        "    return sorted(rows)\n")
+    sources["storage/__init__.py"] = sources["storage/__init__.py"].replace(
+        "__all__ = [\n",
+        "from repro.storage.doctored import exported_helper\n\n"
+        "__all__ = [\n    \"exported_helper\",\n")
+    assert unreferenced(sources, _outside_references()) == [
+        "storage/doctored.py:1: exported_helper is defined but never "
+        "referenced"]
+
+
+def test_a_listed_definition_that_gained_a_caller_is_reported_stale():
+    caller = "footprint = runtime_footprint(job.runtimes)\n"
+    outside = _outside_references() + Counter(_tokens(caller))
+    assert unreferenced(_package(), outside) == [
+        "DEFINITIONS_WITHOUT_CALLER entry "
+        "workload/admission.py:runtime_footprint has a caller now"]
+
+
 def test_an_unreferenced_definition_is_caught():
     doctored = {**_package(), "bench/doctored.py": (
         "def forgotten_helper(rows):\n"
@@ -376,20 +469,42 @@ def test_every_option_has_a_caller_or_a_reason():
     assert census_violations(fields, set_options(_callers(), fields)) == []
 
 
-def test_every_option_without_a_caller_has_a_behaviour_test():
-    for name, (reason, test) in OPTIONS_WITHOUT_CALLER.items():
+def without_behaviour_test(table: dict[str, tuple[str, str]]) -> list[str]:
+    """Entries of *table* with no reason, or whose behaviour test
+    (``path::Class::test``) does not exist."""
+    missing = []
+    for name, (reason, test) in table.items():
         path, *scope = test.split("::")
-        text = (ROOT / path).read_text()
-        assert reason and all(re.search(rf"^\s*(class|def) {part}\b", text,
-                                        flags=re.MULTILINE)
-                              for part in scope), f"{name}: no {test}"
+        text = (ROOT / path).read_text() if (ROOT / path).is_file() else ""
+        if not (reason and all(re.search(rf"^\s*(class|def) {part}\b",
+                                         text, flags=re.MULTILINE)
+                               for part in scope)):
+            missing.append(f"{name}: no {test}")
+    return missing
+
+
+def test_every_option_without_a_caller_has_a_behaviour_test():
+    assert without_behaviour_test(OPTIONS_WITHOUT_CALLER) == []
+
+
+def test_every_definition_without_a_caller_has_a_behaviour_test():
+    assert without_behaviour_test(DEFINITIONS_WITHOUT_CALLER) == []
+
+
+def test_a_behaviour_test_that_went_away_is_caught():
+    table = {"core/database.py:drop_table": (
+        "replaces a table", "tests/core/test_statement_memo.py::TestStaleness"
+                            "::test_drop_and_forget")}
+    assert without_behaviour_test(table) == [
+        "core/database.py:drop_table: no tests/core/test_statement_memo.py"
+        "::TestStaleness::test_drop_and_forget"]
 
 
 def test_a_field_nobody_sets_is_caught():
     sources = dict(_package())
     sources["serve/policies.py"] = sources["serve/policies.py"].replace(
-        "    tenant_weights: Mapping[str, float] | None = None\n",
-        "    tenant_weights: Mapping[str, float] | None = None\n"
+        "    queue_limit: int | None = None\n",
+        "    queue_limit: int | None = None\n"
         "    brownout: bool = False\n")
     fields = option_fields(sources)
     assert census_violations(fields, set_options(_callers(), fields)) == [
@@ -398,13 +513,12 @@ def test_a_field_nobody_sets_is_caught():
 
 
 def test_a_listed_field_that_gained_a_caller_is_reported_stale():
-    doctored = {**_callers(), "perf_ledger/doctored.py": (
-        "from repro import ServingPolicy, WorkloadOptions\n"
-        "options = WorkloadOptions(memory_limit_bytes=1 << 20, serving="
-        "ServingPolicy('fair_share', None, {'web': 2.0}))\n")}
     fields = option_fields(_package())
-    assert census_violations(fields, set_options(doctored, fields)) == [
-        "OPTIONS_WITHOUT_CALLER entry WorkloadOptions.memory_limit_bytes "
-        "has a caller now",
-        "OPTIONS_WITHOUT_CALLER entry ServingPolicy.tenant_weights has a "
-        "caller now"]
+    for call in ("WorkloadOptions(memory_limit_bytes=1 << 20)",
+                 "WorkloadOptions(8, 1 << 20)"):
+        doctored = {**_callers(), "perf_ledger/doctored.py": (
+            "from repro import WorkloadOptions\n"
+            f"options = {call}\n")}
+        assert census_violations(fields, set_options(doctored, fields)) == [
+            "OPTIONS_WITHOUT_CALLER entry WorkloadOptions.memory_limit_bytes "
+            "has a caller now"], call

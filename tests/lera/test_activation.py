@@ -10,7 +10,6 @@ from repro.lera.activation import (
     Activation,
     chunk_trigger,
     trigger,
-    tuple_activation,
 )
 from repro.lera.operators import StoreSpec
 from repro.machine.costs import DEFAULT_COSTS
@@ -27,11 +26,6 @@ class TestActivation:
         assert activation.row is None
         assert activation.chunk is None
 
-    def test_tuple_activation_carries_row(self):
-        activation = tuple_activation(1, (10, 20))
-        assert activation.kind == DATA
-        assert activation.row == (10, 20)
-
     def test_frozen(self):
         activation = trigger(0)
         try:
@@ -44,8 +38,8 @@ class TestActivation:
     def test_equality_and_hash_are_by_value(self):
         assert chunk_trigger(2, 1) == Activation(CONTROL, 2, None, 1)
         assert chunk_trigger(2, 1) != chunk_trigger(2, 0)
-        assert tuple_activation(1, (7,)) != trigger(1)
-        assert len({tuple_activation(1, (7,)), tuple_activation(1, (7,)),
+        assert Activation(DATA, 1, (7,)) != trigger(1)
+        assert len({Activation(DATA, 1, (7,)), Activation(DATA, 1, (7,)),
                     trigger(1)}) == 2
 
     def test_each_construction_is_a_distinct_object(self):
@@ -72,6 +66,6 @@ class TestProcessResult:
         func = StoreFunc(StoreSpec([Fragment("T", 0, schema)], schema, "key"),
                          DEFAULT_COSTS)
         ctx = ExecContext(Machine.uniform(), owner=0)
-        first = func.process(0, tuple_activation(0, (1,)), ctx)
-        second = func.process(0, tuple_activation(0, (2,)), ctx)
+        first = func.process(0, Activation(DATA, 0, (1,)), ctx)
+        second = func.process(0, Activation(DATA, 0, (2,)), ctx)
         assert first.emitted == [] and first.emitted is not second.emitted

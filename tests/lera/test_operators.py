@@ -38,12 +38,6 @@ class TestScanFilterSpec:
         estimates = spec.estimated_instance_costs(DEFAULT_COSTS)
         assert estimates[1] == pytest.approx(2 * estimates[0])
 
-    def test_output_cardinality_uses_selectivity(self):
-        from repro.lera.predicates import Predicate
-        spec = ScanFilterSpec(_fragments("R", [10, 10]),
-                              Predicate("p", lambda r: True, 0.25), SCHEMA)
-        assert spec.estimated_output_cardinality() == pytest.approx(5.0)
-
     def test_rejects_empty_fragments(self):
         with pytest.raises(PlanError):
             ScanFilterSpec([], TRUE, SCHEMA)
@@ -103,7 +97,7 @@ class TestJoinSpec:
         spec = JoinSpec(outer, inner, "key", "key")
         before = spec.estimated_instance_costs(DEFAULT_COSTS)
         assert spec.estimated_instance_costs(DEFAULT_COSTS) == before
-        inner[1].append((1, 0))
+        inner[1].extend([(1, 0)])
         after = spec.estimated_instance_costs(DEFAULT_COSTS)
         assert after[0] == before[0]
         assert after[1] == pytest.approx(30 * 8 * DEFAULT_COSTS.tuple_pair)
@@ -113,7 +107,6 @@ class TestTransmitSpec:
     def test_mode_and_tuples(self):
         spec = TransmitSpec(_fragments("B", [4, 6]), "key", 10)
         assert spec.trigger_mode == TRIGGERED
-        assert spec.total_tuples() == 10
 
     def test_key_position(self):
         spec = TransmitSpec(_fragments("B", [1]), "payload", 4)

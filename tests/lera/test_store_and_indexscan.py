@@ -9,7 +9,7 @@ from repro.engine.dbfuncs import (
     make_dbfunc,
 )
 from repro.errors import ExecutionError, PlanError
-from repro.lera.activation import trigger, tuple_activation
+from repro.lera.activation import DATA, Activation, trigger
 from repro.lera.operators import IndexScanSpec, StoreSpec
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.machine import Machine
@@ -59,7 +59,7 @@ class TestStoreFunc:
         spec = StoreSpec([Fragment("T", 0, SCHEMA),
                           Fragment("T", 1, SCHEMA)], SCHEMA, "key")
         func = StoreFunc(spec, DEFAULT_COSTS)
-        result = func.process(1, tuple_activation(1, (7, 70)), _ctx())
+        result = func.process(1, Activation(DATA, 1, (7, 70)), _ctx())
         assert result.emitted == []
         assert spec.target_fragments[1].rows == ()
         assert func.finalize(1, _ctx()) is None
@@ -118,7 +118,7 @@ class TestIndexScanFunc:
         spec = TestIndexScanSpec()._spec()
         with pytest.raises(ExecutionError):
             IndexScanFunc(spec, DEFAULT_COSTS).process(
-                0, tuple_activation(0, (1, 1)), _ctx())
+                0, Activation(DATA, 0, (1, 1)), _ctx())
 
     def test_probe_cost_below_scan_cost(self):
         from repro.lera.operators import ScanFilterSpec

@@ -102,11 +102,3 @@ class TestAllcacheDirectory:
         directory.access(1, "b", 200)     # evicts a from cache 1
         assert directory.home["a"] == REMOTE_HOME
         assert directory.access(1, "a", 200) > 0.0
-
-    def test_total_stats_aggregates(self):
-        directory = self._directory()
-        directory.access(1, "a", 100)
-        directory.access(2, "a", 100)
-        stats = directory.total_stats()
-        assert stats.remote_misses == 2
-        assert stats.lines_shipped >= 2

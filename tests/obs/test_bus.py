@@ -11,7 +11,6 @@ from repro.obs.probes import (
     MEMORY_PENALTY,
     Series,
     queue_depth_key,
-    ready_set_key,
 )
 
 
@@ -42,7 +41,6 @@ class TestSeries:
 
     def test_key_helpers(self):
         assert queue_depth_key("join") == "queue_depth/join"
-        assert ready_set_key("join") == "ready_set/join"
 
 
 class TestEventBus:

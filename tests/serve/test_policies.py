@@ -48,7 +48,6 @@ class TestServingPolicyConfig:
         config = ServingPolicy()
         assert config.policy == "fifo"
         assert config.queue_limit is None
-        assert config.tenant_weights is None
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(WorkloadError, match="unknown admission policy"):
@@ -57,18 +56,6 @@ class TestServingPolicyConfig:
     def test_queue_limit_must_hold_at_least_one(self):
         with pytest.raises(WorkloadError, match="queue_limit"):
             ServingPolicy(queue_limit=0)
-
-    def test_tenant_weights_validated_and_frozen(self):
-        with pytest.raises(WorkloadError, match="tenant weight"):
-            ServingPolicy(policy="fair_share",
-                          tenant_weights={"web": 0.0})
-        config = ServingPolicy(policy="fair_share",
-                               tenant_weights={"web": 3.0, "batch": 1.0})
-        # Normalized to a sorted tuple so the config stays hashable
-        # and insertion order cannot leak into decisions.
-        assert config.tenant_weights == (("batch", 1.0), ("web", 3.0))
-        assert config.weight_of("web") == 3.0
-        assert config.weight_of("unlisted") == 1.0
 
     def test_replace_copies_with_changes(self):
         config = ServingPolicy(policy="edf", queue_limit=4)
@@ -217,13 +204,8 @@ class TestProvablyInfeasible:
 
 
 class TestFairSharePolicy:
-    @staticmethod
-    def make(weights=None):
-        return FairSharePolicy(ServingPolicy(policy="fair_share",
-                                             tenant_weights=weights))
-
     def test_least_share_tenant_goes_first(self):
-        policy = self.make()
+        policy = FairSharePolicy()
         web = Job("web-0", arrival=0.0, tenant="web", complexity=4.0)
         batch = Job("batch-0", arrival=1.0, tenant="batch", complexity=4.0)
         policy.push(web)
@@ -237,19 +219,8 @@ class TestFairSharePolicy:
         policy.push(web_1)
         assert policy.peek() is web
 
-    def test_weights_scale_the_share(self):
-        policy = self.make(weights={"web": 4.0, "batch": 1.0})
-        web = Job("web-0", tenant="web")
-        batch = Job("batch-0", tenant="batch")
-        policy.push(web)
-        policy.push(batch)
-        policy.on_admit(Job("web-done", tenant="web", complexity=2.0))
-        policy.on_admit(Job("batch-done", tenant="batch", complexity=1.0))
-        # web's share is 2/4 = 0.5, batch's is 1/1 = 1.0.
-        assert policy.peek() is web
-
     def test_victim_is_youngest_of_the_most_over_share_tenant(self):
-        policy = self.make()
+        policy = FairSharePolicy()
         policy.on_admit(Job("hog-done", tenant="hog", complexity=10.0))
         hog_old = Job("hog-0", arrival=0.0, tenant="hog")
         hog_new = Job("hog-1", arrival=1.0, tenant="hog")
@@ -263,7 +234,7 @@ class TestFairSharePolicy:
         assert policy.victim(now=2.0) is light
 
     def test_jobs_listed_in_arrival_order_across_tenants(self):
-        policy = self.make()
+        policy = FairSharePolicy()
         a = Job("a", tenant="t1")
         b = Job("b", tenant="t2")
         c = Job("c", tenant="t1")
@@ -273,7 +244,7 @@ class TestFairSharePolicy:
         assert len(policy) == 3
 
     def test_pop_of_unknown_job_is_an_error(self):
-        policy = self.make()
+        policy = FairSharePolicy()
         with pytest.raises(WorkloadError, match="not in the wait queue"):
             policy.pop(Job("ghost", tenant="nobody"))
 

@@ -153,7 +153,7 @@ class TestInvalidation:
         fragment = Fragment("R", 0, JOIN_SCHEMA, [(1, 10), (2, 20)])
         index = fragment.index_on(0, kind)
         assert fragment.index_on(0, kind) is index
-        fragment.append((1, 11))
+        fragment.extend([(1, 11)])
         appended = fragment.index_on(0, kind)
         assert appended is not index
         assert list(appended.lookup(1)) == [(1, 10), (1, 11)]
@@ -180,7 +180,7 @@ class TestInvalidation:
         fragment = Fragment("R", 0, JOIN_SCHEMA)
         for step, key, argument in steps:
             if step == "append":
-                fragment.append((key, argument))
+                fragment.extend([(key, argument)])
             elif step == "clear":
                 fragment.clear()
             else:

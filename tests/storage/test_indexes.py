@@ -27,12 +27,6 @@ class TestHashIndex:
         assert index.build_rows == 5
         assert len(index) == 5
 
-    def test_distinct_keys(self):
-        assert HashIndex(ROWS, 0).distinct_keys() == 4
-
-    def test_build_cost_linear(self):
-        assert HashIndex.build_cost_units(1000) == 1000.0
-
 
 class TestSortedIndex:
     def test_lookup_hit(self):
@@ -45,21 +39,6 @@ class TestSortedIndex:
 
     def test_lookup_miss(self):
         assert SortedIndex(ROWS, 0).lookup(4) == ()
-
-    def test_range_lookup_inclusive(self):
-        index = SortedIndex(ROWS, 0)
-        keys = sorted(row[0] for row in index.range_lookup(2, 3))
-        assert keys == [2, 3]
-
-    def test_range_lookup_empty(self):
-        assert SortedIndex(ROWS, 0).range_lookup(10, 20) == ()
-
-    def test_build_cost_nlogn(self):
-        assert SortedIndex.build_cost_units(1024) == 1024 * 10
-
-    def test_build_cost_tiny(self):
-        assert SortedIndex.build_cost_units(0) == 0.0
-        assert SortedIndex.build_cost_units(1) == 1.0
 
     def test_empty_index(self):
         index = SortedIndex([], 0)

@@ -1,15 +1,10 @@
-"""Hash partitioning: specs, fragment assignment, repartitioning."""
+"""Hash partitioning: specs and fragment assignment."""
 
 import pytest
 
 from repro.errors import PartitioningError
 from repro.storage.fragment import Fragment
-from repro.storage.partitioning import (
-    HashPartitioner,
-    PartitioningSpec,
-    fragment_of,
-    repartition_row,
-)
+from repro.storage.partitioning import HashPartitioner, PartitioningSpec
 from repro.storage.schema import Schema
 from repro.storage.tuples import stable_hash
 
@@ -81,24 +76,13 @@ class TestHashPartitioner:
         assert sum(f.cardinality for f in fragments) == 60
         for fragment in fragments:
             for row in fragment.rows:
-                assert fragment_of((row[0], row[1]), 5) == fragment.index
-
-
-class TestRepartitionRow:
-    def test_matches_static_partitioning(self):
-        # A transmitted stream must line up with a statically
-        # partitioned build side: same hash, same buckets.
-        for key in range(200):
-            assert repartition_row((key, 0), 0, 13) == stable_hash(key) % 13
-
-    def test_fragment_of_single_vs_tuple(self):
-        assert fragment_of([42], 7) == 42 % 7
+                assert stable_hash((row[0], row[1])) % 5 == fragment.index
 
 
 class TestFragment:
     def test_append_and_len(self):
         fragment = Fragment("R", 0, Schema.of_ints("k"))
-        fragment.append((1,))
+        fragment.extend([(1,)])
         assert len(fragment) == 1
         assert fragment.cardinality == 1
 

@@ -54,10 +54,6 @@ class TestReferenceOperators:
         right = Relation("R", Schema.of_ints("k"), [(1,)])
         assert left.join(right, "k", "k").schema.names == ("k", "k_2")
 
-    def test_sorted_by(self):
-        relation = Relation("S", Schema.of_ints("k"), [(3,), (1,), (2,)])
-        assert relation.sorted_by("k").rows == ((1,), (2,), (3,))
-
     def test_empty_join(self):
         left = Relation("L", Schema.of_ints("k"), [(1,)])
         right = Relation("R", Schema.of_ints("j"), [])

@@ -6,9 +6,7 @@ import pytest
 
 from repro.errors import PartitioningError
 from repro.storage.skew import (
-    sample_zipf_fragment,
     skew_ratio,
-    theoretical_skew_ratio,
     zipf_cardinalities,
     zipf_weights,
 )
@@ -83,21 +81,6 @@ class TestSkewRatio:
         assert skew_ratio([30, 10, 10, 10]) == 30 / 15
 
     def test_theoretical_matches_integer_version(self):
-        theoretical = theoretical_skew_ratio(100, 0.6)
+        theoretical = max(zipf_weights(100, 0.6)) * 100
         integral = skew_ratio(zipf_cardinalities(100_000, 100, 0.6))
         assert abs(theoretical - integral) / theoretical < 0.02
-
-
-class TestSampling:
-    def test_sample_respects_range(self):
-        import random
-        rng = random.Random(1)
-        samples = [sample_zipf_fragment(8, 1.0, rng) for _ in range(200)]
-        assert all(0 <= s < 8 for s in samples)
-
-    def test_sample_prefers_first_fragment(self):
-        import random
-        rng = random.Random(1)
-        samples = [sample_zipf_fragment(8, 1.0, rng) for _ in range(2000)]
-        counts = [samples.count(i) for i in range(8)]
-        assert counts[0] == max(counts)

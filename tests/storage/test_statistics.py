@@ -33,15 +33,3 @@ class TestFragmentStatistics:
         assert stats.mean == 0.0
         assert stats.largest == 0
         assert stats.skew_ratio == 1.0
-
-    def test_is_skewed_threshold(self):
-        assert _stats([30, 10]).is_skewed(1.4)
-        assert not _stats([30, 10]).is_skewed(1.6)
-
-    def test_descending_order_is_lpt_order(self):
-        stats = _stats([5, 50, 20])
-        assert stats.descending_order() == [1, 2, 0]
-
-    def test_descending_order_stable_shapes(self):
-        order = _stats([10, 10, 10]).descending_order()
-        assert sorted(order) == [0, 1, 2]

@@ -1,9 +1,7 @@
 """Row helpers, in particular the stable hash partitioning relies on."""
 
 from repro.storage.tuples import (
-    concat_rows,
     hash_partitions,
-    project_row,
     row_size_bytes,
     stable_hash,
 )
@@ -50,12 +48,6 @@ class TestStableHash:
 
 
 class TestRowHelpers:
-    def test_project_row(self):
-        assert project_row((10, 20, 30), (2, 0)) == (30, 10)
-
-    def test_concat_rows(self):
-        assert concat_rows((1,), (2, 3)) == (1, 2, 3)
-
     def test_row_size_ints(self):
         assert row_size_bytes((1, 2, 3)) == 24
 

@@ -108,15 +108,6 @@ class TestSingleQueryParity:
         with pytest.raises(WorkloadError, match="both"):
             session.run()
 
-    def test_execute_plan_routes_through_session(self, db):
-        from repro.lera.plans import ideal_join_plan
-        plan = ideal_join_plan(db.table("A"), db.table("B"),
-                               "unique1", "unique1")
-        schema = db.table("A").relation.schema.concat(
-            db.table("B").relation.schema)
-        result = db.execute_plan(plan, schema, threads=2)
-        assert result.cardinality == 200
-
 
 class TestHandles:
     def test_status_transitions(self, db):
