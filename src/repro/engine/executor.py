@@ -99,8 +99,8 @@ class ObservabilityOptions:
     observe: bool = False
     """Attach an :class:`~repro.obs.bus.EventBus` to the execution:
     structured events, the activation trace (one span per activation,
-    ``QueryExecution.obs.trace``), time-series probes and counters end
-    up on ``QueryExecution.obs`` (exportable via :mod:`repro.obs.export`).
+    ``QueryExecution.obs.trace``) and time-series probes end up on
+    ``QueryExecution.obs`` (exportable via :mod:`repro.obs.export`).
     Virtual-time behaviour is unchanged; only wall clock pays."""
     monitors: tuple = ()
     """Streaming :class:`~repro.obs.monitor.Monitor` rules the workload
@@ -278,8 +278,6 @@ class Executor:
             operation.build_pool(thread_ids, start_time)
             bus = operation.bus
             if bus is not None:
-                if operation.ready_index is not None:
-                    operation.ready_index.obs = bus
                 bus.emit(OP_START, start_time, operation.name,
                          threads=count, instances=operation.instances,
                          strategy=operation.strategy.name,

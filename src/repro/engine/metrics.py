@@ -161,8 +161,8 @@ class QueryExecution:
     operations: dict[str, OperationMetrics]
     result_rows: list[Row] = field(repr=False)
     obs: EventBus | None = field(default=None, repr=False)
-    """Structured events, the activation trace, probe series and
-    counters, present when the execution ran with
+    """Structured events, the activation trace and probe series,
+    present when the execution ran with
     ``ObservabilityOptions(observe=True)``; export via
     :mod:`repro.obs.export`."""
     status: str = STATUS_DONE

@@ -68,17 +68,10 @@ class ReadyIndex:
     """Per-operation index over its activation queues' head ready times."""
 
     __slots__ = ("_nrt", "_pool_of", "_heaps", "_ready",
-                 "_mains_per_pool", "_track_global", "obs",
-                 "_notify_key", "_stale_key", "_ready_key")
+                 "_mains_per_pool", "_track_global")
 
     def __init__(self, operation: "OperationRuntime") -> None:
         queues = operation.queues
-        #: Observability hook (an EventBus), attached by the executor
-        #: when observability is on; ``None`` costs one check per site.
-        self.obs = None
-        self._notify_key = "ready_notify/" + operation.name
-        self._stale_key = "ready_stale_drops/" + operation.name
-        self._ready_key = "ready_set/" + operation.name
         pool_count = len(operation.threads)
         self._pool_of = [0] * len(queues)
         # Slot -1 (the last) holds the operation-wide structure.
@@ -111,11 +104,6 @@ class ReadyIndex:
         entries are recognized as stale (time mismatch) and dropped
         lazily.
         """
-        if self.obs is not None:
-            # EventBus.count, written out: one notify per head change.
-            counters = self.obs.counters
-            key = self._notify_key
-            counters[key] = counters.get(key, 0.0) + 1.0
         pool = self._pool_of[instance]
         self._ready[pool].discard(instance)
         self._nrt[instance] = ready_time
@@ -146,18 +134,12 @@ class ReadyIndex:
         heap = self._heaps[pool]
         nrt = self._nrt
         ready = self._ready[pool]
-        best: float | None = None
-        stale = 0
         while heap:
             time, instance = heap[0]
             if time == nrt[instance] and instance not in ready:
-                best = time
-                break
+                return time
             heapq.heappop(heap)
-            stale += 1
-        if stale and self.obs is not None:
-            self.obs.count(self._stale_key, stale)
-        return best
+        return None
 
     def _floor(self, pool: int) -> float | None:
         """Smallest head time tracked by *pool*; the heap top must be
@@ -193,39 +175,23 @@ class ReadyIndex:
         """
         pool = thread.pool_index
         nrt = self._nrt
-        obs = self.obs
         for slot in (pool, _GLOBAL):
             heap = self._heaps[slot]
             ready = self._ready[slot]
-            if heap:
-                stale = 0
-                while heap:
-                    time, instance = heap[0]
-                    if time != nrt[instance] or instance in ready:
-                        heapq.heappop(heap)  # stale or duplicate entry
-                        stale += 1
-                        continue
-                    if time > now:
-                        break
-                    heapq.heappop(heap)
-                    ready.add(instance)
-                if stale and obs is not None:
-                    obs.count(self._stale_key, stale)
+            while heap:
+                time, instance = heap[0]
+                if time != nrt[instance] or instance in ready:
+                    heapq.heappop(heap)  # stale or duplicate entry
+                    continue
+                if time > now:
+                    break
+                heapq.heappop(heap)
+                ready.add(instance)
             found = []
             for instance in ready:
                 if nrt[instance] <= now:
                     found.append(instance)
             if slot != _GLOBAL:
-                if obs is not None:
-                    # Probe the post-promotion ready-set size this
-                    # thread saw in its own pool structure (the
-                    # operation-wide set is only promoted on the
-                    # secondary path, so it would read stale here) — a
-                    # call only when the size moved.
-                    size = len(ready)
-                    series = obs.series.get(self._ready_key)
-                    if series is None or series.values[-1] != size:
-                        obs.sample(self._ready_key, now, size)
                 if found:
                     break
                 if not allow_secondary:
@@ -246,11 +212,9 @@ class ReadyIndex:
 
         Certain: the thread's own and the operation-wide ready sets are
         empty (tested, never iterated) and both validated heap tops lie
-        after *now*.  Side effects are ``select``'s: stale tops purged
-        and counted (additive, so a ``select`` after a ``None`` sums to
-        the same), the ``ready_set`` probe sampled at size 0 — no call
-        at all when it already reads 0, as a sample on no change
-        stores nothing.
+        after *now*.  The one side effect is ``select``'s: stale heap
+        tops are purged, so a ``select`` after a ``None`` finds the heaps
+        it would have found.
         """
         ready = self._ready
         pool = thread.pool_index
@@ -267,9 +231,4 @@ class ReadyIndex:
                     future = self._top(pool)
                 if future is not None and future <= now:
                     return None
-        obs = self.obs
-        if future is not None and obs is not None:
-            series = obs.series.get(self._ready_key)
-            if series is None or series.values[-1] != 0:
-                obs.sample(self._ready_key, now, 0)
         return future

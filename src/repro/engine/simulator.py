@@ -155,9 +155,6 @@ class Simulator:
         #: ``_active`` alone drives the dilation.
         self._live = 0
         self._sliced = False
-        # Per-thread slicing state, keyed by thread id.
-        self._in_progress: dict[int, _WorkInProgress] = {}
-        self._pending_batch: dict[int, list[Activation]] = {}
         if profiler is not None:
             profiler.instrument(self, _PROFILED_SECTIONS)
 
@@ -217,7 +214,6 @@ class Simulator:
         """
         heap = self._heap
         injector = self._injector
-        in_progress = self._in_progress
         pop = heapq.heappop
         step = self._step
         limit = math.inf if until is None else until
@@ -237,7 +233,7 @@ class Simulator:
             thread = pop(heap)[2]
             if thread.state != RUNNABLE:
                 continue
-            if in_progress and thread.thread_id in in_progress:
+            if thread.work is not None:
                 self._advance_slice(thread)
             else:
                 step(thread)
@@ -270,15 +266,14 @@ class Simulator:
                     discarded += dropped
             operation.close_input()
             for thread in operation.threads:
-                tid = thread.thread_id
                 # Abandon partially charged slices (the activation was
                 # already processed, only its delivery is dropped) and
                 # discard fetched-but-unprocessed batch entries.
-                self._in_progress.pop(tid, None)
-                batch = self._pending_batch.pop(tid, None)
+                batch = thread.batch
                 if batch:
                     operation.discarded += len(batch)
                     discarded += len(batch)
+                thread.work = thread.batch = None
             self._wake_all(operation)
             for queue in operation.queues:
                 if queue.blocked_producers:
@@ -391,6 +386,21 @@ class Simulator:
                 thread.operation.name, thread.thread_id, thread.clock)
         return factor
 
+    def _work_factor(self, thread: WorkerThread) -> float:
+        """:meth:`_charge_factor` of an activation's work, whole or one
+        slice: the first slowed charge per (thread, operation) is
+        announced on the operation's bus."""
+        factor = self._dilation
+        if self._perturbs_cpu:
+            operation = thread.operation
+            slowdown = self._injector.speed_factor(
+                operation.name, thread.thread_id, thread.clock)
+            if slowdown != 1.0:
+                factor *= slowdown
+                self._injector.announce_slowdown(
+                    operation, thread.thread_id, thread.clock, slowdown)
+        return factor
+
     def _stalled(self, thread: WorkerThread) -> bool:
         """Park the thread to the end of a stall window covering it
         (asked only when the plan perturbs the CPU)."""
@@ -481,7 +491,7 @@ class Simulator:
         if self._sliced:
             # Start the first activation; the rest of the batch (and
             # the back-pressure check) continue in _advance_slice.
-            self._pending_batch[thread.thread_id] = list(batch)
+            thread.batch = batch
             self._begin_activation(thread)
             self._push(thread)
             return
@@ -547,11 +557,9 @@ class Simulator:
             if not lone:
                 cost += self._enqueue_charge(operation.outputs, len(emitted))
         if self._perturbs_cpu:
-            # Slowdown windows fold into the single whole-activation
-            # charge (dilation is identically 1 on this path, so the
-            # factor applies here, not in _charge_factor).
-            cost = self._injector.charge(operation, thread.thread_id,
-                                         start, cost)
+            # Dilation is exactly 1.0 on this path, so the work factor
+            # is the slowdown factor alone.
+            cost *= self._work_factor(thread)
         thread.clock += cost
         thread.busy_time += cost
         bus = operation.bus
@@ -569,7 +577,7 @@ class Simulator:
     # -- sliced path (over-subscription possible) ------------------------------------
 
     def _begin_activation(self, thread: WorkerThread) -> None:
-        batch = self._pending_batch.get(thread.thread_id)
+        batch = thread.batch
         if not batch:
             return
         if thread.operation.may_fail:
@@ -590,22 +598,21 @@ class Simulator:
         if emitted:
             total += self._enqueue_charge(thread.operation.outputs,
                                           len(emitted))
-        # Slowdown windows apply per slice (via _charge_factor),
+        # Slowdown windows apply per slice (via _work_factor),
         # re-sampled as windows open and close.
-        self._in_progress[thread.thread_id] = _WorkInProgress(
-            emitted, thread.clock, total)
+        thread.work = _WorkInProgress(emitted, thread.clock, total)
 
     def _advance_slice(self, thread: WorkerThread) -> None:
         if self._perturbs_cpu and self._stalled(thread):
             return
-        work = self._in_progress[thread.thread_id]
+        work = thread.work
         slice_cost = min(work.remaining, work.slice)
-        thread.advance(slice_cost * self._charge_factor(thread), busy=True)
+        thread.advance(slice_cost * self._work_factor(thread), busy=True)
         work.remaining -= slice_cost
         if work.remaining > 1e-15:
             self._push(thread)
             return
-        del self._in_progress[thread.thread_id]
+        thread.work = None
         bus = thread.operation.bus
         if bus is not None:
             bus.trace.events.append(TraceEvent(
@@ -614,13 +621,13 @@ class Simulator:
         filled: set[int] = set()
         if work.emitted:
             self._deliver(thread, work.emitted, work.started_at, filled)
-        if self._pending_batch.get(thread.thread_id):
+        if thread.batch:
             # Back-pressure is only checked between batches, matching
             # the whole-activation path.
             self._begin_activation(thread)
             self._push(thread)
             return
-        self._pending_batch.pop(thread.thread_id, None)
+        thread.batch = None
         self._after_batch(thread, filled)
 
     # -- fault handling -------------------------------------------------------------
@@ -641,7 +648,7 @@ class Simulator:
         self._fail_attempt(thread, activation, decision)
         if decision.aborts:
             thread.operation.discarded += rest
-            self._pending_batch.pop(thread.thread_id, None)
+            thread.batch = None
             self._abort_query(thread, activation, decision)
         return decision
 

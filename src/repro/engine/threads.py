@@ -35,11 +35,15 @@ class WorkerThread:
             congruent to this index modulo the pool size.
         clock: Private virtual time.
         busy_time / idle_time: Accounting split of elapsed time.
+        work / batch: Slicing state (over-subscribed runs only): the
+            partially charged activation, and the rest of the fetched
+            batch still to process; ``None`` otherwise.
     """
 
     __slots__ = ("thread_id", "pool_index", "operation", "clock", "state",
                  "main_queues", "main_queue_set", "busy_time", "idle_time",
-                 "stalled_time", "started_at", "finished_at")
+                 "stalled_time", "started_at", "finished_at", "work",
+                 "batch")
 
     def __init__(self, thread_id: int, pool_index: int,
                  operation: "OperationRuntime", start_time: float) -> None:
@@ -55,6 +59,8 @@ class WorkerThread:
         self.idle_time = 0.0
         self.stalled_time = 0.0
         self.finished_at: float | None = None
+        self.work = None
+        self.batch: list | None = None
 
     def __repr__(self) -> str:
         return (f"WorkerThread(#{self.thread_id} of {self.operation.name!r}, "

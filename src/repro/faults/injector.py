@@ -24,10 +24,10 @@ Virtual-time semantics of each hook:
 * ``attempt`` — decides whether a dequeued activation's processing
   attempt fails *before* its DBFunc runs (stateful operators must not
   observe failed attempts); returns the retry/abort decision.
-* ``charge`` — multiplies one whole activation's work charge by the
-  slowdown factor at its start, and announces the first slowdown each
-  thread of an operator meets (the sliced path charges the factor per
-  slice through ``speed_factor`` instead, unannounced).
+* ``announce_slowdown`` — the simulator's one work-factor helper calls
+  it for every slowed work charge (a whole activation, or one slice of
+  it); the first slowdown each thread of an operator meets lands on
+  the operation's bus, the rest are dropped.
 * ``apply_time`` — fires memory-pressure events whose instant has
   passed, shrinking the machine's Allcache budget.
 
@@ -131,19 +131,6 @@ class FaultInjector:
         return factor
 
     # ------------------------------------------------------------------
-    # Whole-activation charges (slowdown)
-
-    def charge(self, operation, thread_id: int, now: float,
-               cost: float) -> float:
-        """One whole-activation work charge under the slowdown factor
-        at its start."""
-        factor = self.speed_factor(operation.name, thread_id, now)
-        if factor != 1.0:
-            cost *= factor
-            self._announce_slowdown(operation, thread_id, now, factor)
-        return cost
-
-    # ------------------------------------------------------------------
     # Transient activation failures
 
     def may_fail(self, op_name: str) -> bool:
@@ -225,8 +212,10 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Bus announcements
 
-    def _announce_slowdown(self, operation, thread_id: int, now: float,
-                           factor: float) -> None:
+    def announce_slowdown(self, operation, thread_id: int, now: float,
+                          factor: float) -> None:
+        """Emit ``fault.slowdown`` for the first slowed work charge of
+        *thread_id* in *operation* (observed runs only)."""
         if operation.bus is None:
             return
         key = (thread_id, operation.name)

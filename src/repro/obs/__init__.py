@@ -4,8 +4,9 @@ Enable per-query observability with
 ``ExecutionOptions(observability=ObservabilityOptions(observe=True))``;
 the resulting :class:`~repro.engine.metrics.QueryExecution` then
 carries an :class:`~repro.obs.bus.EventBus` on ``.obs`` — its events,
-activation trace (``.obs.trace.gantt()`` draws it), probe series and
-counters — exportable via :mod:`repro.obs.export`, and
+activation trace (``.obs.trace.gantt()`` draws it) and probe series,
+all of the simulated machine — exportable via :mod:`repro.obs.export`,
+and
 :func:`~repro.obs.export.read_jsonl` turns a log back into a bus
 (``LoadedRun.obs``).  Workload-level telemetry — the
 :class:`~repro.obs.metrics.MetricsRegistry`, per-query

@@ -6,30 +6,32 @@ is off) and guard every emission with a single ``is not None`` check,
 so the disabled hot path costs one attribute load per site — the
 perf-regression harness pins this at under 5 % wall clock.  When on,
 observing an activation costs appends: the per-activation sites (the
-dequeue event, the activation span, the ready-notify count) write their
-record into ``events`` / ``counters`` themselves, a queue-depth move is
-one :meth:`EventBus.add` frame, and a probe that repeats its last value
+dequeue event, the activation span) write their record into
+``events`` / ``trace`` themselves, a queue-depth move is one
+:meth:`EventBus.add` frame, and a probe that repeats its last value
 stores nothing.  Exporters are views over what is stored.
 
-The bus records four things:
+The bus records the simulated machine, never the simulator: what a
+thread, queue or operation of DBS3 did, not how the event loop found
+it (the ready index, a faster way to the linear scan's answer, is not
+observed, so both selection paths export the same bytes).  It holds
+three stores:
 
 * **events** — discrete, structured records (enqueue batches, dequeue
   batches with a steal flag, capacity blocking, memory penalties,
   operation lifecycle, waves), each stamped with the emitting thread's
   virtual clock;
 * **series** — time-series probes (:mod:`repro.obs.probes`) sampled on
-  change: per-operation queue depth, ready-set size, active threads,
-  cumulative Allcache penalty;
-* **counters** — plain scalar tallies with no time axis (ready-index
-  notification and stale-drop churn), for quantities too hot to
-  timestamp individually;
+  change: per-operation queue depth, active threads, cumulative
+  Allcache penalty.  A running total (:meth:`EventBus.add`) lives in
+  its series alone: the last value is the total;
 * **trace** — the activation trace, an
   :class:`~repro.engine.trace.ExecutionTrace` holding one span per
   activation, finalize and wasted fault attempt (what the Gantt chart,
   the critical path and the work-skew findings read).
 
 A reloaded JSONL log is a bus too (:func:`repro.obs.export.read_jsonl`
-fills all four stores), so every reader takes one recorder either way.
+fills all three stores), so every reader takes one recorder either way.
 
 Counts recorded here deliberately mirror the end-of-run aggregates of
 :class:`~repro.engine.metrics.OperationMetrics` (enqueues, dequeue
@@ -110,21 +112,19 @@ class Event(NamedTuple):
 
 
 class EventBus:
-    """Collects events, probe series, scalar counters and the
-    activation trace for one run."""
+    """Collects events, probe series and the activation trace for one
+    run."""
 
-    __slots__ = ("events", "series", "counters", "trace")
+    __slots__ = ("events", "series", "trace")
 
     def __init__(self) -> None:
         self.events: list[Event] = []
         self.series: dict[str, Series] = {}
-        self.counters: dict[str, float] = {}
         self.trace = ExecutionTrace()
 
     def __repr__(self) -> str:
         return (f"EventBus(events={len(self.events)}, "
-                f"series={len(self.series)}, counters={len(self.counters)}, "
-                f"spans={len(self.trace)})")
+                f"series={len(self.series)}, spans={len(self.trace)})")
 
     # -- recording ----------------------------------------------------------
 
@@ -142,26 +142,24 @@ class EventBus:
         series.sample(t, value)
 
     def add(self, name: str, t: float, delta: float) -> float:
-        """Bump a counter by *delta* and sample the new value at *t*.
+        """Move the running total *name* by *delta* and sample the new
+        value at *t*; the total is the series' last value (0.0 before
+        the first move).
 
         One frame: every enqueue and dequeue moves a queue-depth
-        counter through here, so :meth:`Series.sample`'s on-change
+        total through here, so :meth:`Series.sample`'s on-change
         append is written out in place.
         """
-        counters = self.counters
-        value = counters[name] = counters.get(name, 0.0) + delta
         series = self.series.get(name)
         if series is None:
             series = self.series[name] = Series(name)
         values = series.values
-        if not values or values[-1] != value:
+        last = values[-1] if values else 0.0
+        value = last + delta
+        if not values or last != value:
             series.times.append(t)
             values.append(value)
         return value
-
-    def count(self, name: str, delta: float = 1.0) -> None:
-        """Bump a scalar counter with no time-series sample (hot sites)."""
-        self.counters[name] = self.counters.get(name, 0.0) + delta
 
     # -- engine convenience hooks ------------------------------------------
 

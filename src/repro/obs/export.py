@@ -6,9 +6,9 @@ Three output formats, all derived from one
 
 * :func:`write_jsonl` — the full structured record, one JSON object
   per line: a meta header, every bus event, every span of the
-  activation trace, probe series samples, scalar counters,
-  and per-operation metric summaries.  This is the machine-readable
-  log; the obs tests re-parse it and check the event counts against
+  activation trace, probe series samples and per-operation metric
+  summaries.  This is the machine-readable log; the obs tests
+  re-parse it and check the event counts against
   :class:`~repro.engine.metrics.OperationMetrics`, and
   :func:`read_jsonl` round-trips it back into a :class:`LoadedRun`
   that the diagnostics layer (:mod:`repro.diag`) analyses exactly as
@@ -19,7 +19,11 @@ Three output formats, all derived from one
   built from the activation/finalize spans, instant markers for the
   discrete bus events, and one counter track per probe series.
 * :func:`metrics_snapshot` — a plain-text report extending
-  ``QueryExecution.summary()`` with the observed peaks and counters.
+  ``QueryExecution.summary()`` with the observed peaks and counts.
+
+All three are views over the bus, which records the simulated machine
+only: an execution exports the same bytes whether its operations found
+their ready queues through the ready index or the linear scan.
 
 Virtual seconds are exported as microseconds in the Chrome trace (its
 native unit), so a 1.5 s virtual execution reads as 1.5 s in Perfetto.
@@ -62,9 +66,12 @@ _US = 1e6
 #: 4 added online observability: ``alert`` records (one per
 #: :class:`~repro.obs.alerts.Alert` the monitor rules fired) and a
 #: single ``profile`` record (the engine self-profiler's call tree),
-#: both present only when the corresponding subsystem ran.  The reader
-#: accepts exactly this version: nothing writes the older ones any more.
-SCHEMA_VERSION = 4
+#: both present only when the corresponding subsystem ran.  Version 5
+#: dropped ``counter`` records: a running total is its series' last
+#: ``sample``, and the ready index's churn is no longer recorded.  The
+#: reader accepts exactly this version: nothing writes the older ones
+#: any more.
+SCHEMA_VERSION = 5
 
 
 #: The per-operation aggregates after an ``op`` record's ``name``, read
@@ -131,8 +138,6 @@ def jsonl_records(execution: "QueryExecution") -> Iterator[dict]:
     for name in sorted(bus.series):
         for t, value in bus.series[name].to_pairs():
             yield {"type": "sample", "name": name, "t": t, "value": value}
-    for name in sorted(bus.counters):
-        yield {"type": "counter", "name": name, "value": bus.counters[name]}
 
 
 def write_jsonl(execution: "QueryExecution", path: str | Path) -> int:
@@ -199,11 +204,11 @@ class LoadedRun:
     """One JSONL event log parsed back into live objects.
 
     The inverse of :func:`write_jsonl`: ``obs`` is a real
-    :class:`~repro.obs.bus.EventBus` whose four stores hold exactly
+    :class:`~repro.obs.bus.EventBus` whose three stores hold exactly
     what the live bus held — :class:`~repro.obs.bus.Event` objects,
-    the activation trace, :class:`~repro.obs.probes.Series` with the
-    stored samples (a series stores changes only, so no sample was
-    dropped) and the counters.  ``meta`` and ``ops`` stay plain
+    the activation trace and :class:`~repro.obs.probes.Series` with
+    the stored samples (a series stores changes only, so no sample was
+    dropped).  ``meta`` and ``ops`` stay plain
     dicts, exactly as written.  :mod:`repro.diag` analyses a
     ``LoadedRun`` identically to the live execution it came from.
     """
@@ -297,8 +302,6 @@ def read_jsonl(path: str | Path) -> LoadedRun:
                         record["name"])
                 series.times.append(record["t"])
                 series.values.append(record["value"])
-            elif kind == "counter":
-                run.obs.counters[record["name"]] = record["value"]
             elif kind == "qspan":
                 run.qspans.append(record)
             elif kind == "metric":
@@ -413,10 +416,6 @@ def metrics_snapshot(execution: "QueryExecution") -> str:
         total = sum(e.data["penalty"] for e in memory)
         lines.append(f"  memory        : {len(memory)} penalty events, "
                      f"{total:.4f}s total")
-    ready_churn = {name: value for name, value in sorted(bus.counters.items())
-                   if name.startswith("ready_")}
-    for name, value in ready_churn.items():
-        lines.append(f"  {name:<22}: {value:.0f}")
     return "\n".join(lines)
 
 

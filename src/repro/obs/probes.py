@@ -1,11 +1,12 @@
 """Virtual-time time-series probes.
 
 A :class:`Series` is a named sequence of ``(virtual_time, value)``
-samples.  The event bus maintains one series per probed quantity —
-queue depth per operation, ready-set size, active threads, cumulative
-memory penalty — appending a sample whenever the underlying counter
-changes.  Samples are kept in *emission* order, and the value is the
-counter's running total in that order.
+samples.  The event bus maintains one series per probed quantity of
+the simulated machine — queue depth per operation, active threads,
+cumulative memory penalty — appending a sample whenever the quantity
+changes.  Samples are kept in *emission* order; for a running total
+(queue depth, memory penalty) the value is the total in that order
+and the series is its only record: the last value is the total.
 
 Emission order is not virtual-time order.  Distinct thread clocks
 interleave, and the queue-depth probe stamps an enqueue at the row's

@@ -6,8 +6,8 @@ every queue polled, wake at the index's floor — without making it.
 The *stepwise* twin — ``quiet`` patched to answer ``None``, so every
 wake-up makes the full ``select`` — is the reference: per-thread clocks
 and busy/idle/stalled time, per-operation counters, result rows,
-``run(until)`` boundaries and, when observed, the bus's events, probe
-series and counters must be equal bit for bit.
+``run(until)`` boundaries and, when observed, the bus's events and
+probe series must be equal bit for bit.
 """
 
 import functools
@@ -194,7 +194,6 @@ class Rig:
             "series": None if bus is None else {
                 name: (series.times, series.values)
                 for name, series in bus.series.items()},
-            "counters": None if bus is None else dict(bus.counters),
         }
 
 

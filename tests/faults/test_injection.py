@@ -127,6 +127,24 @@ class TestCpuFaults:
                    for record in slowdowns)
         assert read_jsonl(path).obs.events == slowed.obs.events
 
+    @pytest.mark.parametrize("processors", [70, 4],
+                             ids=["whole", "sliced"])
+    def test_slowdown_announced_once_per_slowed_thread(self, join_db,
+                                                       processors):
+        # Eight join threads on four processors run the sliced path,
+        # which charges the slowdown per slice: it announces the first
+        # slowed charge of each (thread, operation) as the whole path
+        # does.
+        faults = FaultPlan(seed=0, slowdowns=(
+            SlowdownWindow(0.0, float("inf"), 3.0, operation="join"),))
+        slowed = _run(join_db, faults=faults, pipelined=False, observe=True,
+                      machine=Machine.uniform(processors=processors))
+        announced = slowed.obs.events_of("fault.slowdown")
+        assert sorted(event.thread_id for event in announced) == sorted(
+            {span.thread_id for span in slowed.obs.trace.events
+             if span.operation == "join" and span.kind == "activation"})
+        assert len(announced) == slowed.operations["join"].threads == 8
+
     def test_stall_parks_threads_and_charges_stalled_time(self, join_db):
         clean = _run(join_db)
         # The window must cover the join's active region: thread

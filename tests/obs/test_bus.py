@@ -82,22 +82,17 @@ class TestEventBus:
         depth = bus.series[queue_depth_key("join")]
         assert depth.to_pairs() == [(0.1, 1), (0.2, 2), (0.3, 0)]
         assert depth.peak == 2
-        assert bus.counters[queue_depth_key("join")] == 0
+        assert depth.last == 0
 
     def test_add_samples_and_counts(self):
         bus = EventBus()
         assert bus.add("x", 1.0, 2) == 2
         assert bus.add("x", 2.0, -1) == 1
         assert bus.add("x", 3.0, 0) == 1    # counted, not re-sampled
-        assert bus.counters["x"] == 1
-        assert bus.series["x"].to_pairs() == [(1.0, 2), (2.0, 1)]
-
-    def test_count_is_scalar_only(self):
-        bus = EventBus()
-        bus.count("ready_notify/join")
-        bus.count("ready_notify/join", 4)
-        assert bus.counters["ready_notify/join"] == 5
-        assert "ready_notify/join" not in bus.series
+        assert bus.add("x", 4.0, 3) == 4    # from the series' last value
+        assert bus.series["x"].to_pairs() == [(1.0, 2), (2.0, 1), (4.0, 4)]
+        # The total starts at 0.0, so an integer delta stores a float.
+        assert type(bus.series["x"].values[0]) is float
 
     def test_sample_active_and_memory(self):
         bus = EventBus()

@@ -44,34 +44,63 @@ def observed(join_db):
 #: sha256 over ``write_jsonl`` + ``write_chrome_trace`` +
 #: ``metrics_snapshot`` of a fault-free observed run: the ``observed``
 #: fixture (degree 20, the linear scan) and the same join at degree 100
-#: on eight threads (the ready index, its probes and counters).  A change
-#: of the exported format is a declared one: it moves these pins.
+#: on eight threads (the ready index, which exports nothing of its
+#: own).  A change of the exported format is a declared one: it moves
+#: these pins.
 EXPORT_SHA256 = {
-    "scan": "b348430a88a21ccfb8afe679f333fd53c9a6f974f5e0f8cabd09795080e2e5b1",
-    "indexed": "ac1c259a7fb99f0e444435b76e39967f776ccd61a51659507ee2b3dfedd62719",
+    "scan": "203b2a6322a71f60756dbfffa04271cbe3a68cfd35b07dbc9f697efa06b53c2e",
+    "indexed": "000a49f0f02d2cd7456aa57c91e5455f9546ecdd06c70ab0d15e2b760836dc6f",
 }
 
 
-class TestPinnedBytes:
-    @staticmethod
-    def _digest(execution, tmp_path):
-        write_jsonl(execution, tmp_path / "events.jsonl")
-        write_chrome_trace(execution, tmp_path / "trace.json")
-        digest = hashlib.sha256()
-        digest.update((tmp_path / "events.jsonl").read_bytes())
-        digest.update((tmp_path / "trace.json").read_bytes())
-        digest.update(metrics_snapshot(execution).encode())
-        return digest.hexdigest()
+def _export_digest(execution, tmp_path):
+    write_jsonl(execution, tmp_path / "events.jsonl")
+    write_chrome_trace(execution, tmp_path / "trace.json")
+    digest = hashlib.sha256()
+    digest.update((tmp_path / "events.jsonl").read_bytes())
+    digest.update((tmp_path / "trace.json").read_bytes())
+    digest.update(metrics_snapshot(execution).encode())
+    return digest.hexdigest()
 
+
+class TestPinnedBytes:
     def test_scan_export_is_pinned(self, observed, tmp_path):
-        assert self._digest(observed, tmp_path) == EXPORT_SHA256["scan"]
+        assert _export_digest(observed, tmp_path) == EXPORT_SHA256["scan"]
 
     def test_indexed_export_is_pinned(self, tmp_path):
         from repro.bench.workloads import make_join_database
         db = make_join_database(2000, 200, degree=100, theta=0.0)
         execution = _observed(assoc_join_plan(
             db.entry_a, db.entry_b, "key", "key"), threads=8)
-        assert self._digest(execution, tmp_path) == EXPORT_SHA256["indexed"]
+        assert _export_digest(execution, tmp_path) == EXPORT_SHA256["indexed"]
+
+
+class TestSelectionPathIsNotObserved:
+    """The ready index is the simulator's faster way to the linear
+    scan's answer, not part of the simulated machine: an observed run
+    exports the same bytes whichever selection path ran."""
+
+    DEGREE = 100
+
+    @pytest.fixture(scope="class")
+    def wide_db(self):
+        from repro.bench.workloads import make_join_database
+        return make_join_database(2000, 200, degree=self.DEGREE, theta=0.0)
+
+    @pytest.mark.parametrize("strategy", ["random", "lpt"])
+    @pytest.mark.parametrize("build", [ideal_join_plan, assoc_join_plan],
+                             ids=["ideal", "assoc"])
+    def test_index_and_scan_export_the_same_bytes(
+            self, wide_db, build, strategy, tmp_path, monkeypatch):
+        from repro.engine import operation
+        assert self.DEGREE >= operation.READY_INDEX_MIN_INSTANCES
+        plan = build(wide_db.entry_a, wide_db.entry_b, "key", "key")
+        indexed = _export_digest(_observed(plan, 8, strategy), tmp_path)
+        # Lifting the threshold forces the scan, as the golden traces do.
+        monkeypatch.setattr(operation, "READY_INDEX_MIN_INSTANCES",
+                            self.DEGREE + 1)
+        scanned = _export_digest(_observed(plan, 8, strategy), tmp_path)
+        assert indexed == scanned
 
 
 class TestSelfAudit:
@@ -105,8 +134,7 @@ class TestJsonl:
         by_type = {}
         for record in records:
             by_type.setdefault(record["type"], []).append(record)
-        assert set(by_type) == {"meta", "op", "event", "span", "sample",
-                                "counter"}
+        assert set(by_type) == {"meta", "op", "event", "span", "sample"}
         assert records[0]["schema"] == SCHEMA_VERSION
         # the re-parsed log must agree with the metrics aggregates
         for op_record in by_type["op"]:
@@ -154,9 +182,6 @@ class TestReadJsonl:
         assert set(reloaded.obs.series) == set(observed.obs.series)
         for name, series in observed.obs.series.items():
             assert reloaded.obs.series[name].to_pairs() == series.to_pairs()
-
-    def test_counters_round_trip(self, observed, reloaded):
-        assert reloaded.obs.counters == observed.obs.counters
 
     def test_op_records_round_trip(self, observed, reloaded):
         by_name = {record["name"]: record for record in reloaded.ops}
@@ -251,14 +276,3 @@ class TestSnapshot:
         assert "bus events" in text
         assert "active threads: peak" in text
         assert "join" in text and "enqueues=" in text
-
-    def test_ready_churn_reported_at_high_degree(self):
-        # The ready index only engages at READY_INDEX_MIN_INSTANCES
-        # queues, so its notify/stale counters need a wide operation.
-        from repro.bench.workloads import make_join_database
-        db = make_join_database(2000, 200, degree=96, theta=0.0)
-        plan = ideal_join_plan(db.entry_a, db.entry_b, "key", "key")
-        execution = _observed(plan, threads=8)
-        text = metrics_snapshot(execution)
-        assert "ready_notify/join" in text
-        assert verify_against_metrics(execution) == []
