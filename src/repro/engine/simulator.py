@@ -79,7 +79,8 @@ DILATION_SLICES = 16
 #: Method -> profiler section of the event loop's timed phases, wrapped
 #: once at construction when the run is profiled.  The perf ledger reads
 #: the ``ready_scan`` call count as the number of event-loop steps: the
-#: *scans* — a wake-up :meth:`ReadyIndex.quiet` answers makes none.
+#: *scans* — a wake-up :meth:`ReadyIndex.quiet` answers makes none,
+#: nor does one :meth:`Simulator._absorb_herd` charges.
 #: The operator bodies are timed as ``dbfunc`` on each admitted
 #: operation's ``DBFunc`` (:meth:`Simulator.add_operations`).
 _PROFILED_SECTIONS = {
@@ -448,6 +449,8 @@ class Simulator:
                 thread.advance_then_wait(scan, future)
                 heapq.heappush(self._heap, (thread.clock, self._seq, thread))
                 self._seq += 1
+                if operation.allow_secondary and not self._perturbs_cpu:
+                    self._absorb_herd(operation, polls, scan, future, now)
                 return
             # WorkerThread.advance(scan, busy=True), written out, as
             # are the two charges below: the same additions in order.
@@ -515,6 +518,30 @@ class Simulator:
         else:
             # No consumer queue filled, so no back-pressure to check.
             heapq.heappush(self._heap, (thread.clock, self._seq, thread))
+            self._seq += 1
+
+    def _absorb_herd(self, operation: OperationRuntime, polls: int,
+                     scan: float, future: float, now: float) -> None:
+        """Charge the herd behind a fruitless poll without stepping it.
+
+        Every thread the heap would pop next at *now* for the same
+        operation, runnable and between activations, would poll the
+        same untouched queues and get the same answer: with secondary
+        consumption an empty poll covers every queue, so *polls* and
+        *future* do not depend on the thread, and an unperturbed CPU
+        makes *scan* the same charge for all.  Each one gets that
+        charge and its entry back at the seq its own step would have
+        pushed (docs/architecture.md, "The absorbed herd").
+        """
+        heap = self._heap
+        while heap:
+            clock, _, other = heap[0]
+            if (clock != now or other.operation is not operation
+                    or other.state != RUNNABLE or other.work is not None):
+                return
+            operation.polls += polls
+            other.advance_then_wait(scan, future)
+            heapq.heapreplace(heap, (other.clock, self._seq, other))
             self._seq += 1
 
     def _after_batch(self, thread: WorkerThread, filled: set[int]) -> None:

@@ -2,14 +2,16 @@
 
 Reduced-scale versions of the paper's Figure 13 (IdealJoin under Zipf
 skew, LPT vs Random) and Figure 14 (AssocJoin pipeline) workloads run
-three times — with the ready index and its quiet shortcut (what the
-engine does at this degree), with the index but every wake-up a full
-select (``ReadyIndex.quiet`` patched to answer ``None``), and with the
+four times — with the ready index, its quiet shortcut and the absorbed
+herd (what the engine does at this degree), with the index but every
+wake-up a full select (``ReadyIndex.quiet`` patched to answer
+``None``), with the index but every fruitless poll a step of its own
+(``Simulator._absorb_herd`` patched to do nothing), and with the
 reference linear scan (selected the way the engine selects it:
 READY_INDEX_MIN_INSTANCES is lifted above the degree) — and must
 produce *bit-identical* executions: response time, per-op
 poll/secondary/dequeue/enqueue counters, busy and idle time, and
-result rows.  On top of the three-way check, the headline numbers are
+result rows.  On top of the four-way check, the headline numbers are
 pinned as literals so a change that drifts every path at once still
 trips.
 
@@ -26,6 +28,7 @@ from repro.bench.workloads import make_join_database
 from repro.engine import operation
 from repro.engine.executor import ExecutionOptions, Executor
 from repro.engine.ready_index import ReadyIndex
+from repro.engine.simulator import Simulator
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.scheduler.adaptive import AdaptiveScheduler
 
@@ -80,6 +83,9 @@ def test_index_and_scan_produce_identical_traces(kind, theta, strategy,
     with_index = _execute(database, kind, strategy)
     with monkeypatch.context() as stepwise:
         stepwise.setattr(ReadyIndex, "quiet", lambda *args: None)
+        assert _trace(_execute(database, kind, strategy)) == _trace(with_index)
+    with monkeypatch.context() as unabsorbed:
+        unabsorbed.setattr(Simulator, "_absorb_herd", lambda *args: None)
         assert _trace(_execute(database, kind, strategy)) == _trace(with_index)
     monkeypatch.setattr(operation, "READY_INDEX_MIN_INSTANCES", DEGREE + 1)
     with_scan = _execute(database, kind, strategy)

@@ -3,17 +3,23 @@
 When an indexed operation has nothing ready and nothing due
 (``ReadyIndex.quiet``), ``Simulator._step`` charges the empty scan —
 every queue polled, wake at the index's floor — without making it.
-The *stepwise* twin — ``quiet`` patched to answer ``None``, so every
-wake-up makes the full ``select`` — is the reference: per-thread clocks
-and busy/idle/stalled time, per-operation counters, result rows,
-``run(until)`` boundaries and, when observed, the bus's events and
-probe series must be equal bit for bit.
+And a step whose poll found nothing charges the same result to the
+threads of its operation the heap holds at the same instant
+(``Simulator._absorb_herd``), on the index and on the linear scan,
+without stepping them.  The *stepwise* twin — ``quiet`` patched to
+answer ``None`` and ``_absorb_herd`` to do nothing, so every wake-up is
+a step of its own that makes the full ``select`` — is the reference:
+per-thread clocks and busy/idle/stalled time, per-operation counters,
+result rows, ``run(until)`` boundaries and, when observed, the bus's
+events and probe series must be equal bit for bit.
 """
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,24 +176,16 @@ class Rig:
         return self.snapshot()
 
     def snapshot(self):
-        """Everything the shortcut could move.  (A run may end deadlocked
-        — bounded queues without secondary consumption can — and must
-        then do so identically.)"""
+        """Everything the shortcuts could move.  (A run may end
+        deadlocked — bounded queues without secondary consumption can —
+        and must then do so identically.)"""
         assert self.simulator.idle
         bus = self.bus
         return {
-            "threads": {
-                op.name: [(t.thread_id, t.state, t.clock, t.busy_time,
-                           t.idle_time, t.stalled_time, t.finished_at)
-                          for t in op.threads]
-                for op in self.operations},
-            "operations": {
-                op.name: (op.polls, op.enqueues, op.dequeue_batches,
-                          op.secondary_accesses, op.faults_injected,
-                          op.fault_retries, op.fault_aborts, op.discarded,
-                          op.pending_activations, op.finished_at,
-                          op.memory_penalty, tuple(op.activation_costs))
-                for op in self.operations},
+            "threads": {op.name: _thread_facts(op)
+                        for op in self.operations},
+            "operations": {op.name: _counters(op)
+                           for op in self.operations},
             "rows": list(self.join.result_rows),
             "boundaries": self.boundaries,
             "events": None if bus is None else list(bus.events),
@@ -197,10 +195,25 @@ class Rig:
         }
 
 
+def _thread_facts(operation):
+    return [(t.thread_id, t.state, t.clock, t.busy_time, t.idle_time,
+             t.stalled_time, t.finished_at) for t in operation.threads]
+
+
+def _counters(op):
+    return (op.polls, op.enqueues, op.dequeue_batches,
+            op.secondary_accesses, op.faults_injected, op.fault_retries,
+            op.fault_aborts, op.discarded, op.pending_activations,
+            op.finished_at, op.memory_penalty, tuple(op.activation_costs))
+
+
+@contextlib.contextmanager
 def stepwise():
-    """Every wake-up a full ``select``: the engine before the quiet
-    shortcut."""
-    return mock.patch.object(ReadyIndex, "quiet", lambda *args: None)
+    """Every wake-up a step of its own making a full ``select``: the
+    engine before the quiet shortcut and the absorbed herd."""
+    with (mock.patch.object(ReadyIndex, "quiet", lambda *args: None),
+          mock.patch.object(Simulator, "_absorb_herd", lambda *args: None)):
+        yield
 
 
 def _both(config):
@@ -248,9 +261,20 @@ def test_quiet_equals_stepwise(config):
 
 def test_the_fast_path_is_what_ran():
     """The comparison above is not vacuous: at degree 100 most wake-ups
-    are answered without a scan, and none of it shows."""
+    are answered without a scan, most fruitless polls are absorbed
+    into the step before them, and none of it shows."""
     config = Config(observe=True)
     scans = {"quiet": 0, "stepwise": 0}
+    herd = {"stepped": 0, "absorbed": 0}
+    absorb = Simulator._absorb_herd
+
+    def counted_absorb(simulator, *args):
+        # Called once per stepped fruitless poll; each absorbed poll
+        # takes one seq.
+        herd["stepped"] += 1
+        seq = simulator._seq
+        absorb(simulator, *args)
+        herd["absorbed"] += simulator._seq - seq
 
     def counting(label):
         select = Simulator._index_select
@@ -261,12 +285,74 @@ def test_the_fast_path_is_what_ran():
         return mock.patch.object(Simulator, "_index_select",
                                  staticmethod(counted))
 
-    with counting("quiet"):
+    with counting("quiet"), mock.patch.object(
+            Simulator, "_absorb_herd", counted_absorb):
         quiet = Rig(config).play()
     with stepwise(), counting("stepwise"):
         reference = Rig(config).play()
     assert quiet == reference
     assert scans["quiet"] * 2 < scans["stepwise"]
+    assert herd["absorbed"] > herd["stepped"] > 0
+
+
+def _concurrent_joins(processors):
+    """Three AssocJoins started at one instant in one simulator — the
+    same query twice on the ready index, one below it on the linear
+    scan — played to the end: every thread's facts, every operation's
+    counters and every join's rows, in build order."""
+    machine = Machine.uniform(processors=processors)
+    executor = Executor(machine, ExecutionOptions(seed=0))
+    queries = []
+    for degree, join_threads in ((100, 5), (100, 5), (12, 3)):
+        database = _database(degree)
+        plan = assoc_join_plan(database.entry_a, database.entry_b,
+                               "key", "key")
+        schedule = QuerySchedule({
+            "transmit": OperationSchedule(1, "lpt"),
+            "join": OperationSchedule(join_threads, "lpt")})
+        runtimes = executor.build_runtimes(plan, schedule)
+        executor.wire_pipelines(plan, runtimes)
+        executor.attach_observability(runtimes, None)
+        queries.append((runtimes, schedule))
+    start = max(executor.startup_time(runtimes, schedule)
+                for runtimes, schedule in queries)
+    simulator = Simulator(machine, 0, NO_FAULTS, None,
+                          lambda operation, thread: None,
+                          lambda operation, error, at: None)
+    next_thread_id = 0
+    operations = []
+    for runtimes, schedule in queries:
+        wave = list(runtimes.values())
+        next_thread_id, _ = executor.prepare_wave(
+            wave, {name: schedule.of(name).threads for name in runtimes},
+            start, next_thread_id)
+        operations += wave
+    simulator.add_operations(operations)
+    assert simulator.run() is None
+    return ([_thread_facts(op) for op in operations],
+            [_counters(op) for op in operations],
+            [list(runtimes["join"].result_rows) for runtimes, _ in queries])
+
+
+@pytest.mark.parametrize("processors", [16, 4])
+def test_a_herd_is_absorbed_within_its_own_operation(processors):
+    """A step absorbs only its own operation's herd, whose poll would
+    have found what it found.  On 16 processors nothing is
+    over-subscribed and LPT draws nothing, so the two copies of the
+    indexed query run in lockstep: their join threads wake at the same
+    instants, side by side in the heap.  On 4 the pools are
+    over-subscribed: the sliced path."""
+    absorbed = _concurrent_joins(processors)
+    with stepwise():
+        reference = _concurrent_joins(processors)
+    for got, want in zip(absorbed, reference):
+        assert got == want
+    if processors == 16:
+        # Build order is transmit, join per query: 1 and 3 are the
+        # copies' joins, equal up to thread ids.
+        threads = absorbed[0]
+        assert ([facts[1:] for facts in threads[1]]
+                == [facts[1:] for facts in threads[3]])
 
 
 def test_allcache_keeps_a_context_per_activation():
