@@ -11,8 +11,8 @@ export PYTHONPATH
 # (README "Quick start", docs/tutorial.md); the CLI holds no gate.
 .PHONY: test bench perf chaos ledger-smoke
 
-## Tier-1: the fast deterministic test suite (what CI gates on); its
-## ~30 s budget and ten slowest tests show in every log.
+## Tier-1: the fast deterministic test suite (what CI gates on); about
+## 60 s wall on a 2-CPU box, and its ten slowest tests show in every log.
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
 

@@ -44,10 +44,10 @@ from collections import Counter
 from typing import Callable, Iterator
 
 from repro.bench.twins import Twin, digest
+from repro.compiler.parallelizer import CompiledQuery
 from repro.core.database import DBS3
 from repro.engine.executor import (
     ExecutionOptions,
-    Executor,
     ObservabilityOptions,
     OperationSchedule,
     QuerySchedule,
@@ -65,7 +65,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.spans import verify_spans
 from repro.storage.wisconsin import generate_wisconsin
-from repro.workload.engine import TERMINAL_STATES, WorkloadExecutor
+from repro.workload.engine import (
+    TERMINAL_STATES,
+    QuerySubmission,
+    WorkloadExecutor,
+)
 from repro.workload.options import WorkloadOptions
 
 #: The chaos workload: three joins sharing one simulation.
@@ -475,8 +479,11 @@ def _build_degradation():
     db, plan, schedule, faults = _slowed_join()
 
     def cell(factor, pooled):
-        execution = Executor(db.machine, ExecutionOptions(
-            faults=faults(factor))).execute(plan, schedule(pooled))
+        run = WorkloadExecutor(db.machine, ExecutionOptions(),
+                               WorkloadOptions(faults=faults(factor)))
+        result = run.execute([QuerySubmission(
+            "q0", CompiledQuery.of_plan(plan), schedule(pooled))])
+        execution = result.executions["q0"]
         return {"virtual_s": execution.response_time,
                 "rows": execution.result_cardinality}
 

@@ -19,7 +19,6 @@ from repro.engine.metrics import QueryExecution
 from repro.engine.operation import DeliveryTap, OperationRuntime
 from repro.engine.strategies import RANDOM, make_strategy
 from repro.errors import ExecutionError, ExecutionFaultError, PlanError
-from repro.faults.plan import FaultPlan
 from repro.lera.activation import PIPELINED, TRIGGERED
 from repro.lera.graph import PIPELINE, LeraGraph, LeraNode
 from repro.lera.operators import AggregateSpec, PipelinedJoinSpec, StoreSpec
@@ -140,7 +139,9 @@ class ExecutionOptions:
     """Executor knobs orthogonal to the schedule.
 
     Observability flags live in the nested ``observability`` block;
-    of those, only ``observe`` is per query.
+    of those, only ``observe`` is per query.  What acts on the one
+    shared simulation (a fault plan, monitors, the self-profile) is a
+    :class:`~repro.workload.options.WorkloadOptions` setting.
     """
 
     placement: str = PLACEMENT_WARM
@@ -148,11 +149,6 @@ class ExecutionOptions:
     seed: int = 0
     observability: ObservabilityOptions = field(
         default_factory=ObservabilityOptions)
-    faults: FaultPlan | None = None
-    """Optional :class:`~repro.faults.plan.FaultPlan` to inject into
-    the run.  ``None`` (the default) runs under the shared empty-plan
-    injector :data:`~repro.faults.injector.NO_FAULTS`, so no plan and
-    an empty plan take one path and give the same run bit for bit."""
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENTS:
@@ -171,10 +167,6 @@ class ExecutionOptions:
                 "monitors and profile are workload settings (their "
                 "alerts and self-profile land on the WorkloadResult); "
                 "set them with WorkloadOptions(observability=...)")
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise ExecutionError(
-                f"faults must be a FaultPlan (or None), got "
-                f"{type(self.faults).__name__}")
 
     # Read-only views of the nested block, so call sites can keep
     # asking ``options.observe`` (non-annotated, hence not fields).

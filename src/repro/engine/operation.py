@@ -25,11 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.engine.dbfuncs import DBFunc
 
 #: Degree of partitioning at which candidate selection switches from
-#: the linear queue scan to the ready index.  Below this the scan is
-#: cheaper (measured crossover is ~100 instances at 20 threads): with
-#: a handful of queues per pool, heap and ready-set bookkeeping costs
-#: more than just looking at every queue.  Both paths are
-#: virtual-time identical, so this is purely a wall-clock knob.
+#: the linear queue scan to the ready index.  Below it the scan is
+#: cheaper: forcing the index at every degree costs `sql_short` +4.8 %
+#: and `serving_edf_2x` +14 % `op_cal_ms_p50`, whose runtimes have ten
+#: and two queues (docs/architecture.md, "The ready index").  Both paths
+#: are virtual-time identical, so this is purely a wall-clock knob.
 READY_INDEX_MIN_INSTANCES = 96
 
 

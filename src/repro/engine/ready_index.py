@@ -1,54 +1,17 @@
-"""Ready-queue index: sub-linear candidate selection for the event loop.
+"""Ready-queue index: candidate selection without scanning every queue.
 
-Before this index existed, every thread step linearly rescanned the
-operation's activation queues (`has_ready` / `next_ready_time` on each
-of them), so one simulated step cost O(d) in the degree of
-partitioning — quadratic overall, and exactly the regime the paper
-sweeps (Figures 16-19 go to d = 1500 fragments).
+Per pool slot, and once for the whole operation (for secondary
+lookups), the index keeps a lazy min-heap of ``(next_ready_time,
+instance)`` entries and a *ready set* of instances whose head has
+passed some query's ``now``; the
+:class:`~repro.engine.queues.ActivationQueue` notification hook keeps
+both current.  Invariant: every non-empty queue is tracked at exactly
+its current head time, as a ready-set member or as a valid heap entry,
+in its pool structure and in the operation-wide one.
 
-The index exploits a structural invariant of the pool build: main
-queues *partition* the operation's queues across threads (queue ``i``
-is the main queue of thread ``i mod ThreadNb``).  Per pool slot — and
-once more for the whole operation, to serve secondary lookups — it
-keeps two structures over the covered queues:
-
-* a lazy min-heap of ``(next_ready_time, instance)`` entries for
-  queues whose head lies in the *future* of every query seen so far;
-* a *ready set* of instances whose head time has already passed some
-  query's ``now`` — these stay ready until their head changes, so
-  they are admitted once instead of being re-discovered every step.
-
-Both are maintained incrementally through the
-:class:`~repro.engine.queues.ActivationQueue` notification hook: any
-head change evicts the instance from its ready sets and (if the queue
-is non-empty) pushes fresh heap entries.  Heap entries whose time no
-longer matches the instance's current head are *stale* and discarded
-lazily when they surface at the top.  The standing invariant: every
-non-empty queue is tracked at exactly its current head time, either
-as a ready-set member or as a valid heap entry, in both its pool
-structure and the operation-wide one.
-
-Because threads have private clocks, a ready-set member admitted under
-one thread's ``now`` may still be in the future for a slower thread,
-so queries re-check members against their own ``now`` — a plain
-integer-indexed comparison, far cheaper than the method-call scan it
-replaces, and over only the plausibly ready queues instead of all d.
-
-Selection mirrors the legacy scan exactly, without iterating queues:
-
-* ready main candidates are the own-pool members with head <= now,
-  returned as unsorted instance ids — the *set* the scan produced;
-* secondary candidates — consulted only when no main is ready — come
-  from the operation-wide structure: since no own-pool queue is ready,
-  every operation-wide ready instance is necessarily secondary;
-* the ``poll_empty`` charge is derived from cardinalities:
-  ``polls = #main - #ready_main`` (plus, on the secondary path,
-  ``#secondary - #ready_secondary``), which equals the number of
-  not-ready queues the scan would have visited;
-* the earliest future ready time is the minimum over the relevant
-  structure's heap top and ready-set members.
-
-See docs/architecture.md for the full equivalence argument.
+:meth:`ReadyIndex.select` returns the linear scan's answer
+(``Simulator._scan_select``).  Why it is the same answer, and the tests
+that hold it: docs/architecture.md, "The ready index".
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ and
 and lives on the :class:`~repro.workload.engine.WorkloadResult`.
 Scheduler decisions are explained by passing a
 :class:`~repro.obs.explain.ScheduleExplanation` to
-``AdaptiveScheduler.schedule``.  See the Observability and Workload
-telemetry sections of docs/architecture.md for the event taxonomy and
-overhead guarantees.
+``AdaptiveScheduler.schedule``.  What is recorded and what it costs:
+docs/architecture.md, "Observability (`repro/obs/`)"; the event kinds
+are the constants of :mod:`repro.obs.bus`.
 """
 
 from repro.obs.alerts import (

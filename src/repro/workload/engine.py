@@ -630,15 +630,8 @@ class _WorkloadRun:
         self.profiler = EngineProfiler() if self._own_profiler else ambient
         if self.profiler is not None:
             self.profiler.instrument(self, _PROFILED_SECTIONS)
-        #: One fault plan per run, from whichever options block names
-        #: it (``db.query()`` carries only the execution block); a run
-        #: without one shares the empty plan's injector.
-        if workload.faults is not None and exec_options.faults is not None:
-            raise WorkloadError(
-                "fault plans on both ExecutionOptions and WorkloadOptions; "
-                "a run injects exactly one — drop either")
-        faults = (workload.faults if workload.faults is not None
-                  else exec_options.faults)
+        #: A run without a fault plan shares the empty plan's injector.
+        faults = workload.faults
         injector = (NO_FAULTS if faults is None else
                     FaultInjector(faults, bus=self.bus, metrics=self.metrics))
         self.simulator = Simulator(machine, exec_options.seed, injector,

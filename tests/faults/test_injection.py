@@ -1,4 +1,5 @@
-"""Fault injection through ``Executor.execute`` (a one-query workload).
+"""Fault injection into a one-query workload (the run ``Executor.execute``
+makes, with the plan on ``WorkloadOptions``).
 
 Each fault type is exercised in isolation against the small join
 database: failures retry and converge to the clean result, exhausted
@@ -11,7 +12,8 @@ import json
 
 import pytest
 
-from repro.engine.executor import ExecutionOptions, Executor
+from repro.compiler.parallelizer import CompiledQuery
+from repro.engine.executor import ExecutionOptions, ObservabilityOptions
 from repro.engine.metrics import STATUS_DONE
 from repro.errors import ExecutionFaultError
 from repro.faults import (
@@ -25,6 +27,8 @@ from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.machine.machine import Machine
 from repro.obs.export import read_jsonl, write_jsonl
 from repro.scheduler.adaptive import AdaptiveScheduler
+from repro.workload.engine import QuerySubmission, WorkloadExecutor
+from repro.workload.options import WorkloadOptions
 
 THREADS = 8
 
@@ -34,11 +38,14 @@ def _run(join_db, faults=None, machine=None, pipelined=True, observe=False):
     builder = assoc_join_plan if pipelined else ideal_join_plan
     plan = builder(join_db.entry_a, join_db.entry_b, "key", "key")
     schedule = AdaptiveScheduler(machine).schedule(plan, THREADS)
-    from repro.engine.executor import ObservabilityOptions
     options = ExecutionOptions(
-        faults=faults,
         observability=ObservabilityOptions(observe=observe))
-    return Executor(machine, options).execute(plan, schedule)
+    result = WorkloadExecutor(
+        machine, options, WorkloadOptions(faults=faults)).execute(
+            [QuerySubmission("q0", CompiledQuery.of_plan(plan), schedule)])
+    if "q0" in result.errors:
+        raise ExecutionFaultError(result.errors["q0"])
+    return result.executions["q0"]
 
 
 def _metric_trace(execution):

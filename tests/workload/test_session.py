@@ -83,30 +83,6 @@ class TestSingleQueryParity:
             assert series.times == other.times
             assert series.values == other.values
 
-    def test_execution_options_faults_reach_the_session_path(self, db):
-        """A plan on ``ExecutionOptions`` moves ``db.query()`` exactly
-        as it moves the direct executor (it used to be dropped)."""
-        from repro.faults import FaultPlan, SlowdownWindow
-        plan = FaultPlan(seed=0, slowdowns=(
-            SlowdownWindow(0.0, float("inf"), 5.0),))
-        clean = db.query(SQL, threads=10).execution
-        db.executor.options = ExecutionOptions(faults=plan)
-        via_session = db.query(SQL, threads=10).execution
-        compiled = db.compile(SQL)
-        schedule = db.scheduler.schedule(compiled.plan, 10)
-        direct = db.executor.execute(compiled.plan, schedule)
-        assert _metric_trace(via_session) == _metric_trace(direct)
-        assert via_session.response_time > 2 * clean.response_time
-
-    def test_fault_plans_on_both_blocks_are_refused(self, db):
-        from repro.faults import FaultPlan
-        faulted = DBS3(processors=72,
-                       options=ExecutionOptions(faults=FaultPlan()))
-        session = faulted.session(
-            options=WorkloadOptions(faults=FaultPlan()))
-        with pytest.raises(WorkloadError, match="both"):
-            session.run()
-
 
 class TestHandles:
     def test_status_transitions(self, db):
@@ -203,12 +179,6 @@ class TestWorkloadOptionsValidation:
 
 
 class TestExecutionOptionsValidation:
-    def test_faults_that_are_not_a_plan_rejected(self):
-        # Otherwise the run fails with AttributeError (no attribute
-        # 'seed').
-        with pytest.raises(ExecutionError, match="faults must be a FaultPlan"):
-            ExecutionOptions(faults="not a plan")
-
     def test_monitors_are_a_workload_setting(self):
         with pytest.raises(ExecutionError,
                            match=r"WorkloadOptions\(observability=\.\.\.\)"):
