@@ -14,7 +14,7 @@ export PYTHONPATH
 ## Tier-1: the fast deterministic test suite (what CI gates on); about
 ## 60 s wall on a 2-CPU box, and its ten slowest tests show in every log.
 test:
-	$(PYTHON) -m pytest -x -q --durations=10
+	$(PYTHON) -m pytest -x --durations=10
 
 ## The figures table: every figure of the paper (and the extension
 ## sweeps, taxonomy, multi-user batch and ablations) at the paper's
@@ -34,7 +34,7 @@ perf:
 ## `python -m repro chaos` prints the same table, gated the same way;
 ## `python -m repro chaos --seed N` fuzzes the seeded row.
 chaos:
-	$(PYTHON) -m pytest tests -m chaos -q
+	$(PYTHON) -m pytest tests -m chaos
 
 ## Perf-ledger smoke: the benchmark's own tests (every workload runs
 ## one checked op, the result line and `compare` verdicts are

@@ -227,6 +227,15 @@ class OperationRuntime:
         self.live_threads += len(new_threads)
         return new_threads
 
+    def release(self) -> None:
+        """Sever the back-pointers of a complete operation: its threads'
+        ``operation`` and its fold offer's ``shared``.  Nothing steps it
+        again, so its graph is acyclic from here on and goes with its
+        last holder, by reference counting."""
+        for thread in self.threads:
+            thread.operation = None
+        self.shared = None
+
     # -- input lifecycle --------------------------------------------------------
 
     def seed_triggers(self, at_time: float) -> None:

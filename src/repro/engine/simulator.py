@@ -123,7 +123,8 @@ class Simulator:
         #: operation's last thread terminates (``finished_at`` is set,
         #: downstream input-close already handled).  The workload
         #: engine hooks query-completion bookkeeping — next-wave
-        #: admission, thread re-granting — in here.
+        #: admission, thread re-granting — in here.  The operation is
+        #: released (:meth:`OperationRuntime.release`) when it returns.
         self.on_operation_complete = on_operation_complete
         #: Invoked as ``callback(operation, error, at)`` when an
         #: activation exhausts its fault retries.  The workload engine
@@ -882,3 +883,4 @@ class Simulator:
                     consumer.close_input()
                     self._wake_all(consumer)
         self.on_operation_complete(operation, thread)
+        operation.release()

@@ -63,7 +63,8 @@ class WorkerThread:
         self.batch: list | None = None
 
     def __repr__(self) -> str:
-        return (f"WorkerThread(#{self.thread_id} of {self.operation.name!r}, "
+        return (f"WorkerThread(#{self.thread_id} of "
+                f"{getattr(self.operation, 'name', None)!r}, "
                 f"clock={self.clock:.6f}, {self.state})")
 
     def assign_main_queues(self, queues: list[ActivationQueue]) -> None:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.lera.graph import MATERIALIZED, LeraGraph
+from repro.lera.graph import MATERIALIZED, LeraGraph, dependency_order
 from repro.lera.operators import (
     AggregateSpec,
     IndexScanSpec,
@@ -108,23 +108,16 @@ def compute_fingerprints(plan: LeraGraph) -> dict[str, Fingerprint | None]:
     """
     materialized_into: set[str] = {
         edge.consumer for edge in plan.edges if edge.kind == MATERIALIZED}
+    producers = {node.name: sorted(plan.pipeline_producers(node.name))
+                 for node in plan.nodes}
     fingerprints: dict[str, Fingerprint | None] = {}
-
-    def of(name: str) -> Fingerprint | None:
-        if name in fingerprints:
-            return fingerprints[name]
-        node = plan.node(name)
+    for name in dependency_order(producers):
         result: Fingerprint | None = None
         if name not in materialized_into:
-            key = _spec_key(node.spec)
+            key = _spec_key(plan.node(name).spec)
             if key is not None:
-                producers = sorted(plan.pipeline_producers(name))
-                upstream = tuple(of(producer) for producer in producers)
+                upstream = tuple(fingerprints[p] for p in producers[name])
                 if not any(part is None for part in upstream):
                     result = key + (upstream,) if upstream else key
         fingerprints[name] = result
-        return result
-
-    for node in plan.nodes:
-        of(node.name)
     return fingerprints

@@ -300,22 +300,37 @@ class LeraGraph:
         dependencies = self.chain_dependencies(chains)
         by_id = {c.chain_id: c for c in chains}
         level: dict[int, int] = {}
-
-        def level_of(chain_id: int, visiting: frozenset[int] = frozenset()) -> int:
-            if chain_id in level:
-                return level[chain_id]
-            if chain_id in visiting:
-                raise PlanError("cycle among chains")
+        for chain_id in dependency_order(dependencies):
             deps = dependencies[chain_id]
-            value = 0 if not deps else 1 + max(
-                level_of(d, visiting | {chain_id}) for d in deps)
-            level[chain_id] = value
-            return value
-
-        for chain in chains:
-            level_of(chain.chain_id)
+            level[chain_id] = 1 + max(level[d] for d in deps) if deps else 0
         max_level = max(level.values())
         waves = [[] for _ in range(max_level + 1)]
         for chain_id, lvl in level.items():
             waves[lvl].append(by_id[chain_id])
         return waves
+
+
+def dependency_order(dependencies: dict) -> list:
+    """The keys of *dependencies* (key -> the keys it waits for), each
+    after every key it waits for: the depth-first post-order from each
+    key in turn, dependencies in iteration order.  A loop, so the walk
+    leaves no recursive closure behind.  Raises
+    :class:`~repro.errors.PlanError` on a cycle."""
+    order: dict = {}
+    for root in dependencies:
+        path = {root}
+        stack = [(root, iter(dependencies[root]))]
+        while stack:
+            key, pending = stack[-1]
+            for dep in pending:
+                if dep in path:
+                    raise PlanError("cycle among chains")
+                if dep not in order:
+                    path.add(dep)
+                    stack.append((dep, iter(dependencies[dep])))
+                    break
+            else:
+                stack.pop()
+                path.discard(key)
+                order[key] = None
+    return list(order)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.lera.graph import Chain, LeraGraph
+from repro.lera.graph import Chain, LeraGraph, dependency_order
 from repro.machine.costs import CostModel
 
 
@@ -51,13 +51,8 @@ def estimate_chains(plan: LeraGraph, costs: CostModel) -> dict[int, ChainEstimat
     dependencies = plan.chain_dependencies(chains)
     own = {c.chain_id: chain_complexity(c, costs) for c in chains}
     subtree: dict[int, float] = {}
-
-    def total(chain_id: int) -> float:
-        if chain_id in subtree:
-            return subtree[chain_id]
-        value = own[chain_id] + sum(total(d) for d in dependencies[chain_id])
-        subtree[chain_id] = value
-        return value
-
-    return {c.chain_id: ChainEstimate(c, own[c.chain_id], total(c.chain_id))
+    for chain_id in dependency_order(dependencies):
+        subtree[chain_id] = own[chain_id] + sum(
+            subtree[d] for d in dependencies[chain_id])
+    return {c.chain_id: ChainEstimate(c, own[c.chain_id], subtree[c.chain_id])
             for c in chains}

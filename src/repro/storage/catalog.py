@@ -28,8 +28,8 @@ class TableEntry:
     statistics: FragmentStatistics
     indexes: dict[str, list] = field(default_factory=dict)
     """Permanent per-fragment indexes, keyed by attribute name."""
-    catalog: "Catalog | None" = field(default=None, repr=False, compare=False)
-    """The registering catalog, whose version an index build moves."""
+    index_builds: int = field(default=0, repr=False, compare=False)
+    """Index builds so far, which :attr:`Catalog.version` counts."""
 
     @property
     def name(self) -> str:
@@ -56,8 +56,7 @@ class TableEntry:
         position = self.relation.schema.position(attribute)
         self.indexes[attribute] = [fragment.index_on(position, kind)
                                    for fragment in self.fragments]
-        if self.catalog is not None:
-            self.catalog.version += 1
+        self.index_builds += 1
 
     def index_on(self, attribute: str) -> list | None:
         """Per-fragment indexes for *attribute*, or None."""
@@ -69,9 +68,9 @@ class Catalog:
 
     def __init__(self) -> None:
         self._entries: dict[str, TableEntry] = {}
-        #: Moves with what statements compile and schedule to: on register,
-        #: register_fragments, drop and every index build.
-        self.version = 0
+        #: Registrations and drops, plus the index builds of dropped
+        #: entries (so that :attr:`version` never moves back).
+        self._moves = 0
 
     def __contains__(self, name: object) -> bool:
         return name in self._entries
@@ -81,6 +80,14 @@ class Catalog:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def version(self) -> int:
+        """Moves with what statements compile and schedule to: on
+        register, register_fragments, drop and every index build (the
+        entries count their own, so an entry needs no back-pointer)."""
+        return self._moves + sum(entry.index_builds
+                                 for entry in self._entries.values())
 
     # -- registration -----------------------------------------------------
 
@@ -120,16 +127,15 @@ class Catalog:
     def _place(self, relation: Relation, spec: PartitioningSpec,
                fragments: list[Fragment]) -> TableEntry:
         entry = TableEntry(relation, spec, fragments,
-                           FragmentStatistics.of(fragments), catalog=self)
+                           FragmentStatistics.of(fragments))
         self._entries[relation.name] = entry
-        self.version += 1
+        self._moves += 1
         return entry
 
     def drop(self, name: str) -> None:
         """Remove a relation from the catalog."""
-        self.entry(name)                  # CatalogError when unknown
+        self._moves += 1 + self.entry(name).index_builds
         del self._entries[name]
-        self.version += 1
 
     # -- lookup -------------------------------------------------------------
 

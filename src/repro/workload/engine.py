@@ -702,6 +702,12 @@ class _WorkloadRun:
         finally:
             if self._own_profiler:
                 self.profiler.stop()
+            # Drop what points back at the run (the simulator's
+            # callbacks, the consumers' subscriptions), so reference
+            # counting frees it once its caller lets go.
+            self.simulator.on_operation_complete = None
+            self.simulator.on_query_abort = None
+            self._listeners = {}
 
     def _control(self, now: float, batch) -> None:
         """Apply one instant's arrivals, then its deadlines, then admit.

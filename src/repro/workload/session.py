@@ -17,6 +17,7 @@ time any handle's :meth:`QueryHandle.result` is asked for).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.compiler.parallelizer import CompiledQuery
@@ -65,22 +66,18 @@ SHED = STATUS_SHED
 class QueryHandle:
     """One submitted query's future result."""
 
-    def __init__(self, session: Session, tag: str, compiled: CompiledQuery,
-                 schedule: QuerySchedule, arrival: float,
-                 timeout: float | None = None, priority: int = 0,
-                 tenant: str = "default") -> None:
+    def __init__(self, session: Session, submission: QuerySubmission) -> None:
         self._session = session
-        self.tag = tag
-        self.compiled = compiled
-        self.schedule = schedule
+        self.tag = submission.tag
+        self.compiled = submission.compiled
+        self.schedule = submission.schedule
         """The four-step schedule computed for this query at submit
         time (its per-operation thread demands; step 0 may rescale
         them when other queries run concurrently)."""
-        self.arrival = arrival
-        self.timeout = timeout
-        self.priority = priority
-        self.tenant = tenant
-        self.cancel_at: float | None = None
+        self.arrival = submission.arrival
+        self.timeout = submission.timeout
+        self.priority = submission.priority
+        self.tenant = submission.tenant
 
     def __repr__(self) -> str:
         return (f"QueryHandle(tag={self.tag!r}, at={self.arrival}, "
@@ -95,15 +92,13 @@ class QueryHandle:
         *before* :meth:`Session.run`, not raced against it; cancelling
         after the workload ran is an error.
         """
-        if self._session.result is not None:
+        session = self._session
+        if session.result is not None:
             raise WorkloadError(
                 f"cannot cancel {self.tag!r}: the workload already ran")
-        instant = self.arrival if at is None else at
-        if instant < self.arrival:
-            raise WorkloadError(
-                f"cancel_at ({instant}) must be >= arrival "
-                f"({self.arrival}) for {self.tag!r}")
-        self.cancel_at = instant
+        session._submissions[self.tag] = replace(
+            session._submissions[self.tag],
+            cancel_at=self.arrival if at is None else at)
 
     @property
     def status(self) -> str:
@@ -194,8 +189,9 @@ class Session:
     def __init__(self, db: DBS3, options: WorkloadOptions | None = None) -> None:
         self.db = db
         self.options = options or WorkloadOptions()
-        self.handles: list[QueryHandle] = []
-        self._tags: set[str] = set()
+        #: What :meth:`run` executes, by tag.  The session keeps the
+        #: submissions, not the handles, which point at the session.
+        self._submissions: dict[str, QuerySubmission] = {}
         self._result: WorkloadResult | None = None
         self._failed: Exception | None = None
 
@@ -203,7 +199,7 @@ class Session:
         state = ("failed" if self._failed is not None
                  else "done" if self._result is not None
                  else "pending")
-        return f"Session(queries={len(self.handles)}, state={state!r})"
+        return f"Session(queries={len(self._submissions)}, state={state!r})"
 
     # -- submission ------------------------------------------------------------
 
@@ -258,8 +254,8 @@ class Session:
                 "session already ran; open a new session to submit more "
                 "queries")
         if tag is None:
-            tag = f"q{len(self.handles)}"
-        elif tag in self._tags:
+            tag = f"q{len(self._submissions)}"
+        if tag in self._submissions:
             raise WorkloadError(f"duplicate query tag {tag!r} in session")
         compiled.plan.validate()
         if (self.options.memory_limit_bytes is not None
@@ -272,17 +268,14 @@ class Session:
             AdmissionController(self.options).check_admissible(tag, footprint)
         if schedule is None:
             schedule = self.db.scheduler.schedule(compiled.plan, threads)
-        handle = QueryHandle(self, tag, compiled, schedule, at,
-                             timeout=timeout, priority=priority,
-                             tenant=tenant)
-        # QuerySubmission re-validates the arrival offset, timeout and
+        # QuerySubmission validates the arrival offset, timeout and
         # serving attributes; building it here keeps bad values from
         # surfacing only at run().
-        QuerySubmission(tag, compiled, schedule, at, timeout=timeout,
-                        priority=priority, tenant=tenant)
-        self.handles.append(handle)
-        self._tags.add(tag)
-        return handle
+        submission = QuerySubmission(tag, compiled, schedule, at,
+                                     timeout=timeout, priority=priority,
+                                     tenant=tenant)
+        self._submissions[tag] = submission
+        return QueryHandle(self, submission)
 
     # -- execution -------------------------------------------------------------
 
@@ -299,16 +292,10 @@ class Session:
                 f"session already failed: {self._failed}") from self._failed
         if self._result is not None:
             return self._result
-        submissions = [QuerySubmission(h.tag, h.compiled, h.schedule,
-                                       h.arrival, timeout=h.timeout,
-                                       cancel_at=h.cancel_at,
-                                       priority=h.priority,
-                                       tenant=h.tenant)
-                       for h in self.handles]
         executor = WorkloadExecutor(self.db.machine, self.db.executor.options,
                                     self.options)
         try:
-            self._result = executor.execute(submissions)
+            self._result = executor.execute(list(self._submissions.values()))
         except Exception as error:
             self._failed = error
             raise

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import PlanError
-from repro.lera.graph import MATERIALIZED, PIPELINE, LeraEdge, LeraGraph
+from repro.lera.graph import (
+    MATERIALIZED,
+    PIPELINE,
+    LeraEdge,
+    LeraGraph,
+    dependency_order,
+)
 from repro.lera.operators import (
     PipelinedJoinSpec,
     ScanFilterSpec,
@@ -245,3 +251,21 @@ class TestDerivedStructureMemo:
                 for wave in graph.chain_waves()] == [[["t", "j"]]]
         assert graph.pipeline_producers("j") == ["t"]
         graph.validate()
+
+
+class TestDependencyOrder:
+    """The loop that replaced the recursive closures of chain levelling,
+    subtree estimates and fingerprints."""
+
+    def test_depth_first_post_order_from_each_key_in_turn(self):
+        # 3 waits for 2 and 1, 2 waits for 1; 4 waits for nothing.
+        assert dependency_order({3: [2, 1], 1: [], 2: [1], 4: []}) \
+            == [1, 2, 3, 4]
+
+    def test_a_long_chain_needs_no_recursion(self):
+        chain = {i: [i - 1] if i else [] for i in reversed(range(5_000))}
+        assert dependency_order(chain) == list(range(5_000))
+
+    def test_a_cycle_raises(self):
+        with pytest.raises(PlanError, match="cycle among chains"):
+            dependency_order({1: {2}, 2: {3}, 3: {1}})
