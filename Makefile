@@ -9,7 +9,7 @@ export PYTHONPATH
 # The targets do work or are what CI calls.  A demonstration is one
 # `python -m repro ...` line, spelled out where the docs name it
 # (README "Quick start", docs/tutorial.md); the CLI holds no gate.
-.PHONY: test bench perf chaos ledger-smoke
+.PHONY: test bench perf chaos fuzz ledger-smoke
 
 ## Tier-1: the fast deterministic test suite (what CI gates on); about
 ## 60 s wall on a 2-CPU box, and its ten slowest tests show in every log.
@@ -35,6 +35,13 @@ perf:
 ## `python -m repro chaos --seed N` fuzzes the seeded row.
 chaos:
 	$(PYTHON) -m pytest tests -m chaos
+
+## The lattice fuzz: tests/properties/test_lattice.py's property on
+## 2,000 fresh random draws (tier-1 runs its examples and a fixed,
+## derandomized set).  A falsifying draw prints as a Point(...) to
+## paste as an @example.  About 100 s on a 2-CPU box.
+fuzz:
+	$(PYTHON) -m pytest tests/properties/test_lattice.py --hypothesis-profile=fuzz
 
 ## Perf-ledger smoke: the benchmark's own tests (every workload runs
 ## one checked op, the result line and `compare` verdicts are

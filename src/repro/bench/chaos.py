@@ -262,13 +262,14 @@ def _fault_accounting(result, submitted) -> Iterator[str]:
     every operation tallies the same events on its own metrics.  Two
     independent counts of one fault stream agree exactly — cancelled
     queries included (their executions snapshot what landed before the
-    cut)."""
+    cut).  A folded operation is counted once, however many queries'
+    executions it appears in."""
     counters = fault_counter_totals(result)
+    physical = {_physical(name, op): op for _, name, op in _operations(result)}
     for key, attribute in (("injected", "faults_injected"),
                            ("retries", "fault_retries"),
                            ("aborts", "fault_aborts")):
-        summed = sum(getattr(op, attribute)
-                     for _, _, op in _operations(result))
+        summed = sum(getattr(op, attribute) for op in physical.values())
         if counters[key] != summed:
             yield (f"registry counts {counters[key]:g} {key} but the "
                    f"per-operation metrics sum to {summed}")

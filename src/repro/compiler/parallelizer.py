@@ -288,8 +288,18 @@ def parallelize(query: NormalizedQuery, catalog: Catalog,
                                stream_key, algorithm=algorithm)
         description = (f"AssocJoin({stream_name} >> {stored_name}."
                        f"{stored_key}, {algorithm})")
-    return CompiledQuery(plan, output_schema,
-                         _projection(query.columns, mapping), description)
+    projection = _projection(query.columns, mapping)
+    if projection is None and stream_name != query.left.name:
+        # ``SELECT *`` lists the operands, and names their columns, in
+        # FROM order; the plan emits the streamed one first.
+        in_from_order = list(stored_schema.concat(stream_schema))
+        stored_width = len(stored_schema)
+        output_schema = Schema(in_from_order[stored_width:]
+                               + in_from_order[:stored_width])
+        stream_width = len(stream_schema)
+        projection = (tuple(range(stream_width, len(output_schema)))
+                      + tuple(range(stream_width)))
+    return CompiledQuery(plan, output_schema, projection, description)
 
 
 def _parallelize_chain(query: NormalizedQuery, catalog: Catalog,

@@ -78,11 +78,12 @@ class Accumulator:
                 self.high = value
 
     def result(self) -> object:
-        """Final aggregate value (None for MIN/MAX/AVG of nothing)."""
+        """Final aggregate value (None for SUM/MIN/MAX/AVG of nothing,
+        as in SQL)."""
         if self.function == COUNT:
             return self.count
         if self.function == SUM:
-            return self.total
+            return self.total if self.count else None
         if self.function == AVG:
             return self.total / self.count if self.count else None
         if self.function == MIN:

@@ -66,7 +66,7 @@ class EngineProfiler:
     """
 
     __slots__ = ("nodes", "_stack", "_started_ns", "_stopped_ns",
-                 "_gc_open")
+                 "_gc_open", "_shadowed")
 
     def __init__(self) -> None:
         #: path tuple -> [calls, self_ns, total_ns]
@@ -77,6 +77,9 @@ class EngineProfiler:
         self._stopped_ns: int | None = None
         #: Whether the running collection opened a ``gc`` section.
         self._gc_open = False
+        #: ``(target, method names)`` each :meth:`instrument` call
+        #: shadowed, until :meth:`restore` takes the wrappers back.
+        self._shadowed: list[tuple[object, tuple[str, ...]]] = []
 
     def __repr__(self) -> str:
         return (f"EngineProfiler(sections={len(self.nodes)}, "
@@ -163,6 +166,18 @@ class EngineProfiler:
         """
         for method, name in sections.items():
             setattr(target, method, self._timed(name, getattr(target, method)))
+        self._shadowed.append((target, tuple(sections)))
+
+    def restore(self) -> None:
+        """Delete every wrapper :meth:`instrument` has put on an
+        instance since the last restore, so the class methods show
+        through again.  A wrapper closes over a bound method of its own
+        target, a cycle; without this a profiled run waits for the
+        cycle collector."""
+        for target, methods in self._shadowed:
+            for method in methods:
+                delattr(target, method)
+        self._shadowed.clear()
 
     def _timed(self, name: str, method):
         def timed(*args, **kwargs):

@@ -703,8 +703,11 @@ class _WorkloadRun:
             if self._own_profiler:
                 self.profiler.stop()
             # Drop what points back at the run (the simulator's
-            # callbacks, the consumers' subscriptions), so reference
-            # counting frees it once its caller lets go.
+            # callbacks, the consumers' subscriptions, the profiler's
+            # wrappers), so reference counting frees it once its
+            # caller lets go.
+            if self.profiler is not None:
+                self.profiler.restore()
             self.simulator.on_operation_complete = None
             self.simulator.on_query_abort = None
             self._listeners = {}
@@ -906,16 +909,6 @@ class _WorkloadRun:
         in the host's wave and is drained with it.  Idempotent, and a
         no-op for a query that folded and hosts nothing.
         """
-        for shared in job.subscriptions:
-            shared.active_tags.discard(job.tag)
-            for edge in shared.edges.pop(job.tag, ()):
-                edge.active = False
-            if job in shared.waiters:
-                shared.waiters.remove(job)
-            runtime = shared.runtime
-            if (not shared.active_tags and shared.detached
-                    and not runtime.complete):
-                self.simulator.drain_operations([runtime], now)
         detached: list[OperationRuntime] = []
         for shared in job.hosted:
             shared.active_tags.discard(job.tag)
@@ -930,6 +923,18 @@ class _WorkloadRun:
             own.active = own.consumer in detached
             if runtime in job.current_wave_ops:
                 job.current_wave_ops.remove(runtime)
+        for shared in job.subscriptions:
+            shared.active_tags.discard(job.tag)
+            for edge in shared.edges.pop(job.tag, ()):
+                # An edge into an operator the survivors ride keeps
+                # feeding it, or its input would never close.
+                edge.active = edge.consumer in detached
+            if job in shared.waiters:
+                shared.waiters.remove(job)
+            runtime = shared.runtime
+            if (not shared.active_tags and shared.detached
+                    and not runtime.complete):
+                self.simulator.drain_operations([runtime], now)
 
     def _finish_if_unwound(self, job: _QueryJob) -> None:
         """Terminate a CANCELLING query whose truncated wave has nothing
@@ -989,16 +994,21 @@ class _WorkloadRun:
             job = self.queue.peek()
             if job is None:
                 break
-            if self.queue.sheds_infeasible and provably_infeasible(job, now):
-                # EDF: the head's sequential start-up alone already
-                # overruns its deadline — admitting it would only burn
-                # machine time on work guaranteed to time out.
-                self.queue.pop(job)
-                self._reject(job, now, SHED, SHED_DEADLINE_INFEASIBLE)
-                continue
             # A private job is the empty fold set at its full footprint.
             folds, footprint = (self._plan_folds(job, now) if shared
                                 else ({}, job.footprint))
+            if self.queue.sheds_infeasible:
+                if shared:
+                    # The start-up its fold set leaves, as a private
+                    # job knows it from submission.
+                    job.startup = job.shape.without(folds)[0]
+                if provably_infeasible(job, now):
+                    # EDF: the head's sequential start-up alone already
+                    # overruns its deadline — admitting it would only
+                    # burn machine time on work guaranteed to time out.
+                    self.queue.pop(job)
+                    self._reject(job, now, SHED, SHED_DEADLINE_INFEASIBLE)
+                    continue
             if not self.admission.fits(footprint):
                 if self.running or admitted:
                     break
@@ -1072,8 +1082,14 @@ class _WorkloadRun:
             self._emit(QUERY_GRANT, now, job, threads=job.grant,
                        budget=self.budget, reason="shrink")
         for job in admitted:
-            begin = max(now, self.startup_free_at)
-            self.startup_free_at = begin + job.startup
+            # A query with nothing of its own to start (every operator
+            # folded) does not queue for the initialization thread:
+            # waiting there, it could finish past the event loop's
+            # clock and the workload bus would run backwards.
+            begin = now
+            if job.startup:
+                begin = max(now, self.startup_free_at)
+                self.startup_free_at = begin + job.startup
             self._start_wave(job, begin + job.startup)
 
     def _grants(self) -> dict[str, int]:

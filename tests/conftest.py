@@ -7,6 +7,7 @@ suite runs in seconds; the full paper-scale runs live in benchmarks/.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.bench.workloads import make_join_database
 from repro.machine.machine import Machine
@@ -15,6 +16,20 @@ from repro.storage.partitioning import PartitioningSpec
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.wisconsin import generate_wisconsin
+
+#: Hypothesis profiles.  ``tier1`` (the default) derandomizes every
+#: property, so tier-1 draws the same examples on every run; a property
+#: without its own ``max_examples`` (the lattice of
+#: ``tests/properties/test_lattice.py``) draws this many.  ``fuzz``
+#: (``make fuzz``: ``--hypothesis-profile=fuzz``) draws fresh random
+#: examples, thousands of them.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, max_examples=100,
+    deadline=None, suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile(
+    "fuzz", max_examples=2_000, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("tier1")
 
 
 @pytest.fixture

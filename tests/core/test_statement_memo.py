@@ -8,7 +8,6 @@ per-operation counter.
 """
 
 import random
-import sqlite3
 from collections import Counter
 
 import pytest
@@ -22,6 +21,7 @@ from repro.engine.executor import QuerySchedule
 from repro.scheduler.adaptive import AdaptiveScheduler
 from repro.serve.harness import build_submissions, default_templates
 from repro.storage.wisconsin import generate_wisconsin
+from tests.oracle import sqlite_rows
 
 #: name -> (cardinality, generator seed, degree, with_strings).
 TABLES = {"A": (400, 1, 5, False), "B": (100, 2, 5, True),
@@ -69,20 +69,6 @@ class Twin:
             db.create_index(table, attribute)
         return db
 
-    def expected(self, sql: str) -> Counter:
-        connection = sqlite3.connect(":memory:")
-        try:
-            for relation in self.relations():
-                names = relation.schema.names
-                connection.execute(
-                    f"CREATE TABLE {relation.name} ({', '.join(names)})")
-                connection.executemany(
-                    f"INSERT INTO {relation.name} VALUES "
-                    f"({', '.join('?' * len(names))})", relation.rows)
-            return Counter(connection.execute(sql).fetchall())
-        finally:
-            connection.close()
-
 
 def templates(db: DBS3) -> list:
     """The statement templates *db* remembers (its memo, white box)."""
@@ -106,7 +92,7 @@ def check(warm: DBS3, twin: Twin, sql: str, **kwargs):
     assert handle.schedule == cold_handle.schedule
     assert result.execution.operations == cold_result.execution.operations
     assert result.description == cold_result.description
-    assert Counter(result.rows) == twin.expected(sql)
+    assert Counter(result.rows) == sqlite_rows(twin.relations(), sql)
     return handle
 
 

@@ -1,7 +1,7 @@
 """Worker-thread model: clocks, accounting, main queues."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.operation import OperationRuntime
@@ -53,6 +53,7 @@ class TestWorkerThread:
         assert thread.clock == 5.0
 
     @given(clock=_seconds, seconds=_seconds, instant=_seconds)
+    @settings(max_examples=100)
     def test_advance_then_wait_is_advance_and_wait_until(
             self, clock, seconds, instant):
         merged, reference = _operation().threads

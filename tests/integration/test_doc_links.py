@@ -40,7 +40,7 @@ def test_named_commands_exist(document):
 
 def test_the_check_sees_stale_names():
     """Guard the guard on the kind of line this check exists to catch."""
-    assert TARGETS == {"test", "bench", "perf", "chaos", "ledger-smoke"}
+    assert TARGETS == {"test", "bench", "perf", "chaos", "fuzz", "ledger-smoke"}
     assert named("`make\ngone-demo` runs `python -m repro compare a b`; "
                  "to make skew, `python -m repro.bench.twins`\n"
                  "        run: make perf") == (

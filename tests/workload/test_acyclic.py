@@ -6,9 +6,10 @@ asked what it would free.  Reference counting must already have freed
 every object whose type is defined in ``repro``: the runtime graph
 (``OperationRuntime.release`` severs the pool's back-pointers when the
 operation completes), the run (its simulator callbacks and consumer
-subscriptions go when ``run`` returns) and the session (it keeps
-submissions, not handles).  The doctored case puts the pool
-back-reference back and shows that the census sees it.
+subscriptions and the profiler's method wrappers go when ``run``
+returns) and the session (it keeps submissions, not handles).  The
+doctored cases put the pool back-reference or the profiler's wrappers
+back and show that the census sees them.
 """
 
 import gc
@@ -28,6 +29,8 @@ from repro.faults import ActivationFaults, FaultPlan
 from repro.lera.plans import ideal_join_plan
 from repro.machine.machine import Machine
 from repro.obs.monitor import default_monitors
+from repro.prof import profile
+from repro.prof.profiler import EngineProfiler
 from repro.serve.harness import run_serving
 from repro.workload.session import CANCELLED, DONE, FAILED
 
@@ -110,9 +113,24 @@ def _shared_fold(db):
     assert host.status == rider.status == DONE
 
 
+def _profiled(db):
+    session = db.session(WorkloadOptions(
+        observability=ObservabilityOptions(profile=True)))
+    handle = session.submit(SQL)
+    assert handle.result().cardinality == 100
+    assert session.run().profile.nodes
+
+
+def _ambient_profile(db):
+    with profile() as prof:
+        _query(db)
+    assert prof.nodes
+
+
 CASES = {"query": _query, "serving": _serving, "observed": _observed,
          "cancelled": _cancelled, "fault_aborted": _fault_aborted,
-         "shared_fold": _shared_fold}
+         "shared_fold": _shared_fold, "profiled": _profiled,
+         "ambient_profile": _ambient_profile}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -124,3 +142,9 @@ def test_the_census_sees_a_pool_back_reference(db, monkeypatch):
     monkeypatch.setattr(OperationRuntime, "release", lambda runtime: None)
     garbage = _cyclic_garbage(_query, db)
     assert garbage["OperationRuntime"] and garbage["WorkerThread"]
+
+
+def test_the_census_sees_the_profiler_wrappers(db, monkeypatch):
+    monkeypatch.setattr(EngineProfiler, "restore", lambda profiler: None)
+    garbage = _cyclic_garbage(_profiled, db)
+    assert garbage["_WorkloadRun"] and garbage["Simulator"]

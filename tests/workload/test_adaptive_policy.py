@@ -14,7 +14,8 @@ Acceptance behaviors from the diagnostics-driven-scheduling design:
   equal-counts/unequal-costs signature, a Random consumer switches to
   LPT — again without changing a row;
 * ``scheduling="static"`` and the no-signal adaptive run are
-  bit-identical to each other (the escape hatch).
+  bit-identical to each other: relation (d) of
+  ``tests/properties/test_lattice.py``.
 """
 
 import dataclasses
@@ -160,17 +161,6 @@ class TestResplit:
     def test_static_run_carries_no_decision_log(self, pair):
         static, _ = pair
         assert static.decisions is None
-
-
-class TestEscapeHatch:
-    def test_uniform_cell_is_bit_identical_across_policies(self):
-        static = _Scenario.run("static", factor=1.0)
-        adaptive = _Scenario.run("adaptive", factor=1.0)
-        assert adaptive.makespan == static.makespan
-        assert _rows(adaptive) == _rows(static)
-        assert len(adaptive.decisions) == 0
-        assert not adaptive.bus.events_of(SCHEDULE_RESPLIT)
-        assert not adaptive.bus.events_of(SCHEDULE_SWITCH)
 
 
 class TestStrategySwitch:

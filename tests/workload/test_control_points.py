@@ -1,17 +1,14 @@
-"""The control-point seam: observers never move the run, in combination.
+"""The control-point seam, white box: a bare run registers no
+consumer, and a fault-free run leaves the shared empty-plan injector as
+built.
 
-Telemetry (``observe``), monitor rules and the self-profiler are pure
-consumers of the workload engine's control points.  Each is checked
-alone elsewhere with the other features off; here one fixed workload
-runs over the full product observers on/off x engine feature set, and
-within a feature set every observer setting must produce the same
-workload-bus event list and the same per-query outcome.  A bare run
-must not register a single consumer.
+That observers never move the run, in any combination with the engine
+features, is relation (a) of ``tests/properties/test_lattice.py``;
+this file's workload is one of its examples.
 """
 
 import math
 import random
-from itertools import product
 
 import pytest
 
@@ -19,12 +16,11 @@ from repro import (
     DBS3,
     ExecutionOptions,
     ObservabilityOptions,
-    ServingPolicy,
     WorkloadOptions,
     generate_wisconsin,
 )
 from repro.faults.injector import NO_FAULTS
-from repro.obs.bus import QUERY_ADMIT, QUERY_GRANT, QUERY_REJECT
+from repro.obs.bus import QUERY_ADMIT, QUERY_GRANT
 from repro.obs.monitor import default_monitors
 from repro.workload.engine import QuerySubmission, _WorkloadRun
 
@@ -43,16 +39,6 @@ WORKLOAD = (
     ("q3", SQL_CD, 0.006, None),
 )
 
-FEATURES = {
-    "bare": {},
-    "shared": {"shared": True},
-    "serving": {"serving": ServingPolicy("edf", queue_limit=1)},
-    "adaptive": {"scheduling": "adaptive"},
-}
-
-OBSERVERS = list(product((False, True), repeat=3))
-
-
 @pytest.fixture(scope="module")
 def db():
     db = DBS3(processors=16)
@@ -63,59 +49,9 @@ def db():
     return db
 
 
-def _options(feature, observe, monitors, profile):
-    return WorkloadOptions(
-        max_concurrent=2, thread_budget=12,  # two 8-thread queries contend
-        observability=ObservabilityOptions(
-            observe=observe,
-            monitors=default_monitors(slo=0.05) if monitors else (),
-            profile=profile),
-        **FEATURES[feature])
-
-
-def _run(db, options):
-    session = db.session(options)
-    for tag, sql, at, timeout in WORKLOAD:
-        session.submit(sql, at=at, tag=tag, threads=8, timeout=timeout)
-    return session.run()
-
-
-def _events(result):
-    return [(e.kind, e.t, e.operation, e.data) for e in result.bus.events]
-
-
-def _outcomes(result):
-    return {tag: (e.status, e.response_time, sorted(e.result_rows))
-            for tag, e in result.executions.items()}
-
-
-@pytest.mark.parametrize("feature", FEATURES)
-def test_no_observer_combination_moves_the_run(db, feature):
-    baseline = _run(db, _options(feature, False, False, False))
-    assert baseline.metrics is None and baseline.alerts is None
-    for observe, monitors, profile in OBSERVERS[1:]:
-        observed = _run(db, _options(feature, observe, monitors, profile))
-        setting = (feature, observe, monitors, profile)
-        assert _events(observed) == _events(baseline), setting
-        assert _outcomes(observed) == _outcomes(baseline), setting
-        assert (observed.metrics is not None) == (observe or monitors)
-        assert (observed.alerts is not None) == monitors
-        assert (observed.profile is not None) == profile
-
-
-def test_the_feature_sets_exercise_their_features(db):
-    """Guards the product test against vacuity: re-grants with helper
-    threads, a mid-run timeout, folds and shedding actually happen in
-    the runs it compares."""
-    bare = _run(db, _options("bare", False, False, False))
-    reasons = {e.data["reason"] for e in bare.bus.events_of(QUERY_GRANT)}
-    assert {"admission", "regrant", "helpers"} <= reasons
-    assert bare.status_of("q1") == "timed_out"
-    assert bare.execution("q1").operations  # it was running
-    shared = _run(db, _options("shared", False, False, False))
-    assert any("folds" in e.data for e in shared.bus.events_of(QUERY_ADMIT))
-    serving = _run(db, _options("serving", False, False, False))
-    assert serving.bus.events_of(QUERY_REJECT)
+def _options(**knobs):
+    # two 8-thread queries contend
+    return WorkloadOptions(max_concurrent=2, thread_budget=12, **knobs)
 
 
 def test_a_bare_run_registers_no_consumer(db):
@@ -127,7 +63,9 @@ def test_a_bare_run_registers_no_consumer(db):
     assert bare._listeners == {}
     everything = _WorkloadRun(
         db.machine, ExecutionOptions(),
-        _options("adaptive", True, True, False), submissions)
+        _options(scheduling="adaptive", observability=ObservabilityOptions(
+            observe=True, monitors=default_monitors(slo=0.05))),
+        submissions)
     assert everything._listeners
 
 
@@ -143,7 +81,7 @@ def test_a_fault_free_run_shares_the_empty_plan_injector(db):
             tag, compiled, db.scheduler.schedule(compiled.plan, 8),
             arrival=at, timeout=timeout))
     run = _WorkloadRun(db.machine, ExecutionOptions(),
-                       _options("shared", False, False, False), submissions)
+                       _options(shared=True), submissions)
     result = run.run()
     reasons = {e.data["reason"] for e in result.bus.events_of(QUERY_GRANT)}
     assert "helpers" in reasons

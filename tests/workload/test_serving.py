@@ -1,8 +1,8 @@
 """The serving layer through the engine and Session API.
 
-Contracts under test: ``serving=None`` and a default
-``ServingPolicy()`` produce bit-identical runs (the escape hatch);
-a bounded queue sheds the policy's victim pre-admission with the
+Contracts under test (that ``serving=None`` and a default
+``ServingPolicy()`` run alike is relation (c) of
+``tests/properties/test_lattice.py``): a bounded queue sheds the policy's victim pre-admission with the
 full client surface intact (terminal status, ``QueryShedError``,
 ``query.reject`` event, backpressure signal, span reject reason,
 report serving section); and memory- and deadline-infeasible
@@ -70,24 +70,6 @@ def _submit_wave(session, count=4, **kwargs):
                            **{k: (v[i] if isinstance(v, (list, tuple)) else v)
                               for k, v in kwargs.items()})
             for i in range(count)]
-
-
-class TestEscapeHatch:
-    def test_default_policy_is_bit_identical_to_serving_off(self, db):
-        runs = {}
-        for name, serving in (("off", None), ("on", ServingPolicy())):
-            session = db.session(WorkloadOptions(max_concurrent=2,
-                                                 serving=serving))
-            _submit_wave(session)
-            runs[name] = session.run()
-        off, on = runs["off"], runs["on"]
-        assert on.makespan == off.makespan
-        for tag in ("q0", "q1", "q2", "q3"):
-            assert on.status_of(tag) == off.status_of(tag) == DONE
-            assert (on.execution(tag).response_time
-                    == off.execution(tag).response_time)
-            assert (on.execution(tag).result_rows
-                    == off.execution(tag).result_rows)
 
 
 class TestQueueBoundShedding:

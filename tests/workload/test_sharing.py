@@ -4,9 +4,8 @@ End-to-end contracts of the fold pass (``WorkloadOptions(shared=True)``):
 
 * duplicate queries fold onto one shared operator and the batch beats
   private concurrent execution, with bit-equal result rows;
-* disjoint workloads are untouched — folding never makes anything worse;
-* ``shared=False`` is a true escape hatch: the event stream is
-  bit-identical to the default (pre-sharing) engine;
+* a shared run that folds nothing is the private run, and folding
+  changes no row: relation (e) of ``tests/properties/test_lattice.py``;
 * cost attribution is exactly fractional (shares sum to one, a fully
   duplicate query runs on zero threads of its own);
 * subscribers are reference-counted: cancelling one leaves the host
@@ -99,41 +98,6 @@ class TestFoldSpeedup:
         assert sorted(handles[0].result().rows) == reference_rows[SQL]
         assert sorted(handles[1].result().rows) == reference_rows[SQL_CD]
         assert sorted(handles[2].result().rows) == reference_rows[SQL]
-
-
-class TestDisjointParity:
-    def test_disjoint_workload_is_untouched(self, db, reference_rows):
-        """No duplicate subplans: shared mode must change nothing —
-        same virtual makespan, no fractional operator anywhere."""
-        sqls = [SQL, SQL_CD]
-        private, _ = _run(db, sqls, shared=False)
-        shared, handles = _run(db, sqls, shared=True)
-        assert shared.makespan == private.makespan
-        for tag in shared.order:
-            assert not _folded(shared.execution(tag))
-        assert sorted(handles[0].result().rows) == reference_rows[SQL]
-        assert sorted(handles[1].result().rows) == reference_rows[SQL_CD]
-
-
-class TestEscapeHatch:
-    def test_shared_off_is_bit_identical_to_default(self, db):
-        """``shared=False`` takes the pre-sharing code path: the whole
-        workload event stream matches the default engine event for
-        event — kinds, virtual times, tags, and payloads."""
-        default_session = db.session()
-        explicit_session = db.session(options=WorkloadOptions(shared=False))
-        for session in (default_session, explicit_session):
-            for i, sql in enumerate((SQL, SQL_CD, SQL)):
-                session.submit(sql, tag=f"q{i}")
-        default = default_session.run()
-        explicit = explicit_session.run()
-        assert ([(e.kind, e.t, e.operation, e.data)
-                 for e in explicit.bus.events]
-                == [(e.kind, e.t, e.operation, e.data)
-                    for e in default.bus.events])
-        for tag in default.order:
-            assert (explicit.execution(tag).response_time
-                    == default.execution(tag).response_time)
 
 
 class TestFractionalAccounting:
