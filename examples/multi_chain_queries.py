@@ -20,7 +20,7 @@ from repro import (
     PartitioningSpec,
     Relation,
     Schema,
-    two_phase_join_plan,
+    chain_join_plan,
 )
 from repro.bench.workloads import make_join_database, skewed_fragments
 
@@ -36,9 +36,8 @@ def three_way_join() -> None:
                                          PartitioningSpec.on("key", 16),
                                          fragments_c)
 
-    plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                               "key", "key", entry_c,
-                               intermediate_key="key", second_key="key")
+    plan = chain_join_plan(database.entry_a, database.entry_b,
+                           "key", "key", [(entry_c, "key", "key")])
     print("chains:")
     for chain in plan.chains():
         print(f"  {chain.name}: {' -> '.join(chain.node_names())}")

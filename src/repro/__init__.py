@@ -75,10 +75,10 @@ from repro.lera import (
     aggregate_plan,
     assoc_join_plan,
     attribute_predicate,
+    chain_join_plan,
     filter_join_plan,
     ideal_join_plan,
     selection_plan,
-    two_phase_join_plan,
 )
 from repro.machine import CostModel, Machine
 from repro.obs import MetricsRegistry, QuerySpan, WorkloadReport
@@ -167,13 +167,13 @@ __all__ = [
     "aggregate_plan",
     "assoc_join_plan",
     "attribute_predicate",
+    "chain_join_plan",
     "filter_join_plan",
     "generate_wisconsin",
     "ideal_join_plan",
     "nmax",
     "selection_plan",
     "skew_overhead_bound",
-    "two_phase_join_plan",
     "zipf_cardinalities",
     "__version__",
 ]

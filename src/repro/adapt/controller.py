@@ -207,8 +207,8 @@ class AdaptiveController:
 
     # -- wave start ------------------------------------------------------------
 
-    def before_wave(self, at: float, job, wave_ops, base: list[int],
-                    wave_total: int, shares: list[int]) -> list[int]:
+    def before_wave(self, at: float, job, wave_ops,
+                    shares: list[int]) -> list[int]:
         """Spend banked evidence on the wave *job* is about to start.
 
         Returns the (possibly re-split) per-operation shares and
@@ -220,13 +220,12 @@ class AdaptiveController:
         evidence = self._pending.pop(job.tag, None)
         if evidence is None:
             return shares
-        shares = self._maybe_resplit(job.tag, job.wave_index, wave_ops, base,
-                                     wave_total, shares, evidence, at)
+        shares = self._maybe_resplit(job.tag, job.wave_index, wave_ops,
+                                     shares, evidence, at)
         self._maybe_switch(job.tag, job.wave_index, wave_ops, evidence, at)
         return shares
 
     def _maybe_resplit(self, tag: str, wave_index: int, wave_ops,
-                       base: list[int], wave_total: int,
                        shares: list[int], evidence: WaveEvidence,
                        at: float) -> list[int]:
         if evidence.boost <= 1.0 or len(wave_ops) < 2:

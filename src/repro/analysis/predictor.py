@@ -30,6 +30,10 @@ from repro.lera.graph import LeraGraph, LeraNode
 from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 
+#: Relative slack of :meth:`QueryPrediction.contains` around the band:
+#: the queue machinery the analysis ignores.
+BAND_SLACK = 0.10
+
 
 @dataclass(frozen=True)
 class OperatorPrediction:
@@ -62,12 +66,13 @@ class QueryPrediction:
     worst_time: float
     operators: dict[str, OperatorPrediction]
 
-    def contains(self, measured: float, slack: float = 0.10) -> bool:
+    def contains(self, measured: float) -> bool:
         """Is a measured response inside the predicted band (with a
-        relative *slack* for queue machinery the analysis ignores)?"""
-        return (self.lower_bound * (1 - slack)
+        relative :data:`BAND_SLACK` for queue machinery the analysis
+        ignores)?"""
+        return (self.lower_bound * (1 - BAND_SLACK)
                 <= measured
-                <= self.worst_time * (1 + slack))
+                <= self.worst_time * (1 + BAND_SLACK))
 
 
 def _estimated_profile(node: LeraNode, costs: CostModel) -> OperatorProfile:

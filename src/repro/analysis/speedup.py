@@ -12,6 +12,10 @@ from typing import Sequence
 
 from repro.errors import ReproError
 
+#: How close to the peak a point must be to count as the plateau
+#: (:meth:`SpeedupCurve.ceiling`).
+PLATEAU_TOLERANCE = 0.05
+
 
 def speedup(sequential_time: float, parallel_time: float) -> float:
     """Classic speed-up ``Tseq / Tpar``."""
@@ -54,12 +58,13 @@ class SpeedupCurve:
         """Highest speed-up reached along the curve."""
         return max(self.speedups)
 
-    def ceiling(self, tolerance: float = 0.05) -> float:
+    def ceiling(self) -> float:
         """Plateau value: the level the curve saturates at.
 
-        Returns the mean of the points within *tolerance* of the peak,
-        a robust estimate of the nmax plateau in Figure 15.
+        Returns the mean of the points within :data:`PLATEAU_TOLERANCE`
+        of the peak, a robust estimate of the nmax plateau in Figure 15.
         """
         peak = self.peak
-        plateau = [s for s in self.speedups if s >= peak * (1 - tolerance)]
+        plateau = [s for s in self.speedups
+                   if s >= peak * (1 - PLATEAU_TOLERANCE)]
         return sum(plateau) / len(plateau)

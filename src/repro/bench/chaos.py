@@ -448,8 +448,11 @@ SLOWED_FACTORS = SLOWDOWN_FACTORS[1:]
 #: slowed cells (2 of N threads, statically bound) blow past it.
 ALERT_SLO_HEADROOM = 1.2
 
+#: Join threads of the slowed-join rows (two of them slowed).
+SLOWED_THREADS = 10
 
-def _slowed_join(threads: int = 10):
+
+def _slowed_join():
     """The first chaos join with threads 0 and 1 of its join pool
     permanently slowed.  Returns ``(db, plan, schedule, faults)``:
     ``schedule(pooled)`` binds dynamically (the paper's engine: fast
@@ -462,7 +465,7 @@ def _slowed_join(threads: int = 10):
 
     def schedule(pooled: bool) -> QuerySchedule:
         return QuerySchedule({
-            name: OperationSchedule(threads, strategy=LPT,
+            name: OperationSchedule(SLOWED_THREADS, strategy=LPT,
                                     allow_secondary=pooled)
             for name in names})
 
@@ -653,8 +656,11 @@ SERVING_CHAOS_QUEUE_LIMIT = 6
 #: overload + faults (spread across the run).
 SERVING_CHAOS_CANCELS = 3
 
+#: The serving chaos row's one seed (arrivals, mix, faults, strategy).
+SERVING_CHAOS_SEED = 0
 
-def serving_run(seed: int = 0):
+
+def serving_run():
     """Overload, faults, shared folding and cancellation at once.
 
     The serving mix arrives open-loop at
@@ -678,11 +684,11 @@ def serving_run(seed: int = 0):
     machine = serving_machine()
     templates = default_templates()
     rate = SERVING_CHAOS_OVERLOAD * measure_saturation(
-        templates, machine=machine, count=60, seed=seed)
+        templates, machine=machine, count=60, seed=SERVING_CHAOS_SEED)
     times = make_arrival_process("poisson", rate).times(
-        SERVING_CHAOS_COUNT, seed=seed)
+        SERVING_CHAOS_COUNT, seed=SERVING_CHAOS_SEED)
     submissions = build_submissions(templates, times, machine=machine,
-                                    seed=seed)
+                                    seed=SERVING_CHAOS_SEED)
     # Cancellation under fire: a few queries spread across the run get
     # cancelled shortly after arriving — under overload they are still
     # queued, so the cancel races admission and shedding.
@@ -696,12 +702,12 @@ def serving_run(seed: int = 0):
                          for node in submission.compiled.plan.nodes})
     workload = WorkloadOptions(
         max_concurrent=MAX_CONCURRENT, shared=True,
-        faults=FaultPlan.generate(seed, tuple(operations),
+        faults=FaultPlan.generate(SERVING_CHAOS_SEED, tuple(operations),
                                   horizon=times[-1] * 1.2),
         serving=ServingPolicy(policy="priority",
                               queue_limit=SERVING_CHAOS_QUEUE_LIMIT))
     options = ExecutionOptions(
-        seed=seed,
+        seed=SERVING_CHAOS_SEED,
         observability=ObservabilityOptions(observe=True))
     return (WorkloadExecutor(machine, options, workload).execute(submissions),
             cancelled)

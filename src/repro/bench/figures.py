@@ -627,12 +627,11 @@ ABLATION_THREADS = 10
 
 
 def _ablation(theta, schedule, degree=ABLATION_DEGREE,
-              build_plan=ideal_join_plan, options=None, **plan_options):
+              build_plan=ideal_join_plan, options=None):
     """Facts of one ablation run on 32 processors; *schedule* maps
     ``(machine, plan)`` to the query's schedule."""
     database = make_join_database(*ABLATION_CARDS, degree, theta)
-    plan = build_plan(database.entry_a, database.entry_b, "key", "key",
-                      **plan_options)
+    plan = build_plan(database.entry_a, database.entry_b, "key", "key")
     machine = Machine.uniform(processors=32)
     execution = Executor(machine, options).execute(plan,
                                                    schedule(machine, plan))
@@ -701,8 +700,9 @@ ABLATIONS = (
     # The paper's future-work extension: chunked triggers give a
     # low-degree triggered join pipeline-like skew resistance.
     _cases("ablation_grain", {
-        f"grain{grain}": functools.partial(_ablation, 1.0, _pool("lpt"),
-                                           degree=10, grain=grain)
+        f"grain{grain}": functools.partial(
+            _ablation, 1.0, _pool("lpt"), degree=10,
+            build_plan=functools.partial(ideal_join_plan, grain=grain))
         for grain in (1, 4, 16)},
         ("grain4.rows", "==", "grain1.rows"),
         ("grain16.rows", "==", "grain1.rows"),

@@ -35,17 +35,17 @@ from repro.workload.options import WorkloadOptions
 RESERVED_PROCESSORS = 70
 
 
-def default_machine(processors: int = RESERVED_PROCESSORS) -> Machine:
+def default_machine() -> Machine:
     """A uniform shared-memory machine, as the join experiments assume
     (the Allcache penalty is the subject of Figures 8-9 only)."""
-    return Machine.uniform(processors=processors)
+    return Machine.uniform(processors=RESERVED_PROCESSORS)
 
 
 def _run_join(build_plan, database: JoinDatabase, threads: int,
               strategy: str | None = None,
               algorithm: str = JOIN_NESTED_LOOP,
               machine: Machine | None = None,
-              seed: int = 0, observe: bool = False) -> QueryExecution:
+              observe: bool = False) -> QueryExecution:
     """Plan one join over *database*, schedule it with *threads*
     threads (*strategy* overrides step 4's choice) and execute it."""
     machine = machine or default_machine()
@@ -55,7 +55,7 @@ def _run_join(build_plan, database: JoinDatabase, threads: int,
     if strategy is not None:
         schedule = schedule.with_strategy("join", strategy)
     return Executor(machine, ExecutionOptions(
-        seed=seed, observability=ObservabilityOptions(observe=observe)
+        observability=ObservabilityOptions(observe=observe)
     )).execute(plan, schedule)
 
 
@@ -68,8 +68,8 @@ run_assoc_join = functools.partial(_run_join, assoc_join_plan)
 def run_concurrent_workload(database: JoinDatabase, count: int,
                             threads: int | None = None,
                             machine: Machine | None = None,
-                            workload: WorkloadOptions | None = None,
-                            seed: int = 0) -> WorkloadResult:
+                            workload: WorkloadOptions | None = None
+                            ) -> WorkloadResult:
     """Execute *count* queries concurrently in one shared simulation.
 
     The queries alternate the paper's two disciplines (triggered
@@ -88,14 +88,14 @@ def run_concurrent_workload(database: JoinDatabase, count: int,
         schedule = scheduler.schedule(plan, threads)
         submissions.append(QuerySubmission(
             f"q{index}", CompiledQuery.of_plan(plan), schedule))
-    return WorkloadExecutor(machine, ExecutionOptions(seed=seed),
+    return WorkloadExecutor(machine, ExecutionOptions(),
                             workload).execute(submissions)
 
 
 def run_overlap_workload(databases: list[JoinDatabase], overlap: float,
                          shared: bool, threads: int | None = None,
-                         machine: Machine | None = None,
-                         seed: int = 0) -> WorkloadResult:
+                         machine: Machine | None = None
+                         ) -> WorkloadResult:
     """One MPL-``len(databases)`` workload with controlled scan overlap.
 
     Query ``i`` is the triggered IdealJoin over ``databases[0]`` when
@@ -120,9 +120,9 @@ def run_overlap_workload(databases: list[JoinDatabase], overlap: float,
         schedule = scheduler.schedule(plan, threads)
         submissions.append(QuerySubmission(
             f"q{index}", CompiledQuery.of_plan(plan), schedule))
-    options = ExecutionOptions(seed=seed)
     workload = WorkloadOptions(max_concurrent=count, shared=shared)
-    return WorkloadExecutor(machine, options, workload).execute(submissions)
+    return WorkloadExecutor(machine, ExecutionOptions(),
+                            workload).execute(submissions)
 
 
 def chain_ideal_time(execution: QueryExecution) -> float:

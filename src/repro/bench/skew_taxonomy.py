@@ -37,6 +37,16 @@ from repro.storage.skew import zipf_cardinalities
 #: of R the tuple came from, letting SS predicates discriminate.
 R_SCHEMA = Schema.of_ints("key", "band")
 
+#: Cardinality of R and of S, and the degree both are partitioned to.
+CARDINALITY = 4000
+DEGREE = 16
+
+#: Zipf theta of R's join keys over the hash buckets (RS).
+RS_THETA = 1.0
+
+#: Extra S tuples matching the one hot key (JPS).
+JPS_HOT_MATCHES = 400
+
 
 @dataclass(frozen=True)
 class TaxonomyWorkload:
@@ -73,26 +83,24 @@ def _stored_s(catalog: Catalog, cardinality: int, degree: int,
     return catalog.register_fragments(relation, spec, fragments)
 
 
-def make_avs_workload(card_r: int = 4000, card_s: int = 4000,
-                      degree: int = 16) -> TaxonomyWorkload:
+def make_avs_workload() -> TaxonomyWorkload:
     """AVS/TPS: the *stored* operand S has Zipf-skewed fragments, so
     probing instance 0 costs far more than the rest."""
     catalog = Catalog()
-    entry_s = _stored_s(catalog, card_s, degree, theta=1.0)
-    entry_r = _uniform_r(catalog, card_r, degree, keys_mod=card_s)
+    entry_s = _stored_s(catalog, CARDINALITY, DEGREE, theta=1.0)
+    entry_r = _uniform_r(catalog, CARDINALITY, DEGREE, keys_mod=CARDINALITY)
     predicate = Predicate("true", lambda row: True, 1.0)
     plan = filter_join_plan(entry_r, entry_s, predicate, "key", "key")
     return TaxonomyWorkload("AVS/TPS", plan, entry_r, entry_s)
 
 
-def make_ss_workload(card_r: int = 4000, card_s: int = 4000,
-                     degree: int = 16) -> TaxonomyWorkload:
+def make_ss_workload() -> TaxonomyWorkload:
     """SS: the filter keeps everything from low bands and nothing from
     high ones — per-instance selectivity varies from 1.0 to 0.0."""
     catalog = Catalog()
-    entry_s = _stored_s(catalog, card_s, degree, theta=0.0)
-    entry_r = _uniform_r(catalog, card_r, degree, keys_mod=card_s)
-    threshold = degree // 2
+    entry_s = _stored_s(catalog, CARDINALITY, DEGREE, theta=0.0)
+    entry_r = _uniform_r(catalog, CARDINALITY, DEGREE, keys_mod=CARDINALITY)
+    threshold = DEGREE // 2
     predicate = Predicate(f"band < {threshold}",
                           lambda row, _t=threshold: row[1] < _t,
                           selectivity=0.5)
@@ -100,49 +108,45 @@ def make_ss_workload(card_r: int = 4000, card_s: int = 4000,
     return TaxonomyWorkload("SS", plan, entry_r, entry_s)
 
 
-def make_rs_workload(card_r: int = 4000, card_s: int = 4000,
-                     degree: int = 16, theta: float = 1.0
-                     ) -> TaxonomyWorkload:
+def make_rs_workload() -> TaxonomyWorkload:
     """RS: R's join keys are Zipf-distributed over the hash buckets, so
     redistribution floods few join instances with most activations."""
     catalog = Catalog()
-    entry_s = _stored_s(catalog, card_s, degree, theta=0.0)
+    entry_s = _stored_s(catalog, CARDINALITY, DEGREE, theta=0.0)
     # Build R whose keys concentrate on low buckets: bucket of key k is
-    # k mod degree, so draw keys with Zipf-weighted bucket residues.
-    shares = zipf_cardinalities(card_r, degree, theta)
+    # k mod the degree, so draw keys with Zipf-weighted bucket residues.
+    shares = zipf_cardinalities(CARDINALITY, DEGREE, RS_THETA)
     fragments = []
     rows_all = []
-    per_fragment = card_r // degree
+    per_fragment = CARDINALITY // DEGREE
     flat_keys = []
     for bucket, count in enumerate(shares):
-        flat_keys.extend(bucket + degree * j for j in range(count))
-    for i in range(degree):
+        flat_keys.extend(bucket + DEGREE * j for j in range(count))
+    for i in range(DEGREE):
         rows = [(flat_keys[(i * per_fragment + j) % len(flat_keys)], i)
                 for j in range(per_fragment)]
         fragments.append(Fragment("R", i, R_SCHEMA, rows))
         rows_all.extend(rows)
     entry_r = catalog.register_fragments(
         Relation("R", R_SCHEMA, rows_all),
-        PartitioningSpec.on("band", degree), fragments)
+        PartitioningSpec.on("band", DEGREE), fragments)
     predicate = Predicate("true", lambda row: True, 1.0)
     plan = filter_join_plan(entry_r, entry_s, predicate, "key", "key")
     return TaxonomyWorkload("RS", plan, entry_r, entry_s)
 
 
-def make_jps_workload(card_r: int = 4000, card_s: int = 4000,
-                      degree: int = 16, hot_matches: int = 400
-                      ) -> TaxonomyWorkload:
-    """JPS: one hot S key matches *hot_matches* tuples, so the probes
+def make_jps_workload() -> TaxonomyWorkload:
+    """JPS: one hot S key matches :data:`JPS_HOT_MATCHES` tuples, so the probes
     hitting it emit disproportionate output."""
     catalog = Catalog()
-    relation_s, fragments_s = skewed_fragments("S", card_s, degree, 0.0)
+    relation_s, fragments_s = skewed_fragments("S", CARDINALITY, DEGREE, 0.0)
     hot_key = fragments_s[0].rows[0][0]
-    fragments_s[0].extend([(hot_key, -1)] * hot_matches)
+    fragments_s[0].extend([(hot_key, -1)] * JPS_HOT_MATCHES)
     relation_s = Relation("S", relation_s.schema,
                           [row for f in fragments_s for row in f.rows])
     entry_s = catalog.register_fragments(
-        relation_s, PartitioningSpec.on("key", degree), fragments_s)
-    entry_r = _uniform_r(catalog, card_r, degree, keys_mod=card_s)
+        relation_s, PartitioningSpec.on("key", DEGREE), fragments_s)
+    entry_r = _uniform_r(catalog, CARDINALITY, DEGREE, keys_mod=CARDINALITY)
     predicate = Predicate("true", lambda row: True, 1.0)
     plan = filter_join_plan(entry_r, entry_s, predicate, "key", "key")
     return TaxonomyWorkload("JPS", plan, entry_r, entry_s)

@@ -519,7 +519,7 @@ def drive(table: tuple[Twin, ...], pins: dict, record: bool = False) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(
         description="run the twin table against the committed pins")
     parser.add_argument("--record", action="store_true",
@@ -529,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
                              "figure rows are `python -m repro figures "
                              "--record`)")
     pins = json.loads(PINS_PATH.read_text())
-    if not parser.parse_args(argv).record:
+    if not parser.parse_args().record:
         return drive(TABLE, pins)
     from repro.bench.chaos import CHAOS
     return drive(TABLE + CHAOS, pins, record=True)

@@ -48,18 +48,22 @@ class WisconsinQuery:
         return result
 
 
-def make_database(cardinality: int = 10_000, degree: int = 50,
-                  processors: int = 32, seed: int = 11) -> DBS3:
+#: The benchmark database's machine size and generator seed.
+PROCESSORS = 32
+SEED = 11
+
+
+def make_database(cardinality: int = 10_000, degree: int = 50) -> DBS3:
     """A and Bprime, the benchmark's standard pair (|Bprime| = |A|/10).
 
     Both hash partitioned on ``unique1`` with the same degree, the
     regime of the paper's IdealJoin experiments.
     """
-    db = DBS3(processors=processors)
-    db.create_table(generate_wisconsin("A", cardinality, seed=seed),
+    db = DBS3(processors=PROCESSORS)
+    db.create_table(generate_wisconsin("A", cardinality, seed=SEED),
                     "unique1", degree)
     db.create_table(generate_wisconsin("Bprime", cardinality // 10,
-                                       seed=seed + 1),
+                                       seed=SEED + 1),
                     "unique1", degree)
     return db
 

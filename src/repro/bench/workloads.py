@@ -96,10 +96,9 @@ def make_join_database(card_a: int, card_b: int, degree: int, theta: float,
 
 
 def make_selection_table(cardinality: int = 200_000, degree: int = 200,
-                         seed: int = 7, catalog: Catalog | None = None,
-                         name: str = "DewittA") -> TableEntry:
+                         catalog: Catalog | None = None) -> TableEntry:
     """The Figure 8 workload: a Wisconsin relation for parallel selection."""
     if catalog is None:
         catalog = Catalog()
-    relation = generate_wisconsin(name, cardinality, seed=seed)
+    relation = generate_wisconsin("DewittA", cardinality, seed=7)
     return catalog.register(relation, PartitioningSpec.on("unique1", degree))

@@ -145,7 +145,7 @@ def normalize(tree: LogicalNode, catalog: Catalog) -> NormalizedQuery:
                 and isinstance(tree.child.child, LogicalJoin)):
             raise CompilationError(
                 "aggregates over joins are not supported; materialize the "
-                "join first (see two_phase_join_plan)")
+                "join first (see chain_join_plan)")
         group_by = tree.group_by
         select_items = tree.select_items
         tree = tree.child

@@ -48,17 +48,13 @@ class DBS3:
             processors (ignored when *machine* is given).
         options: Executor options (placement policy, queue capacity,
             RNG seed).
-        skew_threshold: Pmax/P ratio beyond which the scheduler picks
-            LPT for triggered operators.
     """
 
     def __init__(self, machine: Machine | None = None, processors: int = 72,
-                 options: ExecutionOptions | None = None,
-                 skew_threshold: float = 1.5) -> None:
+                 options: ExecutionOptions | None = None) -> None:
         self.machine = machine or Machine.uniform(processors=processors)
         self.catalog = Catalog()
-        self.scheduler = AdaptiveScheduler(self.machine,
-                                           skew_threshold=skew_threshold)
+        self.scheduler = AdaptiveScheduler(self.machine)
         self.executor = Executor(self.machine, options)
         #: Statement memo: templates and schedules (see _statement, prepare).
         self._statements: dict[tuple, object] = {}
@@ -82,14 +78,13 @@ class DBS3:
         spec = PartitioningSpec.on(partition_key, len(fragments))
         return self.catalog.register_fragments(relation, spec, fragments)
 
-    def create_index(self, table: str, attribute: str,
-                     kind: str = "hash") -> None:
-        """Build a permanent per-fragment index.
+    def create_index(self, table: str, attribute: str) -> None:
+        """Build a permanent per-fragment hash index.
 
         Equality selections on the indexed attribute then compile to
         index probes instead of fragment scans.
         """
-        self.catalog.entry(table).create_index(attribute, kind)
+        self.catalog.entry(table).create_index(attribute)
 
     def drop_table(self, name: str) -> None:
         """Remove a relation from the catalog."""
@@ -153,8 +148,7 @@ class DBS3:
         return Session(self, options)
 
     def query(self, sql: str, threads: int | None = None,
-              algorithm: str = JOIN_NESTED_LOOP,
-              schedule: QuerySchedule | None = None) -> QueryResult:
+              algorithm: str = JOIN_NESTED_LOOP) -> QueryResult:
         """Run one SQL query end to end.
 
         A thin wrapper over a one-query :meth:`session`, the same
@@ -167,10 +161,9 @@ class DBS3:
                 lets scheduler step 1 choose from estimated complexity.
             algorithm: Default join algorithm (``nested_loop``,
                 ``temp_index`` or ``hash``).
-            schedule: Bypass the adaptive scheduler entirely.
         """
-        return self.session().submit(sql, threads=threads, algorithm=algorithm,
-                                     schedule=schedule).result()
+        return self.session().submit(sql, threads=threads,
+                                     algorithm=algorithm).result()
 
     # -- introspection ----------------------------------------------------------------
 
@@ -178,15 +171,15 @@ class DBS3:
         """Names of all registered relations."""
         return [entry.name for entry in self.catalog]
 
-    def explain(self, sql: str, algorithm: str = JOIN_NESTED_LOOP,
-                threads: int | None = None, extended: bool = False) -> str:
+    def explain(self, sql: str, threads: int | None = None,
+                extended: bool = False) -> str:
         """Plan summary plus the schedule the adaptive scheduler picks.
 
         With *extended*, appends Figure 1's extended view (one line per
         operator instance).
         """
         from repro.lera.render import render as render_plan
-        compiled, schedule = self.prepare(sql, threads, algorithm)
+        compiled, schedule = self.prepare(sql, threads)
         lines = [compiled.description]
         for node in compiled.plan.nodes:
             op = schedule.of(node.name)

@@ -174,7 +174,11 @@ class CriticalPath:
         return "\n".join(lines)
 
 
-def _hop_summary(segments: list[PathSegment], limit: int = 12) -> str:
+#: Hops a rendered path shape shows before eliding its middle.
+HOP_LIMIT = 12
+
+
+def _hop_summary(segments: list[PathSegment]) -> str:
     """Compress the segment chain to `op(busy)` hops for display."""
     hops: list[str] = []
     for segment in segments:
@@ -183,10 +187,10 @@ def _hop_summary(segments: list[PathSegment], limit: int = 12) -> str:
         if hops and hops[-1].startswith(segment.operation + "("):
             continue
         hops.append(f"{segment.operation}(t{segment.thread_id})")
-    if len(hops) > limit:
-        head = hops[: limit // 2]
-        tail = hops[-(limit - limit // 2):]
-        hops = head + [f"... {len(hops) - limit} hops ..."] + tail
+    if len(hops) > HOP_LIMIT:
+        head = hops[: HOP_LIMIT // 2]
+        tail = hops[-(HOP_LIMIT - HOP_LIMIT // 2):]
+        hops = head + [f"... {len(hops) - HOP_LIMIT} hops ..."] + tail
     return " -> ".join(hops) if hops else "(empty)"
 
 

@@ -381,8 +381,9 @@ def _router_for(consumer: LeraNode):
             f"operation {consumer.name!r} of type {type(spec).__name__} "
             f"cannot consume a pipeline")
     degree = spec.instances
+    key = itemgetter(position)
 
-    def route(rows, _key=itemgetter(position), _deg=degree) -> list[int]:
-        return hash_partitions(map(_key, rows), _deg)
+    def route(rows) -> list[int]:
+        return hash_partitions(map(key, rows), degree)
 
     return route

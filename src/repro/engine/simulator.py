@@ -112,14 +112,13 @@ class Simulator:
     def __init__(self, machine: Machine, seed: int,
                  injector: "FaultInjector",
                  profiler: "EngineProfiler | None",
-                 on_operation_complete: Callable[
-                     [OperationRuntime, WorkerThread], None],
+                 on_operation_complete: Callable[[OperationRuntime], None],
                  on_query_abort: Callable[
                      [OperationRuntime, ExecutionFaultError, float], None]
                  ) -> None:
         self.machine = machine
         self.rng = random.Random(seed)
-        #: Invoked as ``callback(operation, thread)`` right after an
+        #: Invoked as ``callback(operation)`` right after an
         #: operation's last thread terminates (``finished_at`` is set,
         #: downstream input-close already handled).  The workload
         #: engine hooks query-completion bookkeeping — next-wave
@@ -882,5 +881,5 @@ class Simulator:
                 if consumer.producers_remaining <= 0:
                     consumer.close_input()
                     self._wake_all(consumer)
-        self.on_operation_complete(operation, thread)
+        self.on_operation_complete(operation)
         operation.release()

@@ -155,14 +155,14 @@ class FaultInjector:
         if self.metrics is not None:
             from repro.obs.metrics import FAULTS_INJECTED
             self.metrics.counter(
-                FAULTS_INJECTED, operation=operation.name).inc(now)
+                FAULTS_INJECTED, operation=operation.name).inc()
         wasted = operation.queues[activation.instance].cost_estimate
         if attempts > spec.max_retries:
             self._attempts.pop(key, None)
             if self.metrics is not None:
                 from repro.obs.metrics import FAULT_ABORTS
                 self.metrics.counter(
-                    FAULT_ABORTS, operation=operation.name).inc(now)
+                    FAULT_ABORTS, operation=operation.name).inc()
             return FailureDecision(
                 wasted=wasted, backoff=0.0, attempt=attempts,
                 aborts=True, operation=operation.name)
@@ -172,8 +172,8 @@ class FaultInjector:
         if self.metrics is not None:
             from repro.obs.metrics import FAULT_BACKOFF, FAULT_RETRIES
             self.metrics.counter(
-                FAULT_RETRIES, operation=operation.name).inc(now)
-            self.metrics.counter(FAULT_BACKOFF).inc(now, backoff)
+                FAULT_RETRIES, operation=operation.name).inc()
+            self.metrics.counter(FAULT_BACKOFF).inc(backoff)
         return FailureDecision(
             wasted=wasted, backoff=backoff, attempt=attempts,
             aborts=False, operation=operation.name)
@@ -202,7 +202,7 @@ class FaultInjector:
             released = machine.shrink_cache_budget(event.factor)
             if self.metrics is not None:
                 from repro.obs.metrics import FAULT_MEMORY_EVENTS
-                self.metrics.counter(FAULT_MEMORY_EVENTS).inc(now)
+                self.metrics.counter(FAULT_MEMORY_EVENTS).inc()
             if self.bus is not None:
                 from repro.obs.bus import FAULT_MEMORY
                 self.bus.emit(FAULT_MEMORY, now, factor=event.factor,

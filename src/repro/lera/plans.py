@@ -48,8 +48,8 @@ def selection_plan(entry: TableEntry, predicate: Predicate,
     return graph
 
 
-def index_scan_plan(entry: TableEntry, attribute: str, value: object,
-                    node_name: str = "index_scan") -> LeraGraph:
+def index_scan_plan(entry: TableEntry, attribute: str,
+                    value: object) -> LeraGraph:
     """Equality selection through a permanent index.
 
     Requires ``entry.create_index(attribute)`` to have been run; each
@@ -60,7 +60,7 @@ def index_scan_plan(entry: TableEntry, attribute: str, value: object,
         raise PlanError(
             f"no index on {entry.name}.{attribute}; call create_index first")
     graph = LeraGraph()
-    graph.add_node(node_name, IndexScanSpec(
+    graph.add_node("index_scan", IndexScanSpec(
         fragments=entry.fragments,
         indexes=indexes,
         attribute=attribute,
@@ -74,7 +74,6 @@ def index_scan_plan(entry: TableEntry, attribute: str, value: object,
 def ideal_join_plan(outer: TableEntry, inner: TableEntry,
                     outer_key: str, inner_key: str,
                     algorithm: str = JOIN_NESTED_LOOP,
-                    node_name: str = "join",
                     grain: int = 1) -> LeraGraph:
     """IdealJoin: both operands co-partitioned on the join attribute.
 
@@ -97,7 +96,7 @@ def ideal_join_plan(outer: TableEntry, inner: TableEntry,
             f"attribute (got {outer.spec.keys} vs {outer_key!r} and "
             f"{inner.spec.keys} vs {inner_key!r})")
     graph = LeraGraph()
-    graph.add_node(node_name, JoinSpec(
+    graph.add_node("join", JoinSpec(
         outer_fragments=outer.fragments,
         inner_fragments=inner.fragments,
         outer_key=outer_key,
@@ -111,9 +110,7 @@ def ideal_join_plan(outer: TableEntry, inner: TableEntry,
 
 def assoc_join_plan(stored: TableEntry, streamed: TableEntry,
                     stored_key: str, stream_key: str,
-                    algorithm: str = JOIN_NESTED_LOOP,
-                    transmit_name: str = "transmit",
-                    join_name: str = "join") -> LeraGraph:
+                    algorithm: str = JOIN_NESTED_LOOP) -> LeraGraph:
     """AssocJoin: *streamed* is repartitioned through a Transmit into a
     pipelined join against the statically partitioned *stored* operand.
 
@@ -125,12 +122,12 @@ def assoc_join_plan(stored: TableEntry, streamed: TableEntry,
             f"AssocJoin: stored operand {stored.name!r} must be partitioned "
             f"on the join attribute {stored_key!r}, got {stored.spec.keys}")
     graph = LeraGraph()
-    graph.add_node(transmit_name, TransmitSpec(
+    graph.add_node("transmit", TransmitSpec(
         fragments=streamed.fragments,
         key=stream_key,
         target_degree=stored.degree,
     ))
-    graph.add_node(join_name, PipelinedJoinSpec(
+    graph.add_node("join", PipelinedJoinSpec(
         stored_fragments=stored.fragments,
         stored_key=stored_key,
         stream_schema=streamed.relation.schema,
@@ -138,16 +135,14 @@ def assoc_join_plan(stored: TableEntry, streamed: TableEntry,
         algorithm=algorithm,
         stream_cardinality=streamed.cardinality,
     ))
-    graph.add_edge(transmit_name, join_name, PIPELINE)
+    graph.add_edge("transmit", "join", PIPELINE)
     graph.validate()
     return graph
 
 
 def filter_join_plan(filtered: TableEntry, stored: TableEntry,
                      predicate: Predicate, filtered_key: str, stored_key: str,
-                     algorithm: str = JOIN_NESTED_LOOP,
-                     filter_name: str = "filter",
-                     join_name: str = "join") -> LeraGraph:
+                     algorithm: str = JOIN_NESTED_LOOP) -> LeraGraph:
     """Figure 1's plan: filter R, pipeline survivors into a join with S.
 
     The filter output is dynamically repartitioned on the join key as
@@ -160,12 +155,12 @@ def filter_join_plan(filtered: TableEntry, stored: TableEntry,
             f"partitioned on {stored_key!r}, got {stored.spec.keys}")
     selectivity = predicate.selectivity if predicate.selectivity is not None else 1.0
     graph = LeraGraph()
-    graph.add_node(filter_name, ScanFilterSpec(
+    graph.add_node("filter", ScanFilterSpec(
         fragments=filtered.fragments,
         predicate=predicate,
         schema=filtered.relation.schema,
     ))
-    graph.add_node(join_name, PipelinedJoinSpec(
+    graph.add_node("join", PipelinedJoinSpec(
         stored_fragments=stored.fragments,
         stored_key=stored_key,
         stream_schema=filtered.relation.schema,
@@ -173,17 +168,14 @@ def filter_join_plan(filtered: TableEntry, stored: TableEntry,
         algorithm=algorithm,
         stream_cardinality=int(filtered.cardinality * selectivity),
     ))
-    graph.add_edge(filter_name, join_name, PIPELINE)
+    graph.add_edge("filter", "join", PIPELINE)
     graph.validate()
     return graph
 
 
 def aggregate_plan(entry: TableEntry, aggregates: tuple[AggregateExpr, ...],
                    group_by: str | None = None,
-                   predicate: Predicate = TRUE,
-                   degree: int | None = None,
-                   filter_name: str = "filter",
-                   aggregate_name: str = "aggregate") -> LeraGraph:
+                   predicate: Predicate = TRUE) -> LeraGraph:
     """Grouped aggregation: scan/filter pipelined into an aggregate.
 
     The filter's survivors are routed by hashing the group-by
@@ -191,23 +183,22 @@ def aggregate_plan(entry: TableEntry, aggregates: tuple[AggregateExpr, ...],
     aggregate (``group_by=None``) has a single instance.  Each
     instance emits its groups when the pipeline closes.
     """
-    if degree is None:
-        degree = entry.degree if group_by is not None else 1
+    degree = entry.degree if group_by is not None else 1
     graph = LeraGraph()
-    graph.add_node(filter_name, ScanFilterSpec(
+    graph.add_node("filter", ScanFilterSpec(
         fragments=entry.fragments,
         predicate=predicate,
         schema=entry.relation.schema,
     ))
     selectivity = predicate.selectivity if predicate.selectivity is not None else 1.0
-    graph.add_node(aggregate_name, AggregateSpec(
+    graph.add_node("aggregate", AggregateSpec(
         stream_schema=entry.relation.schema,
         group_by=group_by,
         aggregates=tuple(aggregates),
         degree=degree,
         stream_cardinality=int(entry.cardinality * selectivity),
     ))
-    graph.add_edge(filter_name, aggregate_name, PIPELINE)
+    graph.add_edge("filter", "aggregate", PIPELINE)
     graph.validate()
     return graph
 
@@ -215,9 +206,7 @@ def aggregate_plan(entry: TableEntry, aggregates: tuple[AggregateExpr, ...],
 def chain_join_plan(first_outer: TableEntry, first_inner: TableEntry,
                     first_outer_key: str, first_inner_key: str,
                     extensions: list[tuple[TableEntry, str, str]],
-                    algorithm: str = JOIN_NESTED_LOOP,
-                    expected_cardinalities: list[int] | None = None
-                    ) -> LeraGraph:
+                    algorithm: str = JOIN_NESTED_LOOP) -> LeraGraph:
     """An n-way left-deep join as a sequence of materialized chains.
 
     Phase 1 runs ``first_outer IdealJoin first_inner``.  Each extension
@@ -231,8 +220,8 @@ def chain_join_plan(first_outer: TableEntry, first_inner: TableEntry,
     ``intermediate_key`` names an attribute of the *running*
     concatenated schema (colliding names carry the ``_2`` suffix of
     :meth:`~repro.storage.schema.Schema.concat`).
-    ``expected_cardinalities[i]`` estimates phase ``i+1``'s input for
-    the scheduler; defaults to the running minimum operand cardinality.
+    The scheduler's estimate of each phase's input is the running
+    minimum operand cardinality.
     """
     if not first_outer.spec.compatible_with(first_inner.spec):
         raise PlanError("first join operands are not co-partitioned")
@@ -259,10 +248,7 @@ def chain_join_plan(first_outer: TableEntry, first_inner: TableEntry,
                 f"operand {entry.name!r} must be partitioned on "
                 f"{entry_key!r}, got {entry.spec.keys}")
         running_schema.position(intermediate_key)  # fail fast
-        if expected_cardinalities is not None:
-            expected = expected_cardinalities[phase - 1]
-        else:
-            expected = min(running_expected, entry.cardinality)
+        expected = min(running_expected, entry.cardinality)
         intermediate_name = f"T{phase}"
         target_fragments = [Fragment(intermediate_name, i, running_schema)
                             for i in range(entry.degree)]
@@ -289,29 +275,6 @@ def chain_join_plan(first_outer: TableEntry, first_inner: TableEntry,
         previous_join = join_name
     graph.validate()
     return graph
-
-
-def two_phase_join_plan(first_outer: TableEntry, first_inner: TableEntry,
-                        first_outer_key: str, first_inner_key: str,
-                        second: TableEntry, intermediate_key: str,
-                        second_key: str,
-                        algorithm: str = JOIN_NESTED_LOOP,
-                        expected_intermediate: int | None = None,
-                        intermediate_name: str = "T1") -> LeraGraph:
-    """A three-way join as two chains with a materialized intermediate.
-
-    Thin wrapper over :func:`chain_join_plan` with a single extension,
-    kept for its more explicit signature.  Node names are ``join1``,
-    ``store1`` (aliased to ``store`` semantics in earlier releases) and
-    ``join2``.
-    """
-    expected = None if expected_intermediate is None else [expected_intermediate]
-    return chain_join_plan(
-        first_outer, first_inner, first_outer_key, first_inner_key,
-        [(second, intermediate_key, second_key)],
-        algorithm=algorithm,
-        expected_cardinalities=expected,
-    )
 
 
 def materialized(producer_plan: LeraGraph, consumer_plan: LeraGraph,

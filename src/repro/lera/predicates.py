@@ -81,12 +81,12 @@ def attribute_predicate(schema: Schema, attribute: str, op: str,
     position = schema.position(attribute)
     column = operator.itemgetter(position)
 
-    def evaluate(row: Row, _pos: int = position, _cmp=comparator, _v=value) -> bool:
-        return _cmp(row[_pos], _v)
+    def evaluate(row: Row) -> bool:
+        return comparator(row[position], value)
 
-    def select(rows: Sequence[Row], _col=column, _cmp=comparator,
-               _v=value) -> list[Row]:
-        return list(compress(rows, map(_cmp, map(_col, rows), repeat(_v))))
+    def select(rows: Sequence[Row]) -> list[Row]:
+        return list(compress(rows, map(comparator, map(column, rows),
+                                       repeat(value))))
 
     return Predicate(f"{attribute} {op} {value!r}", evaluate, selectivity,
                      select)
@@ -110,11 +110,11 @@ def conjunction(*predicates: Predicate) -> Predicate:
         selectivity *= p.selectivity
     fns = tuple(p.fn for p in predicates)
 
-    def evaluate(row: Row, _fns=fns) -> bool:
-        return all(fn(row) for fn in _fns)
+    def evaluate(row: Row) -> bool:
+        return all(fn(row) for fn in fns)
 
-    def select(rows: Sequence[Row], _parts=predicates) -> list[Row]:
-        for part in _parts:
+    def select(rows: Sequence[Row]) -> list[Row]:
+        for part in predicates:
             rows = part.select(rows)
         return rows
 

@@ -51,13 +51,17 @@ def render_simple(plan: LeraGraph) -> str:
     return "\n".join(lines)
 
 
-def render_extended(plan: LeraGraph, node_name: str,
-                    max_instances: int = 8) -> str:
+#: Instance lines the extended view shows of one operator before it
+#: elides the middle.
+EXTENDED_INSTANCES = 8
+
+
+def render_extended(plan: LeraGraph, node_name: str) -> str:
     """The extended view of one operator: one line per instance.
 
     Shows each instance's queue kind and (for triggered operators) the
     fragment it owns, eliding the middle when there are more than
-    *max_instances* instances — the ``...`` of Figure 1.
+    :data:`EXTENDED_INSTANCES` instances — the ``...`` of Figure 1.
     """
     node = plan.node(node_name)
     spec = node.spec
@@ -79,14 +83,14 @@ def render_extended(plan: LeraGraph, node_name: str,
         return f"  {node.name}_{i + 1} |{queue_kind} queue|{detail}"
 
     count = node.instances
-    if count <= max_instances:
+    if count <= EXTENDED_INSTANCES:
         lines.extend(line_of(i) for i in range(count))
     else:
-        head = max_instances // 2
+        head = EXTENDED_INSTANCES // 2
         lines.extend(line_of(i) for i in range(head))
-        lines.append(f"  ... {count - max_instances} more instances ...")
-        lines.extend(line_of(i) for i in range(count - (max_instances - head),
-                                               count))
+        lines.append(f"  ... {count - EXTENDED_INSTANCES} more instances ...")
+        lines.extend(line_of(i) for i in range(
+            count - (EXTENDED_INSTANCES - head), count))
     return "\n".join(lines)
 
 

@@ -57,12 +57,10 @@ class Machine:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def ksr1(cls, processors: int = KSR1_PROCESSORS,
-             costs: CostModel | None = None,
-             models_memory: bool = True) -> "Machine":
+    def ksr1(cls, processors: int = KSR1_PROCESSORS) -> "Machine":
         """The paper's KSR1 with Allcache memory modelling on."""
-        return cls(processors=processors, costs=costs or DEFAULT_COSTS,
-                   models_memory=models_memory)
+        return cls(processors=processors, costs=DEFAULT_COSTS,
+                   models_memory=True)
 
     @classmethod
     def uniform(cls, processors: int = KSR1_PROCESSORS,

@@ -444,17 +444,14 @@ def verify_against_metrics(execution: "QueryExecution") -> list[str]:
     return problems
 
 
-def verify_workload_jsonl(run: LoadedRun,
-                          executions: dict | None = None) -> list[str]:
+def verify_workload_jsonl(run: LoadedRun) -> list[str]:
     """Self-audit a reloaded workload log (empty list = consistent).
 
     The workload-level counterpart of :func:`verify_against_metrics`:
     the ``qspan`` records, the ``metric`` snapshot rows and the meta
     header were all derived from the same run, so they must agree —
     status counts, finished-query counters, latency-histogram counts
-    and percentiles.  Passing the live ``executions`` mapping (tag ->
-    :class:`~repro.engine.metrics.QueryExecution`) additionally checks
-    every span's terminal status against the engine's bookkeeping.
+    and percentiles.
     """
     from repro.obs.metrics import (
         QUERIES_FINISHED,
@@ -509,17 +506,4 @@ def verify_workload_jsonl(run: LoadedRun,
                     f"{QUERY_LATENCY}{{status={status}}} {quantile} "
                     f"{row[quantile]} != {expected} from qspans")
 
-    if executions is not None:
-        by_tag = {record["tag"]: record for record in run.qspans}
-        for tag, execution in executions.items():
-            record = by_tag.get(tag)
-            if record is None:
-                problems.append(f"{tag}: execution has no qspan record")
-            elif record.get("status") != execution.status:
-                problems.append(
-                    f"{tag}: qspan status {record.get('status')!r} != "
-                    f"execution status {execution.status!r}")
-        for tag in by_tag:
-            if tag not in executions:
-                problems.append(f"{tag}: qspan has no execution")
     return problems

@@ -1,32 +1,30 @@
-"""The virtual-time metrics registry: counters, gauges, histograms.
+"""The workload metrics registry: counters, gauges, histograms.
 
 The workload layer's aggregate telemetry.  Where :mod:`repro.obs.bus`
 records *what happened* (discrete events), this module records *how
 much and how fast*: labelled :class:`Counter` / :class:`Gauge` /
 :class:`Histogram` instruments collected in one
-:class:`MetricsRegistry` per workload run.  Every sample is stamped
-with virtual time, so the registry can be snapshot at any instant of
-the simulation — ``registry.snapshot(at=0.25)`` answers "what did the
-system look like a quarter of a virtual second in", not just "what
-happened by the end".
+:class:`MetricsRegistry` per workload run.  The registry holds the
+end-of-run state, not a history: the event stream is the run's
+timeline, and a virtual-time question ("how deep was the admission
+queue at t?") is answered from it.
 
 Instruments:
 
 * :class:`Counter` — monotonically non-decreasing tally (queries
-  admitted, grants by reason, faults injected).  Keeps its full step
-  function, so ``value_at(t)`` works.
-* :class:`Gauge` — last-write-wins level (admission queue depth,
-  running queries, per-pool utilization).  Also a step function.
+  admitted, grants by reason, faults injected): its total.
+* :class:`Gauge` — a level (admission queue depth, running queries,
+  per-pool utilization): the value with the latest virtual-time stamp
+  (ties go to the last write) and the peak ever set.
 * :class:`Histogram` — observation distribution (admission wait,
-  end-to-end query latency) over **fixed log-scale buckets**
-  (powers of two, :data:`LOG_BUCKET_BOUNDS`).  The raw time-stamped
-  observations are retained as well — a workload records O(queries)
-  latencies, not O(activations) — so :meth:`Histogram.percentile`
-  is *exact* (nearest-rank over the real values), and the buckets
+  end-to-end query latency).  The raw observations are kept — a
+  workload records O(queries) latencies, not O(activations) — so
+  percentiles are *exact* (nearest-rank over the real values); the
+  fixed log-scale buckets (powers of two, :data:`LOG_BUCKET_BOUNDS`)
   are a rendering/export aid, not a precision limit.
 
 Labels are plain keyword arguments (``registry.counter("grants_total",
-reason="shrink")``); each distinct label set is its own time series,
+reason="shrink")``); each distinct label set is its own instrument,
 and :meth:`MetricsRegistry.family` / :meth:`MetricsRegistry.total`
 aggregate across a name's label sets.
 
@@ -40,7 +38,7 @@ clock of its disabled twin (``mpl4`` row of :mod:`repro.bench.twins`).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from repro.errors import ReproError
 
@@ -129,160 +127,81 @@ def _prom_labels(labels: dict, **extra) -> str:
 
 
 class _Instrument:
-    """Shared shape: a name, a frozen label set, time-stamped samples."""
+    """Shared shape: a name and a frozen label set."""
 
     kind = "?"
-    __slots__ = ("name", "labels", "times", "values")
+    __slots__ = ("name", "labels")
 
     def __init__(self, name: str, labels: dict) -> None:
         self.name = name
         self.labels = dict(labels)
-        self.times: list[float] = []
-        self.values: list[float] = []
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.labels.items()))
         return (f"{type(self).__name__}({self.name!r}"
-                + (f", {inner}" if inner else "")
-                + f", samples={len(self.times)})")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def value(self) -> float:
-        """Current (final) value; 0.0 before any sample."""
-        return self.values[-1] if self.values else 0.0
-
-    def value_at(self, t: float) -> float:
-        """Step-function value at virtual time *t* (0 before the
-        first sample; samples at exactly *t* are included)."""
-        index = bisect_right(self.times, t)
-        return self.values[index - 1] if index else 0.0
-
-    def _record(self, t: float, value: float) -> None:
-        """Insert one sample, keeping the series sorted by stamp.
-
-        Samples usually arrive in stamp order, but not always: the
-        workload engine processes completions in simulator-callback
-        order while stamping each query with its *logical* finish
-        instant, and a folded subscriber's stamp (which includes its
-        own late-started operations) can exceed its host's even though
-        the host's bookkeeping runs later in the same callback.  A
-        late sample with an earlier stamp is therefore filed at its
-        sorted position, not rejected.
-        """
-        if not self.times or t >= self.times[-1]:
-            self.times.append(t)
-            self.values.append(value)
-        else:
-            index = bisect_right(self.times, t)
-            self.times.insert(index, t)
-            self.values.insert(index, value)
+                + (f", {inner}" if inner else "") + ")")
 
 
 class Counter(_Instrument):
-    """A monotone tally over virtual time."""
+    """A monotone tally."""
 
     kind = "counter"
-    __slots__ = ()
-
-    def inc(self, t: float, delta: float = 1.0) -> float:
-        """Add *delta* (>= 0) at virtual time *t*; returns the total.
-
-        The series holds cumulative totals, so an increment whose
-        stamp lands *before* already-recorded samples (see
-        :meth:`_Instrument._record` for how that happens) splices in
-        at its sorted position and bumps every later total — keeping
-        ``value_at(t)`` = "events stamped <= t" exact.
-        """
-        if delta < 0:
-            raise ReproError(
-                f"counter {self.name!r} cannot decrease (delta {delta})")
-        if not self.times or t >= self.times[-1]:
-            total = self.value + delta
-            self._record(t, total)
-            return total
-        index = bisect_right(self.times, t)
-        base = self.values[index - 1] if index else 0.0
-        self.times.insert(index, t)
-        self.values.insert(index, base + delta)
-        for i in range(index + 1, len(self.values)):
-            self.values[i] += delta
-        return self.values[-1]
-
-
-class Gauge(_Instrument):
-    """A last-write-wins level over virtual time."""
-
-    kind = "gauge"
-    __slots__ = ()
-
-    def set(self, t: float, value: float) -> None:
-        """Record the level at virtual time *t*."""
-        self._record(t, value)
-
-    @property
-    def peak(self) -> float:
-        """Largest level ever set; 0.0 before any sample."""
-        return max(self.values) if self.values else 0.0
-
-
-class Histogram(_Instrument):
-    """An observation distribution over fixed log-scale buckets.
-
-    ``times``/``values`` hold the raw observations in arrival order
-    (the workload layer observes O(queries) values, so keeping them is
-    cheap); ``bucket_counts`` maintains the log-bucket aggregation
-    incrementally for rendering and export.
-    """
-
-    kind = "histogram"
-    __slots__ = ("bucket_counts", "total")
+    __slots__ = ("value",)
 
     def __init__(self, name: str, labels: dict) -> None:
         super().__init__(name, labels)
-        self.bucket_counts = [0] * (len(LOG_BUCKET_BOUNDS) + 1)
+        self.value = 0.0
+
+    def inc(self, delta: float = 1.0) -> float:
+        """Add *delta* (>= 0); returns the total."""
+        if delta < 0:
+            raise ReproError(
+                f"counter {self.name!r} cannot decrease (delta {delta})")
+        self.value += delta
+        return self.value
+
+
+class Gauge(_Instrument):
+    """A level: the latest-stamped value and the peak."""
+
+    kind = "gauge"
+    __slots__ = ("value", "peak", "stamp")
+
+    def __init__(self, name: str, labels: dict) -> None:
+        super().__init__(name, labels)
+        self.value = 0.0
+        self.peak = 0.0
+        self.stamp: float | None = None
+
+    def set(self, t: float, value: float) -> None:
+        """Record the level at virtual time *t*.
+
+        Samples usually arrive in stamp order, but a folded subscriber
+        can be stamped past its host's bookkeeping, so a write stamped
+        before the current one updates the peak only.
+        """
+        first = self.stamp is None
+        self.peak = value if first else max(self.peak, value)
+        if first or t >= self.stamp:
+            self.value, self.stamp = value, t
+
+
+class Histogram(_Instrument):
+    """An observation distribution: the raw observations, in arrival
+    order, and their running total."""
+
+    kind = "histogram"
+    __slots__ = ("values", "total")
+
+    def __init__(self, name: str, labels: dict) -> None:
+        super().__init__(name, labels)
+        self.values: list[float] = []
         self.total = 0.0
 
-    def observe(self, t: float, value: float) -> None:
-        """Record one observation *value* at virtual time *t*."""
-        self._record(t, value)
-        self.bucket_counts[bucket_index(value)] += 1
+    def observe(self, value: float) -> None:
+        """Record one observation."""
+        self.values.append(value)
         self.total += value
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def max(self) -> float:
-        if not self.values:
-            raise ReproError(f"histogram {self.name!r} has no observations")
-        return max(self.values)
-
-    @property
-    def mean(self) -> float:
-        if not self.values:
-            raise ReproError(f"histogram {self.name!r} has no observations")
-        return self.total / len(self.values)
-
-    def observations_at(self, t: float | None = None) -> list[float]:
-        """Raw observed values, restricted to virtual time <= *t*."""
-        if t is None:
-            return list(self.values)
-        return self.values[:bisect_right(self.times, t)]
-
-    def percentile(self, q: float, at: float | None = None) -> float:
-        """Exact nearest-rank percentile of the raw observations."""
-        return percentile(self.observations_at(at), q)
-
-    def buckets(self) -> list[tuple[float, int]]:
-        """Non-empty ``(upper_bound, count)`` rows (inf = overflow)."""
-        bounds = LOG_BUCKET_BOUNDS + (float("inf"),)
-        return [(bound, count)
-                for bound, count in zip(bounds, self.bucket_counts)
-                if count]
 
 
 class MetricsRegistry:
@@ -337,23 +256,18 @@ class MetricsRegistry:
         return [instrument for (key, _), instrument
                 in self._instruments.items() if key == name]
 
-    def total(self, name: str, at: float | None = None) -> float:
+    def total(self, name: str) -> float:
         """Sum of a counter family's values across label sets."""
-        return sum(instrument.value if at is None
-                   else instrument.value_at(at)
-                   for instrument in self.family(name))
+        return sum(instrument.value for instrument in self.family(name))
 
-    def render_prom(self, at: float | None = None) -> str:
+    def render_prom(self) -> str:
         """Prometheus text-exposition rendering of the registry.
 
         Counters and gauges render as one sample per label set;
         histograms render the standard cumulative ``_bucket`` /
         ``_sum`` / ``_count`` triple over :data:`LOG_BUCKET_BOUNDS`.
-        With *at*, every value is the virtual-time snapshot at that
-        instant — the text format is wall-clock-agnostic, so "the
-        registry a quarter of a virtual second in" is a perfectly
-        valid exposition.  Deterministic order (name, then labels),
-        so outputs diff cleanly in tests.
+        Deterministic order (name, then labels), so outputs diff
+        cleanly in tests.
         """
         families: dict[str, list[_Instrument]] = {}
         for (name, _), instrument in sorted(self._instruments.items()):
@@ -364,7 +278,7 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {kind}")
             for instrument in instruments:
                 if kind == "histogram":
-                    values = instrument.observations_at(at)
+                    values = instrument.values
                     cumulative = 0
                     for bound in LOG_BUCKET_BOUNDS:
                         cumulative = sum(1 for v in values if v <= bound)
@@ -383,24 +297,22 @@ class MetricsRegistry:
                                  f"{_prom_labels(instrument.labels)}"
                                  f" {len(values)}")
                 else:
-                    value = (instrument.value if at is None
-                             else instrument.value_at(at))
                     lines.append(f"{name}"
                                  f"{_prom_labels(instrument.labels)}"
-                                 f" {_g(value)}")
+                                 f" {_g(instrument.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def snapshot(self, at: float | None = None) -> list[dict]:
-        """Every instrument as one plain-dict row, at virtual time
-        *at* (``None`` = end of run).  Deterministic order (name,
-        then labels); the JSONL exporter writes these verbatim."""
+    def snapshot(self) -> list[dict]:
+        """Every instrument as one plain-dict row.  Deterministic order
+        (name, then labels); the JSONL exporter writes these
+        verbatim."""
         rows = []
         for (name, labels_key), instrument in sorted(
                 self._instruments.items()):
             row: dict = {"name": name, "labels": dict(labels_key),
                          "kind": instrument.kind}
             if instrument.kind == "histogram":
-                values = instrument.observations_at(at)
+                values = instrument.values
                 row["count"] = len(values)
                 row["sum"] = math.fsum(values)
                 if values:
@@ -418,7 +330,6 @@ class MetricsRegistry:
                                   for bound, count in zip(bounds, counts)
                                   if count]
             else:
-                row["value"] = (instrument.value if at is None
-                                else instrument.value_at(at))
+                row["value"] = instrument.value
             rows.append(row)
         return rows

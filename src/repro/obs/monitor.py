@@ -55,6 +55,14 @@ POINTS = (POINT_ADMISSION, POINT_REGRANT, POINT_WAVE, POINT_FINISH)
 BLAME_QUEUE_WAIT = "queue wait"
 BLAME_PROCESSING_SKEW = "processing skew"
 
+#: Finished queries :class:`LatencySloMonitor` waits for before it
+#: judges the burn rate.
+SLO_MIN_FINISHED = 4
+
+#: Threads an operation must have run on for :class:`StragglerMonitor`
+#: to compare them.
+STRAGGLER_MIN_THREADS = 2
+
 
 @dataclass(frozen=True)
 class StragglerSignal:
@@ -77,8 +85,8 @@ class StragglerSignal:
     """:data:`BLAME_QUEUE_WAIT` or :data:`BLAME_PROCESSING_SKEW`."""
 
 
-def straggler_signals(started_at: float, ops, ratio: float = 2.0,
-                      min_threads: int = 2) -> tuple[StragglerSignal, ...]:
+def straggler_signals(started_at: float, ops, ratio: float,
+                      min_threads: int) -> tuple[StragglerSignal, ...]:
     """The Fig 12 attribution, as a pure function of wave-barrier state.
 
     *ops* is the wave payload the engine assembles at each barrier:
@@ -200,8 +208,8 @@ class LatencySloMonitor(Monitor):
 
     Fires a warning event per query that finishes over *slo* (virtual
     seconds end-to-end), and keeps a critical condition alert on the
-    running violation fraction: once at least *min_finished* queries
-    have finished, a violation share above *burn_budget* means the
+    running violation fraction: once at least :data:`SLO_MIN_FINISHED`
+    queries have finished, a violation share above *burn_budget* means the
     workload is burning its error budget — the alert resolves when
     later queries pull the share back under.
     """
@@ -209,11 +217,9 @@ class LatencySloMonitor(Monitor):
     name = "latency_slo"
     severity = SEV_WARNING
 
-    def __init__(self, slo: float, burn_budget: float = 0.25,
-                 min_finished: int = 4) -> None:
+    def __init__(self, slo: float, burn_budget: float) -> None:
         self.slo = slo
         self.burn_budget = burn_budget
-        self.min_finished = min_finished
         self.finished = 0
         self.violations = 0
 
@@ -245,7 +251,7 @@ class LatencySloMonitor(Monitor):
                         f"{latency:.4f}s (SLO {self.slo:g}s, "
                         f"status {ctx.get('status')})",
                         event=True)
-        if self.finished >= self.min_finished:
+        if self.finished >= SLO_MIN_FINISHED:
             share = self.violations / self.finished
             self._signal(alerts, "burn", share > self.burn_budget,
                          ctx.now, share, self.burn_budget,
@@ -294,7 +300,7 @@ class MemoryPressureMonitor(Monitor):
     name = "memory_pressure"
     severity = SEV_WARNING
 
-    def __init__(self, fraction: float = 0.9) -> None:
+    def __init__(self, fraction: float) -> None:
         self.fraction = fraction
 
     def __repr__(self) -> str:
@@ -326,7 +332,7 @@ class RetryStormMonitor(Monitor):
     name = "retry_storm"
     severity = SEV_CRITICAL
 
-    def __init__(self, threshold: int = 8) -> None:
+    def __init__(self, threshold: int) -> None:
         self.threshold = threshold
 
     def __repr__(self) -> str:
@@ -347,10 +353,10 @@ class StragglerMonitor(Monitor):
     """Per-wave skew detector keyed to the Fig 12 signature.
 
     At each wave barrier, for every operation that ran on at least
-    *min_threads* threads, compare the slowest thread's relative
-    finish (from wave start) against the mean: a ratio above *ratio*
-    is the paper's skew picture — one bucket (or one starved thread)
-    holding the whole wave hostage.  The blame split follows Section
+    :data:`STRAGGLER_MIN_THREADS` threads, compare the slowest thread's
+    relative finish (from wave start) against the mean: a ratio above
+    *ratio* is the paper's skew picture — one bucket (or one starved
+    thread) holding the whole wave hostage.  The blame split follows Section
     5.4: a straggler that spent most of its life *idle* was starved by
     the tuple queues (queue wait); one that stayed busy ground through
     an oversized partition (processing skew).
@@ -359,13 +365,11 @@ class StragglerMonitor(Monitor):
     name = "straggler"
     severity = SEV_WARNING
 
-    def __init__(self, ratio: float = 2.0, min_threads: int = 2) -> None:
+    def __init__(self, ratio: float) -> None:
         self.ratio = ratio
-        self.min_threads = min_threads
 
     def __repr__(self) -> str:
-        return (f"StragglerMonitor(ratio={self.ratio}, "
-                f"min_threads={self.min_threads})")
+        return f"StragglerMonitor(ratio={self.ratio})"
 
     def evaluate(self, ctx: MonitorContext, alerts: AlertBus) -> None:
         if ctx.point != POINT_WAVE:
@@ -377,7 +381,7 @@ class StragglerMonitor(Monitor):
         wave = ctx.get("wave", 0)
         for signal in straggler_signals(started, ctx.get("ops", ()),
                                         ratio=self.ratio,
-                                        min_threads=self.min_threads):
+                                        min_threads=STRAGGLER_MIN_THREADS):
             alerts.fire(self.name,
                         f"{tag}/w{wave}/{signal.operation}", self.severity,
                         ctx.now, signal.spread, self.ratio,
@@ -388,19 +392,16 @@ class StragglerMonitor(Monitor):
                         event=True)
 
 
-def default_monitors(slo: float = 1.0, admission_ceiling: float = 1.0,
-                     straggler_ratio: float = 2.0,
-                     burn_budget: float = 0.25,
-                     memory_fraction: float = 0.9,
-                     retry_threshold: int = 8) -> tuple[Monitor, ...]:
-    """The standard rule pack (every built-in rule, thresholds
-    overridable) — what ``python -m repro run --monitors`` installs."""
+def default_monitors(slo: float = 1.0) -> tuple[Monitor, ...]:
+    """The standard rule pack: every built-in rule at its standard
+    threshold, the latency SLO set by the caller — what ``python -m
+    repro run --monitors`` installs."""
     return (
-        LatencySloMonitor(slo, burn_budget=burn_budget),
-        AdmissionWaitMonitor(admission_ceiling),
-        StragglerMonitor(straggler_ratio),
-        MemoryPressureMonitor(memory_fraction),
-        RetryStormMonitor(retry_threshold),
+        LatencySloMonitor(slo, burn_budget=0.25),
+        AdmissionWaitMonitor(1.0),
+        StragglerMonitor(2.0),
+        MemoryPressureMonitor(0.9),
+        RetryStormMonitor(8),
     )
 
 

@@ -173,10 +173,10 @@ def build_workload_report(result) -> WorkloadReport:
     # instantiate instruments the run did not populate.
     depth = metrics.get(ADMISSION_QUEUE_DEPTH)
     wait = metrics.get(ADMISSION_WAIT)
-    waits = wait.observations_at() if wait is not None else []
+    waits = wait.values if wait is not None else []
     admission = {
         "peak_queue_depth": depth.peak if depth is not None else 0.0,
-        "wait_mean": sum(waits) / len(waits) if waits else 0.0,
+        "wait_mean": wait.total / len(waits) if waits else 0.0,
         "wait_max": max(waits) if waits else 0.0,
     }
 

@@ -39,24 +39,16 @@ def estimated_response_time(work: float, threads: int, machine: Machine) -> floa
 
 
 def choose_thread_count(work: float, machine: Machine,
-                        max_threads: int | None = None,
                         multi_user_factor: float = 1.0,
-                        explain: "ScheduleExplanation | None" = None,
-                        resource_cap: int | None = None) -> int:
+                        explain: "ScheduleExplanation | None" = None) -> int:
     """Step 1: the thread count minimizing estimated response time.
 
     Args:
         work: Estimated sequential complexity of the query, seconds.
         machine: Target machine (processor count, cost model).
-        max_threads: Optional hard cap (e.g. an operator's activation
-            count — more threads than activations sit idle).
         multi_user_factor: In (0, 1]; scales the single-user optimum
             down to raise multi-user throughput, the [Rahm93] hook.
         explain: Optional decision recorder (purely passive).
-        resource_cap: Optional thread-equivalent cap from a non-CPU
-            binding resource (see :func:`allocate_to_queries`'s
-            multi-resource path); a second ceiling alongside
-            *max_threads*.
 
     Returns:
         The chosen thread count, at least 1.
@@ -66,13 +58,7 @@ def choose_thread_count(work: float, machine: Machine,
     if not 0 < multi_user_factor <= 1:
         raise SchedulerError(
             f"multi_user_factor must be in (0, 1], got {multi_user_factor}")
-    if resource_cap is not None and resource_cap < 1:
-        raise SchedulerError(
-            f"resource_cap must be >= 1, got {resource_cap}")
-    ceiling = max_threads if max_threads is not None else machine.processors
-    if resource_cap is not None:
-        ceiling = min(ceiling, resource_cap)
-    ceiling = max(1, min(ceiling, 2 * machine.processors))
+    ceiling = machine.processors
     best_n, best_t = 1, estimated_response_time(work, 1, machine)
     for n in range(2, ceiling + 1):
         t = estimated_response_time(work, n, machine)

@@ -51,8 +51,8 @@ MAX_CONCURRENT = 2
 QUEUE_LIMIT = 6
 
 
-def serving_machine(processors: int = PROCESSORS) -> Machine:
-    return Machine.uniform(processors=processors)
+def serving_machine() -> Machine:
+    return Machine.uniform(processors=PROCESSORS)
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,7 @@ def decision_digest(result: WorkloadResult) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def serving_stats(result: WorkloadResult,
-                  slo_by_class: dict[int, float] | None = None) -> dict:
+def serving_stats(result: WorkloadResult) -> dict:
     """Distil one serving run into the benchmark's row.
 
     * ``statuses`` — terminal-status tally (conservation check:

@@ -44,8 +44,8 @@ class TableEntry:
     def cardinality(self) -> int:
         return self.relation.cardinality
 
-    def create_index(self, attribute: str, kind: str = "hash") -> None:
-        """Build a permanent index on *attribute* over every fragment.
+    def create_index(self, attribute: str) -> None:
+        """Build a permanent hash index on *attribute* over every fragment.
 
         Equality selections on an indexed attribute compile to index
         probes instead of fragment scans.  Re-creating an existing
@@ -54,7 +54,7 @@ class TableEntry:
         same attribute is the same object.
         """
         position = self.relation.schema.position(attribute)
-        self.indexes[attribute] = [fragment.index_on(position, kind)
+        self.indexes[attribute] = [fragment.index_on(position)
                                    for fragment in self.fragments]
         self.index_builds += 1
 

@@ -57,19 +57,19 @@ class Relation:
 
     # -- row-level operations (reference implementations) ----------------------
 
-    def select(self, predicate: Callable[[Row], bool], name: str | None = None) -> "Relation":
+    def select(self, predicate: Callable[[Row], bool]) -> "Relation":
         """Sequential reference selection, used by tests as ground truth."""
-        return Relation(name or f"{self.name}_sel", self.schema,
+        return Relation(f"{self.name}_sel", self.schema,
                         (row for row in self.rows if predicate(row)))
 
-    def project(self, names: Sequence[str], name: str | None = None) -> "Relation":
+    def project(self, names: Sequence[str]) -> "Relation":
         """Sequential reference projection (duplicate-preserving)."""
         positions = self.schema.positions(names)
-        return Relation(name or f"{self.name}_proj", self.schema.project(names),
+        return Relation(f"{self.name}_proj", self.schema.project(names),
                         (tuple(row[p] for p in positions) for row in self.rows))
 
-    def join(self, other: "Relation", left_key: str, right_key: str,
-             name: str | None = None) -> "Relation":
+    def join(self, other: "Relation", left_key: str,
+             right_key: str) -> "Relation":
         """Sequential reference equi-join, used by tests as ground truth.
 
         Builds a hash table on *other* and probes with *self*; output
@@ -86,4 +86,4 @@ class Relation:
         matches = (left + right
                    for left in self.rows
                    for right in table.get(left[left_pos], ()))
-        return Relation(name or f"{self.name}_{other.name}", out_schema, matches)
+        return Relation(f"{self.name}_{other.name}", out_schema, matches)

@@ -118,20 +118,17 @@ class Schema:
         """Return a new schema restricted to *names*, in the given order."""
         return Schema(self._attributes[self.position(name)] for name in names)
 
-    def concat(self, other: "Schema", prefix_left: str = "",
-               prefix_right: str = "") -> "Schema":
+    def concat(self, other: "Schema") -> "Schema":
         """Concatenate two schemas, as produced by a join.
 
-        Optional prefixes (e.g. ``"a."`` / ``"b."``) disambiguate
-        explicitly; any name still colliding after prefixing gets a
+        A right-hand name colliding with one already taken gets a
         numeric suffix (``name_2``, ``name_3``, ...) so join outputs
         are always well-formed.
         """
-        left = [a.renamed(prefix_left + a.name) if prefix_left else a for a in self]
-        right = [a.renamed(prefix_right + a.name) if prefix_right else a for a in other]
+        left = list(self)
         taken = {a.name for a in left}
         resolved = []
-        for attribute in right:
+        for attribute in other:
             name = attribute.name
             suffix = 2
             while name in taken:

@@ -61,18 +61,24 @@ def hash_partitions(values: Iterable[object], degree: int) -> list[int]:
     return partitions
 
 
-def row_size_bytes(row: Row, default_int: int = 8, default_str_overhead: int = 1) -> int:
+#: Bytes a stored integer or float counts, and a string over its length.
+INT_BYTES = 8
+STR_OVERHEAD_BYTES = 1
+
+
+def row_size_bytes(row: Row) -> int:
     """Approximate the storage footprint of a row, in bytes.
 
     Used by the machine model to account cache-residency; integers and
-    floats count ``default_int`` bytes, strings their length plus a
-    small overhead.  This mirrors the fixed-width record accounting of
-    the Wisconsin benchmark rather than CPython object sizes.
+    floats count :data:`INT_BYTES`, strings their length plus
+    :data:`STR_OVERHEAD_BYTES`.  This mirrors the fixed-width record
+    accounting of the Wisconsin benchmark rather than CPython object
+    sizes.
     """
     size = 0
     for value in row:
         if isinstance(value, str):
-            size += len(value) + default_str_overhead
+            size += len(value) + STR_OVERHEAD_BYTES
         else:
-            size += default_int
+            size += INT_BYTES
     return size

@@ -43,15 +43,20 @@ def wisconsin_schema(with_strings: bool = False) -> Schema:
     return Schema(attributes)
 
 
-def _unique_string(value: int, width: int = 7, pad_to: int = 52) -> str:
+#: The Wisconsin 'stringu' encoding: base-26 digits, padded length.
+STRINGU_DIGITS = 7
+STRINGU_LENGTH = 52
+
+
+def _unique_string(value: int) -> str:
     """The Wisconsin 'stringu' encoding: value in base 26, A-padded."""
     letters = []
     v = value
-    for _ in range(width):
+    for _ in range(STRINGU_DIGITS):
         letters.append(chr(ord("A") + v % 26))
         v //= 26
     body = "".join(reversed(letters))
-    return body + "x" * (pad_to - len(body))
+    return body + "x" * (STRINGU_LENGTH - len(body))
 
 
 def generate_wisconsin(name: str, cardinality: int, seed: int = 0,

@@ -69,7 +69,7 @@ class _Telemetry:
         run.subscribe(POINT_FINISH, self.on_finish)
 
     def on_submit(self, now, job, **_) -> None:
-        self.metrics.counter(QUERIES_SUBMITTED).inc(now)
+        self.metrics.counter(QUERIES_SUBMITTED).inc()
         self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
             now, len(self.run.queue))
 
@@ -81,27 +81,27 @@ class _Telemetry:
         shareable = sum(1 for fingerprint in job.plan.fingerprints().values()
                         if fingerprint is not None)
         if shareable:
-            self.metrics.counter(FOLD_ATTEMPTS).inc(now, shareable)
+            self.metrics.counter(FOLD_ATTEMPTS).inc(shareable)
         if folds:
-            self.metrics.counter(FOLD_HITS).inc(now, len(folds))
+            self.metrics.counter(FOLD_HITS).inc(len(folds))
             for shared in job.subscriptions:
                 self.metrics.gauge(
                     FOLD_SUBSCRIBERS, operator=shared.runtime.name).set(
                     now, len(shared.active_tags))
 
     def on_admit(self, now, job, **_) -> None:
-        self.metrics.counter(QUERIES_ADMITTED).inc(now)
-        self.metrics.histogram(ADMISSION_WAIT).observe(now, now - job.arrival)
+        self.metrics.counter(QUERIES_ADMITTED).inc()
+        self.metrics.histogram(ADMISSION_WAIT).observe(now - job.arrival)
 
     def on_grant(self, now, job, threads, reason, **_) -> None:
-        self.metrics.counter(GRANTS, reason=reason).inc(now)
+        self.metrics.counter(GRANTS, reason=reason).inc()
         if reason != "helpers":  # helpers top up a pool, not the grant
             self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
                 now, threads)
 
     def on_reject(self, now, job, status, reason, **_) -> None:
         name = QUERIES_SHED if status == STATUS_SHED else QUERIES_REJECTED
-        self.metrics.counter(name, reason=reason).inc(now)
+        self.metrics.counter(name, reason=reason).inc()
 
     def on_backpressure(self, now, job, engaged, **_) -> None:
         self.metrics.gauge(BACKPRESSURE_ENGAGED).set(
@@ -112,15 +112,15 @@ class _Telemetry:
         the per-status tally, the machine levels, and — from the frozen
         execution — each pool's utilization and fractional cost share."""
         metrics = self.metrics
-        metrics.counter(QUERIES_FINISHED, status=status).inc(now)
+        metrics.counter(QUERIES_FINISHED, status=status).inc()
         # Per-class series (the serving benchmark's per-priority /
         # per-tenant tails) only when the caller asked for serving:
         # other runs keep the plain label set.
         labels = ({"klass": f"p{job.priority}", "tenant": job.tenant}
                   if self.run.serving_requested else {})
         metrics.histogram(QUERY_LATENCY, status=status, **labels).observe(
-            now, now - job.arrival)
-        self.sample_levels(now)
+            now - job.arrival)
+        self.sample_levels(now, job)
         for name, op in job.execution.operations.items():
             window = op.finished_at - op.started_at
             if op.threads and window > 0:
@@ -130,7 +130,7 @@ class _Telemetry:
                 metrics.gauge(FOLD_COST_SHARE, query=job.tag,
                               operator=name).set(now, op.cost_share)
 
-    def sample_levels(self, now, job=None, **_) -> None:
+    def sample_levels(self, now, job, **_) -> None:
         self.metrics.gauge(RUNNING_QUERIES).set(now, len(self.run.running))
         self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
             now, len(self.run.queue))

@@ -67,7 +67,6 @@ from repro.engine.metrics import (
 )
 from repro.engine.operation import DeliveryTap, OperationRuntime
 from repro.engine.simulator import Simulator
-from repro.engine.threads import WorkerThread
 from repro.errors import AdmissionError, ExecutionFaultError, WorkloadError
 from repro.faults.injector import NO_FAULTS, FaultInjector
 from repro.lera.operators import StoreSpec
@@ -908,6 +907,12 @@ class _WorkloadRun:
         another operator the survivors ride; without survivors it stays
         in the host's wave and is drained with it.  Idempotent, and a
         no-op for a query that folded and hosts nothing.
+
+        A detached runtime's events (its queues' too) go from then on
+        to the event stream of its first-submitted survivor: that
+        query's execution reports the operator, so its threads'
+        finishes have an appearance to land on.  What the operator
+        emitted before the detach stays on the host's stream.
         """
         detached: list[OperationRuntime] = []
         for shared in job.hosted:
@@ -918,6 +923,11 @@ class _WorkloadRun:
                     and not runtime.complete):
                 shared.detached = True
                 detached.append(runtime)
+                carrier = next(other for other in self.jobs
+                               if other.tag in shared.active_tags)
+                runtime.bus = carrier.bus
+                for queue in runtime.queues:
+                    queue.obs = carrier.bus
         for runtime in detached:
             own = runtime.outputs[0]
             own.active = own.consumer in detached
@@ -1149,8 +1159,7 @@ class _WorkloadRun:
                 shares = (base if wave_total == base_total
                           else _largest_remainder(wave_total, base))
                 for rewrite in self._listeners.get(WAVE_START, ()):
-                    shares = rewrite(at, job, own_ops, base, wave_total,
-                                     shares)
+                    shares = rewrite(at, job, own_ops, shares)
                 counts = {op.name: share
                           for op, share in zip(own_ops, shares)}
                 self.next_thread_id, wave_threads = self.executor.prepare_wave(
@@ -1189,8 +1198,7 @@ class _WorkloadRun:
                 return
             at = finish
 
-    def _on_operation_complete(self, operation: OperationRuntime,
-                               thread: WorkerThread) -> None:
+    def _on_operation_complete(self, operation: OperationRuntime) -> None:
         shared = operation.shared
         if shared is not None and shared.waiters:
             waiters, shared.waiters = shared.waiters, []

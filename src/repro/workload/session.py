@@ -217,19 +217,13 @@ class Session:
                                     priority=priority, tenant=tenant)
 
     def submit_plan(self, plan: LeraGraph, output_schema: Schema,
-                    at: float = 0.0, threads: int | None = None,
+                    threads: int | None = None,
                     schedule: QuerySchedule | None = None,
-                    tag: str | None = None,
-                    timeout: float | None = None,
-                    priority: int = 0,
-                    tenant: str = "default",
-                    description: str = "custom plan") -> QueryHandle:
-        """Queue a hand-built Lera-par plan."""
-        compiled = CompiledQuery(plan, output_schema, None, description)
-        return self.submit_compiled(compiled, at=at, threads=threads,
-                                    schedule=schedule, tag=tag,
-                                    timeout=timeout, priority=priority,
-                                    tenant=tenant)
+                    tag: str | None = None) -> QueryHandle:
+        """Queue a hand-built Lera-par plan, arriving at 0."""
+        compiled = CompiledQuery(plan, output_schema, None, "custom plan")
+        return self.submit_compiled(compiled, threads=threads,
+                                    schedule=schedule, tag=tag)
 
     def submit_compiled(self, compiled: CompiledQuery, at: float = 0.0,
                         threads: int | None = None,

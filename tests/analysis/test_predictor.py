@@ -65,7 +65,10 @@ class TestAgainstSimulation:
         plan = assoc_join_plan(database.entry_a, database.entry_b,
                                "key", "key")
         prediction, execution = _predict_and_measure(plan, 6)
-        assert prediction.contains(execution.response_time, slack=0.15)
+        # The transmit pipeline's queueing sits outside the analysis:
+        # a 15 % band, wider than contains()'s.
+        assert (prediction.lower_bound * 0.85 <= execution.response_time
+                <= prediction.worst_time * 1.15)
 
     def test_skewed_measured_hits_lower_bound(self):
         """With LPT, a heavily skewed triggered join runs at its Pmax
@@ -85,16 +88,15 @@ class TestAgainstSimulation:
 
     def test_two_wave_plan_predicted(self):
         from repro.bench.workloads import skewed_fragments
-        from repro.lera.plans import two_phase_join_plan
+        from repro.lera.plans import chain_join_plan
         from repro.storage.catalog import Catalog
         from repro.storage.partitioning import PartitioningSpec
         database = make_join_database(2000, 200, degree=10, theta=0.0)
         relation_c, fragments_c = skewed_fragments("C", 300, 8, 0.0)
         entry_c = Catalog().register_fragments(
             relation_c, PartitioningSpec.on("key", 8), fragments_c)
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key",
-                                   expected_intermediate=200)
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         prediction, execution = _predict_and_measure(plan, 6)
         # estimates of the materialized intermediate are approximate;
         # a generous band still has to hold

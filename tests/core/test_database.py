@@ -89,16 +89,21 @@ class TestExplainAndPlanExecution:
         assert "triggered" in text
         assert "4 threads" in text
 
+    def test_explain_extended_lists_every_instance(self, db):
+        text = db.explain("SELECT * FROM A JOIN B ON A.unique1 = B.unique1",
+                          threads=4, extended=True)
+        assert "one trigger queue each" in text
+        assert "join_1 |trigger queue|  <- A[0]" in text
+
     def test_execute_plan_custom(self, db):
         from repro.lera.plans import ideal_join_plan
         plan = ideal_join_plan(db.table("A"), db.table("B"),
                                "unique1", "unique1")
         schema = db.table("A").relation.schema.concat(
             db.table("B").relation.schema)
-        result = db.session().submit_plan(plan, schema, threads=2,
-                                          description="hand-built").result()
+        result = db.session().submit_plan(plan, schema, threads=2).result()
         assert result.cardinality == 200
-        assert result.description == "hand-built"
+        assert result.description == "custom plan"
 
     def test_compile_without_execution(self, db):
         compiled = db.compile("SELECT * FROM A JOIN B ON A.unique1 = B.unique1")

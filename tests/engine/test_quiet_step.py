@@ -133,7 +133,7 @@ class Rig:
             machine, config.seed,
             NO_FAULTS if faults is None else FaultInjector(faults,
                                                            bus=self.bus),
-            None, lambda operation, thread: None,
+            None, lambda operation: None,
             lambda operation, error, at: self.cancel(at))
         self.next_thread_id, _ = executor.prepare_wave(
             self.operations,
@@ -317,7 +317,7 @@ def _concurrent_joins(processors):
     start = max(executor.startup_time(runtimes, schedule)
                 for runtimes, schedule in queries)
     simulator = Simulator(machine, 0, NO_FAULTS, None,
-                          lambda operation, thread: None,
+                          lambda operation: None,
                           lambda operation, error, at: None)
     next_thread_id = 0
     operations = []

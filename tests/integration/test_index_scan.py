@@ -32,11 +32,6 @@ class TestCatalogIndexes:
         with pytest.raises(SchemaError):
             db.create_index("A", "ghost")
 
-    def test_sorted_index_kind(self, db):
-        db.create_index("A", "unique2", kind="sorted")
-        from repro.storage.indexes import SortedIndex
-        assert isinstance(db.table("A").index_on("unique2")[0], SortedIndex)
-
 
 class TestIndexScanPlan:
     def test_requires_existing_index(self, db):

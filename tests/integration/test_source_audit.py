@@ -32,6 +32,14 @@
   The fields that stay without one sit in
   :data:`OPTIONS_WITHOUT_CALLER`, each with its reason and the test
   that varies it; a listed field that gains a caller must leave.
+* **Every parameter has a caller.**  A defaulted parameter of a
+  ``def`` in the package is passed by some call under
+  :data:`REFERENCE_DIRS` (callee matched by name; a keyword, its
+  position, a ``*`` / ``**`` spread, or ``functools.partial``), or it
+  is the constant it always was.  The ones that stay without a caller
+  sit in :data:`PARAMETERS_WITHOUT_CALLER`, each with one of
+  :data:`PARAMETER_REASONS` and the test that passes it; a listed
+  parameter that gains a caller must leave.
 """
 
 import ast
@@ -114,6 +122,47 @@ DEFINITIONS_WITHOUT_CALLER = {
 }
 
 
+#: The three reasons a defaulted parameter may stay without a caller
+#: outside the tests; every :data:`PARAMETERS_WITHOUT_CALLER` reason
+#: starts with one.  That a test passes a non-default value is not one.
+PARAMETER_REASONS = (
+    "(a) test seam:",       # a CLI argv, or a scale or seed tier-1 needs
+    "(b) forward:",         # of a field a caller outside the tests sets
+    "(c) only way:",        # the only way to reach a feature
+)
+
+#: ``"module:function(parameter)" -> (reason, behaviour test)``: every
+#: defaulted parameter no call outside the tests passes, why it stays
+#: (one of :data:`PARAMETER_REASONS`), and the test that passes it.
+PARAMETERS_WITHOUT_CALLER = {
+    "__main__.py:main(argv)": (
+        "(a) test seam: the CLI's argument vector; the console runs "
+        "main() on sys.argv, the tests drive each subcommand in-process",
+        "tests/integration/test_reporting.py::TestDemoDriver"
+        "::test_demo_runs"),
+    "core/database.py:DBS3.explain(extended)": (
+        "(c) only way: Figure 1's extended view (one line per operator "
+        "instance, lera/render.py) is reached only through explain",
+        "tests/core/test_database.py::TestExplainAndPlanExecution"
+        "::test_explain_extended_lists_every_instance"),
+    "workload/session.py:Session.submit(timeout)": (
+        "(b) forward: QuerySubmission.timeout, which "
+        "serve.harness.build_submissions sets",
+        "tests/workload/test_cancellation.py::TestTimeouts"
+        "::test_timeout_mid_run"),
+    "workload/session.py:Session.submit(priority)": (
+        "(b) forward: QuerySubmission.priority, which "
+        "serve.harness.build_submissions sets",
+        "tests/workload/test_serving.py::TestSessionSubmit"
+        "::test_priority_and_tenant_reach_the_submission"),
+    "workload/session.py:Session.submit(tenant)": (
+        "(b) forward: QuerySubmission.tenant, which "
+        "serve.harness.build_submissions sets",
+        "tests/workload/test_serving.py::TestSessionSubmit"
+        "::test_priority_and_tenant_reach_the_submission"),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _package() -> dict[str, str]:
     """Module path (relative to ``src/repro``) -> source text."""
@@ -179,22 +228,49 @@ def simulator_builders(sources: dict[str, str]) -> set[str]:
     return builders
 
 
-def defaulted_parameters(sources: dict[str, str], module: str,
-                        cls: str) -> list[str]:
-    """Parameters of ``cls.__init__`` in *module* that have a default."""
-    for node in ast.walk(ast.parse(sources[module])):
-        if isinstance(node, ast.ClassDef) and node.name == cls:
-            init = next(item for item in node.body
-                        if isinstance(item, ast.FunctionDef)
-                        and item.name == "__init__")
-            args = init.args
+def defaulted(sources: dict[str, str]
+              ) -> dict[str, tuple[str, int, str, int | None]]:
+    """``"module:function(parameter)"`` -> ``(callee, line, parameter,
+    position)`` for every defaulted parameter of a ``def`` in
+    *sources*.  A method is ``Class.method``; ``__init__`` is the
+    class, which is also the name a call of it uses (*callee*).
+    *position* is the parameter's index among the positional arguments
+    a call passes (``self`` / ``cls`` not counted), ``None`` for a
+    keyword-only one."""
+    found = {}
+
+    def walk(module, node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(module, child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(module, child, cls)
+                continue
+            if cls and child.name == "__init__":
+                callee = function = cls
+            else:
+                callee = child.name
+                function = f"{cls}.{callee}" if cls else callee
+            args = child.args
             positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults):]
-            defaulted += [arg for arg, default
-                          in zip(args.kwonlyargs, args.kw_defaults)
-                          if default is not None]
-            return [arg.arg for arg in defaulted]
-    raise AssertionError(f"no class {cls} in {module}")
+            static = any(getattr(decorator, "id", None) == "staticmethod"
+                         for decorator in child.decorator_list)
+            bound = 1 if cls and not static else 0
+            first = len(positional) - len(args.defaults)
+            params = [(arg.arg, index - bound)
+                      for index, arg in enumerate(positional) if index >= first]
+            params += [(arg.arg, None) for arg, default
+                       in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            for name, position in params:
+                found[f"{module}:{function}({name})"] = (
+                    callee, child.lineno, name, position)
+            walk(module, child, None)
+
+    for module, text in sources.items():
+        walk(module, ast.parse(text), None)
+    return found
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,7 +391,7 @@ def set_options(callers: dict[str, str],
             owners.setdefault(name, []).append(block)
     found = set()
     for text in callers.values():
-        for callee, positional, keywords in _calls(text):
+        for callee, positional, keywords, _spread in _calls(text):
             found.update(f"{block}.{keyword}" for keyword in keywords
                          for block in owners.get(keyword, ()))
             if callee in fields:
@@ -325,19 +401,30 @@ def set_options(callers: dict[str, str],
 
 
 @functools.lru_cache(maxsize=None)
-def _calls(text: str) -> tuple[tuple[str | None, int, tuple[str, ...]], ...]:
+def _calls(text: str) -> tuple[tuple[str | None, int, tuple[str, ...], bool],
+                               ...]:
     """Every call in *text*: the callee's name, its plain positional
-    argument count and its keyword names (``**`` spreads skipped)."""
+    argument count, its keyword names and whether it spreads ``*`` or
+    ``**``.  ``functools.partial(f, ...)`` is a call of ``f`` with the
+    remaining arguments."""
     calls = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Call):
-            func = node.func
+            func, args = node.func, node.args
+            if _name(func) == "partial" and args:
+                func, args = args[0], args[1:]
             calls.append((
-                getattr(func, "id", None) or getattr(func, "attr", None),
-                sum(not isinstance(arg, ast.Starred) for arg in node.args),
+                _name(func),
+                sum(not isinstance(arg, ast.Starred) for arg in args),
                 tuple(keyword.arg for keyword in node.keywords
-                      if keyword.arg is not None)))
+                      if keyword.arg is not None),
+                any(isinstance(arg, ast.Starred) for arg in args)
+                or any(keyword.arg is None for keyword in node.keywords)))
     return tuple(calls)
+
+
+def _name(func: ast.expr) -> str | None:
+    return getattr(func, "id", None) or getattr(func, "attr", None)
 
 
 def census_violations(fields: dict[str, list[str]],
@@ -356,6 +443,68 @@ def census_violations(fields: dict[str, list[str]],
     return unset + stale
 
 
+def reference_texts(sources: dict[str, str],
+                    modules: dict[str, str]) -> tuple[str, ...]:
+    """The package *sources* and the *modules* (:func:`_modules`' shape)
+    under :data:`REFERENCE_DIRS`: where a caller may pass a parameter."""
+    return tuple(sources.values()) + tuple(
+        text for path, text in modules.items()
+        if path.split("/")[0] in REFERENCE_DIRS)
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_aliases(text: str) -> tuple[tuple[str, str, int], ...]:
+    """``(alias, callee, positional)`` of every module-level ``alias =
+    functools.partial(callee, ...)`` in *text*: a call of the alias
+    is a call of the callee after that many positional arguments."""
+    aliases = []
+    for node in ast.parse(text).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)
+                and _name(node.value.func) == "partial" and node.value.args):
+            aliases.append((node.targets[0].id, _name(node.value.args[0]),
+                            len(node.value.args) - 1))
+    return tuple(aliases)
+
+
+def uncalled_parameters(sources: dict[str, str],
+                        texts: tuple[str, ...]) -> list[str]:
+    """Defaulted parameters of *sources* (:func:`defaulted`) that no
+    call in *texts* passes and no reason covers; then listed
+    parameters that have a caller (or no longer exist).
+
+    A call passes a parameter when its callee has the function's name
+    and it names the parameter as a keyword, reaches its position, or
+    spreads ``*`` / ``**``."""
+    aliases = {alias: (callee, offset) for text in texts
+               for alias, callee, offset in _partial_aliases(text)}
+    calls: dict[str | None, list[tuple[int, tuple[str, ...], bool]]] = {}
+    for text in texts:
+        for callee, positional, keywords, spread in _calls(text):
+            calls.setdefault(callee, []).append((positional, keywords, spread))
+            if callee in aliases:
+                target, offset = aliases[callee]
+                calls.setdefault(target, []).append(
+                    (positional + offset, keywords, spread))
+    params = defaulted(sources)
+    passed = {key for key, (callee, _line, name, position) in params.items()
+              if any(spread or name in keywords
+                     or (position is not None and position < positional)
+                     for positional, keywords, spread
+                     in calls.get(callee, ()))}
+    unlisted = [f"{key.split(':')[0]}:{line}: {key.split(':', 1)[1]} has no "
+                f"caller outside the tests and no reason in "
+                f"PARAMETERS_WITHOUT_CALLER"
+                for key, (_callee, line, _name, _position) in params.items()
+                if key not in passed and key not in PARAMETERS_WITHOUT_CALLER]
+    stale = [f"PARAMETERS_WITHOUT_CALLER entry {key} "
+             + ("has a caller now" if key in passed else "names no parameter")
+             for key in PARAMETERS_WITHOUT_CALLER
+             if key in passed or key not in params]
+    return unlisted + stale
+
+
 def test_every_identity_key_names_its_keeper():
     assert id_key_violations(_package()) == []
 
@@ -364,9 +513,13 @@ def test_the_simulator_has_one_client():
     assert simulator_builders(_package()) == {"workload/engine.py"}
 
 
+def _simulator_defaults(sources: dict[str, str]) -> list[str]:
+    return [key for key in defaulted(sources)
+            if key.startswith("engine/simulator.py:Simulator(")]
+
+
 def test_the_simulator_constructor_has_no_default():
-    assert defaulted_parameters(_package(), "engine/simulator.py",
-                                "Simulator") == []
+    assert _simulator_defaults(_package()) == []
 
 
 def test_a_defaulted_simulator_parameter_is_caught():
@@ -374,8 +527,8 @@ def test_a_defaulted_simulator_parameter_is_caught():
     sources["engine/simulator.py"] = sources["engine/simulator.py"].replace(
         "ExecutionFaultError, float], None]\n",
         "ExecutionFaultError, float], None] = print\n")
-    assert defaulted_parameters(sources, "engine/simulator.py",
-                                "Simulator") == ["on_query_abort"]
+    assert _simulator_defaults(sources) == [
+        "engine/simulator.py:Simulator(on_query_abort)"]
 
 
 def test_every_definition_is_referenced():
@@ -522,3 +675,52 @@ def test_a_listed_field_that_gained_a_caller_is_reported_stale():
         assert census_violations(fields, set_options(doctored, fields)) == [
             "OPTIONS_WITHOUT_CALLER entry WorkloadOptions.memory_limit_bytes "
             "has a caller now"], call
+
+
+def test_every_parameter_has_a_caller_or_a_reason():
+    assert uncalled_parameters(
+        _package(), reference_texts(_package(), _modules())) == []
+
+
+def test_every_parameter_without_a_caller_has_a_reason_and_a_test():
+    assert [key for key, (reason, _test) in PARAMETERS_WITHOUT_CALLER.items()
+            if not reason.startswith(PARAMETER_REASONS)] == []
+    assert without_behaviour_test(PARAMETERS_WITHOUT_CALLER) == []
+
+
+def test_a_parameter_only_a_test_passes_is_caught():
+    doctored = {**_package(), "storage/doctored.py": (
+        "def sort_rows(rows, reverse=False):\n"
+        "    return sorted(rows, reverse=reverse)\n"
+        "ROWS = sort_rows([2, 1])\n")}
+    modules = {**_modules(), "tests/storage/test_doctored.py": (
+        "from repro.storage.doctored import sort_rows\n"
+        "def test_sorts_down():\n"
+        "    assert sort_rows([1, 2], reverse=True) == [2, 1]\n")}
+    assert uncalled_parameters(doctored,
+                               reference_texts(doctored, modules)) == [
+        "storage/doctored.py:1: sort_rows(reverse) has no caller outside "
+        "the tests and no reason in PARAMETERS_WITHOUT_CALLER"]
+
+
+def test_a_listed_parameter_that_gained_a_caller_is_reported_stale():
+    for call in ("db.explain(SQL, extended=True)", "db.explain(SQL, 8, True)"):
+        modules = {**_modules(), "perf_ledger/doctored.py": (
+            f"def show(db):\n    print({call})\n")}
+        assert uncalled_parameters(
+            _package(), reference_texts(_package(), modules)) == [
+            "PARAMETERS_WITHOUT_CALLER entry "
+            "core/database.py:DBS3.explain(extended) has a caller now"], call
+
+
+def test_a_parameter_passed_through_a_partial_counts_as_passed():
+    helper = ("def sort_rows(rows, key=None, reverse=False):\n"
+              "    return sorted(rows, key=key, reverse=reverse)\n")
+    for caller in ("ROWS = functools.partial(sort_rows, key=abs, "
+                   "reverse=True)([2, 1])\n",
+                   "descending = functools.partial(sort_rows, [2, 1])\n"
+                   "ROWS = descending(abs, True)\n"):
+        doctored = {**_package(), "storage/doctored.py": (
+            "import functools\n" + helper + caller)}
+        assert uncalled_parameters(
+            doctored, reference_texts(doctored, _modules())) == [], caller

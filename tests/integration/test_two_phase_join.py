@@ -6,7 +6,7 @@ from repro import DBS3, WorkloadError, WorkloadOptions
 from repro.bench.workloads import make_join_database, skewed_fragments
 from repro.engine.executor import Executor, QuerySchedule
 from repro.errors import PlanError
-from repro.lera.plans import two_phase_join_plan
+from repro.lera.plans import chain_join_plan
 from repro.machine.machine import Machine
 from repro.scheduler.adaptive import AdaptiveScheduler
 from repro.storage.catalog import Catalog
@@ -34,8 +34,8 @@ def _reference(database, entry_c):
 class TestPlanShape:
     def test_two_chains(self, setup):
         database, entry_c = setup
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key")
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         waves = plan.chain_waves()
         assert len(waves) == 2
         assert [n.name for n in waves[0][0].nodes] == ["join1", "store1"]
@@ -43,8 +43,8 @@ class TestPlanShape:
 
     def test_intermediate_degree_matches_second_operand(self, setup):
         database, entry_c = setup
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key")
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         assert plan.node("store1").instances == entry_c.degree
         assert plan.node("join2").instances == entry_c.degree
 
@@ -52,21 +52,21 @@ class TestPlanShape:
         database, entry_c = setup
         from repro.errors import SchemaError
         with pytest.raises(SchemaError):
-            two_phase_join_plan(database.entry_a, database.entry_b,
-                                "key", "key", entry_c, "ghost", "key")
+            chain_join_plan(database.entry_a, database.entry_b,
+                            "key", "key", [(entry_c, "ghost", "key")])
 
     def test_second_operand_partitioning_checked(self, setup):
         database, entry_c = setup
         with pytest.raises(PlanError, match="partitioned on"):
-            two_phase_join_plan(database.entry_a, database.entry_b,
-                                "key", "key", entry_c, "key", "payload")
+            chain_join_plan(database.entry_a, database.entry_b,
+                            "key", "key", [(entry_c, "key", "payload")])
 
 
 class TestExecution:
     def test_three_way_join_correct(self, setup):
         database, entry_c = setup
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key")
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         machine = Machine.uniform(processors=16)
         schedule = AdaptiveScheduler(machine).schedule(plan, 8)
         execution = Executor(machine).execute(plan, schedule)
@@ -74,8 +74,8 @@ class TestExecution:
 
     def test_intermediate_materialized_before_second_join(self, setup):
         database, entry_c = setup
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key")
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         execution = Executor(Machine.uniform()).execute(
             plan, QuerySchedule.for_plan(plan, 4))
         store = execution.operation("store1")
@@ -87,8 +87,8 @@ class TestExecution:
 
     def test_intermediate_fragments_are_hash_partitioned(self, setup):
         database, entry_c = setup
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key")
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         Executor(Machine.uniform()).execute(plan,
                                             QuerySchedule.for_plan(plan, 4))
         from repro.storage.tuples import stable_hash
@@ -99,9 +99,8 @@ class TestExecution:
 
     def test_expected_cardinality_feeds_estimates(self, setup):
         database, entry_c = setup
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key",
-                                   expected_intermediate=100)
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         from repro.machine.costs import DEFAULT_COSTS
         spec = plan.node("join2").spec
         # fragments are empty at plan time, yet estimates are non-zero
@@ -114,8 +113,8 @@ class TestExecution:
         entry_c = catalog.register_fragments(relation_c,
                                              PartitioningSpec.on("key", 8),
                                              fragments_c)
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key")
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         execution = Executor(Machine.uniform()).execute(
             plan, QuerySchedule.for_plan(plan, 6))
         assert sorted(execution.result_rows) == _reference(database, entry_c)
@@ -129,8 +128,8 @@ class TestReExecution:
     @pytest.fixture
     def plan_and_schedule(self, setup):
         database, entry_c = setup
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key")
+        plan = chain_join_plan(database.entry_a, database.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         machine = Machine.uniform(processors=16)
         return plan, AdaptiveScheduler(machine).schedule(plan, 8), machine
 

@@ -15,7 +15,7 @@ from repro.bench.wisconsin_queries import (
 
 @pytest.fixture(scope="module")
 def db():
-    return make_database(cardinality=2000, degree=20, processors=16)
+    return make_database(cardinality=2000, degree=20)
 
 
 class TestIndividualQueries:

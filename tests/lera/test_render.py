@@ -5,8 +5,8 @@ import pytest
 from repro.bench.workloads import make_join_database, skewed_fragments
 from repro.lera.plans import (
     assoc_join_plan,
+    chain_join_plan,
     ideal_join_plan,
-    two_phase_join_plan,
 )
 from repro.lera.render import render, render_extended, render_simple
 from repro.storage.catalog import Catalog
@@ -40,22 +40,22 @@ class TestSimpleView:
         relation_c, fragments_c = skewed_fragments("C", 100, 4, 0.0)
         entry_c = Catalog().register_fragments(
             relation_c, PartitioningSpec.on("key", 4), fragments_c)
-        plan = two_phase_join_plan(join_db.entry_a, join_db.entry_b,
-                                   "key", "key", entry_c, "key", "key")
+        plan = chain_join_plan(join_db.entry_a, join_db.entry_b,
+                               "key", "key", [(entry_c, "key", "key")])
         text = render_simple(plan)
         assert "stored result of" in text
 
 
 class TestExtendedView:
     def test_lists_instances_with_fragments(self, assoc):
-        text = render_extended(assoc, "join", max_instances=30)
+        text = render_extended(assoc, "join")
         assert "join_1" in text
         assert "join_20" in text
         assert "A[0]" in text
         assert "tuple queue" in text
 
     def test_elides_middle(self, assoc):
-        text = render_extended(assoc, "transmit", max_instances=6)
+        text = render_extended(assoc, "transmit")
         assert "more instances" in text
         assert "transmit_1" in text
         assert "transmit_20" in text

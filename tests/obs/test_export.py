@@ -53,6 +53,66 @@ EXPORT_SHA256 = {
 }
 
 
+#: sha256 over ``workload_jsonl_records`` + ``metrics.render_prom()`` +
+#: ``report().render()`` of one observed, monitored served run
+#: (:func:`_served`): every registry instrument kind, the folding,
+#: fault, cancel and shedding counters, and the alert rules' readings
+#: of the registry end up in these bytes.
+WORKLOAD_EXPORT_SHA256 = (
+    "e3f236a159212157d360d0f0fd66478ebe8e625c70296d2017e2243d90f7cf3c")
+
+
+def _served():
+    """The serving mix at twice its saturation on the small serving
+    machine: priority order with a bounded queue, folding, a seeded
+    fault plan, two cancels and the standard monitor pack."""
+    import dataclasses
+
+    from repro.faults.plan import FaultPlan
+    from repro.obs.monitor import default_monitors
+    from repro.serve.arrivals import make_arrival_process
+    from repro.serve.harness import (
+        build_submissions,
+        default_templates,
+        measure_saturation,
+        serving_machine,
+    )
+    from repro.serve.policies import ServingPolicy
+    from repro.workload.engine import WorkloadExecutor
+    from repro.workload.options import WorkloadOptions
+
+    machine = serving_machine()
+    templates = default_templates()
+    rate = 2.0 * measure_saturation(templates, machine=machine, count=30)
+    times = make_arrival_process("poisson", rate).times(40, seed=1)
+    submissions = build_submissions(templates, times, machine=machine,
+                                    seed=1)
+    for index in (10, 25):
+        submissions[index] = dataclasses.replace(
+            submissions[index], cancel_at=submissions[index].arrival + 0.02)
+    operations = sorted({node.name for submission in submissions
+                         for node in submission.compiled.plan.nodes})
+    workload = WorkloadOptions(
+        max_concurrent=3, shared=True,
+        faults=FaultPlan.generate(1, tuple(operations),
+                                  horizon=times[-1] * 1.2),
+        serving=ServingPolicy(policy="priority", queue_limit=5),
+        observability=ObservabilityOptions(
+            observe=True, monitors=default_monitors()))
+    return WorkloadExecutor(machine, ExecutionOptions(seed=1),
+                            workload).execute(submissions)
+
+
+def _workload_export_digest(result):
+    from repro.obs.export import workload_jsonl_records
+    digest = hashlib.sha256()
+    for record in workload_jsonl_records(result):
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    digest.update(result.metrics.render_prom().encode())
+    digest.update(result.report().render().encode())
+    return digest.hexdigest()
+
+
 def _export_digest(execution, tmp_path):
     write_jsonl(execution, tmp_path / "events.jsonl")
     write_chrome_trace(execution, tmp_path / "trace.json")
@@ -73,6 +133,11 @@ class TestPinnedBytes:
         execution = _observed(assoc_join_plan(
             db.entry_a, db.entry_b, "key", "key"), threads=8)
         assert _export_digest(execution, tmp_path) == EXPORT_SHA256["indexed"]
+
+    def test_served_workload_export_is_pinned(self):
+        result = _served()
+        assert result.alerts and result.metrics.family("queries_shed_total")
+        assert _workload_export_digest(result) == WORKLOAD_EXPORT_SHA256
 
 
 class TestSelectionPathIsNotObserved:

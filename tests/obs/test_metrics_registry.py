@@ -1,4 +1,4 @@
-"""The virtual-time metrics registry: instruments, percentiles, snapshots."""
+"""The metrics registry: instruments, percentiles, snapshots."""
 
 import pytest
 
@@ -37,34 +37,16 @@ class TestPercentile:
 
 
 class TestCounter:
-    def test_inc_and_value_at(self):
+    def test_inc_accumulates(self):
         counter = MetricsRegistry().counter("events_total")
-        counter.inc(0.1)
-        counter.inc(0.2, 2.0)
+        assert counter.inc() == 1.0
+        assert counter.inc(2.0) == 3.0
         assert counter.value == 3.0
-        assert counter.value_at(0.05) == 0.0
-        assert counter.value_at(0.1) == 1.0
-        assert counter.value_at(0.15) == 1.0
-        assert counter.value_at(9.0) == 3.0
 
     def test_negative_delta_rejected(self):
         counter = MetricsRegistry().counter("events_total")
         with pytest.raises(ReproError):
-            counter.inc(0.0, -1.0)
-
-    def test_out_of_order_increment_splices_in(self):
-        """Completion bookkeeping can carry an earlier stamp than an
-        already-recorded sample; the cumulative series stays exact."""
-        counter = MetricsRegistry().counter("events_total")
-        counter.inc(0.1)
-        counter.inc(0.5)
-        counter.inc(0.3)  # late arrival, earlier stamp
-        assert counter.value == 3.0
-        assert counter.value_at(0.2) == 1.0
-        assert counter.value_at(0.3) == 2.0
-        assert counter.value_at(0.4) == 2.0
-        assert counter.value_at(0.5) == 3.0
-        assert counter.times == sorted(counter.times)
+            counter.inc(-1.0)
 
 
 class TestGauge:
@@ -75,50 +57,47 @@ class TestGauge:
         gauge.set(0.2, 1.0)
         assert gauge.value == 1.0
         assert gauge.peak == 5.0
-        assert gauge.value_at(0.15) == 5.0
 
     def test_out_of_order_sample_filed_by_stamp(self):
+        """A late write with an earlier stamp counts toward the peak
+        but does not replace the latest-stamped value; a write at the
+        same stamp does (last write wins)."""
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(0.5, 3.0)
-        gauge.set(0.2, 1.0)  # late arrival, earlier stamp
-        assert gauge.times == [0.2, 0.5]
-        assert gauge.value_at(0.3) == 1.0
-        assert gauge.value == 3.0
+        gauge.set(0.2, 7.0)  # late arrival, earlier stamp
+        assert (gauge.value, gauge.peak) == (3.0, 7.0)
+        gauge.set(0.5, 2.0)
+        assert gauge.value == 2.0
 
 
 class TestHistogram:
     def test_observe_count_mean_max(self):
-        histogram = MetricsRegistry().histogram("latency")
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency")
         for value in (0.1, 0.2, 0.3, 0.4):
-            histogram.observe(value, value)
-        assert histogram.count == 4
-        assert histogram.max == 0.4
-        assert histogram.mean == pytest.approx(0.25)
-        assert histogram.percentile(50) == 0.2
-
-    def test_observations_at_restricts_by_stamp(self):
-        histogram = MetricsRegistry().histogram("latency")
-        histogram.observe(0.1, 1.0)
-        histogram.observe(0.2, 2.0)
-        histogram.observe(0.3, 3.0)
-        assert histogram.observations_at(0.2) == [1.0, 2.0]
-        assert histogram.percentile(99, at=0.2) == 2.0
+            histogram.observe(value)
+        assert histogram.values == [0.1, 0.2, 0.3, 0.4]
+        assert histogram.total == pytest.approx(1.0)
+        row = registry.snapshot()[0]
+        assert (row["count"], row["max"], row["p50"]) == (4, 0.4, 0.2)
 
     def test_buckets_are_log_scale(self):
-        histogram = MetricsRegistry().histogram("latency")
-        histogram.observe(0.0, 0.3)
-        histogram.observe(0.1, 0.3)
-        histogram.observe(0.2, 1e9)  # overflow bucket
-        buckets = histogram.buckets()
-        assert buckets[0] == (0.5, 2)
-        assert buckets[-1] == (float("inf"), 1)
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency")
+        histogram.observe(0.3)
+        histogram.observe(0.3)
+        histogram.observe(1e9)  # overflow bucket
+        buckets = registry.snapshot()[0]["buckets"]
+        assert buckets[0] == [0.5, 2]
+        assert buckets[-1] == [None, 1]
 
     def test_empty_statistics_rejected(self):
-        histogram = MetricsRegistry().histogram("latency")
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency")
         with pytest.raises(ReproError):
-            histogram.mean
-        with pytest.raises(ReproError):
-            histogram.max
+            percentile(histogram.values, 50)
+        row = registry.snapshot()[0]
+        assert row["count"] == 0 and "max" not in row and "p50" not in row
 
     def test_bucket_index_covers_the_line(self):
         assert bucket_index(0.0) == 0
@@ -150,19 +129,18 @@ class TestRegistry:
 
     def test_family_and_total(self):
         registry = MetricsRegistry()
-        registry.counter("grants_total", reason="admission").inc(0.0, 2)
-        registry.counter("grants_total", reason="shrink").inc(0.5)
+        registry.counter("grants_total", reason="admission").inc(2)
+        registry.counter("grants_total", reason="shrink").inc()
         assert len(registry.family("grants_total")) == 2
         assert registry.total("grants_total") == 3.0
-        assert registry.total("grants_total", at=0.25) == 2.0
 
     def test_snapshot_rows(self):
         registry = MetricsRegistry()
-        registry.counter("done_total").inc(0.1)
+        registry.counter("done_total").inc()
         registry.gauge("depth").set(0.2, 4.0)
         histogram = registry.histogram("latency")
-        histogram.observe(0.3, 0.3)
-        histogram.observe(0.4, 1e9)
+        histogram.observe(0.3)
+        histogram.observe(1e9)
         rows = {row["name"]: row for row in registry.snapshot()}
         assert rows["done_total"]["value"] == 1.0
         assert rows["depth"]["value"] == 4.0
@@ -172,18 +150,11 @@ class TestRegistry:
         # The overflow bucket bound must be JSON-representable (null).
         assert latency["buckets"][-1][0] is None
 
-    def test_snapshot_at_virtual_time(self):
-        registry = MetricsRegistry()
-        registry.counter("done_total").inc(0.1)
-        registry.counter("done_total").inc(0.9)
-        rows = registry.snapshot(at=0.5)
-        assert rows[0]["value"] == 1.0
-
 
 class TestRenderProm:
     def test_counter_and_gauge_lines(self):
         registry = MetricsRegistry()
-        registry.counter("done_total", status="done").inc(0.1, 3)
+        registry.counter("done_total", status="done").inc(3)
         registry.gauge("depth").set(0.2, 4.0)
         text = registry.render_prom()
         assert "# TYPE done_total counter" in text
@@ -195,9 +166,9 @@ class TestRenderProm:
     def test_histogram_buckets_are_cumulative(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("latency")
-        histogram.observe(0.0, 0.3)
-        histogram.observe(0.1, 0.3)
-        histogram.observe(0.2, 1e9)  # +Inf bucket only
+        histogram.observe(0.3)
+        histogram.observe(0.3)
+        histogram.observe(1e9)  # +Inf bucket only
         text = registry.render_prom()
         assert 'latency_bucket{le="0.5"} 2' in text
         assert 'latency_bucket{le="1"} 2' in text  # cumulative
@@ -207,25 +178,14 @@ class TestRenderProm:
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
-        registry.counter("x_total", op='a"b\\c\nd').inc(0.0)
+        registry.counter("x_total", op='a"b\\c\nd').inc()
         text = registry.render_prom()
         assert 'op="a\\"b\\\\c\\nd"' in text
-
-    def test_at_restricts_to_virtual_instant(self):
-        registry = MetricsRegistry()
-        registry.counter("done_total").inc(0.1)
-        registry.counter("done_total").inc(0.9)
-        histogram = registry.histogram("latency")
-        histogram.observe(0.1, 0.3)
-        histogram.observe(0.9, 0.4)
-        text = registry.render_prom(at=0.5)
-        assert "done_total 1" in text
-        assert "latency_count 1" in text
 
     def test_families_sorted_and_empty_registry(self):
         registry = MetricsRegistry()
         registry.gauge("zz").set(0.0, 1.0)
-        registry.counter("aa_total").inc(0.0)
+        registry.counter("aa_total").inc()
         text = registry.render_prom()
         assert text.index("aa_total") < text.index("zz")
         assert MetricsRegistry().render_prom() == ""

@@ -23,6 +23,8 @@ from repro.obs.monitor import (
     POINT_ADMISSION,
     POINT_FINISH,
     POINT_WAVE,
+    SLO_MIN_FINISHED,
+    STRAGGLER_MIN_THREADS,
     AdmissionWaitMonitor,
     LatencySloMonitor,
     MemoryPressureMonitor,
@@ -39,7 +41,7 @@ def _engine(rule, metrics=None) -> MonitorEngine:
 
 class TestLatencySloMonitor:
     def test_fires_per_query_over_slo(self):
-        engine = _engine(LatencySloMonitor(slo=1.0))
+        engine = _engine(LatencySloMonitor(slo=1.0, burn_budget=0.25))
         engine.observe(POINT_FINISH, 0.5, tag="q0", latency=0.5,
                        status="done")
         engine.observe(POINT_FINISH, 2.0, tag="q1", latency=2.0,
@@ -48,8 +50,8 @@ class TestLatencySloMonitor:
         assert engine.alerts.alerts[0].value == 2.0
 
     def test_burn_alert_needs_min_finished(self):
-        engine = _engine(LatencySloMonitor(slo=1.0, burn_budget=0.25,
-                                           min_finished=4))
+        assert SLO_MIN_FINISHED == 4
+        engine = _engine(LatencySloMonitor(slo=1.0, burn_budget=0.25))
         for i in range(3):
             engine.observe(POINT_FINISH, float(i), tag=f"q{i}",
                            latency=2.0, status="done")
@@ -63,23 +65,21 @@ class TestLatencySloMonitor:
         assert burn[0].active
 
     def test_burn_resolves_when_share_recovers(self):
-        engine = _engine(LatencySloMonitor(slo=1.0, burn_budget=0.5,
-                                           min_finished=2))
-        engine.observe(POINT_FINISH, 1.0, tag="q0", latency=2.0,
-                       status="done")
-        engine.observe(POINT_FINISH, 2.0, tag="q1", latency=2.0,
-                       status="done")  # 2/2 over budget -> fires
+        engine = _engine(LatencySloMonitor(slo=1.0, burn_budget=0.5))
+        for i in range(4):  # 4/4 over budget -> fires
+            engine.observe(POINT_FINISH, float(i), tag=f"q{i}",
+                           latency=2.0, status="done")
         assert engine.alerts.is_active("latency_slo", "burn")
-        for i in range(2, 5):  # fast finishes pull the share to 2/5
+        for i in range(4, 9):  # fast finishes pull the share to 4/9
             engine.observe(POINT_FINISH, float(i), tag=f"q{i}",
                            latency=0.1, status="done")
         burn = [a for a in engine.alerts if a.key == "burn"]
         assert len(burn) == 1
         assert not burn[0].active
-        assert burn[0].resolved_at == 3.0  # share hits 2/4 = budget
+        assert burn[0].resolved_at == 7.0  # share hits 4/8 = budget
 
     def test_reset_clears_counts_across_runs(self):
-        rule = LatencySloMonitor(slo=1.0, min_finished=2)
+        rule = LatencySloMonitor(slo=1.0, burn_budget=0.25)
         engine = _engine(rule)
         engine.observe(POINT_FINISH, 1.0, tag="q0", latency=2.0,
                        status="done")
@@ -115,7 +115,7 @@ class TestMemoryPressureMonitor:
         assert engine.alerts.alerts[0].resolved_at == 3.0
 
     def test_noop_without_memory_gate(self):
-        engine = _engine(MemoryPressureMonitor())
+        engine = _engine(MemoryPressureMonitor(0.9))
         engine.observe(POINT_ADMISSION, 1.0, admitted=[],
                        used_bytes=95, memory_limit=None)
         assert len(engine.alerts) == 0
@@ -126,11 +126,11 @@ class TestRetryStormMonitor:
         metrics = MetricsRegistry()
         counter = metrics.counter(FAULT_RETRIES, operation="join")
         engine = _engine(RetryStormMonitor(threshold=3), metrics)
-        counter.inc(1.0, 2)
+        counter.inc(2)
         engine.observe(POINT_FINISH, 1.0, tag="q0", latency=0.1,
                        status="done")
         assert len(engine.alerts) == 0
-        counter.inc(2.0, 1)
+        counter.inc(1)
         engine.observe(POINT_FINISH, 2.0, tag="q1", latency=0.1,
                        status="done")
         engine.observe(POINT_FINISH, 3.0, tag="q2", latency=0.1,
@@ -169,7 +169,8 @@ class TestStragglerMonitor:
         assert len(engine.alerts) == 0
 
     def test_single_thread_ops_are_skipped(self):
-        engine = _engine(StragglerMonitor(ratio=2.0, min_threads=2))
+        assert STRAGGLER_MIN_THREADS == 2
+        engine = _engine(StragglerMonitor(ratio=2.0))
         engine.observe(
             POINT_WAVE, 9.0, tag="q0", wave=0, started_at=0.0,
             ops=[("scan", [(9.0, 9.0, 0.0)])])
@@ -206,17 +207,22 @@ def _run(options: WorkloadOptions):
 
 class TestMonitoredRun:
     def test_tight_slo_fires_on_every_query(self):
-        result = _run(WorkloadOptions(observability=ObservabilityOptions(
-            monitors=(LatencySloMonitor(slo=1e-6, min_finished=2),))))
+        session = _db().session(options=WorkloadOptions(
+            observability=ObservabilityOptions(monitors=(
+                LatencySloMonitor(slo=1e-6, burn_budget=0.25),))))
+        for i, sql in enumerate(QUERIES * 2):  # SLO_MIN_FINISHED queries
+            session.submit(sql, tag=f"q{i}")
+        result = session.run()
         slo = [a for a in result.alerts if a.key.startswith("q")]
-        assert {a.key for a in slo} == {"q0", "q1"}
+        assert {a.key for a in slo} == {"q0", "q1", "q2", "q3"}
         burn = [a for a in result.alerts if a.key == "burn"]
         assert len(burn) == 1 and burn[0].active
 
     def test_loose_thresholds_fire_nothing(self):
         result = _run(WorkloadOptions(observability=ObservabilityOptions(
-            monitors=default_monitors(slo=1e9, admission_ceiling=1e9,
-                                      straggler_ratio=1e9))))
+            monitors=(LatencySloMonitor(1e9, 0.25), AdmissionWaitMonitor(1e9),
+                      StragglerMonitor(1e9), MemoryPressureMonitor(0.9),
+                      RetryStormMonitor(8)))))
         assert len(result.alerts) == 0
         assert result.metrics is not None  # rules imply the registry
 
@@ -241,7 +247,7 @@ class TestMonitoredRun:
     def test_session_alerts_accessor(self):
         session = _db().session(options=WorkloadOptions(
             observability=ObservabilityOptions(
-                monitors=(LatencySloMonitor(slo=1e-6, min_finished=1),))))
+                monitors=(LatencySloMonitor(slo=1e-6, burn_budget=0.25),))))
         session.submit(QUERIES[0], tag="q0")
         bus = session.alerts()
         assert isinstance(bus, AlertBus)

@@ -34,7 +34,7 @@ TEMPLATES = (
 
 @pytest.fixture(scope="module")
 def db():
-    return make_database(cardinality=2_000, degree=10, processors=16)
+    return make_database(cardinality=2_000, degree=10)
 
 
 def _run(db, sqls, shared):

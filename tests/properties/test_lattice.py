@@ -41,9 +41,8 @@ from repro.faults import (ActivationFaults, FaultPlan, MemoryPressure,
 from repro.faults.injector import NO_FAULTS
 from repro.lera.plans import assoc_join_plan
 from repro.machine.machine import Machine
-from repro.obs.bus import (BLOCK, QUERY_ADMIT, QUERY_CANCEL, QUERY_GRANT,
-                           QUERY_REJECT, QUERY_SUBMIT, SCHEDULE_RESPLIT,
-                           SCHEDULE_SWITCH)
+from repro.obs.bus import (BLOCK, QUERY_CANCEL, QUERY_GRANT, QUERY_REJECT,
+                           QUERY_SUBMIT, SCHEDULE_RESPLIT, SCHEDULE_SWITCH)
 from repro.obs.monitor import (AdmissionWaitMonitor,  # noqa: F401
                                LatencySloMonitor, MemoryPressureMonitor,
                                RetryStormMonitor, StragglerMonitor,
@@ -319,23 +318,12 @@ CONTROL_EVENTS = (QUERY_SUBMIT, QUERY_CANCEL, QUERY_REJECT)
 
 
 def _known_bug(run) -> bool:
-    """One of the two open FOUND lines of CHANGES.md:
-
-    * a host stopped while a query rode its operator, per-query streams
-      on: the operator's thread finishes land on the stopped host's
-      stream, so the thread-orphan audit cannot place them;
-    * an arrival or deadline applied after a query finish the event
-      loop stamped past it (an operation's last step started at or
-      before the instant and its finalize ended after it).
-    """
-    bus, executions = run.result.bus, run.result.executions
-    stopped = {e.operation for e in bus.events_of(QUERY_CANCEL)}
-    if any(executions[e.operation].obs is not None
-           and stopped & set(e.data.get("folds", {}).values())
-           for e in bus.events_of(QUERY_ADMIT)):
-        return True
+    """The open FOUND line of CHANGES.md: an arrival or deadline
+    applied after a query finish the event loop stamped past it (an
+    operation's last step started at or before the instant and its
+    finalize ended after it)."""
     latest = 0.0
-    for event in bus.events:
+    for event in run.result.bus.events:
         if event.t < latest - 1e-9 and event.kind in CONTROL_EVENTS:
             return True
         latest = max(latest, event.t)
@@ -603,6 +591,13 @@ FOUND = (
                    Query("SELECT COUNT(*) FROM B")), "e",
           workload=WorkloadOptions(max_concurrent=3, shared=True),
           processors=2),
+    # Cancelling a host while a query rode its operator left the
+    # operator's thread finishes on the host's stream, where no
+    # appearance of the operator could place them.
+    Point(_SMALL, (Query("SELECT * FROM A", cancel_at=0.001),
+                   Query("SELECT * FROM A")), "e",
+          ExecutionOptions(observability=ObservabilityOptions(observe=True)),
+          WorkloadOptions(shared=True), processors=2),
     # SELECT * over an AssocJoin that streams the FROM table listed
     # the streamed operand's columns first.
     Point((Table("A", 300, 1, 100), Table("B", 60, 2, 6)), (Query(AB),), "a",

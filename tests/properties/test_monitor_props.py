@@ -70,13 +70,21 @@ workloads = st.fixed_dictionaries({
 
 
 def _options(spec) -> WorkloadOptions:
-    from repro.obs.monitor import default_monitors
+    from repro.obs.monitor import (
+        AdmissionWaitMonitor,
+        LatencySloMonitor,
+        MemoryPressureMonitor,
+        RetryStormMonitor,
+        StragglerMonitor,
+    )
     return WorkloadOptions(
         max_concurrent=spec["max_concurrent"],
-        observability=ObservabilityOptions(monitors=default_monitors(
-            slo=spec["slo"], admission_ceiling=spec["ceiling"],
-            straggler_ratio=spec["ratio"],
-            burn_budget=spec["burn_budget"])))
+        observability=ObservabilityOptions(monitors=(
+            LatencySloMonitor(spec["slo"], spec["burn_budget"]),
+            AdmissionWaitMonitor(spec["ceiling"]),
+            StragglerMonitor(spec["ratio"]),
+            MemoryPressureMonitor(0.9),
+            RetryStormMonitor(8))))
 
 
 def _run(spec, options: WorkloadOptions | None = None):

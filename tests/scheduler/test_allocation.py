@@ -36,10 +36,6 @@ class TestStepOne:
                   for w in (0.1, 1.0, 10.0, 100.0)]
         assert counts == sorted(counts)
 
-    def test_max_threads_cap(self):
-        machine = Machine.uniform(processors=70)
-        assert choose_thread_count(10_000.0, machine, max_threads=8) <= 8
-
     def test_multi_user_factor_reduces(self):
         machine = Machine.uniform(processors=70)
         single = choose_thread_count(1000.0, machine)

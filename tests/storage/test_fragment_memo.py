@@ -100,13 +100,13 @@ class TestBuiltOnce:
     def test_permanent_and_temporary_index_are_one_object(self, join_db,
                                                           builds):
         entry = join_db.entry_a
-        entry.create_index("key", kind="sorted")
+        entry.create_index("key")
         built = len(builds)
         _run(assoc_join_plan(entry, join_db.entry_b, "key", "key",
-                             algorithm=JOIN_TEMP_INDEX))
+                             algorithm=JOIN_HASH))
         assert len(builds) == built
         for fragment, index in zip(entry.fragments, entry.index_on("key")):
-            assert fragment.index_on(0, "sorted") is index
+            assert fragment.index_on(0) is index
 
 
 class TestWarmEqualsCold:

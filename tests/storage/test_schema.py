@@ -88,12 +88,6 @@ class TestSchemaConcat:
                   .concat(Schema.of_ints("a")))
         assert joined.names == ("a", "a_2", "a_3")
 
-    def test_explicit_prefixes(self):
-        joined = Schema.of_ints("k").concat(Schema.of_ints("k"),
-                                            prefix_left="l.",
-                                            prefix_right="r.")
-        assert joined.names == ("l.k", "r.k")
-
     def test_suffix_avoids_existing_suffixed_name(self):
         left = Schema.of_ints("a", "a_2")
         joined = left.concat(Schema.of_ints("a"))

@@ -26,13 +26,13 @@ from repro import (
 )
 from repro.engine.operation import OperationRuntime
 from repro.faults import ActivationFaults, FaultPlan
-from repro.lera.plans import ideal_join_plan
 from repro.machine.machine import Machine
 from repro.obs.monitor import default_monitors
 from repro.prof import profile
 from repro.prof.profiler import EngineProfiler
 from repro.serve.harness import run_serving
 from repro.workload.session import CANCELLED, DONE, FAILED
+from tests.plans import named_join
 
 SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
 
@@ -98,8 +98,7 @@ def _fault_aborted(db):
     faults = FaultPlan(activations=(
         ActivationFaults(operation="doomed_join", rate=1.0, max_retries=2),))
     session = db.session(WorkloadOptions(faults=faults))
-    plan = ideal_join_plan(db.table("A"), db.table("B"), "unique1",
-                           "unique1", node_name="doomed_join")
+    plan = named_join(db, "doomed_join")
     schema = db.table("A").relation.schema.concat(
         db.table("B").relation.schema)
     victim = session.submit_plan(plan, schema, threads=10)

@@ -26,7 +26,6 @@ from repro.errors import (
     QueryTimeoutError,
 )
 from repro.faults import ActivationFaults, FaultPlan
-from repro.lera.plans import ideal_join_plan
 from repro.obs.bus import (
     QUERY_ABORT,
     QUERY_CANCEL,
@@ -34,6 +33,7 @@ from repro.obs.bus import (
     QUERY_GRANT,
 )
 from repro.workload.session import CANCELLED, DONE, FAILED, TIMED_OUT
+from tests.plans import named_join
 
 SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
 SQL_CD = "SELECT * FROM C JOIN D ON C.unique1 = D.unique1"
@@ -176,9 +176,7 @@ class TestFaultAborts:
             ActivationFaults(operation="doomed_join", rate=1.0,
                              max_retries=2),))
         session = db.session(options=WorkloadOptions(faults=faults))
-        plan = ideal_join_plan(db.table("A"), db.table("B"),
-                               "unique1", "unique1",
-                               node_name="doomed_join")
+        plan = named_join(db, "doomed_join")
         schema = db.table("A").relation.schema.concat(
             db.table("B").relation.schema)
         victim = session.submit_plan(plan, schema, threads=10, tag="victim")

@@ -33,7 +33,12 @@ from repro.errors import QueryRejectedError, QueryShedError
 from repro.faults.plan import ActivationFaults, FaultPlan
 from repro.lera.graph import LeraGraph
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
-from repro.obs.bus import QUERY_ADMIT, QUERY_REJECT, SERVE_BACKPRESSURE
+from repro.obs.bus import (
+    QUERY_ADMIT,
+    QUERY_REJECT,
+    QUERY_SUBMIT,
+    SERVE_BACKPRESSURE,
+)
 from repro.obs.monitor import POINT_FINISH
 from repro.scheduler.adaptive import AdaptiveScheduler
 from repro.serve.arrivals import make_arrival_process
@@ -70,6 +75,14 @@ def _submit_wave(session, count=4, **kwargs):
                            **{k: (v[i] if isinstance(v, (list, tuple)) else v)
                               for k, v in kwargs.items()})
             for i in range(count)]
+
+
+class TestSessionSubmit:
+    def test_priority_and_tenant_reach_the_submission(self, db):
+        session = db.session(WorkloadOptions(serving=ServingPolicy()))
+        session.submit(SQL, tag="q0", priority=3, tenant="web")
+        (event,) = session.run().bus.events_of(QUERY_SUBMIT)
+        assert (event.data["priority"], event.data["tenant"]) == (3, "web")
 
 
 class TestQueueBoundShedding:

@@ -33,12 +33,12 @@ import pytest
 from repro import DBS3, WorkloadOptions, generate_wisconsin
 from repro.engine.executor import Executor
 from repro.faults import ActivationFaults, FaultPlan
-from repro.lera.plans import ideal_join_plan
 from repro.obs.bus import QUERY_ABORT, QUERY_ADMIT
 from repro.workload.admission import plan_footprint
 from repro.workload.engine import _WorkloadRun
 from repro.workload.session import CANCELLED, DONE, FAILED
 from repro.workload.sharing import FoldRegistry, SharedOperator
+from tests.plans import named_join
 
 SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
 SQL_CD = "SELECT * FROM C JOIN D ON C.unique1 = D.unique1"
@@ -186,14 +186,10 @@ class TestCohortAbort:
         schema = db.table("A").relation.schema.concat(
             db.table("B").relation.schema)
         host = session.submit_plan(
-            ideal_join_plan(db.table("A"), db.table("B"),
-                            "unique1", "unique1",
-                            node_name="doomed_join"),
+            named_join(db, "doomed_join"),
             schema, threads=10, tag="qa")
         rider = session.submit_plan(
-            ideal_join_plan(db.table("A"), db.table("B"),
-                            "unique1", "unique1",
-                            node_name="rider_join"),
+            named_join(db, "rider_join"),
             schema, threads=10, tag="qb")
         bystander = session.submit(SQL_CD, tag="qc")
         result = session.run()
