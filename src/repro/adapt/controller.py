@@ -274,6 +274,9 @@ class AdaptiveController:
                 # its chance; the Fig 12 signature is specifically
                 # *equal* estimated costs with *unequal* observed ones.
                 continue
+            # The ready index fixes its rank order in build_pool, which
+            # this WAVE_START rewrite precedes.
+            assert not op.threads, f"{op.name}: switch after build_pool"
             op.strategy = make_strategy(LPT)
             self.bus.emit(SCHEDULE_SWITCH, at, tag=tag, wave=wave_index,
                           operation=op.name, before=RANDOM, after=LPT,

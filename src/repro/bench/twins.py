@@ -493,11 +493,17 @@ def drive(table: tuple[Twin, ...], pins: dict, record: bool = False) -> int:
     """Run, print and gate every row of *table* against *pins* (also
     the chaos and figure tables' driver); *record* rewrites the rows of
     *table* in the pins file from this run instead and leaves every
-    other entry of *pins* as it was.  Returns the exit code."""
+    other entry of *pins* as it was.  Each row's wall seconds and the
+    table's total are printed, not gated: where a run's time goes.
+    Returns the exit code."""
     problems = []
+    started = time.perf_counter()
     for row in table:
+        row_started = time.perf_counter()
         outcome = run(row)
         print(render(row, outcome))
+        print(f"{'':<21} {'row wall':<17} "
+              f"{time.perf_counter() - row_started:8.2f}s")
         if record:
             pins[row.name] = {
                 label: {name: value for name, value in entry["facts"].items()
@@ -510,6 +516,7 @@ def drive(table: tuple[Twin, ...], pins: dict, record: bool = False) -> int:
                 f'  "{label}": {json.dumps(facts)}'
                 for label, facts in variants.items()) + "\n }"
             for name, variants in pins.items()) + "\n}\n")
+    print(f"\n{len(table)} rows in {time.perf_counter() - started:.1f}s wall")
     if problems:
         print("\nGATES VIOLATED:")
         for problem in problems:

@@ -37,6 +37,7 @@ from repro.lera.operators import (
     AggregateSpec,
     IndexScanSpec,
     JoinSpec,
+    OperatorSpec,
     PipelinedJoinSpec,
     ScanFilterSpec,
     StoreSpec,
@@ -109,7 +110,8 @@ def segment_key(fragment: Fragment) -> tuple[str, int]:
 class DBFunc(ABC):
     """Base class: one executable operator body."""
 
-    def __init__(self, costs: CostModel) -> None:
+    def __init__(self, spec: OperatorSpec, costs: CostModel) -> None:
+        self.spec = spec
         self.costs = costs
 
     @abstractmethod
@@ -130,20 +132,18 @@ class DBFunc(ABC):
         return None
 
     def segments(self, instance: int) -> list[tuple[tuple[str, int], int]]:
-        """(key, bytes) of the data segments instance *instance* reads.
+        """(key, bytes) of the data segments instance *instance* reads:
+        its fragment of each of the spec's stored operands.
 
         Used by the executor to pre-place fragments in local caches.
-        The default is no stored data.
         """
-        return []
+        return [(segment_key(fragments[instance]),
+                 fragments[instance].size_bytes())
+                for fragments in self.spec.stored_operands()]
 
 
 class FilterFunc(DBFunc):
     """Triggered scan + filter of one fragment per instance."""
-
-    def __init__(self, spec: ScanFilterSpec, costs: CostModel) -> None:
-        super().__init__(costs)
-        self.spec = spec
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
@@ -159,17 +159,9 @@ class FilterFunc(DBFunc):
                 + penalty)
         return ProcessResult(cost, emitted)
 
-    def segments(self, instance: int) -> list[tuple[tuple[str, int], int]]:
-        fragment = self.spec.fragments[instance]
-        return [(segment_key(fragment), fragment.size_bytes())]
-
 
 class IndexScanFunc(DBFunc):
     """Triggered equality selection through a permanent index."""
-
-    def __init__(self, spec: IndexScanSpec, costs: CostModel) -> None:
-        super().__init__(costs)
-        self.spec = spec
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
@@ -193,17 +185,12 @@ class IndexScanFunc(DBFunc):
                 + penalty)
         return ProcessResult(cost, list(matches))
 
-    def segments(self, instance: int) -> list[tuple[tuple[str, int], int]]:
-        fragment = self.spec.fragments[instance]
-        return [(segment_key(fragment), fragment.size_bytes())]
-
 
 class JoinFunc(DBFunc):
     """Triggered join of co-partitioned fragment pairs (IdealJoin)."""
 
     def __init__(self, spec: JoinSpec, costs: CostModel) -> None:
-        super().__init__(costs)
-        self.spec = spec
+        super().__init__(spec, costs)
         self._outer_pos = spec.outer_fragments[0].schema.position(spec.outer_key)
         self._inner_pos = spec.inner_fragments[0].schema.position(spec.inner_key)
 
@@ -271,12 +258,6 @@ class JoinFunc(DBFunc):
             raise ExecutionError(f"unknown join algorithm {algorithm!r}")
         return ProcessResult(cost, emitted)
 
-    def segments(self, instance: int) -> list[tuple[tuple[str, int], int]]:
-        outer = self.spec.outer_fragments[instance]
-        inner = self.spec.inner_fragments[instance]
-        return [(segment_key(outer), outer.size_bytes()),
-                (segment_key(inner), inner.size_bytes())]
-
 
 class TransmitFunc(DBFunc):
     """Triggered redistribution: reads a fragment, emits every tuple.
@@ -285,10 +266,6 @@ class TransmitFunc(DBFunc):
     the operation's router (hash of the join key modulo the consumer
     degree), so the pipeline carries one data activation per tuple.
     """
-
-    def __init__(self, spec: TransmitSpec, costs: CostModel) -> None:
-        super().__init__(costs)
-        self.spec = spec
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
@@ -302,10 +279,6 @@ class TransmitFunc(DBFunc):
                 + penalty)
         return ProcessResult(cost, list(fragment.rows))
 
-    def segments(self, instance: int) -> list[tuple[tuple[str, int], int]]:
-        fragment = self.spec.fragments[instance]
-        return [(segment_key(fragment), fragment.size_bytes())]
-
 
 class PipelinedJoinFunc(DBFunc):
     """Pipelined join: one incoming tuple probes the stored fragment.
@@ -318,8 +291,7 @@ class PipelinedJoinFunc(DBFunc):
     """
 
     def __init__(self, spec: PipelinedJoinSpec, costs: CostModel) -> None:
-        super().__init__(costs)
-        self.spec = spec
+        super().__init__(spec, costs)
         self._stored_pos = spec.stored_key_position
         self._stream_pos = spec.stream_key_position
         #: Instances already charged their build in this execution.
@@ -359,10 +331,6 @@ class PipelinedJoinFunc(DBFunc):
         emitted = list(map(row.__add__, matches))
         return new_record(ProcessResult, (cost, emitted))
 
-    def segments(self, instance: int) -> list[tuple[tuple[str, int], int]]:
-        stored = self.spec.stored_fragments[instance]
-        return [(segment_key(stored), stored.size_bytes())]
-
 
 class AggregateFunc(DBFunc):
     """Pipelined grouped aggregation.
@@ -373,8 +341,7 @@ class AggregateFunc(DBFunc):
     """
 
     def __init__(self, spec: AggregateSpec, costs: CostModel) -> None:
-        super().__init__(costs)
-        self.spec = spec
+        super().__init__(spec, costs)
         self._group_pos = spec.group_position
         self._value_positions = spec.value_positions()
         self._functions = [expr.function for expr in spec.aggregates]
@@ -427,8 +394,7 @@ class StoreFunc(DBFunc):
     """
 
     def __init__(self, spec: StoreSpec, costs: CostModel) -> None:
-        super().__init__(costs)
-        self.spec = spec
+        super().__init__(spec, costs)
         # The targets belong to the plan, which may run again: every
         # execution starts them empty (one StoreFunc per execution).
         for fragment in spec.target_fragments:

@@ -19,6 +19,7 @@ from repro.engine.threads import WorkerThread
 from repro.errors import ExecutionError
 from repro.lera.activation import TRIGGERED
 from repro.lera.graph import LeraNode
+from repro.obs.probes import queue_depth_key
 from repro.storage.tuples import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -76,7 +77,7 @@ class OperationRuntime:
         strategy: Consumption strategy instance.
         lpt_keys: LPT's rank of each instance
             (:func:`~repro.engine.strategies.lpt_keys` of the queues'
-            cost estimates), handed to every ``choose``.
+            cost estimates), the rank an LPT ``choose`` sees.
         cache_size: Max activations fetched per queue access (the
             internal activation cache of Figure 4).
         outputs: Delivery edges.  The first is the operation's own:
@@ -104,9 +105,11 @@ class OperationRuntime:
         #: engines, used as the paper's implicit baseline.
         self.allow_secondary = allow_secondary
         estimates = node.spec.estimated_instance_costs(dbfunc.costs)
+        name, kind = node.name, node.trigger_mode
+        depth_key = queue_depth_key(name)
         self.queues = [
-            ActivationQueue(node.name, i, node.trigger_mode,
-                            capacity=queue_capacity, cost_estimate=estimates[i])
+            ActivationQueue(name, i, kind, depth_key, queue_capacity,
+                            estimates[i])
             for i in range(node.instances)
         ]
         self.lpt_keys = lpt_keys(estimates)

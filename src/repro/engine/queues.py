@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
 from repro.lera.activation import Activation
-from repro.obs.probes import queue_depth_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.threads import WorkerThread
@@ -53,8 +52,9 @@ class ActivationQueue:
         cost_estimate: Static estimate of one activation's processing
             cost for this instance (from fragment cardinalities), the
             input of the owning operation's LPT ``lpt_keys``.
-        depth_key: Name of the operation's queue-depth probe, fixed
-            here so an observed enqueue builds no string.
+        depth_key: Name of the operation's queue-depth probe
+            (:func:`~repro.obs.probes.queue_depth_key`), built once per
+            operation so neither a queue nor an enqueue builds a string.
     """
 
     __slots__ = ("operation_name", "instance", "kind", "capacity",
@@ -62,7 +62,8 @@ class ActivationQueue:
                  "enqueued", "blocked_producers", "listener", "obs")
 
     def __init__(self, operation_name: str, instance: int, kind: str,
-                 capacity: int | None = None, cost_estimate: float = 0.0) -> None:
+                 depth_key: str, capacity: int | None = None,
+                 cost_estimate: float = 0.0) -> None:
         if capacity is not None and capacity < 1:
             raise ExecutionError(f"queue capacity must be >= 1, got {capacity}")
         self.operation_name = operation_name
@@ -70,7 +71,7 @@ class ActivationQueue:
         self.kind = kind
         self.capacity = capacity
         self.cost_estimate = cost_estimate
-        self.depth_key = queue_depth_key(operation_name)
+        self.depth_key = depth_key
         self._heap: list[tuple[float, int, Activation]] = []
         self._seq = 0
         self.enqueued = 0

@@ -340,10 +340,11 @@ class Simulator:
 
         Scans main queues first, falling back to secondary queues; the
         earliest future ready time is tracked during the same scan so
-        an idle thread knows when to re-check.  Kept as the reference
-        implementation the ready index must match exactly (see the
-        golden-trace tests); O(d) per step, so only used by operations
-        below ``READY_INDEX_MIN_INSTANCES`` (they carry no index).
+        an idle thread knows when to re-check; candidates in rank order.
+        Kept as the reference implementation the ready index must match
+        exactly (see the golden-trace tests); O(d) per step, so only
+        used by operations below ``READY_INDEX_MIN_INSTANCES`` (they
+        carry no index).
         """
         operation = thread.operation
         ready: list[int] = []
@@ -371,6 +372,8 @@ class Simulator:
                     if t is not None and (future is None or t < future):
                         future = t
             used_secondary = True
+        if len(ready) > 1 and operation.strategy.ranks_by_cost:
+            ready.sort(key=operation.lpt_keys.__getitem__)
         return ready, polls, future, used_secondary
 
     #: The indexed ready scan as a method of the simulator, so that a
@@ -468,8 +471,7 @@ class Simulator:
                 self._finish_thread(thread)
             return
 
-        instance = operation.strategy.choose(self.rng, ready,
-                                             operation.lpt_keys)
+        instance = operation.strategy.choose(self.rng, ready)
         queue = operation.queues[instance]
         batch = queue.dequeue_ready(thread.clock, operation.cache_size)
         operation.pending_activations -= len(batch)

@@ -6,9 +6,12 @@ strategies, main queues are always considered first."  (Section 3,
 step 4.)
 
 The strategy only picks *which* ready instance a thread serves next;
-the main-before-secondary discipline is enforced by the simulator,
-whose selection hands over the ready instance ids unsorted.  Random and
-RoundRobin sort them (Random only when it draws); LPT is order-free.
+the main-before-secondary discipline is enforced by the simulator.
+Each strategy gives every instance one fixed *rank* — the instance id
+for Random and RoundRobin, :func:`lpt_keys` for LPT — and selection
+hands it the candidate ids sorted by rank, so every pick is positional:
+Random draws an index (nothing for a lone candidate), LPT takes the
+last, RoundRobin the cursor's.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ class ConsumptionStrategy(ABC):
     """Chooses one instance among those holding ready activations."""
 
     name: str = "abstract"
+    #: Ranked by the operation's :func:`lpt_keys`, else by instance id.
+    ranks_by_cost = False
 
     @abstractmethod
-    def choose(self, rng: random.Random, ready: list[int],
-               keys: list[int]) -> int:
-        """Pick from *ready* (non-empty, unsorted, the strategy's to
-        reorder); *keys* is the operation's :func:`lpt_keys`."""
+    def choose(self, rng: random.Random, ranked: list[int]) -> int:
+        """Pick from *ranked*: the candidate instance ids, non-empty and
+        in ascending rank, read-only (it may be the ready index's own
+        list)."""
 
 
 class RandomStrategy(ConsumptionStrategy):
@@ -45,12 +50,10 @@ class RandomStrategy(ConsumptionStrategy):
 
     name = RANDOM
 
-    def choose(self, rng: random.Random, ready: list[int],
-               keys: list[int]) -> int:
-        if len(ready) == 1:
-            return ready[0]
-        ready.sort()
-        return ready[rng.randrange(len(ready))]
+    def choose(self, rng: random.Random, ranked: list[int]) -> int:
+        if len(ranked) == 1:
+            return ranked[0]
+        return ranked[rng.randrange(len(ranked))]
 
 
 class LPTStrategy(ConsumptionStrategy):
@@ -64,10 +67,10 @@ class LPTStrategy(ConsumptionStrategy):
     """
 
     name = LPT
+    ranks_by_cost = True
 
-    def choose(self, rng: random.Random, ready: list[int],
-               keys: list[int]) -> int:
-        return max(ready, key=keys.__getitem__)
+    def choose(self, rng: random.Random, ranked: list[int]) -> int:
+        return ranked[-1]
 
 
 class RoundRobinStrategy(ConsumptionStrategy):
@@ -79,18 +82,17 @@ class RoundRobinStrategy(ConsumptionStrategy):
     def __init__(self) -> None:
         self._cursor = 0
 
-    def choose(self, rng: random.Random, ready: list[int],
-               keys: list[int]) -> int:
-        ready.sort()
-        choice = ready[self._cursor % len(ready)]
+    def choose(self, rng: random.Random, ranked: list[int]) -> int:
+        choice = ranked[self._cursor % len(ranked)]
         self._cursor += 1
         return choice
 
 
 def lpt_keys(estimates: list[float]) -> list[int]:
-    """LPT's rank of each instance: higher for a dearer estimate and,
-    among equal estimates, for the lower instance (the stable sort
-    keeps ties in descending instance order)."""
+    """LPT's rank of each instance, a permutation of ``range(d)``:
+    higher for a dearer estimate and, among equal estimates, for the
+    lower instance (the stable sort keeps ties in descending instance
+    order)."""
     keys = [0] * len(estimates)
     for rank, instance in enumerate(sorted(
             range(len(estimates) - 1, -1, -1), key=estimates.__getitem__)):

@@ -70,6 +70,11 @@ class OperatorSpec(ABC):
         """
         return 1
 
+    def stored_operands(self) -> tuple[list[Fragment], ...]:
+        """The stored fragment lists read, instance ``i`` fragment ``i``
+        of each (what admission prices and the executor pre-places)."""
+        return ()
+
     def estimated_activations(self) -> int:
         """Estimated number of activations the operator will receive."""
         return self.instances * self.activations_per_instance()
@@ -103,6 +108,9 @@ class ScanFilterSpec(OperatorSpec):
     @property
     def instances(self) -> int:
         return len(self.fragments)
+
+    def stored_operands(self) -> tuple[list[Fragment], ...]:
+        return (self.fragments,)
 
     def estimated_instance_costs(self, costs: CostModel) -> list[float]:
         return [f.cardinality * costs.filter_tuple for f in self.fragments]
@@ -145,10 +153,9 @@ class JoinSpec(OperatorSpec):
         if self.grain < 1:
             raise PlanError(f"grain must be >= 1, got {self.grain}")
         # Estimate memo: the scheduler (complexity + strategy selection)
-        # and the runtime build each recompute the same per-instance
-        # estimates; at high degrees that is thousands of cost-formula
-        # evaluations per query.  Valid for the cost model it holds
-        # (held, so its address cannot be recycled) and the operand
+        # and the runtime build ask for the same per-instance estimates
+        # five times a query.  Valid for the cost model it holds (held,
+        # so its address cannot be recycled) and the operand
         # cardinalities, so two-phase plans that materialize their
         # operands between calls invalidate it automatically.
         self._estimate_cache: tuple[CostModel, list[int],
@@ -157,6 +164,9 @@ class JoinSpec(OperatorSpec):
     @property
     def instances(self) -> int:
         return len(self.outer_fragments)
+
+    def stored_operands(self) -> tuple[list[Fragment], ...]:
+        return (self.outer_fragments, self.inner_fragments)
 
     def activations_per_instance(self) -> int:
         return self.grain
@@ -172,28 +182,34 @@ class JoinSpec(OperatorSpec):
         high = cardinality * (chunk + 1) // self.grain
         return low, high
 
-    def _estimated_cardinality(self, fragment: Fragment,
-                               expected_total: int | None) -> float:
-        if fragment.cardinality or expected_total is None:
-            return float(fragment.cardinality)
-        return expected_total / self.instances
+    def _estimated_cardinalities(self, sizes: list[int],
+                                 expected_total: int | None) -> list[float]:
+        """An operand's fragment sizes as floats; an empty fragment of an
+        operand materialized at run time counts as its share of the
+        expected total."""
+        if expected_total is None:
+            return list(map(float, sizes))
+        share = expected_total / self.instances
+        return [float(size) if size else share for size in sizes]
 
     def estimated_instance_costs(self, costs: CostModel) -> list[float]:
-        """Per-*activation* estimates (whole instance divided by grain)."""
+        """Per-*activation* estimates (whole instance divided by grain),
+        the memo's own list: read it, do not change it."""
         sizes = [*map(len, map(_ROWS, self.outer_fragments)),
                  *map(len, map(_ROWS, self.inner_fragments))]
         cached = self._estimate_cache
         if (cached is not None and cached[0] is costs
                 and cached[1] == sizes):
-            return list(cached[2])
-        estimates = []
-        for outer, inner in zip(self.outer_fragments, self.inner_fragments):
-            whole = _join_instance_estimate(
-                costs, self.algorithm,
-                self._estimated_cardinality(outer, self.outer_expected_total),
-                self._estimated_cardinality(inner, self.inner_expected_total))
-            estimates.append(whole / self.grain)
-        self._estimate_cache = (costs, sizes, list(estimates))
+            return cached[2]
+        algorithm, grain, degree = self.algorithm, self.grain, self.instances
+        estimates = [
+            _join_instance_estimate(costs, algorithm, outer, inner) / grain
+            for outer, inner in zip(
+                self._estimated_cardinalities(sizes[:degree],
+                                              self.outer_expected_total),
+                self._estimated_cardinalities(sizes[degree:],
+                                              self.inner_expected_total))]
+        self._estimate_cache = (costs, sizes, estimates)
         return estimates
 
     def total_complexity(self, costs: CostModel) -> float:
@@ -228,6 +244,9 @@ class TransmitSpec(OperatorSpec):
     @property
     def instances(self) -> int:
         return len(self.fragments)
+
+    def stored_operands(self) -> tuple[list[Fragment], ...]:
+        return (self.fragments,)
 
     @property
     def key_position(self) -> int:
@@ -264,6 +283,9 @@ class PipelinedJoinSpec(OperatorSpec):
     @property
     def instances(self) -> int:
         return len(self.stored_fragments)
+
+    def stored_operands(self) -> tuple[list[Fragment], ...]:
+        return (self.stored_fragments,)
 
     @property
     def stored_key_position(self) -> int:
@@ -332,6 +354,9 @@ class IndexScanSpec(OperatorSpec):
     @property
     def instances(self) -> int:
         return len(self.fragments)
+
+    def stored_operands(self) -> tuple[list[Fragment], ...]:
+        return (self.fragments,)
 
     def estimated_instance_costs(self, costs: CostModel) -> list[float]:
         """A probe plus an estimated 1% of the fragment emitted."""

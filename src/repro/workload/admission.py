@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine.dbfuncs import make_dbfunc
 from repro.errors import AdmissionError
 from repro.lera.graph import LeraGraph
-from repro.machine.costs import CostModel
+from repro.lera.operators import StoreSpec
 from repro.workload.options import WorkloadOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -45,29 +44,30 @@ def runtime_footprint(runtimes: "dict[str, OperationRuntime]") -> int:
     return total
 
 
-def node_footprints(plan: LeraGraph, costs: CostModel) -> dict[str, int]:
-    """Per-node stored-data footprint (bytes), no runtimes needed.
-
-    Builds throwaway dbfuncs to ask each operator for its segments.
+def node_footprints(plan: LeraGraph) -> dict[str, int]:
+    """Per-node stored-data footprint (bytes), no runtimes needed: the
+    memoized sizes of the fragments the node reads (``stored_operands``).
+    A Store's targets are emptied first, as building the Store does.
     The workload engine prices every job with it at submission; the
     shared-work fold pass needs the per-node split to price a query
     whose folded nodes cost only a *fraction* of their bytes.
     """
     footprints: dict[str, int] = {}
     for node in plan.nodes:
-        dbfunc = make_dbfunc(node.spec, costs)
-        total = 0
-        for instance in range(node.instances):
-            for _key, size in dbfunc.segments(instance):
-                total += size
-        footprints[node.name] = total
+        spec = node.spec
+        if isinstance(spec, StoreSpec):
+            for fragment in spec.target_fragments:
+                fragment.clear()
+        footprints[node.name] = sum(
+            fragment.size_bytes() for fragments in spec.stored_operands()
+            for fragment in fragments)
     return footprints
 
 
-def plan_footprint(plan: LeraGraph, costs: CostModel) -> int:
+def plan_footprint(plan: LeraGraph) -> int:
     """Estimated stored-data bytes of *plan*; used by the Session API
     to fail an impossible submission eagerly."""
-    return sum(node_footprints(plan, costs).values())
+    return sum(node_footprints(plan).values())
 
 
 class AdmissionController:

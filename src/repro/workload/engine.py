@@ -302,7 +302,7 @@ class _JobShape:
         self.complexity = query_complexity(plan, costs)
         self.startup, self.wave_totals, self.demand = self.without(())
         executor.check_buildable(plan, schedule)
-        self.node_footprints = node_footprints(plan, costs)
+        self.node_footprints = node_footprints(plan)
         self.footprint = sum(self.node_footprints.values())
         #: Read only to price shared operators fractionally.
         self.node_complexities = {

@@ -258,7 +258,7 @@ class Session:
             # query (terminal status ``rejected``) instead of the
             # session raising eagerly — an open-loop stream has no
             # caller to raise into.
-            footprint = plan_footprint(compiled.plan, self.db.machine.costs)
+            footprint = plan_footprint(compiled.plan)
             AdmissionController(self.options).check_admissible(tag, footprint)
         if schedule is None:
             schedule = self.db.scheduler.schedule(compiled.plan, threads)

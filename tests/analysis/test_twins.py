@@ -6,6 +6,7 @@ every kind of gate without a wall clock.
 """
 
 import json
+import re
 
 import pytest
 
@@ -85,6 +86,18 @@ def test_record_rewrites_only_the_rows_it_ran(tmp_path, monkeypatch):
                  record=True) == 0
     assert json.loads(twins.PINS_PATH.read_text()) == {
         "other": other, "ran": {"run": {"virtual_s": 2.0}}}
+
+
+def test_drive_prints_each_rows_wall_and_the_total(capsys):
+    """Where a table's time goes (``make bench``'s minute): a wall line
+    per row and the total, printed, not gated."""
+    rows = tuple(Twin(name, ("run",), build=lambda: {
+        "run": lambda: {"virtual_s": 1.0}}) for name in ("one", "two"))
+    pins = {name: {"run": {"virtual_s": 1.0}} for name in ("one", "two")}
+    assert drive(rows, pins) == 0
+    out = capsys.readouterr().out
+    assert len(re.findall(r"^ +row wall +\d+\.\d\ds$", out, re.M)) == 2
+    assert re.search(r"^2 rows in \d+\.\ds wall$", out, re.M)
 
 
 def test_quiet_shortcut_holds_its_pin_without_a_clock():

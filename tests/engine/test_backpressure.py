@@ -13,11 +13,13 @@ from repro.engine.queues import ActivationQueue
 from repro.lera.activation import DATA, Activation
 from repro.lera.plans import assoc_join_plan
 from repro.machine.machine import Machine
+from repro.obs.probes import queue_depth_key
 
 
 class TestQueueCapacityUnit:
     def test_over_capacity_transitions(self):
-        queue = ActivationQueue("op", 0, "pipelined", capacity=2)
+        queue = ActivationQueue("op", 0, "pipelined", queue_depth_key("op"),
+                                capacity=2)
         queue.enqueue(0.0, Activation(DATA, 0, (1,)))
         assert not queue.over_capacity
         queue.enqueue(0.0, Activation(DATA, 0, (2,)))
@@ -26,7 +28,8 @@ class TestQueueCapacityUnit:
         assert not queue.over_capacity
 
     def test_blocked_producer_registry(self):
-        queue = ActivationQueue("op", 0, "pipelined", capacity=1)
+        queue = ActivationQueue("op", 0, "pipelined", queue_depth_key("op"),
+                                capacity=1)
         assert queue.blocked_producers == []
 
 

@@ -5,11 +5,12 @@ import pytest
 from repro.engine.queues import ActivationQueue
 from repro.errors import ExecutionError
 from repro.lera.activation import DATA, Activation, trigger
+from repro.obs.probes import queue_depth_key
 
 
 def _queue(kind="pipelined", capacity=None, estimate=0.0):
-    return ActivationQueue("op", 0, kind, capacity=capacity,
-                           cost_estimate=estimate)
+    return ActivationQueue("op", 0, kind, queue_depth_key("op"),
+                           capacity=capacity, cost_estimate=estimate)
 
 
 class TestEnqueueDequeue:

@@ -2,10 +2,15 @@
 
 The index replaces the simulator's O(d) per-step scan; every test here
 checks it against a straight reimplementation of that scan, including
-a randomized enqueue/dequeue/query fuzz over drifting thread clocks.
+a randomized enqueue/dequeue/query fuzz over drifting thread clocks
+that compares each strategy's pick from the index's ranked candidates
+with the pick the old strategies (sort and draw, ``max``, sort and
+rotate) made from the scan's.
 """
 
 import random
+
+import pytest
 
 from repro.engine.dbfuncs import make_dbfunc
 from repro.engine.operation import (
@@ -26,16 +31,18 @@ SCHEMA = Schema.of_ints("key")
 
 
 def _operation(instances=12, threads=3, allow_secondary=True,
-               with_index=True):
+               with_index=True, strategy="random"):
     """A triggered operation with its pool built and the index attached.
 
     The index is attached explicitly so the tests are independent of
-    the READY_INDEX_MIN_INSTANCES wall-clock gate.
+    the READY_INDEX_MIN_INSTANCES wall-clock gate.  Fragment sizes
+    repeat, so LPT's estimates tie.
     """
-    fragments = [Fragment("R", i, SCHEMA, [(i,)]) for i in range(instances)]
+    fragments = [Fragment("R", i, SCHEMA, [(j,) for j in range(1 + i % 4)])
+                 for i in range(instances)]
     node = LeraNode("op", ScanFilterSpec(fragments, TRUE, SCHEMA))
     operation = OperationRuntime(node, make_dbfunc(node.spec, DEFAULT_COSTS),
-                                 make_strategy("random"), cache_size=1,
+                                 make_strategy(strategy), cache_size=1,
                                  allow_secondary=allow_secondary)
     operation.build_pool(list(range(threads)), start_time=0.0)
     if with_index and operation.ready_index is None:
@@ -75,8 +82,17 @@ def _scan_reference(thread, now):
     return ready, polls, future, used_secondary
 
 
-def _assert_matches_scan(operation, now):
-    """Index selection == scan selection for every thread of the pool."""
+def _ranked(operation, instances):
+    """*instances* in the operation's strategy's rank order."""
+    return sorted(instances, key=operation.lpt_keys.__getitem__
+                  if operation.strategy.ranks_by_cost else None)
+
+
+def _assert_matches_scan(operation, now, pick=None):
+    """Index selection == scan selection for every thread of the pool:
+    the candidates in rank order, polls, ``used_secondary`` and, on an
+    empty selection, the future time.  *pick*, if given, is called as
+    ``pick(thread, want_ready, ready)`` on every non-empty selection."""
     index = operation.ready_index
     for thread in operation.threads:
         want_ready, want_polls, want_future, want_secondary = \
@@ -89,19 +105,16 @@ def _assert_matches_scan(operation, now):
                 [], len(operation.queues), quiet, True)
         got_ready, got_polls, got_future, got_secondary = index.select(
             thread, now, operation.allow_secondary)
-        # The index hands the ids over unsorted; the strategies that
-        # index by position sort them.
-        assert sorted(got_ready) == want_ready, (
-            f"thread {thread.pool_index} @ {now}")
-        assert got_polls == want_polls, f"thread {thread.pool_index} @ {now}"
-        if want_ready:
-            assert got_future is None
-        else:
-            # The simulator consults the future time only on an empty
-            # selection; the scan's future skips ready queues, so the
-            # two only coincide in that (empty) case.
-            assert got_secondary == want_secondary
-            assert got_future == want_future
+        where = f"thread {thread.pool_index} @ {now}"
+        assert list(got_ready) == _ranked(operation, want_ready), where
+        assert got_polls == want_polls, where
+        assert got_secondary == want_secondary, where
+        # The simulator consults the future time only on an empty
+        # selection; the scan's future skips ready queues, so the two
+        # only coincide in that (empty) case.
+        assert got_future == (None if want_ready else want_future), where
+        if want_ready and pick is not None:
+            pick(thread, want_ready, got_ready)
 
 
 class TestSelection:
@@ -117,15 +130,23 @@ class TestSelection:
             operation.queues[instance].enqueue(1.0, trigger(instance))
         ready, polls, _, used_secondary = operation.ready_index.select(
             operation.threads[0], 2.0, True)
-        assert sorted(ready) == [0, 6, 9]
+        assert ready == [0, 6, 9]
         assert polls == 1          # instance 3 scanned empty
         assert not used_secondary
         _assert_matches_scan(operation, 2.0)
-        # Selection hands the ids over unsorted; a positional strategy
-        # puts them in instance order before it picks.
-        assert RoundRobinStrategy().choose(
-            random.Random(0), ready, operation.lpt_keys) == 0
+        # A positional strategy picks from the ranked list as it is.
+        assert RoundRobinStrategy().choose(random.Random(0), ready) == 0
         assert ready == [0, 6, 9]
+
+    def test_lpt_ranks_by_cost(self):
+        operation = _operation(instances=12, threads=3, strategy="lpt")
+        # Thread 0's mains 0, 3, 6, 9 hold 1, 4, 3, 2 rows.
+        for instance in (9, 0, 6, 3):
+            operation.queues[instance].enqueue(1.0, trigger(instance))
+        ready = operation.ready_index.select(
+            operation.threads[0], 2.0, True)[0]
+        assert ready == [0, 9, 6, 3]
+        assert operation.strategy.choose(random.Random(0), ready) == 3
 
     def test_future_main_not_selected(self):
         operation = _operation()
@@ -306,22 +327,103 @@ class TestGate:
         assert all(q.listener is None for q in operation.queues)
 
 
+# -- the old strategies over the scan's candidates, restated as the oracle ---
+
+def _old_random(state, rng, ready, keys):
+    if len(ready) == 1:
+        return ready[0]
+    ready.sort()
+    return ready[rng.randrange(len(ready))]
+
+
+def _old_lpt(state, rng, ready, keys):
+    return max(ready, key=keys.__getitem__)
+
+
+def _old_round_robin(state, rng, ready, keys):
+    ready.sort()
+    choice = ready[state["cursor"] % len(ready)]
+    state["cursor"] += 1
+    return choice
+
+
+OLD_CHOICE = {"random": _old_random, "lpt": _old_lpt,
+              "round_robin": _old_round_robin}
+
+
+def _fuzz(strategy, allow_secondary, seed):
+    """Random traffic over drifting clocks; at every query instant each
+    thread's selection is compared with the scan's
+    (:func:`_assert_matches_scan`), and each non-empty one also by the
+    strategy's pick from the index's ranked candidates against the old
+    strategy's from the scan's, and the RNG state after the choice.
+    Ends with a drain check after every head time.  Returns how often
+    each corner came up."""
+    rng = random.Random(seed)
+    operation = _operation(instances=30, threads=4, strategy=strategy,
+                           allow_secondary=allow_secondary)
+    index = operation.ready_index
+    queues = operation.queues
+    pick_rng, old_rng = random.Random(seed), random.Random(seed)
+    old_state = {"cursor": 0}
+    seen = dict.fromkeys(("lone", "several", "secondary", "filtered",
+                          "helper", "stale", "duplicate"), 0)
+
+    def pick(thread, want_ready, ready):
+        secondary = not thread.main_queue_set & set(want_ready)
+        seen["filtered"] += index._bound[-1 if secondary
+                                         else thread.pool_index] > now
+        seen["secondary"] += secondary
+        seen["lone" if len(want_ready) == 1 else "several"] += 1
+        want = OLD_CHOICE[strategy](old_state, old_rng, list(want_ready),
+                                    operation.lpt_keys)
+        where = f"{strategy}: thread {thread.pool_index} @ {now}"
+        assert operation.strategy.choose(pick_rng, ready) == want, where
+        assert pick_rng.getstate() == old_rng.getstate(), where
+
+    for step in range(3000):
+        action = rng.random()
+        if allow_secondary and step % 1000 == 999:
+            # A helper thread: a pool slot with no main queues.
+            operation.add_threads([100 + step], 0.0)
+            seen["helper"] += 1
+        elif action < 0.4:
+            queue = queues[rng.randrange(len(queues))]
+            queue.enqueue(round(rng.uniform(0.0, 50.0), 3),
+                          Activation(DATA, queue.instance, (step,)))
+        elif action < 0.7:
+            queue = queues[rng.randrange(len(queues))]
+            queue.dequeue_ready(round(rng.uniform(0.0, 50.0), 3),
+                                limit=rng.randrange(1, 4))
+        else:
+            for slot, heap in enumerate(index._heaps):
+                member = index._member[slot]
+                valid = [entry for entry in heap
+                         if entry[0] == index._nrt[entry[1]]]
+                seen["stale"] += len(heap) - len(valid)
+                seen["duplicate"] += len(valid) - len(
+                    {entry for entry in valid if not member[entry[1]]})
+            now = round(rng.uniform(0.0, 50.0), 3)
+            _assert_matches_scan(operation, now, pick)
+    now = 60.0
+    _assert_matches_scan(operation, now, pick)
+    return seen
+
+
+def _assert_corners(seen, allow_secondary):
+    corners = ["lone", "several", "filtered", "stale", "duplicate"]
+    if allow_secondary:
+        corners += ["secondary", "helper"]
+    assert all(seen[corner] > 0 for corner in corners), seen
+
+
 class TestFuzzAgainstScan:
     def test_randomized_traffic_matches_scan_exactly(self):
-        rng = random.Random(20250805)
-        operation = _operation(instances=30, threads=4)
-        queues = operation.queues
-        for step in range(3000):
-            action = rng.random()
-            if action < 0.45:
-                queue = queues[rng.randrange(len(queues))]
-                queue.enqueue(round(rng.uniform(0.0, 50.0), 3),
-                              Activation(DATA, queue.instance, (step,)))
-            elif action < 0.75:
-                queue = queues[rng.randrange(len(queues))]
-                queue.dequeue_ready(round(rng.uniform(0.0, 50.0), 3),
-                                    limit=rng.randrange(1, 4))
-            else:
-                _assert_matches_scan(operation,
-                                     now=round(rng.uniform(0.0, 50.0), 3))
-        _assert_matches_scan(operation, now=60.0)
+        _assert_corners(_fuzz("random", True, seed=20250805), True)
+
+    @pytest.mark.parametrize("strategy, allow_secondary", [
+        ("random", False), ("lpt", True), ("lpt", False),
+        ("round_robin", True), ("round_robin", False)])
+    def test_each_pick_is_the_scans(self, strategy, allow_secondary):
+        _assert_corners(_fuzz(strategy, allow_secondary, seed=20251019),
+                        allow_secondary)

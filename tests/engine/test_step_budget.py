@@ -21,6 +21,11 @@ LPT at a degree the ready index serves, where each step chooses among
 about sixteen ready instances: a key function or helper called per
 candidate would add a frame per candidate.
 
+A loop over the candidates written in the selecting frame adds no
+frame, so the degree-independence budget counts bytecodes instead:
+those ``ReadyIndex.select`` and ``choose`` execute per dequeuing step
+of the same join at d = 120 and d = 1,200 must stay within 1.5x.
+
 The counts repeat exactly on one interpreter; on failure the
 per-function histogram names the frame that came back.
 """
@@ -28,6 +33,7 @@ per-function histogram names the frame that came back.
 import sys
 from collections import Counter
 
+import pytest
 from test_quiet_step import Config, Rig
 
 from repro.bench.runners import default_machine
@@ -35,7 +41,9 @@ from repro.bench.workloads import make_join_database
 from repro.engine.executor import ExecutionOptions, Executor, QuerySchedule
 from repro.engine.operation import READY_INDEX_MIN_INSTANCES
 from repro.engine.queues import ActivationQueue
+from repro.engine.ready_index import ReadyIndex
 from repro.engine.simulator import Simulator
+from repro.engine.strategies import LPTStrategy
 from repro.engine.threads import RUNNABLE, WorkerThread
 from repro.lera.plans import ideal_join_plan
 
@@ -51,8 +59,17 @@ FRAME_BUDGET = 1.7
 DEQUEUE_FRAME_BUDGET = 17.0
 
 #: Mean Python frames per dequeuing step of the triggered LPT join:
-#: 12.01 measured, with 15.6 ready instances per choice on average.
-LPT_DEQUEUE_FRAME_BUDGET = 13.0
+#: 12.01 measured, as before ranked selection (LPT's ``max`` over the
+#: ready ids with a C key function made no frame either).  A choice
+#: is now one read at the end of the ranked list, however many are
+#: ready: 15.6 instances per choice here, 150.5 at d = 1,200.
+LPT_DEQUEUE_FRAME_BUDGET = 12.5
+
+#: Selection bytecodes per dequeuing step at d = 1,200 over d = 120, on
+#: the triggered LPT join: 125 / 135 = 0.93 measured (2,357 / 341 =
+#: 6.9 when selection filtered the ready set and LPT took a max over
+#: it).
+DEGREE_RATIO_BUDGET = 1.5
 
 
 def _profile_steps(play, counts):
@@ -136,11 +153,10 @@ def test_a_dequeuing_step_is_at_most_seventeen_frames():
     _assert_budget(steps, frames, DEQUEUE_FRAME_BUDGET, "dequeuing step")
 
 
-def test_a_triggered_lpt_dequeuing_step_has_no_frame_per_candidate():
-    # The IdealJoin at degree 120 on four threads, its strategy LPT;
-    # the fragments' indexes are built by one warm-up run, as the
-    # benchmark's warm-up op builds them.
-    degree = READY_INDEX_MIN_INSTANCES + 24
+def _lpt_join(degree):
+    """The IdealJoin at *degree* on four threads, its strategy LPT, as
+    a function that runs it; the fragments' indexes are built by one
+    warm-up run, as the benchmark's warm-up op builds them."""
     database = make_join_database(20 * degree, 2 * degree, degree, 0.5)
     plan = ideal_join_plan(database.entry_a, database.entry_b, "key", "key")
     schedule = QuerySchedule.for_plan(plan, 4).with_strategy("join", "lpt")
@@ -151,7 +167,75 @@ def test_a_triggered_lpt_dequeuing_step_has_no_frame_per_candidate():
         assert execution.result_cardinality == database.expected_matches
 
     play()
-    steps, frames = _profile_steps(play, _dequeuing)
+    return play
+
+
+def test_a_triggered_lpt_dequeuing_step_has_no_frame_per_candidate():
+    degree = READY_INDEX_MIN_INSTANCES + 24
+    steps, frames = _profile_steps(_lpt_join(degree), _dequeuing)
     assert steps == degree, "one dequeuing step per trigger"
     _assert_budget(steps, frames, LPT_DEQUEUE_FRAME_BUDGET,
                    "triggered LPT dequeuing step")
+
+
+def _selection_bytecodes(play):
+    """Bytecodes executed in ``ReadyIndex.select`` and
+    ``LPTStrategy.choose`` (and any frame they call) per ``choose``
+    over *play*: what choosing a queue costs per dequeuing step."""
+    counted = {ReadyIndex.select.__code__, LPTStrategy.choose.__code__}
+    choose_code = LPTStrategy.choose.__code__
+    bytecodes = choices = depth = 0
+
+    def local(frame, event, arg):
+        nonlocal bytecodes, depth
+        if event == "opcode":
+            bytecodes += 1
+        elif event == "return":
+            depth -= 1
+        return local
+
+    def trace(frame, event, arg):
+        nonlocal choices, depth
+        if depth == 0 and frame.f_code not in counted:
+            return None
+        choices += frame.f_code is choose_code
+        depth += 1
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(trace)
+    try:
+        play()
+    finally:
+        sys.settrace(None)
+    return bytecodes / choices
+
+
+def _degree_ratio():
+    low, high = (_selection_bytecodes(_lpt_join(degree))
+                 for degree in (120, 1200))
+    return high / low, low, high
+
+
+def _assert_degree_independent(ratio, low, high):
+    assert ratio <= DEGREE_RATIO_BUDGET, (
+        f"selection executes {high:.0f} bytecodes per dequeuing step at "
+        f"d = 1,200 and {low:.0f} at d = 120: {ratio:.2f}x (budget "
+        f"{DEGREE_RATIO_BUDGET}x)")
+
+
+def test_choosing_a_queue_costs_the_same_at_a_tenfold_degree():
+    _assert_degree_independent(*_degree_ratio())
+
+
+def test_a_per_candidate_loop_breaks_the_degree_budget(monkeypatch):
+    def choose(self, rng, ranked):
+        best = ranked[0]
+        for instance in ranked:
+            if instance > best:
+                best = instance
+        return ranked[-1]
+
+    monkeypatch.setattr(LPTStrategy, "choose", choose)
+    with pytest.raises(AssertionError, match="bytecodes per dequeuing step"):
+        _assert_degree_independent(*_degree_ratio())

@@ -1,10 +1,11 @@
 """Consumption strategies: Random, LPT, RoundRobin.
 
-A strategy picks an instance id from the ready ids selection found,
-handed over in no particular order.  The property at the end holds the
-id API to the strategies as they were when they chose among queue
-objects sorted by instance (restated here as the oracle): the same
-instance, and the same RNG stream, for every candidate set and order.
+A strategy picks an instance id by position from the ready ids
+selection found, handed over sorted by the strategy's rank (the id, or
+``lpt_keys`` under LPT).  The property at the end holds the ranked API
+to the strategies as they were when they chose among queue objects
+sorted by instance (restated here as the oracle): the same instance,
+and the same RNG stream, for every candidate set.
 """
 
 import random
@@ -22,30 +23,34 @@ from repro.engine.strategies import (
     make_strategy,
 )
 from repro.errors import ExecutionError
+from repro.obs.probes import queue_depth_key
+
+
+def _ranked(strategy, ids, keys):
+    """*ids* in *strategy*'s rank order, as selection hands them over."""
+    return sorted(ids, key=keys.__getitem__ if strategy.ranks_by_cost
+                  else None)
 
 
 class TestRandomStrategy:
     def test_single_candidate_shortcut(self):
         rng = random.Random(0)
         state = rng.getstate()
-        assert RandomStrategy().choose(rng, [4], lpt_keys([1.0] * 5)) == 4
+        assert RandomStrategy().choose(rng, [4]) == 4
         assert rng.getstate() == state      # no draw for a lone candidate
 
     def test_covers_all_candidates(self):
-        keys = lpt_keys([1.0, 1.0, 1.0])
         rng = random.Random(0)
         strategy = RandomStrategy()
-        chosen = {strategy.choose(rng, [2, 0, 1], keys) for _ in range(100)}
+        chosen = {strategy.choose(rng, [0, 1, 2]) for _ in range(100)}
         assert chosen == {0, 1, 2}
 
     def test_deterministic_for_seed(self):
-        keys = lpt_keys([1.0] * 5)
-        picks_a = [RandomStrategy().choose(random.Random(7), [3, 1, 4, 0, 2],
-                                           keys)
-                   for _ in range(1)]
-        picks_b = [RandomStrategy().choose(random.Random(7), [0, 1, 2, 3, 4],
-                                           keys)
-                   for _ in range(1)]
+        rng_a, rng_b = random.Random(7), random.Random(7)
+        picks_a = [RandomStrategy().choose(rng_a, [0, 1, 2, 3, 4])
+                   for _ in range(5)]
+        picks_b = [RandomStrategy().choose(rng_b, [0, 1, 2, 3, 4])
+                   for _ in range(5)]
         assert picks_a == picks_b
 
     def test_engine_seed_variation_bounded(self):
@@ -72,19 +77,23 @@ class TestRandomStrategy:
 class TestLPTStrategy:
     def test_picks_most_expensive(self):
         keys = lpt_keys([1.0, 9.0, 3.0])
-        assert LPTStrategy().choose(random.Random(0), [0, 1, 2], keys) == 1
+        strategy = LPTStrategy()
+        assert strategy.choose(random.Random(0),
+                               _ranked(strategy, [0, 1, 2], keys)) == 1
 
     def test_tie_breaks_on_lower_instance(self):
         keys = lpt_keys([5.0, 5.0])
-        assert LPTStrategy().choose(random.Random(0), [1, 0], keys) == 0
-        assert LPTStrategy().choose(random.Random(0), [0, 1], keys) == 0
+        strategy = LPTStrategy()
+        for ids in ([1, 0], [0, 1]):
+            assert strategy.choose(random.Random(0),
+                                   _ranked(strategy, ids, keys)) == 0
 
     def test_ignores_rng(self):
         keys = lpt_keys([1.0, 2.0])
         for seed in range(5):
             rng = random.Random(seed)
             state = rng.getstate()
-            assert LPTStrategy().choose(rng, [0, 1], keys) == 1
+            assert LPTStrategy().choose(rng, [0, 1]) == 1
             assert rng.getstate() == state
 
     def test_lpt_order_matches_descending_estimates(self):
@@ -95,7 +104,8 @@ class TestLPTStrategy:
         order = []
         remaining = [3, 0, 2, 1]
         while remaining:
-            pick = strategy.choose(random.Random(0), list(remaining), keys)
+            pick = strategy.choose(random.Random(0),
+                                   _ranked(strategy, remaining, keys))
             order.append(pick)
             remaining.remove(pick)
         assert order == [1, 2, 0, 3]
@@ -103,10 +113,9 @@ class TestLPTStrategy:
 
 class TestRoundRobinStrategy:
     def test_rotates(self):
-        keys = lpt_keys([1.0, 1.0, 1.0])
         strategy = RoundRobinStrategy()
         rng = random.Random(0)
-        picks = [strategy.choose(rng, [2, 1, 0], keys) for _ in range(6)]
+        picks = [strategy.choose(rng, [0, 1, 2]) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
 
@@ -157,13 +166,12 @@ ORACLES = {
 @st.composite
 def _picks(draw):
     """Estimates with forced ties, then a run of non-empty candidate
-    sets, each handed over in a shuffled order."""
+    sets."""
     degree = draw(st.integers(1, 12))
     estimates = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
                               min_size=degree, max_size=degree))
     ids = st.lists(st.integers(0, degree - 1), min_size=1, unique=True)
-    steps = draw(st.lists(ids.flatmap(st.permutations), min_size=1,
-                          max_size=6))
+    steps = draw(st.lists(ids, min_size=1, max_size=6))
     return estimates, steps
 
 
@@ -172,7 +180,8 @@ def _picks(draw):
        seed=st.integers(0, 2**32 - 1))
 def test_id_choice_matches_the_queue_list_choice(name, picks, seed):
     estimates, steps = picks
-    queues = [ActivationQueue("op", i, "triggered", cost_estimate=e)
+    queues = [ActivationQueue("op", i, "triggered", queue_depth_key("op"),
+                              cost_estimate=e)
               for i, e in enumerate(estimates)]
     keys = lpt_keys(estimates)
     strategy = make_strategy(name)
@@ -182,5 +191,5 @@ def test_id_choice_matches_the_queue_list_choice(name, picks, seed):
         # The scan's candidate list: queue objects in instance order.
         candidates = [queues[i] for i in sorted(ready)]
         want = oracle(oracle_state, oracle_rng, candidates).instance
-        assert strategy.choose(rng, list(ready), keys) == want
+        assert strategy.choose(rng, _ranked(strategy, ready, keys)) == want
         assert rng.getstate() == oracle_rng.getstate()

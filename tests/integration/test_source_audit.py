@@ -36,7 +36,10 @@
   ``def`` in the package is passed by some call under
   :data:`REFERENCE_DIRS` (callee matched by name; a keyword, its
   position, a ``*`` / ``**`` spread, or ``functools.partial``), or it
-  is the constant it always was.  The ones that stay without a caller
+  is the constant it always was.  A bound method handed on as a value
+  (subscribed, or stored as a callback) is called wherever the value it
+  was stored as is: a call of the attribute it went into, or of a loop
+  variable over that attribute (:func:`callback_calls`).  The ones that stay without a caller
   sit in :data:`PARAMETERS_WITHOUT_CALLER`, each with one of
   :data:`PARAMETER_REASONS` and the test that passes it; a listed
   parameter that gains a caller must leave.
@@ -468,6 +471,150 @@ def _partial_aliases(text: str) -> tuple[tuple[str, str, int], ...]:
     return tuple(aliases)
 
 
+def _root_attribute(node: ast.expr) -> str | None:
+    """The attribute a call chain or subscript starts from:
+    ``_listeners`` of ``self._listeners.setdefault(k, []).append``."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value,
+                                                          ast.Name):
+            return node.attr
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _handoffs(text: str) -> tuple[tuple[str, str | None, int | str], ...]:
+    """``(method, callee, slot)`` for every ``obj.method`` *text* hands
+    on as a value: the argument at *slot* (a position or a keyword) of a
+    call of *callee*, or (*callee* ``None``) assigned to the attribute
+    named *slot*."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and _name(node.func) != "partial":
+            callee = _name(node.func)
+            found += [(arg.attr, callee, position)
+                      for position, arg in enumerate(node.args)
+                      if isinstance(arg, ast.Attribute)]
+            found += [(keyword.value.attr, callee, keyword.arg)
+                      for keyword in node.keywords
+                      if keyword.arg and isinstance(keyword.value,
+                                                    ast.Attribute)]
+        elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Attribute)):
+            found += [(node.value.attr, None, target.attr)
+                      for target in node.targets
+                      if isinstance(target, ast.Attribute)]
+    return tuple(found)
+
+
+@functools.lru_cache(maxsize=None)
+def _stores(text: str) -> tuple[tuple[str, int | str, str], ...]:
+    """``(callee, slot, attribute)``: a ``def`` of *text* (``__init__``
+    under its class name) keeps its parameter at *slot* (its position
+    among the arguments a call passes, and its name) in *attribute*,
+    assigned (``self.attribute = p``) or added to a container the
+    attribute holds (``self.attribute....append(p)`` / ``.add(p)``)."""
+    found = []
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                walk(child, cls)
+                continue
+            callee = cls if cls and child.name == "__init__" else child.name
+            positional = child.args.posonlyargs + child.args.args
+            bound = 1 if cls else 0
+            slots = {arg.arg: index - bound
+                     for index, arg in enumerate(positional)}
+            slots.update((arg.arg, None) for arg in child.args.kwonlyargs)
+            for node_ in ast.walk(child):
+                if (isinstance(node_, ast.Assign)
+                        and isinstance(node_.value, ast.Name)):
+                    pairs = [(node_.value.id, target.attr)
+                             for target in node_.targets
+                             if isinstance(target, ast.Attribute)]
+                elif (isinstance(node_, ast.Call)
+                      and _name(node_.func) in ("append", "add")
+                      and len(node_.args) == 1
+                      and isinstance(node_.args[0], ast.Name)):
+                    pairs = [(node_.args[0].id,
+                              _root_attribute(node_.func.value))]
+                else:
+                    continue
+                for parameter, attribute in pairs:
+                    if parameter in slots and attribute:
+                        found.append((callee, parameter, attribute))
+                        if slots[parameter] is not None:
+                            found.append((callee, slots[parameter],
+                                          attribute))
+            walk(child, None)
+
+    walk(ast.parse(text), None)
+    return tuple(found)
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_calls(text: str) -> tuple[tuple[str, int, tuple[str, ...], bool],
+                                    ...]:
+    """``(attribute, positional, keywords, spread)`` for every call of a
+    loop variable over an expression reading *attribute*: ``for hook
+    in self._hooks.get(k, ()): hook(now)`` calls what ``_hooks``
+    holds."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not (isinstance(node, ast.For)
+                and isinstance(node.target, ast.Name)):
+            continue
+        attributes = {part.attr for part in ast.walk(node.iter)
+                      if isinstance(part, ast.Attribute)}
+        for statement in node.body:
+            for call in ast.walk(statement):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)
+                        and call.func.id == node.target.id):
+                    shape = (
+                        sum(not isinstance(arg, ast.Starred)
+                            for arg in call.args),
+                        tuple(keyword.arg for keyword in call.keywords
+                              if keyword.arg is not None),
+                        any(isinstance(arg, ast.Starred) for arg in call.args)
+                        or any(keyword.arg is None
+                               for keyword in call.keywords))
+                    found += [(attribute, *shape) for attribute in attributes]
+    return tuple(found)
+
+
+def callback_calls(sources: dict[str, str], texts: tuple[str, ...],
+                   calls: dict) -> dict[str, list]:
+    """The calls a bound method handed on as a value receives, by its
+    name: where *texts* pass ``obj.method`` to a ``def`` of *sources*
+    that keeps that parameter in an attribute (:func:`_stores`), or
+    assign it to an attribute, every call of the attribute (in *calls*,
+    by name) and of a loop variable over it (:func:`_loop_calls`)."""
+    kept: dict[tuple[str, int | str], set[str]] = {}
+    for text in sources.values():
+        for callee, slot, attribute in _stores(text):
+            kept.setdefault((callee, slot), set()).add(attribute)
+    through_loops: dict[str, list] = {}
+    for text in texts:
+        for attribute, *shape in _loop_calls(text):
+            through_loops.setdefault(attribute, []).append(tuple(shape))
+    received: dict[str, list] = {}
+    for text in texts:
+        for method, callee, slot in _handoffs(text):
+            attributes = ({slot} if callee is None
+                          else kept.get((callee, slot), ()))
+            for attribute in attributes:
+                received.setdefault(method, []).extend(
+                    [*calls.get(attribute, ()),
+                     *through_loops.get(attribute, ())])
+    return received
+
+
 def uncalled_parameters(sources: dict[str, str],
                         texts: tuple[str, ...]) -> list[str]:
     """Defaulted parameters of *sources* (:func:`defaulted`) that no
@@ -475,8 +622,9 @@ def uncalled_parameters(sources: dict[str, str],
     parameters that have a caller (or no longer exist).
 
     A call passes a parameter when its callee has the function's name
-    and it names the parameter as a keyword, reaches its position, or
-    spreads ``*`` / ``**``."""
+    (or is a stored value the function was handed on as:
+    :func:`callback_calls`) and it names the parameter as a keyword,
+    reaches its position, or spreads ``*`` / ``**``."""
     aliases = {alias: (callee, offset) for text in texts
                for alias, callee, offset in _partial_aliases(text)}
     calls: dict[str | None, list[tuple[int, tuple[str, ...], bool]]] = {}
@@ -487,6 +635,8 @@ def uncalled_parameters(sources: dict[str, str],
                 target, offset = aliases[callee]
                 calls.setdefault(target, []).append(
                     (positional + offset, keywords, spread))
+    for method, received in callback_calls(sources, texts, calls).items():
+        calls.setdefault(method, []).extend(received)
     params = defaulted(sources)
     passed = {key for key, (callee, _line, name, position) in params.items()
               if any(spread or name in keywords
@@ -724,3 +874,47 @@ def test_a_parameter_passed_through_a_partial_counts_as_passed():
             "import functools\n" + helper + caller)}
         assert uncalled_parameters(
             doctored, reference_texts(doctored, _modules())) == [], caller
+
+
+#: A package module whose ``Printer.heard(loud)`` is passed only by a
+#: callback dispatch, and whose ``Runner(on_done=...)`` keeps a callback
+#: it calls with ``quiet``; *dispatch* is the subscribed hook's call.
+CALLBACKS = (
+    "class Bus:\n"
+    "    def __init__(self):\n"
+    "        self._hooks = {{}}\n"
+    "    def listen(self, point, hook):\n"
+    "        self._hooks.setdefault(point, []).append(hook)\n"
+    "    def fire(self, point, now):\n"
+    "        for hook in self._hooks.get(point, ()):\n"
+    "            {dispatch}\n"
+    "class Runner:\n"
+    "    def __init__(self, on_done):\n"
+    "        self.on_done = on_done\n"
+    "    def finish(self):\n"
+    "        self.on_done(1, quiet=True)\n"
+    "class Printer:\n"
+    "    def __init__(self, bus):\n"
+    "        bus.listen('tick', self.heard)\n"
+    "        self.runner = Runner(on_done=self.ran)\n"
+    "    def heard(self, now, loud=False):\n"
+    "        return loud\n"
+    "    def ran(self, count, quiet=False):\n"
+    "        return quiet\n"
+    "PRINTER = Printer(Bus())\n")
+
+
+def test_a_parameter_a_callback_dispatch_passes_counts_as_passed():
+    doctored = {**_package(), "storage/doctored.py": CALLBACKS.format(
+        dispatch="hook(now, loud=True)")}
+    assert uncalled_parameters(
+        doctored, reference_texts(doctored, _modules())) == []
+
+
+def test_a_callback_dispatch_that_omits_the_parameter_is_caught():
+    doctored = {**_package(), "storage/doctored.py": CALLBACKS.format(
+        dispatch="hook(now)")}
+    assert uncalled_parameters(
+        doctored, reference_texts(doctored, _modules())) == [
+        "storage/doctored.py:18: Printer.heard(loud) has no caller outside "
+        "the tests and no reason in PARAMETERS_WITHOUT_CALLER"]

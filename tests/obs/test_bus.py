@@ -74,7 +74,8 @@ class TestEventBus:
 
     def test_queue_depth_probe_follows_hooks(self):
         bus = EventBus()
-        queue = ActivationQueue("join", 0, "pipelined")
+        queue = ActivationQueue("join", 0, "pipelined",
+                                queue_depth_key("join"))
         queue.obs = bus
         queue.enqueue(0.1, trigger(0))
         queue.enqueue(0.2, trigger(0))

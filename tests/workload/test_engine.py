@@ -171,7 +171,7 @@ class TestArrivalsAndAdmission:
         from repro.workload.admission import plan_footprint
         submissions = [_submission(db, QUERIES[0], "first"),
                        _submission(db, QUERIES[2], "second")]
-        fp = max(plan_footprint(s.compiled.plan, db.machine.costs)
+        fp = max(plan_footprint(s.compiled.plan)
                  for s in submissions)
         executor = WorkloadExecutor(
             db.machine, db.executor.options,
@@ -330,7 +330,7 @@ class TestShapeEquality:
             runtimes = executor.build_runtimes(plan, schedule)
             assert shape.startup == executor.startup_time(runtimes, schedule)
             assert shape.footprint == runtime_footprint(runtimes)
-            assert shape.footprint == plan_footprint(plan, db.machine.costs)
+            assert shape.footprint == plan_footprint(plan)
             assert shape.node_footprints == {
                 name: runtime_footprint({name: runtime})
                 for name, runtime in runtimes.items()}
@@ -359,6 +359,6 @@ class TestShapeEquality:
             assert shape()[0] != built[0]
         with monkeypatch.context() as patch:
             patch.setattr(engine_module, "node_footprints",
-                          lambda plan, costs: {"join": 1})
+                          lambda plan: {"join": 1})
             assert shape()[1] != built[1]
         assert shape() == built

@@ -234,8 +234,7 @@ class TestFractionalAdmission:
         """A budget of 1.5 plans queues the second private copy, but a
         fully folded duplicate projects (almost) no new bytes and is
         admitted in the same instant as its host."""
-        limit = int(plan_footprint(db.compile(SQL).plan,
-                                   db.machine.costs) * 1.5)
+        limit = int(plan_footprint(db.compile(SQL).plan) * 1.5)
         admit_times = {}
         for mode in (True, False):
             result, _ = _run(db, [SQL] * 2, shared=mode,
