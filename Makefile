@@ -12,7 +12,7 @@ export PYTHONPATH
 .PHONY: test bench perf chaos fuzz ledger-smoke
 
 ## Tier-1: the fast deterministic test suite (what CI gates on); about
-## 60 s wall on a 2-CPU box, and its ten slowest tests show in every log.
+## 55 s wall on a 2-CPU box, and its ten slowest tests show in every log.
 test:
 	$(PYTHON) -m pytest -x --durations=10
 

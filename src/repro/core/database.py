@@ -159,8 +159,8 @@ class DBS3:
                 the supported subset).
             threads: Fix the query's degree of parallelism; ``None``
                 lets scheduler step 1 choose from estimated complexity.
-            algorithm: Default join algorithm (``nested_loop``,
-                ``temp_index`` or ``hash``).
+            algorithm: Default join algorithm (``nested_loop`` or
+                ``temp_index``).
         """
         return self.session().submit(sql, threads=threads,
                                      algorithm=algorithm).result()

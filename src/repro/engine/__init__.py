@@ -14,7 +14,6 @@ from repro.engine.executor import (
     DEFAULT_PIPELINED_CACHE,
     DEFAULT_TRIGGERED_CACHE,
     PLACEMENT_COLD,
-    PLACEMENT_NONE,
     PLACEMENT_WARM,
     ExecutionOptions,
     Executor,
@@ -29,12 +28,9 @@ from repro.engine.simulator import Simulator
 from repro.engine.strategies import (
     LPT,
     RANDOM,
-    ROUND_ROBIN,
     STRATEGIES,
-    ConsumptionStrategy,
     LPTStrategy,
     RandomStrategy,
-    RoundRobinStrategy,
     make_strategy,
 )
 from repro.engine.threads import WorkerThread
@@ -43,7 +39,6 @@ from repro.engine.trace import ExecutionTrace, TraceEvent
 __all__ = [
     "ActivationQueue",
     "ExecutionTrace",
-    "ConsumptionStrategy",
     "DBFunc",
     "DEFAULT_PIPELINED_CACHE",
     "DEFAULT_TRIGGERED_CACHE",
@@ -59,16 +54,13 @@ __all__ = [
     "OperationRuntime",
     "OperationSchedule",
     "PLACEMENT_COLD",
-    "PLACEMENT_NONE",
     "PLACEMENT_WARM",
     "PipelinedJoinFunc",
     "ProcessResult",
     "QueryExecution",
     "QuerySchedule",
     "RANDOM",
-    "ROUND_ROBIN",
     "RandomStrategy",
-    "RoundRobinStrategy",
     "STRATEGIES",
     "Simulator",
     "TransmitFunc",

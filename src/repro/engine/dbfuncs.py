@@ -11,8 +11,8 @@ the *matching* itself uses a hash table so the Python reproduction
 stays fast: one comprehension tests each outer row's key against the
 inner table's read-only view (``HashIndex.table``) and joins only the
 rows that match.  Results are identical; only wall-clock time differs.
-Index-based algorithms execute their actual data structure
-(:class:`~repro.storage.indexes.SortedIndex` / hash table).  Selection
+The temp-index algorithm executes its actual data structure
+(:class:`~repro.storage.indexes.SortedIndex`).  Selection
 is a set at a time as well (:meth:`~repro.lera.predicates.Predicate
 .select`, one call per fragment).
 
@@ -31,7 +31,6 @@ from repro.errors import ExecutionError
 from repro.lera.activation import CONTROL, DATA, Activation
 from repro.lera.aggregates import Accumulator
 from repro.lera.operators import (
-    JOIN_HASH,
     JOIN_NESTED_LOOP,
     JOIN_TEMP_INDEX,
     AggregateSpec,
@@ -194,13 +193,13 @@ class JoinFunc(DBFunc):
         self._outer_pos = spec.outer_fragments[0].schema.position(spec.outer_key)
         self._inner_pos = spec.inner_fragments[0].schema.position(spec.inner_key)
 
-    def _outer_index(self, outer: Fragment, outer_rows: tuple[Row, ...],
-                     kind: str):
-        """The fragment's own index at ``grain == 1``; a chunk builds over
-        its slice — repeated work, the genuine price of the finer grain."""
+    def _outer_index(self, outer: Fragment, outer_rows: tuple[Row, ...]):
+        """The fragment's own sorted index at ``grain == 1``; a chunk
+        builds over its slice — repeated work, the genuine price of the
+        finer grain."""
         if self.spec.grain == 1:
-            return outer.index_on(self._outer_pos, kind)
-        return build_index(outer_rows, self._outer_pos, kind)
+            return outer.index_on(self._outer_pos, "sorted")
+        return build_index(outer_rows, self._outer_pos, "sorted")
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
@@ -234,7 +233,7 @@ class JoinFunc(DBFunc):
                 slice_cardinality, len(inner.rows), len(emitted))
         elif algorithm == JOIN_TEMP_INDEX:
             # Every chunk probes with the whole inner operand.
-            index = self._outer_index(outer, outer_rows, "sorted")
+            index = self._outer_index(outer, outer_rows)
             cost += self.costs.index_build_cost(slice_cardinality)
             inner_pos = self._inner_pos
             for right in inner.rows:
@@ -243,17 +242,6 @@ class JoinFunc(DBFunc):
                     emitted.append(left + right)
                 cost += self.costs.index_probe_cost(
                     max(slice_cardinality, 1), len(matches))
-        elif algorithm == JOIN_HASH:
-            table_get = self._outer_index(outer, outer_rows, "hash").get
-            inner_pos = self._inner_pos
-            match_count = 0
-            for right in inner.rows:
-                for left in table_get(right[inner_pos], ()):
-                    emitted.append(left + right)
-                    match_count += 1
-            cost += ((slice_cardinality + inner.cardinality)
-                     * self.costs.index_compare
-                     + match_count * self.costs.result_tuple)
         else:  # pragma: no cover - spec validation rejects this earlier
             raise ExecutionError(f"unknown join algorithm {algorithm!r}")
         return ProcessResult(cost, emitted)
@@ -283,11 +271,11 @@ class TransmitFunc(DBFunc):
 class PipelinedJoinFunc(DBFunc):
     """Pipelined join: one incoming tuple probes the stored fragment.
 
-    With the temp-index (or hash) algorithm the instance's first
-    activation of an execution is charged the build of the lookup
-    structure; nested loop charges a full fragment scan per probe,
-    which is exactly why AssocJoin's pipelined work shrinks as the
-    degree of partitioning grows.
+    With the temp-index algorithm the instance's first activation of
+    an execution is charged the build of the lookup structure; nested
+    loop charges a full fragment scan per probe, which is exactly why
+    AssocJoin's pipelined work shrinks as the degree of partitioning
+    grows.
     """
 
     def __init__(self, spec: PipelinedJoinSpec, costs: CostModel) -> None:
@@ -319,13 +307,6 @@ class PipelinedJoinFunc(DBFunc):
             matches = stored.index_on(self._stored_pos, "sorted").lookup(key)
             cost += self.costs.index_probe_cost(max(len(stored.rows), 1),
                                                 len(matches))
-        elif algorithm == JOIN_HASH:
-            matches = stored.index_on(self._stored_pos).get(key, ())
-            if instance not in self._charged:
-                self._charged.add(instance)
-                cost += len(stored.rows) * self.costs.index_compare
-            cost += (self.costs.index_compare
-                     + len(matches) * self.costs.result_tuple)
         else:  # pragma: no cover - spec validation rejects this earlier
             raise ExecutionError(f"unknown join algorithm {algorithm!r}")
         emitted = list(map(row.__add__, matches))

@@ -30,8 +30,7 @@ from repro.storage.tuples import hash_partitions
 #: Data placement policies for the Allcache model.
 PLACEMENT_WARM = "warm"    # fragments start in their consumer's local cache
 PLACEMENT_COLD = "cold"    # fragments start remote (Figure 8's "remote" run)
-PLACEMENT_NONE = "none"    # no placement (uniform machines)
-PLACEMENTS = (PLACEMENT_WARM, PLACEMENT_COLD, PLACEMENT_NONE)
+PLACEMENTS = (PLACEMENT_WARM, PLACEMENT_COLD)
 
 #: Internal activation-cache defaults.  Triggered activations are whole
 #: fragments, so batching is pointless.  Pipelined activations default
@@ -345,8 +344,6 @@ class Executor:
         if not self.machine.models_memory:
             return
         placement = self.options.placement
-        if placement == PLACEMENT_NONE:
-            return
         pool_size = len(operation.threads)
         for instance in range(operation.instances):
             if placement == PLACEMENT_WARM:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.engine.queues import ActivationQueue
 from repro.engine.ready_index import ReadyIndex
-from repro.engine.strategies import ConsumptionStrategy, lpt_keys
+from repro.engine.strategies import LPTStrategy, RandomStrategy, lpt_keys
 from repro.engine.threads import WorkerThread
 from repro.errors import ExecutionError
 from repro.lera.activation import TRIGGERED
@@ -90,7 +90,7 @@ class OperationRuntime:
     """
 
     def __init__(self, node: LeraNode, dbfunc: "DBFunc",
-                 strategy: ConsumptionStrategy, cache_size: int,
+                 strategy: RandomStrategy | LPTStrategy, cache_size: int,
                  queue_capacity: int | None = None,
                  allow_secondary: bool = True) -> None:
         if cache_size < 1:

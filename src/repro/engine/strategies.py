@@ -8,40 +8,24 @@ step 4.)
 The strategy only picks *which* ready instance a thread serves next;
 the main-before-secondary discipline is enforced by the simulator.
 Each strategy gives every instance one fixed *rank* — the instance id
-for Random and RoundRobin, :func:`lpt_keys` for LPT — and selection
-hands it the candidate ids sorted by rank, so every pick is positional:
-Random draws an index (nothing for a lone candidate), LPT takes the
-last, RoundRobin the cursor's.
+for Random, :func:`lpt_keys` for LPT — and selection hands it the
+candidate ids sorted by rank, so every pick is positional: Random
+draws an index (nothing for a lone candidate), LPT takes the last.
+Neither holds state, so every operation shares one instance of each.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 
 from repro.errors import ExecutionError
 
 RANDOM = "random"
 LPT = "lpt"
-ROUND_ROBIN = "round_robin"
-STRATEGIES = (RANDOM, LPT, ROUND_ROBIN)
+STRATEGIES = (RANDOM, LPT)
 
 
-class ConsumptionStrategy(ABC):
-    """Chooses one instance among those holding ready activations."""
-
-    name: str = "abstract"
-    #: Ranked by the operation's :func:`lpt_keys`, else by instance id.
-    ranks_by_cost = False
-
-    @abstractmethod
-    def choose(self, rng: random.Random, ranked: list[int]) -> int:
-        """Pick from *ranked*: the candidate instance ids, non-empty and
-        in ascending rank, read-only (it may be the ready index's own
-        list)."""
-
-
-class RandomStrategy(ConsumptionStrategy):
+class RandomStrategy:
     """The default: uniformly random among the non-empty queues.
 
     "Each thread randomly chooses one queue among the non-empty ones,
@@ -49,14 +33,19 @@ class RandomStrategy(ConsumptionStrategy):
     """
 
     name = RANDOM
+    #: Ranked by the operation's :func:`lpt_keys`, else by instance id.
+    ranks_by_cost = False
 
     def choose(self, rng: random.Random, ranked: list[int]) -> int:
+        """Pick from *ranked*: the candidate instance ids, non-empty and
+        in ascending rank, read-only (it may be the ready index's own
+        list)."""
         if len(ranked) == 1:
             return ranked[0]
         return ranked[rng.randrange(len(ranked))]
 
 
-class LPTStrategy(ConsumptionStrategy):
+class LPTStrategy:
     """Longest Processing Time first [Graham69].
 
     "Each thread chooses the activation queue which contains the most
@@ -73,21 +62,6 @@ class LPTStrategy(ConsumptionStrategy):
         return ranked[-1]
 
 
-class RoundRobinStrategy(ConsumptionStrategy):
-    """Deterministic rotation over candidates (an extra strategy slot;
-    the paper notes "other strategies can also be added")."""
-
-    name = ROUND_ROBIN
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def choose(self, rng: random.Random, ranked: list[int]) -> int:
-        choice = ranked[self._cursor % len(ranked)]
-        self._cursor += 1
-        return choice
-
-
 def lpt_keys(estimates: list[float]) -> list[int]:
     """LPT's rank of each instance, a permutation of ``range(d)``:
     higher for a dearer estimate and, among equal estimates, for the
@@ -100,13 +74,14 @@ def lpt_keys(estimates: list[float]) -> list[int]:
     return keys
 
 
-def make_strategy(name: str) -> ConsumptionStrategy:
-    """Instantiate a strategy by name (one instance per operation)."""
-    if name == RANDOM:
-        return RandomStrategy()
-    if name == LPT:
-        return LPTStrategy()
-    if name == ROUND_ROBIN:
-        return RoundRobinStrategy()
-    raise ExecutionError(f"unknown consumption strategy {name!r}; "
-                         f"expected one of {STRATEGIES}")
+_SHARED = {RANDOM: RandomStrategy(), LPT: LPTStrategy()}
+
+
+def make_strategy(name: str) -> RandomStrategy | LPTStrategy:
+    """The strategy named *name* (one instance shared by every
+    operation)."""
+    try:
+        return _SHARED[name]
+    except KeyError:
+        raise ExecutionError(f"unknown consumption strategy {name!r}; "
+                             f"expected one of {STRATEGIES}") from None

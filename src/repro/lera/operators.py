@@ -29,8 +29,7 @@ from repro.storage.schema import Schema
 #: Join algorithms understood by the engine.
 JOIN_NESTED_LOOP = "nested_loop"
 JOIN_TEMP_INDEX = "temp_index"
-JOIN_HASH = "hash"
-JOIN_ALGORITHMS = (JOIN_NESTED_LOOP, JOIN_TEMP_INDEX, JOIN_HASH)
+JOIN_ALGORITHMS = (JOIN_NESTED_LOOP, JOIN_TEMP_INDEX)
 
 _ROWS = attrgetter("rows")
 
@@ -121,8 +120,8 @@ class JoinSpec(OperatorSpec):
     """Triggered join of two co-partitioned relations (IdealJoin's join).
 
     Instance ``i`` joins ``outer_fragments[i]`` with
-    ``inner_fragments[i]``.  ``algorithm`` selects nested loop, temp
-    (sorted) index built on the fly on the *outer* side, or hash join.
+    ``inner_fragments[i]``.  ``algorithm`` selects nested loop or a
+    temp (sorted) index built on the fly on the *outer* side.
 
     ``grain`` implements the paper's future-work proposal of choosing
     the grain of parallelism independently of operator semantics: each
@@ -489,18 +488,13 @@ def _join_instance_estimate(costs: CostModel, algorithm: str,
     """Estimated cost of joining an (outer, inner) fragment pair."""
     if algorithm == JOIN_NESTED_LOOP:
         return costs.nested_loop_cost(outer, inner, matches=0)
-    if algorithm == JOIN_TEMP_INDEX:
-        build = costs.index_build_cost(outer)
-        probe = inner * costs.index_probe_cost(max(outer, 1), matches=0)
-        return build + probe
-    # Hash join: linear build on outer, linear probe with inner.
-    return (outer + inner) * costs.index_compare
+    build = costs.index_build_cost(outer)
+    probe = inner * costs.index_probe_cost(max(outer, 1), matches=0)
+    return build + probe
 
 
 def _probe_estimate(costs: CostModel, algorithm: str, stored: int) -> float:
     """Estimated cost of probing one stored fragment with one tuple."""
     if algorithm == JOIN_NESTED_LOOP:
         return stored * costs.tuple_pair
-    if algorithm == JOIN_TEMP_INDEX:
-        return costs.index_probe_cost(max(stored, 1), matches=0)
-    return costs.index_compare
+    return costs.index_probe_cost(max(stored, 1), matches=0)

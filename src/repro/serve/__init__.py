@@ -7,8 +7,8 @@ Two halves:
   byte-reproducible per seed.
 * :mod:`repro.serve.policies` — the :class:`ServingPolicy`
   configuration block and the pluggable admission policies (FIFO,
-  priority classes, weighted fair share, deadline-aware EDF) with
-  their bounded, indexed wait queues.
+  priority classes, deadline-aware EDF) with their bounded, indexed
+  wait queues.
 
 :mod:`repro.serve.harness` glues them to the workload engine: query
 templates, submission generation, the decision log and the serving
@@ -30,7 +30,6 @@ from repro.serve.policies import (
     POLICIES,
     AdmissionPolicy,
     EdfPolicy,
-    FairSharePolicy,
     FifoPolicy,
     PriorityPolicy,
     ServingPolicy,
@@ -60,7 +59,6 @@ __all__ = [
     "ArrivalProcess",
     "DiurnalArrivals",
     "EdfPolicy",
-    "FairSharePolicy",
     "FifoPolicy",
     "MMPPArrivals",
     "POLICIES",

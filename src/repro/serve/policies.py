@@ -25,9 +25,6 @@ Policies (names in :data:`POLICIES`):
 * ``fifo`` — arrival order, head-or-nobody (the legacy discipline).
 * ``priority`` — strict priority classes, FIFO within a class; the
   overflow victim is the lowest-priority, youngest waiter.
-* ``fair_share`` — equal fair share across tenants: the tenant with
-  the least admitted work goes next; the overflow victim comes from
-  the most over-share tenant.
 * ``edf`` — earliest deadline first, using the timeout machinery's
   per-query deadlines; provably deadline-infeasible waiters (the
   sequential start-up alone already overruns the deadline) are shed
@@ -51,9 +48,8 @@ from repro.errors import WorkloadError
 #: Policy names, in documentation order.
 POLICY_FIFO = "fifo"
 POLICY_PRIORITY = "priority"
-POLICY_FAIR_SHARE = "fair_share"
 POLICY_EDF = "edf"
-POLICIES = (POLICY_FIFO, POLICY_PRIORITY, POLICY_FAIR_SHARE, POLICY_EDF)
+POLICIES = (POLICY_FIFO, POLICY_PRIORITY, POLICY_EDF)
 
 #: Shed reasons stamped on ``query.reject`` events and the
 #: ``queries_shed_total`` counter.
@@ -111,12 +107,11 @@ def _deadline_of(job) -> float:
 class AdmissionPolicy:
     """One run's wait queue + admission/shed ordering (mutable).
 
-    The engine talks to it through six operations — ``push`` (a query
+    The engine talks to it through five operations — ``push`` (a query
     arrived), ``peek`` (who would be admitted next), ``pop`` (it was
-    admitted or shed), ``remove`` (withdrawn by cancellation),
-    ``victim`` (who to shed on queue overflow) and ``on_admit``
-    (bookkeeping for fairness state).  ``jobs()`` lists the live
-    waiters in arrival order for audits and reports.
+    admitted or shed), ``remove`` (withdrawn by cancellation) and
+    ``victim`` (who to shed on queue overflow).  ``jobs()`` lists the
+    live waiters in arrival order for audits and reports.
     """
 
     name = "policy"
@@ -142,9 +137,6 @@ class AdmissionPolicy:
         """Who to shed when the bounded queue overflows (never
         ``None`` while the queue is non-empty)."""
         raise NotImplementedError
-
-    def on_admit(self, job) -> None:
-        """Bookkeeping hook: *job* was admitted to the machine."""
 
     def jobs(self) -> list:
         """Live waiting jobs, in arrival order."""
@@ -313,73 +305,6 @@ class EdfPolicy(_HeapPolicy):
         return self._shed_heap[0][-1] if self._shed_heap else None
 
 
-class FairSharePolicy(AdmissionPolicy):
-    """Equal fair share across tenants.
-
-    Per-tenant FIFO queues plus a cumulative admitted-work tally; the
-    next candidate is the head of the queue of the tenant with the
-    least admitted work (ties break on the tenant name).
-    The overflow victim is the *youngest* waiter of the most
-    over-share tenant — overload cannot starve a light tenant because
-    a heavy one keeps arriving.
-    """
-
-    name = POLICY_FAIR_SHARE
-
-    def __init__(self) -> None:
-        self._queues: dict[str, deque] = {}
-        self._admitted_work: dict[str, float] = {}
-        self._count = 0
-
-    def _share(self, tenant: str) -> float:
-        return self._admitted_work.get(tenant, 0.0)
-
-    def push(self, job) -> None:
-        self._queues.setdefault(job.tenant, deque()).append(job)
-        self._count += 1
-
-    def _pick_tenant(self, reverse: bool = False) -> str | None:
-        live = [t for t, q in self._queues.items() if q]
-        if not live:
-            return None
-        if reverse:
-            return max(live, key=lambda t: (self._share(t), t))
-        return min(live, key=lambda t: (self._share(t), t))
-
-    def peek(self):
-        tenant = self._pick_tenant()
-        return self._queues[tenant][0] if tenant is not None else None
-
-    def pop(self, job) -> None:
-        queue = self._queues.get(job.tenant)
-        if not queue:
-            raise WorkloadError(
-                f"cannot pop {job.tag!r}: not in the wait queue")
-        if queue[0] is job:
-            queue.popleft()
-        elif queue[-1] is job:
-            queue.pop()
-        else:
-            queue.remove(job)
-        self._count -= 1
-
-    def victim(self, now: float):
-        tenant = self._pick_tenant(reverse=True)
-        return self._queues[tenant][-1] if tenant is not None else None
-
-    def on_admit(self, job) -> None:
-        self._admitted_work[job.tenant] = (
-            self._admitted_work.get(job.tenant, 0.0) + job.complexity)
-
-    def jobs(self) -> list:
-        out = [job for queue in self._queues.values() for job in queue]
-        out.sort(key=lambda job: job.order)
-        return out
-
-    def __len__(self) -> int:
-        return self._count
-
-
 def make_admission_policy(serving: ServingPolicy | None) -> AdmissionPolicy:
     """The runtime wait queue for one workload run.
 
@@ -393,8 +318,6 @@ def make_admission_policy(serving: ServingPolicy | None) -> AdmissionPolicy:
         return PriorityPolicy()
     if serving.policy == POLICY_EDF:
         return EdfPolicy()
-    if serving.policy == POLICY_FAIR_SHARE:
-        return FairSharePolicy()
     raise WorkloadError(f"unknown admission policy {serving.policy!r}")
 
 

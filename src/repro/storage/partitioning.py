@@ -4,9 +4,8 @@ Relations are partitioned by hashing one or more attributes.  In the
 paper fragments are then placed on disks round-robin, so the *degree
 of partitioning* is independent of the number of disks (Section 2);
 the runs are memory-resident, so placement is not modelled here.
-Co-partitioning of two relations (same key domain, same degree, same
-method) is what lets the compiler emit an IdealJoin instead of an
-AssocJoin.
+Co-partitioning of two relations (same key domain, same degree) is
+what lets the compiler emit an IdealJoin instead of an AssocJoin.
 """
 
 from __future__ import annotations
@@ -23,24 +22,21 @@ from repro.storage.tuples import Row, stable_hash
 class PartitioningSpec:
     """Describes how a relation is (or should be) partitioned.
 
+    Always hash partitioning, matching the paper's storage model.
+
     Attributes:
         keys: Attribute names hashed to pick the fragment.
         degree: Number of fragments produced.
-        method: Partitioning method; only ``"hash"`` is implemented,
-            matching the paper's storage model.
     """
 
     keys: tuple[str, ...]
     degree: int
-    method: str = "hash"
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise PartitioningError(f"degree must be >= 1, got {self.degree}")
         if not self.keys:
             raise PartitioningError("at least one partitioning key is required")
-        if self.method != "hash":
-            raise PartitioningError(f"unsupported partitioning method {self.method!r}")
 
     @classmethod
     def on(cls, key: str, degree: int) -> "PartitioningSpec":
@@ -50,13 +46,12 @@ class PartitioningSpec:
     def compatible_with(self, other: "PartitioningSpec") -> bool:
         """True when two partitionings place equal keys in equal fragments.
 
-        Compatibility requires the same method and degree; keys may
-        have different *names* (each relation names its own join
-        attribute) but must be single-key-for-single-key, since
-        multi-key hashing mixes values.
+        Compatibility requires the same degree; keys may have
+        different *names* (each relation names its own join attribute)
+        but must be single-key-for-single-key, since multi-key hashing
+        mixes values.
         """
-        return (self.method == other.method
-                and self.degree == other.degree
+        return (self.degree == other.degree
                 and len(self.keys) == len(other.keys))
 
 

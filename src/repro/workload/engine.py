@@ -154,8 +154,9 @@ class QuerySubmission:
         priority: Serving priority class (higher is more important);
             read by the ``priority`` admission policy and the
             per-class latency labels.  Ignored without ``serving``.
-        tenant: Serving tenant name; read by the ``fair_share``
-            admission policy.  Ignored without ``serving``.
+        tenant: Serving tenant name; labels the per-tenant latency
+            tails (:mod:`repro.workload.consumers`).  Ignored without
+            ``serving``.
     """
 
     tag: str
@@ -1039,7 +1040,6 @@ class _WorkloadRun:
                     f"query {job.tag!r} would interleave Store targets with a "
                     f"running execution of its plan; build one plan per query")
             self.queue.pop(job)
-            self.queue.on_admit(job)
             job.materialize(self.executor, self.sharing if shared else None,
                             folds, footprint, now)
             if shared:

@@ -190,7 +190,8 @@ class TestDirected:
         twin = Twin()
         warm = twin.cold()
         sql = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
-        for algorithm in ("nested_loop", "hash", "nested_loop", "hash"):
+        for algorithm in ("nested_loop", "temp_index", "nested_loop",
+                          "temp_index"):
             check(warm, twin, sql, algorithm=algorithm)
         assert len(templates(warm)) == 2
 

@@ -14,7 +14,6 @@ from repro.engine.dbfuncs import (
 from repro.errors import ExecutionError
 from repro.lera.activation import DATA, Activation, trigger
 from repro.lera.operators import (
-    JOIN_HASH,
     JOIN_NESTED_LOOP,
     JOIN_TEMP_INDEX,
     JoinSpec,
@@ -74,8 +73,7 @@ class TestJoinFunc:
         spec = JoinSpec(outer, inner, "key", "key", algorithm=algorithm)
         return JoinFunc(spec, DEFAULT_COSTS)
 
-    @pytest.mark.parametrize("algorithm", [JOIN_NESTED_LOOP, JOIN_TEMP_INDEX,
-                                           JOIN_HASH])
+    @pytest.mark.parametrize("algorithm", [JOIN_NESTED_LOOP, JOIN_TEMP_INDEX])
     def test_same_matches_every_algorithm(self, algorithm):
         result = self._func(algorithm).process(0, trigger(0), _ctx())
         assert sorted(result.emitted) == [(8, 2, 8, 100), (8, 2, 8, 101)]
@@ -99,7 +97,8 @@ class TestJoinFunc:
 
     def test_rejects_data_activation(self):
         with pytest.raises(ExecutionError):
-            self._func(JOIN_HASH).process(0, Activation(DATA, 0, (1, 1)), _ctx())
+            self._func(JOIN_NESTED_LOOP).process(
+                0, Activation(DATA, 0, (1, 1)), _ctx())
 
 
 class TestTransmitFunc:
@@ -125,8 +124,7 @@ class TestPipelinedJoinFunc:
                                  algorithm=algorithm, stream_cardinality=10)
         return PipelinedJoinFunc(spec, DEFAULT_COSTS)
 
-    @pytest.mark.parametrize("algorithm", [JOIN_NESTED_LOOP, JOIN_TEMP_INDEX,
-                                           JOIN_HASH])
+    @pytest.mark.parametrize("algorithm", [JOIN_NESTED_LOOP, JOIN_TEMP_INDEX])
     def test_probe_matches(self, algorithm):
         result = self._func(algorithm).process(
             0, Activation(DATA, 0, (4, 100)), _ctx())

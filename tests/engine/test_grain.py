@@ -13,7 +13,7 @@ from repro.bench.workloads import make_join_database
 from repro.engine.executor import Executor, QuerySchedule
 from repro.errors import PlanError
 from repro.lera.activation import CONTROL, chunk_trigger
-from repro.lera.operators import JOIN_HASH, JOIN_NESTED_LOOP, JOIN_TEMP_INDEX
+from repro.lera.operators import JOIN_NESTED_LOOP, JOIN_TEMP_INDEX
 from repro.lera.plans import ideal_join_plan
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.machine import Machine
@@ -83,8 +83,7 @@ class TestEstimates:
 
 
 class TestExecution:
-    @pytest.mark.parametrize("algorithm", [JOIN_NESTED_LOOP, JOIN_TEMP_INDEX,
-                                           JOIN_HASH])
+    @pytest.mark.parametrize("algorithm", [JOIN_NESTED_LOOP, JOIN_TEMP_INDEX])
     def test_results_identical_to_unchunked(self, algorithm):
         database = make_join_database(1000, 100, degree=10, theta=0.7)
         plain = _run(database, 4, grain=1, algorithm=algorithm)

@@ -4,8 +4,8 @@ The index replaces the simulator's O(d) per-step scan; every test here
 checks it against a straight reimplementation of that scan, including
 a randomized enqueue/dequeue/query fuzz over drifting thread clocks
 that compares each strategy's pick from the index's ranked candidates
-with the pick the old strategies (sort and draw, ``max``, sort and
-rotate) made from the scan's.
+with the pick the old strategies (sort and draw, ``max``) made from
+the scan's.
 """
 
 import random
@@ -18,7 +18,7 @@ from repro.engine.operation import (
     OperationRuntime,
 )
 from repro.engine.ready_index import ReadyIndex
-from repro.engine.strategies import RoundRobinStrategy, make_strategy
+from repro.engine.strategies import make_strategy
 from repro.lera.activation import DATA, Activation, trigger
 from repro.lera.graph import LeraNode
 from repro.lera.operators import ScanFilterSpec
@@ -135,7 +135,7 @@ class TestSelection:
         assert not used_secondary
         _assert_matches_scan(operation, 2.0)
         # A positional strategy picks from the ranked list as it is.
-        assert RoundRobinStrategy().choose(random.Random(0), ready) == 0
+        assert operation.strategy.choose(random.Random(0), ready) in ready
         assert ready == [0, 6, 9]
 
     def test_lpt_ranks_by_cost(self):
@@ -329,26 +329,18 @@ class TestGate:
 
 # -- the old strategies over the scan's candidates, restated as the oracle ---
 
-def _old_random(state, rng, ready, keys):
+def _old_random(rng, ready, keys):
     if len(ready) == 1:
         return ready[0]
     ready.sort()
     return ready[rng.randrange(len(ready))]
 
 
-def _old_lpt(state, rng, ready, keys):
+def _old_lpt(rng, ready, keys):
     return max(ready, key=keys.__getitem__)
 
 
-def _old_round_robin(state, rng, ready, keys):
-    ready.sort()
-    choice = ready[state["cursor"] % len(ready)]
-    state["cursor"] += 1
-    return choice
-
-
-OLD_CHOICE = {"random": _old_random, "lpt": _old_lpt,
-              "round_robin": _old_round_robin}
+OLD_CHOICE = {"random": _old_random, "lpt": _old_lpt}
 
 
 def _fuzz(strategy, allow_secondary, seed):
@@ -365,7 +357,6 @@ def _fuzz(strategy, allow_secondary, seed):
     index = operation.ready_index
     queues = operation.queues
     pick_rng, old_rng = random.Random(seed), random.Random(seed)
-    old_state = {"cursor": 0}
     seen = dict.fromkeys(("lone", "several", "secondary", "filtered",
                           "helper", "stale", "duplicate"), 0)
 
@@ -375,7 +366,7 @@ def _fuzz(strategy, allow_secondary, seed):
                                          else thread.pool_index] > now
         seen["secondary"] += secondary
         seen["lone" if len(want_ready) == 1 else "several"] += 1
-        want = OLD_CHOICE[strategy](old_state, old_rng, list(want_ready),
+        want = OLD_CHOICE[strategy](old_rng, list(want_ready),
                                     operation.lpt_keys)
         where = f"{strategy}: thread {thread.pool_index} @ {now}"
         assert operation.strategy.choose(pick_rng, ready) == want, where
@@ -422,8 +413,7 @@ class TestFuzzAgainstScan:
         _assert_corners(_fuzz("random", True, seed=20250805), True)
 
     @pytest.mark.parametrize("strategy, allow_secondary", [
-        ("random", False), ("lpt", True), ("lpt", False),
-        ("round_robin", True), ("round_robin", False)])
+        ("random", False), ("lpt", True), ("lpt", False)])
     def test_each_pick_is_the_scans(self, strategy, allow_secondary):
         _assert_corners(_fuzz(strategy, allow_secondary, seed=20251019),
                         allow_secondary)

@@ -1,4 +1,4 @@
-"""Consumption strategies: Random, LPT, RoundRobin.
+"""Consumption strategies: Random and LPT.
 
 A strategy picks an instance id by position from the ready ids
 selection found, handed over sorted by the strategy's rank (the id, or
@@ -18,7 +18,6 @@ from repro.engine.queues import ActivationQueue
 from repro.engine.strategies import (
     LPTStrategy,
     RandomStrategy,
-    RoundRobinStrategy,
     lpt_keys,
     make_strategy,
 )
@@ -111,14 +110,6 @@ class TestLPTStrategy:
         assert order == [1, 2, 0, 3]
 
 
-class TestRoundRobinStrategy:
-    def test_rotates(self):
-        strategy = RoundRobinStrategy()
-        rng = random.Random(0)
-        picks = [strategy.choose(rng, [0, 1, 2]) for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
-
 class TestLptKeys:
     def test_dearer_ranks_higher_and_ties_go_to_the_lower_instance(self):
         assert lpt_keys([2.0, 8.0, 2.0, 8.0]) == [1, 3, 0, 2]
@@ -128,10 +119,10 @@ class TestFactory:
     @pytest.mark.parametrize("name,cls", [
         ("random", RandomStrategy),
         ("lpt", LPTStrategy),
-        ("round_robin", RoundRobinStrategy),
     ])
     def test_builds_by_name(self, name, cls):
         assert isinstance(make_strategy(name), cls)
+        assert make_strategy(name) is make_strategy(name)    # stateless
 
     def test_unknown_rejected(self):
         with pytest.raises(ExecutionError):
@@ -140,26 +131,19 @@ class TestFactory:
 
 # -- the queue-list strategies, restated as the oracle -------------------------
 
-def _oracle_random(state, rng, candidates):
+def _oracle_random(rng, candidates):
     if len(candidates) == 1:
         return candidates[0]
     return candidates[rng.randrange(len(candidates))]
 
 
-def _oracle_lpt(state, rng, candidates):
+def _oracle_lpt(rng, candidates):
     return max(candidates, key=lambda q: (q.cost_estimate, -q.instance))
-
-
-def _oracle_round_robin(state, rng, candidates):
-    choice = candidates[state["cursor"] % len(candidates)]
-    state["cursor"] += 1
-    return choice
 
 
 ORACLES = {
     "random": _oracle_random,
     "lpt": _oracle_lpt,
-    "round_robin": _oracle_round_robin,
 }
 
 
@@ -185,11 +169,11 @@ def test_id_choice_matches_the_queue_list_choice(name, picks, seed):
               for i, e in enumerate(estimates)]
     keys = lpt_keys(estimates)
     strategy = make_strategy(name)
-    oracle, oracle_state = ORACLES[name], {"cursor": 0}
+    oracle = ORACLES[name]
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     for ready in steps:
         # The scan's candidate list: queue objects in instance order.
         candidates = [queues[i] for i in sorted(ready)]
-        want = oracle(oracle_state, oracle_rng, candidates).instance
+        want = oracle(oracle_rng, candidates).instance
         assert strategy.choose(rng, _ranked(strategy, ready, keys)) == want
         assert rng.getstate() == oracle_rng.getstate()

@@ -43,6 +43,18 @@
   sit in :data:`PARAMETERS_WITHOUT_CALLER`, each with one of
   :data:`PARAMETER_REASONS` and the test that passes it; a listed
   parameter that gains a caller must leave.
+* **Every value has a setter.**  A value of a domain an option or plan
+  field validates against (:data:`VALUE_DOMAINS`) exists only if it is
+  the field's default or a module under :data:`REFERENCE_DIRS` other
+  than its own binds it: passes its constant to a call, defaults a
+  parameter to it, iterates over it or assigns it, or binds the literal
+  string to one of the names the table gives for its field.  A literal
+  bound to another name (``kind="hash"`` is an index kind) does not
+  count, nor does a comparison, an import or passing the whole domain
+  on (``choices=POLICIES`` lets a user pick a value nobody picked).
+  The values that stay without one sit in
+  :data:`VALUES_WITHOUT_CALLER`, each with its reason and the test that
+  runs it; a listed value that gains a setter must leave.
 """
 
 import ast
@@ -166,6 +178,36 @@ PARAMETERS_WITHOUT_CALLER = {
 }
 
 
+#: ``"module:DOMAIN" -> (fields, names)``: each tuple of values a field
+#: of an option block or a plan spec is validated against, the fields,
+#: and the names a literal value binds to when it sets them (a keyword,
+#: a parameter, a loop variable or an assignment target).
+VALUE_DOMAINS = {
+    "engine/strategies.py:STRATEGIES": (
+        ("OperationSchedule.strategy",), ("strategy",)),
+    "engine/executor.py:PLACEMENTS": (
+        ("ExecutionOptions.placement",), ("placement",)),
+    "serve/policies.py:POLICIES": (("ServingPolicy.policy",), ("policy",)),
+    "workload/options.py:POLICIES": (
+        ("WorkloadOptions.scheduling",), ("scheduling", "policy")),
+    "lera/operators.py:JOIN_ALGORITHMS": (
+        ("JoinSpec.algorithm", "PipelinedJoinSpec.algorithm"),
+        ("algorithm",)),
+}
+
+#: ``"module:CONSTANT" -> (reason, behaviour test)``: every domain value
+#: nothing outside the tests sets, why it stays, and the test that runs
+#: it.
+VALUES_WITHOUT_CALLER: dict[str, tuple[str, str]] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _tree(text: str) -> ast.Module:
+    """*text* parsed once: every census walks the same tree (and none
+    changes it)."""
+    return ast.parse(text)
+
+
 @functools.lru_cache(maxsize=None)
 def _package() -> dict[str, str]:
     """Module path (relative to ``src/repro``) -> source text."""
@@ -185,23 +227,32 @@ def _callers() -> dict[str, str]:
 def id_key_sites(sources: dict[str, str]) -> dict[tuple[str, str], list[int]]:
     """``(module, enclosing function)`` -> lines of its ``id(...)`` calls."""
     sites: dict[tuple[str, str], list[int]] = {}
+    for module, text in sources.items():
+        for scope, line in _id_calls(text):
+            sites.setdefault((module, scope), []).append(line)
+    return sites
 
-    def walk(module, node, scope):
+
+@functools.lru_cache(maxsize=None)
+def _id_calls(text: str) -> tuple[tuple[str, int], ...]:
+    """``(enclosing function, line)`` of every ``id(...)`` call in
+    *text*."""
+    found = []
+
+    def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                walk(module, child, scope + (child.name,))
+                walk(child, scope + (child.name,))
                 continue
             if (isinstance(child, ast.Call)
                     and isinstance(child.func, ast.Name)
                     and child.func.id == "id"):
-                site = (module, ".".join(scope) or "<module>")
-                sites.setdefault(site, []).append(child.lineno)
-            walk(module, child, scope)
+                found.append((".".join(scope) or "<module>", child.lineno))
+            walk(child, scope)
 
-    for module, text in sources.items():
-        walk(module, ast.parse(text), ())
-    return sites
+    walk(_tree(text), ())
+    return tuple(found)
 
 
 def id_key_violations(sources: dict[str, str]) -> list[str]:
@@ -217,18 +268,8 @@ def id_key_violations(sources: dict[str, str]) -> list[str]:
 
 def simulator_builders(sources: dict[str, str]) -> set[str]:
     """Modules that construct a ``Simulator``."""
-    builders = set()
-    for module, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None)
-            if name == "Simulator":
-                builders.add(module)
-    return builders
+    return {module for module, text in sources.items()
+            if any(callee == "Simulator" for callee, *_ in _calls(text))}
 
 
 def defaulted(sources: dict[str, str]
@@ -240,15 +281,22 @@ def defaulted(sources: dict[str, str]
     *position* is the parameter's index among the positional arguments
     a call passes (``self`` / ``cls`` not counted), ``None`` for a
     keyword-only one."""
-    found = {}
+    return {key: entry for module, text in sources.items()
+            for key, entry in _defaulted(module, text)}
 
-    def walk(module, node, cls):
+
+@functools.lru_cache(maxsize=None)
+def _defaulted(module: str, text: str) -> tuple[tuple[str, tuple], ...]:
+    """:func:`defaulted`'s entries for one module."""
+    found = []
+
+    def walk(node, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                walk(module, child, child.name)
+                walk(child, child.name)
                 continue
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(module, child, cls)
+                walk(child, cls)
                 continue
             if cls and child.name == "__init__":
                 callee = function = cls
@@ -266,14 +314,13 @@ def defaulted(sources: dict[str, str]
             params += [(arg.arg, None) for arg, default
                        in zip(args.kwonlyargs, args.kw_defaults)
                        if default is not None]
-            for name, position in params:
-                found[f"{module}:{function}({name})"] = (
-                    callee, child.lineno, name, position)
-            walk(module, child, None)
+            found.extend((f"{module}:{function}({name})",
+                          (callee, child.lineno, name, position))
+                         for name, position in params)
+            walk(child, None)
 
-    for module, text in sources.items():
-        walk(module, ast.parse(text), None)
-    return found
+    walk(_tree(text), None)
+    return tuple(found)
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,28 +347,30 @@ def _outside_references() -> Counter:
     return outside_references(_modules())
 
 
-def _tokens(text: str) -> list[str]:
-    return re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
+@functools.lru_cache(maxsize=None)
+def _tokens(text: str) -> tuple[str, ...]:
+    return tuple(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
 
 
-def _definitions(tree: ast.Module):
-    """``(name, line)`` of every function and class in *tree* (dunder
+@functools.lru_cache(maxsize=None)
+def _definitions(text: str) -> tuple[tuple[str, int], ...]:
+    """``(name, line)`` of every function and class in *text* (dunder
     methods are called by the language) and of every module-level
     ``UPPER_CASE`` assignment."""
-    for node in ast.walk(tree):
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef))
-                and not (node.name.startswith("__")
-                         and node.name.endswith("__"))):
-            yield node.name, node.lineno
+    tree = _tree(text)
+    found = [(node.name, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+             and not (node.name.startswith("__")
+                      and node.name.endswith("__"))]
     for node in tree.body:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign)
                    else [])
-        for target in targets:
-            if (isinstance(target, ast.Name)
-                    and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)):
-                yield target.id, node.lineno
+        found += [(target.id, node.lineno) for target in targets
+                  if isinstance(target, ast.Name)
+                  and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)]
+    return tuple(found)
 
 
 def _re_exports(tree: ast.Module):
@@ -347,11 +396,10 @@ def unreferenced(sources: dict[str, str], outside: Counter) -> list[str]:
     words = Counter(outside)
     definitions: dict[str, list[tuple[str, int]]] = {}
     for module, text in sources.items():
-        tree = ast.parse(text)
         words.update(_tokens(text))
         if module.endswith("__init__.py"):
-            words.subtract(_re_exports(tree))
-        for name, line in _definitions(tree):
+            words.subtract(_re_exports(_tree(text)))
+        for name, line in _definitions(text):
             definitions.setdefault(name, []).append((module, line))
     uncalled = [(f"{module}:{name}",
                  f"{module}:{line}: {name} is defined but never referenced")
@@ -374,7 +422,7 @@ def option_fields(sources: dict[str, str]) -> dict[str, list[str]]:
     """Option block -> its fields, in declaration order."""
     fields = {}
     for module, names in OPTION_BLOCKS.items():
-        for node in ast.parse(sources[module]).body:
+        for node in _tree(sources[module]).body:
             if isinstance(node, ast.ClassDef) and node.name in names:
                 fields[node.name] = [
                     item.target.id for item in node.body
@@ -411,7 +459,7 @@ def _calls(text: str) -> tuple[tuple[str | None, int, tuple[str, ...], bool],
     ``**``.  ``functools.partial(f, ...)`` is a call of ``f`` with the
     remaining arguments."""
     calls = []
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(_tree(text)):
         if isinstance(node, ast.Call):
             func, args = node.func, node.args
             if _name(func) == "partial" and args:
@@ -447,12 +495,14 @@ def census_violations(fields: dict[str, list[str]],
 
 
 def reference_texts(sources: dict[str, str],
-                    modules: dict[str, str]) -> tuple[str, ...]:
-    """The package *sources* and the *modules* (:func:`_modules`' shape)
-    under :data:`REFERENCE_DIRS`: where a caller may pass a parameter."""
-    return tuple(sources.values()) + tuple(
-        text for path, text in modules.items()
-        if path.split("/")[0] in REFERENCE_DIRS)
+                    modules: dict[str, str]) -> dict[str, str]:
+    """Path (relative to the repo) -> source text of the package
+    *sources* and the *modules* (:func:`_modules`' shape) under
+    :data:`REFERENCE_DIRS`: where a caller may pass a parameter or set
+    a value."""
+    return {f"src/repro/{module}": text for module, text in sources.items()
+            } | {path: text for path, text in modules.items()
+                 if path.split("/")[0] in REFERENCE_DIRS}
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,7 +511,7 @@ def _partial_aliases(text: str) -> tuple[tuple[str, str, int], ...]:
     functools.partial(callee, ...)`` in *text*: a call of the alias
     is a call of the callee after that many positional arguments."""
     aliases = []
-    for node in ast.parse(text).body:
+    for node in _tree(text).body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
                 and isinstance(node.value, ast.Call)
@@ -489,7 +539,7 @@ def _handoffs(text: str) -> tuple[tuple[str, str | None, int | str], ...]:
     call of *callee*, or (*callee* ``None``) assigned to the attribute
     named *slot*."""
     found = []
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(_tree(text)):
         if isinstance(node, ast.Call) and _name(node.func) != "partial":
             callee = _name(node.func)
             found += [(arg.attr, callee, position)
@@ -553,7 +603,7 @@ def _stores(text: str) -> tuple[tuple[str, int | str, str], ...]:
                                           attribute))
             walk(child, None)
 
-    walk(ast.parse(text), None)
+    walk(_tree(text), None)
     return tuple(found)
 
 
@@ -565,7 +615,7 @@ def _loop_calls(text: str) -> tuple[tuple[str, int, tuple[str, ...], bool],
     in self._hooks.get(k, ()): hook(now)`` calls what ``_hooks``
     holds."""
     found = []
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(_tree(text)):
         if not (isinstance(node, ast.For)
                 and isinstance(node.target, ast.Name)):
             continue
@@ -616,7 +666,7 @@ def callback_calls(sources: dict[str, str], texts: tuple[str, ...],
 
 
 def uncalled_parameters(sources: dict[str, str],
-                        texts: tuple[str, ...]) -> list[str]:
+                        texts: dict[str, str]) -> list[str]:
     """Defaulted parameters of *sources* (:func:`defaulted`) that no
     call in *texts* passes and no reason covers; then listed
     parameters that have a caller (or no longer exist).
@@ -625,6 +675,7 @@ def uncalled_parameters(sources: dict[str, str],
     (or is a stored value the function was handed on as:
     :func:`callback_calls`) and it names the parameter as a keyword,
     reaches its position, or spreads ``*`` / ``**``."""
+    texts = tuple(texts.values())
     aliases = {alias: (callee, offset) for text in texts
                for alias, callee, offset in _partial_aliases(text)}
     calls: dict[str | None, list[tuple[int, tuple[str, ...], bool]]] = {}
@@ -653,6 +704,192 @@ def uncalled_parameters(sources: dict[str, str],
              for key in PARAMETERS_WITHOUT_CALLER
              if key in passed or key not in params]
     return unlisted + stale
+
+
+def domain_values(sources: dict[str, str]
+                  ) -> dict[str, dict[str, tuple[str, int]]]:
+    """``"module:DOMAIN"`` -> ``{constant: (value, line)}`` of each
+    :data:`VALUE_DOMAINS` tuple, in the tuple's order."""
+    domains = {}
+    for key in VALUE_DOMAINS:
+        module, domain = key.split(":")
+        body = _tree(sources[module]).body
+        strings = {target.id: (node.value.value, node.lineno)
+                   for node in body if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Constant)
+                   for target in node.targets
+                   if isinstance(target, ast.Name)}
+        for node in body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == domain
+                            for target in node.targets)):
+                domains[key] = {element.id: strings[element.id]
+                                for element in node.value.elts}
+    return domains
+
+
+@functools.lru_cache(maxsize=None)
+def _signatures(text: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """``(callee, parameters)`` of every ``def`` in *text*: the names a
+    call's positional arguments bind to (``self`` / ``cls`` dropped;
+    ``__init__`` under its class name)."""
+    found = []
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, cls)
+                continue
+            names = [arg.arg for arg in child.args.posonlyargs
+                     + child.args.args]
+            if cls and not any(getattr(decorator, "id", None)
+                               == "staticmethod"
+                               for decorator in child.decorator_list):
+                names = names[1:]
+            found.append((cls if cls and child.name == "__init__"
+                          else child.name, tuple(names)))
+            walk(child, None)
+
+    walk(_tree(text), None)
+    return tuple(found)
+
+
+def _binding(child: ast.AST, parent: ast.AST):
+    """What *child* binds to inside *parent*: ``(name, callee,
+    position)`` (a keyword, a defaulted parameter, a loop variable or
+    an assignment target by *name*; a positional argument by *callee*
+    and *position*), or ``None`` (a comparison, a subscript, ...)."""
+    if isinstance(parent, ast.keyword):
+        return parent.arg, None, None
+    if isinstance(parent, ast.Call) and child in parent.args:
+        func, args = parent.func, parent.args
+        if _name(func) == "partial":
+            if child is args[0]:
+                return None
+            func, args = args[0], args[1:]
+        return None, _name(func), args.index(child)
+    if isinstance(parent, ast.arguments):
+        if child in parent.kw_defaults:
+            return (parent.kwonlyargs[parent.kw_defaults.index(child)].arg,
+                    None, None)
+        positional = parent.posonlyargs + parent.args
+        first = len(positional) - len(parent.defaults)
+        return positional[first + parent.defaults.index(child)].arg, None, None
+    if isinstance(parent, (ast.For, ast.comprehension)) and child is parent.iter:
+        return getattr(parent.target, "id", None), None, None
+    if isinstance(parent, ast.Assign) and child is parent.value:
+        target = parent.targets[0]
+        return (getattr(target, "id", None) or getattr(target, "attr", None),
+                None, None)
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_values(text: str) -> tuple[tuple[str, str, tuple], ...]:
+    """``(kind, value, binding)`` for every ``UPPER_CASE`` reference
+    (*kind* ``"constant"``, *value* its name) and string literal
+    (``"literal"``) *text* binds, alone or inside a tuple, list or set
+    (*binding* as :func:`_binding` answers)."""
+    tree = _tree(text)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in parents:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            kind, value = "literal", node.value
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            kind, value = "constant", _name(node)
+            if not re.fullmatch(r"[A-Z][A-Z0-9_]*", value):
+                continue
+        else:
+            continue
+        child, parent = node, parents[node]
+        while isinstance(parent, (ast.Tuple, ast.List, ast.Set)):
+            child, parent = parent, parents[parent]
+        binding = _binding(child, parent)
+        if binding is not None:
+            found.append((kind, value, binding))
+    return tuple(found)
+
+
+def set_values(sources: dict[str, str], texts: dict[str, str]) -> set[str]:
+    """``"module:CONSTANT"`` of every domain value that is its field's
+    default in *sources* or that *texts* (:func:`reference_texts`) bind
+    outside its defining module: its constant anywhere a value binds,
+    its literal only to one of its field's names."""
+    domains = domain_values(sources)
+    by_constant, by_literal = {}, {}
+    for key, values in domains.items():
+        module = key.split(":")[0]
+        for constant, (value, _line) in values.items():
+            site = f"{module}:{constant}"
+            by_constant[constant] = site
+            by_literal.setdefault(value, []).append(
+                (site, set(VALUE_DOMAINS[key][1])))
+    fields = {field: key for key, (names, _) in VALUE_DOMAINS.items()
+              for field in names}
+    found = set()
+    for module, text in sources.items():
+        for node in _tree(text).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if not (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    continue
+                key = fields.get(f"{node.name}.{item.target.id}")
+                if key is None or item.value is None:
+                    continue
+                default = item.value
+                found.update(
+                    f"{key.split(':')[0]}:{constant}"
+                    for constant, (value, _line) in domains[key].items()
+                    if _name(default) == constant
+                    or getattr(default, "value", None) == value)
+    signatures: dict[str, list[tuple[str, ...]]] = {}
+    for text in texts.values():
+        for callee, names in _signatures(text):
+            signatures.setdefault(callee, []).append(names)
+    for path, text in texts.items():
+        for kind, value, (name, callee, position) in _bound_values(text):
+            if kind == "constant":
+                site = by_constant.get(value)
+                if site and path != f"src/repro/{site.split(':')[0]}":
+                    found.add(site)
+                continue
+            names = ({name} if callee is None else
+                     {params[position] for params in signatures.get(callee, ())
+                      if position < len(params)})
+            found.update(site for site, bound in by_literal.get(value, ())
+                         if names & bound
+                         and path != f"src/repro/{site.split(':')[0]}")
+    return found
+
+
+def value_violations(sources: dict[str, str],
+                     texts: dict[str, str]) -> list[str]:
+    """Domain values nothing sets (:func:`set_values`) and no reason
+    covers; then listed values that have a setter (or no longer
+    exist)."""
+    found = set_values(sources, texts)
+    declared = {}
+    for key, values in domain_values(sources).items():
+        module, domain = key.split(":")
+        for constant, (value, line) in values.items():
+            declared[f"{module}:{constant}"] = (
+                f"{module}:{line}: {constant} ({value!r}) of {domain} has no "
+                f"setter outside the tests and no reason in "
+                f"VALUES_WITHOUT_CALLER")
+    unset = [message for site, message in declared.items()
+             if site not in found and site not in VALUES_WITHOUT_CALLER]
+    stale = [f"VALUES_WITHOUT_CALLER entry {site} "
+             + ("has a setter now" if site in found else "names no value")
+             for site in VALUES_WITHOUT_CALLER
+             if site in found or site not in declared]
+    return unset + stale
 
 
 def test_every_identity_key_names_its_keeper():
@@ -918,3 +1155,99 @@ def test_a_callback_dispatch_that_omits_the_parameter_is_caught():
         doctored, reference_texts(doctored, _modules())) == [
         "storage/doctored.py:18: Printer.heard(loud) has no caller outside "
         "the tests and no reason in PARAMETERS_WITHOUT_CALLER"]
+
+
+def test_every_value_has_a_setter_or_a_reason():
+    assert value_violations(
+        _package(), reference_texts(_package(), _modules())) == []
+
+
+def test_every_value_without_a_setter_has_a_behaviour_test():
+    assert without_behaviour_test(VALUES_WITHOUT_CALLER) == []
+
+
+#: The placement domain with a third value, ``PLACEMENT_HOT``.
+HOT = ("engine/executor.py", "PLACEMENTS = (PLACEMENT_WARM, PLACEMENT_COLD)",
+       "PLACEMENT_HOT = \"hot\"\n"
+       "PLACEMENTS = (PLACEMENT_WARM, PLACEMENT_COLD, PLACEMENT_HOT)")
+HOT_UNSET = ["engine/executor.py:{line}: PLACEMENT_HOT ('hot') of PLACEMENTS "
+             "has no setter outside the tests and no reason in "
+             "VALUES_WITHOUT_CALLER"]
+
+
+def _hot(*callers: str) -> tuple[list[str], list[str]]:
+    """The value census with ``PLACEMENT_HOT`` added and *callers* as
+    ``perf_ledger`` modules, and what it reports when nothing sets it."""
+    module, old, new = HOT
+    sources = dict(_package())
+    sources[module] = sources[module].replace(old, new)
+    modules = {**_modules(), **{f"perf_ledger/doctored{i}.py": caller
+                                for i, caller in enumerate(callers)}}
+    line = next(number for number, text in enumerate(
+        sources[module].splitlines(), 1) if text.startswith("PLACEMENT_HOT"))
+    return (value_violations(sources, reference_texts(sources, modules)),
+            [message.format(line=line) for message in HOT_UNSET])
+
+
+def test_a_value_only_compared_against_is_caught():
+    found, unset = _hot(
+        "from repro.engine.executor import PLACEMENT_HOT\n"
+        "def hot(options):\n"
+        "    return options.placement == PLACEMENT_HOT\n")
+    assert found == unset
+
+
+def test_a_value_passed_as_a_whole_domain_is_caught():
+    found, unset = _hot(
+        "from repro.engine.executor import PLACEMENTS\n"
+        "def add(parser):\n"
+        "    parser.add_argument('--placement', choices=PLACEMENTS)\n"
+        "    for placement in PLACEMENTS:\n"
+        "        print(placement)\n")
+    assert found == unset
+
+
+def test_a_constant_passed_or_iterated_counts():
+    for caller in ("ExecutionOptions(placement=executor.PLACEMENT_HOT)",
+                   "run(database, PLACEMENT_HOT)",
+                   "[run(p) for p in (PLACEMENT_WARM, PLACEMENT_HOT)]",
+                   "def run(database, where=PLACEMENT_HOT): pass"):
+        assert _hot(caller + "\n")[0] == [], caller
+
+
+def test_a_literal_counts_only_bound_to_its_fields_name():
+    for caller in ("ExecutionOptions(placement='hot')",
+                   "def cell(machine, placement): pass\ncell(1, 'hot')",
+                   "for placement in ('warm', 'hot'):\n    print(placement)"):
+        assert _hot(caller + "\n")[0] == [], caller
+    for caller in ("build_index(rows, 0, kind='hot')",
+                   "def cell(machine, kind): pass\ncell(1, 'hot')",
+                   "print('hot')", "choices = ('warm', 'hot')"):
+        found, unset = _hot(caller + "\n")
+        assert found == unset, caller
+
+
+def test_a_hash_join_beside_the_hash_index_would_be_caught():
+    """``"hash"`` is an index ``kind`` the package passes and defaults:
+    none of that sets a join algorithm."""
+    sources = dict(_package())
+    assert any(value == "hash" and name == "kind"
+               for _kind, value, (name, _callee, _position)
+               in _bound_values(sources["storage/indexes.py"]))
+    sources["lera/operators.py"] = sources["lera/operators.py"].replace(
+        "JOIN_ALGORITHMS = (JOIN_NESTED_LOOP, JOIN_TEMP_INDEX)",
+        "JOIN_HASH = \"hash\"\n"
+        "JOIN_ALGORITHMS = (JOIN_NESTED_LOOP, JOIN_TEMP_INDEX, JOIN_HASH)")
+    found = value_violations(sources, reference_texts(sources, _modules()))
+    assert [message.split(": ", 1)[1] for message in found] == [
+        "JOIN_HASH ('hash') of JOIN_ALGORITHMS has no setter outside the "
+        "tests and no reason in VALUES_WITHOUT_CALLER"]
+
+
+def test_a_listed_value_that_gained_a_setter_is_reported_stale(monkeypatch):
+    monkeypatch.setitem(VALUES_WITHOUT_CALLER, "engine/executor.py:"
+                        "PLACEMENT_HOT", ("a third placement", "tests"))
+    assert _hot()[0] == []
+    assert _hot("ExecutionOptions(placement='hot')\n")[0] == [
+        "VALUES_WITHOUT_CALLER entry engine/executor.py:PLACEMENT_HOT has a "
+        "setter now"]

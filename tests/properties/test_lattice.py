@@ -34,7 +34,7 @@ from repro.engine.executor import (PLACEMENTS, ExecutionOptions,
                                    ObservabilityOptions, QuerySchedule)
 from repro.engine.operation import READY_INDEX_MIN_INSTANCES
 from repro.engine.simulator import Simulator
-from repro.engine.strategies import LPT, RANDOM
+from repro.engine.strategies import LPT, STRATEGIES
 from repro.errors import AdmissionError
 from repro.faults import (ActivationFaults, FaultPlan, MemoryPressure,
                           SlowdownWindow, StallWindow)  # noqa: F401
@@ -477,7 +477,7 @@ def points(draw):
     assume(allow_secondary or execution.queue_capacity is None)
     return Point(tables, tuple(queries), relation, execution, workload,
                  draw(st.integers(2, 24)), draw(st.booleans()),
-                 draw(st.sampled_from((None, RANDOM, LPT))),
+                 draw(st.sampled_from((None, *STRATEGIES))),
                  draw(_maybe(st.integers(1, 8))), allow_secondary)
 
 
@@ -625,6 +625,40 @@ FOUND = (
                             0.0028956907473355084, 0.08),))),
           processors=10, strategy=LPT, cache_size=5),
 )
+
+#: Draws the property still falsifies, one per open FOUND line of
+#: CHANGES.md.  Each test below fails until its defect is fixed; then
+#: strict ``xfail`` fails it, and the draw moves to :data:`FOUND`.
+_AB2 = "SELECT * FROM A JOIN B ON A.unique2 = B.unique1"
+SPLIT_FINISHES = Point(
+    _SMALL, (Query(_AB2, cancel_at=0.038), Query(_AB2, again=True)), "e",
+    ExecutionOptions(observability=ObservabilityOptions(observe=True)),
+    WorkloadOptions(max_concurrent=2, shared=True), processors=6,
+    allow_secondary=False)
+FINISH_BACKWARDS = Point(
+    (Table("A", 135, 0, 96), Table("B", 77, 0, 4), Table("C", 61, 0, 10)),
+    (Query(AB, threads=4, cancel_at=0.001), Query(AB, threads=4, again=True),
+     Query("SELECT * FROM B JOIN C ON B.ten = C.unique1 "
+           "WHERE B.twenty < 11.5"),
+     Query("SELECT * FROM A"), Query("SELECT * FROM A", again=True)), "d",
+    workload=WorkloadOptions(max_concurrent=2, scheduling="adaptive"),
+    processors=8)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: a host cancelled under a rider still splits the hosted "
+    "operator's thread.finish events across two streams (ROADMAP 1a)"))
+def test_a_host_cancelled_under_a_rider_keeps_one_finish_stream():
+    check(SPLIT_FINISHES)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: the lattice property lets a finish-order defect through "
+    "when no arrival or deadline is involved (a query.finish goes "
+    "backwards)"))
+def test_query_finishes_never_go_backwards():
+    check(FINISH_BACKWARDS)
+
 
 #: What the property must reach over the tier-1 example set.
 CORNERS = {"index", "scan", "sliced", "ksr1", "lpt", "blocked", "regrant",

@@ -1,9 +1,9 @@
 """Admission policies: ordering, victims, and the indexed queues.
 
 The policies only ever read a job's ``tag`` / ``order`` / ``arrival``
-/ ``priority`` / ``tenant`` / ``deadline`` / ``startup`` /
-``complexity`` attributes, so a small stub stands in for the engine's
-``_QueryJob`` and the tests exercise the queue structures directly:
+/ ``priority`` / ``deadline`` / ``startup`` attributes, so a small
+stub stands in for the engine's ``_QueryJob`` and the tests exercise
+the queue structures directly:
 admission order, overflow-victim choice, lazy deletion, and the
 errors for popping what was never pushed.
 """
@@ -17,7 +17,6 @@ from repro.errors import WorkloadError
 from repro.serve.policies import (
     POLICIES,
     EdfPolicy,
-    FairSharePolicy,
     FifoPolicy,
     PriorityPolicy,
     ServingPolicy,
@@ -36,9 +35,7 @@ class Job:
     tag: str
     arrival: float = 0.0
     priority: int = 0
-    tenant: str = "default"
     startup: float = 0.0
-    complexity: float = 1.0
     deadline: tuple | None = None
     order: int = field(default_factory=lambda: next(_ORDER))
 
@@ -184,7 +181,6 @@ class TestEdfPolicy:
         assert EdfPolicy.sheds_infeasible
         assert not FifoPolicy.sheds_infeasible
         assert not PriorityPolicy.sheds_infeasible
-        assert not FairSharePolicy.sheds_infeasible
 
 
 class TestProvablyInfeasible:
@@ -203,52 +199,6 @@ class TestProvablyInfeasible:
         assert provably_infeasible(edge, now=3.0 + 1e-9)
 
 
-class TestFairSharePolicy:
-    def test_least_share_tenant_goes_first(self):
-        policy = FairSharePolicy()
-        web = Job("web-0", arrival=0.0, tenant="web", complexity=4.0)
-        batch = Job("batch-0", arrival=1.0, tenant="batch", complexity=4.0)
-        policy.push(web)
-        policy.push(batch)
-        # No admitted work yet: shares tie at 0, tenant name breaks it.
-        assert policy.peek() is batch
-        policy.pop(batch)
-        policy.on_admit(batch)
-        # batch now carries 4 units of admitted work; web goes next.
-        web_1 = Job("web-1", arrival=2.0, tenant="web")
-        policy.push(web_1)
-        assert policy.peek() is web
-
-    def test_victim_is_youngest_of_the_most_over_share_tenant(self):
-        policy = FairSharePolicy()
-        policy.on_admit(Job("hog-done", tenant="hog", complexity=10.0))
-        hog_old = Job("hog-0", arrival=0.0, tenant="hog")
-        hog_new = Job("hog-1", arrival=1.0, tenant="hog")
-        light = Job("light-0", arrival=0.5, tenant="light")
-        for job in (hog_old, hog_new, light):
-            policy.push(job)
-        assert policy.victim(now=2.0) is hog_new
-        policy.pop(hog_new)
-        assert policy.victim(now=2.0) is hog_old
-        policy.pop(hog_old)
-        assert policy.victim(now=2.0) is light
-
-    def test_jobs_listed_in_arrival_order_across_tenants(self):
-        policy = FairSharePolicy()
-        a = Job("a", tenant="t1")
-        b = Job("b", tenant="t2")
-        c = Job("c", tenant="t1")
-        for job in (a, b, c):
-            policy.push(job)
-        assert policy.jobs() == [a, b, c]
-        assert len(policy) == 3
-
-    def test_pop_of_unknown_job_is_an_error(self):
-        policy = FairSharePolicy()
-        with pytest.raises(WorkloadError, match="not in the wait queue"):
-            policy.pop(Job("ghost", tenant="nobody"))
-
-
 class TestFactory:
     def test_none_still_gets_the_indexed_fifo(self):
         assert isinstance(make_admission_policy(None), FifoPolicy)
@@ -256,7 +206,6 @@ class TestFactory:
     @pytest.mark.parametrize("name,cls", [
         ("fifo", FifoPolicy),
         ("priority", PriorityPolicy),
-        ("fair_share", FairSharePolicy),
         ("edf", EdfPolicy),
     ])
     def test_every_policy_name_resolves(self, name, cls):
@@ -265,4 +214,4 @@ class TestFactory:
         assert policy.name == name
 
     def test_registry_is_complete(self):
-        assert set(POLICIES) == {"fifo", "priority", "fair_share", "edf"}
+        assert set(POLICIES) == {"fifo", "priority", "edf"}

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro import DBS3, ExecutionOptions, WorkloadOptions
 from repro.bench.workloads import JOIN_SCHEMA, make_join_database
 from repro.engine.executor import Executor
-from repro.lera.operators import JOIN_HASH, JOIN_NESTED_LOOP, JOIN_TEMP_INDEX
+from repro.lera.operators import JOIN_NESTED_LOOP, JOIN_TEMP_INDEX
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.machine.machine import Machine
 from repro.scheduler.adaptive import AdaptiveScheduler
@@ -31,7 +31,7 @@ from repro.storage.indexes import HashIndex, SortedIndex, build_index
 from repro.storage.partitioning import PartitioningSpec
 from repro.storage.relation import Relation
 
-ALGORITHMS = (JOIN_NESTED_LOOP, JOIN_TEMP_INDEX, JOIN_HASH)
+ALGORITHMS = (JOIN_NESTED_LOOP, JOIN_TEMP_INDEX)
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ class TestBuiltOnce:
         assert builds == first, "the second executions built something"
         assert len(set(first)) == len(first), "one structure built twice"
         # AssocJoin probes every stored A fragment; IdealJoin indexes its
-        # inner B' (nested loop) or its outer A (temp index, hash).
+        # inner B' (nested loop) or its outer A (temp index).
         kind = "sorted" if algorithm == JOIN_TEMP_INDEX else "hash"
         assert {(position, k) for _, position, k in first} == {(0, kind)}
         indexed = {rows for rows, _, _ in first}
@@ -92,9 +92,8 @@ class TestBuiltOnce:
 
     def test_chunked_activations_index_their_own_slice(self, join_db, builds):
         """``grain > 1``: the repeated build is the modelled price."""
-        for algorithm in (JOIN_TEMP_INDEX, JOIN_HASH):
-            _run(ideal_join_plan(join_db.entry_a, join_db.entry_b,
-                                 "key", "key", algorithm=algorithm, grain=4))
+        _run(ideal_join_plan(join_db.entry_a, join_db.entry_b,
+                             "key", "key", algorithm=JOIN_TEMP_INDEX, grain=4))
         assert builds == []
 
     def test_permanent_and_temporary_index_are_one_object(self, join_db,
@@ -103,7 +102,7 @@ class TestBuiltOnce:
         entry.create_index("key")
         built = len(builds)
         _run(assoc_join_plan(entry, join_db.entry_b, "key", "key",
-                             algorithm=JOIN_HASH))
+                             algorithm=JOIN_NESTED_LOOP))
         assert len(builds) == built
         for fragment, index in zip(entry.fragments, entry.index_on("key")):
             assert fragment.index_on(0) is index

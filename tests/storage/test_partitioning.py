@@ -23,10 +23,6 @@ class TestPartitioningSpec:
         with pytest.raises(PartitioningError):
             PartitioningSpec((), 4)
 
-    def test_rejects_non_hash_method(self):
-        with pytest.raises(PartitioningError):
-            PartitioningSpec(("key",), 4, method="range")
-
     def test_compatibility_same_degree(self):
         a = PartitioningSpec.on("x", 8)
         b = PartitioningSpec.on("y", 8)
