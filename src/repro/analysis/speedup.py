@@ -38,20 +38,12 @@ class SpeedupCurve:
     @classmethod
     def measure(cls, thread_counts: Sequence[int],
                 times: Sequence[float]) -> "SpeedupCurve":
-        """Build a curve from measured times; times[0] must be at 1 thread
-        or callers should pass an explicit sequential time via
-        :meth:`from_sequential`."""
+        """Build a curve from measured times; times[0] must be at 1
+        thread."""
         if not thread_counts or thread_counts[0] != 1:
             raise ReproError("measure() expects the first point at 1 thread")
         seq = times[0]
         return cls(tuple(thread_counts), tuple(seq / t for t in times))
-
-    @classmethod
-    def from_sequential(cls, sequential_time: float, thread_counts: Sequence[int],
-                        times: Sequence[float]) -> "SpeedupCurve":
-        """Build a curve against an explicit sequential baseline."""
-        return cls(tuple(thread_counts),
-                   tuple(sequential_time / t for t in times))
 
     @property
     def peak(self) -> float:

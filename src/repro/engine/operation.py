@@ -270,11 +270,6 @@ class OperationRuntime:
     # -- queue-state helpers ------------------------------------------------------
 
     @property
-    def drained(self) -> bool:
-        """All queues empty and no more input can arrive."""
-        return self.input_closed and self.pending_activations == 0
-
-    @property
     def complete(self) -> bool:
         """Every thread of the pool has terminated."""
         return self.live_threads == 0 and bool(self.threads)

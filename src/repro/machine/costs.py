@@ -24,7 +24,7 @@ DESIGN.md section "Cost-model calibration".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import MachineError
 
@@ -122,25 +122,6 @@ class CostModel:
         """Binary-search one key in a temp index and emit matches."""
         comparisons = math.log2(index_cardinality) if index_cardinality > 1 else 1.0
         return comparisons * self.index_compare + matches * self.result_tuple
-
-    def scaled(self, factor: float) -> "CostModel":
-        """A copy with every *work* cost multiplied by *factor*.
-
-        Useful for modelling faster/slower processors while keeping the
-        same relative shape (queue and memory costs scale too).
-        """
-        if factor <= 0:
-            raise MachineError(f"scale factor must be > 0, got {factor}")
-        fields = {name: getattr(self, name) * factor
-                  for name in ("tuple_pair", "index_compare", "result_tuple",
-                               "filter_tuple", "transmit_tuple",
-                               "pipelined_activation", "store_tuple",
-                               "aggregate_tuple",
-                               "queue_create_triggered", "queue_create_pipelined",
-                               "enqueue", "dequeue_batch", "poll_empty",
-                               "secondary_access", "trigger_activation",
-                               "thread_create", "local_line", "remote_line")}
-        return replace(self, **fields)
 
 
 #: The default calibration, shared by experiments unless overridden.

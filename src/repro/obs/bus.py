@@ -45,7 +45,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.engine.trace import ExecutionTrace
-from repro.obs.probes import ACTIVE_THREADS, MEMORY_PENALTY, Series
+from repro.obs.probes import (
+    ACTIVE_THREADS,
+    MEMORY_PENALTY,
+    Series,
+    queue_depth_key,
+)
 
 #: Event taxonomy.  ``queue.dequeue`` with ``secondary=True`` is a
 #: steal — a thread consuming from a queue outside its main set.
@@ -172,6 +177,22 @@ class EventBus:
         """Record an Allcache remote-access penalty charge."""
         self.emit(MEMORY, t, operation, thread_id, penalty=penalty)
         self.add(MEMORY_PENALTY, t, penalty)
+
+    def hand_over(self, operation: str, to: "EventBus") -> None:
+        """Move what *operation* recorded here to *to*: its events, its
+        spans and its queue-depth series.  A shared operator whose host
+        stopped goes on running for a rider and records there from then
+        on; handing over what it recorded before keeps the operator on
+        one stream."""
+        for mine, theirs in ((self.events, to.events),
+                             (self.trace.events, to.trace.events)):
+            theirs.extend(record for record in mine
+                          if record.operation == operation)
+            mine[:] = [record for record in mine
+                       if record.operation != operation]
+        key = queue_depth_key(operation)
+        if key in self.series:
+            to.series[key] = self.series.pop(key)
 
     # -- queries ------------------------------------------------------------
 

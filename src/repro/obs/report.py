@@ -60,11 +60,6 @@ class WorkloadReport:
     problems: list[str] = field(default_factory=list)
     serving: dict = field(default_factory=dict)  # shed/rejected by reason
 
-    @property
-    def clean(self) -> bool:
-        """True when the span self-audit found nothing inconsistent."""
-        return not self.problems
-
     def to_json(self) -> dict:
         return {
             "queries": self.queries,

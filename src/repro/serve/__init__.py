@@ -6,9 +6,9 @@ Two halves:
   (Poisson, bursty MMPP, diurnal), all in virtual time and
   byte-reproducible per seed.
 * :mod:`repro.serve.policies` — the :class:`ServingPolicy`
-  configuration block and the pluggable admission policies (FIFO,
-  priority classes, deadline-aware EDF) with their bounded, indexed
-  wait queues.
+  configuration block and the :class:`WaitQueue` it keys: FIFO,
+  priority classes or deadline-aware EDF order, with the overflow
+  victim the waiter that order would admit last.
 
 :mod:`repro.serve.harness` glues them to the workload engine: query
 templates, submission generation, the decision log and the serving
@@ -28,12 +28,8 @@ from repro.serve.arrivals import (
 )
 from repro.serve.policies import (
     POLICIES,
-    AdmissionPolicy,
-    EdfPolicy,
-    FifoPolicy,
-    PriorityPolicy,
     ServingPolicy,
-    make_admission_policy,
+    WaitQueue,
     provably_infeasible,
 )
 
@@ -55,22 +51,18 @@ def __getattr__(name):
 
 __all__ = [
     "ARRIVAL_PROCESSES",
-    "AdmissionPolicy",
     "ArrivalProcess",
     "DiurnalArrivals",
-    "EdfPolicy",
-    "FifoPolicy",
     "MMPPArrivals",
     "POLICIES",
     "PoissonArrivals",
-    "PriorityPolicy",
     "QueryTemplate",
     "ServingPolicy",
+    "WaitQueue",
     "build_submissions",
     "decision_digest",
     "decision_log",
     "default_templates",
-    "make_admission_policy",
     "make_arrival_process",
     "provably_infeasible",
     "run_serving",

@@ -71,12 +71,12 @@ def plan_footprint(plan: LeraGraph) -> int:
 
 
 class AdmissionController:
-    """Tracks running capacity and decides whether the next query
+    """Tracks the memory in use and decides whether the next query
     fits.
 
     *Who* is next is the serving policy's order
-    (:mod:`repro.serve.policies`: FIFO, priority, fair-share or EDF);
-    the engine offers capacity only to that policy's head — it is
+    (:class:`~repro.serve.policies.WaitQueue`: FIFO, priority or EDF);
+    the engine offers capacity only to that order's head — it is
     admitted or nobody is, so a small query can never starve a large
     one by slipping past it (no convoy re-ordering).
     """
@@ -84,7 +84,6 @@ class AdmissionController:
     def __init__(self, options: WorkloadOptions, metrics=None) -> None:
         self.options = options
         self.metrics = metrics
-        self.running_count = 0
         self.used_bytes = 0
 
     def check_admissible(self, tag: str, footprint: int) -> None:
@@ -95,9 +94,9 @@ class AdmissionController:
                 f"query {tag!r} needs {footprint} bytes but the workload "
                 f"memory limit is {limit}; it can never be admitted")
 
-    def fits(self, footprint: int) -> bool:
-        """Would a query with *footprint* fit right now?"""
-        if self.running_count >= self.options.max_concurrent:
+    def fits(self, running: int, footprint: int) -> bool:
+        """Would a query with *footprint* fit beside *running* ones?"""
+        if running >= self.options.max_concurrent:
             return False
         limit = self.options.memory_limit_bytes
         if limit is not None and self.used_bytes + footprint > limit:
@@ -105,12 +104,10 @@ class AdmissionController:
         return True
 
     def acquire(self, footprint: int, at: float = 0.0) -> None:
-        self.running_count += 1
         self.used_bytes += footprint
         self._record_usage(at)
 
     def release(self, footprint: int, at: float = 0.0) -> None:
-        self.running_count -= 1
         self.used_bytes -= footprint
         self._record_usage(at)
 

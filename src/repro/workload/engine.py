@@ -8,9 +8,9 @@ threads do inside one query.
 
 Life of a query here:
 
-1. **submit** at its arrival offset; it enters the wait queue, an
-   :class:`~repro.serve.policies.AdmissionPolicy` — FIFO unless a
-   ``serving`` block picks priority, fair-share or EDF order.
+1. **submit** at its arrival offset; it enters the wait queue, a
+   :class:`~repro.serve.policies.WaitQueue` keyed by arrival unless a
+   ``serving`` block picks priority or EDF order.
 2. **admit** when capacity and the memory gate
    (:class:`~repro.workload.admission.AdmissionController`) allow,
    head of the policy's order or nobody; only now are its runtimes
@@ -100,12 +100,11 @@ from repro.prof.profiler import EngineProfiler, active_profiler
 from repro.scheduler.allocation import _largest_remainder, allocate_to_queries
 from repro.scheduler.complexity import operator_complexity, query_complexity
 from repro.serve.policies import (
-    REJECT_IDLE,
     REJECT_MEMORY,
     SHED_DEADLINE_INFEASIBLE,
     SHED_QUEUE_FULL,
     ServingPolicy,
-    make_admission_policy,
+    WaitQueue,
     provably_infeasible,
 )
 from repro.workload.admission import AdmissionController, node_footprints
@@ -645,7 +644,7 @@ class _WorkloadRun:
         #: can never fit, and the per-class latency labels.
         self.serving_requested = workload.serving is not None
         self.serving = workload.serving or _DEFAULT_SERVING
-        self.queue = make_admission_policy(self.serving)
+        self.queue = WaitQueue(self.serving)
         self._backpressure = False
         self.next_thread_id = 0
         #: The single sequential-initialization thread: start-ups of
@@ -839,7 +838,7 @@ class _WorkloadRun:
             return  # already finished, failed, or being drained
         reason = "timeout" if outcome == TIMED_OUT else "cancel"
         if job.state == QUEUED:
-            self.queue.remove(job)
+            self.queue.pop(job)
             self._leave_unadmitted(job, now, outcome, QUERY_CANCEL,
                                    reason=reason, admitted=False,
                                    discarded=0)
@@ -909,11 +908,10 @@ class _WorkloadRun:
         in the host's wave and is drained with it.  Idempotent, and a
         no-op for a query that folded and hosts nothing.
 
-        A detached runtime's events (its queues' too) go from then on
-        to the event stream of its first-submitted survivor: that
-        query's execution reports the operator, so its threads'
-        finishes have an appearance to land on.  What the operator
-        emitted before the detach stays on the host's stream.
+        A detached runtime's records (its queues' too) move to the
+        event stream of its first-submitted survivor, what it emitted
+        before the detach included: that query's execution reports the
+        operator, so all its threads' finishes land on one appearance.
         """
         detached: list[OperationRuntime] = []
         for shared in job.hosted:
@@ -926,6 +924,8 @@ class _WorkloadRun:
                 detached.append(runtime)
                 carrier = next(other for other in self.jobs
                                if other.tag in shared.active_tags)
+                if runtime.bus is not None:
+                    runtime.bus.hand_over(runtime.name, carrier.bus)
                 runtime.bus = carrier.bus
                 for queue in runtime.queues:
                     queue.obs = carrier.bus
@@ -967,18 +967,18 @@ class _WorkloadRun:
 
         Runs after every admission pass (arrivals are the only thing
         that grows the queue, and they always trigger one).  The
-        policy picks the victim — lowest-priority/youngest, most
-        over-share, or most-doomed-deadline — and sheds only QUEUED
-        queries, which is what keeps shedding cohort-safe under
-        shared-work execution: folds happen at admission, so a waiter
-        holds no shared subscriptions yet.
+        victim is the waiter the policy would admit last — youngest,
+        lowest-priority/youngest, or least urgent — and only QUEUED
+        queries are shed, which is what keeps shedding cohort-safe
+        under shared-work execution: folds happen at admission, so a
+        waiter holds no shared subscriptions yet.
         """
         limit = self.serving.queue_limit
         if limit is None:
             return
         while len(self.queue) > limit:
-            victim = self.queue.victim(now)
-            self.queue.remove(victim)
+            victim = self.queue.victim()
+            self.queue.pop(victim)
             self._reject(victim, now, SHED, SHED_QUEUE_FULL)
         engaged = len(self.queue) >= limit
         if engaged != self._backpressure:
@@ -1020,20 +1020,10 @@ class _WorkloadRun:
                     self.queue.pop(job)
                     self._reject(job, now, SHED, SHED_DEADLINE_INFEASIBLE)
                     continue
-            if not self.admission.fits(footprint):
-                if self.running or admitted:
-                    break
-                elif self.serving_requested:
-                    # Nothing runs, yet the head still does not fit:
-                    # no future completion can free capacity.
-                    self.queue.pop(job)
-                    self._reject(job, now, REJECTED, REJECT_IDLE)
-                    continue
-                else:
-                    raise AdmissionError(
-                        f"query {job.tag!r} cannot be admitted on an idle "
-                        f"machine (footprint {footprint} bytes, "
-                        f"{len(self.queue)} queued)")
+            if not self.admission.fits(len(self.running), footprint):
+                # Submission refused every footprint above the limit, so
+                # something runs: its completion admits again.
+                break
             if job.shape.stores and any(other.plan is job.plan
                                         for other in self.running):
                 raise WorkloadError(

@@ -71,8 +71,8 @@ class WorkloadOptions:
     plan are one path through the simulator."""
     serving: ServingPolicy | None = None
     """The :class:`~repro.serve.policies.ServingPolicy` block:
-    overload protection for open-loop serving — pluggable admission
-    order (FIFO / priority / fair-share / EDF) and a bounded wait queue
+    overload protection for open-loop serving — admission order
+    (FIFO / priority / EDF) and a bounded wait queue
     with backpressure and load shedding.
     ``None`` (the default) runs under the default policy — FIFO order,
     unbounded queue — with queries that cannot ever be

@@ -24,10 +24,6 @@ class TestSpeedupCurve:
         curve = SpeedupCurve.measure([1, 2, 4], [100.0, 50.0, 25.0])
         assert curve.speedups == (1.0, 2.0, 4.0)
 
-    def test_from_sequential(self):
-        curve = SpeedupCurve.from_sequential(100.0, [10, 20], [10.0, 5.0])
-        assert curve.speedups == (10.0, 20.0)
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ReproError):
             SpeedupCurve((1, 2), (1.0,))

@@ -77,16 +77,6 @@ class TestLifecycle:
         operation.close_input()
         assert operation.input_closed
 
-    def test_drained(self):
-        operation = _triggered(2)
-        operation.build_pool([0], start_time=0.0)
-        operation.seed_triggers(0.0)
-        assert not operation.drained
-        for queue in operation.queues:
-            queue.dequeue_ready(1.0, 1)
-        operation.pending_activations = 0
-        assert operation.drained
-
     def test_complete_requires_built_pool(self):
         operation = _triggered()
         assert not operation.complete

@@ -18,7 +18,9 @@
   function, class and module-level ``UPPER_CASE`` constant defined in
   the package is referenced somewhere other than its definition
   (DESIGN.md §7): in the package, ``perf_ledger``, ``benchmarks`` or
-  the examples tier-1 runs.  The tests and the docs do not count, nor
+  the examples tier-1 runs.  A reference is code (a name read, an
+  attribute, a keyword, an import, an identifier string), not a word
+  of a comment or docstring.  The tests and the docs do not count, nor
   does a package ``__init__`` passing a name on (its import and its
   ``__all__`` entry).  The definitions that stay without a caller sit
   in :data:`DEFINITIONS_WITHOUT_CALLER`, each with its reason and the
@@ -134,6 +136,12 @@ DEFINITIONS_WITHOUT_CALLER = {
         "is what proves a replaced table invalidates its memo",
         "tests/core/test_statement_memo.py::TestStaleness"
         "::test_drop_and_recreate_under_the_same_name"),
+    "analysis/predictor.py:contains": (
+        "the band check of the analytic predictor: whether a simulated "
+        "response lies inside the paper's bounds, the relation ROADMAP "
+        "item 7's skew grid is to state per cell",
+        "tests/analysis/test_predictor.py::TestAgainstSimulation"
+        "::test_ideal_join_inside_band"),
 }
 
 
@@ -349,7 +357,32 @@ def _outside_references() -> Counter:
 
 @functools.lru_cache(maxsize=None)
 def _tokens(text: str) -> tuple[str, ...]:
-    return tuple(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    """The names *text*'s code uses: a read name or attribute, a
+    keyword, an imported name, and a string that is an identifier
+    (``getattr``'s argument, a forward annotation, an ``__all__``
+    entry).  A definition's own name, an assignment's target and the
+    words of comments and docstrings are not uses."""
+    tree = _tree(text)
+    prose = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Expr)
+             and isinstance(node.value, ast.Constant)}
+    found = []
+    for node in ast.walk(tree):
+        if node in prose:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            found.append(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            found.append(node.arg)
+        elif isinstance(node, ast.alias):
+            found.append(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            found.append(node.value)
+    return tuple(found)
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,7 +437,7 @@ def unreferenced(sources: dict[str, str], outside: Counter) -> list[str]:
     uncalled = [(f"{module}:{name}",
                  f"{module}:{line}: {name} is defined but never referenced")
                 for name, sites in sorted(definitions.items())
-                if words[name] <= len(sites) for module, line in sites]
+                if words[name] <= 0 for module, line in sites]
     declared = {f"{module}:{name}" for name, sites in definitions.items()
                 for module, _line in sites}
     uncalled_sites = {site for site, _message in uncalled}
@@ -963,6 +996,19 @@ def test_an_unreferenced_definition_is_caught():
         "    return sorted(rows)\n")}
     assert unreferenced(doctored, _outside_references()) == [
         "bench/doctored.py:1: forgotten_helper is defined but never "
+        "referenced"]
+
+
+def test_a_definition_named_only_in_prose_is_caught():
+    doctored = {**_package(), "bench/doctored.py": (
+        '"""Rows go through described_helper before they print."""\n'
+        "# described_helper sorts them.\n"
+        "def described_helper(rows):\n"
+        '    """described_helper"""\n'
+        "    return sorted(rows)\n"
+        "rows = sorted([2, 1])  # not described_helper([2, 1])\n")}
+    assert unreferenced(doctored, _outside_references()) == [
+        "bench/doctored.py:3: described_helper is defined but never "
         "referenced"]
 
 

@@ -81,20 +81,3 @@ class TestCalibration:
         per_degree = (DEFAULT_COSTS.queue_create_triggered
                       + DEFAULT_COSTS.queue_create_pipelined)
         assert math.isclose(per_degree, 4e-3, rel_tol=0.25)
-
-
-class TestScaled:
-    def test_scales_all_work_costs(self):
-        doubled = DEFAULT_COSTS.scaled(2.0)
-        assert doubled.tuple_pair == 2 * DEFAULT_COSTS.tuple_pair
-        assert doubled.thread_create == 2 * DEFAULT_COSTS.thread_create
-        assert doubled.remote_line == 2 * DEFAULT_COSTS.remote_line
-
-    def test_preserves_structure(self):
-        doubled = DEFAULT_COSTS.scaled(2.0)
-        assert doubled.line_bytes == DEFAULT_COSTS.line_bytes
-        assert doubled.context_switch_tax == DEFAULT_COSTS.context_switch_tax
-
-    def test_rejects_nonpositive_factor(self):
-        with pytest.raises(MachineError):
-            DEFAULT_COSTS.scaled(0.0)

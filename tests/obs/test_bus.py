@@ -103,3 +103,22 @@ class TestEventBus:
         assert bus.series[ACTIVE_THREADS].last == 4
         assert bus.series[MEMORY_PENALTY].last == pytest.approx(0.5)
         assert len(bus.events_of(MEMORY, "join")) == 2
+
+    def test_hand_over_moves_one_operations_records(self):
+        host, rider = EventBus(), EventBus()
+        host.emit(ENQUEUE, 0.1, operation="join", thread_id=1, count=2)
+        host.emit(ENQUEUE, 0.2, operation="scan", thread_id=0, count=1)
+        host.trace.record(1, "join", "activation", 0.1, 0.2)
+        host.trace.record(0, "scan", "activation", 0.0, 0.2)
+        host.add(queue_depth_key("join"), 0.1, 2)
+        host.add(queue_depth_key("scan"), 0.2, 1)
+        rider.emit(DEQUEUE, 0.05, operation="filter", count=1,
+                   secondary=False)
+        host.hand_over("join", rider)
+        assert [e.operation for e in host.events] == ["scan"]
+        assert [e.operation for e in rider.events] == ["filter", "join"]
+        assert [s.operation for s in host.trace.events] == ["scan"]
+        assert [s.operation for s in rider.trace.events] == ["join"]
+        assert set(host.series) == {queue_depth_key("scan")}
+        # The running total goes on from where the host left it.
+        assert rider.add(queue_depth_key("join"), 0.3, -2) == 0

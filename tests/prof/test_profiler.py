@@ -13,7 +13,12 @@ from repro import (
     generate_wisconsin,
 )
 from repro.engine.dbfuncs import JoinFunc
-from repro.errors import AdmissionError, ExecutionError, ReproError
+from repro.errors import (
+    AdmissionError,
+    ExecutionError,
+    ReproError,
+    WorkloadError,
+)
 from repro.prof import EngineProfiler, active_profiler, profile
 from repro.workload.admission import AdmissionController
 from repro.workload.engine import QuerySubmission, WorkloadExecutor
@@ -258,15 +263,14 @@ class TestSectionsCloseOnErrors:
                 executor.execute(submissions)
             self._assert_clean_after(db, prof)
 
-    def test_idle_machine_admission_error_leaves_no_open_frame(
-            self, monkeypatch):
+    def test_admission_starvation_leaves_no_open_frame(self, monkeypatch):
         db = _db()
         with profile() as prof:
             executor, submissions = self._executor(db)
             with monkeypatch.context() as patch:
                 patch.setattr(AdmissionController, "fits",
-                              lambda self, footprint: False)
-                with pytest.raises(AdmissionError, match="idle machine"):
+                              lambda self, running, footprint: False)
+                with pytest.raises(WorkloadError, match="starvation"):
                     executor.execute(submissions)
             self._assert_clean_after(db, prof)
 

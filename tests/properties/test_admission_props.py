@@ -1,9 +1,11 @@
 """Property-based tests on the serving layer's admission invariants.
 
-Four contracts, each pinned at two levels — the bare policy
-structures driven by synthetic jobs, and the full engine driven by
-seeded open-loop arrivals:
+Five contracts, pinned at two levels — the bare wait queue driven by
+synthetic jobs, and the full engine driven by seeded open-loop
+arrivals:
 
+* **One order** — the queue admits in its policy's documented order,
+  and shedding the victim until it is empty is that order reversed.
 * **Conservation** — every pushed job leaves the queue exactly once;
   every submitted query reaches exactly one terminal status.
 * **No starvation** — the priority policy never sheds a query while
@@ -30,10 +32,9 @@ from repro.obs.bus import (
 )
 from repro.serve.harness import decision_digest, run_serving
 from repro.serve.policies import (
-    EdfPolicy,
-    PriorityPolicy,
+    POLICIES,
     ServingPolicy,
-    make_admission_policy,
+    WaitQueue,
     provably_infeasible,
 )
 from repro.workload.engine import TERMINAL_STATES
@@ -71,6 +72,72 @@ def _build(entries):
             for i, (a, p, d, s) in enumerate(entries)]
 
 
+def _deadline(job):
+    return job.deadline[0] if job.deadline else float("inf")
+
+
+#: Each policy's admission order as `repro.serve.policies` documents it.
+DOCUMENTED = {
+    "fifo": lambda j: (j.arrival, j.order),
+    "priority": lambda j: (-j.priority, j.arrival, j.order),
+    "edf": lambda j: (_deadline(j), j.arrival, j.order),
+}
+
+
+def _queue(policy_name, jobs):
+    queue = WaitQueue(ServingPolicy(policy=policy_name))
+    for job in jobs:
+        queue.push(job)
+    return queue
+
+
+def _drain(queue, take):
+    """Pop ``take(queue)`` until the queue is empty; the jobs in order."""
+    taken = []
+    while queue:
+        taken.append(take(queue))
+        queue.pop(taken[-1])
+    return taken
+
+
+class TestOneOrder:
+    @given(entries=job_sets,
+           policy_name=st.sampled_from(POLICIES),
+           ops=st.lists(st.sampled_from(["push", "admit", "withdraw"]),
+                        max_size=60),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_admission_is_the_documented_order_and_shedding_its_reverse(
+            self, entries, policy_name, ops, data):
+        """Under any interleaving of pushes, admissions and
+        withdrawals, (a) every admission takes the smallest waiter in
+        the policy's documented order, and (b) what is left, shed
+        victim by victim, comes out in exactly the reverse of admitting
+        it until empty."""
+        key = DOCUMENTED[policy_name]
+        pending = _build(entries)
+        queue = WaitQueue(ServingPolicy(policy=policy_name))
+        waiting: list[Job] = []
+        for op in ops:
+            if op == "push" and pending:
+                waiting.append(pending.pop(0))
+                queue.push(waiting[-1])
+            elif op == "admit" and waiting:
+                head = min(waiting, key=key)
+                assert queue.peek() is head
+                queue.pop(head)
+                waiting.remove(head)
+            elif op == "withdraw" and waiting:
+                job = data.draw(st.sampled_from(waiting), label="withdraw")
+                queue.pop(job)
+                waiting.remove(job)
+        assert len(queue) == len(waiting)
+        shed = _drain(queue, WaitQueue.victim)
+        assert shed == sorted(waiting, key=key, reverse=True)
+        assert _drain(_queue(policy_name, waiting), WaitQueue.peek) == \
+            shed[::-1]
+
+
 class TestPolicyConservation:
     @given(entries=job_sets,
            policy_name=st.sampled_from(["fifo", "priority", "edf"]),
@@ -83,33 +150,32 @@ class TestPolicyConservation:
         """Any interleaving of admissions, sheds and withdrawals
         removes each pushed job exactly once and never invents one."""
         jobs = _build(entries)
-        policy = make_admission_policy(ServingPolicy(policy=policy_name))
+        queue = WaitQueue(ServingPolicy(policy=policy_name))
         pending = list(jobs)
+        waiting: list[Job] = []
         departed: list[Job] = []
         for op in ops:
-            if pending and (not policy or data.draw(st.booleans(),
-                                                   label="push next")):
-                policy.push(pending.pop(0))
+            if pending and (not queue or data.draw(st.booleans(),
+                                                  label="push next")):
+                waiting.append(pending.pop(0))
+                queue.push(waiting[-1])
                 continue
-            if not policy:
+            if not queue:
                 break
             if op == "admit":
-                job = policy.peek()
-                policy.pop(job)
+                job = queue.peek()
             elif op == "shed":
-                job = policy.victim(now=11.0)
-                policy.remove(job)
+                job = queue.victim()
             else:
-                job = data.draw(st.sampled_from(policy.jobs()),
-                                label="withdraw")
-                policy.remove(job)
+                job = data.draw(st.sampled_from(waiting), label="withdraw")
+            queue.pop(job)
+            waiting.remove(job)
             departed.append(job)
-        leftover = policy.jobs()
+        leftover = _drain(queue, WaitQueue.peek)
         assert len(departed) + len(leftover) + len(pending) == len(jobs)
-        seen = {id(j) for j in departed} | {id(j) for j in leftover}
-        seen |= {id(j) for j in pending}
+        assert set(leftover) == set(waiting)
+        seen = set(departed) | set(leftover) | set(pending)
         assert len(seen) == len(jobs)
-        assert len(policy) == len(leftover)
 
 
 class TestPolicyOrdering:
@@ -117,14 +183,7 @@ class TestPolicyOrdering:
     @settings(max_examples=60, deadline=None)
     def test_priority_dequeues_by_class_then_arrival(self, entries):
         jobs = _build(entries)
-        policy = PriorityPolicy()
-        for job in jobs:
-            policy.push(job)
-        order = []
-        while policy:
-            job = policy.peek()
-            policy.pop(job)
-            order.append(job)
+        order = _drain(_queue("priority", jobs), WaitQueue.peek)
         expected = sorted(jobs, key=lambda j: (-j.priority, j.arrival,
                                                j.order))
         assert [j.tag for j in order] == [j.tag for j in expected]
@@ -133,18 +192,10 @@ class TestPolicyOrdering:
     @settings(max_examples=60, deadline=None)
     def test_edf_dequeues_by_deadline_then_arrival(self, entries):
         jobs = _build(entries)
-        policy = EdfPolicy()
-        for job in jobs:
-            policy.push(job)
-        order = []
-        while policy:
-            job = policy.peek()
-            policy.pop(job)
-            order.append(job)
+        order = _drain(_queue("edf", jobs), WaitQueue.peek)
 
         def key(j):
-            deadline = j.deadline[0] if j.deadline else float("inf")
-            return (deadline, j.arrival, j.order)
+            return (_deadline(j), j.arrival, j.order)
         assert [j.tag for j in order] == [j.tag for j in
                                           sorted(jobs, key=key)]
 
@@ -154,30 +205,24 @@ class TestPolicyOrdering:
         """Shedding everything one victim at a time never picks a
         job while a strictly lower-priority job still waits — the
         policy-level no-starvation statement."""
-        jobs = _build(entries)
-        policy = PriorityPolicy()
-        for job in jobs:
-            policy.push(job)
-        while policy:
-            victim = policy.victim(now=11.0)
-            assert victim.priority == min(j.priority for j in policy.jobs())
-            policy.remove(victim)
+        waiting = _build(entries)
+        queue = _queue("priority", waiting)
+        while queue:
+            victim = queue.victim()
+            assert victim.priority == min(j.priority for j in waiting)
+            queue.pop(victim)
+            waiting.remove(victim)
 
     @given(entries=job_sets)
     @settings(max_examples=60, deadline=None)
     def test_edf_victim_is_always_least_urgent(self, entries):
-        jobs = _build(entries)
-        policy = EdfPolicy()
-        for job in jobs:
-            policy.push(job)
-        while policy:
-            victim = policy.victim(now=11.0)
-            deadlines = [(j.deadline[0] if j.deadline else float("inf"))
-                         for j in policy.jobs()]
-            victim_deadline = (victim.deadline[0] if victim.deadline
-                               else float("inf"))
-            assert victim_deadline == max(deadlines)
-            policy.remove(victim)
+        waiting = _build(entries)
+        queue = _queue("edf", waiting)
+        while queue:
+            victim = queue.victim()
+            assert _deadline(victim) == max(map(_deadline, waiting))
+            queue.pop(victim)
+            waiting.remove(victim)
 
 
 class TestEdfFeasibility:
@@ -190,13 +235,8 @@ class TestEdfFeasibility:
         admit the rest — never lets a query through whose start-up
         alone already overruns its deadline."""
         jobs = _build(entries)
-        policy = EdfPolicy()
-        for job in jobs:
-            policy.push(job)
         admitted, shed = [], []
-        while policy:
-            job = policy.peek()
-            policy.pop(job)
+        for job in _drain(_queue("edf", jobs), WaitQueue.peek):
             if provably_infeasible(job, now):
                 shed.append(job)
             else:

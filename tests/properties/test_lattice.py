@@ -568,6 +568,16 @@ _SMALL = (Table("A", 60, 0, 2), Table("B", 10, 0, 2), Table("C", 10, 0, 2))
 _FOLDED = ("FROM B JOIN A ON B.unique1 = A.unique2 "
            "WHERE A.fiftyPercent <= 16 AND A.ten <> 62")
 
+_AB2 = "SELECT * FROM A JOIN B ON A.unique2 = B.unique1"
+#: A host cancelled while a query rode its join: the join detached and
+#: went on for the rider, but the thread finishes it had recorded
+#: before stayed on the host's stream, splitting the operator.
+SPLIT_FINISHES = Point(
+    _SMALL, (Query(_AB2, cancel_at=0.038), Query(_AB2, again=True)), "e",
+    ExecutionOptions(observability=ObservabilityOptions(observe=True)),
+    WorkloadOptions(max_concurrent=2, shared=True), processors=6,
+    allow_secondary=False)
+
 #: Draws the property falsified, each kept once its bug was fixed.
 FOUND = (
     # A fully folded query queued for the start-up thread behind a
@@ -624,17 +634,32 @@ FOUND = (
                             "join", 0.022567287085295665, 25,
                             0.0028956907473355084, 0.08),))),
           processors=10, strategy=LPT, cache_size=5),
+    SPLIT_FINISHES,
 )
+
+#: A tier-1 draw kept as an example: no retired test or found bug
+#: reaches ``blocked``, ``cancel``, ``ksr1`` or ``sliced``, and with it
+#: the corner check holds on the examples alone, whatever draws
+#: hypothesis derandomizes to.
+_AC = "SELECT C.unique1, C.twenty FROM A JOIN C ON "
+CORNER_DRAW = Point(
+    (Table("A", 232, 5, 106), Table("B", 93, 0, 106), Table("C", 29, 8, 8)),
+    (Query("SELECT * FROM B JOIN C ON B.twenty = C.unique1", 0.02,
+           cancel_at=0.191, priority=1),
+     Query(_AC + "A.two = C.unique1 WHERE A.evenOnePercent >= 38", 0.026,
+           priority=1),
+     Query(_AC + "A.ten = C.unique1", 0.025, 10, priority=2),
+     Query(_AC + "A.unique1 = C.unique2 WHERE C.onePercent <> 47", 0.025, 6)),
+    "c", ExecutionOptions(placement="warm", queue_capacity=4, seed=2,
+                          observability=ObservabilityOptions(observe=True)),
+    _observed(monitors=True, profile=True, max_concurrent=1,
+              memory_limit_bytes=56245, shared=True, scheduling="adaptive",
+              faults=FaultPlan(seed=1), serving=ServingPolicy()),
+    processors=6, ksr1=True, strategy="random", cache_size=5)
 
 #: Draws the property still falsifies, one per open FOUND line of
 #: CHANGES.md.  Each test below fails until its defect is fixed; then
 #: strict ``xfail`` fails it, and the draw moves to :data:`FOUND`.
-_AB2 = "SELECT * FROM A JOIN B ON A.unique2 = B.unique1"
-SPLIT_FINISHES = Point(
-    _SMALL, (Query(_AB2, cancel_at=0.038), Query(_AB2, again=True)), "e",
-    ExecutionOptions(observability=ObservabilityOptions(observe=True)),
-    WorkloadOptions(max_concurrent=2, shared=True), processors=6,
-    allow_secondary=False)
 FINISH_BACKWARDS = Point(
     (Table("A", 135, 0, 96), Table("B", 77, 0, 4), Table("C", 61, 0, 10)),
     (Query(AB, threads=4, cancel_at=0.001), Query(AB, threads=4, again=True),
@@ -645,9 +670,6 @@ FINISH_BACKWARDS = Point(
     processors=8)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "FOUND: a host cancelled under a rider still splits the hosted "
-    "operator's thread.finish events across two streams (ROADMAP 1a)"))
 def test_a_host_cancelled_under_a_rider_keeps_one_finish_stream():
     check(SPLIT_FINISHES)
 
@@ -669,8 +691,13 @@ CORNERS = {"index", "scan", "sliced", "ksr1", "lpt", "blocked", "regrant",
 REACHED = []
 
 
+#: The points tier-1 always checks: every retired test and found bug,
+#: and the corner draw.
+EXAMPLES = (*(point for point, _ in RETIRED.values()), *FOUND, CORNER_DRAW)
+
+
 def _examples(test):
-    for point in (*(point for point, _ in RETIRED.values()), *FOUND):
+    for point in EXAMPLES:
         test = example(point)(test)
     return test
 
@@ -681,14 +708,28 @@ def test_lattice(point):
     REACHED.append((point, check(point)))
 
 
+def _examples_reached() -> list:
+    """:data:`REACHED`, plus a check of every example it lacks (this
+    test alone, or after a draw stopped ``test_lattice`` early), so a
+    failing draw fails once."""
+    checked = {id(point) for point, _ in REACHED}
+    return REACHED + [(point, check(point)) for point in EXAMPLES
+                      if id(point) not in checked]
+
+
 def test_the_examples_reach_every_corner():
-    if not REACHED:
-        test_lattice()
-    reached = set().union(*(corners for _, corners in REACHED))
+    reached_by = _examples_reached()
+    reached = set().union(*(corners for _, corners in reached_by))
     assert CORNERS <= reached, sorted(CORNERS - reached)
     for name, (point, needed) in RETIRED.items():
-        corners = next(c for p, c in REACHED if p is point)
+        corners = next(c for p, c in reached_by if p is point)
         assert needed <= corners, name
+
+
+def test_the_corner_check_checks_the_examples_it_lacks(monkeypatch):
+    point = FOUND[0]
+    monkeypatch.setitem(globals(), "REACHED", [(point, check(point))])
+    test_the_examples_reach_every_corner()
 
 
 # -- doctored engines: the check must fail -------------------------------------

@@ -1,11 +1,10 @@
-"""Admission policies: ordering, victims, and the indexed queues.
+"""The keyed wait queue: admission order, victims, lazy pruning.
 
-The policies only ever read a job's ``tag`` / ``order`` / ``arrival``
+The queue only ever reads a job's ``tag`` / ``order`` / ``arrival``
 / ``priority`` / ``deadline`` / ``startup`` attributes, so a small
-stub stands in for the engine's ``_QueryJob`` and the tests exercise
-the queue structures directly:
-admission order, overflow-victim choice, lazy deletion, and the
-errors for popping what was never pushed.
+stub stands in for the engine's ``_QueryJob`` and the tests drive the
+queue directly: admission order, overflow-victim choice, lazy pruning,
+and the error for popping what was never pushed.
 """
 
 from dataclasses import dataclass, field
@@ -16,21 +15,19 @@ import pytest
 from repro.errors import WorkloadError
 from repro.serve.policies import (
     POLICIES,
-    EdfPolicy,
-    FifoPolicy,
-    PriorityPolicy,
     ServingPolicy,
-    make_admission_policy,
+    WaitQueue,
     provably_infeasible,
 )
+from repro.workload.engine import _DEFAULT_SERVING
 
 _ORDER = count()
 
 
 @dataclass(eq=False)
 class Job:
-    """The attribute surface the policies consume, hashed by identity
-    like the engine's jobs (the heap policies key on the job)."""
+    """The attribute surface the queue consumes, hashed by identity
+    like the engine's jobs (the queue keys on the job)."""
 
     tag: str
     arrival: float = 0.0
@@ -62,125 +59,112 @@ class TestServingPolicyConfig:
         assert config.queue_limit == 4
 
 
+def _queue(policy: str, *jobs: Job) -> WaitQueue:
+    queue = WaitQueue(ServingPolicy(policy=policy))
+    for job in jobs:
+        queue.push(job)
+    return queue
+
+
+def _admitted(queue: WaitQueue) -> list[Job]:
+    """Admit until empty: the live waiters in admission order."""
+    order = []
+    while queue:
+        order.append(queue.peek())
+        queue.pop(order[-1])
+    return order
+
+
 class TestFifoPolicy:
     def test_admits_in_arrival_order(self):
-        policy = FifoPolicy()
         a, b, c = Job("a"), Job("b"), Job("c")
-        for job in (a, b, c):
-            policy.push(job)
-        assert len(policy) == 3 and bool(policy)
-        assert policy.peek() is a
-        policy.pop(a)
-        assert policy.peek() is b
-        assert policy.jobs() == [b, c]
+        queue = _queue("fifo", a, b, c)
+        assert len(queue) == 3 and bool(queue)
+        assert queue.peek() is a
+        queue.pop(a)
+        assert queue.peek() is b
+        assert _admitted(queue) == [b, c]
 
     def test_victim_is_the_newest_waiter(self):
-        policy = FifoPolicy()
         a, b, c = Job("a"), Job("b"), Job("c")
-        for job in (a, b, c):
-            policy.push(job)
-        assert policy.victim(now=0.0) is c
+        assert _queue("fifo", a, b, c).victim() is c
 
     def test_pop_from_the_middle(self):
-        policy = FifoPolicy()
         a, b, c = Job("a"), Job("b"), Job("c")
-        for job in (a, b, c):
-            policy.push(job)
-        policy.remove(b)
-        assert policy.jobs() == [a, c]
+        queue = _queue("fifo", a, b, c)
+        queue.pop(b)
+        assert queue.victim() is c
+        assert _admitted(queue) == [a, c]
 
     def test_empty_queue(self):
-        policy = FifoPolicy()
-        assert policy.peek() is None
-        assert policy.victim(now=0.0) is None
-        assert not policy
+        queue = _queue("fifo")
+        assert queue.peek() is None
+        assert queue.victim() is None
+        assert not queue
 
 
 class TestPriorityPolicy:
     def test_higher_priority_first_fifo_within_class(self):
-        policy = PriorityPolicy()
         low_old = Job("low-old", arrival=0.0, priority=0)
         high = Job("high", arrival=1.0, priority=5)
         low_new = Job("low-new", arrival=2.0, priority=0)
-        for job in (low_old, high, low_new):
-            policy.push(job)
-        assert policy.peek() is high
-        policy.pop(high)
-        assert policy.peek() is low_old
-        policy.pop(low_old)
-        assert policy.peek() is low_new
+        queue = _queue("priority", low_old, high, low_new)
+        assert _admitted(queue) == [high, low_old, low_new]
 
     def test_victim_is_lowest_priority_youngest(self):
-        policy = PriorityPolicy()
         high = Job("high", arrival=0.0, priority=5)
         low_old = Job("low-old", arrival=1.0, priority=0)
         low_new = Job("low-new", arrival=2.0, priority=0)
-        for job in (high, low_old, low_new):
-            policy.push(job)
-        assert policy.victim(now=3.0) is low_new
-        policy.pop(low_new)
-        assert policy.victim(now=3.0) is low_old
-        policy.pop(low_old)
-        assert policy.victim(now=3.0) is high
+        queue = _queue("priority", high, low_old, low_new)
+        assert queue.victim() is low_new
+        queue.pop(low_new)
+        assert queue.victim() is low_old
+        queue.pop(low_old)
+        assert queue.victim() is high
 
     def test_lazy_deletion_skims_both_heaps(self):
-        policy = PriorityPolicy()
         jobs = [Job(f"j{i}", arrival=float(i), priority=i % 3)
                 for i in range(9)]
-        for job in jobs:
-            policy.push(job)
-        # Remove from the middle of both orderings; neither heap pops
-        # eagerly, so peek/victim must skim the tombstones.
+        queue = _queue("priority", *jobs)
+        # Pop from the middle of both orderings; neither heap drops
+        # the entries eagerly, so peek/victim must skim them.
         for job in jobs[2:7]:
-            policy.remove(job)
-        assert len(policy) == 4
-        survivors = {job.tag for job in policy.jobs()}
-        assert survivors == {"j0", "j1", "j7", "j8"}
-        assert policy.peek() is jobs[8]        # highest priority live
-        assert policy.victim(now=9.0) is jobs[0]  # lowest class, only one
+            queue.pop(job)
+        assert len(queue) == 4
+        assert queue.peek() is jobs[8]     # highest priority live
+        assert queue.victim() is jobs[0]   # lowest class, only one
+        assert {job.tag for job in _admitted(queue)} == {
+            "j0", "j1", "j7", "j8"}
 
     def test_pop_of_unknown_job_is_an_error(self):
-        policy = PriorityPolicy()
         with pytest.raises(WorkloadError, match="not in the wait queue"):
-            policy.pop(Job("ghost"))
+            _queue("priority").pop(Job("ghost"))
 
 
 class TestEdfPolicy:
     def test_earliest_deadline_first_deadline_free_last(self):
-        policy = EdfPolicy()
         loose = Job("loose", arrival=0.0, deadline=(9.0, "timeout"))
         tight = Job("tight", arrival=1.0, deadline=(2.0, "timeout"))
         free = Job("free", arrival=0.5)
-        for job in (loose, tight, free):
-            policy.push(job)
-        assert policy.peek() is tight
-        policy.pop(tight)
-        assert policy.peek() is loose
-        policy.pop(loose)
-        assert policy.peek() is free
+        assert _admitted(_queue("edf", loose, tight, free)) == [
+            tight, loose, free]
 
     def test_victim_is_least_urgent_deadline_free_first(self):
-        policy = EdfPolicy()
         tight = Job("tight", arrival=0.0, deadline=(2.0, "timeout"))
         loose = Job("loose", arrival=1.0, deadline=(9.0, "timeout"))
         free_old = Job("free-old", arrival=0.5)
         free_new = Job("free-new", arrival=1.5)
-        for job in (tight, loose, free_old, free_new):
-            policy.push(job)
+        queue = _queue("edf", tight, loose, free_old, free_new)
         # Deadline-free first (youngest among them), then latest
         # deadline — the head (earliest deadline) is shed last.
-        assert policy.victim(now=2.0) is free_new
-        policy.pop(free_new)
-        assert policy.victim(now=2.0) is free_old
-        policy.pop(free_old)
-        assert policy.victim(now=2.0) is loose
-        policy.pop(loose)
-        assert policy.victim(now=2.0) is tight
+        for expected in (free_new, free_old, loose, tight):
+            assert queue.victim() is expected
+            queue.pop(expected)
 
     def test_only_edf_sheds_infeasible(self):
-        assert EdfPolicy.sheds_infeasible
-        assert not FifoPolicy.sheds_infeasible
-        assert not PriorityPolicy.sheds_infeasible
+        assert _queue("edf").sheds_infeasible
+        assert not _queue("fifo").sheds_infeasible
+        assert not _queue("priority").sheds_infeasible
 
 
 class TestProvablyInfeasible:
@@ -199,19 +183,15 @@ class TestProvablyInfeasible:
         assert provably_infeasible(edge, now=3.0 + 1e-9)
 
 
+
 class TestFactory:
     def test_none_still_gets_the_indexed_fifo(self):
-        assert isinstance(make_admission_policy(None), FifoPolicy)
-
-    @pytest.mark.parametrize("name,cls", [
-        ("fifo", FifoPolicy),
-        ("priority", PriorityPolicy),
-        ("edf", EdfPolicy),
-    ])
-    def test_every_policy_name_resolves(self, name, cls):
-        policy = make_admission_policy(ServingPolicy(policy=name))
-        assert isinstance(policy, cls)
-        assert policy.name == name
+        assert _DEFAULT_SERVING == ServingPolicy()
+        late, early = Job("late", arrival=1.0), Job("early", arrival=0.0)
+        queue = WaitQueue(_DEFAULT_SERVING)
+        queue.push(late)
+        queue.push(early)
+        assert queue.peek() is early and queue.victim() is late
 
     def test_registry_is_complete(self):
         assert set(POLICIES) == {"fifo", "priority", "edf"}

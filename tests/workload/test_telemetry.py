@@ -87,7 +87,7 @@ class TestReportAcceptance:
         session = _db().session(options=OBSERVE)
         _submit_all(session)
         report = session.report()
-        assert report.clean
+        assert report.problems == []
         text = report.render()
         assert text.startswith("workload report")
         assert "p95" in text
