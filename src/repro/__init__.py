@@ -45,7 +45,6 @@ from repro.engine import (
     QuerySchedule,
 )
 from repro.errors import (
-    AdmissionError,
     CatalogError,
     CompilationError,
     ExecutionError,
@@ -55,7 +54,6 @@ from repro.errors import (
     PartitioningError,
     PlanError,
     QueryCancelledError,
-    QueryRejectedError,
     QueryShedError,
     QueryTimeoutError,
     ReproError,
@@ -84,8 +82,6 @@ from repro.machine import CostModel, Machine
 from repro.obs import MetricsRegistry, QuerySpan, WorkloadReport
 from repro.scheduler import AdaptiveScheduler, StaticScheduler
 from repro.serve import (
-    DiurnalArrivals,
-    MMPPArrivals,
     PoissonArrivals,
     ServingPolicy,
 )
@@ -112,14 +108,12 @@ __version__ = "1.0.0"
 __all__ = [
     "ActivationFaults",
     "AdaptiveScheduler",
-    "AdmissionError",
     "AggregateExpr",
     "Catalog",
     "CatalogError",
     "CompilationError",
     "CostModel",
     "DBS3",
-    "DiurnalArrivals",
     "ExecutionError",
     "ExecutionFaultError",
     "ExecutionOptions",
@@ -131,7 +125,6 @@ __all__ = [
     "MemoryPressure",
     "MachineError",
     "MetricsRegistry",
-    "MMPPArrivals",
     "ObservabilityOptions",
     "OperationSchedule",
     "OperatorProfile",
@@ -142,7 +135,6 @@ __all__ = [
     "QueryCancelledError",
     "QueryExecution",
     "QueryHandle",
-    "QueryRejectedError",
     "QueryResult",
     "QuerySchedule",
     "QueryShedError",

@@ -47,6 +47,7 @@ metrics — a two-minute tour of the system.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro import DBS3, generate_wisconsin
@@ -111,7 +112,8 @@ def concurrent_run(args: argparse.Namespace) -> int:
         # foldability window; the references get the same options.
         return run_concurrent_workload(
             database, count, threads=twins.THREADS,
-            workload=options.replace(max_concurrent=admitted, shared=shared))
+            workload=dataclasses.replace(options, max_concurrent=admitted,
+                                         shared=shared))
 
     result = run(count, args.shared)
     serial = run(1, False).makespan
@@ -406,9 +408,6 @@ def serve_command(argv: list[str]) -> int:
         description="open-loop serving demo: seeded arrivals through the "
                     "overload-protection layer (pluggable admission "
                     "policy, bounded wait queue, load shedding)")
-    parser.add_argument("--arrival", choices=("poisson", "mmpp", "diurnal"),
-                        default="poisson",
-                        help="arrival process shape (default poisson)")
     parser.add_argument("--rate", type=float, default=None,
                         help="arrivals per virtual second (default: "
                              "--overload times the measured saturation)")
@@ -447,16 +446,15 @@ def serve_command(argv: list[str]) -> int:
         max_concurrent=args.mpl, shared=args.shared,
         serving=ServingPolicy(policy=args.policy, queue_limit=limit))
 
-    print(f"open-loop serving demo — {args.arrival} arrivals at "
+    print(f"open-loop serving demo — Poisson arrivals at "
           f"{rate:.1f} q/s ({rate / saturation:.1f}x the saturation "
           f"throughput {saturation:.1f} q/s)")
     print(f"policy={args.policy} queue_limit={limit} mpl={args.mpl} "
           f"count={args.count} seed={args.seed}"
           + (" shared" if args.shared else "") + "\n")
 
-    result = run_serving(templates=templates, arrival=args.arrival,
-                         rate=rate, count=args.count, seed=args.seed,
-                         machine=machine, workload=workload)
+    result = run_serving(templates=templates, rate=rate, count=args.count,
+                         seed=args.seed, machine=machine, workload=workload)
     stats = serving_stats(result)
 
     class_names = {f"p{t.priority}": t.name for t in templates}

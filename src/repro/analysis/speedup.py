@@ -8,7 +8,6 @@ ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import ReproError
 
@@ -34,16 +33,6 @@ class SpeedupCurve:
     def __post_init__(self) -> None:
         if len(self.thread_counts) != len(self.speedups):
             raise ReproError("thread_counts and speedups length mismatch")
-
-    @classmethod
-    def measure(cls, thread_counts: Sequence[int],
-                times: Sequence[float]) -> "SpeedupCurve":
-        """Build a curve from measured times; times[0] must be at 1
-        thread."""
-        if not thread_counts or thread_counts[0] != 1:
-            raise ReproError("measure() expects the first point at 1 thread")
-        seq = times[0]
-        return cls(tuple(thread_counts), tuple(seq / t for t in times))
 
     @property
     def peak(self) -> float:

@@ -124,9 +124,8 @@ def _physical(name: str, op) -> tuple:
 
 
 def _terminal_statuses(result, submitted) -> Iterator[str]:
-    """Overload may *re-route* a query (shed it, reject it, time it
-    out, let a fault fail it) but every query ends in one terminal
-    status."""
+    """Overload may *re-route* a query (shed it, time it out, let a
+    fault fail it) but every query ends in one terminal status."""
     for tag, execution in result.executions.items():
         if execution.status not in TERMINAL_STATES:
             yield f"{tag} ended in non-terminal status {execution.status!r}"
@@ -223,8 +222,8 @@ def _shed_before_work(result, submitted) -> Iterator[str]:
     materializes operator state or joins a shared-fold cohort; a shed
     execution carrying operations would have been torn out mid-cohort."""
     for tag, execution in result.executions.items():
-        if execution.status in ("shed", "rejected") and execution.operations:
-            yield (f"{tag} was {execution.status} yet carries "
+        if execution.status == "shed" and execution.operations:
+            yield (f"{tag} was shed yet carries "
                    f"{len(execution.operations)} operations")
 
 

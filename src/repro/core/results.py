@@ -36,11 +36,6 @@ class QueryResult:
         """Virtual response time in seconds (what the paper plots)."""
         return self.execution.response_time
 
-    def column(self, name: str) -> list:
-        """Materialize one result column."""
-        position = self.schema.position(name)
-        return [row[position] for row in self.rows]
-
     def head(self, count: int = 10) -> list[Row]:
         """The first *count* rows (stable order is not guaranteed —
         parallel execution interleaves instance outputs)."""

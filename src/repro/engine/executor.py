@@ -127,11 +127,6 @@ class ObservabilityOptions:
                     f"{type(rule).__name__}: {rule!r}")
         object.__setattr__(self, "monitors", monitors)
 
-    def replace(self, **changes) -> "ObservabilityOptions":
-        """Copy with the given fields replaced (ergonomic twin of
-        :func:`dataclasses.replace`)."""
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class ExecutionOptions:
@@ -172,11 +167,6 @@ class ExecutionOptions:
     @property
     def observe(self) -> bool:
         return self.observability.observe
-
-    def replace(self, **changes) -> "ExecutionOptions":
-        """Copy with the given fields replaced (ergonomic twin of
-        :func:`dataclasses.replace`)."""
-        return replace(self, **changes)
 
 
 class Executor:
@@ -311,12 +301,6 @@ class Executor:
         for edge in plan.edges:
             if edge.kind == PIPELINE:
                 _router_for(plan.node(edge.consumer))
-
-    def startup_time(self, runtimes: dict[str, OperationRuntime],
-                     schedule: QuerySchedule) -> float:
-        """:meth:`plan_startup` of the nodes *runtimes* were built for."""
-        return self.plan_startup(
-            [runtime.node for runtime in runtimes.values()], schedule)
 
     def plan_startup(self, nodes, schedule: QuerySchedule, skip=()) -> float:
         """Sequential initialization: create threads and queues.

@@ -20,13 +20,12 @@ from repro.storage.tuples import Row
 #: Terminal states of a query execution.  ``STATUS_DONE`` is the only
 #: one ``Executor.execute`` returns (a failed run raises); the others
 #: come from the workload layer's cancellation/timeout/fault-abort
-#: paths — ``rejected`` / ``shed`` from the serving layer's admission and
-#: overload-protection decisions (the query never touched the machine).
+#: paths — ``shed`` from the serving layer's overload protection (the
+#: query never touched the machine).
 STATUS_DONE = "done"
 STATUS_CANCELLED = "cancelled"
 STATUS_TIMED_OUT = "timed_out"
 STATUS_FAILED = "failed"
-STATUS_REJECTED = "rejected"
 STATUS_SHED = "shed"
 
 

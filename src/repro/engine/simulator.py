@@ -281,11 +281,6 @@ class Simulator:
                     self._wake_blocked(queue, at)
         return discarded
 
-    @property
-    def idle(self) -> bool:
-        """True when no runnable event is pending."""
-        return not self._heap
-
     # -- scheduling internals ---------------------------------------------------
 
     def _push(self, thread: WorkerThread) -> None:

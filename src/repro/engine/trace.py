@@ -12,7 +12,6 @@ same join with shared queues shows the tail spread across the pool.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,10 +43,6 @@ class ExecutionTrace:
     """All busy intervals of one execution."""
 
     events: list[TraceEvent] = field(default_factory=list)
-    #: ``(event_count, sorted_starts, sorted_ends)`` memo for
-    #: :meth:`active_threads`; invalidated by length change.
-    _bounds_cache: tuple | None = field(default=None, repr=False,
-                                        compare=False)
 
     def record(self, thread_id: int, operation: str, kind: str,
                start: float, end: float) -> None:
@@ -82,30 +77,6 @@ class ExecutionTrace:
     def busy_time(self, thread_id: int) -> float:
         return sum(e.duration for e in self.events
                    if e.thread_id == thread_id)
-
-    def _sorted_bounds(self) -> tuple[list[float], list[float]]:
-        """Sorted start and end times of all events (memoized).
-
-        The memo is keyed on the event count, so appending events
-        invalidates it.
-        """
-        cache = self._bounds_cache
-        if cache is not None and cache[0] == len(self.events):
-            return cache[1], cache[2]
-        starts = sorted(e.start for e in self.events)
-        ends = sorted(e.end for e in self.events)
-        self._bounds_cache = (len(self.events), starts, ends)
-        return starts, ends
-
-    def active_threads(self, instant: float) -> int:
-        """How many threads are busy at a virtual instant.
-
-        O(log E) per query after one O(E log E) sort (memoized): an
-        event is active when ``start <= instant < end``, so the count
-        is ``#{starts <= instant} - #{ends <= instant}``.
-        """
-        starts, ends = self._sorted_bounds()
-        return bisect_right(starts, instant) - bisect_right(ends, instant)
 
     # -- rendering ------------------------------------------------------------
 

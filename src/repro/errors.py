@@ -49,25 +49,13 @@ class WorkloadError(ReproError):
     """A multi-query workload is misconfigured or cannot make progress."""
 
 
-class AdmissionError(WorkloadError):
-    """The admission controller can never admit a submitted query."""
-
-
-class QueryRejectedError(AdmissionError):
-    """The result of a rejected query was requested.
-
-    Under a serving policy an inadmissible query does not poison the
-    batch: it reaches the terminal status ``rejected`` and asking for
-    its result raises this (inspect ``handle.execution`` instead).
-    """
-
-
-class QueryShedError(QueryRejectedError):
+class QueryShedError(WorkloadError):
     """The result of a load-shed query was requested.
 
     Overload protection dropped the query before it ran (bounded wait
-    queue, deadline infeasibility, or priority shedding); its terminal
-    status is ``shed``.
+    queue or deadline infeasibility); its terminal status is ``shed``
+    and asking for its result raises this (inspect
+    ``handle.execution`` instead).
     """
 
 

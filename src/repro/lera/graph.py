@@ -89,11 +89,6 @@ class Chain:
         """The chain's triggered entry operator."""
         return self.nodes[0]
 
-    @property
-    def tail(self) -> LeraNode:
-        """The chain's last (result-producing) operator."""
-        return self.nodes[-1]
-
     def node_names(self) -> list[str]:
         """Operator names in dataflow order."""
         return [node.name for node in self.nodes]

@@ -61,7 +61,6 @@ from repro.obs.metrics import (
 from repro.obs.monitor import (
     AdmissionWaitMonitor,
     LatencySloMonitor,
-    MemoryPressureMonitor,
     Monitor,
     MonitorContext,
     MonitorEngine,
@@ -89,7 +88,6 @@ __all__ = [
     "MonitorEngine",
     "AdmissionWaitMonitor",
     "LatencySloMonitor",
-    "MemoryPressureMonitor",
     "RetryStormMonitor",
     "StragglerMonitor",
     "default_monitors",

@@ -77,7 +77,7 @@ QUERY_GRANT = "query.grant"      # (re)granted a thread budget
 QUERY_FINISH = "query.finish"    # last operation finished
 QUERY_CANCEL = "query.cancel"    # cancelled or timed out (reason in data)
 QUERY_ABORT = "query.abort"      # aborted by an exhausted fault retry
-QUERY_REJECT = "query.reject"    # rejected/shed pre-admission (terminal)
+QUERY_REJECT = "query.reject"    # shed pre-admission (terminal)
 
 #: Serving / overload protection (:mod:`repro.serve`).  Workload-bus
 #: record of the overload layer's level transition: backpressure

@@ -57,7 +57,6 @@ QUERIES_ADMITTED = "queries_admitted_total"
 QUERIES_FINISHED = "queries_finished_total"          # label: status
 ADMISSION_QUEUE_DEPTH = "admission_queue_depth"
 ADMISSION_WAIT = "admission_wait_virtual_s"
-ADMISSION_USED_BYTES = "admission_used_bytes"
 RUNNING_QUERIES = "running_queries"
 GRANTS = "grants_total"                              # label: reason
 GRANTED_THREADS = "granted_threads"                  # label: query
@@ -68,7 +67,6 @@ FOLD_HITS = "fold_hits_total"
 FOLD_SUBSCRIBERS = "fold_subscribers"                # label: operator
 FOLD_COST_SHARE = "fold_cost_share"                  # labels: query, operator
 QUERIES_SHED = "queries_shed_total"                  # label: reason
-QUERIES_REJECTED = "queries_rejected_total"          # label: reason
 BACKPRESSURE_ENGAGED = "backpressure_engaged"
 FAULTS_INJECTED = "faults_injected_total"            # label: operation
 FAULT_RETRIES = "fault_retries_total"                # label: operation

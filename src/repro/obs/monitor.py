@@ -234,10 +234,10 @@ class LatencySloMonitor(Monitor):
     def evaluate(self, ctx: MonitorContext, alerts: AlertBus) -> None:
         if ctx.point != POINT_FINISH:
             return
-        if ctx.get("status") in ("rejected", "shed"):
-            # Shed/rejected queries never ran: their (tiny) queue
-            # residence would dilute the burn-rate denominator and
-            # report a recovery that never happened.
+        if ctx.get("status") == "shed":
+            # Shed queries never ran: their (tiny) queue residence
+            # would dilute the burn-rate denominator and report a
+            # recovery that never happened.
             return
         latency = ctx.get("latency")
         if latency is None:
@@ -287,37 +287,6 @@ class AdmissionWaitMonitor(Monitor):
                             f"query {tag} queued {wait:.4f}s before "
                             f"admission (ceiling {self.ceiling:g}s)",
                             event=True)
-
-
-class MemoryPressureMonitor(Monitor):
-    """Admission memory gate running close to its limit.
-
-    Condition alert while reserved bytes exceed *fraction* of the
-    configured ``memory_limit_bytes``; resolves when releases bring
-    usage back under.  A no-op when the workload has no memory gate.
-    """
-
-    name = "memory_pressure"
-    severity = SEV_WARNING
-
-    def __init__(self, fraction: float) -> None:
-        self.fraction = fraction
-
-    def __repr__(self) -> str:
-        return f"MemoryPressureMonitor(fraction={self.fraction})"
-
-    def evaluate(self, ctx: MonitorContext, alerts: AlertBus) -> None:
-        if ctx.point not in (POINT_ADMISSION, POINT_FINISH):
-            return
-        limit = ctx.get("memory_limit")
-        if not limit:
-            return
-        used = ctx.get("used_bytes", 0)
-        share = used / limit
-        self._signal(alerts, "gate", share > self.fraction, ctx.now,
-                     share, self.fraction,
-                     f"memory gate at {share:.0%} of "
-                     f"{limit} bytes")
 
 
 class RetryStormMonitor(Monitor):
@@ -400,7 +369,6 @@ def default_monitors(slo: float = 1.0) -> tuple[Monitor, ...]:
         LatencySloMonitor(slo, burn_budget=0.25),
         AdmissionWaitMonitor(1.0),
         StragglerMonitor(2.0),
-        MemoryPressureMonitor(0.9),
         RetryStormMonitor(8),
     )
 
@@ -439,7 +407,6 @@ __all__ = [
     "BLAME_PROCESSING_SKEW",
     "BLAME_QUEUE_WAIT",
     "LatencySloMonitor",
-    "MemoryPressureMonitor",
     "Monitor",
     "MonitorContext",
     "MonitorEngine",

@@ -34,7 +34,6 @@ from repro.obs.metrics import (
     FOLD_HITS,
     GRANTS,
     POOL_UTILIZATION,
-    QUERIES_REJECTED,
     QUERIES_SHED,
     QUERY_LATENCY,
     MetricsRegistry,
@@ -58,7 +57,7 @@ class WorkloadReport:
     folds: dict                       # attempts, hits, hit_rate, shares
     faults: dict                      # injected/retries/aborts/backoff/mem
     problems: list[str] = field(default_factory=list)
-    serving: dict = field(default_factory=dict)  # shed/rejected by reason
+    serving: dict = field(default_factory=dict)  # shed by reason
 
     def to_json(self) -> dict:
         return {
@@ -126,8 +125,7 @@ class WorkloadReport:
                 f"backoff={self.faults['backoff_s']:.4f}s "
                 f"memory={self.faults['memory_events']:.0f}")
         if self.serving:
-            bits = [f"shed={self.serving.get('shed', 0)}",
-                    f"rejected={self.serving.get('rejected', 0)}"]
+            bits = [f"shed={self.serving.get('shed', 0)}"]
             reasons = self.serving.get("reasons", {})
             bits.extend(f"{reason}={count}"
                         for reason, count in sorted(reasons.items()))
@@ -206,23 +204,14 @@ def build_workload_report(result) -> WorkloadReport:
     }
 
     shed_total = 0
-    rejected_total = 0
     reasons: dict[str, int] = {}
     for counter in metrics.family(QUERIES_SHED):
         shed_total += int(counter.value)
         reason = counter.labels.get("reason", "?")
         reasons[reason] = reasons.get(reason, 0) + int(counter.value)
-    for counter in metrics.family(QUERIES_REJECTED):
-        rejected_total += int(counter.value)
-        reason = counter.labels.get("reason", "?")
-        reasons[reason] = reasons.get(reason, 0) + int(counter.value)
     serving: dict = {}
-    if shed_total or rejected_total:
-        serving = {
-            "shed": shed_total,
-            "rejected": rejected_total,
-            "reasons": reasons,
-        }
+    if shed_total:
+        serving = {"shed": shed_total, "reasons": reasons}
 
     problems = verify_spans(spans, result.executions,
                             makespan=result.makespan)

@@ -47,18 +47,17 @@ from repro.obs.bus import (
 
 #: Terminal span statuses (mirror the ``QueryExecution`` statuses;
 #: string literals because :mod:`repro.engine.metrics` imports the obs
-#: layer, not the other way around).  ``rejected`` / ``shed`` terminate
-#: a span pre-admission — the serving layer's ``query.reject`` event is
-#: their terminal event, the way a pre-admission withdrawal's
+#: layer, not the other way around).  ``shed`` terminates a span
+#: pre-admission — the serving layer's ``query.reject`` event is its
+#: terminal event, the way a pre-admission withdrawal's
 #: ``query.cancel`` is for ``cancelled``.
 SPAN_DONE = "done"
 SPAN_CANCELLED = "cancelled"
 SPAN_TIMED_OUT = "timed_out"
 SPAN_FAILED = "failed"
-SPAN_REJECTED = "rejected"
 SPAN_SHED = "shed"
 SPAN_STATUSES = (SPAN_DONE, SPAN_CANCELLED, SPAN_TIMED_OUT, SPAN_FAILED,
-                 SPAN_REJECTED, SPAN_SHED)
+                 SPAN_SHED)
 
 #: Float-comparison slack for containment checks.
 _EPS = 1e-9
@@ -93,7 +92,6 @@ class QuerySpan:
     tag: str
     submitted_at: float
     demand: int = 0
-    footprint: int = 0
     admitted_at: float | None = None
     finished_at: float | None = None
     status: str | None = None
@@ -101,7 +99,7 @@ class QuerySpan:
     waves: list[WaveSpan] = field(default_factory=list)
     cancel_requested_at: float | None = None
     cancel_reason: str | None = None
-    #: Why the serving layer rejected/shed this query pre-admission
+    #: Why the serving layer shed this query pre-admission
     #: (``query.reject`` payload), ``None`` for queries that ran.
     reject_reason: str | None = None
     abort_error: str | None = None
@@ -118,18 +116,6 @@ class QuerySpan:
                 f"waves={len(self.waves)}, grants={len(self.grants)})")
 
     @property
-    def admitted(self) -> bool:
-        return self.admitted_at is not None
-
-    @property
-    def admission_wait(self) -> float | None:
-        """Virtual time spent in the admission queue (None: withdrawn
-        before admission)."""
-        if self.admitted_at is None:
-            return None
-        return self.admitted_at - self.submitted_at
-
-    @property
     def latency(self) -> float | None:
         """End-to-end virtual latency from submission (None: the run
         somehow never terminated this query — verify_spans flags it)."""
@@ -137,17 +123,12 @@ class QuerySpan:
             return None
         return self.finished_at - self.submitted_at
 
-    @property
-    def folded(self) -> bool:
-        return bool(self.folds)
-
     def to_json(self) -> dict:
         """Plain-dict form (what the schema-3 JSONL exporter writes)."""
         return {
             "tag": self.tag,
             "submitted_at": self.submitted_at,
             "demand": self.demand,
-            "footprint": self.footprint,
             "admitted_at": self.admitted_at,
             "finished_at": self.finished_at,
             "status": self.status,
@@ -235,10 +216,8 @@ def assemble_spans(bus, executions: dict | None = None) -> SpanSet:
         if event.kind == QUERY_SUBMIT:
             if tag in spans:
                 raise ReproError(f"duplicate query.submit for {tag!r}")
-            spans[tag] = QuerySpan(
-                tag=tag, submitted_at=event.t,
-                demand=data.get("demand", 0),
-                footprint=data.get("footprint", 0))
+            spans[tag] = QuerySpan(tag=tag, submitted_at=event.t,
+                                   demand=data.get("demand", 0))
             order.append(tag)
             continue
         span = spans.get(tag)
@@ -264,10 +243,10 @@ def assemble_spans(bus, executions: dict | None = None) -> SpanSet:
                                else SPAN_CANCELLED)
                 span.terminal_events += 1
         elif event.kind == QUERY_REJECT:
-            # Pre-admission rejection or shed: this IS the terminal
-            # event (the query never ran, no query.finish follows).
+            # Pre-admission shed: this IS the terminal event (the
+            # query never ran, no query.finish follows).
             span.finished_at = event.t
-            span.status = data.get("status", SPAN_REJECTED)
+            span.status = data.get("status", SPAN_SHED)
             span.reject_reason = data.get("reason")
             span.terminal_events += 1
         elif event.kind == QUERY_ABORT:

@@ -30,9 +30,6 @@ so the nested ``gc`` frame lands under the right parent.  Outside a
 
 Output formats:
 
-* :meth:`EngineProfiler.folded` — classic folded-stack lines
-  (``run;sim;deliver 1234567``) directly renderable by any flame-graph
-  tool;
 * :meth:`EngineProfiler.render` — a self-time-sorted table for the
   CLI;
 * :meth:`EngineProfiler.to_json` / :meth:`from_json` — the schema-4
@@ -147,15 +144,6 @@ class EngineProfiler:
             self._gc_open = False
             self.exit()
 
-    @contextmanager
-    def section(self, name: str):
-        """``with prof.section("admission"): ...``"""
-        self.enter(name)
-        try:
-            yield
-        finally:
-            self.exit()
-
     def instrument(self, target, sections: dict[str, str]) -> None:
         """Time *target*'s named methods as sections, from now on.
 
@@ -203,15 +191,6 @@ class EngineProfiler:
         return self.attributed_ns() / wall
 
     # -- output -------------------------------------------------------
-
-    def folded(self) -> str:
-        """Folded-stack lines (``a;b;c self_ns``), flame-graph ready."""
-        lines = []
-        for path in sorted(self.nodes):
-            self_ns = self.nodes[path][1]
-            if self_ns > 0:
-                lines.append(f"{';'.join(path)} {self_ns}")
-        return "\n".join(lines)
 
     def render(self) -> str:
         """Self-time-sorted attribution table for the CLI."""

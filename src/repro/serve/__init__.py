@@ -2,9 +2,8 @@
 
 Two halves:
 
-* :mod:`repro.serve.arrivals` — seeded open-loop arrival processes
-  (Poisson, bursty MMPP, diurnal), all in virtual time and
-  byte-reproducible per seed.
+* :mod:`repro.serve.arrivals` — seeded open-loop Poisson arrivals,
+  in virtual time and byte-reproducible per seed.
 * :mod:`repro.serve.policies` — the :class:`ServingPolicy`
   configuration block and the :class:`WaitQueue` it keys: FIFO,
   priority classes or deadline-aware EDF order, with the overflow
@@ -20,9 +19,6 @@ keeps the engine bit-identical to the pre-serving engine.
 
 from repro.serve.arrivals import (
     ARRIVAL_PROCESSES,
-    ArrivalProcess,
-    DiurnalArrivals,
-    MMPPArrivals,
     PoissonArrivals,
     make_arrival_process,
 )
@@ -51,9 +47,6 @@ def __getattr__(name):
 
 __all__ = [
     "ARRIVAL_PROCESSES",
-    "ArrivalProcess",
-    "DiurnalArrivals",
-    "MMPPArrivals",
     "POLICIES",
     "PoissonArrivals",
     "QueryTemplate",

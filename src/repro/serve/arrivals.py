@@ -1,79 +1,43 @@
-"""Seeded open-loop arrival processes in virtual time.
+"""Seeded open-loop arrivals in virtual time.
 
-Everything before this PR drove the workload engine *closed-loop*: a
-fixed batch of submissions, each with a hand-placed arrival offset.
-A serving system faces the opposite regime — an **open-loop** stream
-whose arrival rate does not care whether the machine keeps up, which
-is exactly the regime where an unbounded FIFO queue collapses (the
-wait queue grows without bound past saturation and p99 diverges for
-everyone).
+A serving system faces an **open-loop** stream whose arrival rate does
+not care whether the machine keeps up, which is exactly the regime
+where an unbounded FIFO queue collapses (the wait queue grows without
+bound past saturation and p99 diverges for everyone).
 
-The processes here generate arrival instants *only* from a
-``random.Random(seed)`` stream, so a run's full arrival log is a pure
-function of ``(process parameters, count, seed)`` — byte-reproducible,
-the same discipline the fault planner and the simulator follow.  Three
-shapes cover the serving benchmark's needs:
-
-* :class:`PoissonArrivals` — the memoryless baseline; ``rate`` is the
-  long-run arrivals per virtual second.
-* :class:`MMPPArrivals` — a two-state Markov-modulated Poisson process
-  (bursty traffic): exponential dwell in a *calm* and a *burst* state,
-  each with its own Poisson rate.  Exponentials are memoryless, so
-  redrawing the inter-arrival gap at a state switch is exact, not an
-  approximation.
-* :class:`DiurnalArrivals` — a nonhomogeneous Poisson process with a
-  sinusoidal rate (the day/night cycle compressed into virtual
-  seconds), generated by Lewis-Shedler thinning against the peak rate.
+Arrival instants come *only* from a ``random.Random(seed)`` stream, so
+a run's full arrival log is a pure function of ``(rate, count, seed)``
+— byte-reproducible, the same discipline the fault planner and the
+simulator follow.  The one shape is :class:`PoissonArrivals`, the
+memoryless baseline: ``rate`` is the long-run arrivals per virtual
+second.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 
+ARRIVAL_POISSON = "poisson"
 
-class ArrivalProcess:
-    """Base shape: a named, seed-deterministic arrival generator."""
-
-    name = "arrival"
-
-    @property
-    def mean_rate(self) -> float:
-        """Long-run arrivals per virtual second (sweeps scale by it)."""
-        raise NotImplementedError
-
-    def times(self, count: int, seed: int = 0) -> list[float]:
-        """The first *count* arrival instants (strictly increasing)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(mean_rate={self.mean_rate:g})"
-
-
-def _check_rate(rate: float, what: str) -> None:
-    if rate <= 0:
-        raise WorkloadError(f"{what} must be > 0, got {rate}")
+#: The arrival shapes :func:`make_arrival_process` resolves by name.
+ARRIVAL_PROCESSES = (ARRIVAL_POISSON,)
 
 
 @dataclass(frozen=True)
-class PoissonArrivals(ArrivalProcess):
+class PoissonArrivals:
     """Homogeneous Poisson arrivals at ``rate`` per virtual second."""
 
     rate: float
 
-    name = "poisson"
-
     def __post_init__(self) -> None:
-        _check_rate(self.rate, "rate")
-
-    @property
-    def mean_rate(self) -> float:
-        return self.rate
+        if self.rate <= 0:
+            raise WorkloadError(f"rate must be > 0, got {self.rate}")
 
     def times(self, count: int, seed: int = 0) -> list[float]:
+        """The first *count* arrival instants (strictly increasing)."""
         rng = random.Random(seed)
         out: list[float] = []
         t = 0.0
@@ -83,122 +47,11 @@ class PoissonArrivals(ArrivalProcess):
         return out
 
 
-@dataclass(frozen=True)
-class MMPPArrivals(ArrivalProcess):
-    """Two-state Markov-modulated Poisson process (bursty traffic).
-
-    The process alternates between a *calm* state (``calm_rate``) and a
-    *burst* state (``burst_rate``), dwelling an exponential time with
-    the given means in each.  The long-run rate is the dwell-weighted
-    mix of the two state rates.
-    """
-
-    calm_rate: float
-    burst_rate: float
-    calm_dwell: float = 4.0
-    burst_dwell: float = 1.0
-
-    name = "mmpp"
-
-    def __post_init__(self) -> None:
-        _check_rate(self.calm_rate, "calm_rate")
-        _check_rate(self.burst_rate, "burst_rate")
-        _check_rate(self.calm_dwell, "calm_dwell")
-        _check_rate(self.burst_dwell, "burst_dwell")
-
-    @property
-    def mean_rate(self) -> float:
-        total = self.calm_dwell + self.burst_dwell
-        return (self.calm_rate * self.calm_dwell
-                + self.burst_rate * self.burst_dwell) / total
-
-    def times(self, count: int, seed: int = 0) -> list[float]:
-        rng = random.Random(seed)
-        rates = (self.calm_rate, self.burst_rate)
-        dwells = (self.calm_dwell, self.burst_dwell)
-        out: list[float] = []
-        t = 0.0
-        state = 0
-        next_switch = t + rng.expovariate(1.0 / dwells[state])
-        while len(out) < count:
-            gap = rng.expovariate(rates[state])
-            if t + gap < next_switch:
-                t += gap
-                out.append(t)
-            else:
-                # Memoryless gap: discard and redraw in the new state.
-                t = next_switch
-                state = 1 - state
-                next_switch = t + rng.expovariate(1.0 / dwells[state])
-        return out
-
-
-@dataclass(frozen=True)
-class DiurnalArrivals(ArrivalProcess):
-    """Sinusoidal nonhomogeneous Poisson arrivals (day/night cycle).
-
-    The instantaneous rate is ``base_rate * (1 + amplitude *
-    sin(2*pi*t / period))``, generated by thinning candidates drawn at
-    the peak rate — the standard Lewis-Shedler construction, exact for
-    any bounded rate function.
-    """
-
-    base_rate: float
-    amplitude: float = 0.5
-    period: float = 8.0
-
-    name = "diurnal"
-
-    def __post_init__(self) -> None:
-        _check_rate(self.base_rate, "base_rate")
-        _check_rate(self.period, "period")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise WorkloadError(
-                f"amplitude must be in [0, 1), got {self.amplitude} "
-                f"(>= 1 makes the rate go negative)")
-
-    @property
-    def mean_rate(self) -> float:
-        return self.base_rate
-
-    def rate_at(self, t: float) -> float:
-        """Instantaneous arrival rate at virtual time *t*."""
-        return self.base_rate * (
-            1.0 + self.amplitude * math.sin(2.0 * math.pi * t / self.period))
-
-    def times(self, count: int, seed: int = 0) -> list[float]:
-        rng = random.Random(seed)
-        peak = self.base_rate * (1.0 + self.amplitude)
-        out: list[float] = []
-        t = 0.0
-        while len(out) < count:
-            t += rng.expovariate(peak)
-            if rng.random() * peak <= self.rate_at(t):
-                out.append(t)
-        return out
-
-
-#: The registry the CLI and the serving benchmark resolve names from.
-ARRIVAL_PROCESSES = ("poisson", "mmpp", "diurnal")
-
-
-def make_arrival_process(name: str, rate: float) -> ArrivalProcess:
-    """Build a process of *name* with long-run ``mean_rate == rate``.
-
-    The MMPP keeps a 1:4 burst-to-calm dwell ratio with the burst
-    state running at 3x the calm state; the diurnal process swings
-    +/-50% around *rate*.  Both therefore stress the same average load
-    as the plain Poisson process, just with different variance.
-    """
-    if name == "poisson":
+def make_arrival_process(name: str, rate: float) -> PoissonArrivals:
+    """The arrival process *name* (one of :data:`ARRIVAL_PROCESSES`)
+    at long-run *rate* arrivals per virtual second."""
+    if name == ARRIVAL_POISSON:
         return PoissonArrivals(rate)
-    if name == "mmpp":
-        # dwell-weighted mean = (calm*4 + 3*calm*1) / 5 = 1.4 * calm
-        calm = rate / 1.4
-        return MMPPArrivals(calm_rate=calm, burst_rate=3.0 * calm,
-                            calm_dwell=4.0, burst_dwell=1.0)
-    if name == "diurnal":
-        return DiurnalArrivals(base_rate=rate, amplitude=0.5)
     raise WorkloadError(
         f"unknown arrival process {name!r} "
         f"(expected one of {ARRIVAL_PROCESSES})")

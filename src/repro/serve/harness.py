@@ -1,8 +1,8 @@
 """The open-loop serving harness.
 
-Turns an :class:`~repro.serve.arrivals.ArrivalProcess` plus a weighted
-mix of :class:`QueryTemplate`\\ s into a workload-engine submission
-list — the bridge between "requests per virtual second" and the
+Turns a seeded Poisson arrival stream (:mod:`repro.serve.arrivals`)
+plus a weighted mix of :class:`QueryTemplate`\\ s into a workload-engine
+submission list — the bridge between "requests per virtual second" and the
 closed batch API the engine executes.  The ``fig_serving`` row of
 :data:`repro.bench.figures.FIGURES`, the twin and chaos tables and the
 ``serve`` CLI command all drive overload through here, on the small
@@ -33,7 +33,7 @@ from repro.obs.bus import (
     SERVE_BACKPRESSURE,
 )
 from repro.obs.metrics import percentile
-from repro.serve.arrivals import ArrivalProcess, make_arrival_process
+from repro.serve.arrivals import make_arrival_process
 from repro.serve.policies import ServingPolicy
 from repro.workload.engine import (
     QuerySubmission,
@@ -152,24 +152,22 @@ def build_submissions(templates, times, machine=None, seed: int = 0,
     return submissions
 
 
-def run_serving(templates=None, arrival: str | ArrivalProcess = "poisson",
+def run_serving(templates=None, arrival: str = "poisson",
                 rate: float = 1.0, count: int = 100, seed: int = 0,
                 machine=None, workload: WorkloadOptions | None = None,
                 observe: bool = True,
                 timeouts: bool = True) -> WorkloadResult:
     """One open-loop serving run, end to end.
 
-    Generates *count* arrivals from the named (or given) arrival
-    process at long-run *rate*, draws the template mix, and executes
+    Generates *count* arrivals from the named arrival process at
+    long-run *rate*, draws the template mix, and executes
     under *workload* (the default options when ``None``).
     """
     from repro.bench.runners import default_machine
 
     templates = tuple(templates) if templates else default_templates()
     machine = machine or default_machine()
-    process = (arrival if isinstance(arrival, ArrivalProcess)
-               else make_arrival_process(arrival, rate))
-    times = process.times(count, seed=seed)
+    times = make_arrival_process(arrival, rate).times(count, seed=seed)
     submissions = build_submissions(templates, times, machine=machine,
                                     seed=seed, timeouts=timeouts)
     options = ExecutionOptions(
@@ -241,8 +239,8 @@ def serving_stats(result: WorkloadResult) -> dict:
       virtual second.  SLOs ride the timeout machinery, so ``done``
       already means "within SLO" when timeouts are armed.
     * ``classes`` — per-priority-class p50/p95/p99 latency over
-      completed queries, plus that class's shed/rejected/timed-out
-      counts (the per-class fate of the overload).
+      completed queries, plus that class's shed/timed-out counts (the
+      per-class fate of the overload).
     """
     statuses: dict[str, int] = {}
     for execution in result.executions.values():
@@ -262,8 +260,7 @@ def serving_stats(result: WorkloadResult) -> dict:
         priority = submission_priority.get(tag, 0)
         klass = f"p{priority}"
         stats = per_class.setdefault(
-            klass, {"submitted": 0, "done": 0, "shed": 0, "rejected": 0,
-                    "timed_out": 0})
+            klass, {"submitted": 0, "done": 0, "shed": 0, "timed_out": 0})
         stats["submitted"] += 1
         if execution.status in stats:
             stats[execution.status] = stats.get(execution.status, 0) + 1

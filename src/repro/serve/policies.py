@@ -1,10 +1,9 @@
 """The serving policy block and the keyed wait queue.
 
-Grown out of :mod:`repro.workload.admission`: the
-:class:`~repro.workload.admission.AdmissionController` keeps deciding
-*whether* capacity exists (concurrency bound + memory gate); the
-:class:`WaitQueue` here decides *who* is offered that capacity next,
-and *who* is shed when the bounded wait queue overflows.
+The workload engine decides *whether* capacity exists (fewer than
+``max_concurrent`` queries running); the :class:`WaitQueue` here
+decides *who* is offered that capacity next, and *who* is shed when
+the bounded wait queue overflows.
 
 Two layers:
 
@@ -42,7 +41,6 @@ hypothesis suite holds the queue to that.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from dataclasses import dataclass
 
@@ -59,9 +57,6 @@ POLICIES = (POLICY_FIFO, POLICY_PRIORITY, POLICY_EDF)
 SHED_QUEUE_FULL = "queue_full"
 SHED_DEADLINE_INFEASIBLE = "deadline_infeasible"
 
-#: Reject reason (a query that could *never* run, not overload).
-REJECT_MEMORY = "memory_infeasible"
-
 
 @dataclass(frozen=True)
 class ServingPolicy:
@@ -72,9 +67,9 @@ class ServingPolicy:
     layer in its mildest form — FIFO order, unbounded queue — and is
     what the engine runs under when ``serving`` is ``None``; asking
     for it explicitly only changes what is *reported*
-    (priority/tenant on ``query.submit``, ``rejected`` instead of a
-    raise, per-class latency labels), which the twin table's
-    ``serving`` row pins at equal virtual makespan.
+    (priority/tenant on ``query.submit``, per-class latency labels),
+    which the twin table's ``serving`` row pins at equal virtual
+    makespan.
     """
 
     policy: str = POLICY_FIFO
@@ -94,10 +89,6 @@ class ServingPolicy:
             raise WorkloadError(
                 f"queue_limit must be >= 1, got {self.queue_limit} "
                 f"(a zero-slot queue would shed every waiting query)")
-
-    def replace(self, **changes) -> "ServingPolicy":
-        """Copy with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
 
 
 def _deadline_of(job) -> float:

@@ -146,11 +146,3 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown relation {name!r}") from None
 
-    def copartitioned(self, left: str, right: str) -> bool:
-        """True when the two relations can be IdealJoin-ed.
-
-        Both must be hash partitioned with compatible specs (same
-        method and degree); the join itself must also be on the
-        partitioning keys, which the compiler checks separately.
-        """
-        return self.entry(left).spec.compatible_with(self.entry(right).spec)

@@ -46,11 +46,6 @@ class Relation:
         """Number of rows."""
         return len(self.rows)
 
-    def column(self, name: str) -> list:
-        """Materialize one attribute column as a list."""
-        position = self.schema.position(name)
-        return [row[position] for row in self.rows]
-
     def size_bytes(self) -> int:
         """Approximate total footprint of the relation, in bytes."""
         return sum(row_size_bytes(row) for row in self.rows)

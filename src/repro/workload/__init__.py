@@ -2,8 +2,8 @@
 
 The paper's four-step scheduler stops its adaptivity story at the
 query boundary.  This package lifts it
-one level: an admission controller bounds how many queries run at
-once, the four-step scheduler's proportional-complexity split is
+one level: an admission bound (``max_concurrent``) limits how many
+queries run at once, the four-step scheduler's proportional-complexity split is
 applied *across* running queries ("step 0"), and — the paper's dynamic
 allocation, generalized inter-query — threads freed by a completing
 query are re-granted to the remaining ones mid-flight.
@@ -30,7 +30,6 @@ from repro.workload.session import (
     DONE,
     FAILED,
     PENDING,
-    REJECTED,
     SHED,
     TIMED_OUT,
     QueryHandle,
@@ -45,7 +44,6 @@ __all__ = [
     "POLICIES",
     "POLICY_ADAPTIVE",
     "POLICY_STATIC",
-    "REJECTED",
     "SHED",
     "TIMED_OUT",
     "QueryHandle",

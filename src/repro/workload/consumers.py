@@ -12,7 +12,6 @@ controller subscribes its own two methods).  All private to
 
 from __future__ import annotations
 
-from repro.engine.metrics import STATUS_SHED
 from repro.obs.bus import (
     QUERY_ADMIT,
     QUERY_GRANT,
@@ -33,7 +32,6 @@ from repro.obs.metrics import (
     POOL_UTILIZATION,
     QUERIES_ADMITTED,
     QUERIES_FINISHED,
-    QUERIES_REJECTED,
     QUERIES_SHED,
     QUERIES_SUBMITTED,
     QUERY_LATENCY,
@@ -64,7 +62,7 @@ class _Telemetry:
         run.subscribe(QUERY_ADMIT, self.on_admit)
         run.subscribe(QUERY_GRANT, self.on_grant)
         run.subscribe(POINT_ADMISSION, self.sample_levels)
-        run.subscribe(QUERY_REJECT, self.on_reject)
+        run.subscribe(QUERY_REJECT, self.on_shed)
         run.subscribe(SERVE_BACKPRESSURE, self.on_backpressure)
         run.subscribe(POINT_FINISH, self.on_finish)
 
@@ -99,9 +97,8 @@ class _Telemetry:
             self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
                 now, threads)
 
-    def on_reject(self, now, job, status, reason, **_) -> None:
-        name = QUERIES_SHED if status == STATUS_SHED else QUERIES_REJECTED
-        self.metrics.counter(name, reason=reason).inc()
+    def on_shed(self, now, job, reason, **_) -> None:
+        self.metrics.counter(QUERIES_SHED, reason=reason).inc()
 
     def on_backpressure(self, now, job, engaged, **_) -> None:
         self.metrics.gauge(BACKPRESSURE_ENGAGED).set(
@@ -150,9 +147,7 @@ class _MonitorFeed:
 
     def _levels(self) -> dict:
         run = self.run
-        return {"queue_depth": len(run.queue), "running": len(run.running),
-                "used_bytes": run.admission.used_bytes,
-                "memory_limit": run.workload.memory_limit_bytes}
+        return {"queue_depth": len(run.queue), "running": len(run.running)}
 
     def on_admission(self, now, job, admitted) -> None:
         self.monitors.observe(

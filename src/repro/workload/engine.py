@@ -11,9 +11,8 @@ Life of a query here:
 1. **submit** at its arrival offset; it enters the wait queue, a
    :class:`~repro.serve.policies.WaitQueue` keyed by arrival unless a
    ``serving`` block picks priority or EDF order.
-2. **admit** when capacity and the memory gate
-   (:class:`~repro.workload.admission.AdmissionController`) allow,
-   head of the policy's order or nobody; only now are its runtimes
+2. **admit** while fewer than ``max_concurrent`` queries run, head of
+   the policy's order or nobody; only now are its runtimes
    built, and its sequential initialization is charged on the single
    init thread (start-ups of co-arriving queries serialize).
 3. **grant**: "step 0" — :func:`~repro.scheduler.allocation
@@ -59,7 +58,6 @@ from repro.engine.metrics import (
     STATUS_CANCELLED,
     STATUS_DONE,
     STATUS_FAILED,
-    STATUS_REJECTED,
     STATUS_SHED,
     STATUS_TIMED_OUT,
     OperationMetrics,
@@ -67,7 +65,7 @@ from repro.engine.metrics import (
 )
 from repro.engine.operation import DeliveryTap, OperationRuntime
 from repro.engine.simulator import Simulator
-from repro.errors import AdmissionError, ExecutionFaultError, WorkloadError
+from repro.errors import ExecutionFaultError, WorkloadError
 from repro.faults.injector import NO_FAULTS, FaultInjector
 from repro.lera.operators import StoreSpec
 from repro.machine.machine import Machine
@@ -100,22 +98,15 @@ from repro.prof.profiler import EngineProfiler, active_profiler
 from repro.scheduler.allocation import _largest_remainder, allocate_to_queries
 from repro.scheduler.complexity import operator_complexity, query_complexity
 from repro.serve.policies import (
-    REJECT_MEMORY,
     SHED_DEADLINE_INFEASIBLE,
     SHED_QUEUE_FULL,
     ServingPolicy,
     WaitQueue,
     provably_infeasible,
 )
-from repro.workload.admission import AdmissionController, node_footprints
 from repro.workload.consumers import POINT_FOLD, _MonitorFeed, _Telemetry
 from repro.workload.options import POLICY_ADAPTIVE, WorkloadOptions
-from repro.workload.sharing import (
-    FoldRegistry,
-    SharedOperator,
-    plan_folds,
-    projected_footprint,
-)
+from repro.workload.sharing import FoldRegistry, SharedOperator, plan_folds
 
 #: Job states.  The terminal ones reuse the ``QueryExecution`` status
 #: strings, so a job's final state doubles as its execution's status.
@@ -126,11 +117,10 @@ DONE = STATUS_DONE
 CANCELLED = STATUS_CANCELLED
 TIMED_OUT = STATUS_TIMED_OUT
 FAILED = STATUS_FAILED
-REJECTED = STATUS_REJECTED   # pre-admission: could never run
 SHED = STATUS_SHED           # pre-admission: dropped under overload
 
 #: States a job can legally end the run in.
-TERMINAL_STATES = (DONE, CANCELLED, TIMED_OUT, FAILED, REJECTED, SHED)
+TERMINAL_STATES = (DONE, CANCELLED, TIMED_OUT, FAILED, SHED)
 
 
 @dataclass(frozen=True)
@@ -268,7 +258,7 @@ class WorkloadResult:
 
     def status_of(self, tag: str) -> str:
         """Terminal status of one query: ``done`` / ``cancelled`` /
-        ``timed_out`` / ``failed`` / ``rejected`` / ``shed``."""
+        ``timed_out`` / ``failed`` / ``shed``."""
         return self.execution(tag).status
 
     @property
@@ -302,8 +292,6 @@ class _JobShape:
         self.complexity = query_complexity(plan, costs)
         self.startup, self.wave_totals, self.demand = self.without(())
         executor.check_buildable(plan, schedule)
-        self.node_footprints = node_footprints(plan)
-        self.footprint = sum(self.node_footprints.values())
         #: Read only to price shared operators fractionally.
         self.node_complexities = {
             node.name: operator_complexity(node.spec, costs)
@@ -353,7 +341,6 @@ class _QueryJob:
         self.complexity = shape.complexity
         self.wave_totals = shape.wave_totals
         self.demand = shape.demand
-        self.footprint = shape.footprint
         #: A shared-mode job learns its start-up with its fold set.
         self.startup = 0.0 if shared else shape.startup
         self.runtimes: dict[str, OperationRuntime] = {}
@@ -382,8 +369,7 @@ class _QueryJob:
         self.cancel_requested_at: float | None = None
 
     def materialize(self, executor: Executor, registry: FoldRegistry | None,
-                    folds: dict[str, SharedOperator], footprint: int,
-                    now: float) -> None:
+                    folds: dict[str, SharedOperator], now: float) -> None:
         """Admission: build this query's private runtimes given its
         fold set — empty for a private job, which also offers no fold
         targets (*registry* is ``None``).
@@ -394,13 +380,11 @@ class _QueryJob:
         interior folded node needs no edge, its data flows inside the
         host's own wiring, but it subscribes all the same: the host's
         departure must not stop work a survivor still rides.  The
-        query's start-up, demand and footprint are those of the private
-        remainder.
+        query's start-up and demand are those of the private remainder.
         """
         plan = self.plan
         self.folds = folds
         self.subscriptions = tuple(dict.fromkeys(folds.values()))
-        self.footprint = footprint
         self.runtimes = executor.build_runtimes(plan, self.schedule,
                                                 skip=folds)
         executor.wire_pipelines(plan, self.runtimes)
@@ -435,8 +419,7 @@ class _QueryJob:
                 continue
             shared = SharedOperator(
                 runtime=runtime, host_tag=self.tag, fingerprint=fingerprint,
-                complexity=self.shape.node_complexities[name],
-                footprint=self.shape.node_footprints[name])
+                complexity=self.shape.node_complexities[name])
             if registry.register(shared, now):
                 self.hosted.append(shared)
 
@@ -603,8 +586,6 @@ class _WorkloadRun:
                         if exec_options.observe
                         or workload.observability.observe
                         or rules else None)
-        self.admission = AdmissionController(workload,
-                                             metrics=self.metrics)
         if self.metrics is not None:
             _Telemetry(self, self.metrics)
         self.alerts: AlertBus | None = None
@@ -639,9 +620,8 @@ class _WorkloadRun:
                                    self._on_query_abort)
         self.running: list[_QueryJob] = []
         #: That the caller asked for the serving layer is kept for the
-        #: three outputs pinned to differ: priority/tenant on
-        #: ``query.submit``, reject-instead-of-raise for a query that
-        #: can never fit, and the per-class latency labels.
+        #: two outputs pinned to differ: priority/tenant on
+        #: ``query.submit``, and the per-class latency labels.
         self.serving_requested = workload.serving is not None
         self.serving = workload.serving or _DEFAULT_SERVING
         self.queue = WaitQueue(self.serving)
@@ -776,34 +756,17 @@ class _WorkloadRun:
     # -- arrival and pre-admission exits ---------------------------------------
 
     def _submit(self, job: _QueryJob, now: float) -> None:
-        """One arrival: into the wait queue, or out as ``rejected``.
-
-        A query whose footprint can never fit raises to a caller that
-        did not ask for serving; an open-loop arrival stream has no
-        caller to raise into, so under serving it becomes a terminal
-        ``rejected`` status the client reads back and the run keeps
-        serving everyone else.
-        """
-        facts = {"demand": job.demand, "footprint": job.footprint}
+        """One arrival: into the wait queue."""
+        facts = {"demand": job.demand}
         if self.serving_requested:
             facts.update(priority=job.priority, tenant=job.tenant)
-        try:
-            self.admission.check_admissible(job.tag, job.footprint)
-        except AdmissionError as error:
-            if not self.serving_requested:
-                raise
-            refusal = str(error)
-        else:
-            refusal = None
-            self.queue.push(job)
+        self.queue.push(job)
         self._emit(QUERY_SUBMIT, now, job, **facts)
-        if refusal is not None:
-            self._reject(job, now, REJECTED, REJECT_MEMORY, detail=refusal)
 
     def _leave_unadmitted(self, job: _QueryJob, now: float, outcome: str,
                           kind: str, **facts) -> None:
-        """Terminal path of a query that never ran (withdrawn, shed or
-        rejected): it freezes an empty execution carrying *outcome*,
+        """Terminal path of a query that never ran (withdrawn or shed):
+        it freezes an empty execution carrying *outcome*,
         fires the terminal event *kind*, and reaches the same
         ``finish`` point as every other outcome — so conservation
         (every submission reaches exactly one terminal state) holds by
@@ -815,11 +778,10 @@ class _WorkloadRun:
         self._emit(kind, now, job, **facts)
         self._notify(POINT_FINISH, now, job, status=outcome)
 
-    def _reject(self, job: _QueryJob, now: float, status: str,
-                reason: str, **detail) -> None:
-        """Terminate a never-admitted query as ``rejected``/``shed``."""
-        self._leave_unadmitted(job, now, status, QUERY_REJECT,
-                               status=status, reason=reason, **detail)
+    def _shed(self, job: _QueryJob, now: float, reason: str) -> None:
+        """Terminate a never-admitted query as ``shed``."""
+        self._leave_unadmitted(job, now, SHED, QUERY_REJECT,
+                               status=SHED, reason=reason)
 
     # -- cancellation / abort --------------------------------------------------
 
@@ -979,7 +941,7 @@ class _WorkloadRun:
         while len(self.queue) > limit:
             victim = self.queue.victim()
             self.queue.pop(victim)
-            self._reject(victim, now, SHED, SHED_QUEUE_FULL)
+            self._shed(victim, now, SHED_QUEUE_FULL)
         engaged = len(self.queue) >= limit
         if engaged != self._backpressure:
             self._backpressure = engaged
@@ -1005,9 +967,7 @@ class _WorkloadRun:
             job = self.queue.peek()
             if job is None:
                 break
-            # A private job is the empty fold set at its full footprint.
-            folds, footprint = (self._plan_folds(job, now) if shared
-                                else ({}, job.footprint))
+            folds = self._plan_folds(job, now) if shared else {}
             if self.queue.sheds_infeasible:
                 if shared:
                     # The start-up its fold set leaves, as a private
@@ -1018,11 +978,10 @@ class _WorkloadRun:
                     # overruns its deadline — admitting it would only
                     # burn machine time on work guaranteed to time out.
                     self.queue.pop(job)
-                    self._reject(job, now, SHED, SHED_DEADLINE_INFEASIBLE)
+                    self._shed(job, now, SHED_DEADLINE_INFEASIBLE)
                     continue
-            if not self.admission.fits(len(self.running), footprint):
-                # Submission refused every footprint above the limit, so
-                # something runs: its completion admits again.
+            if len(self.running) >= self.workload.max_concurrent:
+                # Something runs: its completion admits again.
                 break
             if job.shape.stores and any(other.plan is job.plan
                                         for other in self.running):
@@ -1031,25 +990,21 @@ class _WorkloadRun:
                     f"running execution of its plan; build one plan per query")
             self.queue.pop(job)
             job.materialize(self.executor, self.sharing if shared else None,
-                            folds, footprint, now)
+                            folds, now)
             if shared:
                 self._notify(POINT_FOLD, now, job, folds=folds)
             job.state = RUNNING
             self.running.append(job)
-            self.admission.acquire(job.footprint, at=now)
             admitted.append(job)
         if admitted:
             self._launch(admitted, now)
         self._enforce_queue_bound(now)
 
     def _plan_folds(self, job: _QueryJob,
-                    now: float) -> tuple[dict[str, SharedOperator], int]:
+                    now: float) -> dict[str, SharedOperator]:
         """Fold pass of a shared-mode query: which subplans ride on
-        running work, and the footprint the memory gate is asked for
-        with those priced fractionally."""
-        folds = plan_folds(job.plan, self.sharing, now)
-        return folds, projected_footprint(
-            job.plan, job.shape.node_footprints, folds)
+        running work."""
+        return plan_folds(job.plan, self.sharing, now)
 
     def _launch(self, admitted: list[_QueryJob], now: float) -> None:
         """Grant the just-admitted batch and start its first waves."""
@@ -1064,8 +1019,7 @@ class _WorkloadRun:
                                 for name, shared in job.folds.items()}}
                      if job.folds else {})
             self._emit(QUERY_ADMIT, now, job, running=len(self.running),
-                       queued=len(self.queue), footprint=job.footprint,
-                       **extra)
+                       queued=len(self.queue), **extra)
             self._emit(QUERY_GRANT, now, job, threads=job.grant,
                        budget=self.budget, reason="admission")
         self._notify(POINT_ADMISSION, now, admitted=admitted)
@@ -1254,7 +1208,6 @@ class _WorkloadRun:
         job.current_wave_shared = []
         job.shared_results = {}
         self.running.remove(job)
-        self.admission.release(job.footprint, at=finish)
         self._emit(QUERY_FINISH, finish, job,
                    response_time=finish - job.arrival,
                    threads=job.max_threads, **status)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.engine.executor import ObservabilityOptions
@@ -29,10 +28,6 @@ class WorkloadOptions:
     max_concurrent: int = 4
     """Admission bound: at most this many queries execute at once;
     later arrivals queue (FIFO) until a running query completes."""
-    memory_limit_bytes: int | None = None
-    """Admission memory gate: a query is only admitted while the
-    estimated stored-data footprint of all running queries plus its
-    own stays within this budget.  ``None`` disables the gate."""
     thread_budget: int | None = None
     """Machine thread budget "step 0" distributes across running
     queries; defaults to the machine's processor count."""
@@ -75,19 +70,13 @@ class WorkloadOptions:
     (FIFO / priority / EDF) and a bounded wait queue
     with backpressure and load shedding.
     ``None`` (the default) runs under the default policy — FIFO order,
-    unbounded queue — with queries that cannot ever be
-    admitted *raising* instead of being rejected: bit-identical to
-    the pre-serving engine."""
+    unbounded queue: bit-identical to the pre-serving engine."""
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
             raise WorkloadError(
                 f"max_concurrent must be >= 1, got {self.max_concurrent} "
                 f"(a zero-capacity workload could never admit a query)")
-        if self.memory_limit_bytes is not None and self.memory_limit_bytes <= 0:
-            raise WorkloadError(
-                f"memory_limit_bytes must be positive, got "
-                f"{self.memory_limit_bytes}")
         if self.thread_budget is not None and self.thread_budget < 1:
             raise WorkloadError(
                 f"thread_budget must be >= 1, got {self.thread_budget}")
@@ -108,8 +97,3 @@ class WorkloadOptions:
             raise WorkloadError(
                 f"serving must be a ServingPolicy (or None), got "
                 f"{type(self.serving).__name__}")
-
-    def replace(self, **changes) -> "WorkloadOptions":
-        """Copy with the given fields replaced (ergonomic twin of
-        :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **changes)

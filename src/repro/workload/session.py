@@ -26,7 +26,6 @@ from repro.engine.executor import QuerySchedule
 from repro.engine.metrics import (
     STATUS_CANCELLED,
     STATUS_FAILED,
-    STATUS_REJECTED,
     STATUS_SHED,
     STATUS_TIMED_OUT,
     QueryExecution,
@@ -34,7 +33,6 @@ from repro.engine.metrics import (
 from repro.errors import (
     ExecutionFaultError,
     QueryCancelledError,
-    QueryRejectedError,
     QueryShedError,
     QueryTimeoutError,
     WorkloadError,
@@ -42,7 +40,6 @@ from repro.errors import (
 from repro.lera.graph import LeraGraph
 from repro.lera.operators import JOIN_NESTED_LOOP
 from repro.storage.schema import Schema
-from repro.workload.admission import AdmissionController, plan_footprint
 from repro.workload.engine import (
     QuerySubmission,
     WorkloadExecutor,
@@ -59,7 +56,6 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = STATUS_CANCELLED
 TIMED_OUT = STATUS_TIMED_OUT
-REJECTED = STATUS_REJECTED
 SHED = STATUS_SHED
 
 
@@ -104,9 +100,9 @@ class QueryHandle:
     def status(self) -> str:
         """``pending`` before the workload ran; afterwards the query's
         terminal status: ``done`` / ``cancelled`` / ``timed_out`` /
-        ``failed`` — or, under a serving policy, ``rejected`` /
-        ``shed`` for queries the overload-protection layer turned
-        away before admission."""
+        ``failed`` — or, under a bounded serving queue, ``shed`` for
+        queries the overload-protection layer turned away before
+        admission."""
         return self._session._status_of(self.tag)
 
     @property
@@ -147,10 +143,6 @@ class QueryHandle:
             raise QueryShedError(
                 f"query {self.tag!r} was load-shed before admission; "
                 f"resubmit when the system is less loaded")
-        if execution.status == STATUS_REJECTED:
-            raise QueryRejectedError(
-                f"query {self.tag!r} was rejected at admission; it could "
-                f"never have been admitted under the workload limits")
         rows = self.compiled.shape_rows(execution.result_rows)
         return QueryResult(
             rows=rows,
@@ -236,9 +228,6 @@ class Session:
 
         The schedule is computed here (submit time), so
         ``handle.schedule`` is inspectable before the workload runs.
-        A query whose lone memory footprint exceeds the workload's
-        limit fails *now* with :class:`~repro.errors.AdmissionError`
-        rather than poisoning the whole batch at :meth:`run`.
         ``timeout`` (virtual seconds after arrival) bounds the query's
         time on the machine; see :meth:`QueryHandle.cancel` for
         explicit cancellation.
@@ -252,14 +241,6 @@ class Session:
         if tag in self._submissions:
             raise WorkloadError(f"duplicate query tag {tag!r} in session")
         compiled.plan.validate()
-        if (self.options.memory_limit_bytes is not None
-                and self.options.serving is None):
-            # Under a serving policy the engine *rejects* an impossible
-            # query (terminal status ``rejected``) instead of the
-            # session raising eagerly — an open-loop stream has no
-            # caller to raise into.
-            footprint = plan_footprint(compiled.plan)
-            AdmissionController(self.options).check_admissible(tag, footprint)
         if schedule is None:
             schedule = self.db.scheduler.schedule(compiled.plan, threads)
         # QuerySubmission validates the arrival offset, timeout and

@@ -57,8 +57,6 @@ class SharedOperator:
         fingerprint: The canonical identity it was registered under.
         complexity: The operator's estimated complexity — split across
             ``active_tags`` by the engine's step-0 accounting.
-        footprint: The operator's stored-data bytes — split across
-            subscribers by the admission gate.
         active_tags: Live subscribers (host included).  The reference
             count: a cancelled/timed-out/faulted subscriber leaves;
             when the *host* leaves with survivors the runtime is
@@ -79,17 +77,15 @@ class SharedOperator:
     """
 
     __slots__ = ("runtime", "host_tag", "fingerprint", "complexity",
-                 "footprint", "active_tags", "all_tags", "edges", "dead",
+                 "active_tags", "all_tags", "edges", "dead",
                  "detached", "waiters")
 
     def __init__(self, runtime: "OperationRuntime", host_tag: str,
-                 fingerprint: tuple, complexity: float,
-                 footprint: int) -> None:
+                 fingerprint: tuple, complexity: float) -> None:
         self.runtime = runtime
         self.host_tag = host_tag
         self.fingerprint = fingerprint
         self.complexity = complexity
-        self.footprint = footprint
         self.active_tags: set[str] = {host_tag}
         self.all_tags: set[str] = {host_tag}
         self.edges: dict[str, list[DeliveryTap]] = {}
@@ -185,18 +181,3 @@ def plan_folds(plan: LeraGraph, registry: FoldRegistry,
                 folds[node.name] = shared
     return folds
 
-
-def projected_footprint(plan: LeraGraph, footprints: dict[str, int],
-                        folds: dict[str, SharedOperator]) -> int:
-    """Admission bytes for a plan given its fold set.
-
-    Private nodes cost their full footprint; a folded node costs its
-    share of the host operator's bytes with this query joined
-    (``ceil(footprint / (subscribers + 1))``) — the memory-gate face
-    of fractional cost attribution.
-    """
-    total = sum(footprints[node.name] for node in plan.nodes
-                if node.name not in folds)
-    for shared in dict.fromkeys(folds.values()):
-        total += -(-shared.footprint // (len(shared.active_tags) + 1))
-    return total

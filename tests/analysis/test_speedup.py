@@ -16,14 +16,6 @@ class TestBasics:
 
 
 class TestSpeedupCurve:
-    def test_measure_requires_one_thread_start(self):
-        with pytest.raises(ReproError):
-            SpeedupCurve.measure([2, 4], [10.0, 5.0])
-
-    def test_measure_normalizes(self):
-        curve = SpeedupCurve.measure([1, 2, 4], [100.0, 50.0, 25.0])
-        assert curve.speedups == (1.0, 2.0, 4.0)
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ReproError):
             SpeedupCurve((1, 2), (1.0,))

@@ -72,10 +72,6 @@ class TestQueries:
         result = db.query("SELECT * FROM A WHERE two = 0")
         assert result.execution.total_threads >= 1
 
-    def test_column_accessor(self, db):
-        result = db.query("SELECT unique1 FROM A WHERE unique1 < 3")
-        assert sorted(result.column("unique1")) == [0, 1, 2]
-
     def test_bad_sql_raises(self, db):
         with pytest.raises(CompilationError):
             db.query("DELETE FROM A")

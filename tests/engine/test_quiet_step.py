@@ -126,7 +126,7 @@ class Rig:
         executor.attach_observability(runtimes, self.bus)
         self.operations = list(runtimes.values())
         self.join = runtimes["join"]
-        self.start = executor.startup_time(runtimes, schedule)
+        self.start = executor.plan_startup(plan.nodes, schedule)
         faults = _faults(config, self.start)
         # Exhausted retries cancel the query, as a workload would.
         self.simulator = Simulator(
@@ -145,7 +145,7 @@ class Rig:
     def run(self, until=None):
         simulator = self.simulator
         boundary = simulator.run(until)
-        self.boundaries.append((boundary, simulator.idle))
+        self.boundaries.append((boundary, not simulator._heap))
         # The factor is cached beside the count it is a function of.
         assert simulator._dilation == simulator.machine.dilation(
             simulator._active)
@@ -179,7 +179,7 @@ class Rig:
         """Everything the shortcuts could move.  (A run may end
         deadlocked — bounded queues without secondary consumption can —
         and must then do so identically.)"""
-        assert self.simulator.idle
+        assert not self.simulator._heap
         bus = self.bus
         return {
             "threads": {op.name: _thread_facts(op)
@@ -314,8 +314,9 @@ def _concurrent_joins(processors):
         executor.wire_pipelines(plan, runtimes)
         executor.attach_observability(runtimes, None)
         queries.append((runtimes, schedule))
-    start = max(executor.startup_time(runtimes, schedule)
-                for runtimes, schedule in queries)
+    start = max(executor.plan_startup(
+        [runtime.node for runtime in runtimes.values()], schedule)
+        for runtimes, schedule in queries)
     simulator = Simulator(machine, 0, NO_FAULTS, None,
                           lambda operation: None,
                           lambda operation, error, at: None)

@@ -92,37 +92,6 @@ class TestTraceQueries:
         with pytest.raises(ReproError):
             ExecutionTrace().gantt()
 
-    def test_active_threads(self):
-        trace = ExecutionTrace()
-        trace.record(0, "op", "activation", 0.0, 2.0)
-        trace.record(1, "op", "activation", 1.0, 3.0)
-        assert trace.active_threads(0.5) == 1
-        assert trace.active_threads(1.5) == 2
-        assert trace.active_threads(2.5) == 1
-
-    def test_sweep_matches_naive_reference(self):
-        """The bisect count must agree with a rescan of every event,
-        on an irregular random trace."""
-        import random
-        rng = random.Random(7)
-        trace = ExecutionTrace()
-        for _ in range(300):
-            start = rng.uniform(0.0, 10.0)
-            trace.record(rng.randrange(6), f"op{rng.randrange(5)}",
-                         "activation", start, start + rng.uniform(0.01, 3.0))
-        span_start, span_end = trace.span
-        for instant in (span_start, 2.5, 5.0, 9.9, span_end, -1.0):
-            expected = sum(1 for e in trace.events
-                           if e.start <= instant < e.end)
-            assert trace.active_threads(instant) == expected
-
-    def test_bounds_cache_invalidated_by_new_events(self):
-        trace = ExecutionTrace()
-        trace.record(0, "op", "activation", 0.0, 1.0)
-        assert trace.active_threads(0.5) == 1
-        trace.record(1, "op", "activation", 0.0, 1.0)
-        assert trace.active_threads(0.5) == 2
-
 
 class TestGantt:
     def test_renders_rows_and_legend(self, join_db):

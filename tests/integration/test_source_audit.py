@@ -20,7 +20,10 @@
   (DESIGN.md §7): in the package, ``perf_ledger``, ``benchmarks`` or
   the examples tier-1 runs.  A reference is code (a name read, an
   attribute, a keyword, an import, an identifier string), not a word
-  of a comment or docstring.  The tests and the docs do not count, nor
+  of a comment or docstring; a method's reference is narrower, an
+  attribute read or an identifier string that is a dict key or a
+  ``getattr``-family argument, so a local variable or keyword of the
+  same name does not keep it.  The tests and the docs do not count, nor
   does a package ``__init__`` passing a name on (its import and its
   ``__all__`` entry).  The definitions that stay without a caller sit
   in :data:`DEFINITIONS_WITHOUT_CALLER`, each with its reason and the
@@ -110,26 +113,12 @@ REFERENCE_DIRS = CALLER_DIRS + ("examples",)
 #: ``"Block.field" -> (reason, behaviour test)``: every option field no
 #: caller outside the tests sets, why it stays, and the test that runs
 #: its non-default value.
-OPTIONS_WITHOUT_CALLER = {
-    "WorkloadOptions.memory_limit_bytes": (
-        "the admission memory gate: a bounded budget staggers "
-        "admission, rejects a query that can never fit "
-        "(REJECT_MEMORY) and feeds MemoryPressureMonitor; every "
-        "benchmark and figure runs unbounded",
-        "tests/workload/test_engine.py::TestArrivalsAndAdmission"
-        "::test_memory_gate_staggers_admission"),
-}
+OPTIONS_WITHOUT_CALLER: dict[str, tuple[str, str]] = {}
 
 #: ``"module:name" -> (reason, behaviour test)``: every definition no
 #: caller outside the tests references, why it stays, and the test
 #: that runs it.
 DEFINITIONS_WITHOUT_CALLER = {
-    "workload/admission.py:runtime_footprint": (
-        "the after-build oracle: the footprint admission prices a job "
-        "with before building it (node_footprints) must equal what the "
-        "built runtimes read",
-        "tests/workload/test_engine.py::TestShapeEquality"
-        "::test_run_free_numbers_equal_the_built_ones"),
     "core/database.py:drop_table": (
         "the only way to replace a table under the same name; the "
         "statement memo's recreate check (and its fuzz's recreate move) "
@@ -187,9 +176,10 @@ PARAMETERS_WITHOUT_CALLER = {
 
 
 #: ``"module:DOMAIN" -> (fields, names)``: each tuple of values a field
-#: of an option block or a plan spec is validated against, the fields,
-#: and the names a literal value binds to when it sets them (a keyword,
-#: a parameter, a loop variable or an assignment target).
+#: of an option block or a plan spec (or a factory's name argument) is
+#: validated against, the fields, and the names a literal value binds to
+#: when it sets them (a keyword, a parameter, a loop variable or an
+#: assignment target).
 VALUE_DOMAINS = {
     "engine/strategies.py:STRATEGIES": (
         ("OperationSchedule.strategy",), ("strategy",)),
@@ -201,6 +191,7 @@ VALUE_DOMAINS = {
     "lera/operators.py:JOIN_ALGORITHMS": (
         ("JoinSpec.algorithm", "PipelinedJoinSpec.algorithm"),
         ("algorithm",)),
+    "serve/arrivals.py:ARRIVAL_PROCESSES": ((), ("arrival", "name")),
 }
 
 #: ``"module:CONSTANT" -> (reason, behaviour test)``: every domain value
@@ -355,17 +346,34 @@ def _outside_references() -> Counter:
     return outside_references(_modules())
 
 
+#: Calls whose second argument names an attribute.
+GETATTR_FAMILY = ("getattr", "setattr", "hasattr", "delattr")
+
+
 @functools.lru_cache(maxsize=None)
 def _tokens(text: str) -> tuple[str, ...]:
     """The names *text*'s code uses: a read name or attribute, a
     keyword, an imported name, and a string that is an identifier
     (``getattr``'s argument, a forward annotation, an ``__all__``
     entry).  A definition's own name, an assignment's target and the
-    words of comments and docstrings are not uses."""
+    words of comments and docstrings are not uses.
+
+    The uses that can reach a method also come as ``.name``: an
+    attribute read, and an identifier string that is a dict key or
+    the attribute argument of :data:`GETATTR_FAMILY` (a table of
+    methods to wrap, a ``getattr``).  A bare name, a keyword or any
+    other string is some other thing that shares the method's name."""
     tree = _tree(text)
     prose = {node.value for node in ast.walk(tree)
              if isinstance(node, ast.Expr)
              and isinstance(node.value, ast.Constant)}
+    attribute_strings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            attribute_strings.update(node.keys)
+        elif (isinstance(node, ast.Call) and len(node.args) > 1
+              and _name(node.func) in GETATTR_FAMILY):
+            attribute_strings.add(node.args[1])
     found = []
     for node in ast.walk(tree):
         if node in prose:
@@ -374,7 +382,7 @@ def _tokens(text: str) -> tuple[str, ...]:
             found.append(node.id)
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Load)):
-            found.append(node.attr)
+            found += [node.attr, f".{node.attr}"]
         elif isinstance(node, ast.keyword) and node.arg is not None:
             found.append(node.arg)
         elif isinstance(node, ast.alias):
@@ -382,16 +390,23 @@ def _tokens(text: str) -> tuple[str, ...]:
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
             found.append(node.value)
+            if node in attribute_strings:
+                found.append(f".{node.value}")
     return tuple(found)
 
 
 @functools.lru_cache(maxsize=None)
-def _definitions(text: str) -> tuple[tuple[str, int], ...]:
-    """``(name, line)`` of every function and class in *text* (dunder
-    methods are called by the language) and of every module-level
-    ``UPPER_CASE`` assignment."""
+def _definitions(text: str) -> tuple[tuple[str, int, bool], ...]:
+    """``(name, line, method)`` of every function and class in *text*
+    (dunder methods are called by the language) and of every
+    module-level ``UPPER_CASE`` assignment; *method* is true for a
+    function defined directly in a class body."""
     tree = _tree(text)
-    found = [(node.name, node.lineno) for node in ast.walk(tree)
+    methods = {child for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for child in node.body
+               if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = [(node.name, node.lineno, node in methods)
+             for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))
              and not (node.name.startswith("__")
@@ -400,7 +415,7 @@ def _definitions(text: str) -> tuple[tuple[str, int], ...]:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign)
                    else [])
-        found += [(target.id, node.lineno) for target in targets
+        found += [(target.id, node.lineno, False) for target in targets
                   if isinstance(target, ast.Name)
                   and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)]
     return tuple(found)
@@ -432,14 +447,15 @@ def unreferenced(sources: dict[str, str], outside: Counter) -> list[str]:
         words.update(_tokens(text))
         if module.endswith("__init__.py"):
             words.subtract(_re_exports(_tree(text)))
-        for name, line in _definitions(text):
-            definitions.setdefault(name, []).append((module, line))
+        for name, line, method in _definitions(text):
+            definitions.setdefault(name, []).append((module, line, method))
     uncalled = [(f"{module}:{name}",
                  f"{module}:{line}: {name} is defined but never referenced")
                 for name, sites in sorted(definitions.items())
-                if words[name] <= 0 for module, line in sites]
+                for module, line, method in sites
+                if words[f".{name}" if method else name] <= 0]
     declared = {f"{module}:{name}" for name, sites in definitions.items()
-                for module, _line in sites}
+                for module, _line, _method in sites}
     uncalled_sites = {site for site, _message in uncalled}
     unlisted = [message for site, message in uncalled
                 if site not in DEFINITIONS_WITHOUT_CALLER]
@@ -983,11 +999,30 @@ def test_a_definition_only_a_package_re_exports_is_caught():
 
 
 def test_a_listed_definition_that_gained_a_caller_is_reported_stale():
-    caller = "footprint = runtime_footprint(job.runtimes)\n"
+    caller = "ok = model.contains(response)\n"
     outside = _outside_references() + Counter(_tokens(caller))
     assert unreferenced(_package(), outside) == [
         "DEFINITIONS_WITHOUT_CALLER entry "
-        "workload/admission.py:runtime_footprint has a caller now"]
+        "analysis/predictor.py:contains has a caller now"]
+
+
+def test_a_method_named_only_by_a_local_variable_is_caught():
+    doctored = {**_package(), "bench/doctored.py": (
+        "class Tally:\n"
+        "    def grand_total(self):\n"
+        "        return 0\n"
+        "def show(rows):\n"
+        "    grand_total = sum(rows)\n"
+        "    print(grand_total, {'count': grand_total},\n"
+        "          dict(grand_total=grand_total), 'grand_total')\n"
+        "shown = show([Tally()])\n")}
+    assert unreferenced(doctored, _outside_references()) == [
+        "bench/doctored.py:2: grand_total is defined but never referenced"]
+    for use in ("tally.grand_total()", "getattr(tally, 'grand_total')()",
+                "{'grand_total': 'sum'}"):
+        called = {**doctored, "bench/doctored.py":
+                  doctored["bench/doctored.py"] + f"x = {use}\n"}
+        assert unreferenced(called, _outside_references()) == [], use
 
 
 def test_an_unreferenced_definition_is_caught():
@@ -1098,15 +1133,23 @@ def test_a_field_nobody_sets_is_caught():
         "reason in OPTIONS_WITHOUT_CALLER"]
 
 
-def test_a_listed_field_that_gained_a_caller_is_reported_stale():
-    fields = option_fields(_package())
-    for call in ("WorkloadOptions(memory_limit_bytes=1 << 20)",
-                 "WorkloadOptions(8, 1 << 20)"):
+def test_a_listed_field_that_gained_a_caller_is_reported_stale(monkeypatch):
+    sources = dict(_package())
+    sources["serve/policies.py"] = sources["serve/policies.py"].replace(
+        "    queue_limit: int | None = None\n",
+        "    queue_limit: int | None = None\n"
+        "    brownout: bool = False\n")
+    fields = option_fields(sources)
+    monkeypatch.setitem(OPTIONS_WITHOUT_CALLER, "ServingPolicy.brownout",
+                        ("sheds early", "tests/serve/test_policies.py"))
+    assert census_violations(fields, set_options(_callers(), fields)) == []
+    for call in ("ServingPolicy(brownout=True)",
+                 "ServingPolicy('edf', 6, True)"):
         doctored = {**_callers(), "perf_ledger/doctored.py": (
-            "from repro import WorkloadOptions\n"
-            f"options = {call}\n")}
+            "from repro import ServingPolicy\n"
+            f"policy = {call}\n")}
         assert census_violations(fields, set_options(doctored, fields)) == [
-            "OPTIONS_WITHOUT_CALLER entry WorkloadOptions.memory_limit_bytes "
+            "OPTIONS_WITHOUT_CALLER entry ServingPolicy.brownout "
             "has a caller now"], call
 
 

@@ -139,7 +139,7 @@ class TestChains:
         assert len(chains) == 1
         assert chains[0].node_names() == ["t", "j"]
         assert chains[0].head.name == "t"
-        assert chains[0].tail.name == "j"
+        assert chains[0].nodes[-1].name == "j"
 
     def test_two_chains_split_on_materialization(self):
         chains = self._two_chain_graph().chains()

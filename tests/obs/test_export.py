@@ -59,7 +59,7 @@ EXPORT_SHA256 = {
 #: fault, cancel and shedding counters, and the alert rules' readings
 #: of the registry end up in these bytes.
 WORKLOAD_EXPORT_SHA256 = (
-    "e3f236a159212157d360d0f0fd66478ebe8e625c70296d2017e2243d90f7cf3c")
+    "70bc484c624fcdf58ac2b1336b20c3d627c2d59a8a3294de08136230242c8942")
 
 
 def _served():

@@ -27,7 +27,6 @@ from repro.obs.monitor import (
     STRAGGLER_MIN_THREADS,
     AdmissionWaitMonitor,
     LatencySloMonitor,
-    MemoryPressureMonitor,
     MonitorEngine,
     RetryStormMonitor,
     StragglerMonitor,
@@ -98,27 +97,6 @@ class TestAdmissionWaitMonitor:
                        admitted=[("q0", 0.05), ("q1", 0.5)])
         assert [a.key for a in engine.alerts] == ["q1"]
         assert engine.alerts.alerts[0].value == 0.5
-
-
-class TestMemoryPressureMonitor:
-    def test_condition_lifecycle(self):
-        engine = _engine(MemoryPressureMonitor(fraction=0.9))
-        engine.observe(POINT_ADMISSION, 1.0, admitted=[],
-                       used_bytes=95, memory_limit=100)
-        assert engine.alerts.is_active("memory_pressure", "gate")
-        engine.observe(POINT_ADMISSION, 2.0, admitted=[],
-                       used_bytes=96, memory_limit=100)
-        assert len(engine.alerts) == 1  # still the same crossing
-        engine.observe(POINT_FINISH, 3.0, tag="q0", latency=1.0,
-                       status="done", used_bytes=10, memory_limit=100)
-        assert not engine.alerts.is_active("memory_pressure", "gate")
-        assert engine.alerts.alerts[0].resolved_at == 3.0
-
-    def test_noop_without_memory_gate(self):
-        engine = _engine(MemoryPressureMonitor(0.9))
-        engine.observe(POINT_ADMISSION, 1.0, admitted=[],
-                       used_bytes=95, memory_limit=None)
-        assert len(engine.alerts) == 0
 
 
 class TestRetryStormMonitor:
@@ -221,8 +199,7 @@ class TestMonitoredRun:
     def test_loose_thresholds_fire_nothing(self):
         result = _run(WorkloadOptions(observability=ObservabilityOptions(
             monitors=(LatencySloMonitor(1e9, 0.25), AdmissionWaitMonitor(1e9),
-                      StragglerMonitor(1e9), MemoryPressureMonitor(0.9),
-                      RetryStormMonitor(8)))))
+                      StragglerMonitor(1e9), RetryStormMonitor(8)))))
         assert len(result.alerts) == 0
         assert result.metrics is not None  # rules imply the registry
 

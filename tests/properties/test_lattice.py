@@ -35,7 +35,6 @@ from repro.engine.executor import (PLACEMENTS, ExecutionOptions,
 from repro.engine.operation import READY_INDEX_MIN_INSTANCES
 from repro.engine.simulator import Simulator
 from repro.engine.strategies import LPT, STRATEGIES
-from repro.errors import AdmissionError
 from repro.faults import (ActivationFaults, FaultPlan, MemoryPressure,
                           SlowdownWindow, StallWindow)  # noqa: F401
 from repro.faults.injector import NO_FAULTS
@@ -44,9 +43,8 @@ from repro.machine.machine import Machine
 from repro.obs.bus import (BLOCK, QUERY_CANCEL, QUERY_GRANT, QUERY_REJECT,
                            QUERY_SUBMIT, SCHEDULE_RESPLIT, SCHEDULE_SWITCH)
 from repro.obs.monitor import (AdmissionWaitMonitor,  # noqa: F401
-                               LatencySloMonitor, MemoryPressureMonitor,
-                               RetryStormMonitor, StragglerMonitor,
-                               default_monitors)
+                               LatencySloMonitor, RetryStormMonitor,
+                               StragglerMonitor, default_monitors)
 from repro.serve.policies import POLICIES as SERVING_POLICIES
 from repro.workload.engine import _WorkloadRun
 from repro.workload.options import POLICIES
@@ -134,7 +132,6 @@ PLANS = {"assoc_join": _assoc_join,
 class Run(NamedTuple):
     result: object
     handles: dict    # tag -> (handle, the statement sqlite3 answers)
-    refused: set     # tags refused at submission (memory, no serving)
     db: DBS3
 
 
@@ -145,7 +142,7 @@ def _run(point: Point, execution, workload) -> Run:
     for table in point.tables:
         table.register(db)
     session = db.session(workload)
-    handles, refused = {}, set()
+    handles = {}
     for i, query in enumerate(point.queries):
         if not query.again:
             if query.plan is None:
@@ -160,17 +157,13 @@ def _run(point: Point, execution, workload) -> Run:
                     cache_size=point.cache_size or op.cache_size,
                     allow_secondary=point.allow_secondary)
                     for name, op in schedule.operations.items()})
-        try:
-            handle = session.submit_compiled(
-                compiled, at=query.at, schedule=schedule, tag=f"q{i}",
-                timeout=query.timeout, priority=query.priority)
-        except AdmissionError:
-            refused.add(f"q{i}")
-            continue
+        handle = session.submit_compiled(
+            compiled, at=query.at, schedule=schedule, tag=f"q{i}",
+            timeout=query.timeout, priority=query.priority)
         if query.cancel_at is not None:
             handle.cancel(at=query.cancel_at)
         handles[handle.tag] = handle, query.sql
-    return Run(session.run(), handles, refused, db)
+    return Run(session.run(), handles, db)
 
 
 # -- the relations ------------------------------------------------------------
@@ -224,10 +217,7 @@ def _faults(point, main, off):
 
 
 def _serving(point, main, off):
-    """(c) ``ServingPolicy()`` is no serving block, where the serving-off
-    run does not refuse a query serving would reject."""
-    if off.refused:
-        return False
+    """(c) ``ServingPolicy()`` is no serving block."""
     _same(main, off, _outcomes)
     return True
 
@@ -261,15 +251,15 @@ _NO_OBSERVERS = ObservabilityOptions()
 #: relation -> (the neighbour's ``(execution, workload)``, the check,
 #: which returns whether its premise held).
 RELATIONS = {
-    "a": (lambda p: (p.execution.replace(observability=_NO_OBSERVERS),
-                     p.workload.replace(observability=_NO_OBSERVERS)),
+    "a": (lambda p: (replace(p.execution, observability=_NO_OBSERVERS),
+                     replace(p.workload, observability=_NO_OBSERVERS)),
           _observers),
-    "b": (lambda p: (p.execution, p.workload.replace(faults=None)), _faults),
-    "c": (lambda p: (p.execution, p.workload.replace(serving=None)),
+    "b": (lambda p: (p.execution, replace(p.workload, faults=None)), _faults),
+    "c": (lambda p: (p.execution, replace(p.workload, serving=None)),
           _serving),
-    "d": (lambda p: (p.execution, p.workload.replace(scheduling="static")),
+    "d": (lambda p: (p.execution, replace(p.workload, scheduling="static")),
           _adaptive),
-    "e": (lambda p: (p.execution, p.workload.replace(shared=False)),
+    "e": (lambda p: (p.execution, replace(p.workload, shared=False)),
           _sharing),
 }
 
@@ -461,7 +451,6 @@ def points(draw):
                                     _maybe(st.integers(1, 3)))))
     workload = WorkloadOptions(
         max_concurrent=draw(st.integers(1, 4)),
-        memory_limit_bytes=draw(_maybe(st.integers(20_000, 200_000))),
         thread_budget=draw(_maybe(st.integers(1, 32))),
         shared=relation == "e" or draw(st.booleans()),
         scheduling="adaptive" if relation == "d"
@@ -623,16 +612,15 @@ FOUND = (
            Query("SELECT A.unique2 " + _FOLDED, 0.022),
            Query("SELECT unique1 FROM B", 0.02, timeout=0.127)), "e",
           ExecutionOptions(queue_capacity=3),
-          _observed(memory_limit_bytes=93116, shared=True,
-                    scheduling="adaptive", faults=FaultPlan(
-                        seed=619, slowdowns=(SlowdownWindow(
-                            0.018499438492388824, 0.03531916912537121,
-                            2.316385732486596),),
-                        memory=(MemoryPressure(0.01563809973180576,
-                                               0.33561217882303634),),
-                        activations=(ActivationFaults(
-                            "join", 0.022567287085295665, 25,
-                            0.0028956907473355084, 0.08),))),
+          _observed(shared=True, scheduling="adaptive", faults=FaultPlan(
+              seed=619, slowdowns=(SlowdownWindow(
+                  0.018499438492388824, 0.03531916912537121,
+                  2.316385732486596),),
+              memory=(MemoryPressure(0.01563809973180576,
+                                     0.33561217882303634),),
+              activations=(ActivationFaults(
+                  "join", 0.022567287085295665, 25,
+                  0.0028956907473355084, 0.08),))),
           processors=10, strategy=LPT, cache_size=5),
     SPLIT_FINISHES,
 )
@@ -652,9 +640,9 @@ CORNER_DRAW = Point(
      Query(_AC + "A.unique1 = C.unique2 WHERE C.onePercent <> 47", 0.025, 6)),
     "c", ExecutionOptions(placement="warm", queue_capacity=4, seed=2,
                           observability=ObservabilityOptions(observe=True)),
-    _observed(monitors=True, profile=True, max_concurrent=1,
-              memory_limit_bytes=56245, shared=True, scheduling="adaptive",
-              faults=FaultPlan(seed=1), serving=ServingPolicy()),
+    _observed(monitors=True, profile=True, max_concurrent=1, shared=True,
+              scheduling="adaptive", faults=FaultPlan(seed=1),
+              serving=ServingPolicy()),
     processors=6, ksr1=True, strategy="random", cache_size=5)
 
 #: Draws the property still falsifies, one per open FOUND line of

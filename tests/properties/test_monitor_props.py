@@ -73,7 +73,6 @@ def _options(spec) -> WorkloadOptions:
     from repro.obs.monitor import (
         AdmissionWaitMonitor,
         LatencySloMonitor,
-        MemoryPressureMonitor,
         RetryStormMonitor,
         StragglerMonitor,
     )
@@ -83,7 +82,6 @@ def _options(spec) -> WorkloadOptions:
             LatencySloMonitor(spec["slo"], spec["burn_budget"]),
             AdmissionWaitMonitor(spec["ceiling"]),
             StragglerMonitor(spec["ratio"]),
-            MemoryPressureMonitor(0.9),
             RetryStormMonitor(8))))
 
 

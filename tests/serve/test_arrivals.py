@@ -1,34 +1,23 @@
-"""Seeded open-loop arrival processes: determinism and shape.
+"""Seeded open-loop arrivals: determinism and shape.
 
 The serving layer's reproducibility story starts here — every
-arrival instant must be a pure function of (process parameters,
-count, seed), strictly increasing, and long-run close to the
-advertised ``mean_rate``.
+arrival instant must be a pure function of (rate, count, seed),
+strictly increasing, and long-run close to the requested rate.
 """
-
-import math
 
 import pytest
 
 from repro.errors import WorkloadError
 from repro.serve.arrivals import (
     ARRIVAL_PROCESSES,
-    DiurnalArrivals,
-    MMPPArrivals,
     PoissonArrivals,
     make_arrival_process,
 )
 
-PROCESSES = [
-    PoissonArrivals(rate=20.0),
-    MMPPArrivals(calm_rate=10.0, burst_rate=60.0,
-                 calm_dwell=4.0, burst_dwell=1.0),
-    DiurnalArrivals(base_rate=20.0, amplitude=0.5, period=4.0),
-]
+PROCESSES = [PoissonArrivals(rate=20.0)]
 
 
-@pytest.mark.parametrize("process", PROCESSES,
-                         ids=[p.name for p in PROCESSES])
+@pytest.mark.parametrize("process", PROCESSES, ids=ARRIVAL_PROCESSES)
 class TestEveryProcess:
     def test_times_are_strictly_increasing_and_positive(self, process):
         times = process.times(500, seed=3)
@@ -44,15 +33,11 @@ class TestEveryProcess:
 
     def test_empirical_rate_tracks_mean_rate(self, process):
         # Long-run arrivals per virtual second within 15 % of the
-        # advertised mean (the MMPP and diurnal processes have higher
-        # variance than plain Poisson, hence the generous band).
+        # requested rate.
         count = 6000
         times = process.times(count, seed=0)
         empirical = count / times[-1]
-        assert empirical == pytest.approx(process.mean_rate, rel=0.15)
-
-    def test_mean_rate_is_positive(self, process):
-        assert process.mean_rate > 0
+        assert empirical == pytest.approx(process.rate, rel=0.15)
 
 
 class TestPoisson:
@@ -60,44 +45,12 @@ class TestPoisson:
         with pytest.raises(WorkloadError, match="rate must be > 0"):
             PoissonArrivals(rate=0.0)
 
-    def test_mean_rate_is_the_rate(self):
-        assert PoissonArrivals(rate=7.5).mean_rate == 7.5
-
-
-class TestMmpp:
-    def test_mean_rate_is_dwell_weighted(self):
-        process = MMPPArrivals(calm_rate=10.0, burst_rate=30.0,
-                               calm_dwell=4.0, burst_dwell=1.0)
-        assert process.mean_rate == pytest.approx((10 * 4 + 30 * 1) / 5)
-
-    def test_every_parameter_validated(self):
-        with pytest.raises(WorkloadError, match="burst_rate"):
-            MMPPArrivals(calm_rate=1.0, burst_rate=-1.0)
-        with pytest.raises(WorkloadError, match="calm_dwell"):
-            MMPPArrivals(calm_rate=1.0, burst_rate=2.0, calm_dwell=0.0)
-
-
-class TestDiurnal:
-    def test_rate_at_swings_around_base(self):
-        process = DiurnalArrivals(base_rate=10.0, amplitude=0.5, period=8.0)
-        assert process.rate_at(2.0) == pytest.approx(15.0)   # sin peak
-        assert process.rate_at(6.0) == pytest.approx(5.0)    # sin trough
-        assert process.rate_at(0.0) == pytest.approx(10.0)
-
-    def test_amplitude_must_stay_below_one(self):
-        with pytest.raises(WorkloadError, match="amplitude"):
-            DiurnalArrivals(base_rate=10.0, amplitude=1.0)
-        with pytest.raises(WorkloadError, match="amplitude"):
-            DiurnalArrivals(base_rate=10.0, amplitude=-0.1)
-
 
 class TestRegistry:
     @pytest.mark.parametrize("name", ARRIVAL_PROCESSES)
     def test_factory_matches_the_requested_mean_rate(self, name):
-        process = make_arrival_process(name, 24.0)
-        assert process.name == name
-        assert math.isclose(process.mean_rate, 24.0)
+        assert make_arrival_process(name, 24.0) == PoissonArrivals(24.0)
 
     def test_unknown_name_is_an_error(self):
         with pytest.raises(WorkloadError, match="unknown arrival process"):
-            make_arrival_process("sawtooth", 10.0)
+            make_arrival_process("mmpp", 10.0)

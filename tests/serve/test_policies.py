@@ -51,13 +51,6 @@ class TestServingPolicyConfig:
         with pytest.raises(WorkloadError, match="queue_limit"):
             ServingPolicy(queue_limit=0)
 
-    def test_replace_copies_with_changes(self):
-        config = ServingPolicy(policy="edf", queue_limit=4)
-        changed = config.replace(queue_limit=8)
-        assert changed.queue_limit == 8
-        assert changed.policy == "edf"
-        assert config.queue_limit == 4
-
 
 def _queue(policy: str, *jobs: Job) -> WaitQueue:
     queue = WaitQueue(ServingPolicy(policy=policy))

@@ -82,19 +82,3 @@ class TestLookup:
         assert len(catalog) == 1
         assert "R" in catalog
         assert [e.name for e in catalog] == ["R"]
-
-    def test_copartitioned_same_degree(self, catalog, small_relation,
-                                        small_schema):
-        from repro.storage.relation import Relation
-        other = Relation("S", small_schema, [(i, i) for i in range(40)])
-        catalog.register(small_relation, PartitioningSpec.on("key", 4))
-        catalog.register(other, PartitioningSpec.on("key", 4))
-        assert catalog.copartitioned("R", "S")
-
-    def test_not_copartitioned_different_degree(self, catalog, small_relation,
-                                                small_schema):
-        from repro.storage.relation import Relation
-        other = Relation("S", small_schema, [(i, i) for i in range(40)])
-        catalog.register(small_relation, PartitioningSpec.on("key", 4))
-        catalog.register(other, PartitioningSpec.on("key", 8))
-        assert not catalog.copartitioned("R", "S")

@@ -16,10 +16,6 @@ class TestRelationBasics:
         assert small_relation.cardinality == 100
         assert len(list(small_relation)) == 100
 
-    def test_column_materializes(self, small_relation):
-        keys = small_relation.column("key")
-        assert keys == list(range(100))
-
     def test_size_bytes(self, small_relation):
         assert small_relation.size_bytes() == 100 * 2 * 8
 

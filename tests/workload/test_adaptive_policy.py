@@ -69,25 +69,12 @@ class TestSchedulingPolicyApi:
             with pytest.raises(TypeError, match=knob):
                 WorkloadOptions(**{knob: False})
 
-    def test_replace_returns_an_updated_copy(self):
-        options = WorkloadOptions()
-        adaptive = options.replace(scheduling="adaptive")
-        assert adaptive.scheduling == "adaptive"
-        assert options.scheduling == "static"
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             WorkloadOptions().scheduling = "adaptive"
 
     def test_nested_in_workload_options(self):
         assert WorkloadOptions(scheduling="adaptive").scheduling == "adaptive"
-
-    def test_workload_options_replace_swaps_the_block(self):
-        options = WorkloadOptions(max_concurrent=2)
-        swapped = options.replace(scheduling="adaptive")
-        assert swapped.scheduling == "adaptive"
-        assert swapped.max_concurrent == 2
-        assert options.scheduling == "static"
 
     def test_non_policy_scheduling_rejected(self):
         for mode in (None, "Adaptive", ("adaptive",)):

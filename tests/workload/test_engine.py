@@ -15,7 +15,6 @@ import pytest
 
 from repro import (
     DBS3,
-    AdmissionError,
     WorkloadError,
     WorkloadExecutor,
     WorkloadOptions,
@@ -42,8 +41,6 @@ from repro.lera.plans import ideal_join_plan
 from repro.obs.bus import QUERY_ADMIT, QUERY_FINISH, QUERY_GRANT, QUERY_SUBMIT
 from repro.serve.harness import build_submissions, default_templates
 from repro.storage.partitioning import PartitioningSpec
-from repro.workload import engine as engine_module
-from repro.workload.admission import plan_footprint, runtime_footprint
 from repro.workload.engine import QuerySubmission, _JobShape
 
 QUERIES = [
@@ -167,29 +164,6 @@ class TestArrivalsAndAdmission:
         assert {e.operation for e in bus.events_of(QUERY_SUBMIT)} == \
             {"q0", "q1", "q2", "q3"}
 
-    def test_memory_gate_staggers_admission(self, db):
-        from repro.workload.admission import plan_footprint
-        submissions = [_submission(db, QUERIES[0], "first"),
-                       _submission(db, QUERIES[2], "second")]
-        fp = max(plan_footprint(s.compiled.plan)
-                 for s in submissions)
-        executor = WorkloadExecutor(
-            db.machine, db.executor.options,
-            WorkloadOptions(memory_limit_bytes=fp))
-        result = executor.execute(submissions)
-        admits = sorted(e.t for e in result.bus.events_of(QUERY_ADMIT))
-        # Both fit alone but not together: the second waits for the
-        # first to release its footprint.
-        assert admits[0] == 0.0
-        assert admits[1] > 0.0
-
-    def test_impossible_footprint_raises(self, db):
-        submissions = [_submission(db, QUERIES[0], "big")]
-        executor = WorkloadExecutor(db.machine, db.executor.options,
-                                    WorkloadOptions(memory_limit_bytes=1))
-        with pytest.raises(AdmissionError, match="never be admitted"):
-            executor.execute(submissions)
-
     def test_duplicate_tags_rejected(self, db):
         submissions = [_submission(db, QUERIES[0], "same"),
                        _submission(db, QUERIES[1], "same")]
@@ -301,10 +275,16 @@ def _plans(db, wisconsin, chain_db):
         yield plan, source.scheduler.schedule(plan, None)
 
 
+def _built_startup(executor, runtimes, schedule) -> float:
+    """The start-up of the nodes *runtimes* were built for."""
+    return executor.plan_startup(
+        [runtime.node for runtime in runtimes.values()], schedule)
+
+
 class TestShapeEquality:
-    """What a job reports before anything is built — start-up and
-    footprint, which admission, EDF and the start-up thread read — is
-    exactly what building it would give."""
+    """What a job reports before anything is built — its start-up,
+    which EDF and the start-up thread read — is exactly what building
+    it would give."""
 
     @pytest.fixture(scope="class")
     def chain_db(self):
@@ -328,37 +308,27 @@ class TestShapeEquality:
             executor = Executor(db.machine)
             shape = _JobShape(plan, schedule, executor, shared=True)
             runtimes = executor.build_runtimes(plan, schedule)
-            assert shape.startup == executor.startup_time(runtimes, schedule)
-            assert shape.footprint == runtime_footprint(runtimes)
-            assert shape.footprint == plan_footprint(plan)
-            assert shape.node_footprints == {
-                name: runtime_footprint({name: runtime})
-                for name, runtime in runtimes.items()}
+            assert shape.startup == _built_startup(executor, runtimes,
+                                                   schedule)
             stores.update(node.name for node in plan.nodes
                           if isinstance(node.spec, StoreSpec))
         assert len(seen) == 6 and stores == {"store1"}
 
     def test_each_formula_is_load_bearing(self, db, monkeypatch):
-        """Drift either side and the equality breaks."""
+        """Drift the shape's start-up and the equality breaks."""
         submission = _submission(db, QUERIES[0], "q")
         plan, schedule = submission.compiled.plan, submission.schedule
         executor = Executor(db.machine)
         runtimes = executor.build_runtimes(plan, schedule)
-        built = (executor.startup_time(runtimes, schedule),
-                 runtime_footprint(runtimes))
+        built = _built_startup(executor, runtimes, schedule)
 
         def shape():
-            made = _JobShape(plan, schedule, executor, shared=False)
-            return made.startup, made.footprint
+            return _JobShape(plan, schedule, executor, shared=False).startup
         assert shape() == built
         original = Executor.plan_startup
         with monkeypatch.context() as patch:
             patch.setattr(Executor, "plan_startup",
                           lambda *args, **skip:
                           original(*args, **skip) + 1e-9)
-            assert shape()[0] != built[0]
-        with monkeypatch.context() as patch:
-            patch.setattr(engine_module, "node_footprints",
-                          lambda plan: {"join": 1})
-            assert shape()[1] != built[1]
+            assert shape() != built
         assert shape() == built

@@ -5,9 +5,8 @@ Contracts under test (that ``serving=None`` and a default
 ``tests/properties/test_lattice.py``): a bounded queue sheds the policy's victim pre-admission with the
 full client surface intact (terminal status, ``QueryShedError``,
 ``query.reject`` event, backpressure signal, span reject reason,
-report serving section); and memory- and deadline-infeasible
-queries become ``rejected``/``shed`` statuses instead of raising into
-the open-loop stream.
+report serving section); and EDF sheds a deadline-infeasible head
+instead of running it.
 """
 
 import gc
@@ -29,7 +28,7 @@ from repro import (
 from repro.bench.workloads import make_join_database
 from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.executor import Executor
-from repro.errors import QueryRejectedError, QueryShedError
+from repro.errors import QueryShedError
 from repro.faults.plan import ActivationFaults, FaultPlan
 from repro.lera.graph import LeraGraph
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
@@ -53,7 +52,7 @@ from repro.workload.engine import (
     WorkloadExecutor,
     _WorkloadRun,
 )
-from repro.workload.session import DONE, REJECTED, SHED
+from repro.workload.session import DONE, SHED
 
 SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
 
@@ -129,7 +128,7 @@ class TestQueueBoundShedding:
         span = result.spans.of("q2")
         assert span.status == SHED
         assert span.reject_reason == "queue_full"
-        assert not span.admitted
+        assert span.admitted_at is None
         assert span.terminal_events == 1
         report = result.report()
         assert report.statuses[SHED] == 2
@@ -139,19 +138,6 @@ class TestQueueBoundShedding:
 
 
 class TestInfeasibleRejection:
-    def test_memory_infeasible_is_rejected_not_raised(self, db):
-        session = db.session(WorkloadOptions(
-            memory_limit_bytes=16, serving=ServingPolicy()))
-        handle = session.submit(SQL, threads=8, tag="huge")
-        session.run()
-        assert handle.status == REJECTED
-        with pytest.raises(QueryRejectedError, match="rejected at admission"):
-            handle.result()
-        rejects = [e for e in session.result.bus.events
-                   if e.kind == QUERY_REJECT]
-        assert rejects[0].data["reason"] == "memory_infeasible"
-        assert session.result.report().serving["rejected"] == 1
-
     def test_edf_sheds_a_provably_doomed_deadline(self, db):
         session = db.session(WorkloadOptions(
             serving=ServingPolicy(policy="edf")))

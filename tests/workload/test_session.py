@@ -13,7 +13,6 @@ import pytest
 
 from repro import (
     DBS3,
-    AdmissionError,
     ExecutionError,
     ExecutionOptions,
     ObservabilityOptions,
@@ -145,20 +144,11 @@ class TestHandles:
         assert result.executions == {}
         assert result.makespan == 0.0
 
-    def test_impossible_footprint_fails_at_submit(self, db):
-        session = db.session(WorkloadOptions(memory_limit_bytes=1))
-        with pytest.raises(AdmissionError, match="never be admitted"):
-            session.submit(SQL, threads=4)
-
 
 class TestWorkloadOptionsValidation:
     def test_zero_capacity_rejected(self):
         with pytest.raises(WorkloadError, match="max_concurrent"):
             WorkloadOptions(max_concurrent=0)
-
-    def test_nonpositive_memory_limit_rejected(self):
-        with pytest.raises(WorkloadError, match="memory_limit_bytes"):
-            WorkloadOptions(memory_limit_bytes=0)
 
     def test_nonpositive_thread_budget_rejected(self):
         with pytest.raises(WorkloadError, match="thread_budget"):

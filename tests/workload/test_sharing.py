@@ -17,9 +17,6 @@ End-to-end contracts of the fold pass (``WorkloadOptions(shared=True)``):
 * the foldability window is the host's sequential start-up phase:
   staggered arrivals inside it fold, later ones run private (and
   still return the right rows);
-* admission prices folded work fractionally: a duplicate whose plan
-  folds entirely squeezes under a memory gate that would have queued
-  a private copy;
 * a finished query lets go of its runtimes in shared mode as in
   private mode: the fold registry keeps at most its latest entry per
   fingerprint, and a finished job drops its shared operators.
@@ -33,8 +30,7 @@ import pytest
 from repro import DBS3, WorkloadOptions, generate_wisconsin
 from repro.engine.executor import Executor
 from repro.faults import ActivationFaults, FaultPlan
-from repro.obs.bus import QUERY_ABORT, QUERY_ADMIT
-from repro.workload.admission import plan_footprint
+from repro.obs.bus import QUERY_ABORT
 from repro.workload.engine import _WorkloadRun
 from repro.workload.session import CANCELLED, DONE, FAILED
 from repro.workload.sharing import FoldRegistry, SharedOperator
@@ -229,24 +225,6 @@ class TestFoldabilityWindow:
         assert sorted(late.result().rows) == reference_rows[SQL]
 
 
-class TestFractionalAdmission:
-    def test_folded_duplicate_fits_under_the_memory_gate(self, db):
-        """A budget of 1.5 plans queues the second private copy, but a
-        fully folded duplicate projects (almost) no new bytes and is
-        admitted in the same instant as its host."""
-        limit = int(plan_footprint(db.compile(SQL).plan) * 1.5)
-        admit_times = {}
-        for mode in (True, False):
-            result, _ = _run(db, [SQL] * 2, shared=mode,
-                             memory_limit_bytes=limit)
-            admit_times[mode] = {e.operation: e.t
-                                 for e in result.bus.events
-                                 if e.kind == QUERY_ADMIT}
-        assert admit_times[True]["q0"] == 0.0
-        assert admit_times[True]["q1"] == 0.0
-        assert admit_times[False]["q1"] > 0.0
-
-
 class _Runtime:
     """What the fold registry reads of a runtime: an unbuilt pool."""
 
@@ -258,12 +236,12 @@ class _Runtime:
 class TestRetention:
     def test_a_replaced_registry_entry_lets_go_of_its_runtime(self):
         registry = FoldRegistry()
-        first = SharedOperator(_Runtime(), "q0", ("scan",), 1.0, 1)
+        first = SharedOperator(_Runtime(), "q0", ("scan",), 1.0)
         runtime = weakref.ref(first.runtime)
         assert registry.register(first, 0.0)
         first.dead = True  # its host finished
         assert registry.register(
-            SharedOperator(_Runtime(), "q1", ("scan",), 1.0, 1), 0.0)
+            SharedOperator(_Runtime(), "q1", ("scan",), 1.0), 0.0)
         del first
         gc.collect()
         assert runtime() is None

@@ -129,7 +129,7 @@ class TestSessionAccessors:
         handles = _submit_all(session, stagger=0.0)
         sub = handles[3].span       # duplicate of q0's join
         host = handles[0].span
-        assert sub.folded
+        assert sub.folds
         assert "q3" in host.subscribers
 
 
@@ -153,7 +153,7 @@ class TestJsonlRoundTrip:
         result = session.run()
         assert result.execution("q1").status == "cancelled"
         assert result.execution("q4").status == "timed_out"
-        assert any(span.folded for span in result.spans)
+        assert any(span.folds for span in result.spans)
 
         path = tmp_path / "workload.jsonl"
         write_workload_jsonl(result, path)
