@@ -17,7 +17,6 @@ from repro.engine.executor import (
     ExecutionOptions,
     Executor,
     ObservabilityOptions,
-    QuerySchedule,
 )
 from repro.engine.metrics import QueryExecution
 from repro.lera.operators import JOIN_NESTED_LOOP

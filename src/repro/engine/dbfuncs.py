@@ -109,6 +109,10 @@ def segment_key(fragment: Fragment) -> tuple[str, int]:
 class DBFunc(ABC):
     """Base class: one executable operator body."""
 
+    #: Keeps per-execution state: every execution builds its own (a
+    #: stateless body is shared through its ``OperationBlueprint``).
+    stateful = False
+
     def __init__(self, spec: OperatorSpec, costs: CostModel) -> None:
         self.spec = spec
         self.costs = costs
@@ -278,6 +282,8 @@ class PipelinedJoinFunc(DBFunc):
     grows.
     """
 
+    stateful = True
+
     def __init__(self, spec: PipelinedJoinSpec, costs: CostModel) -> None:
         super().__init__(spec, costs)
         self._stored_pos = spec.stored_key_position
@@ -320,6 +326,8 @@ class AggregateFunc(DBFunc):
     accumulators; :meth:`finalize` emits one result row per group when
     the input closes.
     """
+
+    stateful = True
 
     def __init__(self, spec: AggregateSpec, costs: CostModel) -> None:
         super().__init__(spec, costs)
@@ -373,6 +381,8 @@ class StoreFunc(DBFunc):
     chain reads as a statically partitioned operand.  Stored rows stay
     immutable; the buffer is the only container that grows.
     """
+
+    stateful = True
 
     def __init__(self, spec: StoreSpec, costs: CostModel) -> None:
         super().__init__(spec, costs)

@@ -16,7 +16,11 @@ from operator import itemgetter
 from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.dbfuncs import make_dbfunc
 from repro.engine.metrics import QueryExecution
-from repro.engine.operation import DeliveryTap, OperationRuntime
+from repro.engine.operation import (
+    DeliveryTap,
+    OperationBlueprint,
+    OperationRuntime,
+)
 from repro.engine.strategies import RANDOM, make_strategy
 from repro.errors import ExecutionError, ExecutionFaultError, PlanError
 from repro.lera.activation import PIPELINED, TRIGGERED
@@ -196,34 +200,39 @@ class Executor:
 
     # -- construction helpers (shared with the workload engine) -----------------
 
-    def build_runtimes(self, plan: LeraGraph, schedule: QuerySchedule,
-                       skip=()) -> dict[str, OperationRuntime]:
-        """Instantiate the extended view for *plan*.
-
-        ``skip`` names the nodes to leave out — the workload engine
-        passes a query's fold set, so runtimes exist for just the nodes
-        it executes privately (folded nodes ride on another query's
-        runtimes).
-        """
-        runtimes: dict[str, OperationRuntime] = {}
-        for node in plan.nodes:
-            if node.name in skip:
-                continue
+    def blueprint(self, plan: LeraGraph,
+                  schedule: QuerySchedule) -> dict[str, OperationBlueprint]:
+        """What every execution of *plan* under *schedule* shares, per
+        node; raises for an unbuildable pair.  Every body is built before
+        any estimate is read: a Store's empties its targets, as each
+        execution's does, so their readers are estimated alike."""
+        costs = self.machine.costs
+        dbfuncs = [make_dbfunc(node.spec, costs) for node in plan.nodes]
+        blueprints: dict[str, OperationBlueprint] = {}
+        for node, dbfunc in zip(plan.nodes, dbfuncs):
             op_schedule = schedule.of(node.name)
             cache_size = op_schedule.cache_size
             if cache_size is None:
                 cache_size = (DEFAULT_PIPELINED_CACHE
                               if node.trigger_mode == PIPELINED
                               else DEFAULT_TRIGGERED_CACHE)
-            runtimes[node.name] = OperationRuntime(
-                node=node,
-                dbfunc=make_dbfunc(node.spec, self.machine.costs),
-                strategy=make_strategy(op_schedule.strategy),
-                cache_size=cache_size,
-                queue_capacity=self.options.queue_capacity,
-                allow_secondary=op_schedule.allow_secondary,
-            )
-        return runtimes
+            blueprints[node.name] = OperationBlueprint(
+                node, dbfunc, make_strategy(op_schedule.strategy),
+                cache_size, op_schedule.allow_secondary)
+        for edge in plan.edges:
+            if edge.kind == PIPELINE:
+                blueprints[edge.consumer].router = _router_for(
+                    plan.node(edge.consumer))
+        return blueprints
+
+    def build_runtimes(self, blueprints: dict[str, OperationBlueprint],
+                       skip=()) -> dict[str, OperationRuntime]:
+        """Instantiate a plan's *blueprints*, less the nodes in ``skip``
+        (a query's fold set: those ride on another query's runtimes)."""
+        capacity = self.options.queue_capacity
+        return {name: OperationRuntime(blueprint, capacity)
+                for name, blueprint in blueprints.items()
+                if name not in skip}
 
     def attach_observability(self, runtimes: dict[str, OperationRuntime],
                              bus: EventBus | None) -> None:
@@ -241,22 +250,22 @@ class Executor:
                     queue.obs = bus
 
     def prepare_wave(self, wave_ops: list[OperationRuntime],
-                     counts: dict[str, int], start_time: float,
+                     counts: list[int], start_time: float,
                      next_thread_id: int) -> tuple[int, int]:
         """Build pools and seed triggers for one wave of operations.
 
-        ``counts`` maps operation name to pool size (the scheduler's
-        per-operation allocation, possibly rescaled by a workload
-        grant).  Thread ids are handed out sequentially starting at
+        ``counts`` are the operations' pool sizes, in order (the
+        scheduler's per-operation allocation, possibly rescaled by a
+        workload grant).  Thread ids are handed out sequentially from
         ``next_thread_id``; returns ``(next_thread_id, wave_threads)``.
         """
         wave_threads = 0
-        for operation in wave_ops:
-            count = counts[operation.name]
-            thread_ids = list(range(next_thread_id, next_thread_id + count))
+        places = self.machine.models_memory
+        for operation, count in zip(wave_ops, counts):
+            operation.build_pool(
+                range(next_thread_id, next_thread_id + count), start_time)
             next_thread_id += count
             wave_threads += count
-            operation.build_pool(thread_ids, start_time)
             bus = operation.bus
             if bus is not None:
                 bus.emit(OP_START, start_time, operation.name,
@@ -268,7 +277,8 @@ class Executor:
                 if bus is not None:
                     bus.emit(OP_SEED, start_time, operation.name,
                              count=operation.pending_activations)
-            self._place_segments(operation)
+            if places:
+                self._place_segments(operation)
         return next_thread_id, wave_threads
 
     def wire_pipelines(self, plan: LeraGraph,
@@ -286,21 +296,8 @@ class Executor:
                 raise PlanError(
                     f"operation {edge.producer!r} has two pipeline consumers")
             producer.outputs[0] = DeliveryTap(consumer,
-                                              _router_for(consumer.node))
+                                              consumer.blueprint.router)
             consumer.producers_remaining += 1
-
-    def check_buildable(self, plan: LeraGraph,
-                        schedule: QuerySchedule) -> None:
-        """Raise what :meth:`build_runtimes` and :meth:`wire_pipelines`
-        would for this pair, building nothing: the workload engine builds
-        at admission, but must refuse a pair before the first event."""
-        for node in plan.nodes:
-            op_schedule = schedule.of(node.name)
-            make_dbfunc(node.spec, self.machine.costs)
-            make_strategy(op_schedule.strategy)
-        for edge in plan.edges:
-            if edge.kind == PIPELINE:
-                _router_for(plan.node(edge.consumer))
 
     def plan_startup(self, nodes, schedule: QuerySchedule, skip=()) -> float:
         """Sequential initialization: create threads and queues.
@@ -325,8 +322,6 @@ class Executor:
 
     def _place_segments(self, operation: OperationRuntime) -> None:
         """Pre-place stored fragments in local caches per the policy."""
-        if not self.machine.models_memory:
-            return
         placement = self.options.placement
         pool_size = len(operation.threads)
         for instance in range(operation.instances):

@@ -10,6 +10,7 @@ utilization, queue-machinery counters and Allcache penalties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.analysis.formulas import OperatorProfile
 from repro.engine.operation import OperationRuntime
@@ -28,10 +29,14 @@ STATUS_TIMED_OUT = "timed_out"
 STATUS_FAILED = "failed"
 STATUS_SHED = "shed"
 
+_ENQUEUED, _BUSY, _IDLE, _STALLED = map(attrgetter, (
+    "enqueued", "busy_time", "idle_time", "stalled_time"))
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class OperationMetrics:
-    """Measured behaviour of one operation."""
+    """Measured behaviour of one operation (no runtime, thread or queue
+    in it).  Not ``frozen``, which costs a call per field to build."""
 
     name: str
     trigger_mode: str
@@ -73,19 +78,20 @@ class OperationMetrics:
         if runtime.finished_at is None:
             raise ExecutionError(
                 f"operation {runtime.name!r} did not finish")
+        threads = runtime.threads
         return cls(
             name=runtime.name if name is None else name,
             trigger_mode=runtime.node.trigger_mode,
-            instances=runtime.instances,
-            threads=len(runtime.threads),
+            instances=len(runtime.queues),
+            threads=len(threads),
             strategy=runtime.strategy.name,
             started_at=runtime.started_at,
             finished_at=runtime.finished_at,
             activation_costs=tuple(runtime.activation_costs),
             activation_outputs=tuple(runtime.activation_outputs),
-            queue_activations=tuple(q.enqueued for q in runtime.queues),
-            busy_time=sum(t.busy_time for t in runtime.threads),
-            idle_time=sum(t.idle_time for t in runtime.threads),
+            queue_activations=tuple(map(_ENQUEUED, runtime.queues)),
+            busy_time=sum(map(_BUSY, threads)),
+            idle_time=sum(map(_IDLE, threads)),
             polls=runtime.polls,
             enqueues=runtime.enqueues,
             dequeue_batches=runtime.dequeue_batches,
@@ -96,7 +102,7 @@ class OperationMetrics:
             fault_retries=runtime.fault_retries,
             fault_aborts=runtime.fault_aborts,
             discarded=runtime.discarded,
-            stalled_time=sum(t.stalled_time for t in runtime.threads),
+            stalled_time=sum(map(_STALLED, threads)),
             cost_share=cost_share,
         )
 
@@ -144,9 +150,9 @@ class OperationMetrics:
         return self.busy_time / span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryExecution:
-    """Full outcome of one query execution.
+    """Full outcome of one query execution (slotted, as the metrics).
 
     ``result_rows`` is the real relational result; ``response_time``
     is the virtual wall clock from query submission to the last

@@ -17,7 +17,7 @@ from repro.engine.ready_index import ReadyIndex
 from repro.engine.strategies import LPTStrategy, RandomStrategy, lpt_keys
 from repro.engine.threads import WorkerThread
 from repro.errors import ExecutionError
-from repro.lera.activation import TRIGGERED
+from repro.lera.activation import TRIGGERED, chunk_trigger, trigger
 from repro.lera.graph import LeraNode
 from repro.obs.probes import queue_depth_key
 from repro.storage.tuples import Row
@@ -65,8 +65,47 @@ class DeliveryTap:
         self.active = True
 
 
+class OperationBlueprint:
+    """What a ``(plan, schedule)`` pair decides about one operation, read
+    by every job's runtime of it (estimates and LPT ranks read-only); the
+    body is shared unless its class keeps per-execution state
+    (``DBFunc.stateful``).  The executor sets the inbound ``router``."""
+
+    __slots__ = ("node", "dbfunc", "strategy", "cache_size",
+                 "allow_secondary", "estimates", "lpt_keys", "depth_key",
+                 "router", "_main_sets")
+
+    def __init__(self, node: LeraNode, dbfunc: "DBFunc",
+                 strategy: RandomStrategy | LPTStrategy, cache_size: int,
+                 allow_secondary: bool = True) -> None:
+        if cache_size < 1:
+            raise ExecutionError(f"cache_size must be >= 1, got {cache_size}")
+        self.node = node
+        self.dbfunc = dbfunc
+        self.strategy = strategy
+        self.cache_size = cache_size
+        #: False: no secondary queues (the paper's static baseline).
+        self.allow_secondary = allow_secondary
+        self.estimates = node.spec.estimated_instance_costs(dbfunc.costs)
+        self.lpt_keys = lpt_keys(self.estimates)
+        self.depth_key = queue_depth_key(node.name)
+        self.router: Callable[[list[Row]], list[int]] | None = None
+        self._main_sets: dict[int, tuple[frozenset[int], ...]] = {}
+
+    def main_sets(self, pool_size: int) -> tuple[frozenset[int], ...]:
+        """The main-queue instances of each slot of a *pool_size* pool
+        (queue ``i`` is slot ``i mod pool_size``'s), once per size."""
+        sets = self._main_sets.get(pool_size)
+        if sets is None:
+            sets = self._main_sets[pool_size] = tuple(
+                frozenset(range(slot, self.node.instances, pool_size))
+                for slot in range(pool_size))
+        return sets
+
+
 class OperationRuntime:
-    """One operator of the plan, ready to execute.
+    """One operator of the plan, ready to execute: its
+    :class:`OperationBlueprint` plus one job's state.
 
     Attributes:
         node: The Lera-par node this runtime realizes.
@@ -75,9 +114,8 @@ class OperationRuntime:
         queues: One activation queue per instance.
         threads: The thread pool (filled by the executor).
         strategy: Consumption strategy instance.
-        lpt_keys: LPT's rank of each instance
-            (:func:`~repro.engine.strategies.lpt_keys` of the queues'
-            cost estimates), the rank an LPT ``choose`` sees.
+        lpt_keys: LPT's rank of each instance, the rank an LPT
+            ``choose`` sees.
         cache_size: Max activations fetched per queue access (the
             internal activation cache of Figure 4).
         outputs: Delivery edges.  The first is the operation's own:
@@ -89,30 +127,35 @@ class OperationRuntime:
             close immediately after their triggers are seeded.
     """
 
-    def __init__(self, node: LeraNode, dbfunc: "DBFunc",
-                 strategy: RandomStrategy | LPTStrategy, cache_size: int,
-                 queue_capacity: int | None = None,
-                 allow_secondary: bool = True) -> None:
-        if cache_size < 1:
-            raise ExecutionError(f"cache_size must be >= 1, got {cache_size}")
-        self.node = node
-        self.name = node.name
-        self.dbfunc = dbfunc
-        self.strategy = strategy
-        self.cache_size = cache_size
-        #: When False, threads never fall back to secondary queues —
-        #: the static one-thread-per-instance binding of Gamma-style
-        #: engines, used as the paper's implicit baseline.
-        self.allow_secondary = allow_secondary
-        estimates = node.spec.estimated_instance_costs(dbfunc.costs)
-        name, kind = node.name, node.trigger_mode
-        depth_key = queue_depth_key(name)
+    __slots__ = ("node", "name", "blueprint", "dbfunc", "strategy",
+                 "cache_size", "allow_secondary", "lpt_keys", "queues",
+                 "threads", "ready_index", "bus", "job", "shared", "may_fail",
+                 "result_rows", "outputs", "producers_remaining",
+                 "input_closed", "waiting_threads", "live_threads",
+                 "pending_activations", "started_at", "finished_at",
+                 "activation_costs", "activation_outputs", "finalized",
+                 "polls", "enqueues", "dequeue_batches", "secondary_accesses",
+                 "memory_penalty", "faults_injected", "fault_retries",
+                 "fault_aborts", "discarded", "__weakref__")
+
+    def __init__(self, blueprint: OperationBlueprint,
+                 queue_capacity: int | None) -> None:
+        node = self.node = blueprint.node
+        name = self.name = node.name
+        self.blueprint = blueprint
+        dbfunc = blueprint.dbfunc
+        self.dbfunc = (type(dbfunc)(node.spec, dbfunc.costs)
+                       if dbfunc.stateful else dbfunc)
+        self.strategy = blueprint.strategy
+        self.cache_size = blueprint.cache_size
+        self.allow_secondary = blueprint.allow_secondary
+        self.lpt_keys = blueprint.lpt_keys
+        kind, depth_key = node.trigger_mode, blueprint.depth_key
         self.queues = [
             ActivationQueue(name, i, kind, depth_key, queue_capacity,
-                            estimates[i])
-            for i in range(node.instances)
+                            estimate)
+            for i, estimate in enumerate(blueprint.estimates)
         ]
-        self.lpt_keys = lpt_keys(estimates)
         self.threads: list[WorkerThread] = []
         self.ready_index: ReadyIndex | None = None
         #: Per-operation observability hook (set by the executor).
@@ -172,7 +215,7 @@ class OperationRuntime:
 
     # -- pool construction -----------------------------------------------------
 
-    def build_pool(self, thread_ids: list[int], start_time: float) -> None:
+    def build_pool(self, thread_ids: range, start_time: float) -> None:
         """Create the thread pool and distribute main queues.
 
         "All activation queues are equally distributed among the
@@ -181,22 +224,17 @@ class OperationRuntime:
         """
         if not thread_ids:
             raise ExecutionError(f"operation {self.name!r} allocated no threads")
-        self.threads = [WorkerThread(tid, pool_index, self, start_time)
-                        for pool_index, tid in enumerate(thread_ids)]
-        pool_size = len(self.threads)
-        for thread in self.threads:
-            thread.assign_main_queues(
-                self.queues[thread.pool_index::pool_size])
+        pool_size, queues = len(thread_ids), self.queues
+        main_sets = self.blueprint.main_sets(pool_size)
+        self.threads = [WorkerThread(tid, slot, self, start_time,
+                                     queues[slot::pool_size], main_sets[slot])
+                        for slot, tid in enumerate(thread_ids)]
         # Main queues partition the operation's queues across the pool
         # (the modulo rule above), which is what lets the ready index
         # keep one heap per pool slot.  Low-degree operations stay on
         # the linear scan — see READY_INDEX_MIN_INSTANCES.
-        if len(self.queues) >= READY_INDEX_MIN_INSTANCES:
+        if len(queues) >= READY_INDEX_MIN_INSTANCES:
             self.ready_index = ReadyIndex(self)
-        else:
-            self.ready_index = None
-            for queue in self.queues:
-                queue.listener = None
         self.live_threads = pool_size
         self.started_at = start_time
 
@@ -221,8 +259,8 @@ class OperationRuntime:
                 f"helper threads would spin forever")
         new_threads = []
         for tid in thread_ids:
-            thread = WorkerThread(tid, len(self.threads), self, now)
-            thread.assign_main_queues([])
+            thread = WorkerThread(tid, len(self.threads), self, now, [],
+                                  frozenset())
             self.threads.append(thread)
             new_threads.append(thread)
             if self.ready_index is not None:
@@ -249,7 +287,6 @@ class OperationRuntime:
         fragment slice, so the unit of sequential work shrinks without
         changing the partitioning.
         """
-        from repro.lera.activation import chunk_trigger, trigger
         if self.node.trigger_mode != TRIGGERED:
             raise ExecutionError(
                 f"seed_triggers on pipelined operation {self.name!r}")

@@ -33,6 +33,7 @@ class WorkerThread:
         pool_index: Index within the owning operation's pool; main
             queues are the operation queues whose instance number is
             congruent to this index modulo the pool size.
+        main_queues / main_queue_set: Those queues and their instances.
         clock: Private virtual time.
         busy_time / idle_time: Accounting split of elapsed time.
         work / batch: Slicing state (over-subscribed runs only): the
@@ -46,15 +47,17 @@ class WorkerThread:
                  "batch")
 
     def __init__(self, thread_id: int, pool_index: int,
-                 operation: "OperationRuntime", start_time: float) -> None:
+                 operation: "OperationRuntime", start_time: float,
+                 main_queues: list[ActivationQueue],
+                 main_queue_set: frozenset[int]) -> None:
         self.thread_id = thread_id
         self.pool_index = pool_index
         self.operation = operation
         self.clock = start_time
         self.started_at = start_time
         self.state = RUNNABLE
-        self.main_queues: list[ActivationQueue] = []
-        self.main_queue_set: set[int] = set()
+        self.main_queues = main_queues
+        self.main_queue_set = main_queue_set
         self.busy_time = 0.0
         self.idle_time = 0.0
         self.stalled_time = 0.0
@@ -66,11 +69,6 @@ class WorkerThread:
         return (f"WorkerThread(#{self.thread_id} of "
                 f"{getattr(self.operation, 'name', None)!r}, "
                 f"clock={self.clock:.6f}, {self.state})")
-
-    def assign_main_queues(self, queues: list[ActivationQueue]) -> None:
-        """Record this thread's main queues (set once at pool build)."""
-        self.main_queues = queues
-        self.main_queue_set = {q.instance for q in queues}
 
     def advance(self, seconds: float, busy: bool) -> None:
         """Move the clock forward, attributing the time."""

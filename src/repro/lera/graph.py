@@ -21,7 +21,7 @@ the engine when it builds operation runtimes from the specs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import PlanError

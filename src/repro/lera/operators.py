@@ -16,7 +16,7 @@ there mirrors the compiler/run-time split of DBS3 itself.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.errors import PlanError

@@ -39,8 +39,6 @@ from typing import TYPE_CHECKING, Iterator
 from repro.errors import ReproError
 from repro.obs.bus import (
     BLOCK,
-    DEQUEUE,
-    ENQUEUE,
     MEMORY,
     EventBus,
     Event,

@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     GRANTS,
     POOL_UTILIZATION,
     QUERIES_SHED,
-    QUERY_LATENCY,
     MetricsRegistry,
     percentile,
 )

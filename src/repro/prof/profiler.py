@@ -151,10 +151,15 @@ class EngineProfiler:
         shadowed on the instance by a wrapper that closes its section
         even when the method raises — an exception can never leave a
         frame open.  An uninstrumented object pays nothing at all.
+        Idempotent per ``(target, method)`` (bodies can be shared).
         """
-        for method, name in sections.items():
-            setattr(target, method, self._timed(name, getattr(target, method)))
-        self._shadowed.append((target, tuple(sections)))
+        fresh = tuple(method for method in sections
+                      if method not in vars(target))
+        for method in fresh:
+            setattr(target, method,
+                    self._timed(sections[method], getattr(target, method)))
+        if fresh:
+            self._shadowed.append((target, fresh))
 
     def restore(self) -> None:
         """Delete every wrapper :meth:`instrument` has put on an

@@ -48,12 +48,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from repro.compiler.parallelizer import CompiledQuery
-from repro.engine.executor import (
-    ExecutionOptions,
-    Executor,
-    QuerySchedule,
-    _router_for,
-)
+from repro.engine.executor import ExecutionOptions, Executor, QuerySchedule
 from repro.engine.metrics import (
     STATUS_CANCELLED,
     STATUS_DONE,
@@ -276,9 +271,9 @@ class WorkloadResult:
 
 
 class _JobShape:
-    """What ``(plan, schedule, costs)`` alone decide about a job, from
-    nothing built; a run computes it once per pair it sees.  A plan or
-    schedule that could not be built raises here, before the first event.
+    """What ``(plan, schedule, costs)`` alone decide about a job, its
+    nodes' blueprints included; a run computes it once per pair it sees.
+    A pair that could not be built raises here, before the first event.
     """
 
     def __init__(self, plan, schedule, executor: Executor,
@@ -287,11 +282,13 @@ class _JobShape:
         costs = executor.machine.costs
         plan.validate()
         self.waves = plan.chain_waves()
+        self.wave_names = [[node.name for chain in wave
+                            for node in chain.nodes] for wave in self.waves]
         self.stores = any(isinstance(node.spec, StoreSpec)
                           for node in plan.nodes)
         self.complexity = query_complexity(plan, costs)
         self.startup, self.wave_totals, self.demand = self.without(())
-        executor.check_buildable(plan, schedule)
+        self.blueprints = executor.blueprint(plan, schedule)
         #: Read only to price shared operators fractionally.
         self.node_complexities = {
             node.name: operator_complexity(node.spec, costs)
@@ -303,10 +300,8 @@ class _JobShape:
         the nodes outside *folds*: what folded rides free."""
         startup = self.executor.plan_startup(self.plan.nodes, self.schedule,
                                              skip=folds)
-        totals = [sum([self.schedule.of(node.name).threads
-                       for chain in wave for node in chain.nodes
-                       if node.name not in folds])
-                  for wave in self.waves]
+        totals = [sum([self.schedule.of(name).threads for name in names
+                       if name not in folds]) for names in self.wave_names]
         return startup, totals, max(1, max(totals))
 
 
@@ -318,6 +313,15 @@ class _QueryJob:
     and observability for its fold set; *finished* — its metrics are
     frozen into ``execution`` and the run drops the runtimes again.
     """
+
+    __slots__ = ("tag", "plan", "schedule", "arrival", "priority", "tenant",
+                 "order", "deadline", "shape", "waves", "complexity",
+                 "wave_totals", "demand", "startup", "runtimes", "folds",
+                 "subscriptions", "hosted", "shared_results",
+                 "current_wave_shared", "bus", "state", "wave_started_at",
+                 "grant", "wave_index", "current_wave_ops", "wave_threads",
+                 "max_threads", "max_dilation", "finished_at", "execution",
+                 "outcome", "error", "cancel_requested_at", "__weakref__")
 
     def __init__(self, submission: QuerySubmission, order: int,
                  shape: _JobShape, exec_options: ExecutionOptions,
@@ -384,8 +388,9 @@ class _QueryJob:
         """
         plan = self.plan
         self.folds = folds
-        self.subscriptions = tuple(dict.fromkeys(folds.values()))
-        self.runtimes = executor.build_runtimes(plan, self.schedule,
+        if folds:
+            self.subscriptions = tuple(dict.fromkeys(folds.values()))
+        self.runtimes = executor.build_runtimes(self.shape.blueprints,
                                                 skip=folds)
         executor.wire_pipelines(plan, self.runtimes)
         for name, shared in folds.items():
@@ -398,7 +403,7 @@ class _QueryJob:
                 edge = None  # interior fold
             else:
                 consumer = self.runtimes[consumer_name]
-                edge = DeliveryTap(consumer, _router_for(consumer.node))
+                edge = DeliveryTap(consumer, consumer.blueprint.router)
                 consumer.producers_remaining += 1
             shared.attach(self.tag, edge)
         self.startup = self.shape.startup
@@ -1085,12 +1090,12 @@ class _WorkloadRun:
         while True:
             job.wave_index += 1
             job.wave_started_at = at
-            names = [node.name for chain in job.waves[job.wave_index]
-                     for node in chain.nodes]
+            names = job.shape.wave_names[job.wave_index]
             own_ops = [job.runtimes[name] for name in names
                        if name not in job.folds]
             shared_list = list(dict.fromkeys(
-                job.folds[name] for name in names if name in job.folds))
+                job.folds[name] for name in names
+                if name in job.folds)) if job.folds else []
             job.current_wave_shared = shared_list
             wave_threads = 0
             if own_ops:
@@ -1104,10 +1109,8 @@ class _WorkloadRun:
                           else _largest_remainder(wave_total, base))
                 for rewrite in self._listeners.get(WAVE_START, ()):
                     shares = rewrite(at, job, own_ops, shares)
-                counts = {op.name: share
-                          for op, share in zip(own_ops, shares)}
                 self.next_thread_id, wave_threads = self.executor.prepare_wave(
-                    own_ops, counts, at, self.next_thread_id)
+                    own_ops, shares, at, self.next_thread_id)
                 job.max_dilation = max(job.max_dilation,
                                        self.machine.dilation(wave_threads))
             job.current_wave_ops = own_ops

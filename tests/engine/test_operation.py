@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.dbfuncs import make_dbfunc
-from repro.engine.operation import OperationRuntime
+from repro.engine.operation import OperationBlueprint, OperationRuntime
 from repro.engine.strategies import make_strategy
 from repro.errors import ExecutionError
 from repro.lera.graph import LeraNode
@@ -19,16 +19,18 @@ SCHEMA = Schema.of_ints("key")
 def _triggered(instances=4):
     fragments = [Fragment("R", i, SCHEMA, [(i,)]) for i in range(instances)]
     node = LeraNode("op", ScanFilterSpec(fragments, TRUE, SCHEMA))
-    return OperationRuntime(node, make_dbfunc(node.spec, DEFAULT_COSTS),
-                            make_strategy("random"), cache_size=1)
+    return OperationRuntime(OperationBlueprint(
+        node, make_dbfunc(node.spec, DEFAULT_COSTS), make_strategy("random"),
+        cache_size=1), None)
 
 
 def _pipelined(instances=3):
     fragments = [Fragment("A", i, SCHEMA, [(i,)]) for i in range(instances)]
     node = LeraNode("pjoin", PipelinedJoinSpec(
         fragments, "key", SCHEMA, "key", stream_cardinality=9))
-    return OperationRuntime(node, make_dbfunc(node.spec, DEFAULT_COSTS),
-                            make_strategy("random"), cache_size=1)
+    return OperationRuntime(OperationBlueprint(
+        node, make_dbfunc(node.spec, DEFAULT_COSTS), make_strategy("random"),
+        cache_size=1), None)
 
 
 class TestConstruction:
@@ -46,8 +48,8 @@ class TestConstruction:
         fragments = [Fragment("R", 0, SCHEMA, [(0,)])]
         node = LeraNode("op", ScanFilterSpec(fragments, TRUE, SCHEMA))
         with pytest.raises(ExecutionError):
-            OperationRuntime(node, make_dbfunc(node.spec, DEFAULT_COSTS),
-                             make_strategy("random"), cache_size=0)
+            OperationBlueprint(node, make_dbfunc(node.spec, DEFAULT_COSTS),
+                               make_strategy("random"), cache_size=0)
 
     def test_empty_pool_rejected(self):
         operation = _triggered()

@@ -120,7 +120,8 @@ class Rig:
         executor = Executor(machine, ExecutionOptions(
             seed=config.seed, queue_capacity=config.capacity,
             observability=ObservabilityOptions(observe=config.observe)))
-        runtimes = executor.build_runtimes(plan, schedule)
+        runtimes = executor.build_runtimes(
+            executor.blueprint(plan, schedule))
         executor.wire_pipelines(plan, runtimes)
         self.bus = EventBus() if config.observe else None
         executor.attach_observability(runtimes, self.bus)
@@ -137,7 +138,7 @@ class Rig:
             lambda operation, error, at: self.cancel(at))
         self.next_thread_id, _ = executor.prepare_wave(
             self.operations,
-            {name: schedule.of(name).threads for name in runtimes},
+            [schedule.of(name).threads for name in runtimes],
             self.start, 0)
         self.simulator.add_operations(self.operations)
         self.boundaries = []
@@ -310,7 +311,8 @@ def _concurrent_joins(processors):
         schedule = QuerySchedule({
             "transmit": OperationSchedule(1, "lpt"),
             "join": OperationSchedule(join_threads, "lpt")})
-        runtimes = executor.build_runtimes(plan, schedule)
+        runtimes = executor.build_runtimes(
+            executor.blueprint(plan, schedule))
         executor.wire_pipelines(plan, runtimes)
         executor.attach_observability(runtimes, None)
         queries.append((runtimes, schedule))
@@ -325,7 +327,7 @@ def _concurrent_joins(processors):
     for runtimes, schedule in queries:
         wave = list(runtimes.values())
         next_thread_id, _ = executor.prepare_wave(
-            wave, {name: schedule.of(name).threads for name in runtimes},
+            wave, [schedule.of(name).threads for name in runtimes],
             start, next_thread_id)
         operations += wave
     simulator.add_operations(operations)

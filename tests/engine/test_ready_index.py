@@ -15,6 +15,7 @@ import pytest
 from repro.engine.dbfuncs import make_dbfunc
 from repro.engine.operation import (
     READY_INDEX_MIN_INSTANCES,
+    OperationBlueprint,
     OperationRuntime,
 )
 from repro.engine.ready_index import ReadyIndex
@@ -41,9 +42,9 @@ def _operation(instances=12, threads=3, allow_secondary=True,
     fragments = [Fragment("R", i, SCHEMA, [(j,) for j in range(1 + i % 4)])
                  for i in range(instances)]
     node = LeraNode("op", ScanFilterSpec(fragments, TRUE, SCHEMA))
-    operation = OperationRuntime(node, make_dbfunc(node.spec, DEFAULT_COSTS),
-                                 make_strategy(strategy), cache_size=1,
-                                 allow_secondary=allow_secondary)
+    operation = OperationRuntime(OperationBlueprint(
+        node, make_dbfunc(node.spec, DEFAULT_COSTS), make_strategy(strategy),
+        cache_size=1, allow_secondary=allow_secondary), None)
     operation.build_pool(list(range(threads)), start_time=0.0)
     if with_index and operation.ready_index is None:
         operation.ready_index = ReadyIndex(operation)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.operation import OperationRuntime
+from repro.engine.operation import OperationBlueprint, OperationRuntime
 from repro.engine.strategies import make_strategy
 from repro.engine.threads import RUNNABLE, WorkerThread
 from repro.lera.graph import LeraNode
@@ -22,8 +22,9 @@ def _operation(instances=6, threads=2):
     fragments = [Fragment("R", i, SCHEMA, [(i,)]) for i in range(instances)]
     node = LeraNode("op", ScanFilterSpec(fragments, TRUE, SCHEMA))
     from repro.engine.dbfuncs import make_dbfunc
-    runtime = OperationRuntime(node, make_dbfunc(node.spec, DEFAULT_COSTS),
-                               make_strategy("random"), cache_size=1)
+    runtime = OperationRuntime(OperationBlueprint(
+        node, make_dbfunc(node.spec, DEFAULT_COSTS), make_strategy("random"),
+        cache_size=1), None)
     runtime.build_pool(list(range(threads)), start_time=1.0)
     return runtime
 

@@ -29,6 +29,10 @@
   in :data:`DEFINITIONS_WITHOUT_CALLER`, each with its reason and the
   test that runs it; a listed definition that gains a caller must
   leave.
+* **Every import is read.**  A name an ``import`` binds in a package
+  module is read by that module: a name loaded, a string annotation
+  naming it, or an ``__all__`` entry passing it on.  No table: an
+  import nobody reads is deleted.
 * **Every option has a caller.**  A field of an option block (the
   fault plan's five dataclasses included) exists only if some caller
   outside the tests sets it (DESIGN.md §7): it is
@@ -465,6 +469,48 @@ def unreferenced(sources: dict[str, str], outside: Counter) -> list[str]:
              for site in DEFINITIONS_WITHOUT_CALLER
              if site not in uncalled_sites]
     return unlisted + stale
+
+
+def _annotation_names(tree: ast.Module):
+    """Names the string annotations of *tree* read (a forward
+    reference, or a ``TYPE_CHECKING`` import named in quotes)."""
+    for node in ast.walk(tree):
+        annotation = (node.annotation
+                      if isinstance(node, (ast.arg, ast.AnnAssign))
+                      else getattr(node, "returns", None))
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                yield from (name.id for name in ast.walk(
+                    ast.parse(part.value, mode="eval"))
+                    if isinstance(name, ast.Name))
+
+
+def unread_imports(sources: dict[str, str]) -> list[str]:
+    """Every name an import in *sources* binds that its module never
+    reads (:func:`_annotation_names` and ``__all__`` entries count)."""
+    found = []
+    for module, text in sources.items():
+        tree = _tree(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        read.update(_annotation_names(tree))
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__"
+                            for target in node.targets)):
+                read.update(element.value for element in ast.walk(node.value)
+                            if isinstance(element, ast.Constant))
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read:
+                    found.append(f"{module}:{node.lineno}: {bound} is "
+                                 f"imported but never read")
+    return found
 
 
 def option_fields(sources: dict[str, str]) -> dict[str, list[str]]:
@@ -1081,6 +1127,28 @@ def test_a_second_client_is_caught():
         "    return simulator.Simulator(machine, 0, print, print)\n")}
     assert simulator_builders(doctored) == {"workload/engine.py",
                                             "engine/doctored.py"}
+
+
+def test_every_import_is_read():
+    assert unread_imports(_package()) == []
+
+
+def test_an_import_nobody_reads_is_caught():
+    doctored = {**_package(), "bench/doctored.py": (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import TYPE_CHECKING\n"
+        "from dataclasses import dataclass, field\n"
+        "from repro.errors import PlanError as Refused\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.lera.graph import LeraGraph\n"
+        "def check(plan: 'LeraGraph | None') -> None:\n"
+        "    'field, os and Refused are named in prose only.'\n"
+        "    return dataclass\n")}
+    assert unread_imports(doctored) == [
+        "bench/doctored.py:2: os is imported but never read",
+        "bench/doctored.py:4: field is imported but never read",
+        "bench/doctored.py:5: Refused is imported but never read"]
 
 
 def test_every_option_has_a_caller_or_a_reason():

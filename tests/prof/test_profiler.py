@@ -8,18 +8,31 @@ import pytest
 
 from repro import (
     DBS3,
+    ExecutionOptions,
     ObservabilityOptions,
     WorkloadOptions,
     generate_wisconsin,
 )
 from repro.engine.dbfuncs import JoinFunc
+from repro.engine.simulator import _PROFILED_SECTIONS as SIMULATOR_SECTIONS
 from repro.errors import (
     ExecutionError,
     ReproError,
     WorkloadError,
 )
+from repro.obs.bus import QUERY_ADMIT
 from repro.prof import EngineProfiler, active_profiler, profile
-from repro.workload.engine import QuerySubmission, WorkloadExecutor
+from repro.serve.harness import (
+    build_submissions,
+    default_templates,
+    serving_machine,
+)
+from repro.workload.engine import _PROFILED_SECTIONS as RUN_SECTIONS
+from repro.workload.engine import (
+    QuerySubmission,
+    WorkloadExecutor,
+    _WorkloadRun,
+)
 
 
 class TestAttribution:
@@ -261,3 +274,32 @@ class TestSectionsCloseOnErrors:
                 with pytest.raises(ExecutionError, match="unknown join"):
                     executor.execute(submissions)
             self._assert_clean_after(db, prof)
+
+
+class TestSharedBodies:
+    """Every job of one ``(plan, schedule)`` pair runs the pair's one
+    stateless body, and the simulator instruments each operation's
+    body as it admits it: the body is wrapped once, timed once per
+    activation, and unwrapped when the run ends."""
+
+    def test_a_shared_body_is_timed_once_and_restored(self):
+        machine = serving_machine()
+        submissions = build_submissions(
+            default_templates(), [0.02 * i for i in range(60)],
+            machine=machine)
+        run = _WorkloadRun(machine, ExecutionOptions(), WorkloadOptions(
+            max_concurrent=2,
+            observability=ObservabilityOptions(profile=True)), submissions)
+        result = run.run()
+        bodies = [blueprint.dbfunc for shape in run._shapes.values()
+                  for blueprint in shape.blueprints.values()]
+        for target, sections in ((run, RUN_SECTIONS),
+                                 (run.simulator, SIMULATOR_SECTIONS),
+                                 *((body, {"process"}) for body in bodies)):
+            assert not set(sections) & set(vars(target)), target
+        timed = sum(node[0] for path, node in result.profile.nodes.items()
+                    if path[-1] == "dbfunc")
+        activations = sum(execution.total_activations
+                          for execution in result.executions.values())
+        admitted = len(result.bus.events_of(QUERY_ADMIT))
+        assert admitted > len(bodies) and timed == activations > admitted

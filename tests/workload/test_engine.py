@@ -25,8 +25,9 @@ from repro.bench.wisconsin_queries import (
     join_a_sel_bprime,
     make_database,
 )
-from repro.bench.workloads import skewed_fragments
+from repro.bench.workloads import make_join_database, skewed_fragments
 from repro.compiler.parallelizer import CompiledQuery
+from repro.engine.dbfuncs import PipelinedJoinFunc
 from repro.engine.executor import (
     Executor,
     OperationSchedule,
@@ -36,8 +37,9 @@ from repro.engine.simulator import Simulator
 from repro.errors import ExecutionError, PlanError
 from repro.lera.graph import LeraGraph
 from repro.lera.activation import PIPELINED
-from repro.lera.operators import OperatorSpec, StoreSpec
-from repro.lera.plans import ideal_join_plan
+from repro.engine.strategies import LPT
+from repro.lera.operators import JOIN_TEMP_INDEX, OperatorSpec, StoreSpec
+from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.obs.bus import QUERY_ADMIT, QUERY_FINISH, QUERY_GRANT, QUERY_SUBMIT
 from repro.serve.harness import build_submissions, default_templates
 from repro.storage.partitioning import PartitioningSpec
@@ -251,11 +253,11 @@ class TestEagerErrors:
 
     def test_raised_once_per_shape(self, db, monkeypatch):
         calls = []
-        original = Executor.check_buildable
+        original = Executor.blueprint
         monkeypatch.setattr(
-            Executor, "check_buildable",
+            Executor, "blueprint",
             lambda self, plan, schedule: (calls.append(plan),
-                                          original(self, plan, schedule)))
+                                          original(self, plan, schedule))[1])
         one = _submission(db, QUERIES[0], "one")
         twins = [QuerySubmission(f"q{i}", one.compiled, one.schedule, 0.1 * i)
                  for i in range(6)]
@@ -307,7 +309,7 @@ class TestShapeEquality:
             seen.append(plan)
             executor = Executor(db.machine)
             shape = _JobShape(plan, schedule, executor, shared=True)
-            runtimes = executor.build_runtimes(plan, schedule)
+            runtimes = executor.build_runtimes(shape.blueprints)
             assert shape.startup == _built_startup(executor, runtimes,
                                                    schedule)
             stores.update(node.name for node in plan.nodes
@@ -319,7 +321,8 @@ class TestShapeEquality:
         submission = _submission(db, QUERIES[0], "q")
         plan, schedule = submission.compiled.plan, submission.schedule
         executor = Executor(db.machine)
-        runtimes = executor.build_runtimes(plan, schedule)
+        runtimes = executor.build_runtimes(
+            executor.blueprint(plan, schedule))
         built = _built_startup(executor, runtimes, schedule)
 
         def shape():
@@ -332,3 +335,43 @@ class TestShapeEquality:
                           original(*args, **skip) + 1e-9)
             assert shape() != built
         assert shape() == built
+
+
+class TestStatefulBodies:
+    """A body that keeps per-execution state is built per job, while
+    the stateless ones are shared through the pair's blueprint.  The
+    pipelined temp-index join is the witness: its ``_charged`` set
+    decides which activation pays an instance's index build, so two
+    overlapping jobs of one pair each pay every build, as alone."""
+
+    @staticmethod
+    def _facts(execution):
+        return (sorted(execution.operation("join").activation_costs),
+                sorted(execution.result_rows))
+
+    def _alone_and_together(self):
+        database = make_join_database(400, 60, degree=4, theta=0.0)
+        plan = assoc_join_plan(database.entry_a, database.entry_b, "key",
+                               "key", algorithm=JOIN_TEMP_INDEX)
+        schedule = QuerySchedule.for_plan(plan, 2, LPT)
+        compiled = CompiledQuery.of_plan(plan)
+        executor = WorkloadExecutor(
+            workload=WorkloadOptions(max_concurrent=2))
+        alone = executor.execute([QuerySubmission("q", compiled, schedule)])
+        together = executor.execute([
+            QuerySubmission("q0", compiled, schedule),
+            QuerySubmission("q1", compiled, schedule, arrival=1e-4)])
+        admits = [event.t for event in together.bus.events_of(QUERY_ADMIT)]
+        finishes = [event.t for event in together.bus.events_of(QUERY_FINISH)]
+        assert max(admits) < min(finishes)  # the two jobs overlap
+        return (self._facts(alone.execution("q")),
+                [self._facts(together.execution(tag)) for tag in ("q0", "q1")])
+
+    def test_each_overlapping_job_charges_as_if_alone(self):
+        alone, together = self._alone_and_together()
+        assert together == [alone, alone]
+
+    def test_a_shared_stateful_body_is_caught(self, monkeypatch):
+        monkeypatch.setattr(PipelinedJoinFunc, "stateful", False)
+        alone, together = self._alone_and_together()
+        assert together[0] == alone and together[1] != alone

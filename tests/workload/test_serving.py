@@ -27,10 +27,13 @@ from repro import (
 )
 from repro.bench.workloads import make_join_database
 from repro.compiler.parallelizer import CompiledQuery
+from repro.engine import executor as executor_module
+from repro.engine.dbfuncs import PipelinedJoinFunc
 from repro.engine.executor import Executor
 from repro.errors import QueryShedError
 from repro.faults.plan import ActivationFaults, FaultPlan
 from repro.lera.graph import LeraGraph
+from repro.lera.operators import JoinSpec, PipelinedJoinSpec, TransmitSpec
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.obs.bus import (
     QUERY_ADMIT,
@@ -193,6 +196,10 @@ class TestTheLazyPathIsWhatRan:
                 lambda args, runtimes: alive.extend(
                     weakref.ref(runtime) for runtime in runtimes.values()))
             spy(engine_module, "query_complexity", "complexity")
+            for spec in (JoinSpec, TransmitSpec, PipelinedJoinSpec):
+                spy(spec, "estimated_instance_costs", "estimates")
+            spy(executor_module, "make_dbfunc", "dbfunc")
+            spy(PipelinedJoinFunc, "__init__", "stateful")
             spy(LeraGraph, "chain_waves", "waves")
             spy(engine_module, "allocate_to_queries", "allocate",
                 lambda args, grants: keys.append(
@@ -224,6 +231,20 @@ class TestTheLazyPathIsWhatRan:
         _, submissions, calls, _, _ = run
         assert len({id(s.compiled.plan) for s in submissions}) == 3
         assert calls["complexity"] == calls["waves"] == 3
+
+    def test_a_shape_builds_its_bodies_and_estimates_once(self, run):
+        result, submissions, calls, _, _ = run
+        plans = {id(s.compiled.plan): s.compiled.plan for s in submissions}
+        nodes = sum(len(plan.nodes) for plan in plans.values())
+        assert calls["build"] > 50 * nodes
+        assert calls["dbfunc"] == nodes
+        # The blueprint reads each node's once; step 0's complexity may.
+        assert nodes <= calls["estimates"] <= 2 * nodes
+        # A stateful body: the blueprint's, then one per admitted job.
+        batch_admits = sum(event.operation.startswith("batch")
+                           for event in result.bus.events_of(QUERY_ADMIT))
+        assert batch_admits > 10
+        assert calls["stateful"] == 1 + batch_admits
 
     def test_step_zero_is_computed_once_per_running_set(self, run):
         _, _, calls, keys, _ = run
