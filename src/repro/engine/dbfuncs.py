@@ -7,18 +7,18 @@ from the calibrated cost model.
 
 Costing note: for the nested-loop algorithm the *cost* charged is the
 full outer x inner scan the 1995 prototype would have executed, while
-the *matching* itself uses a hash table so the Python reproduction
-stays fast: one comprehension tests each outer row's key against the
-inner table's read-only view (``HashIndex.table``) and joins only the
-rows that match.  Results are identical; only wall-clock time differs.
+the *matching* is read from the outer fragment's join index
+(``Fragment.join_index``: the pairs that match, found once by probing
+the inner's hash index), so an execution only concatenates the rows of
+its pairs.  Results are identical; only wall-clock time differs.
 The temp-index algorithm executes its actual data structure
 (:class:`~repro.storage.indexes.SortedIndex`).  Selection
 is a set at a time as well (:meth:`~repro.lera.predicates.Predicate
 .select`, one call per fragment).
 
-A structure over a whole stored fragment is borrowed from the fragment
-(``Fragment.index_on``: built once, shared, immutable); the *charge*
-for building it is still made in every execution.
+A structure over a whole stored fragment is borrowed from it (``index_on``,
+``join_index``: built once, shared, immutable); the *charge* for building
+or scanning it is still made in every execution.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from repro.lera.operators import (
 from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.storage.fragment import Fragment
-from repro.storage.indexes import build_index
-from repro.storage.tuples import Row
+from repro.storage.indexes import build_index, join_rows
+from repro.storage.tuples import Row, row_size_bytes
 
 
 @dataclass
@@ -176,7 +176,6 @@ class IndexScanFunc(DBFunc):
         if ctx.tracks_memory:
             # Only the touched lines are shipped on a probe; approximate
             # by charging the matches' footprint, not the whole fragment.
-            from repro.storage.tuples import row_size_bytes
             touched = sum(row_size_bytes(row) for row in matches) or 1
             penalty = ctx.touch(segment_key(fragment), touched)
         else:
@@ -197,14 +196,6 @@ class JoinFunc(DBFunc):
         self._outer_pos = spec.outer_fragments[0].schema.position(spec.outer_key)
         self._inner_pos = spec.inner_fragments[0].schema.position(spec.inner_key)
 
-    def _outer_index(self, outer: Fragment, outer_rows: tuple[Row, ...]):
-        """The fragment's own sorted index at ``grain == 1``; a chunk
-        builds over its slice — repeated work, the genuine price of the
-        finer grain."""
-        if self.spec.grain == 1:
-            return outer.index_on(self._outer_pos, "sorted")
-        return build_index(outer_rows, self._outer_pos, "sorted")
-
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
         if activation.kind != CONTROL:
@@ -212,13 +203,9 @@ class JoinFunc(DBFunc):
         outer = self.spec.outer_fragments[instance]
         inner = self.spec.inner_fragments[instance]
         if self.spec.grain == 1:
-            outer_rows = outer.rows
-            slice_cardinality = len(outer_rows)
+            low, high = 0, len(outer.rows)
         else:
             low, high = self.spec.chunk_bounds(instance, activation.chunk)
-            outer_rows = outer.rows if (low, high) == (0, len(outer.rows)) \
-                else outer.rows[low:high]
-            slice_cardinality = high - low
         penalty = (ctx.touch(segment_key(outer), outer.size_bytes())
                    + ctx.touch(segment_key(inner), inner.size_bytes())
                    ) if ctx.tracks_memory else 0.0
@@ -226,26 +213,26 @@ class JoinFunc(DBFunc):
         emitted: list[Row] = []
         algorithm = self.spec.algorithm
         if algorithm == JOIN_NESTED_LOOP:
-            table = inner.index_on(self._inner_pos).table
-            outer_pos = self._outer_pos
-            # No call per outer row: a row without a match costs one
-            # subscript and one membership test; only hits are joined.
-            emitted = [left + right for left in outer_rows
-                       if left[outer_pos] in table
-                       for right in table[left[outer_pos]]]
+            emitted = join_rows(outer.join_index(self._outer_pos, inner,
+                                                 self._inner_pos),
+                                outer.rows, low, high)
             cost += self.costs.nested_loop_cost(
-                slice_cardinality, len(inner.rows), len(emitted))
+                high - low, len(inner.rows), len(emitted))
         elif algorithm == JOIN_TEMP_INDEX:
-            # Every chunk probes with the whole inner operand.
-            index = self._outer_index(outer, outer_rows)
-            cost += self.costs.index_build_cost(slice_cardinality)
+            # A chunk indexes its own slice (the genuine price of the
+            # finer grain) and probes with the whole inner operand.
+            index = (outer.index_on(self._outer_pos, "sorted")
+                     if self.spec.grain == 1 else
+                     build_index(outer.rows[low:high], self._outer_pos,
+                                 "sorted"))
+            cost += self.costs.index_build_cost(high - low)
             inner_pos = self._inner_pos
             for right in inner.rows:
                 matches = index.lookup(right[inner_pos])
                 for left in matches:
                     emitted.append(left + right)
                 cost += self.costs.index_probe_cost(
-                    max(slice_cardinality, 1), len(matches))
+                    max(high - low, 1), len(matches))
         else:  # pragma: no cover - spec validation rejects this earlier
             raise ExecutionError(f"unknown join algorithm {algorithm!r}")
         return ProcessResult(cost, emitted)

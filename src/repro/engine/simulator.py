@@ -627,14 +627,19 @@ class Simulator:
         thread.work = _WorkInProgress(emitted, thread.clock, total)
 
     def _advance_slice(self, thread: WorkerThread) -> None:
+        # advance(), _work_factor and _push written out: once per slice.
         if self._perturbs_cpu and self._stalled(thread):
             return
         work = thread.work
         slice_cost = min(work.remaining, work.slice)
-        thread.advance(slice_cost * self._work_factor(thread), busy=True)
+        charge = slice_cost * (self._work_factor(thread) if self._perturbs_cpu
+                               else self._dilation)
+        thread.clock += charge
+        thread.busy_time += charge
         work.remaining -= slice_cost
         if work.remaining > 1e-15:
-            self._push(thread)
+            heapq.heappush(self._heap, (thread.clock, self._seq, thread))
+            self._seq += 1
             return
         thread.work = None
         bus = thread.operation.bus

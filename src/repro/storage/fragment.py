@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.storage.indexes import HashIndex, SortedIndex, build_index
+from repro.storage.indexes import (
+    HashIndex,
+    JoinIndex,
+    SortedIndex,
+    build_index,
+    build_join_index,
+)
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row, row_size_bytes
 
@@ -29,7 +35,7 @@ class Fragment:
     """
 
     __slots__ = ("relation_name", "index", "schema", "rows", "_size_cache",
-                 "_indexes")
+                 "_indexes", "__weakref__")
 
     def __init__(self, relation_name: str, index: int, schema: Schema,
                  rows: Iterable[Row] = ()) -> None:
@@ -38,7 +44,7 @@ class Fragment:
         self.schema = schema
         self.rows: tuple[Row, ...] = tuple(rows)
         self._size_cache: int | None = None
-        self._indexes: dict[tuple[int, str], HashIndex | SortedIndex] = {}
+        self._indexes: dict[tuple, HashIndex | SortedIndex | JoinIndex] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -81,6 +87,18 @@ class Fragment:
         if index is None:
             index = build_index(self.rows, position, kind)
             self._indexes[position, kind] = index
+        return index
+
+    def join_index(self, position: int, inner: Fragment,
+                   inner_position: int) -> JoinIndex:
+        """These rows' join index against *inner*'s: one per pair of
+        positions, rebuilt once its inner rows tuple is not *inner*'s."""
+        key = (position, "join", inner_position)
+        index = self._indexes.get(key)
+        if index is None or index[0] is not inner.rows:
+            index = build_join_index(self.rows, position, inner.rows,
+                                     inner.index_on(inner_position))
+            self._indexes[key] = index
         return index
 
     def extend(self, rows: Iterable[Row]) -> None:

@@ -1,12 +1,14 @@
 """Fragment-local indexes.
 
-Two index kinds back the paper's join algorithms:
+Three structures back the paper's join algorithms:
 
 * :class:`HashIndex` — the classic equi-join build structure.
 * :class:`SortedIndex` — the "temporary index built on the fly" used in
   Experiment 3 (Figure 17): a sorted array with binary-search lookup,
   whose ``n log n`` build cost is what makes high partitioning degrees
   profitable (smaller fragments build super-linearly cheaper).
+* :data:`JoinIndex` — which rows of an outer fragment match an inner
+  one's ``HashIndex`` (Valduriez, "Join Indices", TODS 1987).
 
 Indexes store rows directly (fragments are memory-resident), and both
 expose ``lookup(key) -> tuple[Row, ...]``; what a build costs is the
@@ -25,7 +27,7 @@ its user.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -91,6 +93,34 @@ class SortedIndex:
         lo = bisect_left(self._keys, key)
         hi = bisect_right(self._keys, key)
         return self._rows[lo:hi]
+
+
+#: ``(inner_rows, positions, inners)``: the inner rows it was built from
+#: and, per matching pair in nested-loop order, the outer row's position
+#: and the inner row.  Exact tuples, so the collector untracks it.
+JoinIndex = tuple[tuple[Row, ...], tuple[int, ...], tuple[Row, ...]]
+
+
+def build_join_index(outer_rows: Sequence[Row], outer_position: int,
+                     inner_rows: tuple[Row, ...],
+                     inner: HashIndex) -> JoinIndex:
+    """Probe *inner* (over *inner_rows*) with every outer row's key."""
+    table = inner.table
+    # Flat: each pair's outer position, then its inner row.
+    flat = [item for position, row in enumerate(outer_rows)
+            if row[outer_position] in table
+            for inner_row in table[row[outer_position]]
+            for item in (position, inner_row)]
+    return inner_rows, tuple(flat[0::2]), tuple(flat[1::2])
+
+
+def join_rows(index: JoinIndex, outer_rows: tuple[Row, ...], low: int,
+              high: int) -> list[Row]:
+    """Fresh joined rows (outer + inner) of outer positions [low, high)."""
+    _, positions, inners = index
+    first, last = bisect_left(positions, low), bisect_left(positions, high)
+    return list(map(add, map(outer_rows.__getitem__, positions[first:last]),
+                    inners[first:last]))
 
 
 def build_index(rows: Sequence[Row], key_position: int, kind: str = "hash"):

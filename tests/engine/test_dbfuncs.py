@@ -1,6 +1,8 @@
 """Operator bodies: real relational results plus cost accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.dbfuncs import (
     ExecContext,
@@ -12,7 +14,7 @@ from repro.engine.dbfuncs import (
     segment_key,
 )
 from repro.errors import ExecutionError
-from repro.lera.activation import DATA, Activation, trigger
+from repro.lera.activation import DATA, Activation, chunk_trigger, trigger
 from repro.lera.operators import (
     JOIN_NESTED_LOOP,
     JOIN_TEMP_INDEX,
@@ -26,6 +28,7 @@ from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.machine import Machine
 from repro.storage.fragment import Fragment
 from repro.storage.schema import Schema
+from tests.storage.test_join_index import ROWS, nested_loop_reference
 
 SCHEMA = Schema.of_ints("key", "payload")
 
@@ -99,6 +102,37 @@ class TestJoinFunc:
         with pytest.raises(ExecutionError):
             self._func(JOIN_NESTED_LOOP).process(
                 0, Activation(DATA, 0, (1, 1)), _ctx())
+
+
+class TestNestedLoopJoinIndex:
+    """The join index gives each activation the rows and the charge the
+    nested-loop comprehension gave, for every chunk of every grain."""
+
+    @settings(max_examples=60)
+    @given(outer=ROWS, inner=ROWS, grain=st.integers(1, 5),
+           allcache=st.booleans())
+    def test_every_chunk_equals_the_comprehension(self, outer, inner, grain,
+                                                  allcache):
+        spec = JoinSpec(_fragments("A", [outer]), _fragments("B", [inner]),
+                        "key", "key", grain=grain)
+        func = JoinFunc(spec, DEFAULT_COSTS)
+        rows = spec.outer_fragments[0].rows
+        for chunk in range(grain):
+            low, high = spec.chunk_bounds(0, chunk)
+            expected = nested_loop_reference(rows[low:high], inner)
+            activation = trigger(0) if grain == 1 else chunk_trigger(0, chunk)
+            for _ in range(2):  # the build, then the kept index
+                machine = (Machine.ksr1(processors=2) if allcache
+                           else Machine.uniform())
+                ctx = ExecContext(machine, owner=0)
+                result = func.process(0, activation, ctx)
+                assert result.emitted == expected
+                assert (ctx.penalty > 0) == allcache
+                charge = DEFAULT_COSTS.trigger_activation + ctx.penalty
+                charge += DEFAULT_COSTS.nested_loop_cost(
+                    high - low, len(inner), len(expected))
+                assert result.cost == charge
+                result.emitted.append("junk")
 
 
 class TestTransmitFunc:

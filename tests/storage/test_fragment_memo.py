@@ -27,7 +27,12 @@ from repro.scheduler.adaptive import AdaptiveScheduler
 from repro.storage import fragment as fragment_module
 from repro.storage.catalog import Catalog
 from repro.storage.fragment import Fragment
-from repro.storage.indexes import HashIndex, SortedIndex, build_index
+from repro.storage.indexes import (
+    HashIndex,
+    SortedIndex,
+    build_index,
+    build_join_index,
+)
 from repro.storage.partitioning import PartitioningSpec
 from repro.storage.relation import Relation
 
@@ -44,6 +49,19 @@ def builds(monkeypatch):
         return build_index(rows, position, kind)
 
     monkeypatch.setattr(fragment_module, "build_index", counting)
+    return calls
+
+
+@pytest.fixture
+def join_builds(monkeypatch):
+    """Every join index a fragment builds, as ``id(outer rows)``."""
+    calls = []
+
+    def counting(outer_rows, position, inner_rows, inner):
+        calls.append(id(outer_rows))
+        return build_join_index(outer_rows, position, inner_rows, inner)
+
+    monkeypatch.setattr(fragment_module, "build_join_index", counting)
     return calls
 
 
@@ -89,6 +107,19 @@ class TestBuiltOnce:
         assert {(position, k) for _, position, k in first} == {(0, kind)}
         indexed = {rows for rows, _, _ in first}
         assert indexed >= {id(f.rows) for f in join_db.entry_a.fragments}
+
+    @pytest.mark.parametrize("grain", (1, 3))
+    def test_a_repeated_ideal_join_matches_each_pair_once(self, join_db,
+                                                          join_builds, grain):
+        """Two runs of one nested-loop IdealJoin plan build ``degree``
+        join indexes, not twice that; the warm run is the cold one."""
+        plan = ideal_join_plan(join_db.entry_a, join_db.entry_b, "key",
+                               "key", grain=grain)
+        cold, warm = _run(plan), _run(plan)
+        assert len(join_builds) == len(set(join_builds)) == join_db.degree
+        assert warm.result_rows == cold.result_rows
+        assert warm.response_time == cold.response_time
+        assert warm.operations == cold.operations
 
     def test_chunked_activations_index_their_own_slice(self, join_db, builds):
         """``grain > 1``: the repeated build is the modelled price."""

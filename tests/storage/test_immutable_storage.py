@@ -91,3 +91,17 @@ class TestCollectorBudget:
         assert not any(gc.is_tracked(table) for table in tables)
         # Bounded by fragments, not by the 100k rows or 75k keys.
         assert grown <= TRACKED_PER_FRAGMENT * len(fragments) + 100, grown
+
+    def test_a_join_index_leaves_the_collector(self):
+        entry_a, entry_b = self._load(DBS3())
+        indexes = [outer.join_index(0, inner, 0) for outer, inner
+                   in zip(entry_a.fragments, entry_b.fragments)]
+        # A tuple is untracked once its items are: one visited before
+        # its items waits for the next collection.
+        gc.collect()
+        gc.collect()
+        assert sum(len(inners) for _, _, inners in indexes) > 0
+        for index in indexes:
+            assert type(index) is tuple
+            assert all(type(part) is tuple for part in index)
+            assert not any(map(gc.is_tracked, (index, *index)))
